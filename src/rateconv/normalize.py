@@ -116,8 +116,8 @@ def apply_normalization(net: NetworkSpec, stats: NormStats) -> NetworkSpec:
     if len(stats.scales) != len(param_idx) + 1:
         raise ValueError(f"stats carry {len(stats.scales)} scales but network has "
                          f"{len(param_idx)} parameterized layers (+1 for the input)")
-    if any(s <= 0.0 for s in stats.scales):
-        raise ValueError("all scale factors must be positive")
+    if not all(0.0 < s < math.inf for s in stats.scales):  # also false for NaN
+        raise ValueError("all scale factors must be positive and finite")
 
     layers = []
     j = 0

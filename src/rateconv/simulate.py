@@ -19,11 +19,40 @@ Within a step, layers cascade synchronously: layer l sees the spikes
 layer l-1 produced in the same step.  Potentials are float64 even
 though weights are stored float32, which keeps the bookkeeping identity
 below 1e-9 over thousands of steps.
+
+Order of work.  Layer l over steps t..t+K-1 depends only on layer l-1's
+spikes over those same steps, so one kernel (_advance) runs the stack
+one population at a time over a block of K steps: one affine call over
+K*batch rows gives the block's input currents, then the IF recurrence
+steps through them in order.  Spike counts are the block's spikes
+summed, current sums are accumulated one step after another (never a
+pairwise sum), and the output argmax for the settle step is taken once
+per block.  K is the largest number of steps for which
+K * batch * (widest population) float64 values fit in BLOCK_BYTES, so
+memory stays bounded whatever T is.  step, if_step and
+simulate_current_sequence are views of the same kernel.
+
+Why the spikes stay bit-identical.  Each neuron sees the same float64
+operations in the same order as a step-at-a-time loop: add the
+current, compare inclusively with v_thr, subtract v_thr on a spike.
+What changes is how a layer's currents are computed: over K*batch rows
+at once, and for conv layers by im2col + GEMM instead of per-offset
+einsums.  Its inputs are 0/1 spikes, so every current is a sum of a
+subset of the float32 weights plus the bias.  Each of those is a whole
+multiple of u, the smallest float32 ulp among the layer's nonzero
+parameters, and when every neuron's sum(|w|) + |b| stays below 2^53 u
+each partial sum is exactly representable in float64: any summation
+order yields the same bits.  Layers that pass this test (_Stage.exact)
+get the block-wide call; a layer that fails it gets one call per step
+with the batch's rows and the per-offset einsum, as in a
+step-at-a-time loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -32,6 +61,7 @@ from .network import (LayerSpec, NetworkSpec, apply_layer_linear, layer_output_s
                       validate_network)
 
 READOUTS = ("rate", "robust")
+BLOCK_BYTES = 1 << 20  # caps K * batch * (widest population) * 8 bytes
 
 
 @dataclass
@@ -60,6 +90,24 @@ class _Stage:
     bias64: np.ndarray
     flatten_input: bool
     shape: tuple[int, ...]
+
+    @cached_property
+    def exact(self) -> bool:
+        """Whether the layer's affine map of 0/1 inputs is exact in any order.
+
+        Every float32 parameter is a whole multiple of the smallest ulp u
+        among the nonzero ones, so every partial sum is too; below 2^53 u
+        such sums are exactly representable in float64.  fsum rounds the
+        bound correctly, so the comparison errs only towards False.
+        """
+        w = np.abs(self.weights64.reshape(len(self.bias64), -1))
+        b = np.abs(self.bias64)
+        nonzero = np.concatenate([w[w > 0], b[b > 0]])
+        if nonzero.size == 0:
+            return True
+        ulp = float(np.spacing(np.float32(nonzero.min())))
+        bound = max(math.fsum([*row.tolist(), bias]) for row, bias in zip(w, b.tolist()))
+        return bound < 2.0 ** 53 * ulp
 
 
 def _build_stages(net: NetworkSpec) -> list[_Stage]:
@@ -96,7 +144,7 @@ class SimState:
     batch: int
     t: int
     potentials: list[np.ndarray]     # float64 [batch, *shape]
-    spikes: list[np.ndarray]         # last step's 0/1 indicators
+    spikes: list[np.ndarray]         # bool: which neurons fired in the last step
     counts: list[np.ndarray]         # int64 cumulative spike counts
     current_sums: list[np.ndarray]   # float64 cumulative injected current
     stages: list[_Stage] = field(repr=False, default_factory=list)
@@ -109,9 +157,14 @@ class SimState:
         for j in range(len(self.potentials)):
             if not keep_potentials:
                 self.potentials[j][...] = 0.0
-            self.spikes[j][...] = 0.0
+            self.spikes[j][...] = False
             self.counts[j][...] = 0
             self.current_sums[j][...] = 0.0
+
+    def block_steps(self) -> int:
+        """Steps per block: K * batch * (widest population) float64s fit in BLOCK_BYTES."""
+        widest = max(math.prod(s) for s in self.population_shapes())
+        return max(1, BLOCK_BYTES // (8 * self.batch * widest))
 
 
 def init_sim(net: NetworkSpec, config: SimConfig, batch: int = 1) -> SimState:
@@ -129,11 +182,77 @@ def init_sim(net: NetworkSpec, config: SimConfig, batch: int = 1) -> SimState:
         batch=batch,
         t=0,
         potentials=[np.zeros((batch, *s)) for s in shapes],
-        spikes=[np.zeros((batch, *s)) for s in shapes],
+        spikes=[np.zeros((batch, *s), dtype=bool) for s in shapes],
         counts=[np.zeros((batch, *s), dtype=np.int64) for s in shapes],
         current_sums=[np.zeros((batch, *s)) for s in shapes],
         stages=stages,
     )
+
+
+# ---------------------------------------------------------------------------
+# the kernel
+
+def _integrate(potentials: np.ndarray, currents: np.ndarray, v_thr: float,
+               fired: np.ndarray, total: np.ndarray,
+               trail: Optional[np.ndarray] = None) -> None:
+    """The IF recurrence over a block of steps, in place.
+
+    Step k adds currents[k] to the potentials and to total (one step
+    after another, never a pairwise sum, so totals round as a step loop
+    rounds them), marks fired[k] where the potential reaches v_thr
+    (inclusive) and subtracts v_thr there.  Potentials may go
+    arbitrarily negative.  trail[k], if given, receives the potential
+    after step k.
+    """
+    for k, z in enumerate(currents):
+        np.add(potentials, z, out=potentials)
+        np.add(total, z, out=total)
+        np.greater_equal(potentials, v_thr, out=fired[k])
+        np.subtract(potentials, v_thr, out=potentials, where=fired[k])
+        if trail is not None:
+            trail[k] = potentials
+
+
+def _block_currents(stage: _Stage, spikes: np.ndarray) -> np.ndarray:
+    """Input currents [K, batch, *shape] of a stage from the previous
+    population's spikes [K, batch, ...]."""
+    steps, batch = spikes.shape[:2]
+    x = spikes.reshape(steps * batch, *spikes.shape[2:])
+    if stage.flatten_input:
+        x = x.reshape(steps * batch, -1)
+    if stage.exact:
+        z = apply_layer_linear(stage.layer, x, stage.weights64, stage.bias64, im2col=True)
+        return z.reshape(steps, batch, *stage.shape)
+    # Not exact in every order: one call per step on the batch's rows,
+    # exactly as a step-at-a-time loop makes it.
+    rows = x.reshape(steps, batch, *x.shape[1:])
+    return np.stack([apply_layer_linear(stage.layer, r, stage.weights64, stage.bias64)
+                     for r in rows])
+
+
+def _advance(state: SimState, frames: np.ndarray, steps: int,
+             trail: Optional[np.ndarray] = None) -> np.ndarray:
+    """Advance the whole stack by `steps` steps, one population at a time.
+
+    frames [batch, *input_shape] drive population 0 as a constant
+    current.  Returns the output population's spike indicators
+    [steps, batch, *shape] (bool); trail, if given, receives its
+    potential after each step.
+    """
+    v_thr = state.config.v_thr
+    currents = np.broadcast_to(frames, (steps, *frames.shape))
+    last = len(state.potentials) - 1
+    for j in range(last + 1):
+        if j:
+            currents = _block_currents(state.stages[j - 1], spikes)
+        fired = np.empty(currents.shape, dtype=bool)
+        _integrate(state.potentials[j], currents, v_thr, fired, state.current_sums[j],
+                   trail if j == last else None)
+        state.counts[j] += fired.sum(axis=0, dtype=np.int64)
+        spikes = fired.astype(np.float64)
+        state.spikes[j] = fired[-1].copy()
+    state.t += steps
+    return fired
 
 
 def if_step(potentials: np.ndarray, currents: np.ndarray, v_thr: float) -> np.ndarray:
@@ -143,11 +262,10 @@ def if_step(potentials: np.ndarray, currents: np.ndarray, v_thr: float) -> np.nd
     (inclusive), subtracts v_thr from spiking neurons, and returns the
     0/1 spike indicators.  Potentials may go arbitrarily negative.
     """
-    potentials += currents
-    fired = potentials >= v_thr
-    spikes = fired.astype(np.float64)
-    potentials -= v_thr * spikes
-    return spikes
+    fired = np.empty((1, *potentials.shape), dtype=bool)
+    _integrate(potentials, np.asarray(currents)[None], v_thr, fired,
+               np.zeros(potentials.shape))
+    return fired[0].astype(np.float64)
 
 
 def step(state: SimState, net: NetworkSpec, frame: np.ndarray) -> list[np.ndarray]:
@@ -155,7 +273,8 @@ def step(state: SimState, net: NetworkSpec, frame: np.ndarray) -> list[np.ndarra
 
     The frame drives population 0 as a direct current; each later
     population receives its layer's affine map of the spikes the
-    previous population emitted in this same step.
+    previous population emitted in this same step.  Returns
+    state.spikes: per population, a bool array of who fired.
     """
     if net is not state.net:
         raise ValueError("state was initialized for a different network")
@@ -165,24 +284,7 @@ def step(state: SimState, net: NetworkSpec, frame: np.ndarray) -> list[np.ndarra
     elif frame.shape != (state.batch, *state.net.input_shape):
         raise ValueError(f"frame shape {frame.shape} does not match network input "
                          f"{state.net.input_shape} (batch {state.batch})")
-
-    v_thr = state.config.v_thr
-    spk = if_step(state.potentials[0], frame, v_thr)
-    state.spikes[0] = spk
-    state.counts[0] += spk.astype(np.int64)
-    state.current_sums[0] += frame
-
-    for j, stage in enumerate(state.stages, start=1):
-        x = state.spikes[j - 1]
-        if stage.flatten_input:
-            x = x.reshape(state.batch, -1)
-        z = apply_layer_linear(stage.layer, x, stage.weights64, stage.bias64)
-        spk = if_step(state.potentials[j], z, v_thr)
-        state.spikes[j] = spk
-        state.counts[j] += spk.astype(np.int64)
-        state.current_sums[j] += z
-
-    state.t += 1
+    _advance(state, frame, 1)
     return state.spikes
 
 
@@ -212,14 +314,17 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig,
               state: Optional[SimState] = None) -> SimResult:
     """Simulate a batch of frames for config.timesteps steps.
 
-    frames: [batch, *input_shape], each held constant for the whole run.
-    Pass the state back in across calls to reuse buffers; potentials are
-    zeroed between runs unless config.carry_potentials is set.
+    frames: [batch, *input_shape], finite, each held constant for the
+    whole run.  Pass the state back in across calls to reuse buffers;
+    potentials are zeroed between runs unless config.carry_potentials
+    is set.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != len(net.input_shape) + 1 or frames.shape[1:] != net.input_shape:
         raise ValueError(f"frames of shape {frames.shape} do not stack over "
                          f"network input {net.input_shape}")
+    if not np.all(np.isfinite(frames)):
+        raise ValueError("frames must be finite (found NaN or infinity)")
     batch = frames.shape[0]
     if state is None:
         state = init_sim(net, config, batch)
@@ -231,19 +336,26 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig,
 
     T = config.timesteps
     v_thr = config.v_thr
+    robust = config.readout == "robust"
+    block = state.block_steps()
     settle = np.ones(batch, dtype=np.int64)
     prev_choice = None
-    for t in range(1, T + 1):
-        step(state, net, frames)
-        if config.readout == "robust":
-            score = state.counts[-1].reshape(batch, -1) * v_thr \
-                + state.potentials[-1].reshape(batch, -1)
-        else:
-            score = state.counts[-1].reshape(batch, -1)
-        choice = np.argmax(score, axis=1)
-        if prev_choice is not None:
-            settle[choice != prev_choice] = t
-        prev_choice = choice
+    for t0 in range(0, T, block):
+        k = min(block, T - t0)
+        counts_before = state.counts[-1].reshape(batch, -1).copy()
+        trail = np.empty((k, *state.potentials[-1].shape)) if robust else None
+        fired = _advance(state, frames, k, trail)
+        # The output argmax after each step of the block, as a step loop sees it.
+        score = counts_before + np.cumsum(fired.reshape(k, batch, -1), axis=0, dtype=np.int64)
+        if robust:
+            score = score * v_thr + trail.reshape(k, batch, -1)
+        choice = np.argmax(score, axis=2)
+        seq = choice if prev_choice is None else np.concatenate([prev_choice[None], choice])
+        changed = seq[1:] != seq[:-1]
+        if len(changed):
+            from_end = np.argmax(changed[::-1], axis=0)
+            settle = np.where(changed.any(axis=0), t0 + k - from_end, settle)
+        prev_choice = choice[-1]
 
     rates = [c / T for c in state.counts]
     residuals = [v / T for v in state.potentials]
@@ -304,16 +416,11 @@ def simulate_current_sequence(currents: np.ndarray, v_thr: float = 1.0
     currents = np.asarray(currents, dtype=np.float64)
     if currents.ndim < 1 or currents.shape[0] < 1:
         raise ValueError("need at least one timestep of currents")
-    shape = currents.shape[1:]
-    potentials = np.zeros(shape)
-    counts = np.zeros(shape, dtype=np.int64)
-    total = np.zeros(shape)
-    for t in range(currents.shape[0]):
-        z = currents[t]
-        spikes = if_step(potentials, z, v_thr)
-        counts += spikes.astype(np.int64)
-        total += z
-    return counts, potentials, total
+    potentials = np.zeros(currents.shape[1:])
+    total = np.zeros(currents.shape[1:])
+    fired = np.empty(currents.shape, dtype=bool)
+    _integrate(potentials, currents, v_thr, fired, total)
+    return fired.sum(axis=0, dtype=np.int64), potentials, total
 
 
 def layer_identity_residual(result: SimResult, net: NetworkSpec,

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from rateconv import (load_model, optimal_network, read_report, read_trace, save_model,
-                      validate_network, write_blob)
+from rateconv import (load_model, optimal_network, read_blob, read_report, read_trace,
+                      save_model, validate_network, write_blob)
 from rateconv.cli import main
 
 
@@ -80,6 +80,16 @@ def test_normalize_scale_count_mismatch_is_data_error(tmp_path, model_dir):
                    "--out", tmp_path / "norm") == 2
 
 
+def test_normalize_non_finite_scale_is_data_error(tmp_path, model_dir):
+    stats = tmp_path / "stats.json"
+    for bad in ("NaN", "Infinity"):
+        stats.write_text('{"percentile": 99.9, "max_frames": 15000, "scales": [1.0, %s], '
+                         '"sample_counts": [0, 10], "warnings": [], "provenance": ""}' % bad)
+        assert run_cli("normalize", "--model", model_dir, "--stats", stats,
+                       "--out", tmp_path / "norm") == 2
+    assert not (tmp_path / "norm").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -111,6 +121,24 @@ def test_simulate_shape_mismatch_is_data_error(tmp_path, model_dir):
     bad = tmp_path / "bad.bin"
     write_blob(bad, np.zeros((3, 3), dtype=np.float32))
     assert run_cli("simulate", "--model", model_dir, "--frame", bad) == 2
+
+
+def test_simulate_non_finite_frame_is_data_error(tmp_path, model_dir, capsys):
+    frame = np.zeros((1, 6, 6), dtype=np.float32)
+    frame[0, 2, 3] = np.nan
+    path = tmp_path / "nan.bin"
+    write_blob(path, frame)
+    assert run_cli("simulate", "--model", model_dir, "--frame", path) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_simulate_non_finite_weights_is_data_error(tmp_path, model_dir, frames_blob, capsys):
+    weights = next(model_dir.glob("*_weights.bin"))
+    w = read_blob(weights)
+    w[0, 0] = np.inf
+    write_blob(weights, w)
+    assert run_cli("simulate", "--model", model_dir, "--frame", frames_blob) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

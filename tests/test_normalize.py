@@ -151,10 +151,11 @@ def test_apply_normalization_rejects_bad_stats(rng):
     with pytest.raises(ValueError):
         apply_normalization(net, NormStats([1.0] * (n_param + 2), [0] * (n_param + 2),
                                            NormConfig(100.0)))
-    bad = NormStats([1.0] * (n_param + 1), [0] * (n_param + 1), NormConfig(100.0))
-    bad.scales[-1] = -0.5
-    with pytest.raises(ValueError):
-        apply_normalization(net, bad)
+    for value in (-0.5, math.nan, math.inf):
+        bad = NormStats([1.0] * (n_param + 1), [0] * (n_param + 1), NormConfig(100.0))
+        bad.scales[-1] = value
+        with pytest.raises(ValueError):
+            apply_normalization(net, bad)
 
 
 def test_scaling_identity_per_layer(rng):

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from rateconv import (NetworkSpec, NormConfig, SimConfig, apply_normalization,
-                      classify_residual_cases, collect_stats, dense, diagnostics,
-                      forward_batch, if_step, init_sim, layer_identity_residual,
+                      classify_residual_cases, collect_stats, conv2d, dense, diagnostics,
+                      flatten, forward_batch, if_step, init_sim, layer_identity_residual,
                       rate_readout, robust_readout, run, run_batch,
                       simulate_current_sequence, step)
-from rateconv.simulate import classify_case_counts
+from rateconv import simulate
+from rateconv.network import apply_layer_linear
+from rateconv.simulate import _build_stages, classify_case_counts
 
-from conftest import rand_dense_net, rand_net, rand_frames
+from conftest import rand_conv_net, rand_dense_net, rand_net, rand_frames
 
 
 def hand_stepped_counts(currents, v_thr=1.0):
@@ -335,8 +337,19 @@ def test_run_batch_agrees_with_single_runs(rng):
     batch = run_batch(net, frames, SimConfig(timesteps=40))
     for i in range(8):
         single = run(net, frames[i], SimConfig(timesteps=40))
-        np.testing.assert_allclose(batch.f_last[i], single.f_last, atol=1e-12)
-        np.testing.assert_allclose(batch.rate_last[i], single.rate_last, atol=1e-12)
+        assert np.array_equal(batch.f_last[i], single.f_last)
+        assert np.array_equal(batch.rate_last[i], single.rate_last)
+
+
+def test_run_batch_rejects_non_finite_frames(rng):
+    net = rand_dense_net(rng, sizes=[3, 4, 2])
+    for bad in (np.nan, np.inf, -np.inf):
+        frames = rng.random((2, 3))
+        frames[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            run_batch(net, frames, SimConfig(timesteps=5))
+        with pytest.raises(ValueError, match="finite"):
+            run(net, frames[1], SimConfig(timesteps=5))
 
 
 def test_settle_step_within_run(rng):
@@ -371,3 +384,128 @@ def test_longer_runs_reduce_readout_error(rng):
             res = run_batch(norm, frames, SimConfig(timesteps=T))
             errors[T].append(float(np.mean(np.abs(res.f_last - q))))
     assert np.mean(errors[1000]) < np.mean(errors[100])
+
+
+# ---------------------------------------------------------------------------
+# the block kernel against a literal step loop
+
+def step_loop(net, frames, config, potentials=None):
+    """Reference: every population advanced one step at a time, with one
+    affine call per layer per step on the batch's rows."""
+    v_thr, T, B = config.v_thr, config.timesteps, len(frames)
+    acts, _ = forward_batch(net, frames)
+    layers, flat = [], False
+    for i, layer in enumerate(net.layers):
+        if layer.kind == "flatten":
+            flat = True
+            continue
+        layers.append((layer, flat))
+        flat = False
+    shapes = [frames.shape] + [acts[i].shape for i in net.parameterized_indices()]
+    pots = [np.zeros(sh) for sh in shapes] if potentials is None else \
+        [v.copy() for v in potentials]
+    counts = [np.zeros(sh, dtype=np.int64) for sh in shapes]
+    sums = [np.zeros(sh) for sh in shapes]
+    settle = np.ones(B, dtype=np.int64)
+    prev = None
+    for t in range(1, T + 1):
+        for j in range(len(shapes)):
+            if j == 0:
+                z = frames
+            else:
+                layer, flat = layers[j - 1]
+                x = spikes.reshape(B, -1) if flat else spikes
+                z = apply_layer_linear(layer, x, layer.weights.astype(np.float64),
+                                       layer.bias.astype(np.float64))
+            pots[j] += z
+            spikes = (pots[j] >= v_thr).astype(np.float64)
+            pots[j] -= v_thr * spikes
+            counts[j] += spikes.astype(np.int64)
+            sums[j] += z
+        score = counts[-1].reshape(B, -1)
+        if config.readout == "robust":
+            score = score * v_thr + pots[-1].reshape(B, -1)
+        choice = np.argmax(score, axis=1)
+        if prev is not None:
+            settle[choice != prev] = t
+        prev = choice
+    rate_last = (counts[-1] / T).reshape(B, -1)
+    return {"rates": [c / T for c in counts], "residuals": [v / T for v in pots],
+            "avg_currents": [z / (T * v_thr) for z in sums],
+            "f_last": rate_last + pots[-1].reshape(B, -1) / (T * v_thr),
+            "settle_step": settle, "counts": counts, "potentials": pots}
+
+
+def _padded_conv_net(rng):
+    """Conv stack with stride and padding: 2x7x7 -> 4x4x4 -> 3x5x3 -> 6 -> 4."""
+    def he(shape):
+        return rng.normal(0.0, 1.0 / np.sqrt(np.prod(shape[1:])), shape)
+    return NetworkSpec((2, 7, 7), [
+        conv2d(he((4, 2, 3, 3)), rng.normal(0, 0.05, 4), stride=(2, 2), padding=(1, 1)),
+        conv2d(he((3, 4, 2, 2)), rng.normal(0, 0.05, 3), padding=(1, 0)),
+        flatten(),
+        dense(he((6, 45)), rng.normal(0, 0.05, 6)),
+        dense(he((4, 6)), rng.normal(0, 0.05, 4), activation="none"),
+    ])
+
+
+def _inexact_conv_net(rng):
+    """The padded conv net with first-conv weights spread over 2^-40..1, so
+    its sums round differently in different orders and it falls back to
+    per-step einsums."""
+    net = _padded_conv_net(rng)
+    w = net.layers[0].weights
+    w *= 2.0 ** rng.integers(-40, 1, w.shape)
+    return net
+
+
+KERNEL_NETS = {
+    "dense": lambda rng: rand_dense_net(rng, sizes=[6, 9, 7, 4]),
+    "conv": lambda rng: rand_conv_net(rng),
+    "conv-padded": _padded_conv_net,
+    "conv-inexact": _inexact_conv_net,
+}
+
+
+@pytest.mark.parametrize("blocks", ["one", "several"])
+@pytest.mark.parametrize("readout", ["rate", "robust"])
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("kind", sorted(KERNEL_NETS))
+def test_kernel_bitwise_equals_step_loop(rng, monkeypatch, kind, batch, readout, blocks):
+    net = KERNEL_NETS[kind](rng)
+    exact = [stage.exact for stage in _build_stages(net)]
+    assert all(exact) == (kind != "conv-inexact")
+    T = 23
+    config = SimConfig(timesteps=T, v_thr=0.8, readout=readout)
+    state = init_sim(net, config, batch)
+    if blocks == "several":  # 4 steps per block: 5 full blocks and a 3-step one
+        widest = max(int(np.prod(sh)) for sh in state.population_shapes())
+        monkeypatch.setattr(simulate, "BLOCK_BYTES", 8 * batch * widest * 4)
+        assert state.block_steps() == 4
+    else:
+        assert state.block_steps() >= T
+
+    def check(res, ref):
+        for key in ("rates", "residuals", "avg_currents"):
+            for got, want in zip(getattr(res, key), ref[key]):
+                assert np.array_equal(got, want), key
+        assert np.array_equal(res.f_last, ref["f_last"])
+        assert np.array_equal(res.settle_step, ref["settle_step"])
+
+    frames = rand_frames(rng, batch, net.input_shape)
+    ref = step_loop(net, frames, config)
+    check(run_batch(net, frames, config, state=state), ref)
+
+    # carried potentials: the second run starts where the first ended
+    carry = SimConfig(timesteps=T, v_thr=0.8, readout=readout, carry_potentials=True)
+    frames2 = rand_frames(rng, batch, net.input_shape)
+    check(run_batch(net, frames2, carry, state=state),
+          step_loop(net, frames2, carry, potentials=ref["potentials"]))
+
+    # step() is the same kernel one step at a time
+    fresh = init_sim(net, config, batch)
+    for _ in range(T):
+        step(fresh, net, frames)
+    for j in range(len(ref["counts"])):
+        assert np.array_equal(fresh.counts[j], ref["counts"][j])
+        assert np.array_equal(fresh.potentials[j], ref["potentials"][j])
