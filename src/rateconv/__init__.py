@@ -21,7 +21,7 @@ from .simulate import (SimConfig, SimResult, SimState, classify_residual_cases,
 from .lincatch import LineCatchEnv, optimal_network
 from .evaluate import (ActionAgreement, AnalogAgent, ConversionReport, EvalConfig,
                        PlayRecord, SpikingAgent, collect_frames_by_play,
-                       conversion_rate, derive_seed, evaluate, pearson, play_episode,
-                       replay_trace, sweep_percentile, sweep_time)
+                       conversion_rate, derive_seed, evaluate, mean_std, pearson,
+                       play_episode, replay_trace, sweep_percentile, sweep_time)
 
 __version__ = "0.1.0"

@@ -16,19 +16,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import modelio
-from .evaluate import (EvalConfig, collect_frames_by_play, evaluate, replay_trace,
-                       sweep_percentile, sweep_time)
+from .evaluate import (CR_MODES, EvalConfig, collect_frames_by_play, evaluate, mean_std,
+                       replay_trace, report_row, sweep_percentile, sweep_time)
 from .lincatch import LineCatchEnv
 from .modelio import EpisodeTrace, FormatError, ReportRow, TraceStep
 from .network import greedy_action
 from .normalize import NormConfig, apply_normalization, collect_stats, load_stats, save_stats
-from .simulate import SimConfig, diagnostics, readout, run
+from .simulate import READOUTS, SimConfig, diagnostics, readout, run
 
 DEFAULT_TIME_VALUES = [100, 500]
 DEFAULT_PERCENTILE_VALUES = [99.9, 99.99]
@@ -52,7 +52,7 @@ def _add_sim_flags(p, default_t=500):
     p.add_argument("--timesteps", type=int, default=default_t,
                    help=f"simulation steps per decision (default {default_t})")
     p.add_argument("--vthr", type=float, default=1.0, help="spike threshold (default 1.0)")
-    p.add_argument("--readout", choices=("rate", "robust"), default="robust",
+    p.add_argument("--readout", choices=READOUTS, default="robust",
                    help="output readout (default robust)")
 
 
@@ -65,7 +65,7 @@ def _add_eval_flags(p, episodes):
                    help="max random no-op starts (default 30)")
     p.add_argument("--frame-budget", type=int, default=18000,
                    help="max environment steps per episode (default 18000)")
-    p.add_argument("--cr-mode", choices=("greedy", "executed"), default="greedy",
+    p.add_argument("--cr-mode", choices=CR_MODES, default="greedy",
                    help="compare greedy intents or executed actions (default greedy)")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
@@ -143,41 +143,35 @@ def build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# shared argument checks
+# configs from flags: the config classes hold the range rules
 
-def _sim_config(args) -> SimConfig:
-    if args.timesteps < 1:
-        raise UsageError(f"--timesteps must be >= 1, got {args.timesteps}")
-    if not args.vthr > 0:
-        raise UsageError(f"--vthr must be positive, got {args.vthr}")
-    return SimConfig(timesteps=args.timesteps, v_thr=args.vthr, readout=args.readout)
-
-
-def _eval_config(args) -> EvalConfig:
-    if not 0.0 <= args.epsilon <= 1.0:
-        raise UsageError(f"--epsilon must be in [0, 1], got {args.epsilon}")
-    if args.episodes < 1:
-        raise UsageError(f"--episodes must be >= 1, got {args.episodes}")
-    if args.max_noop < 0:
-        raise UsageError(f"--max-noop must be >= 0, got {args.max_noop}")
-    if args.frame_budget < 0:
-        raise UsageError(f"--frame-budget must be >= 0, got {args.frame_budget}")
-    return EvalConfig(epsilon=args.epsilon, max_noop=args.max_noop, episodes=args.episodes,
-                      seed=args.seed, frame_budget=args.frame_budget, cr_mode=args.cr_mode)
+def _usage(build, *args, **kwargs):
+    """build(*args, **kwargs), with a rejected value reported as a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
-def _check_percentile(p: float) -> float:
-    if not 99.0 <= p <= 100.0:
-        raise UsageError(f"percentile must be in [99, 100], got {p}")
-    return p
-
-
-def _env(args) -> LineCatchEnv:
-    if args.grid_size < 2:
-        raise UsageError(f"--grid-size must be >= 2, got {args.grid_size}")
-    if args.episode_len < 1:
+def _protocol(args) -> tuple[SimConfig, EvalConfig, LineCatchEnv]:
+    """Simulation, evaluation and environment settings of play and sweep."""
+    sim_config = _usage(SimConfig, timesteps=args.timesteps, v_thr=args.vthr,
+                        readout=args.readout)
+    eval_config = _usage(EvalConfig, epsilon=args.epsilon, max_noop=args.max_noop,
+                         episodes=args.episodes, seed=args.seed,
+                         frame_budget=args.frame_budget, cr_mode=args.cr_mode)
+    if args.episode_len < 1:  # LineCatchEnv accepts 0, but such episodes have no decisions
         raise UsageError(f"--episode-len must be >= 1, got {args.episode_len}")
-    return LineCatchEnv(grid_size=args.grid_size, episode_len=args.episode_len)
+    env = _usage(LineCatchEnv, grid_size=args.grid_size, episode_len=args.episode_len)
+    return sim_config, eval_config, env
+
+
+def _protocol_meta(sim_config: SimConfig, eval_config: EvalConfig,
+                   env: LineCatchEnv) -> dict:
+    """Sidecar keys shared by play and sweep."""
+    return {**asdict(eval_config), "timesteps": sim_config.timesteps,
+            "v_thr": sim_config.v_thr, "readout": sim_config.readout,
+            "grid_size": env.grid_size, "episode_len": env.episode_len}
 
 
 def _parse_values(raw: str | None, mode: str) -> list[float]:
@@ -191,12 +185,8 @@ def _parse_values(raw: str | None, mode: str) -> list[float]:
         values = [float(s) for s in items]
     except ValueError as exc:
         raise UsageError(f"--values failed to parse: {exc}") from exc
-    if mode == "time":
-        if any(v < 1 or v != int(v) for v in values):
-            raise UsageError(f"time values must be positive integers, got {raw}")
-    else:
-        for v in values:
-            _check_percentile(v)
+    if mode == "time" and not all(v.is_integer() for v in values):
+        raise UsageError(f"time values must be integers, got {raw}")
     return values
 
 
@@ -208,11 +198,7 @@ def _write_meta(out_path: str, payload: dict) -> None:
 def _load_frame(path: str, input_shape) -> np.ndarray:
     """One frame from a blob (exact shape or stacked) or a trace (first frame)."""
     p = Path(path)
-    if not p.is_file():
-        raise FormatError(f"{p}: no such file")
-    with open(p, "rb") as fh:
-        magic = fh.read(8)
-    if magic == modelio.TRACE_MAGIC:
+    if modelio.read_magic(p) == modelio.TRACE_MAGIC:
         frames = modelio.read_trace(p).observations()
         if frames.shape[0] < 1:
             raise FormatError(f"{p}: trace contains no frames")
@@ -228,13 +214,10 @@ def _load_frame(path: str, input_shape) -> np.ndarray:
 # commands
 
 def cmd_stats(args) -> int:
-    _check_percentile(args.percentile)
-    if args.max_frames < 1:
-        raise UsageError(f"--max-frames must be >= 1, got {args.max_frames}")
+    config = _usage(NormConfig, args.percentile, args.max_frames)
     net = modelio.load_model(args.model)
     frames = modelio.load_frames(args.frames)
-    stats = collect_stats(net, frames, NormConfig(args.percentile, args.max_frames),
-                          provenance=args.provenance or str(args.frames))
+    stats = collect_stats(net, frames, config, provenance=args.provenance or str(args.frames))
     save_stats(stats, args.out)
     print(f"wrote {args.out}: {len(stats.scales)} scales, "
           f"{len(stats.warnings)} warnings")
@@ -250,7 +233,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _sim_config(args)
+    config = _usage(SimConfig, timesteps=args.timesteps, v_thr=args.vthr, readout=args.readout)
     net = modelio.load_model(args.model)
     frame = _load_frame(args.frame, net.input_shape)
     result = run(net, frame, config)
@@ -265,13 +248,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    config = _sim_config(args)
+    config = _usage(SimConfig, timesteps=args.timesteps, v_thr=args.vthr, readout=args.readout)
     snn_net = modelio.load_model(args.snn_model)
     source = modelio.load_model(args.source) if args.source else None
     trace = modelio.read_trace(args.trace)
     report = replay_trace(trace, snn_net, config, source_net=source)
     row = ReportRow("replay", float(config.timesteps), 1,
-                    report.mean_source_score, 0.0,
+                    mean_std(report.source_scores)[0], 0.0,
                     report.cr, 0.0, float("nan"))
     modelio.write_report([row], args.out)
     _write_meta(args.out, {
@@ -297,45 +280,35 @@ def _record_trace(records, env: LineCatchEnv, path: str) -> None:
 
 
 def cmd_play(args) -> int:
-    sim_config = _sim_config(args)
-    eval_config = _eval_config(args)
-    env = _env(args)
+    sim_config, eval_config, env = _protocol(args)
     source = modelio.load_model(args.model)
     snn_net = modelio.load_model(args.snn_model) if args.snn_model else None
     report = evaluate(source, snn_net, sim_config, eval_config, env=env,
                       keep_records=args.record_trace is not None)
     if args.record_trace:
         _record_trace(report.records, env, args.record_trace)
-    mean_score, std_score = ((report.mean_snn_score, report.std_snn_score)
-                             if snn_net is not None
-                             else (report.mean_source_score, report.std_source_score))
-    row = ReportRow("play", float(sim_config.timesteps), eval_config.episodes,
-                    mean_score, std_score, report.mean_cr, report.std_cr, float("nan"))
+    row = report_row("play", sim_config.timesteps, report)
     modelio.write_report([row], args.out)
     _write_meta(args.out, {
-        "command": "play", "episodes": eval_config.episodes,
-        "epsilon": eval_config.epsilon, "max_noop": eval_config.max_noop,
-        "frame_budget": eval_config.frame_budget, "cr_mode": eval_config.cr_mode,
-        "seed": eval_config.seed, "timesteps": sim_config.timesteps,
-        "v_thr": sim_config.v_thr, "readout": sim_config.readout,
-        "grid_size": env.grid_size, "episode_len": env.episode_len,
+        **_protocol_meta(sim_config, eval_config, env), "command": "play",
         "spiking_agent": snn_net is not None,
-        "mean_source_score": report.mean_source_score,
+        "mean_source_score": mean_std(report.source_scores)[0],
         "conversion_rate": report.cr,
     })
-    print(f"mean score {mean_score:.3f} over {eval_config.episodes} episodes, "
+    print(f"mean score {row.mean_score:.3f} over {eval_config.episodes} episodes, "
           f"conversion rate {report.cr:.6f}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    sim_config = _sim_config(args)
-    eval_config = _eval_config(args)
-    env = _env(args)
+    sim_config, eval_config, env = _protocol(args)
+    _usage(NormConfig, args.percentile, args.max_frames)
     values = _parse_values(args.values, args.mode)
-    _check_percentile(args.percentile)
-    if args.max_frames < 1:
-        raise UsageError(f"--max-frames must be >= 1, got {args.max_frames}")
+    for v in values:  # each point's config, so a bad value fails before any file is read
+        if args.mode == "time":
+            _usage(replace, sim_config, timesteps=int(v))
+        else:
+            _usage(NormConfig, v, args.max_frames)
     source = modelio.load_model(args.model)
 
     if args.frames:
@@ -351,13 +324,8 @@ def cmd_sweep(args) -> int:
                                 max_frames=args.max_frames)
     modelio.write_report(rows, args.out)
     _write_meta(args.out, {
-        "command": "sweep", "mode": args.mode, "values": values,
-        "episodes": eval_config.episodes, "epsilon": eval_config.epsilon,
-        "max_noop": eval_config.max_noop, "frame_budget": eval_config.frame_budget,
-        "cr_mode": eval_config.cr_mode, "seed": eval_config.seed,
-        "percentile": args.percentile, "timesteps": sim_config.timesteps,
-        "v_thr": sim_config.v_thr, "readout": sim_config.readout,
-        "grid_size": env.grid_size, "episode_len": env.episode_len,
+        **_protocol_meta(sim_config, eval_config, env), "command": "sweep",
+        "mode": args.mode, "values": values, "percentile": args.percentile,
         "calibration_frames": int(frames.shape[0]),
         "points": [{"value": r.value, "mean_score": r.mean_score,
                     "std_score": r.std_score, "mean_cr": r.mean_cr,

@@ -6,14 +6,12 @@ spiking agent acts, the source network shadows every decision).  Either
 way the headline number is the conversion rate: the fraction of
 decisions on which both pick the same action.
 
-Episode i runs from seed derive_seed(master, i), so results do not
-depend on scheduling; set RATECONV_THREADS to run episodes in parallel.
+Episodes run one after another in index order, and episode i runs from
+seed derive_seed(master, i), so results depend only on the seed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -38,15 +36,6 @@ def derive_seed(master: int, index: int) -> int:
     x = (x * 0x94D049BB133111EB) & _MASK64
     x ^= x >> 31
     return x
-
-
-def worker_count() -> int:
-    """Episode-level parallelism, capped by RATECONV_THREADS (default 1)."""
-    raw = os.environ.get("RATECONV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -93,7 +82,8 @@ def conversion_rate(snn_actions, source_actions) -> ActionAgreement:
     return ActionAgreement(agreements=agreements, decisions=len(snn))
 
 
-def _stats(values: list[float]) -> tuple[float, float]:
+def mean_std(values: list[float]) -> tuple[float, float]:
+    """Mean and population standard deviation; (nan, nan) for no values."""
     if not values:
         return float("nan"), float("nan")
     arr = np.asarray(values, dtype=np.float64)
@@ -116,28 +106,9 @@ class ConversionReport:
         return self.agreements / self.decisions if self.decisions else float("nan")
 
     @property
-    def mean_source_score(self) -> float:
-        return _stats(self.source_scores)[0]
-
-    @property
-    def std_source_score(self) -> float:
-        return _stats(self.source_scores)[1]
-
-    @property
-    def mean_snn_score(self) -> float:
-        return _stats(self.snn_scores)[0]
-
-    @property
-    def std_snn_score(self) -> float:
-        return _stats(self.snn_scores)[1]
-
-    @property
-    def mean_cr(self) -> float:
-        return _stats(self.per_episode_cr)[0]
-
-    @property
-    def std_cr(self) -> float:
-        return _stats(self.per_episode_cr)[1]
+    def scores(self) -> list[float]:
+        """The spiking agent's scores if it played, else the source's."""
+        return self.snn_scores or self.source_scores
 
 
 # ---------------------------------------------------------------------------
@@ -273,64 +244,42 @@ def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfi
 # evaluation
 
 def evaluate(source_net: NetworkSpec, snn_net: Optional[NetworkSpec],
-             sim_config: SimConfig, eval_config: EvalConfig,
-             env: Optional[LineCatchEnv] = None, trace: Optional[EpisodeTrace] = None,
+             sim_config: SimConfig, eval_config: EvalConfig, env: LineCatchEnv,
              keep_records: bool = False) -> ConversionReport:
     """Aggregate scores and conversion rate over independent episodes.
 
-    Env mode plays eval_config.episodes paired episodes: the source
-    alone for its score, then the spiking agent with the source
-    shadowing for its score and the agreement counts.  With snn_net
-    None the source plays alone (useful for recording traces).  Trace
-    mode delegates to replay_trace once (a replay is deterministic).
+    Plays eval_config.episodes paired episodes: the source alone for its
+    score, then the spiking agent with the source shadowing for its
+    score and the agreement counts.  With snn_net None the source plays
+    alone (useful for recording traces).
     """
-    if (env is None) == (trace is None):
-        raise ValueError("provide exactly one of env or trace")
-    if trace is not None:
-        if snn_net is None:
-            raise ValueError("trace replay needs a spiking network")
-        return replay_trace(trace, snn_net, sim_config, source_net=source_net)
-
-    def one_episode(i: int):
-        base = derive_seed(eval_config.seed, i)
-        src_rec = play_episode(env.clone(), AnalogAgent(source_net), eval_config,
-                               np.random.default_rng(base))
-        if snn_net is None:
-            return src_rec, None
-        snn_rec = play_episode(env.clone(), SpikingAgent(snn_net, sim_config), eval_config,
-                               np.random.default_rng(base), shadow=AnalogAgent(source_net))
-        return src_rec, snn_rec
-
-    workers = worker_count()
-    indices = range(eval_config.episodes)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_episode, indices))
-    else:
-        results = [one_episode(i) for i in indices]
-
+    source = AnalogAgent(source_net)
     agreements = decisions = 0
     source_scores: list[float] = []
     snn_scores: list[float] = []
     per_episode_cr: list[float] = []
     records = []
-    for src_rec, snn_rec in results:
-        source_scores.append(src_rec.score)
-        if snn_rec is None:
-            n = len(src_rec.greedy_actions)
+    for i in range(eval_config.episodes):
+        base = derive_seed(eval_config.seed, i)
+        rec = play_episode(env.clone(), source, eval_config, np.random.default_rng(base))
+        source_scores.append(rec.score)
+        if snn_net is None:
+            n = len(rec.greedy_actions)
             agreements += n
             decisions += n
             per_episode_cr.append(1.0)
-            records.append(src_rec)
-            continue
-        snn_scores.append(snn_rec.score)
-        chosen = (snn_rec.greedy_actions if eval_config.cr_mode == "greedy"
-                  else snn_rec.executed_actions)
-        hits = sum(1 for a, b in zip(chosen, snn_rec.shadow_actions) if a == b)
-        agreements += hits
-        decisions += len(chosen)
-        per_episode_cr.append(hits / len(chosen) if chosen else float("nan"))
-        records.append(snn_rec)
+        else:
+            rec = play_episode(env.clone(), SpikingAgent(snn_net, sim_config), eval_config,
+                               np.random.default_rng(base), shadow=source)
+            snn_scores.append(rec.score)
+            chosen = (rec.greedy_actions if eval_config.cr_mode == "greedy"
+                      else rec.executed_actions)
+            hits = sum(1 for a, b in zip(chosen, rec.shadow_actions) if a == b)
+            agreements += hits
+            decisions += len(chosen)
+            per_episode_cr.append(hits / len(chosen) if chosen else float("nan"))
+        if keep_records:
+            records.append(rec)
 
     return ConversionReport(
         agreements=agreements,
@@ -360,10 +309,10 @@ def pearson(xs, ys) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def _score_of(report: ConversionReport) -> tuple[float, float]:
-    if report.snn_scores:
-        return report.mean_snn_score, report.std_snn_score
-    return report.mean_source_score, report.std_source_score
+def report_row(sweep_param: str, value: float, report: ConversionReport) -> ReportRow:
+    """One CSV row: mean and std of the scores and of the per-episode conversion rate."""
+    return ReportRow(sweep_param, float(value), report.episodes, *mean_std(report.scores),
+                     *mean_std(report.per_episode_cr), float("nan"))
 
 
 def _finish_rows(rows: list[ReportRow]) -> list[ReportRow]:
@@ -379,18 +328,12 @@ def sweep_time(source_net: NetworkSpec, env: LineCatchEnv, frames,
     """Normalize once at the given percentile, evaluate per simulation length."""
     if not t_values:
         raise ValueError("need at least one timestep value")
-    if any(int(t) < 1 for t in t_values):
-        raise ValueError(f"timestep values must be >= 1, got {t_values}")
+    configs = [replace(sim_config, timesteps=int(t)) for t in t_values]
     stats = collect_stats(source_net, frames, NormConfig(percentile, max_frames))
     norm_net = apply_normalization(source_net, stats)
-    rows = []
-    for t in t_values:
-        report = evaluate(source_net, norm_net, replace(sim_config, timesteps=int(t)),
-                          eval_config, env=env)
-        score, score_std = _score_of(report)
-        rows.append(ReportRow("time", float(t), eval_config.episodes, score, score_std,
-                              report.mean_cr, report.std_cr, float("nan")))
-    return _finish_rows(rows)
+    return _finish_rows([
+        report_row("time", t, evaluate(source_net, norm_net, config, eval_config, env=env))
+        for t, config in zip(t_values, configs)])
 
 
 def sweep_percentile(source_net: NetworkSpec, env: LineCatchEnv, frames,
@@ -400,13 +343,10 @@ def sweep_percentile(source_net: NetworkSpec, env: LineCatchEnv, frames,
     if not p_values:
         raise ValueError("need at least one percentile value")
     rows = []
-    for p in p_values:
-        stats = collect_stats(source_net, frames, NormConfig(float(p), max_frames))
-        norm_net = apply_normalization(source_net, stats)
+    for config in [NormConfig(float(p), max_frames) for p in p_values]:
+        norm_net = apply_normalization(source_net, collect_stats(source_net, frames, config))
         report = evaluate(source_net, norm_net, sim_config, eval_config, env=env)
-        score, score_std = _score_of(report)
-        rows.append(ReportRow("percentile", float(p), eval_config.episodes, score, score_std,
-                              report.mean_cr, report.std_cr, float("nan")))
+        rows.append(report_row("percentile", config.percentile, report))
     return _finish_rows(rows)
 
 

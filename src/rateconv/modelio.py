@@ -141,6 +141,11 @@ def save_model(net: NetworkSpec, model_dir) -> None:
     (d / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _is_int_list(value, length=None) -> bool:
+    return (isinstance(value, list) and length in (None, len(value))
+            and all(type(x) is int for x in value))
+
+
 def load_model(model_dir) -> NetworkSpec:
     """Load a model directory; the result always passes validate_network."""
     d = Path(model_dir)
@@ -151,25 +156,37 @@ def load_model(model_dir) -> NetworkSpec:
         manifest = json.loads(mpath.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ManifestError(f"{mpath}: not valid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"{mpath}: top level must be an object")
     if manifest.get("format_version") != 1:
         raise ManifestError(f"{mpath}: unsupported format_version "
                             f"{manifest.get('format_version')!r}")
-    try:
-        input_shape = tuple(int(x) for x in manifest["input_shape"])
-        records = manifest["layers"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"{mpath}: malformed manifest ({exc})") from exc
+    if not _is_int_list(manifest.get("input_shape")):
+        raise ManifestError(f"{mpath}: input_shape must be a list of integers")
+    records = manifest.get("layers")
+    if not isinstance(records, list):
+        raise ManifestError(f"{mpath}: layers must be a list")
 
     layers = []
     for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ManifestError(f"{mpath}: layer {i} must be an object")
         kind = rec.get("kind")
         if kind not in ("dense", "conv2d", "flatten"):
             raise ManifestError(f"{mpath}: layer {i} has unknown kind {kind!r}")
+        for key in ("stride", "padding"):
+            if rec.get(key) is not None and not _is_int_list(rec[key], length=2):
+                raise ManifestError(f"{mpath}: layer {i} {key} must be two integers")
         weights = bias = None
         if kind != "flatten":
             for key in ("weights", "bias"):
-                if not rec.get(key):
+                name = rec.get(key)
+                if not name:
                     raise ManifestError(f"{mpath}: layer {i} is missing its {key} blob name")
+                # a name, not a path: blobs live in the model directory itself
+                if not isinstance(name, str) or name == ".." or Path(name).name != name:
+                    raise ManifestError(f"{mpath}: layer {i} {key} blob name {name!r} "
+                                        "is not a file name")
             weights = read_blob(d / rec["weights"])
             bias = read_blob(d / rec["bias"])
         layers.append(LayerSpec(
@@ -180,7 +197,7 @@ def load_model(model_dir) -> NetworkSpec:
             padding=tuple(rec.get("padding") or (0, 0)),
             activation=rec.get("activation", "none" if kind == "flatten" else "relu"),
         ))
-    net = NetworkSpec(input_shape=input_shape, layers=layers)
+    net = NetworkSpec(input_shape=tuple(manifest["input_shape"]), layers=layers)
     result = validate_network(net)
     if not result.ok:
         raise ManifestError(f"{mpath}: loaded network is invalid: "
@@ -288,12 +305,19 @@ def read_trace(path) -> EpisodeTrace:
     return trace
 
 
-def load_frames(path) -> np.ndarray:
-    """Read a frame set from either a stacked tensor blob or a trace file."""
+def read_magic(path) -> bytes:
+    """The first 8 bytes of a file, which tell a tensor blob from a trace."""
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"{p}: no such file")
-    magic = p.read_bytes()[:8]
+    with open(p, "rb") as fh:
+        return fh.read(8)
+
+
+def load_frames(path) -> np.ndarray:
+    """Read a frame set from either a stacked tensor blob or a trace file."""
+    p = Path(path)
+    magic = read_magic(p)
     if magic == TRACE_MAGIC:
         return read_trace(p).observations()
     if magic == BLOB_MAGIC:

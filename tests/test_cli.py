@@ -237,6 +237,34 @@ def test_unknown_flag_is_usage_error(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, model", [
+    (["simulate", "--vthr", "0"], "model"),
+    (["play", "--epsilon", "2"], "model"),
+    (["play", "--episodes", "0"], "model"),
+    (["play", "--max-noop", "-1"], "model"),
+    (["play", "--frame-budget", "-1"], "model"),
+    (["play", "--grid-size", "1"], "model"),
+    (["play", "--episode-len", "0"], "model"),
+    (["sweep", "--mode", "time", "--max-frames", "0"], "model"),
+    (["sweep", "--mode", "time", "--percentile", "98"], "model"),
+    (["sweep", "--mode", "percentile", "--values", "98"], "model"),
+    (["sweep", "--mode", "time", "--values", "nan"], "model"),
+    (["sweep", "--mode", "time", "--values", "10,inf"], "model"),
+    (["sweep", "--mode", "time", "--grid-size", "1"], "model"),
+    (["sweep", "--mode", "time", "--episode-len", "0"], "model"),
+    (["play", "--episodes", "0"], "absent"),  # flags are checked before files are read
+])
+def test_bad_flag_value_is_usage_error(tmp_path, model_dir, frames_blob, flags, model):
+    out = tmp_path / "out"
+    model_path = model_dir if model == "model" else tmp_path / model
+    if flags[0] == "simulate":
+        tail = ["--frame", frames_blob, "--diagnose", out]
+    else:
+        tail = ["--out", out]
+    assert run_cli(*flags, "--model", model_path, *tail) == 1
+    assert not out.exists()
+
+
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 1
 

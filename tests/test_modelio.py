@@ -1,5 +1,6 @@
 """Round-trip and malformed-input behavior of all file formats."""
 
+import copy
 import json
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from rateconv import (BlobError, EpisodeTrace, FormatError, ManifestError, NetworkSpec,
                       ReportRow, TraceError, TraceStep, dense, conv2d, flatten,
                       load_frames, load_model, read_blob, read_report, read_trace,
-                      save_model, write_blob, write_report, write_trace)
+                      save_model, validate_network, write_blob, write_report, write_trace)
 
 from conftest import rand_conv_net, rand_dense_net
 
@@ -112,6 +113,63 @@ def test_load_model_rejects_bad_json_and_version(tmp_path, rng):
         load_model(tmp_path / "m")
     manifest.write_text("{not json")
     with pytest.raises(ManifestError, match="JSON"):
+        load_model(tmp_path / "m")
+
+
+MANIFEST_VALUES = [None, True, 0, -1, 2, 1.5, 1e300, float("inf"), "", "x", "..",
+                   "../layer000_weights.bin", "/x.bin", [], [1], [2, 2], [1.5, 1], ["1", 1],
+                   [[1]], {}, {"kind": "dense"}]
+
+
+def _json_paths(doc, path=()):
+    """The key path of every value in a JSON document, the root included."""
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _with_value(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def test_load_model_any_manifest_value_loads_or_raises_format_error(tmp_path):
+    net = rand_conv_net(np.random.default_rng(4))
+    assert [layer.kind for layer in net.layers][:2] == ["conv2d", "conv2d"]
+    save_model(net, tmp_path / "m")
+    manifest = tmp_path / "m" / "manifest.json"
+    valid = json.loads(manifest.read_text())
+    for path in list(_json_paths(valid)):
+        for value in MANIFEST_VALUES:
+            manifest.write_text(json.dumps(_with_value(valid, path, value)))
+            try:
+                loaded = load_model(tmp_path / "m")
+            except Exception as exc:  # any other type fails, naming the case
+                assert isinstance(exc, FormatError), (path, value, exc)
+                continue
+            assert validate_network(loaded).ok, (path, value)
+
+
+def test_load_model_rejects_blob_paths_outside_the_model(tmp_path, rng):
+    save_model(rand_dense_net(rng), tmp_path / "m")
+    (tmp_path / "outside.bin").write_bytes((tmp_path / "m" / "layer000_weights.bin").read_bytes())
+    manifest = tmp_path / "m" / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    payload["layers"][0]["weights"] = "../outside.bin"
+    manifest.write_text(json.dumps(payload))
+    with pytest.raises(ManifestError, match="not a file name"):
         load_model(tmp_path / "m")
 
 
