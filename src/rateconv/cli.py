@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -190,9 +191,21 @@ def _parse_values(raw: str | None, mode: str) -> list[float]:
     return values
 
 
+def _finite_or_null(value):
+    """value with every non-finite float in it replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_meta(out_path: str, payload: dict) -> None:
+    """The report's sidecar, strict JSON: a NaN or infinite value is written as null."""
     Path(str(out_path) + ".meta.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _load_frame(path: str, input_shape) -> np.ndarray:
@@ -302,6 +315,9 @@ def cmd_play(args) -> int:
 
 def cmd_sweep(args) -> int:
     sim_config, eval_config, env = _protocol(args)
+    if not args.frames and eval_config.frame_budget == 0:
+        raise UsageError("--frame-budget 0 leaves no decisions to collect calibration "
+                         "frames from; give --frames or a positive budget")
     _usage(NormConfig, args.percentile, args.max_frames)
     values = _parse_values(args.values, args.mode)
     for v in values:  # each point's config, so a bad value fails before any file is read

@@ -6,14 +6,23 @@ spiking agent acts, the source network shadows every decision).  Either
 way the headline number is the conversion rate: the fraction of
 decisions on which both pick the same action.
 
-Episodes run one after another in index order, and episode i runs from
-seed derive_seed(master, i), so results depend only on the seed.
+Episodes play in lockstep.  Episode i has its own environment and its
+own generator, seeded derive_seed(master, i), from which it draws its
+environment seed, its no-op prefix and its exploration; each round, the
+live episodes' observations go to the spiking network as one run_batch,
+whose row r is episode r's decision.  A row of run_batch is bit for bit
+the run of that frame alone (see rateconv.simulate), so results depend
+only on the seed, never on which episodes share a round.  Analog
+q-values (the source playing alone, and the shadow) stay one forward
+pass per observation: the rows of a batched float64 GEMM can differ in
+the last bit from single-row products, and a hidden ReLU activation
+carries that into a near-tie argmax.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +30,7 @@ from .lincatch import LineCatchEnv
 from .modelio import EpisodeTrace, ReportRow
 from .network import NetworkSpec, epsilon_greedy_action, forward, forward_batch, greedy_action
 from .normalize import NormConfig, apply_normalization, collect_stats
-from .simulate import SimConfig, init_sim, readout, run, run_batch
+from .simulate import SimConfig, init_sim, readout, run_batch
 
 CR_MODES = ("greedy", "executed")
 _MASK64 = (1 << 64) - 1
@@ -115,7 +124,7 @@ class ConversionReport:
 # agents
 
 class AnalogAgent:
-    """Greedy values straight from the analog forward pass."""
+    """Greedy values straight from the analog forward pass, one observation a call."""
 
     def __init__(self, net: NetworkSpec):
         self.net = net
@@ -125,16 +134,40 @@ class AnalogAgent:
 
 
 class SpikingAgent:
-    """Values from a fresh spiking run per decision (state buffers reused)."""
+    """Values from spiking runs of the converted network.
 
-    def __init__(self, net: NetworkSpec, sim_config: SimConfig):
+    qvalues takes one observation, or a stack of them with one row per
+    episode and those episodes' indices, and simulates the rows in one
+    run_batch; each row reads what a run of it alone reads.  Potentials
+    start from zero on every decision unless sim_config.carry_potentials
+    is set; then each episode's potentials carry over to its own next
+    decision, and only to its own.
+    """
+
+    def __init__(self, net: NetworkSpec, sim_config: SimConfig, episodes: int = 1):
         self.net = net
         self.sim_config = sim_config
-        self._state = init_sim(net, sim_config, batch=1)
+        self._state = init_sim(net, sim_config)  # buffers, rebuilt when the batch size changes
+        self._carried: Optional[list[np.ndarray]] = None  # per population [episodes, *shape]
+        if sim_config.carry_potentials:
+            self._carried = [np.zeros((episodes, *shape))
+                             for shape in self._state.population_shapes()]
 
-    def qvalues(self, obs) -> np.ndarray:
-        result = run(self.net, obs, self.sim_config, state=self._state)
-        return readout(result)
+    def qvalues(self, obs, episodes: Optional[Sequence[int]] = None) -> np.ndarray:
+        obs = np.asarray(obs, dtype=np.float64)
+        single = obs.shape == self.net.input_shape
+        frames = obs[None] if single else obs
+        rows = list(range(len(frames))) if episodes is None else list(episodes)
+        if self._state.batch != len(frames):
+            self._state = init_sim(self.net, self.sim_config, len(frames))
+        if self._carried is not None:
+            for potentials, carried in zip(self._state.potentials, self._carried):
+                potentials[...] = carried[rows]
+        values = readout(run_batch(self.net, frames, self.sim_config, state=self._state))
+        if self._carried is not None:
+            for potentials, carried in zip(self._state.potentials, self._carried):
+                carried[rows] = potentials
+        return values[0] if single else values
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +185,83 @@ class PlayRecord:
     env_steps: int
 
 
+# values(live, observations): one q-vector per live episode, in episode order
+Values = Callable[[list[int], list[np.ndarray]], Sequence[np.ndarray]]
+
+
+@dataclass
+class _Episode:
+    """One episode of a lockstep play: its env, its rng and its record so far."""
+
+    env: LineCatchEnv
+    rng: np.random.Generator
+    obs: np.ndarray
+    done: bool
+    record: PlayRecord
+
+    def live(self, config: EvalConfig) -> bool:
+        return not self.done and self.record.env_steps < config.frame_budget
+
+
+def _start_episode(env: LineCatchEnv, config: EvalConfig, rng: np.random.Generator,
+                   shadowed: bool) -> _Episode:
+    """Reset the env from rng, then play the random-length no-op prefix."""
+    env_seed = int(rng.integers(0, 2**63))
+    noop_len = int(rng.integers(0, config.max_noop + 1))
+    episode = _Episode(env, rng, env.reset(env_seed), env.done, PlayRecord(
+        score=0.0, executed_actions=[], greedy_actions=[],
+        shadow_actions=[] if shadowed else None, frames=[], rewards=[],
+        noop_steps=0, env_steps=0))
+    rec = episode.record
+    for _ in range(noop_len):
+        if not episode.live(config):
+            break
+        episode.obs, reward, episode.done = env.step(env.noop_action)
+        rec.score += reward
+        rec.env_steps += 1
+        rec.noop_steps += 1
+    return episode
+
+
+def _play_lockstep(envs: list[LineCatchEnv], rngs: list[np.random.Generator],
+                   values: Values, config: EvalConfig, shadow: Optional[AnalogAgent] = None,
+                   keep_frames: bool = True) -> list[PlayRecord]:
+    """Play one episode per (env, rng), all advancing together.
+
+    Each round, values(live, observations) gets the indices and current
+    observations of the live episodes (not done, under the frame
+    budget), in episode order, and returns one q-vector per row.  Each
+    live episode then draws its epsilon-greedy action from its own rng
+    and steps its own env; an episode that ends leaves the next round.
+    The shadow, if any, gives the source's greedy action for each row
+    from its own forward pass.
+    """
+    episodes = [_start_episode(env, config, rng, shadow is not None)
+                for env, rng in zip(envs, rngs)]
+    live = [i for i, episode in enumerate(episodes) if episode.live(config)]
+    while live:
+        for i, q in zip(live, values(live, [episodes[i].obs for i in live])):
+            episode = episodes[i]
+            rec = episode.record
+            rec.greedy_actions.append(greedy_action(q))
+            rec.executed_actions.append(epsilon_greedy_action(q, config.epsilon, episode.rng))
+            if shadow is not None:
+                rec.shadow_actions.append(greedy_action(shadow.qvalues(episode.obs)))
+            if keep_frames:
+                rec.frames.append(np.asarray(episode.obs, dtype=np.float32).copy())
+            episode.obs, reward, episode.done = episode.env.step(rec.executed_actions[-1])
+            rec.score += reward
+            rec.rewards.append(reward)
+            rec.env_steps += 1
+        live = [i for i in live if episodes[i].live(config)]
+    return [episode.record for episode in episodes]
+
+
+def _each_row(agent) -> Values:
+    """An agent's q-values row by row, one qvalues call per observation."""
+    return lambda live, observations: [agent.qvalues(obs) for obs in observations]
+
+
 def play_episode(env: LineCatchEnv, agent, config: EvalConfig,
                  rng: np.random.Generator, shadow: Optional[AnalogAgent] = None
                  ) -> PlayRecord:
@@ -160,46 +270,10 @@ def play_episode(env: LineCatchEnv, agent, config: EvalConfig,
     The environment is reseeded from `rng` before the no-op draw, so two
     calls with identically seeded rngs see the same object sequence and
     prefix regardless of which agent plays.  Forced no-op steps are not
-    decisions: they carry no frames or actions in the record.
+    decisions: they carry no frames or actions in the record.  This is
+    the one-episode case of the lockstep loop evaluate plays.
     """
-    env_seed = int(rng.integers(0, 2**63))
-    noop_len = int(rng.integers(0, config.max_noop + 1))
-    obs = env.reset(env_seed)
-    done = env.done
-    score = 0.0
-    steps = 0
-
-    noops = 0
-    for _ in range(noop_len):
-        if done or steps >= config.frame_budget:
-            break
-        obs, reward, done = env.step(env.noop_action)
-        score += reward
-        steps += 1
-        noops += 1
-
-    executed: list[int] = []
-    greedy: list[int] = []
-    shadow_actions: list[int] = [] if shadow is not None else None
-    frames: list[np.ndarray] = []
-    rewards: list[float] = []
-    while not done and steps < config.frame_budget:
-        q = agent.qvalues(obs)
-        intent = greedy_action(q)
-        action = epsilon_greedy_action(q, config.epsilon, rng)
-        if shadow is not None:
-            shadow_actions.append(greedy_action(shadow.qvalues(obs)))
-        frames.append(np.asarray(obs, dtype=np.float32).copy())
-        greedy.append(intent)
-        executed.append(action)
-        obs, reward, done = env.step(action)
-        score += reward
-        rewards.append(reward)
-        steps += 1
-
-    return PlayRecord(score=score, executed_actions=executed, greedy_actions=greedy,
-                      shadow_actions=shadow_actions, frames=frames, rewards=rewards,
-                      noop_steps=noops, env_steps=steps)
+    return _play_lockstep([env], [rng], _each_row(agent), config, shadow)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +317,19 @@ def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfi
 # ---------------------------------------------------------------------------
 # evaluation
 
+def _agreement(rec: PlayRecord, cr_mode: str) -> ActionAgreement:
+    """An episode's decisions that match the source's.
+
+    Without a shadow the source played, and agrees with itself.  An
+    episode with no decisions has a NaN conversion rate.
+    """
+    if rec.shadow_actions is None:
+        return ActionAgreement(len(rec.greedy_actions), len(rec.greedy_actions))
+    chosen = rec.greedy_actions if cr_mode == "greedy" else rec.executed_actions
+    return ActionAgreement(sum(1 for a, b in zip(chosen, rec.shadow_actions) if a == b),
+                           len(chosen))
+
+
 def evaluate(source_net: NetworkSpec, snn_net: Optional[NetworkSpec],
              sim_config: SimConfig, eval_config: EvalConfig, env: LineCatchEnv,
              keep_records: bool = False) -> ConversionReport:
@@ -251,42 +338,30 @@ def evaluate(source_net: NetworkSpec, snn_net: Optional[NetworkSpec],
     Plays eval_config.episodes paired episodes: the source alone for its
     score, then the spiking agent with the source shadowing for its
     score and the agreement counts.  With snn_net None the source plays
-    alone (useful for recording traces).
+    alone (useful for recording traces).  Each play runs its episodes
+    in lockstep, one spiking run_batch per round over the live episodes.
     """
-    source = AnalogAgent(source_net)
-    agreements = decisions = 0
-    source_scores: list[float] = []
-    snn_scores: list[float] = []
-    per_episode_cr: list[float] = []
-    records = []
-    for i in range(eval_config.episodes):
-        base = derive_seed(eval_config.seed, i)
-        rec = play_episode(env.clone(), source, eval_config, np.random.default_rng(base))
-        source_scores.append(rec.score)
-        if snn_net is None:
-            n = len(rec.greedy_actions)
-            agreements += n
-            decisions += n
-            per_episode_cr.append(1.0)
-        else:
-            rec = play_episode(env.clone(), SpikingAgent(snn_net, sim_config), eval_config,
-                               np.random.default_rng(base), shadow=source)
-            snn_scores.append(rec.score)
-            chosen = (rec.greedy_actions if eval_config.cr_mode == "greedy"
-                      else rec.executed_actions)
-            hits = sum(1 for a, b in zip(chosen, rec.shadow_actions) if a == b)
-            agreements += hits
-            decisions += len(chosen)
-            per_episode_cr.append(hits / len(chosen) if chosen else float("nan"))
-        if keep_records:
-            records.append(rec)
+    seeds = [derive_seed(eval_config.seed, i) for i in range(eval_config.episodes)]
 
+    def play(values, shadow=None, keep_frames=keep_records) -> list[PlayRecord]:
+        return _play_lockstep([env.clone() for _ in seeds],
+                              [np.random.default_rng(seed) for seed in seeds],
+                              values, eval_config, shadow, keep_frames)
+
+    source = AnalogAgent(source_net)
+    source_records = play(_each_row(source), keep_frames=keep_records and snn_net is None)
+    records = source_records
+    if snn_net is not None:
+        spiking = SpikingAgent(snn_net, sim_config, len(seeds))
+        records = play(lambda live, observations: spiking.qvalues(np.stack(observations), live),
+                       shadow=source)
+    agreements = [_agreement(rec, eval_config.cr_mode) for rec in records]
     return ConversionReport(
-        agreements=agreements,
-        decisions=decisions,
-        source_scores=source_scores,
-        snn_scores=snn_scores,
-        per_episode_cr=per_episode_cr,
+        agreements=sum(a.agreements for a in agreements),
+        decisions=sum(a.decisions for a in agreements),
+        source_scores=[rec.score for rec in source_records],
+        snn_scores=[rec.score for rec in records] if snn_net is not None else [],
+        per_episode_cr=[a.cr for a in agreements],
         episodes=eval_config.episodes,
         records=records if keep_records else None,
     )

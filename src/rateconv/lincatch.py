@@ -90,7 +90,7 @@ class LineCatchEnv:
             raise ValueError(f"action must be 0, 1 or 2, got {action}")
         if self._steps >= self.episode_len:
             raise RuntimeError("episode is over; call reset(seed)")
-        self._paddle = int(np.clip(self._paddle + (action - 1), 0, self.grid_size - 1))
+        self._paddle = min(max(self._paddle + int(action) - 1, 0), self.grid_size - 1)
         self._obj_row += 1
         reward = 0.0
         if self._obj_row == self.grid_size - 1:  # lands on the paddle row

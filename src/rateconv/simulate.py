@@ -44,8 +44,9 @@ parameters, and when every neuron's sum(|w|) + |b| stays below 2^53 u
 each partial sum is exactly representable in float64: any summation
 order yields the same bits.  Layers that pass this test (_Stage.exact)
 get the block-wide call; a layer that fails it gets one call per step
-with the batch's rows and the per-offset einsum, as in a
-step-at-a-time loop.
+and row with the per-offset einsum, as a step-at-a-time run of that
+row alone makes it.  Either way a row of run_batch is bit for bit the
+run of its frame alone, whatever else shares the batch.
 """
 
 from __future__ import annotations
@@ -223,11 +224,13 @@ def _block_currents(stage: _Stage, spikes: np.ndarray) -> np.ndarray:
     if stage.exact:
         z = apply_layer_linear(stage.layer, x, stage.weights64, stage.bias64, im2col=True)
         return z.reshape(steps, batch, *stage.shape)
-    # Not exact in every order: one call per step on the batch's rows,
-    # exactly as a step-at-a-time loop makes it.
-    rows = x.reshape(steps, batch, *x.shape[1:])
-    return np.stack([apply_layer_linear(stage.layer, r, stage.weights64, stage.bias64)
-                     for r in rows])
+    # Not exact in every order: one call per step and row, exactly as a
+    # step-at-a-time run of that row alone makes it (the rows of one
+    # batched GEMM may round differently from a single-row call).
+    rows = x.reshape(steps * batch, 1, *x.shape[1:])
+    z = np.concatenate([apply_layer_linear(stage.layer, r, stage.weights64, stage.bias64)
+                        for r in rows])
+    return z.reshape(steps, batch, *stage.shape)
 
 
 def _advance(state: SimState, frames: np.ndarray, steps: int,

@@ -190,6 +190,26 @@ def test_play_with_spiking_agent(tmp_path, model_dir):
     assert meta["spiking_agent"] is True and meta["epsilon"] == 0.05
 
 
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}, which is not strict JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("spiking", [False, True])
+def test_play_without_decisions_reports_nan_cr_and_strict_json(tmp_path, model_dir, spiking):
+    """With no decisions the conversion rate is undefined in both modes:
+    nan in the CSV, null in the sidecar."""
+    snn = ["--snn-model", model_dir] if spiking else []
+    out = tmp_path / "zero.csv"
+    assert run_cli("play", "--model", model_dir, *snn, "--frame-budget", "0",
+                   "--episodes", "2", "--out", out) == 0
+    row = read_report(out)[0]
+    assert np.isnan(row.mean_cr) and np.isnan(row.std_cr)
+    meta = _strict_json(tmp_path / "zero.csv.meta.json")
+    assert meta["conversion_rate"] is None and meta["spiking_agent"] is spiking
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -253,6 +273,7 @@ def test_unknown_flag_is_usage_error(capsys):
     (["sweep", "--mode", "time", "--grid-size", "1"], "model"),
     (["sweep", "--mode", "time", "--episode-len", "0"], "model"),
     (["play", "--episodes", "0"], "absent"),  # flags are checked before files are read
+    (["sweep", "--mode", "time", "--frame-budget", "0"], "absent"),  # no calibration frames
 ])
 def test_bad_flag_value_is_usage_error(tmp_path, model_dir, frames_blob, flags, model):
     out = tmp_path / "out"

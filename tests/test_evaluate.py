@@ -1,13 +1,18 @@
 """Conversion-rate accounting, replay, paired play, and sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rateconv import (EpisodeTrace, EvalConfig, LineCatchEnv, NormConfig, SimConfig,
-                      TraceStep, apply_normalization, collect_frames_by_play,
-                      collect_stats, conversion_rate, derive_seed, evaluate,
-                      forward_batch, mean_std, optimal_network, pearson, play_episode,
-                      replay_trace, run_batch, AnalogAgent)
+from rateconv import (ConversionReport, EpisodeTrace, EvalConfig, LineCatchEnv, NetworkSpec,
+                      NormConfig, PlayRecord, SimConfig, TraceStep, apply_normalization,
+                      collect_frames_by_play, collect_stats, conversion_rate, dense,
+                      derive_seed, epsilon_greedy_action, evaluate, flatten, forward_batch,
+                      greedy_action, init_sim, mean_std, optimal_network, pearson,
+                      play_episode, readout, replay_trace, run, run_batch, AnalogAgent,
+                      SpikingAgent)
+from rateconv.simulate import _build_stages
 
 from conftest import rand_dense_net, rand_frames
 
@@ -234,6 +239,204 @@ def test_evaluate_source_only_mode():
     assert report.source_scores == [8.0, 8.0, 8.0]
     assert report.snn_scores == []
     assert report.cr == 1.0
+
+
+def test_evaluate_source_only_episode_without_decisions_has_nan_cr():
+    net = optimal_network(8)
+    env = LineCatchEnv(grid_size=8, episode_len=56)
+    config = EvalConfig(epsilon=0.0, max_noop=0, episodes=2, seed=1, frame_budget=0)
+    report = evaluate(net, None, SimConfig(timesteps=10), config, env=env)
+    assert report.decisions == 0
+    assert np.isnan(report.per_episode_cr).all() and np.isnan(report.cr)
+
+
+# ---------------------------------------------------------------------------
+# lockstep evaluation against a literal sequential reference
+
+class _SequentialSpikingAgent:
+    """Reference agent: one batch-1 spiking run per decision, its state kept
+    for the episode, so carried potentials carry within the episode.  It
+    logs every readout it returns."""
+
+    def __init__(self, net, sim_config):
+        self.net = net
+        self.sim_config = sim_config
+        self.state = init_sim(net, sim_config, batch=1)
+        self.log = []
+
+    def qvalues(self, obs):
+        self.log.append(readout(run(self.net, obs, self.sim_config, state=self.state)))
+        return self.log[-1]
+
+
+def sequential_episode(env, agent, config, rng, shadow=None):
+    """Reference: one episode played one decision at a time."""
+    env_seed = int(rng.integers(0, 2**63))
+    noop_len = int(rng.integers(0, config.max_noop + 1))
+    obs = env.reset(env_seed)
+    done = env.done
+    score = 0.0
+    steps = noops = 0
+    for _ in range(noop_len):
+        if done or steps >= config.frame_budget:
+            break
+        obs, reward, done = env.step(env.noop_action)
+        score += reward
+        steps += 1
+        noops += 1
+    executed, greedy, frames, rewards = [], [], [], []
+    shadow_actions = [] if shadow is not None else None
+    while not done and steps < config.frame_budget:
+        q = agent.qvalues(obs)
+        intent = greedy_action(q)
+        action = epsilon_greedy_action(q, config.epsilon, rng)
+        if shadow is not None:
+            shadow_actions.append(greedy_action(shadow.qvalues(obs)))
+        frames.append(np.asarray(obs, dtype=np.float32).copy())
+        greedy.append(intent)
+        executed.append(action)
+        obs, reward, done = env.step(action)
+        score += reward
+        rewards.append(reward)
+        steps += 1
+    return PlayRecord(score=score, executed_actions=executed, greedy_actions=greedy,
+                      shadow_actions=shadow_actions, frames=frames, rewards=rewards,
+                      noop_steps=noops, env_steps=steps)
+
+
+def sequential_evaluate(source_net, snn_net, sim_config, eval_config, env):
+    """Reference: the episodes one after another, episode i from
+    derive_seed(seed, i); an episode without decisions has a NaN rate.
+    Returns the report and each episode's spiking readouts."""
+    source = AnalogAgent(source_net)
+    agreements = decisions = 0
+    source_scores, snn_scores, per_episode_cr, records = [], [], [], []
+    readouts = {}
+    for i in range(eval_config.episodes):
+        base = derive_seed(eval_config.seed, i)
+        rec = sequential_episode(env.clone(), source, eval_config, np.random.default_rng(base))
+        source_scores.append(rec.score)
+        if snn_net is None:
+            hits = n = len(rec.greedy_actions)
+        else:
+            agent = _SequentialSpikingAgent(snn_net, sim_config)
+            rec = sequential_episode(env.clone(), agent, eval_config,
+                                     np.random.default_rng(base), shadow=source)
+            readouts[i] = agent.log
+            snn_scores.append(rec.score)
+            chosen = (rec.greedy_actions if eval_config.cr_mode == "greedy"
+                      else rec.executed_actions)
+            hits = sum(1 for a, b in zip(chosen, rec.shadow_actions) if a == b)
+            n = len(chosen)
+        agreements += hits
+        decisions += n
+        per_episode_cr.append(hits / n if n else float("nan"))
+        records.append(rec)
+    return ConversionReport(agreements=agreements, decisions=decisions,
+                            source_scores=source_scores, snn_scores=snn_scores,
+                            per_episode_cr=per_episode_cr, episodes=eval_config.episodes,
+                            records=records), readouts
+
+
+def _log_spiking_readouts(monkeypatch):
+    """Log the rows SpikingAgent.qvalues returns, by episode."""
+    readouts = {}
+    qvalues = SpikingAgent.qvalues
+
+    def logged(self, obs, episodes=None):
+        values = qvalues(self, obs, episodes)
+        for i, row in zip(episodes, values):
+            readouts.setdefault(i, []).append(row)
+        return values
+
+    monkeypatch.setattr(SpikingAgent, "qvalues", logged)
+    return readouts
+
+
+def _random_pair(spread=False):
+    """The README's random dense source (64-24-3 on 8x8 frames) and its
+    normalized conversion; with spread, 96 hidden units and output
+    weights scaled over 2^-40..1, so the output stage fails the
+    exactness test and a batched GEMM would round its rows differently
+    from single-row products."""
+    rng = np.random.default_rng(7)
+    width = 96 if spread else 24
+    net = NetworkSpec((1, 8, 8), [
+        flatten(),
+        dense(rng.normal(0, 0.2, (width, 64)), rng.normal(0, 0.05, width)),
+        dense(rng.normal(0, 0.3, (3, width)), rng.normal(0, 0.05, 3), activation="none")])
+    env = LineCatchEnv(grid_size=8, episode_len=40)
+    frames = collect_frames_by_play(net, env, 128, EvalConfig(episodes=1, seed=3))
+    snn = apply_normalization(net, collect_stats(net, frames, NormConfig(99.9)))
+    if spread:
+        w = snn.layers[2].weights
+        w *= 2.0 ** rng.integers(-40, 1, w.shape)
+    return net, snn
+
+
+LOCKSTEP_CASES = {
+    "greedy": (dict(epsilon=0.05), {}),
+    "executed": (dict(epsilon=0.3, cr_mode="executed"), {}),
+    "epsilon-0": (dict(epsilon=0.0), {}),
+    "epsilon-1": (dict(epsilon=1.0), {}),
+    # short runs, so what each episode carries over moves its decisions
+    "carry-potentials": (dict(epsilon=0.05), dict(carry_potentials=True, timesteps=4)),
+    "source-only": (dict(epsilon=0.1, frame_budget=15, max_noop=20), {}),
+    "inexact-stage": (dict(epsilon=0.05), {}),
+    # no-op prefixes of 0..20 steps against a 15-step budget: some episodes
+    # make no decision, the rest stop at the budget, one by one
+    "shrinking-batch": (dict(epsilon=0.05, frame_budget=15, max_noop=20), {}),
+}
+
+
+def _assert_same_report(got, want):
+    for key in ("agreements", "decisions", "source_scores", "snn_scores", "episodes"):
+        assert getattr(got, key) == getattr(want, key), key
+    assert np.array_equal(got.per_episode_cr, want.per_episode_cr, equal_nan=True)
+    assert len(got.records) == len(want.records)
+    for rec, ref in zip(got.records, want.records):
+        for key in ("score", "executed_actions", "greedy_actions", "shadow_actions",
+                    "rewards", "noop_steps", "env_steps"):
+            assert getattr(rec, key) == getattr(ref, key), key
+        assert len(rec.frames) == len(ref.frames)
+        assert all(np.array_equal(a, b) for a, b in zip(rec.frames, ref.frames))
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_lockstep_evaluate_equals_sequential_reference(case, monkeypatch):
+    eval_kwargs, sim_kwargs = LOCKSTEP_CASES[case]
+    source, snn = _random_pair(spread=case == "inexact-stage")
+    exact = [stage.exact for stage in _build_stages(snn)]
+    assert all(exact) == (case != "inexact-stage")
+    if case == "source-only":
+        snn = None
+    env = LineCatchEnv(grid_size=8, episode_len=40)
+    eval_config = EvalConfig(episodes=9, seed=17, **eval_kwargs)
+    sim_config = SimConfig(**{"timesteps": 40, **sim_kwargs})
+
+    want, want_readouts = sequential_evaluate(source, snn, sim_config, eval_config, env)
+    got_readouts = _log_spiking_readouts(monkeypatch)
+    got = evaluate(source, snn, sim_config, eval_config, env, keep_records=True)
+    _assert_same_report(got, want)
+    # every decision's readout, bit for bit, in each episode's order
+    assert got_readouts.keys() == {i for i, log in want_readouts.items() if log}
+    for i, log in got_readouts.items():
+        assert len(log) == len(want_readouts[i])
+        assert all(np.array_equal(a, b) for a, b in zip(log, want_readouts[i]))
+    bare = evaluate(source, snn, sim_config, eval_config, env)
+    assert bare.records is None
+    assert np.array_equal(bare.per_episode_cr, got.per_episode_cr, equal_nan=True)
+
+    lengths = [len(rec.greedy_actions) for rec in want.records]
+    if case in ("shrinking-batch", "source-only"):
+        assert all(rec.env_steps == eval_config.frame_budget for rec in want.records)
+        assert 0 in lengths and len(set(lengths)) > 2  # the batch shrinks more than once
+    if snn is not None:
+        assert 0 < want.agreements < want.decisions  # the shadow disagrees sometimes
+    if sim_config.carry_potentials:  # and carrying potentials matters
+        fresh, _ = sequential_evaluate(source, snn, replace(sim_config, carry_potentials=False),
+                                       eval_config, env)
+        assert fresh.per_episode_cr != want.per_episode_cr
 
 
 # ---------------------------------------------------------------------------

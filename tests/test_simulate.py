@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rateconv import (NetworkSpec, NormConfig, SimConfig, apply_normalization,
                       classify_residual_cases, collect_stats, conv2d, dense, diagnostics,
@@ -509,3 +510,59 @@ def test_kernel_bitwise_equals_step_loop(rng, monkeypatch, kind, batch, readout,
     for j in range(len(ref["counts"])):
         assert np.array_equal(fresh.counts[j], ref["counts"][j])
         assert np.array_equal(fresh.potentials[j], ref["potentials"][j])
+
+
+# ---------------------------------------------------------------------------
+# batch invariance: a row of run_batch is the run of that frame alone
+
+def _spread_weights(rng, shape, spread):
+    """float32 weights; with spread, magnitudes span about 1e-3..1e6, so
+    the stage usually fails the exactness test."""
+    w = rng.normal(0.0, 1.0 / np.sqrt(np.prod(shape[1:])), shape)
+    if spread:
+        w *= 10.0 ** rng.uniform(-3.0, 6.0, shape)
+    return w.astype(np.float32)
+
+
+@st.composite
+def spread_nets(draw):
+    """Dense or conv nets wide enough that a batched GEMM's rows can round
+    differently from single-row calls; each stage's weights spread or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = []
+    if draw(st.booleans()):
+        in_ch, side = draw(st.integers(1, 3)), draw(st.integers(5, 10))
+        shape = (in_ch, side, side)
+        out_ch, k = draw(st.integers(2, 8)), draw(st.integers(2, 3))
+        stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+        layers.append(conv2d(_spread_weights(rng, (out_ch, in_ch, k, k), draw(st.booleans())),
+                             rng.normal(0, 0.05, out_ch).astype(np.float32),
+                             stride=(stride, stride), padding=(pad, pad)))
+        out = (side + 2 * pad - k) // stride + 1
+        layers.append(flatten())
+        width = out_ch * out * out
+    else:
+        width = draw(st.integers(8, 160))
+        shape = (width,)
+    for n_out in (draw(st.integers(8, 160)), draw(st.integers(2, 5))):
+        layers.append(dense(_spread_weights(rng, (n_out, width), draw(st.booleans())),
+                            rng.normal(0, 0.05, n_out).astype(np.float32),
+                            activation="relu" if n_out > 5 else "none"))
+        width = n_out
+    return NetworkSpec(shape, layers), rng
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=spread_nets(), batch=st.integers(2, 9), timesteps=st.integers(1, 30),
+       readout=st.sampled_from(["rate", "robust"]))
+def test_run_batch_rows_equal_single_runs_bit_for_bit(case, batch, timesteps, readout):
+    net, rng = case
+    frames = rng.random((batch, *net.input_shape)) * rng.uniform(0.5, 4.0)
+    config = SimConfig(timesteps=timesteps, v_thr=0.9, readout=readout)
+    batched = run_batch(net, frames, config)
+    for i, frame in enumerate(frames):
+        single = run(net, frame, config)
+        for got, want in zip(batched.rates, single.rates):
+            assert np.array_equal(got[i], want)
+        assert np.array_equal(batched.f_last[i], single.f_last)
+        assert batched.settle_step[i] == single.settle_step
