@@ -286,16 +286,20 @@ def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfi
 
     Source actions are recomputed from source_net when given (guards
     against stale traces) and taken from the trace otherwise.  Nothing
-    is executed, so exploration plays no role here.
+    is executed, so exploration plays no role here.  Each distinct frame
+    is simulated once and its action given to every step that shows it:
+    a row of run_batch is bit for bit the run of its frame alone.
     """
     if not trace.steps:
         raise ValueError("cannot replay an empty trace")
     obs = trace.observations().astype(np.float64)
 
-    snn_actions: list[int] = []
-    for start in range(0, obs.shape[0], chunk):
-        result = run_batch(snn_net, obs[start:start + chunk], sim_config)
-        snn_actions.extend(int(a) for a in np.argmax(readout(result), axis=1))
+    distinct, inverse = np.unique(obs, axis=0, return_inverse=True)
+    actions = np.empty(len(distinct), dtype=np.int64)
+    for start in range(0, len(distinct), chunk):
+        result = run_batch(snn_net, distinct[start:start + chunk], sim_config)
+        actions[start:start + chunk] = np.argmax(readout(result), axis=1)
+    snn_actions = actions[inverse.reshape(-1)].tolist()
 
     if source_net is not None:
         _, q = forward_batch(source_net, obs)

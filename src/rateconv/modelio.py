@@ -16,7 +16,12 @@ Episode trace (``*.trace``)
     magic ``SNNTR001`` (8 bytes), action_count (u32), ndim (u32), dims
     (u32 each), step_count (u32), then per step: one tensor blob holding
     the observation (dims must match the header), action (u32), reward
-    (f64).
+    (f64).  The header fixes every step record's size, so a well-formed
+    body is decoded in one pass; a malformed one is parsed step by step
+    so the error names the first bad step.
+
+Readers raise FormatError, naming the file and location, for anything
+they cannot load, including dims too large for a numpy array.
 
 CSV reports render every number with ten significant digits, so a
 parse of the written file recovers values to within 1e-9 relative.
@@ -25,9 +30,11 @@ parse of the written file recovers values to within 1e-9 relative.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -67,6 +74,18 @@ def blob_to_bytes(array: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
+def _holdable(dims) -> bool:
+    """Whether numpy can hold a float32 array of these dims.
+
+    numpy refuses an array whose nonzero dims and item size multiply past
+    the largest intp, even when a zero dim leaves it empty.
+    """
+    nbytes = 4
+    for d in dims:
+        nbytes *= d or 1
+    return nbytes <= np.iinfo(np.intp).max
+
+
 def blob_from_buffer(buf: bytes, offset: int, where: str) -> tuple[np.ndarray, int]:
     """Parse one blob starting at `offset`; returns (array, next offset)."""
     def take(n, what):
@@ -84,6 +103,8 @@ def blob_from_buffer(buf: bytes, offset: int, where: str) -> tuple[np.ndarray, i
         raise BlobError(f"{where}: implausible ndim {ndim}")
     chunk, offset = take(4 * ndim, "dims")
     dims = struct.unpack(f"<{ndim}I", chunk)
+    if not _holdable(dims):
+        raise BlobError(f"{where}: dims {dims} are too large for an array")
     count = 1
     for d in dims:
         count *= d
@@ -265,7 +286,35 @@ def write_trace(trace: EpisodeTrace, path) -> None:
     p.write_bytes(b"".join(parts))
 
 
-def read_trace(path) -> EpisodeTrace:
+def _decode_steps(buf: bytes, offset: int, shape: tuple[int, ...], step_count: int
+                  ) -> Optional[tuple[np.ndarray, list[int], list[float]]]:
+    """A well-formed trace body in one pass: (observations, actions, rewards).
+
+    The header fixes every step record: a blob header repeating the
+    trace's shape, the observation, the action and the reward.  Returns
+    None unless the body is exactly step_count such records.
+    """
+    head = np.frombuffer(BLOB_MAGIC + struct.pack(f"<{len(shape) + 1}I", len(shape), *shape),
+                         dtype=np.uint8)
+    size = 4 * math.prod(shape)
+    record = len(head) + size + 12
+    if len(buf) - offset != step_count * record:
+        return None
+    raw = np.frombuffer(buf, dtype=np.uint8, count=step_count * record, offset=offset)
+    raw = raw.reshape(step_count, record)
+    if not (raw[:, :len(head)] == head).all():
+        return None
+    body = raw[:, len(head):]
+    obs = body[:, :size].copy().view("<f4").astype(np.float32, copy=False)
+    return (obs.reshape(step_count, *shape),
+            body[:, size:size + 4].copy().view("<u4")[:, 0].tolist(),
+            body[:, size + 4:].copy().view("<f8")[:, 0].tolist())
+
+
+def _read_trace_arrays(path) -> tuple[int, tuple[int, ...], np.ndarray, list[int], list[float]]:
+    """(action_count, observation shape, observations [steps, *shape],
+    actions, rewards) of a trace file; raises TraceError or BlobError
+    naming the first bad step of a malformed one."""
     p = Path(path)
     if not p.is_file():
         raise TraceError(f"{p}: no such trace file")
@@ -288,21 +337,40 @@ def read_trace(path) -> EpisodeTrace:
     if ndim > 32:
         raise TraceError(f"{p}: implausible observation ndim {ndim}")
     shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "observation shape"))
+    if not _holdable(shape):
+        raise TraceError(f"{p}: observation shape {shape} is too large for an array")
     step_count = struct.unpack("<I", take(4, "step count"))[0]
 
-    steps = []
-    for i in range(step_count):
-        obs, offset = blob_from_buffer(buf, offset, f"{p}: step {i} observation")
-        action = struct.unpack("<I", take(4, f"step {i} action"))[0]
-        reward = struct.unpack("<d", take(8, f"step {i} reward"))[0]
-        steps.append(TraceStep(observation=obs, action=int(action), reward=float(reward)))
-    if offset != len(buf):
-        raise TraceError(f"{p}: {len(buf) - offset} trailing bytes after last step")
-    trace = EpisodeTrace(action_count=int(action_count),
-                         observation_shape=tuple(int(d) for d in shape),
-                         steps=steps)
-    _check_trace(trace, str(p))
-    return trace
+    decoded = _decode_steps(buf, offset, shape, step_count)
+    if decoded is None:
+        # Some step breaks the header's record layout: parsing step by step
+        # raises the error that names the first such step.
+        steps = []
+        for i in range(step_count):
+            obs, offset = blob_from_buffer(buf, offset, f"{p}: step {i} observation")
+            action = struct.unpack("<I", take(4, f"step {i} action"))[0]
+            reward = struct.unpack("<d", take(8, f"step {i} reward"))[0]
+            steps.append(TraceStep(observation=obs, action=int(action), reward=float(reward)))
+        if offset != len(buf):
+            raise TraceError(f"{p}: {len(buf) - offset} trailing bytes after last step")
+        _check_trace(EpisodeTrace(action_count, shape, steps), str(p))
+        raise TraceError(f"{p}: step records do not match the header")
+    observations, actions, rewards = decoded
+    if action_count < 1:
+        raise TraceError(f"{p}: action_count must be >= 1")
+    bad = np.flatnonzero(np.asarray(actions, dtype=np.int64) >= action_count)
+    if len(bad):
+        i = int(bad[0])
+        raise TraceError(f"{p}: step {i} action {actions[i]} out of range "
+                         f"[0, {action_count})")
+    return int(action_count), tuple(int(d) for d in shape), observations, actions, rewards
+
+
+def read_trace(path) -> EpisodeTrace:
+    action_count, shape, observations, actions, rewards = _read_trace_arrays(path)
+    views = [observations[i, ...] for i in range(len(observations))]
+    return EpisodeTrace(action_count=action_count, observation_shape=shape,
+                        steps=list(map(TraceStep, views, actions, rewards)))
 
 
 def read_magic(path) -> bytes:
@@ -319,7 +387,7 @@ def load_frames(path) -> np.ndarray:
     p = Path(path)
     magic = read_magic(p)
     if magic == TRACE_MAGIC:
-        return read_trace(p).observations()
+        return _read_trace_arrays(p)[2]
     if magic == BLOB_MAGIC:
         frames = read_blob(p)
         if frames.ndim < 2:

@@ -32,6 +32,15 @@ K * batch * (widest population) float64 values fit in BLOCK_BYTES, so
 memory stays bounded whatever T is.  step, if_step and
 simulate_current_sequence are views of the same kernel.
 
+A layer's currents change only when its input spikes do, so they are
+computed only then.  If every step of a block repeats the previous
+step's input spikes, the layer keeps the currents it last computed
+(SimState.held, dropped on reset) and makes no affine call; if the
+steps of a block all equal its first, that one step is computed for
+the batch and broadcast; any other block is computed whole.  With
+binary frames the input population fires the same neurons every step,
+so the first layer's currents are computed once per run.
+
 Why the spikes stay bit-identical.  Each neuron sees the same float64
 operations in the same order as a step-at-a-time loop: add the
 current, compare inclusively with v_thr, subtract v_thr on a spike.
@@ -43,9 +52,10 @@ multiple of u, the smallest float32 ulp among the layer's nonzero
 parameters, and when every neuron's sum(|w|) + |b| stays below 2^53 u
 each partial sum is exactly representable in float64: any summation
 order yields the same bits.  Layers that pass this test (_Stage.exact)
-get the block-wide call; a layer that fails it gets one call per step
-and row with the per-offset einsum, as a step-at-a-time run of that
-row alone makes it.  Either way a row of run_batch is bit for bit the
+get the block-wide call; a layer that fails it is computed one step and
+row at a time, as a step-at-a-time run of that row alone computes it:
+a dense layer as one stacked matmul of single-row products, a conv
+layer as one per-offset einsum call per row.  Either way a row of run_batch is bit for bit the
 run of its frame alone, whatever else shares the batch.
 """
 
@@ -149,12 +159,16 @@ class SimState:
     counts: list[np.ndarray]         # int64 cumulative spike counts
     current_sums: list[np.ndarray]   # float64 cumulative injected current
     stages: list[_Stage] = field(repr=False, default_factory=list)
+    # per stage: its input currents in the last step, or None before the
+    # first; valid for the spikes its input population holds in `spikes`
+    held: list[Optional[np.ndarray]] = field(repr=False, default_factory=list)
 
     def population_shapes(self) -> list[tuple[int, ...]]:
         return [self.net.input_shape] + [s.shape for s in self.stages]
 
     def reset(self, keep_potentials: bool = False) -> None:
         self.t = 0
+        self.held = [None] * len(self.stages)
         for j in range(len(self.potentials)):
             if not keep_potentials:
                 self.potentials[j][...] = 0.0
@@ -187,6 +201,7 @@ def init_sim(net: NetworkSpec, config: SimConfig, batch: int = 1) -> SimState:
         counts=[np.zeros((batch, *s), dtype=np.int64) for s in shapes],
         current_sums=[np.zeros((batch, *s)) for s in shapes],
         stages=stages,
+        held=[None] * len(stages),
     )
 
 
@@ -216,21 +231,48 @@ def _integrate(potentials: np.ndarray, currents: np.ndarray, v_thr: float,
 
 def _block_currents(stage: _Stage, spikes: np.ndarray) -> np.ndarray:
     """Input currents [K, batch, *shape] of a stage from the previous
-    population's spikes [K, batch, ...]."""
+    population's spikes [K, batch, ...] (bool)."""
     steps, batch = spikes.shape[:2]
-    x = spikes.reshape(steps * batch, *spikes.shape[2:])
+    x = spikes.reshape(steps * batch, *spikes.shape[2:]).astype(np.float64)
     if stage.flatten_input:
         x = x.reshape(steps * batch, -1)
     if stage.exact:
         z = apply_layer_linear(stage.layer, x, stage.weights64, stage.bias64, im2col=True)
-        return z.reshape(steps, batch, *stage.shape)
-    # Not exact in every order: one call per step and row, exactly as a
-    # step-at-a-time run of that row alone makes it (the rows of one
-    # batched GEMM may round differently from a single-row call).
-    rows = x.reshape(steps * batch, 1, *x.shape[1:])
-    z = np.concatenate([apply_layer_linear(stage.layer, r, stage.weights64, stage.bias64)
-                        for r in rows])
+    elif stage.layer.kind == "dense":
+        # Not exact in every order: every row is its own single-row
+        # product, exactly as a step-at-a-time run of that row alone makes
+        # it (the rows of one batched GEMM may round differently).
+        z = np.matmul(x[:, None, :], stage.weights64.T)[:, 0] + stage.bias64
+    else:
+        rows = x.reshape(steps * batch, 1, *x.shape[1:])
+        z = np.concatenate([apply_layer_linear(stage.layer, r, stage.weights64, stage.bias64)
+                            for r in rows])
     return z.reshape(steps, batch, *stage.shape)
+
+
+def _stage_currents(state: SimState, j: int, spikes: np.ndarray,
+                    previous: np.ndarray) -> np.ndarray:
+    """Input currents [K, batch, *shape] of population j >= 1 from
+    population j-1's spikes over the block; previous holds its spikes in
+    the step before the block.
+
+    The same 0/1 input gives the same currents bit for bit, so they are
+    computed only where the input changes: a block that repeats the
+    previous step reuses the stage's held currents, a block whose steps
+    all equal its first computes that one step, and any other block is
+    computed whole.
+    """
+    stage = state.stages[j - 1]
+    steps = len(spikes)
+    if (spikes[1:] == spikes[0]).all():
+        held = state.held[j - 1]
+        if held is None or not np.array_equal(spikes[0], previous):
+            held = _block_currents(stage, spikes[:1])[0]
+            state.held[j - 1] = held
+        return np.broadcast_to(held, (steps, *held.shape))
+    currents = _block_currents(stage, spikes)
+    state.held[j - 1] = currents[-1]
+    return currents
 
 
 def _advance(state: SimState, frames: np.ndarray, steps: int,
@@ -247,12 +289,15 @@ def _advance(state: SimState, frames: np.ndarray, steps: int,
     last = len(state.potentials) - 1
     for j in range(last + 1):
         if j:
-            currents = _block_currents(state.stages[j - 1], spikes)
+            currents = _stage_currents(state, j, fired, previous)
         fired = np.empty(currents.shape, dtype=bool)
         _integrate(state.potentials[j], currents, v_thr, fired, state.current_sums[j],
                    trail if j == last else None)
-        state.counts[j] += fired.sum(axis=0, dtype=np.int64)
-        spikes = fired.astype(np.float64)
+        if steps == 1:
+            state.counts[j] += fired[0]
+        else:
+            state.counts[j] += fired.sum(axis=0, dtype=np.int64)
+        previous = state.spikes[j]
         state.spikes[j] = fired[-1].copy()
     state.t += steps
     return fired

@@ -1,5 +1,6 @@
 """Conversion-rate accounting, replay, paired play, and sweeps."""
 
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -115,6 +116,43 @@ def test_replay_unrelated_networks_sit_at_chance(rng):
     report = replay_trace(trace, normalized(rng, other), SimConfig(timesteps=200),
                           source_net=source)
     assert abs(report.cr - 0.25) < 0.05
+
+
+def test_replay_simulates_each_distinct_frame_once(rng, monkeypatch):
+    """A trace that repeats frames gives the report and per-frame actions
+    of simulating every row, from one simulated row per distinct frame."""
+    module = importlib.import_module("rateconv.evaluate")
+    net = rand_dense_net(rng, sizes=[6, 10, 3])
+    norm = normalized(rng, net)
+    base = make_trace(rng, net, 12)
+    picks = rng.integers(0, 12, 40)
+    trace = EpisodeTrace(action_count=3, observation_shape=net.input_shape,
+                         steps=[base.steps[i] for i in picks])
+    config = SimConfig(timesteps=60)
+
+    rows, compared = [], []
+    real_run_batch, real_conversion_rate = module.run_batch, module.conversion_rate
+
+    def counting_run_batch(net_, frames, *args, **kwargs):
+        rows.append(len(frames))
+        return real_run_batch(net_, frames, *args, **kwargs)
+
+    def recording_conversion_rate(snn_actions, source_actions):
+        compared.append((list(snn_actions), list(source_actions)))
+        return real_conversion_rate(snn_actions, source_actions)
+
+    monkeypatch.setattr(module, "run_batch", counting_run_batch)
+    monkeypatch.setattr(module, "conversion_rate", recording_conversion_rate)
+    report = replay_trace(trace, norm, config, source_net=net, chunk=5)
+
+    obs = trace.observations().astype(np.float64)
+    every_row = [int(np.argmax(readout(run(norm, frame, config)))) for frame in obs]
+    source = [int(a) for a in np.argmax(forward_batch(net, obs)[1], axis=1)]
+    assert compared == [(every_row, source)]
+    assert sum(rows) == len(np.unique(picks)) and max(rows) <= 5
+    want = conversion_rate(every_row, source)
+    assert (report.agreements, report.decisions) == (want.agreements, want.decisions)
+    assert report.episodes == 1 and report.source_scores == [trace.total_reward()]
 
 
 def test_replay_rejects_empty_trace(rng):

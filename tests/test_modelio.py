@@ -3,9 +3,11 @@
 import copy
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rateconv import (BlobError, EpisodeTrace, FormatError, ManifestError, NetworkSpec,
                       ReportRow, TraceError, TraceStep, dense, conv2d, flatten,
@@ -233,6 +235,96 @@ def test_load_frames_from_blob_and_trace(tmp_path, rng):
     (tmp_path / "junk").write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(FormatError):
         load_frames(tmp_path / "junk")
+
+
+def test_trace_errors_name_the_first_bad_step(tmp_path, rng):
+    path = tmp_path / "t.trace"
+    write_trace(_trace(rng, 4), path)
+    raw = path.read_bytes()
+    header, record = 32, 24 + 64 + 12  # blob header of (1, 4, 4), data, action, reward
+
+    def patch(data, step, field_offset, value: bytes):
+        pos = header + step * record + field_offset
+        return data[:pos] + value + data[pos + len(value):]
+
+    path.write_bytes(patch(raw, 2, 0, b"XXXXXXXX"))
+    with pytest.raises(BlobError, match="step 2 observation: bad magic"):
+        read_trace(path)
+    bad_actions = patch(patch(raw, 3, 88, struct.pack("<I", 9)), 1, 88, struct.pack("<I", 4))
+    path.write_bytes(bad_actions)
+    for reader in (read_trace, load_frames):
+        with pytest.raises(TraceError, match=r"step 1 action 4 out of range \[0, 4\)"):
+            reader(path)
+
+
+def test_dims_too_large_for_an_array_are_format_errors(tmp_path):
+    """A zero dim leaves the array empty, but numpy still refuses dims whose
+    nonzero product overflows; both formats reject them at the header."""
+    huge = (0, 2**32 - 1, 2**32 - 1)
+    path = tmp_path / "t.bin"
+    path.write_bytes(b"SNNT0001" + struct.pack("<4I", 3, *huge))
+    with pytest.raises(BlobError, match="too large"):
+        read_blob(path)
+    path = tmp_path / "t.trace"
+    path.write_bytes(b"SNNTR001" + struct.pack("<6I", 2, 3, *huge, 0))
+    with pytest.raises(TraceError, match="too large"):
+        load_frames(path)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for op, where, value in edits:
+        if op == "byte" and out:
+            out[where % len(out)] = value % 256
+        elif op == "word" and 4 * where + 4 <= len(out):  # an aligned u32
+            out[4 * where:4 * where + 4] = struct.pack("<I", value)
+        elif op == "cut":
+            del out[where % (len(out) + 1):]
+        elif op == "grow":
+            out.extend([value % 256] * (where % 16 + 1))
+    return bytes(out)
+
+
+_WORDS = st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 2**31 - 1, 2**32 - 1]),
+                   st.integers(0, 2**32 - 1))
+_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("byte"), st.integers(0, 2**16), st.integers(0, 255)),
+    st.tuples(st.just("word"), st.integers(0, 24), _WORDS),
+    st.tuples(st.just("cut"), st.integers(0, 2**16), st.just(0)),
+    st.tuples(st.just("grow"), st.integers(0, 64), st.integers(0, 255)),
+), min_size=1, max_size=4)
+
+
+def _valid_file(kind, path):
+    """A small blob, or a three-step trace; values of at least 0.5 read as
+    large u32 dims when a mutation shifts them into a header."""
+    values = (np.arange(12, dtype=np.float32) / 11 + 0.5).reshape(3, 2, 2)
+    if kind == "blob":
+        write_blob(path, values)
+    else:
+        steps = [TraceStep(observation=v[None], action=i, reward=float(i))
+                 for i, v in enumerate(values)]
+        write_trace(EpisodeTrace(3, (1, 2, 2), steps), path)
+    return path.read_bytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["blob", "trace"]), edits=_EDITS)
+@example(kind="blob", edits=[("word", 2, 4), ("word", 3, 0)])    # dims (0, 2, float, float)
+@example(kind="trace", edits=[("word", 10, 5), ("word", 11, 0)])  # step 0's blob, likewise
+def test_mutated_blob_or_trace_loads_or_raises_format_error(tmp_path, kind, edits):
+    path = tmp_path / f"mutated.{kind}"
+    path.write_bytes(_mutate(_valid_file(kind, path), edits))
+    if kind == "blob":
+        readers = [read_blob, load_frames]
+    else:
+        readers = [read_trace, lambda p: read_trace(p).observations(), load_frames]
+    for reader in readers:
+        try:
+            reader(path)
+        except FormatError:
+            pass
 
 
 # ---------------------------------------------------------------------------

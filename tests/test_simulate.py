@@ -1,5 +1,7 @@
 """Integrate-and-fire dynamics, bookkeeping identities, and diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -468,6 +470,21 @@ KERNEL_NETS = {
 }
 
 
+# (input drive, v_thr): binary pixels make the input population fire the
+# same neurons every step, so downstream currents are reused; {0, 0.5}
+# pixels at v_thr 1 fire every other step, so nothing is reused; pixels of
+# 1/8 and 0.3 change the input spikes inside blocks and between them.
+DRIVES = [("random", 0.8), ("binary", 1.0), ("binary", 0.8), ("half", 1.0),
+          ("changing", 1.0)]
+DRIVE_LEVELS = {"binary": [0.0, 1.0], "half": [0.0, 0.5], "changing": [0.0, 1.0, 0.125, 0.3]}
+
+
+def drive_frames(rng, drive, n, shape):
+    if drive == "random":
+        return rand_frames(rng, n, shape)
+    return rng.choice(DRIVE_LEVELS[drive], (n, *shape))
+
+
 @pytest.mark.parametrize("blocks", ["one", "several"])
 @pytest.mark.parametrize("readout", ["rate", "robust"])
 @pytest.mark.parametrize("batch", [1, 5])
@@ -477,8 +494,7 @@ def test_kernel_bitwise_equals_step_loop(rng, monkeypatch, kind, batch, readout,
     exact = [stage.exact for stage in _build_stages(net)]
     assert all(exact) == (kind != "conv-inexact")
     T = 23
-    config = SimConfig(timesteps=T, v_thr=0.8, readout=readout)
-    state = init_sim(net, config, batch)
+    state = init_sim(net, SimConfig(timesteps=T), batch)
     if blocks == "several":  # 4 steps per block: 5 full blocks and a 3-step one
         widest = max(int(np.prod(sh)) for sh in state.population_shapes())
         monkeypatch.setattr(simulate, "BLOCK_BYTES", 8 * batch * widest * 4)
@@ -493,23 +509,52 @@ def test_kernel_bitwise_equals_step_loop(rng, monkeypatch, kind, batch, readout,
         assert np.array_equal(res.f_last, ref["f_last"])
         assert np.array_equal(res.settle_step, ref["settle_step"])
 
-    frames = rand_frames(rng, batch, net.input_shape)
-    ref = step_loop(net, frames, config)
-    check(run_batch(net, frames, config, state=state), ref)
+    for drive, v_thr in DRIVES:
+        config = SimConfig(timesteps=T, v_thr=v_thr, readout=readout)
+        frames = drive_frames(rng, drive, batch, net.input_shape)
+        check(run_batch(net, frames, config, state=state), step_loop(net, frames, config))
 
-    # carried potentials: the second run starts where the first ended
-    carry = SimConfig(timesteps=T, v_thr=0.8, readout=readout, carry_potentials=True)
-    frames2 = rand_frames(rng, batch, net.input_shape)
-    check(run_batch(net, frames2, carry, state=state),
-          step_loop(net, frames2, carry, potentials=ref["potentials"]))
+        # a second run on the same state: nothing it held outlives the first run
+        frames2 = drive_frames(rng, drive, batch, net.input_shape)
+        ref = step_loop(net, frames2, config)
+        check(run_batch(net, frames2, config, state=state), ref)
 
-    # step() is the same kernel one step at a time
-    fresh = init_sim(net, config, batch)
-    for _ in range(T):
-        step(fresh, net, frames)
-    for j in range(len(ref["counts"])):
-        assert np.array_equal(fresh.counts[j], ref["counts"][j])
-        assert np.array_equal(fresh.potentials[j], ref["potentials"][j])
+        # carried potentials: the third run starts where the second ended
+        carry = replace(config, carry_potentials=True)
+        frames3 = drive_frames(rng, drive, batch, net.input_shape)
+        check(run_batch(net, frames3, carry, state=state),
+              step_loop(net, frames3, carry, potentials=ref["potentials"]))
+
+        # step() is the same kernel one step at a time
+        fresh = init_sim(net, config, batch)
+        for _ in range(T):
+            step(fresh, net, frames2)
+        for j in range(len(ref["counts"])):
+            assert np.array_equal(fresh.counts[j], ref["counts"][j])
+            assert np.array_equal(fresh.potentials[j], ref["potentials"][j])
+
+
+def test_repeated_input_spikes_reuse_currents(rng, monkeypatch):
+    """A stage computes its currents only where its input spikes change."""
+    net = rand_dense_net(rng, sizes=[6, 9, 7, 4])
+    first = net.layers[0]
+    calls = []
+
+    def counting(layer, x, *args, **kwargs):
+        if layer is first:
+            calls.append(len(x))
+        return apply_layer_linear(layer, x, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "apply_layer_linear", counting)
+    monkeypatch.setattr(simulate, "BLOCK_BYTES", 8 * 3 * 9 * 4)  # 4 steps per block
+    binary = rng.choice([0.0, 1.0], (3, 6))
+    # the input fires the same neurons every step: one step of 3 rows, once
+    run_batch(net, binary, SimConfig(timesteps=40))
+    assert calls == [3]
+    # it fires every other step: every 4-step block is computed whole
+    calls.clear()
+    run_batch(net, binary * 0.5, SimConfig(timesteps=40))
+    assert calls == [12] * 10
 
 
 # ---------------------------------------------------------------------------
