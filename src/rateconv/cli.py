@@ -26,7 +26,7 @@ from . import modelio
 from .evaluate import (CR_MODES, EvalConfig, collect_frames_by_play, evaluate, mean_std,
                        replay_trace, report_row, sweep_percentile, sweep_time)
 from .lincatch import LineCatchEnv
-from .modelio import EpisodeTrace, FormatError, ReportRow, TraceStep
+from .modelio import EpisodeTrace, FormatError
 from .network import greedy_action
 from .normalize import NormConfig, apply_normalization, collect_stats, load_stats, save_stats
 from .simulate import READOUTS, SimConfig, diagnostics, readout, run
@@ -266,10 +266,7 @@ def cmd_replay(args) -> int:
     source = modelio.load_model(args.source) if args.source else None
     trace = modelio.read_trace(args.trace)
     report = replay_trace(trace, snn_net, config, source_net=source)
-    row = ReportRow("replay", float(config.timesteps), 1,
-                    mean_std(report.source_scores)[0], 0.0,
-                    report.cr, 0.0, float("nan"))
-    modelio.write_report([row], args.out)
+    modelio.write_report([report_row("replay", config.timesteps, report)], args.out)
     _write_meta(args.out, {
         "command": "replay", "timesteps": config.timesteps, "v_thr": config.v_thr,
         "readout": config.readout, "decisions": report.decisions,
@@ -282,14 +279,15 @@ def cmd_replay(args) -> int:
 
 
 def _record_trace(records, env: LineCatchEnv, path: str) -> None:
-    steps = []
-    for rec in records:
-        actions = rec.shadow_actions if rec.shadow_actions is not None else rec.greedy_actions
-        for obs, action, reward in zip(rec.frames, actions, rec.rewards):
-            steps.append(TraceStep(observation=obs, action=int(action), reward=float(reward)))
-    trace = EpisodeTrace(action_count=env.action_count,
-                         observation_shape=env.observation_shape, steps=steps)
-    modelio.write_trace(trace, path)
+    steps = np.array([
+        (obs, action, reward)
+        for rec in records
+        for obs, action, reward in zip(
+            rec.frames,
+            rec.shadow_actions if rec.shadow_actions is not None else rec.greedy_actions,
+            rec.rewards)
+    ], dtype=modelio.step_dtype(env.observation_shape))
+    modelio.write_trace(EpisodeTrace(env.action_count, env.observation_shape, steps), path)
 
 
 def cmd_play(args) -> int:

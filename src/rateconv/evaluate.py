@@ -290,7 +290,7 @@ def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfi
     is simulated once and its action given to every step that shows it:
     a row of run_batch is bit for bit the run of its frame alone.
     """
-    if not trace.steps:
+    if len(trace.steps) == 0:
         raise ValueError("cannot replay an empty trace")
     obs = trace.observations().astype(np.float64)
 

@@ -16,9 +16,11 @@ Episode trace (``*.trace``)
     magic ``SNNTR001`` (8 bytes), action_count (u32), ndim (u32), dims
     (u32 each), step_count (u32), then per step: one tensor blob holding
     the observation (dims must match the header), action (u32), reward
-    (f64).  The header fixes every step record's size, so a well-formed
-    body is decoded in one pass; a malformed one is parsed step by step
-    so the error names the first bad step.
+    (f64).  The header fixes every step record, so the body is decoded
+    in one pass into a record array (step_dtype behind the blob header);
+    an error names the first step that breaks the layout.  numpy caps a
+    record at 2**31 - 1 bytes, so one observation must be smaller than
+    2 GiB.
 
 Readers raise FormatError, naming the file and location, for anything
 they cannot load, including dims too large for a numpy array.
@@ -30,11 +32,9 @@ parse of the written file recovers values to within 1e-9 relative.
 from __future__ import annotations
 
 import json
-import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -66,12 +66,14 @@ class TraceError(FormatError):
 # ---------------------------------------------------------------------------
 # tensor blobs
 
+def _blob_head(shape: tuple[int, ...]) -> bytes:
+    """A blob's bytes before its data: magic, ndim and dims."""
+    return BLOB_MAGIC + struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)
+
+
 def blob_to_bytes(array: np.ndarray) -> bytes:
     arr = np.ascontiguousarray(array, dtype="<f4")
-    parts = [BLOB_MAGIC, struct.pack("<I", arr.ndim)]
-    parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    parts.append(arr.tobytes(order="C"))
-    return b"".join(parts)
+    return _blob_head(arr.shape) + arr.tobytes(order="C")
 
 
 def _holdable(dims) -> bool:
@@ -229,92 +231,75 @@ def load_model(model_dir) -> NetworkSpec:
 # ---------------------------------------------------------------------------
 # episode traces
 
-@dataclass
-class TraceStep:
-    observation: np.ndarray  # float32, values in [0, 1]
-    action: int
-    reward: float
+def step_dtype(shape) -> np.dtype:
+    """The record of one trace step: its observation, action and reward."""
+    return np.dtype([("observation", "<f4", tuple(shape)), ("action", "<u4"), ("reward", "<f8")])
+
+
+def _file_record(shape: tuple[int, ...], where) -> tuple[np.ndarray, np.dtype]:
+    """The blob header of a step's observation, and the step's record in
+    a file: that header, then step_dtype(shape)."""
+    head = np.frombuffer(_blob_head(shape), dtype=np.uint8)
+    try:
+        return head, np.dtype([("head", "u1", head.shape), *step_dtype(shape).descr])
+    except ValueError as exc:  # numpy caps a dtype at 2**31 - 1 bytes, a dim below 2**31
+        raise TraceError(f"{where}: observation shape {shape} is too large "
+                         "for a trace step") from exc
 
 
 @dataclass
 class EpisodeTrace:
-    """Recorded observations with the source network's action per step."""
+    """Recorded observations with the source network's action per step.
+
+    `steps` is a 1-D array of step_dtype(observation_shape) records.
+    """
 
     action_count: int
     observation_shape: tuple[int, ...]
-    steps: list[TraceStep] = field(default_factory=list)
+    steps: np.ndarray
 
     def observations(self) -> np.ndarray:
-        """All observations stacked into [steps, *observation_shape]."""
-        if not self.steps:
-            return np.zeros((0, *self.observation_shape), dtype=np.float32)
-        return np.stack([s.observation for s in self.steps])
+        """All observations, [steps, *observation_shape] float32 (a view of steps)."""
+        return self.steps["observation"]
 
     def actions(self) -> list[int]:
-        return [s.action for s in self.steps]
+        return self.steps["action"].tolist()
 
     def total_reward(self) -> float:
-        return float(sum(s.reward for s in self.steps))
+        return float(sum(self.steps["reward"].tolist()))
 
 
-def _check_trace(trace: EpisodeTrace, where: str) -> None:
-    if trace.action_count < 1:
+def _check_actions(action_count: int, actions: np.ndarray, where: str) -> None:
+    if action_count < 1:
         raise TraceError(f"{where}: action_count must be >= 1")
-    for i, step in enumerate(trace.steps):
-        if not 0 <= step.action < trace.action_count:
-            raise TraceError(f"{where}: step {i} action {step.action} out of range "
-                             f"[0, {trace.action_count})")
-        if tuple(step.observation.shape) != tuple(trace.observation_shape):
-            raise TraceError(f"{where}: step {i} observation shape "
-                             f"{step.observation.shape} != header "
-                             f"{tuple(trace.observation_shape)}")
+    bad = np.flatnonzero(actions >= action_count)
+    if len(bad):
+        i = int(bad[0])
+        raise TraceError(f"{where}: step {i} action {actions[i]} out of range "
+                         f"[0, {action_count})")
 
 
 def write_trace(trace: EpisodeTrace, path) -> None:
     p = Path(path)
-    _check_trace(trace, str(p))
     shape = tuple(int(d) for d in trace.observation_shape)
-    parts = [TRACE_MAGIC,
-             struct.pack("<I", trace.action_count),
-             struct.pack("<I", len(shape)),
-             struct.pack(f"<{len(shape)}I", *shape),
-             struct.pack("<I", len(trace.steps))]
-    for step in trace.steps:
-        parts.append(blob_to_bytes(step.observation))
-        parts.append(struct.pack("<I", step.action))
-        parts.append(struct.pack("<d", step.reward))
-    p.write_bytes(b"".join(parts))
+    steps = trace.steps
+    head, record = _file_record(shape, p)
+    if not isinstance(steps, np.ndarray) or steps.ndim != 1 or steps.dtype != step_dtype(shape):
+        raise TraceError(f"{p}: steps must be a 1-D array of step_dtype({shape})")
+    _check_actions(trace.action_count, steps["action"], str(p))
+    records = np.empty(len(steps), record)
+    records["head"] = head
+    for name in steps.dtype.names:
+        records[name] = steps[name]
+    p.write_bytes(TRACE_MAGIC
+                  + struct.pack(f"<{len(shape) + 3}I", trace.action_count, len(shape),
+                                *shape, len(steps))
+                  + records.tobytes())
 
 
-def _decode_steps(buf: bytes, offset: int, shape: tuple[int, ...], step_count: int
-                  ) -> Optional[tuple[np.ndarray, list[int], list[float]]]:
-    """A well-formed trace body in one pass: (observations, actions, rewards).
-
-    The header fixes every step record: a blob header repeating the
-    trace's shape, the observation, the action and the reward.  Returns
-    None unless the body is exactly step_count such records.
-    """
-    head = np.frombuffer(BLOB_MAGIC + struct.pack(f"<{len(shape) + 1}I", len(shape), *shape),
-                         dtype=np.uint8)
-    size = 4 * math.prod(shape)
-    record = len(head) + size + 12
-    if len(buf) - offset != step_count * record:
-        return None
-    raw = np.frombuffer(buf, dtype=np.uint8, count=step_count * record, offset=offset)
-    raw = raw.reshape(step_count, record)
-    if not (raw[:, :len(head)] == head).all():
-        return None
-    body = raw[:, len(head):]
-    obs = body[:, :size].copy().view("<f4").astype(np.float32, copy=False)
-    return (obs.reshape(step_count, *shape),
-            body[:, size:size + 4].copy().view("<u4")[:, 0].tolist(),
-            body[:, size + 4:].copy().view("<f8")[:, 0].tolist())
-
-
-def _read_trace_arrays(path) -> tuple[int, tuple[int, ...], np.ndarray, list[int], list[float]]:
-    """(action_count, observation shape, observations [steps, *shape],
-    actions, rewards) of a trace file; raises TraceError or BlobError
-    naming the first bad step of a malformed one."""
+def read_trace(path) -> EpisodeTrace:
+    """Read a trace file; a malformed one raises TraceError or BlobError
+    naming the first bad step."""
     p = Path(path)
     if not p.is_file():
         raise TraceError(f"{p}: no such trace file")
@@ -341,36 +326,29 @@ def _read_trace_arrays(path) -> tuple[int, tuple[int, ...], np.ndarray, list[int
         raise TraceError(f"{p}: observation shape {shape} is too large for an array")
     step_count = struct.unpack("<I", take(4, "step count"))[0]
 
-    decoded = _decode_steps(buf, offset, shape, step_count)
-    if decoded is None:
-        # Some step breaks the header's record layout: parsing step by step
-        # raises the error that names the first such step.
-        steps = []
-        for i in range(step_count):
-            obs, offset = blob_from_buffer(buf, offset, f"{p}: step {i} observation")
-            action = struct.unpack("<I", take(4, f"step {i} action"))[0]
-            reward = struct.unpack("<d", take(8, f"step {i} reward"))[0]
-            steps.append(TraceStep(observation=obs, action=int(action), reward=float(reward)))
-        if offset != len(buf):
-            raise TraceError(f"{p}: {len(buf) - offset} trailing bytes after last step")
-        _check_trace(EpisodeTrace(action_count, shape, steps), str(p))
-        raise TraceError(f"{p}: step records do not match the header")
-    observations, actions, rewards = decoded
-    if action_count < 1:
-        raise TraceError(f"{p}: action_count must be >= 1")
-    bad = np.flatnonzero(np.asarray(actions, dtype=np.int64) >= action_count)
-    if len(bad):
-        i = int(bad[0])
-        raise TraceError(f"{p}: step {i} action {actions[i]} out of range "
-                         f"[0, {action_count})")
-    return int(action_count), tuple(int(d) for d in shape), observations, actions, rewards
-
-
-def read_trace(path) -> EpisodeTrace:
-    action_count, shape, observations, actions, rewards = _read_trace_arrays(path)
-    views = [observations[i, ...] for i in range(len(observations))]
-    return EpisodeTrace(action_count=action_count, observation_shape=shape,
-                        steps=list(map(TraceStep, views, actions, rewards)))
+    head, record = _file_record(shape, p)
+    whole = min(step_count, (len(buf) - offset) // record.itemsize)
+    raw = np.frombuffer(buf, dtype=record, count=whole, offset=offset)
+    bad = np.flatnonzero((raw["head"] != head).any(axis=1))
+    if len(bad) or whole < step_count:
+        # The first step whose record breaks the header's layout: its blob
+        # names the fault, else the body ends inside the step.
+        first = int(bad[0]) if len(bad) else whole
+        obs, end = blob_from_buffer(buf, offset + first * record.itemsize,
+                                    f"{p}: step {first} observation")
+        if obs.shape != shape:
+            raise TraceError(f"{p}: step {first} observation shape {obs.shape} "
+                             f"!= header {shape}")
+        what = "action" if len(buf) - end < 4 else "reward"
+        raise TraceError(f"{p}: truncated while reading step {first} {what}")
+    trailing = len(buf) - offset - step_count * record.itemsize
+    if trailing:
+        raise TraceError(f"{p}: {trailing} trailing bytes after last step")
+    _check_actions(action_count, raw["action"], str(p))
+    steps = np.empty(step_count, step_dtype(shape))
+    for name in steps.dtype.names:
+        steps[name] = raw[name]
+    return EpisodeTrace(action_count=int(action_count), observation_shape=shape, steps=steps)
 
 
 def read_magic(path) -> bytes:
@@ -387,7 +365,7 @@ def load_frames(path) -> np.ndarray:
     p = Path(path)
     magic = read_magic(p)
     if magic == TRACE_MAGIC:
-        return _read_trace_arrays(p)[2]
+        return read_trace(p).observations()
     if magic == BLOB_MAGIC:
         frames = read_blob(p)
         if frames.ndim < 2:

@@ -170,5 +170,5 @@ def load_stats(path) -> NormStats:
         return stats_from_dict(payload)
     except FileNotFoundError:
         raise
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{p}: malformed stats file ({exc})") from exc

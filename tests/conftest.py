@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rateconv import NetworkSpec, conv2d, dense, flatten
+from rateconv import NetworkSpec, conv2d, dense, flatten, step_dtype
 
 
 def rand_dense_net(rng, sizes=None, n_actions=None):
@@ -59,6 +59,15 @@ def rand_net(rng, n_actions=4):
 
 def rand_frames(rng, n, shape):
     return rng.random((n, *shape))
+
+
+def trace_steps(shape, observations, actions, rewards):
+    """A trace's step records: observation, action and reward per step."""
+    steps = np.empty(len(actions), step_dtype(shape))
+    steps["observation"] = observations
+    steps["action"] = actions
+    steps["reward"] = rewards
+    return steps
 
 
 @pytest.fixture

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from rateconv import (EpisodeTrace, NetworkSpec, NormConfig, ReportRow, SimConfig,
-                      TraceStep, apply_normalization, collect_stats, dense,
+                      apply_normalization, collect_stats, dense,
                       forward_batch, layer_identity_residual, load_model, load_stats,
                       optimal_network, read_report, read_trace, run, run_batch,
                       save_model, save_stats, write_report, write_trace)
 from rateconv.cli import main as cli_main
 from rateconv.simulate import classify_case_counts, simulate_current_sequence
 
-from conftest import rand_dense_net, rand_net, rand_frames
+from conftest import rand_dense_net, rand_net, rand_frames, trace_steps
 
 
 @contextmanager
@@ -186,7 +186,7 @@ def test_criterion_8_random_agreement_baseline():
         source, other = picker(0), picker(4)
         frames = rng.random((2000, width)).astype(np.float32)
         _, q = forward_batch(source, frames)
-        steps = [TraceStep(frames[i], int(np.argmax(q[i])), 0.0) for i in range(2000)]
+        steps = trace_steps((width,), frames, np.argmax(q, axis=1), 0.0)
         trace = EpisodeTrace(action_count=k, observation_shape=(width,), steps=steps)
         stats = collect_stats(other, frames.astype(np.float64), NormConfig(100.0))
         snn = apply_normalization(other, stats)
@@ -213,13 +213,12 @@ def test_criterion_9_format_round_trips(tmp_path):
         # trace: bit-exact
         obs = rng.random((25, 1, 4, 4)).astype(np.float32)
         trace = EpisodeTrace(3, (1, 4, 4),
-                             [TraceStep(obs[i], int(rng.integers(3)), float(i % 2))
-                              for i in range(25)])
+                             trace_steps((1, 4, 4), obs, [int(rng.integers(3)) for _ in range(25)],
+                                         [float(i % 2) for i in range(25)]))
         write_trace(trace, tmp_path / "t.trace")
         back_trace = read_trace(tmp_path / "t.trace")
-        assert all(np.array_equal(a.observation, b.observation)
-                   and a.action == b.action and a.reward == b.reward
-                   for a, b in zip(trace.steps, back_trace.steps))
+        assert all(np.array_equal(back_trace.steps[name], trace.steps[name])
+                   for name in ("observation", "action", "reward"))
         # stats: exact float round-trip
         stats = collect_stats(rand_dense_net(rng, sizes=[4, 6, 3]),
                               rng.random((20, 4)), NormConfig(99.5))

@@ -1,13 +1,18 @@
 """Exit codes, defaults, and byte-reproducibility of the command line."""
 
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rateconv import (load_model, optimal_network, read_blob, read_report, read_trace,
-                      save_model, validate_network, write_blob)
+from rateconv import (EpisodeTrace, load_model, optimal_network, read_blob, read_report,
+                      read_trace, save_model, validate_network, write_blob, write_trace)
 from rateconv.cli import main
+
+from conftest import trace_steps
 
 
 @pytest.fixture
@@ -87,6 +92,18 @@ def test_normalize_non_finite_scale_is_data_error(tmp_path, model_dir):
                          '"sample_counts": [0, 10], "warnings": [], "provenance": ""}' % bad)
         assert run_cli("normalize", "--model", model_dir, "--stats", stats,
                        "--out", tmp_path / "norm") == 2
+    assert not (tmp_path / "norm").exists()
+
+
+@pytest.mark.parametrize("max_frames, counts", [("Infinity", "[0, 10]"),
+                                               ("15000", "[0, Infinity]")])
+def test_normalize_infinite_count_is_data_error(tmp_path, model_dir, max_frames, counts):
+    stats = tmp_path / "stats.json"
+    stats.write_text('{"percentile": 99.9, "max_frames": %s, "scales": [1.0, 1.0], '
+                     '"sample_counts": %s, "warnings": [], "provenance": ""}'
+                     % (max_frames, counts))
+    assert run_cli("normalize", "--model", model_dir, "--stats", stats,
+                   "--out", tmp_path / "norm") == 2
     assert not (tmp_path / "norm").exists()
 
 
@@ -284,6 +301,61 @@ def test_bad_flag_value_is_usage_error(tmp_path, model_dir, frames_blob, flags, 
         tail = ["--out", out]
     assert run_cli(*flags, "--model", model_path, *tail) == 1
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# any input file: exit 0, 1 or 2, never a traceback
+
+_STATS = {"percentile": 99.9, "max_frames": 15000, "scales": [1.0, 2.0],
+          "sample_counts": [0, 10], "warnings": [], "provenance": ""}
+_JSON_VALUES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 10**400, -10**400, 2**64, -1, 0,
+                     True, None, "", [], {}]),
+    st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(_STATS)), index=st.none() | st.integers(0, 1),
+       value=_JSON_VALUES)
+def test_any_stats_value_exits_0_1_or_2(tmp_path, model_dir, key, index, value):
+    """Replacing one value of a valid stats file, or one item of a list in
+    it, never raises out of normalize."""
+    payload = copy.deepcopy(_STATS)
+    if index is not None and isinstance(payload[key], list) and payload[key]:
+        payload[key][index] = value
+    else:
+        payload[key] = value
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps(payload))
+    assert run_cli("normalize", "--model", model_dir, "--stats", stats,
+                   "--out", tmp_path / "norm") in (0, 1, 2)
+
+
+_EDITS = st.lists(st.tuples(st.integers(0, 600), st.binary(min_size=1, max_size=4)),
+                  max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_EDITS, cut=st.none() | st.integers(0, 600))
+def test_any_trace_bytes_exit_0_1_or_2(tmp_path, model_dir, edits, cut):
+    """A valid three-step trace with bytes overwritten, or cut short, never
+    raises out of replay --trace or stats --frames."""
+    path = tmp_path / "t.trace"
+    frames = (np.arange(108, dtype=np.float32).reshape(3, 1, 6, 6) % 5) / 4
+    write_trace(EpisodeTrace(3, (1, 6, 6), trace_steps((1, 6, 6), frames, [0, 1, 2], 1.0)),
+                path)
+    data = bytearray(path.read_bytes())
+    for pos, chunk in edits:
+        data[pos:pos + len(chunk)] = chunk
+    path.write_bytes(bytes(data[:cut]))
+    assert run_cli("replay", "--snn-model", model_dir, "--trace", path, "--timesteps", "5",
+                   "--out", tmp_path / "replay.csv") in (0, 1, 2)
+    assert run_cli("stats", "--model", model_dir, "--frames", path,
+                   "--out", tmp_path / "stats.json") in (0, 1, 2)
 
 
 def test_missing_subcommand_is_usage_error():

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from rateconv import (ConversionReport, EpisodeTrace, EvalConfig, LineCatchEnv, NetworkSpec,
-                      NormConfig, PlayRecord, SimConfig, TraceStep, apply_normalization,
+                      NormConfig, PlayRecord, SimConfig, apply_normalization,
                       collect_frames_by_play, collect_stats, conversion_rate, dense,
                       derive_seed, epsilon_greedy_action, evaluate, flatten, forward_batch,
                       greedy_action, init_sim, mean_std, optimal_network, pearson,
-                      play_episode, readout, replay_trace, run, run_batch, AnalogAgent,
-                      SpikingAgent)
+                      play_episode, readout, replay_trace, run, run_batch, step_dtype,
+                      AnalogAgent, SpikingAgent)
 from rateconv.simulate import _build_stages
 
-from conftest import rand_dense_net, rand_frames
+from conftest import rand_dense_net, rand_frames, trace_steps
 
 
 def make_trace(rng, net, n, recompute=True):
@@ -23,10 +23,8 @@ def make_trace(rng, net, n, recompute=True):
     frames = rand_frames(rng, n, net.input_shape).astype(np.float32)
     _, q = forward_batch(net, frames)
     actions = np.argmax(q, axis=1)
-    steps = [TraceStep(observation=frames[i], action=int(actions[i]), reward=0.0)
-             for i in range(n)]
     return EpisodeTrace(action_count=q.shape[1], observation_shape=net.input_shape,
-                        steps=steps)
+                        steps=trace_steps(net.input_shape, frames, actions, 0.0))
 
 
 def normalized(rng, net, n_frames=64, p=100.0):
@@ -77,8 +75,7 @@ def test_replay_self_conversion_perfect_when_gap_dominates(rng):
                         - forward_batch(norm, chosen)[1]))
     assert 0.1 > 2 * err  # gap dominates the measured readout error
 
-    steps = [TraceStep(chosen[i].astype(np.float32), int(picks[i]), 0.0)
-             for i in range(len(chosen))]
+    steps = trace_steps(net.input_shape, chosen, picks, 0.0)
     trace = EpisodeTrace(action_count=2, observation_shape=net.input_shape, steps=steps)
     report = replay_trace(trace, norm, config, source_net=net)
     assert report.cr == 1.0
@@ -127,7 +124,7 @@ def test_replay_simulates_each_distinct_frame_once(rng, monkeypatch):
     base = make_trace(rng, net, 12)
     picks = rng.integers(0, 12, 40)
     trace = EpisodeTrace(action_count=3, observation_shape=net.input_shape,
-                         steps=[base.steps[i] for i in picks])
+                         steps=base.steps[picks])
     config = SimConfig(timesteps=60)
 
     rows, compared = [], []
@@ -157,7 +154,8 @@ def test_replay_simulates_each_distinct_frame_once(rng, monkeypatch):
 
 def test_replay_rejects_empty_trace(rng):
     net = rand_dense_net(rng, sizes=[4, 4, 2])
-    empty = EpisodeTrace(action_count=2, observation_shape=(4,), steps=[])
+    empty = EpisodeTrace(action_count=2, observation_shape=(4,),
+                         steps=np.empty(0, step_dtype((4,))))
     with pytest.raises(ValueError):
         replay_trace(empty, net, SimConfig(timesteps=10))
 

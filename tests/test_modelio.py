@@ -8,13 +8,14 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rateconv import (BlobError, EpisodeTrace, FormatError, ManifestError, NetworkSpec,
-                      ReportRow, TraceError, TraceStep, dense, conv2d, flatten,
-                      load_frames, load_model, read_blob, read_report, read_trace,
-                      save_model, validate_network, write_blob, write_report, write_trace)
+                      ReportRow, TraceError, dense, conv2d, flatten, load_frames,
+                      load_model, read_blob, read_report, read_trace, save_model,
+                      step_dtype, validate_network, write_blob, write_report, write_trace)
 
-from conftest import rand_conv_net, rand_dense_net
+from conftest import rand_conv_net, rand_dense_net, trace_steps
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +180,8 @@ def test_load_model_rejects_blob_paths_outside_the_model(tmp_path, rng):
 # traces
 
 def _trace(rng, steps, action_count=4, shape=(1, 4, 4)):
-    records = [TraceStep(observation=rng.random(shape).astype(np.float32),
-                         action=int(rng.integers(action_count)),
-                         reward=float(rng.integers(0, 2)))
-               for _ in range(steps)]
+    records = trace_steps(shape, rng.random((steps, *shape)),
+                          rng.integers(action_count, size=steps), rng.integers(0, 2, size=steps))
     return EpisodeTrace(action_count=action_count, observation_shape=shape, steps=records)
 
 
@@ -192,7 +191,7 @@ def test_trace_round_trip_empty(tmp_path, rng):
     back = read_trace(tmp_path / "t.trace")
     assert back.action_count == 4
     assert back.observation_shape == (1, 4, 4)
-    assert back.steps == []
+    assert len(back.steps) == 0 and back.steps.dtype == step_dtype((1, 4, 4))
 
 
 def test_trace_round_trip_bit_exact(tmp_path, rng):
@@ -200,14 +199,65 @@ def test_trace_round_trip_bit_exact(tmp_path, rng):
     write_trace(trace, tmp_path / "t.trace")
     back = read_trace(tmp_path / "t.trace")
     assert len(back.steps) == 100
-    for a, b in zip(trace.steps, back.steps):
-        assert np.array_equal(a.observation, b.observation)
-        assert a.action == b.action and a.reward == b.reward
+    for name in ("observation", "action", "reward"):
+        assert np.array_equal(back.steps[name], trace.steps[name])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), shape=st.lists(st.integers(0, 3), max_size=3).map(tuple),
+       count=st.integers(0, 20), action_count=st.integers(1, 2**32 - 1))
+def test_trace_round_trip_keeps_every_field(tmp_path, data, shape, count, action_count):
+    steps = np.empty(count, step_dtype(shape))
+    steps["observation"] = data.draw(arrays(np.float32, (count, *shape)))
+    steps["action"] = data.draw(arrays(np.uint32, count,
+                                       elements=st.integers(0, action_count - 1)))
+    steps["reward"] = data.draw(arrays(np.float64, count))
+    path = tmp_path / "t.trace"
+    write_trace(EpisodeTrace(action_count, shape, steps), path)
+    back = read_trace(path)
+    assert (back.action_count, back.observation_shape) == (action_count, shape)
+    assert back.steps.dtype == steps.dtype
+    for name in steps.dtype.names:  # bytes, so NaNs compare too
+        assert back.steps[name].tobytes() == steps[name].tobytes()
+
+
+def test_sliced_steps_write_that_slice_of_the_file(tmp_path, rng):
+    """perfbench/inputs.py splits a recorded trace by slicing its steps:
+    the slice's file is the header with the new step count, then the
+    sliced records' bytes."""
+    write_trace(_trace(rng, 10), tmp_path / "t.trace")
+    raw = (tmp_path / "t.trace").read_bytes()
+    trace = read_trace(tmp_path / "t.trace")
+    header, record = 32, 24 + 64 + 12
+    for a, b in [(0, 10), (0, 4), (4, 10), (3, 3), (9, 10)]:
+        part = EpisodeTrace(trace.action_count, trace.observation_shape, trace.steps[a:b])
+        write_trace(part, tmp_path / "part.trace")
+        assert (tmp_path / "part.trace").read_bytes() == (
+            raw[:header - 4] + struct.pack("<I", b - a)
+            + raw[header + a * record:header + b * record])
+
+
+def test_write_trace_rejects_steps_of_another_dtype(tmp_path, rng):
+    trace = _trace(rng, 3)
+    for steps in (list(trace.steps), trace.steps[["observation", "action"]],
+                  _trace(rng, 3, shape=(4,)).steps, trace.steps.reshape(3, 1)):
+        with pytest.raises(TraceError, match="step_dtype"):
+            write_trace(EpisodeTrace(4, (1, 4, 4), steps), tmp_path / "t.trace")
+
+
+def test_observation_past_numpy_record_limit_is_a_trace_error(tmp_path):
+    """numpy caps one record at 2**31 - 1 bytes: a header whose observation
+    is larger is rejected before any step is read."""
+    path = tmp_path / "t.trace"
+    path.write_bytes(b"SNNTR001" + struct.pack("<5I", 2, 2, 2**15, 2**15, 0))  # 4 GiB
+    with pytest.raises(TraceError, match="too large"):
+        read_trace(path)
 
 
 def test_trace_rejects_out_of_range_action(tmp_path, rng):
     trace = _trace(rng, 3)
-    trace.steps[1].action = 7
+    trace.steps["action"][1] = 7
     with pytest.raises(TraceError, match="out of range"):
         write_trace(trace, tmp_path / "t.trace")
 
@@ -257,6 +307,26 @@ def test_trace_errors_name_the_first_bad_step(tmp_path, rng):
             reader(path)
 
 
+def test_trace_errors_name_the_step_that_breaks_the_layout(tmp_path, rng):
+    path = tmp_path / "t.trace"
+    write_trace(_trace(rng, 5), path)
+    raw = path.read_bytes()
+    header, record = 32, 24 + 64 + 12
+    dims = header + record + 12  # step 1's blob dims
+    path.write_bytes(raw[:dims] + struct.pack("<3I", 1, 4, 2) + raw[dims + 12:])
+    with pytest.raises(TraceError, match=r"step 1 observation shape \(1, 4, 2\) != header"):
+        read_trace(path)
+    path.write_bytes(raw[:-4])
+    with pytest.raises(TraceError, match="truncated while reading step 4 reward"):
+        read_trace(path)
+    path.write_bytes(raw[:-20])
+    with pytest.raises(BlobError, match="step 4 observation: truncated while reading data"):
+        read_trace(path)
+    path.write_bytes(raw + b"\0")
+    with pytest.raises(TraceError, match="1 trailing bytes"):
+        read_trace(path)
+
+
 def test_dims_too_large_for_an_array_are_format_errors(tmp_path):
     """A zero dim leaves the array empty, but numpy still refuses dims whose
     nonzero product overflows; both formats reject them at the header."""
@@ -302,8 +372,7 @@ def _valid_file(kind, path):
     if kind == "blob":
         write_blob(path, values)
     else:
-        steps = [TraceStep(observation=v[None], action=i, reward=float(i))
-                 for i, v in enumerate(values)]
+        steps = trace_steps((1, 2, 2), values[:, None], [0, 1, 2], [0.0, 1.0, 2.0])
         write_trace(EpisodeTrace(3, (1, 2, 2), steps), path)
     return path.read_bytes()
 
