@@ -10,13 +10,14 @@ Episodes play in lockstep.  Episode i has its own environment and its
 own generator, seeded derive_seed(master, i), from which it draws its
 environment seed, its no-op prefix and its exploration; each round, the
 live episodes' observations go to the spiking network as one run_batch,
-whose row r is episode r's decision.  A row of run_batch is bit for bit
-the run of that frame alone (see rateconv.simulate), so results depend
-only on the seed, never on which episodes share a round.  Analog
-q-values (the source playing alone, and the shadow) stay one forward
-pass per observation: the rows of a batched float64 GEMM can differ in
-the last bit from single-row products, and a hidden ReLU activation
-carries that into a near-tie argmax.
+one row per live episode in episode order.  Every run starts from rest
+and a row of run_batch is bit for bit the run of that frame alone (see
+rateconv.simulate), so results depend only on the seed, never on which
+episodes share a round.  Analog q-values (the source playing alone,
+and the shadow) stay one forward pass per observation: the rows of a
+batched float64 GEMM can differ in the last bit from single-row
+products, and a hidden ReLU activation carries that into a near-tie
+argmax.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .lincatch import LineCatchEnv
 from .modelio import EpisodeTrace, ReportRow
 from .network import NetworkSpec, epsilon_greedy_action, forward, forward_batch, greedy_action
 from .normalize import NormConfig, apply_normalization, collect_stats
-from .simulate import SimConfig, init_sim, readout, run_batch
+from .simulate import SimConfig, readout, run_batch
 
 CR_MODES = ("greedy", "executed")
 _MASK64 = (1 << 64) - 1
@@ -136,37 +137,19 @@ class AnalogAgent:
 class SpikingAgent:
     """Values from spiking runs of the converted network.
 
-    qvalues takes one observation, or a stack of them with one row per
-    episode and those episodes' indices, and simulates the rows in one
-    run_batch; each row reads what a run of it alone reads.  Potentials
-    start from zero on every decision unless sim_config.carry_potentials
-    is set; then each episode's potentials carry over to its own next
-    decision, and only to its own.
+    qvalues takes one observation, or a stack of them, and simulates
+    them from rest in one run_batch; each row reads what a run of its
+    observation alone reads, so no decision depends on another.
     """
 
-    def __init__(self, net: NetworkSpec, sim_config: SimConfig, episodes: int = 1):
+    def __init__(self, net: NetworkSpec, sim_config: SimConfig):
         self.net = net
         self.sim_config = sim_config
-        self._state = init_sim(net, sim_config)  # buffers, rebuilt when the batch size changes
-        self._carried: Optional[list[np.ndarray]] = None  # per population [episodes, *shape]
-        if sim_config.carry_potentials:
-            self._carried = [np.zeros((episodes, *shape))
-                             for shape in self._state.population_shapes()]
 
-    def qvalues(self, obs, episodes: Optional[Sequence[int]] = None) -> np.ndarray:
+    def qvalues(self, obs) -> np.ndarray:
         obs = np.asarray(obs, dtype=np.float64)
         single = obs.shape == self.net.input_shape
-        frames = obs[None] if single else obs
-        rows = list(range(len(frames))) if episodes is None else list(episodes)
-        if self._state.batch != len(frames):
-            self._state = init_sim(self.net, self.sim_config, len(frames))
-        if self._carried is not None:
-            for potentials, carried in zip(self._state.potentials, self._carried):
-                potentials[...] = carried[rows]
-        values = readout(run_batch(self.net, frames, self.sim_config, state=self._state))
-        if self._carried is not None:
-            for potentials, carried in zip(self._state.potentials, self._carried):
-                carried[rows] = potentials
+        values = readout(run_batch(self.net, obs[None] if single else obs, self.sim_config))
         return values[0] if single else values
 
 
@@ -185,8 +168,8 @@ class PlayRecord:
     env_steps: int
 
 
-# values(live, observations): one q-vector per live episode, in episode order
-Values = Callable[[list[int], list[np.ndarray]], Sequence[np.ndarray]]
+# values(observations): one q-vector per live episode, in episode order
+Values = Callable[[list[np.ndarray]], Sequence[np.ndarray]]
 
 
 @dataclass
@@ -228,11 +211,11 @@ def _play_lockstep(envs: list[LineCatchEnv], rngs: list[np.random.Generator],
                    keep_frames: bool = True) -> list[PlayRecord]:
     """Play one episode per (env, rng), all advancing together.
 
-    Each round, values(live, observations) gets the indices and current
-    observations of the live episodes (not done, under the frame
-    budget), in episode order, and returns one q-vector per row.  Each
-    live episode then draws its epsilon-greedy action from its own rng
-    and steps its own env; an episode that ends leaves the next round.
+    Each round, values(observations) gets the current observations of
+    the live episodes (not done, under the frame budget), in episode
+    order, and returns one q-vector per row.  Each live episode then
+    draws its epsilon-greedy action from its own rng and steps its own
+    env; an episode that ends leaves the next round.
     The shadow, if any, gives the source's greedy action for each row
     from its own forward pass.
     """
@@ -240,7 +223,7 @@ def _play_lockstep(envs: list[LineCatchEnv], rngs: list[np.random.Generator],
                 for env, rng in zip(envs, rngs)]
     live = [i for i, episode in enumerate(episodes) if episode.live(config)]
     while live:
-        for i, q in zip(live, values(live, [episodes[i].obs for i in live])):
+        for i, q in zip(live, values([episodes[i].obs for i in live])):
             episode = episodes[i]
             rec = episode.record
             rec.greedy_actions.append(greedy_action(q))
@@ -259,7 +242,7 @@ def _play_lockstep(envs: list[LineCatchEnv], rngs: list[np.random.Generator],
 
 def _each_row(agent) -> Values:
     """An agent's q-values row by row, one qvalues call per observation."""
-    return lambda live, observations: [agent.qvalues(obs) for obs in observations]
+    return lambda observations: [agent.qvalues(obs) for obs in observations]
 
 
 def play_episode(env: LineCatchEnv, agent, config: EvalConfig,
@@ -356,8 +339,8 @@ def evaluate(source_net: NetworkSpec, snn_net: Optional[NetworkSpec],
     source_records = play(_each_row(source), keep_frames=keep_records and snn_net is None)
     records = source_records
     if snn_net is not None:
-        spiking = SpikingAgent(snn_net, sim_config, len(seeds))
-        records = play(lambda live, observations: spiking.qvalues(np.stack(observations), live),
+        spiking = SpikingAgent(snn_net, sim_config)
+        records = play(lambda observations: spiking.qvalues(np.stack(observations)),
                        shadow=source)
     agreements = [_agreement(rec, eval_config.cr_mode) for rec in records]
     return ConversionReport(
@@ -430,17 +413,16 @@ def sweep_percentile(source_net: NetworkSpec, env: LineCatchEnv, frames,
 
 
 def collect_frames_by_play(source_net: NetworkSpec, env: LineCatchEnv, n_frames: int,
-                           eval_config: EvalConfig, seed: Optional[int] = None) -> np.ndarray:
+                           eval_config: EvalConfig) -> np.ndarray:
     """Gather calibration frames by letting the source play the environment."""
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    seed = eval_config.seed if seed is None else seed
     frames: list[np.ndarray] = []
     episode = 0
     empty_streak = 0
     while len(frames) < n_frames:
         rec = play_episode(env.clone(), AnalogAgent(source_net), eval_config,
-                           np.random.default_rng(derive_seed(seed, 0x10000 + episode)))
+                           np.random.default_rng(derive_seed(eval_config.seed, 0x10000 + episode)))
         episode += 1
         if not rec.frames:
             # a long no-op prefix can swallow a short episode; give up only

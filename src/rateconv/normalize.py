@@ -111,7 +111,11 @@ def collect_stats(net: NetworkSpec, frames, config: NormConfig,
 
 
 def apply_normalization(net: NetworkSpec, stats: NormStats) -> NetworkSpec:
-    """Rescaled copy of the network; the original is left untouched."""
+    """Rescaled copy of the network; the original is left untouched.
+
+    Raises ValueError if a layer's rescaled weights or bias do not fit
+    in float32, the dtype the network stores them in.
+    """
     param_idx = net.parameterized_indices()
     if len(stats.scales) != len(param_idx) + 1:
         raise ValueError(f"stats carry {len(stats.scales)} scales but network has "
@@ -121,13 +125,17 @@ def apply_normalization(net: NetworkSpec, stats: NormStats) -> NetworkSpec:
 
     layers = []
     j = 0
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         if not layer.parameterized:
             layers.append(replace(layer))
             continue
         prev_scale, this_scale = stats.scales[j], stats.scales[j + 1]
-        w = layer.weights.astype(np.float64) * (prev_scale / this_scale)
-        b = layer.bias.astype(np.float64) / this_scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = (layer.weights.astype(np.float64) * (prev_scale / this_scale)).astype(np.float32)
+            b = (layer.bias.astype(np.float64) / this_scale).astype(np.float32)
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"layer {i}: weights or bias scaled by {prev_scale!r} / "
+                             f"{this_scale!r} do not fit in float32")
         layers.append(LayerSpec(kind=layer.kind, weights=w, bias=b,
                                 stride=layer.stride, padding=layer.padding,
                                 activation=layer.activation))
@@ -149,14 +157,26 @@ def stats_to_dict(stats: NormStats) -> dict:
     }
 
 
+def _list_of(key: str, value, kinds, what: str) -> list:
+    """value, if it is a list whose items are all of kinds (bool never counts)."""
+    if not isinstance(value, list) or any(isinstance(x, bool) or not isinstance(x, kinds)
+                                          for x in value):
+        raise ValueError(f"{key} must be a list of {what}")
+    return value
+
+
 def stats_from_dict(payload: dict) -> NormStats:
     config = NormConfig(percentile=float(payload["percentile"]),
                         max_frames=int(payload["max_frames"]))
-    return NormStats(scales=[float(x) for x in payload["scales"]],
-                     sample_counts=[int(x) for x in payload["sample_counts"]],
-                     config=config,
-                     warnings=list(payload.get("warnings", [])),
-                     provenance=str(payload.get("provenance", "")))
+    provenance = payload.get("provenance", "")
+    if not isinstance(provenance, str):
+        raise ValueError("provenance must be a string")
+    return NormStats(
+        scales=[float(x) for x in _list_of("scales", payload["scales"], (int, float), "numbers")],
+        sample_counts=list(_list_of("sample_counts", payload["sample_counts"], int, "integers")),
+        config=config,
+        warnings=list(_list_of("warnings", payload.get("warnings", []), str, "strings")),
+        provenance=provenance)
 
 
 def save_stats(stats: NormStats, path) -> None:

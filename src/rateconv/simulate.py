@@ -34,12 +34,13 @@ simulate_current_sequence are views of the same kernel.
 
 A layer's currents change only when its input spikes do, so they are
 computed only then.  If every step of a block repeats the previous
-step's input spikes, the layer keeps the currents it last computed
-(SimState.held, dropped on reset) and makes no affine call; if the
-steps of a block all equal its first, that one step is computed for
-the batch and broadcast; any other block is computed whole.  With
-binary frames the input population fires the same neurons every step,
-so the first layer's currents are computed once per run.
+step's input spikes, the layer keeps the currents it last computed in
+this run (SimState.held) and makes no affine call; if the steps of a
+block all equal its first, that one step is computed for the batch and
+broadcast; any other block is computed whole.  With binary frames the
+input population fires the same neurons every step, so the first
+layer's currents are computed once per run.  Every run starts from
+rest: run_batch builds a fresh all-zero state for each call.
 
 Why the spikes stay bit-identical.  Each neuron sees the same float64
 operations in the same order as a step-at-a-time loop: add the
@@ -80,7 +81,6 @@ class SimConfig:
     timesteps: int = 500
     v_thr: float = 1.0
     readout: str = "robust"
-    carry_potentials: bool = False  # keep membrane state across consecutive frames
 
     def __post_init__(self):
         if self.timesteps < 1:
@@ -144,7 +144,8 @@ def _build_stages(net: NetworkSpec) -> list[_Stage]:
 
 @dataclass
 class SimState:
-    """Mutable per-run state; owned by exactly one simulation at a time.
+    """Mutable state of one simulation, built at rest by init_sim; owned by
+    exactly one simulation.
 
     Population 0 is the input layer; populations 1..n correspond to the
     network's parameterized layers in order.
@@ -153,7 +154,6 @@ class SimState:
     net: NetworkSpec
     config: SimConfig
     batch: int
-    t: int
     potentials: list[np.ndarray]     # float64 [batch, *shape]
     spikes: list[np.ndarray]         # bool: which neurons fired in the last step
     counts: list[np.ndarray]         # int64 cumulative spike counts
@@ -165,16 +165,6 @@ class SimState:
 
     def population_shapes(self) -> list[tuple[int, ...]]:
         return [self.net.input_shape] + [s.shape for s in self.stages]
-
-    def reset(self, keep_potentials: bool = False) -> None:
-        self.t = 0
-        self.held = [None] * len(self.stages)
-        for j in range(len(self.potentials)):
-            if not keep_potentials:
-                self.potentials[j][...] = 0.0
-            self.spikes[j][...] = False
-            self.counts[j][...] = 0
-            self.current_sums[j][...] = 0.0
 
     def block_steps(self) -> int:
         """Steps per block: K * batch * (widest population) float64s fit in BLOCK_BYTES."""
@@ -195,7 +185,6 @@ def init_sim(net: NetworkSpec, config: SimConfig, batch: int = 1) -> SimState:
         net=net,
         config=config,
         batch=batch,
-        t=0,
         potentials=[np.zeros((batch, *s)) for s in shapes],
         spikes=[np.zeros((batch, *s), dtype=bool) for s in shapes],
         counts=[np.zeros((batch, *s), dtype=np.int64) for s in shapes],
@@ -299,7 +288,6 @@ def _advance(state: SimState, frames: np.ndarray, steps: int,
             state.counts[j] += fired.sum(axis=0, dtype=np.int64)
         previous = state.spikes[j]
         state.spikes[j] = fired[-1].copy()
-    state.t += steps
     return fired
 
 
@@ -358,14 +346,12 @@ class SimResult:
     settle_step: np.ndarray
 
 
-def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig,
-              state: Optional[SimState] = None) -> SimResult:
-    """Simulate a batch of frames for config.timesteps steps.
+def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig) -> SimResult:
+    """Simulate a batch of frames for config.timesteps steps, from rest.
 
     frames: [batch, *input_shape], finite, each held constant for the
-    whole run.  Pass the state back in across calls to reuse buffers;
-    potentials are zeroed between runs unless config.carry_potentials
-    is set.
+    whole run.  Every run starts from a fresh all-zero state, so a row's
+    result depends on its frame and the config alone.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != len(net.input_shape) + 1 or frames.shape[1:] != net.input_shape:
@@ -374,13 +360,7 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig,
     if not np.all(np.isfinite(frames)):
         raise ValueError("frames must be finite (found NaN or infinity)")
     batch = frames.shape[0]
-    if state is None:
-        state = init_sim(net, config, batch)
-    else:
-        if state.net is not net or state.batch != batch:
-            raise ValueError("reused state does not match this network and batch size")
-        state.config = config
-        state.reset(keep_potentials=config.carry_potentials)
+    state = init_sim(net, config, batch)
 
     T = config.timesteps
     v_thr = config.v_thr
@@ -415,14 +395,13 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig,
                      rate_last=rate_last, f_last=f_last, settle_step=settle)
 
 
-def run(net: NetworkSpec, frame: np.ndarray, config: SimConfig,
-        state: Optional[SimState] = None) -> SimResult:
+def run(net: NetworkSpec, frame: np.ndarray, config: SimConfig) -> SimResult:
     """Simulate a single frame; like run_batch but without the batch axis."""
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape != net.input_shape:
         raise ValueError(f"frame shape {frame.shape} does not match network input "
                          f"{net.input_shape}")
-    res = run_batch(net, frame[None], config, state=state)
+    res = run_batch(net, frame[None], config)
     return SimResult(
         timesteps=res.timesteps, v_thr=res.v_thr, readout=res.readout,
         rates=[r[0] for r in res.rates],

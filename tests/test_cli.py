@@ -3,11 +3,16 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import rateconv
 from rateconv import (EpisodeTrace, load_model, optimal_network, read_blob, read_report,
                       read_trace, save_model, validate_network, write_blob, write_trace)
 from rateconv.cli import main
@@ -61,6 +66,10 @@ def test_stats_missing_model_is_data_error(tmp_path, frames_blob, capsys):
 # ---------------------------------------------------------------------------
 # normalize
 
+_STATS = {"percentile": 99.9, "max_frames": 15000, "scales": [1.0, 2.0],
+          "sample_counts": [0, 10], "warnings": [], "provenance": ""}
+
+
 def test_normalize_identity_stats_is_byte_identical(tmp_path, model_dir):
     stats = tmp_path / "stats.json"
     stats.write_text(json.dumps({
@@ -104,6 +113,35 @@ def test_normalize_infinite_count_is_data_error(tmp_path, model_dir, max_frames,
                      % (max_frames, counts))
     assert run_cli("normalize", "--model", model_dir, "--stats", stats,
                    "--out", tmp_path / "norm") == 2
+    assert not (tmp_path / "norm").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("scales", "12"), ("scales", [1.0, True]), ("sample_counts", "05"),
+    ("sample_counts", [0, 10.0]), ("warnings", "ab"), ("warnings", [1]),
+    ("provenance", ["a"])])
+def test_normalize_mistyped_stats_value_is_data_error(tmp_path, model_dir, key, value):
+    """A string is not a list of its characters, a bool is not a number and
+    a float is not a count."""
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps({**_STATS, key: value}))
+    assert run_cli("normalize", "--model", model_dir, "--stats", stats,
+                   "--out", tmp_path / "norm") == 2
+    assert not (tmp_path / "norm").exists()
+
+
+def test_normalize_float32_overflow_is_data_error_without_numpy_warning(tmp_path, model_dir):
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps({**_STATS, "scales": [1.0, 1e-40]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(rateconv.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from rateconv.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "normalize", "--model", str(model_dir),
+         "--stats", str(stats), "--out", str(tmp_path / "norm")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "do not fit in float32" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
     assert not (tmp_path / "norm").exists()
 
 
@@ -306,8 +344,6 @@ def test_bad_flag_value_is_usage_error(tmp_path, model_dir, frames_blob, flags, 
 # ---------------------------------------------------------------------------
 # any input file: exit 0, 1 or 2, never a traceback
 
-_STATS = {"percentile": 99.9, "max_frames": 15000, "scales": [1.0, 2.0],
-          "sample_counts": [0, 10], "warnings": [], "provenance": ""}
 _JSON_VALUES = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan, 10**400, -10**400, 2**64, -1, 0,
                      True, None, "", [], {}]),

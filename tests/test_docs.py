@@ -1,0 +1,35 @@
+"""The README's documented commands and library sketch run as written."""
+
+import re
+import shlex
+from pathlib import Path
+
+import rateconv as rc
+from rateconv.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _fenced(language: str) -> list[str]:
+    """The bodies of the README's code blocks fenced as the given language."""
+    return re.findall(rf"^```{language}\n(.*?)^```$", README, flags=re.M | re.S)
+
+
+def _quick_start_play() -> list[str]:
+    """The quick start's recording `rateconv play` command, as argv."""
+    for block in _fenced("sh"):
+        for command in block.replace("\\\n", " ").splitlines():
+            if command.startswith("rateconv play") and "--record-trace" in command:
+                return shlex.split(command, comments=True)
+    raise AssertionError("README has no recording play command")
+
+
+def test_readme_library_sketch_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc.save_model(rc.optimal_network(8), "model")
+    argv = _quick_start_play()
+    assert main(argv[1:]) == 0
+    assert Path("episodes.trace").exists()
+    [sketch] = _fenced("python")
+    exec(compile(sketch, "README.md", "exec"), {})
+    assert rc.read_trace("first100.trace").action_count == 3

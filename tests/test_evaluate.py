@@ -1,7 +1,6 @@
 """Conversion-rate accounting, replay, paired play, and sweeps."""
 
 import importlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from rateconv import (ConversionReport, EpisodeTrace, EvalConfig, LineCatchEnv, 
                       NormConfig, PlayRecord, SimConfig, apply_normalization,
                       collect_frames_by_play, collect_stats, conversion_rate, dense,
                       derive_seed, epsilon_greedy_action, evaluate, flatten, forward_batch,
-                      greedy_action, init_sim, mean_std, optimal_network, pearson,
+                      greedy_action, mean_std, optimal_network, pearson,
                       play_episode, readout, replay_trace, run, run_batch, step_dtype,
                       AnalogAgent, SpikingAgent)
 from rateconv.simulate import _build_stages
@@ -290,18 +289,16 @@ def test_evaluate_source_only_episode_without_decisions_has_nan_cr():
 # lockstep evaluation against a literal sequential reference
 
 class _SequentialSpikingAgent:
-    """Reference agent: one batch-1 spiking run per decision, its state kept
-    for the episode, so carried potentials carry within the episode.  It
-    logs every readout it returns."""
+    """Reference agent: one single-frame spiking run per decision.  It logs
+    every readout it returns."""
 
     def __init__(self, net, sim_config):
         self.net = net
         self.sim_config = sim_config
-        self.state = init_sim(net, sim_config, batch=1)
         self.log = []
 
     def qvalues(self, obs):
-        self.log.append(readout(run(self.net, obs, self.sim_config, state=self.state)))
+        self.log.append(readout(run(self.net, obs, self.sim_config)))
         return self.log[-1]
 
 
@@ -374,18 +371,30 @@ def sequential_evaluate(source_net, snn_net, sim_config, eval_config, env):
                             records=records), readouts
 
 
-def _log_spiking_readouts(monkeypatch):
-    """Log the rows SpikingAgent.qvalues returns, by episode."""
-    readouts = {}
+def _log_spiking_rounds(monkeypatch):
+    """Log the rows each SpikingAgent.qvalues call returns: one list per round."""
+    rounds = []
     qvalues = SpikingAgent.qvalues
 
-    def logged(self, obs, episodes=None):
-        values = qvalues(self, obs, episodes)
-        for i, row in zip(episodes, values):
-            readouts.setdefault(i, []).append(row)
+    def logged(self, obs):
+        values = qvalues(self, obs)
+        rounds.append(list(values))
         return values
 
     monkeypatch.setattr(SpikingAgent, "qvalues", logged)
+    return rounds
+
+
+def _readouts_by_episode(rounds, lengths):
+    """Attribute round r's rows to the episodes with more than r decisions,
+    in episode order: an episode decides once per round while it is live."""
+    assert len(rounds) == max(lengths, default=0)
+    readouts = {}
+    for r, rows in enumerate(rounds):
+        episodes = [i for i, n in enumerate(lengths) if n > r]
+        assert len(rows) == len(episodes)
+        for i, row in zip(episodes, rows):
+            readouts.setdefault(i, []).append(row)
     return readouts
 
 
@@ -411,17 +420,15 @@ def _random_pair(spread=False):
 
 
 LOCKSTEP_CASES = {
-    "greedy": (dict(epsilon=0.05), {}),
-    "executed": (dict(epsilon=0.3, cr_mode="executed"), {}),
-    "epsilon-0": (dict(epsilon=0.0), {}),
-    "epsilon-1": (dict(epsilon=1.0), {}),
-    # short runs, so what each episode carries over moves its decisions
-    "carry-potentials": (dict(epsilon=0.05), dict(carry_potentials=True, timesteps=4)),
-    "source-only": (dict(epsilon=0.1, frame_budget=15, max_noop=20), {}),
-    "inexact-stage": (dict(epsilon=0.05), {}),
+    "greedy": dict(epsilon=0.05),
+    "executed": dict(epsilon=0.3, cr_mode="executed"),
+    "epsilon-0": dict(epsilon=0.0),
+    "epsilon-1": dict(epsilon=1.0),
+    "source-only": dict(epsilon=0.1, frame_budget=15, max_noop=20),
+    "inexact-stage": dict(epsilon=0.05),
     # no-op prefixes of 0..20 steps against a 15-step budget: some episodes
     # make no decision, the rest stop at the budget, one by one
-    "shrinking-batch": (dict(epsilon=0.05, frame_budget=15, max_noop=20), {}),
+    "shrinking-batch": dict(epsilon=0.05, frame_budget=15, max_noop=20),
 }
 
 
@@ -440,7 +447,7 @@ def _assert_same_report(got, want):
 
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
 def test_lockstep_evaluate_equals_sequential_reference(case, monkeypatch):
-    eval_kwargs, sim_kwargs = LOCKSTEP_CASES[case]
+    eval_kwargs = LOCKSTEP_CASES[case]
     source, snn = _random_pair(spread=case == "inexact-stage")
     exact = [stage.exact for stage in _build_stages(snn)]
     assert all(exact) == (case != "inexact-stage")
@@ -448,12 +455,14 @@ def test_lockstep_evaluate_equals_sequential_reference(case, monkeypatch):
         snn = None
     env = LineCatchEnv(grid_size=8, episode_len=40)
     eval_config = EvalConfig(episodes=9, seed=17, **eval_kwargs)
-    sim_config = SimConfig(**{"timesteps": 40, **sim_kwargs})
+    sim_config = SimConfig(timesteps=40)
 
     want, want_readouts = sequential_evaluate(source, snn, sim_config, eval_config, env)
-    got_readouts = _log_spiking_readouts(monkeypatch)
+    rounds = _log_spiking_rounds(monkeypatch)
     got = evaluate(source, snn, sim_config, eval_config, env, keep_records=True)
     _assert_same_report(got, want)
+    lengths = [len(rec.greedy_actions) for rec in want.records]
+    got_readouts = _readouts_by_episode(rounds, lengths if snn is not None else [])
     # every decision's readout, bit for bit, in each episode's order
     assert got_readouts.keys() == {i for i, log in want_readouts.items() if log}
     for i, log in got_readouts.items():
@@ -463,16 +472,11 @@ def test_lockstep_evaluate_equals_sequential_reference(case, monkeypatch):
     assert bare.records is None
     assert np.array_equal(bare.per_episode_cr, got.per_episode_cr, equal_nan=True)
 
-    lengths = [len(rec.greedy_actions) for rec in want.records]
     if case in ("shrinking-batch", "source-only"):
         assert all(rec.env_steps == eval_config.frame_budget for rec in want.records)
         assert 0 in lengths and len(set(lengths)) > 2  # the batch shrinks more than once
     if snn is not None:
         assert 0 < want.agreements < want.decisions  # the shadow disagrees sometimes
-    if sim_config.carry_potentials:  # and carrying potentials matters
-        fresh, _ = sequential_evaluate(source, snn, replace(sim_config, carry_potentials=False),
-                                       eval_config, env)
-        assert fresh.per_episode_cr != want.per_episode_cr
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Integrate-and-fire dynamics, bookkeeping identities, and diagnostics."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,34 +273,9 @@ def test_init_sim_shapes_match_forward_activations(rng):
     assert shapes[0] == net.input_shape
     for shape, li in zip(shapes[1:], net.parameterized_indices()):
         assert (1, *shape) == acts[li].shape
-    assert state.t == 0
     for arrays in (state.potentials, state.counts, state.current_sums):
         for a in arrays:
             assert not np.any(a)
-
-
-def test_reinit_after_run_equals_fresh(rng):
-    net = rand_dense_net(rng)
-    config = SimConfig(timesteps=30)
-    state = init_sim(net, config)
-    run(net, rng.random(net.input_shape), config, state=state)
-    state.reset()
-    fresh = init_sim(net, config)
-    assert state.t == fresh.t == 0
-    for a, b in zip(state.potentials, fresh.potentials):
-        assert np.array_equal(a, b)
-
-
-def test_carry_potentials_flag():
-    net = _identity_net()
-    frame = np.array([0.25])
-    state = init_sim(net, SimConfig(timesteps=10))
-    first = run(net, frame, SimConfig(timesteps=10), state=state)
-    assert first.rates[0][0] == pytest.approx(0.2)  # spikes at steps 4 and 8
-    carried = run(net, frame, SimConfig(timesteps=10, carry_potentials=True), state=state)
-    assert carried.rates[0][0] == pytest.approx(0.3)  # starts from V = 0.5
-    fresh = run(net, frame, SimConfig(timesteps=10), state=state)
-    assert fresh.rates[0][0] == pytest.approx(0.2)  # default resets potentials
 
 
 def test_step_rejects_foreign_network_and_bad_frame(rng):
@@ -392,7 +365,7 @@ def test_longer_runs_reduce_readout_error(rng):
 # ---------------------------------------------------------------------------
 # the block kernel against a literal step loop
 
-def step_loop(net, frames, config, potentials=None):
+def step_loop(net, frames, config):
     """Reference: every population advanced one step at a time, with one
     affine call per layer per step on the batch's rows."""
     v_thr, T, B = config.v_thr, config.timesteps, len(frames)
@@ -405,8 +378,7 @@ def step_loop(net, frames, config, potentials=None):
         layers.append((layer, flat))
         flat = False
     shapes = [frames.shape] + [acts[i].shape for i in net.parameterized_indices()]
-    pots = [np.zeros(sh) for sh in shapes] if potentials is None else \
-        [v.copy() for v in potentials]
+    pots = [np.zeros(sh) for sh in shapes]
     counts = [np.zeros(sh, dtype=np.int64) for sh in shapes]
     sums = [np.zeros(sh) for sh in shapes]
     settle = np.ones(B, dtype=np.int64)
@@ -512,23 +484,13 @@ def test_kernel_bitwise_equals_step_loop(rng, monkeypatch, kind, batch, readout,
     for drive, v_thr in DRIVES:
         config = SimConfig(timesteps=T, v_thr=v_thr, readout=readout)
         frames = drive_frames(rng, drive, batch, net.input_shape)
-        check(run_batch(net, frames, config, state=state), step_loop(net, frames, config))
-
-        # a second run on the same state: nothing it held outlives the first run
-        frames2 = drive_frames(rng, drive, batch, net.input_shape)
-        ref = step_loop(net, frames2, config)
-        check(run_batch(net, frames2, config, state=state), ref)
-
-        # carried potentials: the third run starts where the second ended
-        carry = replace(config, carry_potentials=True)
-        frames3 = drive_frames(rng, drive, batch, net.input_shape)
-        check(run_batch(net, frames3, carry, state=state),
-              step_loop(net, frames3, carry, potentials=ref["potentials"]))
+        ref = step_loop(net, frames, config)
+        check(run_batch(net, frames, config), ref)
 
         # step() is the same kernel one step at a time
         fresh = init_sim(net, config, batch)
         for _ in range(T):
-            step(fresh, net, frames2)
+            step(fresh, net, frames)
         for j in range(len(ref["counts"])):
             assert np.array_equal(fresh.counts[j], ref["counts"][j])
             assert np.array_equal(fresh.potentials[j], ref["potentials"][j])
