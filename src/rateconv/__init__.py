@@ -14,10 +14,9 @@ from .modelio import (BlobError, EpisodeTrace, FormatError, ManifestError, Repor
                       write_trace)
 from .normalize import (NormConfig, NormStats, apply_normalization, collect_stats,
                         load_stats, percentile, save_stats)
-from .simulate import (SimConfig, SimResult, SimState, classify_residual_cases,
-                       diagnostics, if_step, init_sim, layer_identity_residual,
-                       rate_readout, readout, robust_readout, run, run_batch,
-                       simulate_current_sequence, step)
+from .simulate import (SimConfig, SimResult, classify_residual_cases, diagnostics,
+                       layer_identity_residual, rate_readout, readout, robust_readout,
+                       run, run_batch, simulate_current_sequence)
 from .lincatch import LineCatchEnv, optimal_network
 from .evaluate import (ActionAgreement, AnalogAgent, ConversionReport, EvalConfig,
                        PlayRecord, SpikingAgent, collect_frames_by_play,

@@ -154,10 +154,14 @@ def _usage(build, *args, **kwargs):
         raise UsageError(str(exc)) from exc
 
 
+def _sim_config(args) -> SimConfig:
+    """The simulation settings given by --timesteps, --vthr and --readout."""
+    return _usage(SimConfig, timesteps=args.timesteps, v_thr=args.vthr, readout=args.readout)
+
+
 def _protocol(args) -> tuple[SimConfig, EvalConfig, LineCatchEnv]:
     """Simulation, evaluation and environment settings of play and sweep."""
-    sim_config = _usage(SimConfig, timesteps=args.timesteps, v_thr=args.vthr,
-                        readout=args.readout)
+    sim_config = _sim_config(args)
     eval_config = _usage(EvalConfig, epsilon=args.epsilon, max_noop=args.max_noop,
                          episodes=args.episodes, seed=args.seed,
                          frame_budget=args.frame_budget, cr_mode=args.cr_mode)
@@ -246,7 +250,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _usage(SimConfig, timesteps=args.timesteps, v_thr=args.vthr, readout=args.readout)
+    config = _sim_config(args)
     net = modelio.load_model(args.model)
     frame = _load_frame(args.frame, net.input_shape)
     result = run(net, frame, config)
@@ -261,7 +265,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    config = _usage(SimConfig, timesteps=args.timesteps, v_thr=args.vthr, readout=args.readout)
+    config = _sim_config(args)
     snn_net = modelio.load_model(args.snn_model)
     source = modelio.load_model(args.source) if args.source else None
     trace = modelio.read_trace(args.trace)

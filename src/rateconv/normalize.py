@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -35,8 +36,12 @@ class NormConfig:
     max_frames: int = 15000
 
     def __post_init__(self):
+        if isinstance(self.percentile, bool) or not isinstance(self.percentile, numbers.Real):
+            raise ValueError(f"percentile must be a number, got {self.percentile!r}")
         if not 99.0 <= self.percentile <= 100.0:
             raise ValueError(f"percentile must be in [99.0, 100.0], got {self.percentile}")
+        if isinstance(self.max_frames, bool) or not isinstance(self.max_frames, numbers.Integral):
+            raise ValueError(f"max_frames must be an integer, got {self.max_frames!r}")
         if self.max_frames < 1:
             raise ValueError(f"max_frames must be positive, got {self.max_frames}")
 
@@ -166,8 +171,7 @@ def _list_of(key: str, value, kinds, what: str) -> list:
 
 
 def stats_from_dict(payload: dict) -> NormStats:
-    config = NormConfig(percentile=float(payload["percentile"]),
-                        max_frames=int(payload["max_frames"]))
+    config = NormConfig(percentile=payload["percentile"], max_frames=payload["max_frames"])
     provenance = payload.get("provenance", "")
     if not isinstance(provenance, str):
         raise ValueError("provenance must be a string")

@@ -21,26 +21,26 @@ though weights are stored float32, which keeps the bookkeeping identity
 below 1e-9 over thousands of steps.
 
 Order of work.  Layer l over steps t..t+K-1 depends only on layer l-1's
-spikes over those same steps, so one kernel (_advance) runs the stack
-one population at a time over a block of K steps: one affine call over
-K*batch rows gives the block's input currents, then the IF recurrence
-steps through them in order.  Spike counts are the block's spikes
-summed, current sums are accumulated one step after another (never a
-pairwise sum), and the output argmax for the settle step is taken once
-per block.  K is the largest number of steps for which
-K * batch * (widest population) float64 values fit in BLOCK_BYTES, so
-memory stays bounded whatever T is.  step, if_step and
-simulate_current_sequence are views of the same kernel.
+spikes over those same steps, so run_batch, the one network loop, runs
+the stack one population at a time over a block of K steps: one affine
+call over K*batch rows gives the block's input currents, then the IF
+recurrence (_integrate) steps through them in order.  Spike counts are
+the block's spikes summed, current sums are accumulated one step after
+another (never a pairwise sum), and the output argmax for the settle
+step is taken once per block.  K is the largest number of steps for
+which K * batch * (widest population) float64 values fit in
+BLOCK_BYTES, so memory stays bounded whatever T is.
+simulate_current_sequence drives bare neurons through the same
+recurrence.
 
 A layer's currents change only when its input spikes do, so they are
 computed only then.  If every step of a block repeats the previous
 step's input spikes, the layer keeps the currents it last computed in
-this run (SimState.held) and makes no affine call; if the steps of a
-block all equal its first, that one step is computed for the batch and
-broadcast; any other block is computed whole.  With binary frames the
-input population fires the same neurons every step, so the first
-layer's currents are computed once per run.  Every run starts from
-rest: run_batch builds a fresh all-zero state for each call.
+this run and makes no affine call; if the steps of a block all equal
+its first, that one step is computed for the batch and broadcast; any
+other block is computed whole.  With binary frames the input
+population fires the same neurons every step, so the first layer's
+currents are computed once per run.  Every run starts from rest.
 
 Why the spikes stay bit-identical.  Each neuron sees the same float64
 operations in the same order as a step-at-a-time loop: add the
@@ -63,7 +63,7 @@ run of its frame alone, whatever else shares the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -142,58 +142,6 @@ def _build_stages(net: NetworkSpec) -> list[_Stage]:
     return stages
 
 
-@dataclass
-class SimState:
-    """Mutable state of one simulation, built at rest by init_sim; owned by
-    exactly one simulation.
-
-    Population 0 is the input layer; populations 1..n correspond to the
-    network's parameterized layers in order.
-    """
-
-    net: NetworkSpec
-    config: SimConfig
-    batch: int
-    potentials: list[np.ndarray]     # float64 [batch, *shape]
-    spikes: list[np.ndarray]         # bool: which neurons fired in the last step
-    counts: list[np.ndarray]         # int64 cumulative spike counts
-    current_sums: list[np.ndarray]   # float64 cumulative injected current
-    stages: list[_Stage] = field(repr=False, default_factory=list)
-    # per stage: its input currents in the last step, or None before the
-    # first; valid for the spikes its input population holds in `spikes`
-    held: list[Optional[np.ndarray]] = field(repr=False, default_factory=list)
-
-    def population_shapes(self) -> list[tuple[int, ...]]:
-        return [self.net.input_shape] + [s.shape for s in self.stages]
-
-    def block_steps(self) -> int:
-        """Steps per block: K * batch * (widest population) float64s fit in BLOCK_BYTES."""
-        widest = max(math.prod(s) for s in self.population_shapes())
-        return max(1, BLOCK_BYTES // (8 * self.batch * widest))
-
-
-def init_sim(net: NetworkSpec, config: SimConfig, batch: int = 1) -> SimState:
-    """Fresh all-zero state sized to the network's layer shapes."""
-    result = validate_network(net)
-    if not result.ok:
-        raise ValueError("cannot simulate invalid network: " + "; ".join(result.violations))
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    stages = _build_stages(net)
-    shapes = [net.input_shape] + [s.shape for s in stages]
-    return SimState(
-        net=net,
-        config=config,
-        batch=batch,
-        potentials=[np.zeros((batch, *s)) for s in shapes],
-        spikes=[np.zeros((batch, *s), dtype=bool) for s in shapes],
-        counts=[np.zeros((batch, *s), dtype=np.int64) for s in shapes],
-        current_sums=[np.zeros((batch, *s)) for s in shapes],
-        stages=stages,
-        held=[None] * len(stages),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the kernel
 
@@ -239,89 +187,25 @@ def _block_currents(stage: _Stage, spikes: np.ndarray) -> np.ndarray:
     return z.reshape(steps, batch, *stage.shape)
 
 
-def _stage_currents(state: SimState, j: int, spikes: np.ndarray,
-                    previous: np.ndarray) -> np.ndarray:
-    """Input currents [K, batch, *shape] of population j >= 1 from
-    population j-1's spikes over the block; previous holds its spikes in
-    the step before the block.
+def _stage_currents(stage: _Stage, spikes: np.ndarray, previous: np.ndarray,
+                    held: Optional[np.ndarray]) -> np.ndarray:
+    """Input currents [K, batch, *shape] of a stage from its input
+    population's spikes over the block; previous holds those spikes in
+    the step before the block, and held the stage's currents in that
+    step (None before the first block).
 
     The same 0/1 input gives the same currents bit for bit, so they are
     computed only where the input changes: a block that repeats the
-    previous step reuses the stage's held currents, a block whose steps
-    all equal its first computes that one step, and any other block is
+    previous step reuses the held currents, a block whose steps all
+    equal its first computes that one step, and any other block is
     computed whole.
     """
-    stage = state.stages[j - 1]
     steps = len(spikes)
     if (spikes[1:] == spikes[0]).all():
-        held = state.held[j - 1]
         if held is None or not np.array_equal(spikes[0], previous):
             held = _block_currents(stage, spikes[:1])[0]
-            state.held[j - 1] = held
         return np.broadcast_to(held, (steps, *held.shape))
-    currents = _block_currents(stage, spikes)
-    state.held[j - 1] = currents[-1]
-    return currents
-
-
-def _advance(state: SimState, frames: np.ndarray, steps: int,
-             trail: Optional[np.ndarray] = None) -> np.ndarray:
-    """Advance the whole stack by `steps` steps, one population at a time.
-
-    frames [batch, *input_shape] drive population 0 as a constant
-    current.  Returns the output population's spike indicators
-    [steps, batch, *shape] (bool); trail, if given, receives its
-    potential after each step.
-    """
-    v_thr = state.config.v_thr
-    currents = np.broadcast_to(frames, (steps, *frames.shape))
-    last = len(state.potentials) - 1
-    for j in range(last + 1):
-        if j:
-            currents = _stage_currents(state, j, fired, previous)
-        fired = np.empty(currents.shape, dtype=bool)
-        _integrate(state.potentials[j], currents, v_thr, fired, state.current_sums[j],
-                   trail if j == last else None)
-        if steps == 1:
-            state.counts[j] += fired[0]
-        else:
-            state.counts[j] += fired.sum(axis=0, dtype=np.int64)
-        previous = state.spikes[j]
-        state.spikes[j] = fired[-1].copy()
-    return fired
-
-
-def if_step(potentials: np.ndarray, currents: np.ndarray, v_thr: float) -> np.ndarray:
-    """One integrate-and-fire update with soft reset, in place.
-
-    Adds the current, spikes where the potential reaches v_thr
-    (inclusive), subtracts v_thr from spiking neurons, and returns the
-    0/1 spike indicators.  Potentials may go arbitrarily negative.
-    """
-    fired = np.empty((1, *potentials.shape), dtype=bool)
-    _integrate(potentials, np.asarray(currents)[None], v_thr, fired,
-               np.zeros(potentials.shape))
-    return fired[0].astype(np.float64)
-
-
-def step(state: SimState, net: NetworkSpec, frame: np.ndarray) -> list[np.ndarray]:
-    """Advance the whole stack by one step under a constant input frame.
-
-    The frame drives population 0 as a direct current; each later
-    population receives its layer's affine map of the spikes the
-    previous population emitted in this same step.  Returns
-    state.spikes: per population, a bool array of who fired.
-    """
-    if net is not state.net:
-        raise ValueError("state was initialized for a different network")
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape == state.net.input_shape:
-        frame = np.broadcast_to(frame, (state.batch, *frame.shape))
-    elif frame.shape != (state.batch, *state.net.input_shape):
-        raise ValueError(f"frame shape {frame.shape} does not match network input "
-                         f"{state.net.input_shape} (batch {state.batch})")
-    _advance(state, frame, 1)
-    return state.spikes
+    return _block_currents(stage, spikes)
 
 
 @dataclass
@@ -359,20 +243,45 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig) -> SimRes
                          f"network input {net.input_shape}")
     if not np.all(np.isfinite(frames)):
         raise ValueError("frames must be finite (found NaN or infinity)")
+    check = validate_network(net)
+    if not check.ok:
+        raise ValueError("cannot simulate invalid network: " + "; ".join(check.violations))
     batch = frames.shape[0]
-    state = init_sim(net, config, batch)
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+
+    # Population 0 is the input layer, driven by the frames; population j
+    # >= 1 is fed by stage j-1.  Every population starts at rest.
+    stages = _build_stages(net)
+    shapes = [net.input_shape] + [s.shape for s in stages]
+    potentials = [np.zeros((batch, *s)) for s in shapes]
+    counts = [np.zeros((batch, *s), dtype=np.int64) for s in shapes]
+    current_sums = [np.zeros((batch, *s)) for s in shapes]
+    last_spikes = [np.zeros((batch, *s), dtype=bool) for s in shapes]
+    held: list[Optional[np.ndarray]] = [None] * len(stages)
 
     T = config.timesteps
     v_thr = config.v_thr
     robust = config.readout == "robust"
-    block = state.block_steps()
+    block = max(1, BLOCK_BYTES // (8 * batch * max(math.prod(s) for s in shapes)))
     settle = np.ones(batch, dtype=np.int64)
     prev_choice = None
     for t0 in range(0, T, block):
         k = min(block, T - t0)
-        counts_before = state.counts[-1].reshape(batch, -1).copy()
-        trail = np.empty((k, *state.potentials[-1].shape)) if robust else None
-        fired = _advance(state, frames, k, trail)
+        counts_before = counts[-1].reshape(batch, -1).copy()
+        trail = np.empty((k, *potentials[-1].shape)) if robust else None
+        currents = np.broadcast_to(frames, (k, *frames.shape))
+        for j in range(len(shapes)):
+            if j:
+                currents = _stage_currents(stages[j - 1], fired, previous, held[j - 1])
+                held[j - 1] = currents[-1]
+            fired = np.empty(currents.shape, dtype=bool)
+            _integrate(potentials[j], currents, v_thr, fired, current_sums[j],
+                       trail if j == len(shapes) - 1 else None)
+            # Large batches run one-step blocks, where adding the step's
+            # spikes costs half of summing a one-step block.
+            counts[j] += fired[0] if k == 1 else fired.sum(axis=0, dtype=np.int64)
+            previous, last_spikes[j] = last_spikes[j], fired[-1].copy()
         # The output argmax after each step of the block, as a step loop sees it.
         score = counts_before + np.cumsum(fired.reshape(k, batch, -1), axis=0, dtype=np.int64)
         if robust:
@@ -385,11 +294,11 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig) -> SimRes
             settle = np.where(changed.any(axis=0), t0 + k - from_end, settle)
         prev_choice = choice[-1]
 
-    rates = [c / T for c in state.counts]
-    residuals = [v / T for v in state.potentials]
-    avg_currents = [z / (T * v_thr) for z in state.current_sums]
+    rates = [c / T for c in counts]
+    residuals = [v / T for v in potentials]
+    avg_currents = [z / (T * v_thr) for z in current_sums]
     rate_last = rates[-1].reshape(batch, -1)
-    f_last = rate_last + state.potentials[-1].reshape(batch, -1) / (T * v_thr)
+    f_last = rate_last + potentials[-1].reshape(batch, -1) / (T * v_thr)
     return SimResult(timesteps=T, v_thr=v_thr, readout=config.readout,
                      rates=rates, residuals=residuals, avg_currents=avg_currents,
                      rate_last=rate_last, f_last=f_last, settle_step=settle)

@@ -119,10 +119,11 @@ def test_normalize_infinite_count_is_data_error(tmp_path, model_dir, max_frames,
 @pytest.mark.parametrize("key, value", [
     ("scales", "12"), ("scales", [1.0, True]), ("sample_counts", "05"),
     ("sample_counts", [0, 10.0]), ("warnings", "ab"), ("warnings", [1]),
-    ("provenance", ["a"])])
+    ("provenance", ["a"]), ("percentile", "99.9"), ("percentile", True),
+    ("max_frames", 15000.7), ("max_frames", 15000.0), ("max_frames", True)])
 def test_normalize_mistyped_stats_value_is_data_error(tmp_path, model_dir, key, value):
-    """A string is not a list of its characters, a bool is not a number and
-    a float is not a count."""
+    """A string is not a list of its characters or a number, a bool is not
+    a number and a float is not a count."""
     stats = tmp_path / "stats.json"
     stats.write_text(json.dumps({**_STATS, key: value}))
     assert run_cli("normalize", "--model", model_dir, "--stats", stats,

@@ -120,6 +120,22 @@ def test_norm_config_rejects_out_of_range_percentile():
         NormConfig(100.5)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"percentile": "99.9"}, {"percentile": True}, {"percentile": None},
+    {"max_frames": 15000.0}, {"max_frames": 15000.7}, {"max_frames": True},
+    {"max_frames": "15000"}])
+def test_norm_config_rejects_mistyped_values(kwargs):
+    """A frame cap that is not an integer would only fail later, slicing
+    the calibration frames."""
+    with pytest.raises(ValueError):
+        NormConfig(**kwargs)
+
+
+def test_norm_config_accepts_any_integer_count_and_real_percentile():
+    config = NormConfig(percentile=100, max_frames=np.int64(10))
+    assert (config.percentile, config.max_frames) == (100, 10)
+
+
 # ---------------------------------------------------------------------------
 # apply_normalization
 

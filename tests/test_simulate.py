@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from rateconv import (NetworkSpec, NormConfig, SimConfig, apply_normalization,
                       classify_residual_cases, collect_stats, conv2d, dense, diagnostics,
-                      flatten, forward_batch, if_step, init_sim, layer_identity_residual,
-                      rate_readout, robust_readout, run, run_batch,
-                      simulate_current_sequence, step)
+                      flatten, forward_batch, layer_identity_residual, rate_readout,
+                      robust_readout, run, run_batch, simulate_current_sequence)
 from rateconv import simulate
 from rateconv.network import apply_layer_linear
 from rateconv.simulate import _build_stages, classify_case_counts
@@ -31,25 +30,27 @@ def hand_stepped_counts(currents, v_thr=1.0):
 # ---------------------------------------------------------------------------
 # single-neuron dynamics
 
-def test_if_step_spike_and_soft_reset():
-    v = np.array([0.6])
-    spikes = if_step(v, np.array([0.5]), 1.0)
-    assert spikes[0] == 1.0
+def test_spike_and_soft_reset():
+    # 0.6 then 0.5: the second step reaches 1.1, fires once and keeps 0.1
+    counts, v, total = simulate_current_sequence(np.array([[0.6], [0.5]]))
+    assert counts[0] == 1
     assert v[0] == pytest.approx(0.1)
+    assert total[0] == pytest.approx(1.1)
 
 
-def test_if_step_no_lower_clamp():
-    v = np.array([-0.2])
-    spikes = if_step(v, np.array([-0.3]), 1.0)
-    assert spikes[0] == 0.0
+def test_no_lower_clamp():
+    counts, v, _ = simulate_current_sequence(np.array([[-0.2], [-0.3]]))
+    assert counts[0] == 0
     assert v[0] == pytest.approx(-0.5)
 
 
-def test_if_step_threshold_inclusive():
-    v = np.array([0.5])
-    spikes = if_step(v, np.array([0.5]), 1.0)
-    assert spikes[0] == 1.0
+def test_threshold_inclusive():
+    # exactly v_thr fires and leaves exactly 0
+    counts, v, _ = simulate_current_sequence(np.array([[0.5], [0.5]]))
+    assert counts[0] == 1
     assert v[0] == 0.0
+    counts, v, _ = simulate_current_sequence(np.array([[0.85]]), v_thr=0.85)
+    assert counts[0] == 1 and v[0] == 0.0
 
 
 def test_constant_drive_matches_hand_sequence():
@@ -139,13 +140,46 @@ def test_accounting_identity_per_neuron(rng):
             np.testing.assert_allclose(v_thr * r + dv, z * v_thr, atol=1e-12)
 
 
-def test_layer_identity_residual_below_1e9(rng):
-    for _ in range(20):
-        net = rand_net(rng)
-        frame = rng.random(net.input_shape)
-        res = run(net, frame, SimConfig(timesteps=500))
-        for value in layer_identity_residual(res, net, frame=frame):
-            assert value <= 1e-9
+@st.composite
+def identity_cases(draw):
+    """A dense net or a conv net with stride and padding, raw or normalized
+    by collect_stats, and a batch of binary or analog frames."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def he(shape):
+        return rng.normal(0.0, 1.0 / np.sqrt(np.prod(shape[1:])), shape)
+
+    if draw(st.booleans()):
+        net = rand_dense_net(rng)
+    else:
+        in_ch, side = draw(st.integers(1, 2)), draw(st.integers(4, 8))
+        out_ch, k = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+        stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+        flat = out_ch * ((side + 2 * pad - k) // stride + 1) ** 2
+        net = NetworkSpec((in_ch, side, side), [
+            conv2d(he((out_ch, in_ch, k, k)), rng.normal(0, 0.05, out_ch),
+                   stride=(stride, stride), padding=(pad, pad)),
+            flatten(),
+            dense(he((6, flat)), rng.normal(0, 0.05, 6)),
+            dense(he((3, 6)), rng.normal(0, 0.05, 3), activation="none"),
+        ])
+    if draw(st.booleans()):
+        calibration = rand_frames(rng, 16, net.input_shape)
+        net = apply_normalization(net, collect_stats(net, calibration, NormConfig(99.9)))
+    frames = rand_frames(rng, draw(st.integers(1, 5)), net.input_shape)
+    if draw(st.booleans()):
+        frames = np.round(frames)
+    return net, frames
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=identity_cases(), timesteps=st.integers(1, 500),
+       v_thr=st.sampled_from([0.5, 1.0, 1.7]))
+def test_layer_identity_residual_below_1e9(case, timesteps, v_thr):
+    net, frames = case
+    res = run_batch(net, frames, SimConfig(timesteps=timesteps, v_thr=v_thr))
+    assert max(layer_identity_residual(res, net, frame=frames)) <= 1e-9
+    assert max(layer_identity_residual(res, net)) <= 1e-9
 
 
 def test_layer_identity_residual_detects_corruption():
@@ -265,27 +299,31 @@ def test_classify_residual_cases_sums_to_neuron_count(rng):
 # ---------------------------------------------------------------------------
 # state handling
 
-def test_init_sim_shapes_match_forward_activations(rng):
+def test_population_shapes_match_forward_activations(rng):
     net = rand_net(rng)
-    state = init_sim(net, SimConfig(timesteps=10))
-    acts, _ = forward_batch(net, rand_frames(rng, 1, net.input_shape))
-    shapes = state.population_shapes()
-    assert shapes[0] == net.input_shape
-    for shape, li in zip(shapes[1:], net.parameterized_indices()):
-        assert (1, *shape) == acts[li].shape
-    for arrays in (state.potentials, state.counts, state.current_sums):
-        for a in arrays:
-            assert not np.any(a)
+    frames = rand_frames(rng, 3, net.input_shape)
+    res = run_batch(net, frames, SimConfig(timesteps=10))
+    acts, _ = forward_batch(net, frames)
+    assert len(res.rates) == len(net.parameterized_indices()) + 1
+    assert res.rates[0].shape == frames.shape
+    for key in ("rates", "residuals", "avg_currents"):
+        for got, li in zip(getattr(res, key)[1:], net.parameterized_indices()):
+            assert got.shape == acts[li].shape
 
 
-def test_step_rejects_foreign_network_and_bad_frame(rng):
+def test_run_batch_rejects_misshapen_frames_and_invalid_network(rng):
     net = rand_dense_net(rng, sizes=[3, 4, 2])
-    other = rand_dense_net(rng, sizes=[3, 4, 2])
-    state = init_sim(net, SimConfig(timesteps=5))
-    with pytest.raises(ValueError):
-        step(state, other, np.zeros(3))
-    with pytest.raises(ValueError):
-        step(state, net, np.zeros(4))
+    config = SimConfig(timesteps=5)
+    for bad in (np.zeros(3), np.zeros((2, 4)), np.zeros((2, 3, 1))):
+        with pytest.raises(ValueError, match="do not stack"):
+            run_batch(net, bad, config)
+    with pytest.raises(ValueError, match="batch"):
+        run_batch(net, np.zeros((0, 3)), config)
+    with pytest.raises(ValueError, match="does not match"):
+        run(net, np.zeros(4), config)
+    broken = NetworkSpec((3,), [dense(np.zeros((2, 5)), np.zeros(2))])
+    with pytest.raises(ValueError, match="invalid network"):
+        run_batch(broken, np.zeros((1, 3)), config)
 
 
 def test_sim_config_validation():
@@ -408,7 +446,7 @@ def step_loop(net, frames, config):
     return {"rates": [c / T for c in counts], "residuals": [v / T for v in pots],
             "avg_currents": [z / (T * v_thr) for z in sums],
             "f_last": rate_last + pots[-1].reshape(B, -1) / (T * v_thr),
-            "settle_step": settle, "counts": counts, "potentials": pots}
+            "settle_step": settle}
 
 
 def _padded_conv_net(rng):
@@ -463,16 +501,25 @@ def drive_frames(rng, drive, n, shape):
 @pytest.mark.parametrize("kind", sorted(KERNEL_NETS))
 def test_kernel_bitwise_equals_step_loop(rng, monkeypatch, kind, batch, readout, blocks):
     net = KERNEL_NETS[kind](rng)
-    exact = [stage.exact for stage in _build_stages(net)]
-    assert all(exact) == (kind != "conv-inexact")
+    stages = _build_stages(net)
+    assert all(stage.exact for stage in stages) == (kind != "conv-inexact")
     T = 23
-    state = init_sim(net, SimConfig(timesteps=T), batch)
+    populations = len(stages) + 1
     if blocks == "several":  # 4 steps per block: 5 full blocks and a 3-step one
-        widest = max(int(np.prod(sh)) for sh in state.population_shapes())
+        widest = max(int(np.prod(sh)) for sh in [net.input_shape] + [s.shape for s in stages])
         monkeypatch.setattr(simulate, "BLOCK_BYTES", 8 * batch * widest * 4)
-        assert state.block_steps() == 4
+        n_blocks = 6
     else:
-        assert state.block_steps() >= T
+        n_blocks = 1
+    # _integrate runs once per population per block
+    block_lengths = []
+    integrate = simulate._integrate
+
+    def counting(potentials, currents, *args, **kwargs):
+        block_lengths.append(len(currents))
+        return integrate(potentials, currents, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_integrate", counting)
 
     def check(res, ref):
         for key in ("rates", "residuals", "avg_currents"):
@@ -485,15 +532,10 @@ def test_kernel_bitwise_equals_step_loop(rng, monkeypatch, kind, batch, readout,
         config = SimConfig(timesteps=T, v_thr=v_thr, readout=readout)
         frames = drive_frames(rng, drive, batch, net.input_shape)
         ref = step_loop(net, frames, config)
+        block_lengths.clear()
         check(run_batch(net, frames, config), ref)
-
-        # step() is the same kernel one step at a time
-        fresh = init_sim(net, config, batch)
-        for _ in range(T):
-            step(fresh, net, frames)
-        for j in range(len(ref["counts"])):
-            assert np.array_equal(fresh.counts[j], ref["counts"][j])
-            assert np.array_equal(fresh.potentials[j], ref["potentials"][j])
+        assert len(block_lengths) == populations * n_blocks
+        assert sum(block_lengths) == populations * T
 
 
 def test_repeated_input_spikes_reuse_currents(rng, monkeypatch):
