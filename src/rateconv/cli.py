@@ -300,6 +300,9 @@ def cmd_play(args) -> int:
     snn_net = modelio.load_model(args.snn_model) if args.snn_model else None
     report = evaluate(source, snn_net, sim_config, eval_config, env=env,
                       keep_records=args.record_trace is not None)
+    # mean_source_score: the source alone, on the same environment seeds and no-op prefixes
+    source_report = report if snn_net is None else evaluate(source, None, sim_config,
+                                                            eval_config, env=env)
     if args.record_trace:
         _record_trace(report.records, env, args.record_trace)
     row = report_row("play", sim_config.timesteps, report)
@@ -307,7 +310,7 @@ def cmd_play(args) -> int:
     _write_meta(args.out, {
         **_protocol_meta(sim_config, eval_config, env), "command": "play",
         "spiking_agent": snn_net is not None,
-        "mean_source_score": mean_std(report.source_scores)[0],
+        "mean_source_score": mean_std(source_report.scores)[0],
         "conversion_rate": report.cr,
     })
     print(f"mean score {row.mean_score:.3f} over {eval_config.episodes} episodes, "
@@ -320,13 +323,15 @@ def cmd_sweep(args) -> int:
     if not args.frames and eval_config.frame_budget == 0:
         raise UsageError("--frame-budget 0 leaves no decisions to collect calibration "
                          "frames from; give --frames or a positive budget")
-    _usage(NormConfig, args.percentile, args.max_frames)
+    norm_config = _usage(NormConfig, args.percentile, args.max_frames)
     values = _parse_values(args.values, args.mode)
-    for v in values:  # each point's config, so a bad value fails before any file is read
-        if args.mode == "time":
-            _usage(replace, sim_config, timesteps=int(v))
-        else:
-            _usage(NormConfig, v, args.max_frames)
+    # each point's config, so a bad value fails before any file is read
+    if args.mode == "time":
+        sweep, fixed = sweep_time, norm_config
+        points = [_usage(replace, sim_config, timesteps=int(v)) for v in values]
+    else:
+        sweep, fixed = sweep_percentile, sim_config
+        points = [_usage(NormConfig, v, args.max_frames) for v in values]
     source = modelio.load_model(args.model)
 
     if args.frames:
@@ -334,12 +339,7 @@ def cmd_sweep(args) -> int:
     else:
         frames = collect_frames_by_play(source, env, CALIBRATION_FRAMES,
                                         replace(eval_config, episodes=1))
-    if args.mode == "time":
-        rows = sweep_time(source, env, frames, [int(v) for v in values], sim_config,
-                          eval_config, percentile=args.percentile, max_frames=args.max_frames)
-    else:
-        rows = sweep_percentile(source, env, frames, values, sim_config, eval_config,
-                                max_frames=args.max_frames)
+    rows = sweep(source, env, frames, points, fixed, eval_config)
     modelio.write_report(rows, args.out)
     _write_meta(args.out, {
         **_protocol_meta(sim_config, eval_config, env), "command": "sweep",

@@ -1,28 +1,29 @@
 """Decision-level evaluation of a network against its spiking conversion.
 
 Two media: replaying a recorded trace (both networks see the same
-frames, nothing is executed) or playing the built-in environment (the
-spiking agent acts, the source network shadows every decision).  Either
-way the headline number is the conversion rate: the fraction of
+frames, nothing is executed) or playing the built-in environment.
+Either way the headline number is the conversion rate: the fraction of
 decisions on which both pick the same action.
 
-Episodes play in lockstep.  Episode i has its own environment and its
-own generator, seeded derive_seed(master, i), from which it draws its
-environment seed, its no-op prefix and its exploration; each round, the
-live episodes' observations go to the spiking network as one run_batch,
-one row per live episode in episode order.  Every run starts from rest
-and a row of run_batch is bit for bit the run of that frame alone (see
-rateconv.simulate), so results depend only on the seed, never on which
-episodes share a round.  Analog q-values (the source playing alone,
-and the shadow) stay one forward pass per observation: the rows of a
-batched float64 GEMM can differ in the last bit from single-row
-products, and a hidden ReLU activation carries that into a near-tie
-argmax.
+An evaluation is one play: the spiking agent acts and the source
+network shadows every decision, or, with no spiking network, the source
+plays alone.  Its episodes play in lockstep.  Episode i has its own
+environment and its own generator, seeded derive_seed(master, i), from
+which it draws its environment seed, its no-op prefix and its
+exploration; each round, the live episodes' observations go to the
+spiking network as one run_batch, one row per live episode in episode
+order.  Every run starts from rest and a row of run_batch is bit for
+bit the run of that frame alone (see rateconv.simulate), so results
+depend only on the seed, never on which episodes share a round.  Analog
+q-values (the source playing alone, or shadowing) stay one forward pass
+per observation: the rows of a batched float64 GEMM can differ in the
+last bit from single-row products, and a hidden ReLU activation carries
+that into a near-tie argmax.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ from .normalize import NormConfig, apply_normalization, collect_stats
 from .simulate import SimConfig, readout, run_batch
 
 CR_MODES = ("greedy", "executed")
+REPLAY_CHUNK = 256  # distinct frames per run_batch call of a replay
 _MASK64 = (1 << 64) - 1
 
 
@@ -101,24 +103,11 @@ def mean_std(values: list[float]) -> tuple[float, float]:
 
 
 @dataclass
-class ConversionReport:
-    agreements: int
-    decisions: int
-    source_scores: list[float]
-    snn_scores: list[float]
+class ConversionReport(ActionAgreement):
+    scores: list[float]  # per episode, of whoever played (a replay: the trace's total)
     per_episode_cr: list[float]
     episodes: int
-    pearson_score_cr: float = float("nan")
     records: Optional[list] = field(default=None, repr=False)
-
-    @property
-    def cr(self) -> float:
-        return self.agreements / self.decisions if self.decisions else float("nan")
-
-    @property
-    def scores(self) -> list[float]:
-        """The spiking agent's scores if it played, else the source's."""
-        return self.snn_scores or self.source_scores
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +252,7 @@ def play_episode(env: LineCatchEnv, agent, config: EvalConfig,
 # replay
 
 def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfig,
-                 source_net: Optional[NetworkSpec] = None, chunk: int = 256
-                 ) -> ConversionReport:
+                 source_net: Optional[NetworkSpec] = None) -> ConversionReport:
     """Feed recorded frames to both networks and compare greedy decisions.
 
     Source actions are recomputed from source_net when given (guards
@@ -279,9 +267,9 @@ def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfi
 
     distinct, inverse = np.unique(obs, axis=0, return_inverse=True)
     actions = np.empty(len(distinct), dtype=np.int64)
-    for start in range(0, len(distinct), chunk):
-        result = run_batch(snn_net, distinct[start:start + chunk], sim_config)
-        actions[start:start + chunk] = np.argmax(readout(result), axis=1)
+    for start in range(0, len(distinct), REPLAY_CHUNK):
+        result = run_batch(snn_net, distinct[start:start + REPLAY_CHUNK], sim_config)
+        actions[start:start + REPLAY_CHUNK] = np.argmax(readout(result), axis=1)
     snn_actions = actions[inverse.reshape(-1)].tolist()
 
     if source_net is not None:
@@ -294,8 +282,7 @@ def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfi
     return ConversionReport(
         agreements=agreement.agreements,
         decisions=agreement.decisions,
-        source_scores=[trace.total_reward()],
-        snn_scores=[],
+        scores=[trace.total_reward()],
         per_episode_cr=[agreement.cr],
         episodes=1,
     )
@@ -320,34 +307,29 @@ def _agreement(rec: PlayRecord, cr_mode: str) -> ActionAgreement:
 def evaluate(source_net: NetworkSpec, snn_net: Optional[NetworkSpec],
              sim_config: SimConfig, eval_config: EvalConfig, env: LineCatchEnv,
              keep_records: bool = False) -> ConversionReport:
-    """Aggregate scores and conversion rate over independent episodes.
+    """Scores and conversion rate over eval_config.episodes episodes, in one play.
 
-    Plays eval_config.episodes paired episodes: the source alone for its
-    score, then the spiking agent with the source shadowing for its
-    score and the agreement counts.  With snn_net None the source plays
-    alone (useful for recording traces).  Each play runs its episodes
-    in lockstep, one spiking run_batch per round over the live episodes.
+    With snn_net the spiking agent plays and the source shadows its
+    decisions, one spiking run_batch per round over the live episodes.
+    With snn_net None the source plays alone and agrees with itself; the
+    same eval_config gives it the same environment seeds and no-op
+    prefixes.
     """
     seeds = [derive_seed(eval_config.seed, i) for i in range(eval_config.episodes)]
-
-    def play(values, shadow=None, keep_frames=keep_records) -> list[PlayRecord]:
-        return _play_lockstep([env.clone() for _ in seeds],
-                              [np.random.default_rng(seed) for seed in seeds],
-                              values, eval_config, shadow, keep_frames)
-
     source = AnalogAgent(source_net)
-    source_records = play(_each_row(source), keep_frames=keep_records and snn_net is None)
-    records = source_records
-    if snn_net is not None:
+    if snn_net is None:
+        values, shadow = _each_row(source), None
+    else:
         spiking = SpikingAgent(snn_net, sim_config)
-        records = play(lambda observations: spiking.qvalues(np.stack(observations)),
-                       shadow=source)
+        values, shadow = lambda observations: spiking.qvalues(np.stack(observations)), source
+    records = _play_lockstep([env.clone() for _ in seeds],
+                             [np.random.default_rng(seed) for seed in seeds],
+                             values, eval_config, shadow, keep_records)
     agreements = [_agreement(rec, eval_config.cr_mode) for rec in records]
     return ConversionReport(
         agreements=sum(a.agreements for a in agreements),
         decisions=sum(a.decisions for a in agreements),
-        source_scores=[rec.score for rec in source_records],
-        snn_scores=[rec.score for rec in records] if snn_net is not None else [],
+        scores=[rec.score for rec in records],
         per_episode_cr=[a.cr for a in agreements],
         episodes=eval_config.episodes,
         records=records if keep_records else None,
@@ -385,27 +367,26 @@ def _finish_rows(rows: list[ReportRow]) -> list[ReportRow]:
 
 
 def sweep_time(source_net: NetworkSpec, env: LineCatchEnv, frames,
-               t_values: list[int], sim_config: SimConfig, eval_config: EvalConfig,
-               percentile: float = 99.9, max_frames: int = 15000) -> list[ReportRow]:
-    """Normalize once at the given percentile, evaluate per simulation length."""
-    if not t_values:
+               sim_configs: list[SimConfig], norm_config: NormConfig,
+               eval_config: EvalConfig) -> list[ReportRow]:
+    """Normalize once by norm_config, evaluate per simulation config."""
+    if not sim_configs:
         raise ValueError("need at least one timestep value")
-    configs = [replace(sim_config, timesteps=int(t)) for t in t_values]
-    stats = collect_stats(source_net, frames, NormConfig(percentile, max_frames))
-    norm_net = apply_normalization(source_net, stats)
+    norm_net = apply_normalization(source_net, collect_stats(source_net, frames, norm_config))
     return _finish_rows([
-        report_row("time", t, evaluate(source_net, norm_net, config, eval_config, env=env))
-        for t, config in zip(t_values, configs)])
+        report_row("time", config.timesteps,
+                   evaluate(source_net, norm_net, config, eval_config, env=env))
+        for config in sim_configs])
 
 
 def sweep_percentile(source_net: NetworkSpec, env: LineCatchEnv, frames,
-                     p_values: list[float], sim_config: SimConfig,
-                     eval_config: EvalConfig, max_frames: int = 15000) -> list[ReportRow]:
-    """Re-normalize per percentile, evaluate at a fixed simulation length."""
-    if not p_values:
+                     norm_configs: list[NormConfig], sim_config: SimConfig,
+                     eval_config: EvalConfig) -> list[ReportRow]:
+    """Re-normalize per percentile config, evaluate at a fixed simulation config."""
+    if not norm_configs:
         raise ValueError("need at least one percentile value")
     rows = []
-    for config in [NormConfig(float(p), max_frames) for p in p_values]:
+    for config in norm_configs:
         norm_net = apply_normalization(source_net, collect_stats(source_net, frames, config))
         report = evaluate(source_net, norm_net, sim_config, eval_config, env=env)
         rows.append(report_row("percentile", config.percentile, report))

@@ -192,6 +192,17 @@ def validate_network(net: NetworkSpec) -> ValidationResult:
     return ValidationResult(not violations, violations)
 
 
+def frame_stack(net: NetworkSpec, frames) -> np.ndarray:
+    """frames as a float64 [batch, *input_shape] array; ValueError if misshapen or not finite."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != len(net.input_shape) + 1 or frames.shape[1:] != net.input_shape:
+        raise ValueError(f"frames of shape {frames.shape} do not stack over "
+                         f"network input {net.input_shape}")
+    if not np.all(np.isfinite(frames)):
+        raise ValueError("frames must be finite (found NaN or infinity)")
+    return frames
+
+
 def conv2d_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                  stride: tuple[int, int], padding: tuple[int, int],
                  im2col: bool = False) -> np.ndarray:

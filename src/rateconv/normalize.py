@@ -23,8 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import LayerSpec, NetworkSpec, forward_batch
+from .network import LayerSpec, NetworkSpec, forward_batch, frame_stack
 
+STATS_CHUNK = 1024  # calibration frames per forward_batch call
 _RANK_GUARD = 1e-9  # absorbs binary rounding of decimal percentiles, e.g. 99.9 % of 1000 -> rank 999
 
 
@@ -73,26 +74,23 @@ def percentile(samples, p: float) -> float:
 
 
 def collect_stats(net: NetworkSpec, frames, config: NormConfig,
-                  provenance: str = "", chunk: int = 1024) -> NormStats:
+                  provenance: str = "") -> NormStats:
     """Scale factors from the percentile of all activation scalars per layer.
 
     Hidden layers sample their post-ReLU values; the final layer (which
     may carry no ReLU) samples the positive part of its outputs.  A layer
     whose percentile is not positive falls back to scale 1 with a warning
-    so downstream division stays safe.
+    so downstream division stays safe.  Frames must be finite.
     """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != len(net.input_shape) + 1 or frames.shape[1:] != net.input_shape:
-        raise ValueError(f"frames of shape {frames.shape} do not stack over "
-                         f"network input {net.input_shape}")
+    frames = frame_stack(net, frames)
     if frames.shape[0] < 1:
         raise ValueError("need at least one calibration frame")
     frames = frames[:config.max_frames]
 
     param_idx = net.parameterized_indices()
     samples: list[list[np.ndarray]] = [[] for _ in param_idx]
-    for start in range(0, frames.shape[0], chunk):
-        acts, _ = forward_batch(net, frames[start:start + chunk])
+    for start in range(0, frames.shape[0], STATS_CHUNK):
+        acts, _ = forward_batch(net, frames[start:start + STATS_CHUNK])
         for j, li in enumerate(param_idx):
             a = acts[li]
             if net.layers[li].activation != "relu":
@@ -184,7 +182,8 @@ def stats_from_dict(payload: dict) -> NormStats:
 
 
 def save_stats(stats: NormStats, path) -> None:
-    Path(path).write_text(json.dumps(stats_to_dict(stats), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(
+        json.dumps(stats_to_dict(stats), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_stats(path) -> NormStats:

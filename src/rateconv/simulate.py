@@ -69,8 +69,8 @@ from typing import Optional
 
 import numpy as np
 
-from .network import (LayerSpec, NetworkSpec, apply_layer_linear, layer_output_shape,
-                      validate_network)
+from .network import (LayerSpec, NetworkSpec, apply_layer_linear, frame_stack,
+                      layer_output_shape, validate_network)
 
 READOUTS = ("rate", "robust")
 BLOCK_BYTES = 1 << 20  # caps K * batch * (widest population) * 8 bytes
@@ -237,12 +237,7 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig) -> SimRes
     whole run.  Every run starts from a fresh all-zero state, so a row's
     result depends on its frame and the config alone.
     """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != len(net.input_shape) + 1 or frames.shape[1:] != net.input_shape:
-        raise ValueError(f"frames of shape {frames.shape} do not stack over "
-                         f"network input {net.input_shape}")
-    if not np.all(np.isfinite(frames)):
-        raise ValueError("frames must be finite (found NaN or infinity)")
+    frames = frame_stack(net, frames)
     check = validate_network(net)
     if not check.ok:
         raise ValueError("cannot simulate invalid network: " + "; ".join(check.violations))

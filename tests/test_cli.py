@@ -56,6 +56,18 @@ def test_stats_percentile_out_of_range_is_usage_error(tmp_path, model_dir, frame
                    "--percentile", "98", "--out", tmp_path / "s.json") == 1
 
 
+def test_stats_non_finite_frame_is_data_error_and_writes_no_file(tmp_path, model_dir,
+                                                                  capsys):
+    frames = np.zeros((4, 1, 6, 6), dtype=np.float32)
+    frames[2, 0, 3, 1] = np.nan
+    path = tmp_path / "nan.bin"
+    write_blob(path, frames)
+    out = tmp_path / "stats.json"
+    assert run_cli("stats", "--model", model_dir, "--frames", path, "--out", out) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stats_missing_model_is_data_error(tmp_path, frames_blob, capsys):
     code = run_cli("stats", "--model", tmp_path / "absent", "--frames", frames_blob,
                    "--out", tmp_path / "s.json")
@@ -226,6 +238,8 @@ def test_play_records_replayable_trace(tmp_path, model_dir):
 
 
 def test_play_with_spiking_agent(tmp_path, model_dir):
+    """The spiking play's sidecar carries the mean score the source alone
+    makes on the same seeds."""
     stats = tmp_path / "stats.json"
     norm = tmp_path / "norm"
     frames = tmp_path / "cal.trace"
@@ -244,6 +258,13 @@ def test_play_with_spiking_agent(tmp_path, model_dir):
     assert 0.0 <= row.mean_cr <= 1.0
     meta = json.loads((tmp_path / "b.csv.meta.json").read_text())
     assert meta["spiking_agent"] is True and meta["epsilon"] == 0.05
+    assert run_cli("play", "--model", model_dir, "--episodes", "2", "--seed", "3",
+                   "--grid-size", "6", "--episode-len", "20",
+                   "--out", tmp_path / "c.csv") == 0
+    alone = json.loads((tmp_path / "c.csv.meta.json").read_text())
+    assert meta["mean_source_score"] == alone["mean_source_score"]
+    assert alone["mean_source_score"] == pytest.approx(
+        read_report(tmp_path / "c.csv")[0].mean_score)
 
 
 def _strict_json(path):
@@ -393,6 +414,39 @@ def test_any_trace_bytes_exit_0_1_or_2(tmp_path, model_dir, edits, cut):
                    "--out", tmp_path / "replay.csv") in (0, 1, 2)
     assert run_cli("stats", "--model", model_dir, "--frames", path,
                    "--out", tmp_path / "stats.json") in (0, 1, 2)
+
+
+# 4-byte words: float32 NaN, +inf, -inf, the largest float32, all ones, zero, or any
+_WORDS = st.lists(st.tuples(st.integers(0, 150), st.sampled_from(
+    [0x7FC00000, 0x7F800000, 0xFF800000, 0x7F7FFFFF, 0xFFFFFFFF, 0]) | st.integers(0, 2**32 - 1)),
+    max_size=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_EDITS, words=_WORDS, cut=st.none() | st.integers(0, 600))
+def test_any_frame_blob_bytes_exit_0_1_or_2(tmp_path, model_dir, edits, words, cut):
+    """A valid blob of three frames with bytes or aligned words overwritten,
+    or cut short, never raises out of stats --frames or simulate --frame,
+    and whatever JSON a successful command writes is strict."""
+    path = tmp_path / "f.bin"
+    write_blob(path, (np.arange(108, dtype=np.float32).reshape(3, 1, 6, 6) % 5) / 4)
+    data = bytearray(path.read_bytes())
+    for pos, chunk in edits:
+        data[pos:pos + len(chunk)] = chunk
+    for index, word in words:
+        data[4 * index:4 * index + 4] = word.to_bytes(4, "little")
+    path.write_bytes(bytes(data[:cut]))
+    stats, diagnose = tmp_path / "stats.json", tmp_path / "diagnose.json"
+    for out in (stats, diagnose):
+        out.unlink(missing_ok=True)
+    codes = [run_cli("stats", "--model", model_dir, "--frames", path, "--out", stats),
+             run_cli("simulate", "--model", model_dir, "--frame", path, "--timesteps", "5",
+                     "--diagnose", diagnose)]
+    assert set(codes) <= {0, 1, 2}
+    for code, out in zip(codes, (stats, diagnose)):
+        if code == 0:
+            _strict_json(out)
 
 
 def test_missing_subcommand_is_usage_error():

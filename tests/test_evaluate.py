@@ -1,4 +1,4 @@
-"""Conversion-rate accounting, replay, paired play, and sweeps."""
+"""Conversion-rate accounting, replay, shadowed play, and sweeps."""
 
 import importlib
 
@@ -139,7 +139,8 @@ def test_replay_simulates_each_distinct_frame_once(rng, monkeypatch):
 
     monkeypatch.setattr(module, "run_batch", counting_run_batch)
     monkeypatch.setattr(module, "conversion_rate", recording_conversion_rate)
-    report = replay_trace(trace, norm, config, source_net=net, chunk=5)
+    monkeypatch.setattr(module, "REPLAY_CHUNK", 5)
+    report = replay_trace(trace, norm, config, source_net=net)
 
     obs = trace.observations().astype(np.float64)
     every_row = [int(np.argmax(readout(run(norm, frame, config)))) for frame in obs]
@@ -148,7 +149,7 @@ def test_replay_simulates_each_distinct_frame_once(rng, monkeypatch):
     assert sum(rows) == len(np.unique(picks)) and max(rows) <= 5
     want = conversion_rate(every_row, source)
     assert (report.agreements, report.decisions) == (want.agreements, want.decisions)
-    assert report.episodes == 1 and report.source_scores == [trace.total_reward()]
+    assert report.episodes == 1 and report.scores == [trace.total_reward()]
 
 
 def test_replay_rejects_empty_trace(rng):
@@ -211,7 +212,9 @@ def test_evaluate_identical_policies_zero_cr_spread():
     report = evaluate(net, snn, SimConfig(timesteps=100), config, env=env)
     assert report.cr == 1.0
     assert mean_std(report.per_episode_cr)[1] == 0.0
-    assert len(report.source_scores) == len(report.snn_scores) == 6
+    # a conversion that always agrees plays the source's episodes, score for score
+    assert report.scores == evaluate(net, None, SimConfig(), config, env=env).scores
+    assert len(report.scores) == 6
 
 
 def test_evaluate_aggregation_matches_records():
@@ -224,7 +227,7 @@ def test_evaluate_aggregation_matches_records():
         agreements += sum(1 for a, b in zip(rec.greedy_actions, rec.shadow_actions)
                           if a == b)
         decisions += len(rec.greedy_actions)
-        assert rec.score in report.snn_scores
+    assert [rec.score for rec in report.records] == report.scores
     assert (agreements, decisions) == (report.agreements, report.decisions)
     assert report.cr == agreements / decisions
 
@@ -234,8 +237,7 @@ def test_evaluate_deterministic():
     config = EvalConfig(epsilon=0.05, max_noop=5, episodes=4, seed=9)
     first = evaluate(net, snn, SimConfig(timesteps=50), config, env=env)
     second = evaluate(net, snn, SimConfig(timesteps=50), config, env=env)
-    assert first.source_scores == second.source_scores
-    assert first.snn_scores == second.snn_scores
+    assert first.scores == second.scores
     assert first.per_episode_cr == second.per_episode_cr
 
 
@@ -271,8 +273,7 @@ def test_evaluate_source_only_mode():
     env = LineCatchEnv(grid_size=8, episode_len=56)
     config = EvalConfig(epsilon=0.0, max_noop=0, episodes=3, seed=1)
     report = evaluate(net, None, SimConfig(timesteps=10), config, env=env)
-    assert report.source_scores == [8.0, 8.0, 8.0]
-    assert report.snn_scores == []
+    assert report.scores == [8.0, 8.0, 8.0]
     assert report.cr == 1.0
 
 
@@ -283,6 +284,42 @@ def test_evaluate_source_only_episode_without_decisions_has_nan_cr():
     report = evaluate(net, None, SimConfig(timesteps=10), config, env=env)
     assert report.decisions == 0
     assert np.isnan(report.per_episode_cr).all() and np.isnan(report.cr)
+
+
+def _spy_plays(monkeypatch):
+    """Log whether each lockstep play evaluate starts has a shadow."""
+    module = importlib.import_module("rateconv.evaluate")
+    plays = []
+    real = module._play_lockstep
+
+    def spy(envs, rngs, values, config, shadow=None, keep_frames=True):
+        plays.append(shadow is not None)
+        return real(envs, rngs, values, config, shadow, keep_frames)
+
+    monkeypatch.setattr(module, "_play_lockstep", spy)
+    return plays
+
+
+def test_evaluate_plays_once_and_sweeps_play_no_source_alone_episode(monkeypatch):
+    from rateconv import sweep_percentile, sweep_time
+    net, snn, env = _setup_pair(5)
+    frames = collect_frames_by_play(net, env, 32, EvalConfig(episodes=1, seed=5))
+    config = EvalConfig(episodes=3, seed=2)
+    plays = _spy_plays(monkeypatch)
+    spiking = evaluate(net, snn, SimConfig(timesteps=30), config, env=env)
+    assert plays == [True]
+    alone = evaluate(net, None, SimConfig(timesteps=30), config, env=env)
+    assert plays == [True, False]
+    assert len(spiking.scores) == len(alone.scores) == 3
+
+    del plays[:]
+    sweep_time(net, env, frames, [SimConfig(timesteps=t) for t in (10, 20, 30)],
+               NormConfig(), config)
+    assert plays == [True] * 3  # one shadowed play per point, no source-alone play
+    del plays[:]
+    sweep_percentile(net, env, frames, [NormConfig(99.5), NormConfig(100.0)],
+                     SimConfig(timesteps=30), config)
+    assert plays == [True] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -339,34 +376,33 @@ def sequential_episode(env, agent, config, rng, shadow=None):
 
 def sequential_evaluate(source_net, snn_net, sim_config, eval_config, env):
     """Reference: the episodes one after another, episode i from
-    derive_seed(seed, i); an episode without decisions has a NaN rate.
-    Returns the report and each episode's spiking readouts."""
+    derive_seed(seed, i), played by the spiking agent with the source
+    shadowing, or by the source alone when snn_net is None; an episode
+    without decisions has a NaN rate.  Returns the report and each
+    episode's spiking readouts."""
     source = AnalogAgent(source_net)
     agreements = decisions = 0
-    source_scores, snn_scores, per_episode_cr, records = [], [], [], []
+    scores, per_episode_cr, records = [], [], []
     readouts = {}
     for i in range(eval_config.episodes):
-        base = derive_seed(eval_config.seed, i)
-        rec = sequential_episode(env.clone(), source, eval_config, np.random.default_rng(base))
-        source_scores.append(rec.score)
+        rng = np.random.default_rng(derive_seed(eval_config.seed, i))
         if snn_net is None:
+            rec = sequential_episode(env.clone(), source, eval_config, rng)
             hits = n = len(rec.greedy_actions)
         else:
             agent = _SequentialSpikingAgent(snn_net, sim_config)
-            rec = sequential_episode(env.clone(), agent, eval_config,
-                                     np.random.default_rng(base), shadow=source)
+            rec = sequential_episode(env.clone(), agent, eval_config, rng, shadow=source)
             readouts[i] = agent.log
-            snn_scores.append(rec.score)
             chosen = (rec.greedy_actions if eval_config.cr_mode == "greedy"
                       else rec.executed_actions)
             hits = sum(1 for a, b in zip(chosen, rec.shadow_actions) if a == b)
             n = len(chosen)
         agreements += hits
         decisions += n
+        scores.append(rec.score)
         per_episode_cr.append(hits / n if n else float("nan"))
         records.append(rec)
-    return ConversionReport(agreements=agreements, decisions=decisions,
-                            source_scores=source_scores, snn_scores=snn_scores,
+    return ConversionReport(agreements=agreements, decisions=decisions, scores=scores,
                             per_episode_cr=per_episode_cr, episodes=eval_config.episodes,
                             records=records), readouts
 
@@ -433,7 +469,7 @@ LOCKSTEP_CASES = {
 
 
 def _assert_same_report(got, want):
-    for key in ("agreements", "decisions", "source_scores", "snn_scores", "episodes"):
+    for key in ("agreements", "decisions", "scores", "episodes"):
         assert getattr(got, key) == getattr(want, key), key
     assert np.array_equal(got.per_episode_cr, want.per_episode_cr, equal_nan=True)
     assert len(got.records) == len(want.records)
@@ -493,9 +529,8 @@ def test_sweep_time_rows_and_trend():
     from rateconv import sweep_time
     net, _, env = _setup_pair(6)
     frames = collect_frames_by_play(net, env, 64, EvalConfig(episodes=1, seed=6))
-    rows = sweep_time(net, env, frames, [20, 100], SimConfig(),
-                      EvalConfig(epsilon=0.05, max_noop=5, episodes=3, seed=13),
-                      percentile=99.9)
+    rows = sweep_time(net, env, frames, [SimConfig(timesteps=20), SimConfig(timesteps=100)],
+                      NormConfig(99.9), EvalConfig(epsilon=0.05, max_noop=5, episodes=3, seed=13))
     assert [r.value for r in rows] == [20.0, 100.0]
     assert all(r.sweep_param == "time" and r.episodes == 3 for r in rows)
     shared = {repr(r.pearson_score_cr) for r in rows}
@@ -507,27 +542,33 @@ def test_sweep_single_row_pearson_nan():
     from rateconv import sweep_time
     net, _, env = _setup_pair(7)
     frames = collect_frames_by_play(net, env, 32, EvalConfig(episodes=1, seed=7))
-    rows = sweep_time(net, env, frames, [50], SimConfig(),
-                      EvalConfig(episodes=2, seed=3, max_noop=0), percentile=100.0)
+    rows = sweep_time(net, env, frames, [SimConfig(timesteps=50)], NormConfig(100.0),
+                      EvalConfig(episodes=2, seed=3, max_noop=0))
     assert len(rows) == 1 and np.isnan(rows[0].pearson_score_cr)
 
 
 def test_sweep_time_rejects_empty_or_bad_values():
-    from rateconv import sweep_time
+    """An empty point list is rejected; a bad point value never reaches a
+    sweep, because its config cannot be built."""
+    from rateconv import sweep_percentile, sweep_time
     net, _, env = _setup_pair(8)
     frames = np.zeros((4, 1, 8, 8))
+    with pytest.raises(ValueError, match="at least one timestep"):
+        sweep_time(net, env, frames, [], NormConfig(), EvalConfig(episodes=1))
+    with pytest.raises(ValueError, match="at least one percentile"):
+        sweep_percentile(net, env, frames, [], SimConfig(), EvalConfig(episodes=1))
     with pytest.raises(ValueError):
-        sweep_time(net, env, frames, [], SimConfig(), EvalConfig(episodes=1))
+        SimConfig(timesteps=0)
     with pytest.raises(ValueError):
-        sweep_time(net, env, frames, [0], SimConfig(), EvalConfig(episodes=1))
+        NormConfig(98.0)
 
 
 def test_sweep_percentile_rows_carry_exact_values(rng):
     from rateconv import sweep_percentile
     net, _, env = _setup_pair(9)
     frames = collect_frames_by_play(net, env, 64, EvalConfig(episodes=1, seed=9))
-    rows = sweep_percentile(net, env, frames, [99.25, 100.0], SimConfig(timesteps=40),
-                            EvalConfig(episodes=2, seed=8, max_noop=0))
+    rows = sweep_percentile(net, env, frames, [NormConfig(99.25), NormConfig(100.0)],
+                            SimConfig(timesteps=40), EvalConfig(episodes=2, seed=8, max_noop=0))
     assert [r.value for r in rows] == [99.25, 100.0]
     assert all(r.sweep_param == "percentile" for r in rows)
 

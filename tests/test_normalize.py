@@ -113,6 +113,22 @@ def test_collect_stats_records_provenance(rng):
     assert stats.provenance == "unit test frames"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_collect_stats_rejects_non_finite_frames(bad):
+    net = NetworkSpec((2,), [dense(np.eye(2), np.zeros(2), activation="none")])
+    frames = np.zeros((3, 2))
+    frames[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        collect_stats(net, frames, NormConfig())
+
+
+def test_save_stats_writes_only_strict_json(tmp_path):
+    stats = NormStats(scales=[1.0, math.nan], sample_counts=[0, 1], config=NormConfig())
+    with pytest.raises(ValueError):
+        save_stats(stats, tmp_path / "s.json")
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_norm_config_rejects_out_of_range_percentile():
     with pytest.raises(ValueError):
         NormConfig(98.0)
