@@ -212,15 +212,32 @@ def _write_meta(out_path: str, payload: dict) -> None:
         json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _unit_frames(path, frames: np.ndarray) -> np.ndarray:
+    """frames, if every pixel lies in [0, 1]; FormatError naming the file
+    and the first pixel outside.  Normalization assumes an input scale of
+    1, and an input neuron fires at most once per step.  NaN passes here
+    and is rejected as non-finite where the frames are used."""
+    outside = (frames < 0.0) | (frames > 1.0)
+    if outside.any():
+        value = frames.reshape(-1)[np.argmax(outside.reshape(-1))]
+        raise FormatError(f"{path}: pixel value {value} outside [0, 1]")
+    return frames
+
+
+def _load_frames(path) -> np.ndarray:
+    """All frames of a blob or trace, every pixel in [0, 1]."""
+    return _unit_frames(path, modelio.load_frames(path))
+
+
 def _load_frame(path: str, input_shape) -> np.ndarray:
     """One frame from a blob (exact shape or stacked) or a trace (first frame)."""
     p = Path(path)
     if modelio.read_magic(p) == modelio.TRACE_MAGIC:
-        frames = modelio.read_trace(p).observations()
+        frames = _unit_frames(p, modelio.read_trace(p).observations())
         if frames.shape[0] < 1:
             raise FormatError(f"{p}: trace contains no frames")
         return frames[0].astype(np.float64)
-    arr = modelio.read_blob(p)
+    arr = _unit_frames(p, modelio.read_blob(p))
     if tuple(arr.shape) != tuple(input_shape) and arr.ndim >= 1 \
             and arr.shape[0] >= 1 and tuple(arr.shape[1:]) == tuple(input_shape):
         arr = arr[0]  # stacked frames: take the first
@@ -233,7 +250,7 @@ def _load_frame(path: str, input_shape) -> np.ndarray:
 def cmd_stats(args) -> int:
     config = _usage(NormConfig, args.percentile, args.max_frames)
     net = modelio.load_model(args.model)
-    frames = modelio.load_frames(args.frames)
+    frames = _load_frames(args.frames)
     stats = collect_stats(net, frames, config, provenance=args.provenance or str(args.frames))
     save_stats(stats, args.out)
     print(f"wrote {args.out}: {len(stats.scales)} scales, "
@@ -269,6 +286,7 @@ def cmd_replay(args) -> int:
     snn_net = modelio.load_model(args.snn_model)
     source = modelio.load_model(args.source) if args.source else None
     trace = modelio.read_trace(args.trace)
+    _unit_frames(args.trace, trace.observations())
     report = replay_trace(trace, snn_net, config, source_net=source)
     modelio.write_report([report_row("replay", config.timesteps, report)], args.out)
     _write_meta(args.out, {
@@ -335,7 +353,7 @@ def cmd_sweep(args) -> int:
     source = modelio.load_model(args.model)
 
     if args.frames:
-        frames = modelio.load_frames(args.frames).astype(np.float64)
+        frames = _load_frames(args.frames).astype(np.float64)
     else:
         frames = collect_frames_by_play(source, env, CALIBRATION_FRAMES,
                                         replace(eval_config, episodes=1))

@@ -138,7 +138,8 @@ class SpikingAgent:
     def qvalues(self, obs) -> np.ndarray:
         obs = np.asarray(obs, dtype=np.float64)
         single = obs.shape == self.net.input_shape
-        values = readout(run_batch(self.net, obs[None] if single else obs, self.sim_config))
+        values = readout(run_batch(self.net, obs[None] if single else obs, self.sim_config,
+                                   diagnose=False))
         return values[0] if single else values
 
 
@@ -268,7 +269,8 @@ def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfi
     distinct, inverse = np.unique(obs, axis=0, return_inverse=True)
     actions = np.empty(len(distinct), dtype=np.int64)
     for start in range(0, len(distinct), REPLAY_CHUNK):
-        result = run_batch(snn_net, distinct[start:start + REPLAY_CHUNK], sim_config)
+        result = run_batch(snn_net, distinct[start:start + REPLAY_CHUNK], sim_config,
+                           diagnose=False)
         actions[start:start + REPLAY_CHUNK] = np.argmax(readout(result), axis=1)
     snn_actions = actions[inverse.reshape(-1)].tolist()
 

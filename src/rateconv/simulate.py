@@ -22,25 +22,38 @@ below 1e-9 over thousands of steps.
 
 Order of work.  Layer l over steps t..t+K-1 depends only on layer l-1's
 spikes over those same steps, so run_batch, the one network loop, runs
-the stack one population at a time over a block of K steps: one affine
-call over K*batch rows gives the block's input currents, then the IF
-recurrence (_integrate) steps through them in order.  Spike counts are
-the block's spikes summed, current sums are accumulated one step after
-another (never a pairwise sum), and the output argmax for the settle
-step is taken once per block.  K is the largest number of steps for
-which K * batch * (widest population) float64 values fit in
-BLOCK_BYTES, so memory stays bounded whatever T is.
-simulate_current_sequence drives bare neurons through the same
-recurrence.
+every population in one recurrence, pipelined one block apart:
+population j runs block b at iteration b + j, on the currents of the
+spikes population j-1 produced for block b in the iteration before.
+All state lives in buffers allocated once per run and laid out
+neuron-major, [sum of widths, batch], populations in order, so the
+populations active in an iteration (a contiguous run of them, short
+only while the pipeline fills and drains) are one slice, and each step
+is three ufunc calls on it (_integrate): add the currents, compare with
+v_thr, subtract v_thr where a spike fired.  The last block may be
+short; only the lowest active population can be in it, and it leaves
+the slice after its last step.  K, the steps per block, is
+min(BLOCK_BYTES // (8 * batch * sum of widths), ceil(sqrt(10 T)), T),
+at least 1: memory stays bounded whatever T is, and a short run is one
+block, layer after layer.  simulate_current_sequence drives bare
+neurons through the same recurrence.
 
 A layer's currents change only when its input spikes do, so they are
-computed only then.  If every step of a block repeats the previous
-step's input spikes, the layer keeps the currents it last computed in
-this run and makes no affine call; if the steps of a block all equal
-its first, that one step is computed for the batch and broadcast; any
-other block is computed whole.  With binary frames the input
-population fires the same neurons every step, so the first layer's
-currents are computed once per run.  Every run starts from rest.
+computed, and copied into the block's current buffer, only then.  If
+every step of a block repeats the previous step's input spikes, the
+layer keeps the currents already in the buffer and makes no affine
+call; if the steps of a block all equal its first, that one step is
+computed for the batch and copied to every step; any other block is
+computed whole.  When every pixel is 0 or v_thr, the input population
+fires the same pixels every step and its potential stays 0, so it
+leaves the loop: its counts are T times its spikes, and the first
+layer's currents are computed once.  Every run starts from rest.
+
+Diagnostics only on request.  Current sums (added one step after
+another, never pairwise), the output potentials after each step and
+the settle step (from the output argmax after each step, taken once
+per block) cost time in the hot loop; run_batch(..., diagnose=False)
+skips them and leaves avg_currents and settle_step None.
 
 Why the spikes stay bit-identical.  Each neuron sees the same float64
 operations in the same order as a step-at-a-time loop: add the
@@ -73,7 +86,7 @@ from .network import (LayerSpec, NetworkSpec, apply_layer_linear, frame_stack,
                       layer_output_shape, validate_network)
 
 READOUTS = ("rate", "robust")
-BLOCK_BYTES = 1 << 20  # caps K * batch * (widest population) * 8 bytes
+BLOCK_BYTES = 1 << 20  # caps K * batch * (all populations' neurons) * 8 bytes
 
 
 @dataclass
@@ -95,11 +108,10 @@ class SimConfig:
 class _Stage:
     """One spiking population fed by a parameterized layer."""
 
-    layer_index: int
     layer: LayerSpec
     weights64: np.ndarray
     bias64: np.ndarray
-    flatten_input: bool
+    input_shape: tuple[int, ...]  # the layer's input, flattened if a flatten precedes it
     shape: tuple[int, ...]
 
     @cached_property
@@ -108,71 +120,81 @@ class _Stage:
 
         Every float32 parameter is a whole multiple of the smallest ulp u
         among the nonzero ones, so every partial sum is too; below 2^53 u
-        such sums are exactly representable in float64.  fsum rounds the
-        bound correctly, so the comparison errs only towards False.
+        such sums are exactly representable in float64.  u is a power of
+        two, so each |w| / u and |b| / u is an exact integer in float64,
+        and a float64 sum of non-negative integers (in any order) stays
+        below 2^53 exactly when the true sum does.
         """
         w = np.abs(self.weights64.reshape(len(self.bias64), -1))
         b = np.abs(self.bias64)
-        nonzero = np.concatenate([w[w > 0], b[b > 0]])
-        if nonzero.size == 0:
+        smallest = min(np.min(w, initial=np.inf, where=w > 0),
+                       np.min(b, initial=np.inf, where=b > 0))
+        if smallest == np.inf:
             return True
-        ulp = float(np.spacing(np.float32(nonzero.min())))
-        bound = max(math.fsum([*row.tolist(), bias]) for row, bias in zip(w, b.tolist()))
-        return bound < 2.0 ** 53 * ulp
+        ulp = float(np.spacing(np.float32(smallest)))
+        return bool(np.all((w / ulp).sum(axis=1) + b / ulp < 2.0 ** 53))
 
 
 def _build_stages(net: NetworkSpec) -> list[_Stage]:
     stages: list[_Stage] = []
     shape = net.input_shape
-    pending_flatten = False
-    for i, layer in enumerate(net.layers):
-        shape = layer_output_shape(layer, shape)
+    for layer in net.layers:
         if layer.kind == "flatten":
-            pending_flatten = True
+            shape = layer_output_shape(layer, shape)
             continue
+        out = layer_output_shape(layer, shape)
         stages.append(_Stage(
-            layer_index=i,
             layer=layer,
             weights64=layer.weights.astype(np.float64),
             bias64=layer.bias.astype(np.float64),
-            flatten_input=pending_flatten,
-            shape=shape,
+            input_shape=shape,
+            shape=out,
         ))
-        pending_flatten = False
+        shape = out
     return stages
+
+
+def _block_length(timesteps: int, batch: int, neurons: int) -> int:
+    """K: BLOCK_BYTES caps K * batch * neurons float64 values, and K is at
+    most ceil(sqrt(10 T)), which bounds the pipeline's fill and drain,
+    and at most T."""
+    return max(1, min(BLOCK_BYTES // (8 * batch * neurons), math.isqrt(10 * timesteps - 1) + 1,
+                      timesteps))
 
 
 # ---------------------------------------------------------------------------
 # the kernel
 
 def _integrate(potentials: np.ndarray, currents: np.ndarray, v_thr: float,
-               fired: np.ndarray, total: np.ndarray,
+               fired: np.ndarray, total: Optional[np.ndarray] = None,
                trail: Optional[np.ndarray] = None) -> None:
     """The IF recurrence over a block of steps, in place.
 
-    Step k adds currents[k] to the potentials and to total (one step
-    after another, never a pairwise sum, so totals round as a step loop
-    rounds them), marks fired[k] where the potential reaches v_thr
-    (inclusive) and subtracts v_thr there.  Potentials may go
-    arbitrarily negative.  trail[k], if given, receives the potential
-    after step k.
+    Step k adds currents[k] to the potentials, marks fired[k] where the
+    potential reaches v_thr (inclusive) and subtracts v_thr there.
+    Potentials may go arbitrarily negative.  total, if given, gets each
+    step's currents added one step after another (never a pairwise sum,
+    so totals round as a step loop rounds them).  trail[k], if given,
+    receives the potentials of the last len(trail[k]) neurons after
+    step k.
     """
-    for k, z in enumerate(currents):
+    tail = potentials[len(potentials) - trail.shape[1]:] if trail is not None else None
+    for k, (z, f) in enumerate(zip(currents, fired)):
         np.add(potentials, z, out=potentials)
-        np.add(total, z, out=total)
-        np.greater_equal(potentials, v_thr, out=fired[k])
-        np.subtract(potentials, v_thr, out=potentials, where=fired[k])
-        if trail is not None:
-            trail[k] = potentials
+        if total is not None:
+            np.add(total, z, out=total)
+        np.greater_equal(potentials, v_thr, out=f)
+        np.subtract(potentials, v_thr, out=potentials, where=f)
+        if tail is not None:
+            trail[k] = tail
 
 
 def _block_currents(stage: _Stage, spikes: np.ndarray) -> np.ndarray:
-    """Input currents [K, batch, *shape] of a stage from the previous
-    population's spikes [K, batch, ...] (bool)."""
-    steps, batch = spikes.shape[:2]
-    x = spikes.reshape(steps * batch, *spikes.shape[2:]).astype(np.float64)
-    if stage.flatten_input:
-        x = x.reshape(steps * batch, -1)
+    """Input currents [K, width, batch] of a stage from the previous
+    population's spikes [K, width, batch] (bool), both neuron-major."""
+    steps, _, batch = spikes.shape
+    x = np.ascontiguousarray(spikes.transpose(0, 2, 1), dtype=np.float64)
+    x = x.reshape(steps * batch, *stage.input_shape)
     if stage.exact:
         z = apply_layer_linear(stage.layer, x, stage.weights64, stage.bias64, im2col=True)
     elif stage.layer.kind == "dense":
@@ -184,28 +206,32 @@ def _block_currents(stage: _Stage, spikes: np.ndarray) -> np.ndarray:
         rows = x.reshape(steps * batch, 1, *x.shape[1:])
         z = np.concatenate([apply_layer_linear(stage.layer, r, stage.weights64, stage.bias64)
                             for r in rows])
-    return z.reshape(steps, batch, *stage.shape)
+    return z.reshape(steps, batch, -1).transpose(0, 2, 1)
 
 
-def _stage_currents(stage: _Stage, spikes: np.ndarray, previous: np.ndarray,
-                    held: Optional[np.ndarray]) -> np.ndarray:
-    """Input currents [K, batch, *shape] of a stage from its input
-    population's spikes over the block; previous holds those spikes in
-    the step before the block, and held the stage's currents in that
-    step (None before the first block).
+def _stage_currents(stage: _Stage, spikes: np.ndarray, previous: Optional[np.ndarray],
+                    out: np.ndarray, held: bool) -> bool:
+    """Write a stage's input currents for one block into out [K, width,
+    batch]; spikes are its input population's spikes over the block
+    (neuron-major, possibly shorter than K), previous those spikes in
+    the step before the block (None before the first block), and held
+    whether out already holds one step's currents on every step.
+    Returns whether it does afterwards.
 
     The same 0/1 input gives the same currents bit for bit, so they are
     computed only where the input changes: a block that repeats the
-    previous step reuses the held currents, a block whose steps all
-    equal its first computes that one step, and any other block is
+    previous step keeps the currents of that step, a block whose steps
+    all equal its first computes that one step, and any other block is
     computed whole.
     """
-    steps = len(spikes)
     if (spikes[1:] == spikes[0]).all():
-        if held is None or not np.array_equal(spikes[0], previous):
-            held = _block_currents(stage, spikes[:1])[0]
-        return np.broadcast_to(held, (steps, *held.shape))
-    return _block_currents(stage, spikes)
+        if previous is None or not np.array_equal(spikes[0], previous):
+            out[:] = _block_currents(stage, spikes[:1])
+        elif not held:
+            out[:] = out[-1]
+        return True
+    out[:len(spikes)] = _block_currents(stage, spikes)
+    return False
 
 
 @dataclass
@@ -216,7 +242,8 @@ class SimResult:
     (end potential / T), and average drive (injected current per step
     over v_thr).  rate_last / f_last flatten the output population.
     settle_step is the last step at which the output argmax changed
-    under the configured readout, a latency diagnostic.
+    under the configured readout, a latency diagnostic.  avg_currents
+    and settle_step are None when the run was made without diagnostics.
     """
 
     timesteps: int
@@ -224,18 +251,21 @@ class SimResult:
     readout: str
     rates: list[np.ndarray]
     residuals: list[np.ndarray]
-    avg_currents: list[np.ndarray]
+    avg_currents: Optional[list[np.ndarray]]
     rate_last: np.ndarray
     f_last: np.ndarray
-    settle_step: np.ndarray
+    settle_step: Optional[np.ndarray]
 
 
-def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig) -> SimResult:
+def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig, *,
+              diagnose: bool = True) -> SimResult:
     """Simulate a batch of frames for config.timesteps steps, from rest.
 
     frames: [batch, *input_shape], finite, each held constant for the
     whole run.  Every run starts from a fresh all-zero state, so a row's
-    result depends on its frame and the config alone.
+    result depends on its frame and the config alone.  With diagnose
+    False, current sums and settle tracking are skipped: avg_currents
+    and settle_step are None, everything else is the same to the bit.
     """
     frames = frame_stack(net, frames)
     check = validate_network(net)
@@ -246,54 +276,109 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig) -> SimRes
         raise ValueError(f"batch must be >= 1, got {batch}")
 
     # Population 0 is the input layer, driven by the frames; population j
-    # >= 1 is fed by stage j-1.  Every population starts at rest.
+    # >= 1 is fed by stage j-1 and holds rows edges[j]:edges[j+1] of every
+    # buffer.  Every population starts at rest.
     stages = _build_stages(net)
     shapes = [net.input_shape] + [s.shape for s in stages]
-    potentials = [np.zeros((batch, *s)) for s in shapes]
-    counts = [np.zeros((batch, *s), dtype=np.int64) for s in shapes]
-    current_sums = [np.zeros((batch, *s)) for s in shapes]
-    last_spikes = [np.zeros((batch, *s), dtype=bool) for s in shapes]
-    held: list[Optional[np.ndarray]] = [None] * len(stages)
+    edges = [0]
+    for shape in shapes:
+        edges.append(edges[-1] + math.prod(shape))
+    rows = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    last_pop = len(shapes) - 1
 
     T = config.timesteps
     v_thr = config.v_thr
-    robust = config.readout == "robust"
-    block = max(1, BLOCK_BYTES // (8 * batch * max(math.prod(s) for s in shapes)))
-    settle = np.ones(batch, dtype=np.int64)
-    prev_choice = None
-    for t0 in range(0, T, block):
-        k = min(block, T - t0)
-        counts_before = counts[-1].reshape(batch, -1).copy()
-        trail = np.empty((k, *potentials[-1].shape)) if robust else None
-        currents = np.broadcast_to(frames, (k, *frames.shape))
-        for j in range(len(shapes)):
-            if j:
-                currents = _stage_currents(stages[j - 1], fired, previous, held[j - 1])
-                held[j - 1] = currents[-1]
-            fired = np.empty(currents.shape, dtype=bool)
-            _integrate(potentials[j], currents, v_thr, fired, current_sums[j],
-                       trail if j == len(shapes) - 1 else None)
-            # Large batches run one-step blocks, where adding the step's
-            # spikes costs half of summing a one-step block.
-            counts[j] += fired[0] if k == 1 else fired.sum(axis=0, dtype=np.int64)
-            previous, last_spikes[j] = last_spikes[j], fired[-1].copy()
-        # The output argmax after each step of the block, as a step loop sees it.
-        score = counts_before + np.cumsum(fired.reshape(k, batch, -1), axis=0, dtype=np.int64)
-        if robust:
-            score = score * v_thr + trail.reshape(k, batch, -1)
-        choice = np.argmax(score, axis=2)
-        seq = choice if prev_choice is None else np.concatenate([prev_choice[None], choice])
-        changed = seq[1:] != seq[:-1]
-        if len(changed):
-            from_end = np.argmax(changed[::-1], axis=0)
-            settle = np.where(changed.any(axis=0), t0 + k - from_end, settle)
-        prev_choice = choice[-1]
+    K = _block_length(T, batch, edges[-1])
+    n_blocks = -(-T // K)
+    short = T - (n_blocks - 1) * K  # steps of the last block
+    potentials = np.zeros((edges[-1], batch))
+    counts = np.zeros((edges[-1], batch), dtype=np.int64)
+    currents = np.empty((K, edges[-1], batch))
+    spikes = (np.empty((K, edges[-1], batch), dtype=bool),
+              np.empty((K, edges[-1], batch), dtype=bool))
+    sums = np.zeros((edges[-1], batch)) if diagnose else None
+    trail = np.empty((K, edges[-1] - edges[-2], batch)) \
+        if diagnose and config.readout == "robust" else None
+    held = [True] * len(shapes)  # currents[:, rows[j]] hold one step's currents
 
-    rates = [c / T for c in counts]
-    residuals = [v / T for v in potentials]
-    avg_currents = [z / (T * v_thr) for z in current_sums]
+    drive = frames.reshape(batch, -1).T
+    if np.all((drive == 0.0) | (drive == v_thr)):
+        # Each step takes the potential from 0 to 0 or v_thr, and a spike
+        # back to exactly 0: the input population leaves the loop.
+        fired0 = drive == v_thr
+        counts[rows[0]] = T * fired0
+        if diagnose:
+            total = 0.0
+            for _ in range(T):  # summed as a step loop sums it
+                total += v_thr
+            sums[rows[0]] = np.where(fired0, total, 0.0)
+        currents[:, rows[1]] = _block_currents(stages[0], fired0[None])
+        first = 1
+    else:
+        currents[:, rows[0]] = drive
+        first = 0
+
+    settle = np.ones(batch, dtype=np.int64) if diagnose else None
+    prev_choice = None
+    for i in range(n_blocks + last_pop - first):
+        # Population j runs block i - (j - first); the active ones are lo..hi.
+        lo = first + max(0, i - n_blocks + 1)
+        hi = min(last_pop, first + i)
+        fired, fed = spikes[i % 2], spikes[(i + 1) % 2]
+        for j in range(max(lo, first + 1), hi + 1):
+            b = i - (j - first)
+            steps = short if b == n_blocks - 1 else K
+            # population j-1's spikes of block b-1 are still in fired
+            previous = fired[K - 1, rows[j - 1]] if b else None
+            held[j] = _stage_currents(stages[j - 1], fed[:steps, rows[j - 1]], previous,
+                                      currents[:, rows[j]], held[j])
+
+        # The lowest population may be in the last, short block: it leaves
+        # the slice after its last step.
+        end = edges[hi + 1]
+        parts = [(0, K, edges[lo])]
+        if i - (lo - first) == n_blocks - 1 and short < K:
+            parts = [(0, short, edges[lo]), (short, K, edges[lo + 1])]
+        watch = diagnose and hi == last_pop
+        if watch:
+            out_before = counts[rows[-1]].copy()
+        for s0, s1, r0 in parts:
+            if r0 < end:
+                span = slice(r0, end)
+                _integrate(potentials[span], currents[s0:s1, span], v_thr, fired[s0:s1, span],
+                           sums[span] if diagnose else None,
+                           trail[s0:s1] if watch and trail is not None else None)
+                # Large batches run one-step blocks, where adding the step's
+                # spikes costs half of summing a one-step block.
+                np.add(counts[span], fired[s0, span] if s1 - s0 == 1 else
+                       fired[s0:s1, span].sum(axis=0, dtype=np.int64), out=counts[span])
+
+        if watch:
+            # The output argmax after each step of its block, as a step loop sees it.
+            b = i - (last_pop - first)
+            steps = short if b == n_blocks - 1 else K
+            score = out_before + np.cumsum(fired[:steps, rows[-1]], axis=0, dtype=np.int64)
+            if trail is not None:
+                score = score * v_thr + trail[:steps]
+            choice = np.argmax(score, axis=1)
+            seq = choice if prev_choice is None else np.concatenate([prev_choice[None], choice])
+            changed = seq[1:] != seq[:-1]
+            if len(changed):
+                from_end = np.argmax(changed[::-1], axis=0)
+                settle = np.where(changed.any(axis=0), b * K + steps - from_end, settle)
+            prev_choice = choice[-1]
+
+    def per_population(state):
+        """[batch, *shape] per population, from neuron-major state."""
+        by_row = np.ascontiguousarray(state.T)
+        return [by_row[:, r].reshape(batch, *shape) for r, shape in zip(rows, shapes)]
+
+    rates = [c / T for c in per_population(counts)]
+    ends = per_population(potentials)
+    residuals = [v / T for v in ends]
+    avg_currents = [z / (T * v_thr) for z in per_population(sums)] if diagnose else None
     rate_last = rates[-1].reshape(batch, -1)
-    f_last = rate_last + potentials[-1].reshape(batch, -1) / (T * v_thr)
+    f_last = rate_last + ends[-1].reshape(batch, -1) / (T * v_thr)
     return SimResult(timesteps=T, v_thr=v_thr, readout=config.readout,
                      rates=rates, residuals=residuals, avg_currents=avg_currents,
                      rate_last=rate_last, f_last=f_last, settle_step=settle)
@@ -354,13 +439,20 @@ def simulate_current_sequence(currents: np.ndarray, v_thr: float = 1.0
     return fired.sum(axis=0, dtype=np.int64), potentials, total
 
 
+def _require_diagnostics(result: SimResult) -> None:
+    if result.avg_currents is None or result.settle_step is None:
+        raise ValueError("result was simulated without diagnostics "
+                         "(run_batch(..., diagnose=False))")
+
+
 def layer_identity_residual(result: SimResult, net: NetworkSpec,
                             frame: Optional[np.ndarray] = None) -> list[float]:
     """Max deviation, per population, from the rate bookkeeping identity.
 
     Population l >= 1: rate_l vs (affine_l(rate_{l-1}) - residual_l) / v_thr.
     Population 0: rate_0 vs (input - residual_0) / v_thr, where the input
-    is the given frame or, if omitted, the measured average current.
+    is the given frame or, if omitted, the measured average current
+    (which a run without diagnostics lacks: ValueError).
     With float64 accumulation these sit at rounding level (<= 1e-9);
     anything larger means the simulation and the network disagree.
     """
@@ -373,15 +465,13 @@ def layer_identity_residual(result: SimResult, net: NetworkSpec,
     if frame is not None:
         drive0 = np.asarray(frame, dtype=np.float64)
     else:
+        _require_diagnostics(result)
         drive0 = result.avg_currents[0] * v_thr
     residuals = [float(np.max(np.abs(result.rates[0] - (drive0 - result.residuals[0]) / v_thr)))]
 
     for j, stage in enumerate(stages, start=1):
         r_prev = result.rates[j - 1]
-        if stage.flatten_input:
-            r_prev = r_prev.reshape(r_prev.shape[0], -1) if batched else r_prev.reshape(-1)
-        if not batched:
-            r_prev = r_prev[None]
+        r_prev = r_prev.reshape(len(r_prev) if batched else 1, *stage.input_shape)
         z = apply_layer_linear(stage.layer, r_prev, stage.weights64, stage.bias64)
         if not batched:
             z = z[0]
@@ -417,6 +507,7 @@ def classify_case_counts(avg_current: np.ndarray, residual: np.ndarray) -> dict[
 
 def classify_residual_cases(result: SimResult) -> dict[str, int]:
     """Case counts summed over every neuron of every population."""
+    _require_diagnostics(result)
     totals = dict.fromkeys(CASE_KEYS, 0)
     for R, dV in zip(result.avg_currents, result.residuals):
         counts = classify_case_counts(R, dV)
@@ -428,6 +519,7 @@ def classify_residual_cases(result: SimResult) -> dict[str, int]:
 def diagnostics(result: SimResult, net: NetworkSpec,
                 frame: Optional[np.ndarray] = None) -> dict:
     """JSON-ready per-run diagnostic summary."""
+    _require_diagnostics(result)
     return {
         "timesteps": result.timesteps,
         "v_thr": result.v_thr,

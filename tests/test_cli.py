@@ -68,6 +68,37 @@ def test_stats_non_finite_frame_is_data_error_and_writes_no_file(tmp_path, model
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pixel", [1.5, -0.1])
+def test_frames_outside_unit_range_are_data_errors_and_write_no_file(tmp_path, model_dir,
+                                                                      pixel, capsys):
+    """Every command that reads frames rejects a pixel outside [0, 1]: exit
+    2, a message naming the file and the value, and no output written."""
+    frames = np.zeros((4, 1, 6, 6), dtype=np.float32)
+    frames[1, 0, 2, 3] = 1.0
+    frames[2, 0, 4, 1] = pixel
+    blob, trace = tmp_path / "frames.bin", tmp_path / "frames.trace"
+    write_blob(blob, frames)
+    write_trace(EpisodeTrace(3, (1, 6, 6), trace_steps((1, 6, 6), frames, [0, 1, 2, 0], 1.0)),
+                trace)
+    out = tmp_path / "out"
+    commands = [
+        (blob, ["simulate", "--model", model_dir, "--frame", blob, "--diagnose", out]),
+        (trace, ["simulate", "--model", model_dir, "--frame", trace, "--diagnose", out]),
+        (blob, ["stats", "--model", model_dir, "--frames", blob, "--out", out]),
+        (trace, ["stats", "--model", model_dir, "--frames", trace, "--out", out]),
+        (blob, ["sweep", "--mode", "time", "--values", "5", "--model", model_dir,
+                "--frames", blob, "--episodes", "1", "--grid-size", "6", "--out", out]),
+        (trace, ["replay", "--snn-model", model_dir, "--trace", trace, "--timesteps", "5",
+                 "--out", out]),
+    ]
+    for path, argv in commands:
+        capsys.readouterr()
+        assert run_cli(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert str(path) in err and f"pixel value {np.float32(pixel)} outside [0, 1]" in err
+        assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
 def test_stats_missing_model_is_data_error(tmp_path, frames_blob, capsys):
     code = run_cli("stats", "--model", tmp_path / "absent", "--frames", frames_blob,
                    "--out", tmp_path / "s.json")

@@ -1,5 +1,7 @@
 """Integrate-and-fire dynamics, bookkeeping identities, and diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -495,6 +497,49 @@ def drive_frames(rng, drive, n, shape):
     return rng.choice(DRIVE_LEVELS[drive], (n, *shape))
 
 
+def _widths(net):
+    return [int(np.prod(sh)) for sh in [net.input_shape] + [s.shape for s in _build_stages(net)]]
+
+
+def _is_input_shortcut(frames, v_thr):
+    """Every pixel 0 or v_thr: the input population fires the same pixels
+    every step and leaves the loop."""
+    return bool(np.all((frames == 0.0) | (frames == v_thr)))
+
+
+def _check_equals_step_loop(res, ref):
+    for key in ("rates", "residuals", "avg_currents"):
+        for got, want in zip(getattr(res, key), ref[key]):
+            assert np.array_equal(got, want), key
+    assert np.array_equal(res.f_last, ref["f_last"])
+    assert np.array_equal(res.settle_step, ref["settle_step"])
+
+
+def _count_neuron_steps(monkeypatch):
+    """Wrap _integrate; the returned dict maps each call's first row in the
+    run's neuron-major potentials to its steps, row count and batch."""
+    calls = []
+    integrate = simulate._integrate
+
+    def counting(potentials, currents, *args, **kwargs):
+        base = potentials.base if potentials.base is not None else potentials
+        start = (potentials.__array_interface__["data"][0]
+                 - base.__array_interface__["data"][0]) // potentials.strides[0]
+        calls.append((start, len(potentials), potentials.shape[1], len(currents)))
+        return integrate(potentials, currents, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_integrate", counting)
+    return calls
+
+
+def _steps_per_neuron(calls, neurons, batch):
+    stepped = np.zeros(neurons, dtype=np.int64)
+    for start, n, cols, steps in calls:
+        assert cols == batch  # every row of the batch steps together
+        stepped[start:start + n] += steps
+    return stepped
+
+
 @pytest.mark.parametrize("blocks", ["one", "several"])
 @pytest.mark.parametrize("readout", ["rate", "robust"])
 @pytest.mark.parametrize("batch", [1, 5])
@@ -504,38 +549,26 @@ def test_kernel_bitwise_equals_step_loop(rng, monkeypatch, kind, batch, readout,
     stages = _build_stages(net)
     assert all(stage.exact for stage in stages) == (kind != "conv-inexact")
     T = 23
-    populations = len(stages) + 1
-    if blocks == "several":  # 4 steps per block: 5 full blocks and a 3-step one
-        widest = max(int(np.prod(sh)) for sh in [net.input_shape] + [s.shape for s in stages])
-        monkeypatch.setattr(simulate, "BLOCK_BYTES", 8 * batch * widest * 4)
-        n_blocks = 6
-    else:
-        n_blocks = 1
-    # _integrate runs once per population per block
-    block_lengths = []
-    integrate = simulate._integrate
-
-    def counting(potentials, currents, *args, **kwargs):
-        block_lengths.append(len(currents))
-        return integrate(potentials, currents, *args, **kwargs)
-
-    monkeypatch.setattr(simulate, "_integrate", counting)
-
-    def check(res, ref):
-        for key in ("rates", "residuals", "avg_currents"):
-            for got, want in zip(getattr(res, key), ref[key]):
-                assert np.array_equal(got, want), key
-        assert np.array_equal(res.f_last, ref["f_last"])
-        assert np.array_equal(res.settle_step, ref["settle_step"])
+    widths = _widths(net)
+    # "one": BLOCK_BYTES at its default, where K = ceil(sqrt(10 T)) = 16,
+    # so a full block and a short one; "several": 4 steps per block, so
+    # 5 full blocks and a 3-step one.
+    if blocks == "several":
+        monkeypatch.setattr(simulate, "BLOCK_BYTES", 8 * batch * sum(widths) * 4)
+    calls = _count_neuron_steps(monkeypatch)
 
     for drive, v_thr in DRIVES:
         config = SimConfig(timesteps=T, v_thr=v_thr, readout=readout)
         frames = drive_frames(rng, drive, batch, net.input_shape)
         ref = step_loop(net, frames, config)
-        block_lengths.clear()
-        check(run_batch(net, frames, config), ref)
-        assert len(block_lengths) == populations * n_blocks
-        assert sum(block_lengths) == populations * T
+        calls.clear()
+        _check_equals_step_loop(run_batch(net, frames, config), ref)
+        # every population of every row is stepped exactly T times, but
+        # the input population under the input shortcut, which never is
+        want = np.full(sum(widths), T)
+        if _is_input_shortcut(frames, v_thr):
+            want[:widths[0]] = 0
+        assert np.array_equal(_steps_per_neuron(calls, sum(widths), batch), want)
 
 
 def test_repeated_input_spikes_reuse_currents(rng, monkeypatch):
@@ -550,7 +583,8 @@ def test_repeated_input_spikes_reuse_currents(rng, monkeypatch):
         return apply_layer_linear(layer, x, *args, **kwargs)
 
     monkeypatch.setattr(simulate, "apply_layer_linear", counting)
-    monkeypatch.setattr(simulate, "BLOCK_BYTES", 8 * 3 * 9 * 4)  # 4 steps per block
+    # 4 steps per block: 3 rows over 6 + 9 + 7 + 4 neurons
+    monkeypatch.setattr(simulate, "BLOCK_BYTES", 8 * 3 * sum(_widths(net)) * 4)
     binary = rng.choice([0.0, 1.0], (3, 6))
     # the input fires the same neurons every step: one step of 3 rows, once
     run_batch(net, binary, SimConfig(timesteps=40))
@@ -559,6 +593,101 @@ def test_repeated_input_spikes_reuse_currents(rng, monkeypatch):
     calls.clear()
     run_batch(net, binary * 0.5, SimConfig(timesteps=40))
     assert calls == [12] * 10
+
+
+@st.composite
+def pipeline_runs(draw):
+    """A KERNEL_NETS net, a drive, a batch, T and a block length short enough
+    that most runs fill and drain the pipeline and end on a short block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = KERNEL_NETS[draw(st.sampled_from(sorted(KERNEL_NETS)))](rng)
+    drive, v_thr = draw(st.sampled_from(DRIVES))
+    batch = draw(st.integers(1, 9))
+    config = SimConfig(timesteps=draw(st.integers(1, 60)), v_thr=v_thr,
+                       readout=draw(st.sampled_from(["rate", "robust"])))
+    return net, drive_frames(rng, drive, batch, net.input_shape), config, draw(st.integers(1, 8))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=pipeline_runs())
+def test_pipelined_run_batch_equals_step_loop_bit_for_bit(case):
+    net, frames, config, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "BLOCK_BYTES", 8 * len(frames) * sum(_widths(net)) * block)
+        res = run_batch(net, frames, config)
+        quiet = run_batch(net, frames, config, diagnose=False)
+    _check_equals_step_loop(res, step_loop(net, frames, config))
+    for got, want in zip(quiet.rates + quiet.residuals, res.rates + res.residuals):
+        assert np.array_equal(got, want)
+    assert np.array_equal(quiet.f_last, res.f_last)
+    assert quiet.avg_currents is None and quiet.settle_step is None
+
+
+@pytest.mark.parametrize("levels, v_thr, shortcut", [
+    ([0.0, 1.0], 1.0, True),
+    ([0.0, 0.5], 1.0, False),
+    ([0.0, 1.0], 0.8, False),
+    ([0.0, 0.1], 0.1, True),
+])
+def test_input_shortcut_gate(rng, monkeypatch, levels, v_thr, shortcut):
+    """The input population leaves the loop exactly when every pixel is 0
+    or v_thr, and the run still equals the step loop bit for bit."""
+    net = rand_dense_net(rng, sizes=[6, 9, 7, 4])
+    widths = _widths(net)
+    frames = rng.choice(levels, (3, 6))
+    frames[0, :2] = levels  # both levels present
+    config = SimConfig(timesteps=23, v_thr=v_thr)
+    calls = _count_neuron_steps(monkeypatch)
+    res = run_batch(net, frames, config)
+    stepped = _steps_per_neuron(calls, sum(widths), 3)
+    assert np.all(stepped[:widths[0]] == (0 if shortcut else 23))
+    assert np.all(stepped[widths[0]:] == 23)
+    _check_equals_step_loop(res, step_loop(net, frames, config))
+    if v_thr == 0.1:  # the step-by-step sum is not T * v_thr, and the result keeps it
+        assert 23 * 0.1 != sum([0.1] * 23)
+        assert res.avg_currents[0][0, 1] == sum([0.1] * 23) / (23 * 0.1) != 1.0
+
+
+def test_diagnostics_need_a_diagnosed_run(rng):
+    net = rand_dense_net(rng)
+    frames = rng.random((2, *net.input_shape))
+    quiet = run_batch(net, frames, SimConfig(timesteps=20), diagnose=False)
+    for call in (lambda: classify_residual_cases(quiet), lambda: diagnostics(quiet, net),
+                 lambda: layer_identity_residual(quiet, net)):
+        with pytest.raises(ValueError, match="without diagnostics"):
+            call()
+    assert max(layer_identity_residual(quiet, net, frame=frames)) <= 1e-9
+
+
+def fsum_exact(stage):
+    """Reference for _Stage.exact: the correctly rounded bound from math.fsum."""
+    w = np.abs(stage.weights64.reshape(len(stage.bias64), -1))
+    b = np.abs(stage.bias64)
+    nonzero = np.concatenate([w[w > 0], b[b > 0]])
+    if nonzero.size == 0:
+        return True
+    ulp = float(np.spacing(np.float32(nonzero.min())))
+    bound = max(math.fsum([*row.tolist(), bias]) for row, bias in zip(w, b.tolist()))
+    return bound < 2.0 ** 53 * ulp
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_NETS))
+def test_exact_agrees_with_fsum_on_kernel_nets(rng, kind):
+    for _ in range(5):
+        for stage in _build_stages(KERNEL_NETS[kind](rng)):
+            assert stage.exact == fsum_exact(stage)
+
+
+def test_exact_at_the_2_pow_53_ulp_boundary():
+    # u = ulp(2^-10) = 2^-33 in float32; the row sums to 2^-10 + (2^20 - 2^-10)
+    # = 2^20 = 2^53 u exactly, which is not below the bound; one term less is.
+    powers = [2.0 ** -10] + [2.0 ** e for e in range(-10, 20)]
+    for row, want in ((powers, False), (powers[1:], True)):
+        net = NetworkSpec((len(row),), [dense(np.array([row]), np.zeros(1), activation="none")])
+        stage, = _build_stages(net)
+        assert stage.exact == fsum_exact(stage) == want
+    zero = NetworkSpec((3,), [dense(np.zeros((2, 3)), np.zeros(2), activation="none")])
+    assert _build_stages(zero)[0].exact is True
 
 
 # ---------------------------------------------------------------------------
@@ -615,3 +744,11 @@ def test_run_batch_rows_equal_single_runs_bit_for_bit(case, batch, timesteps, re
             assert np.array_equal(got[i], want)
         assert np.array_equal(batched.f_last[i], single.f_last)
         assert batched.settle_step[i] == single.settle_step
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=spread_nets())
+def test_exact_agrees_with_fsum_on_spread_nets(case):
+    net, _ = case
+    for stage in _build_stages(net):
+        assert stage.exact == fsum_exact(stage)
