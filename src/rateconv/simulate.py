@@ -155,9 +155,10 @@ def _build_stages(net: NetworkSpec) -> list[_Stage]:
 
 
 def _block_length(timesteps: int, batch: int, neurons: int) -> int:
-    """K: BLOCK_BYTES caps K * batch * neurons float64 values, and K is at
-    most ceil(sqrt(10 T)), which bounds the pipeline's fill and drain,
-    and at most T."""
+    """K, the steps per block.  BLOCK_BYTES caps K * batch * neurons
+    float64 values; ceil(sqrt(10 T)) weighs the per-block work (T / K
+    blocks) against the pipeline's partly filled ends (about K steps per
+    population); a block never exceeds the run."""
     return max(1, min(BLOCK_BYTES // (8 * batch * neurons), math.isqrt(10 * timesteps - 1) + 1,
                       timesteps))
 
@@ -299,7 +300,7 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig, *,
     sums = np.zeros((edges[-1], batch)) if diagnose else None
     trail = np.empty((K, edges[-1] - edges[-2], batch)) \
         if diagnose and config.readout == "robust" else None
-    held = [True] * len(shapes)  # currents[:, rows[j]] hold one step's currents
+    held = [False] * len(shapes)  # currents[:, rows[j]] hold one step's currents
 
     drive = frames.reshape(batch, -1).T
     if np.all((drive == 0.0) | (drive == v_thr)):
