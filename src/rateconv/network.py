@@ -16,7 +16,6 @@ import numpy as np
 
 LAYER_KINDS = ("dense", "conv2d", "flatten")
 ACTIVATIONS = ("relu", "none")
-COLUMN_CHUNK_BYTES = 1 << 20  # im2col column buffer per chunk of images
 
 
 @dataclass
@@ -204,25 +203,22 @@ def frame_stack(net: NetworkSpec, frames) -> np.ndarray:
 
 
 def conv2d_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                 stride: tuple[int, int], padding: tuple[int, int],
-                 im2col: bool = False) -> np.ndarray:
+                 stride: tuple[int, int], padding: tuple[int, int]) -> np.ndarray:
     """Zero-padded strided cross-correlation over a batch.
 
-    x: [batch, in_ch, h, w]; weights: [out_ch, in_ch, kh, kw].
-    By default it accumulates one kernel offset at a time, which keeps
-    summation order fixed and results bit-reproducible.  im2col=True
-    copies each image's receptive fields into columns and multiplies
-    them by the weight matrix, several times faster on spike batches;
-    BLAS then picks the order of the sums, so the two agree bit for bit
-    only where every partial sum is exact (see rateconv.simulate).
+    x: [batch, in_ch, h, w]; weights: [out_ch, in_ch, kh, kw].  It
+    accumulates one kernel offset at a time, which keeps summation order
+    fixed and results bit-reproducible.  This is the one conv kernel.
+    The simulator's exact stages instead gather their columns from the
+    neuron-major spike buffer into one GEMM, which gives these bits
+    because every partial sum of 0/1 inputs is exact there (see
+    rateconv.simulate).
     """
     out_ch, in_ch, kh, kw = weights.shape
     sh, sw = stride
     ph, pw = padding
     if x.shape[1] != in_ch:
         raise ValueError(f"conv2d input has {x.shape[1]} channels, expected {in_ch}")
-    if im2col:
-        return _conv2d_im2col(x, weights, bias, stride, padding)
     if ph or pw:
         x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     b, _, h, w = x.shape
@@ -237,53 +233,16 @@ def conv2d_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     return out
 
 
-def _conv2d_im2col(x, weights, bias, stride, padding) -> np.ndarray:
-    """conv2d_batch through columns [image, in_ch*kh*kw, out_h*out_w].
-
-    Each image's columns meet the weight matrix [out_ch, in_ch*kh*kw] in
-    one GEMM that writes NCHW output directly, so nothing is transposed.
-    The column buffer holds as many images as fit in COLUMN_CHUNK_BYTES
-    (at least one), and padding is applied per chunk.
-    """
-    out_ch, in_ch, kh, kw = weights.shape
-    sh, sw = stride
-    ph, pw = padding
-    n, _, h, w = x.shape
-    out_h = (h + 2 * ph - kh) // sh + 1
-    out_w = (w + 2 * pw - kw) // sw + 1
-    wmat = weights.reshape(out_ch, -1)
-    out = np.empty((n, out_ch, out_h, out_w))
-    chunk = max(1, COLUMN_CHUNK_BYTES // (8 * in_ch * kh * kw * out_h * out_w))
-    cols = np.empty((min(chunk, n), in_ch, kh, kw, out_h, out_w))
-    for i0 in range(0, n, chunk):
-        m = min(chunk, n - i0)
-        xc = x[i0:i0 + m]
-        if ph or pw:
-            xc = np.pad(xc, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        for ki in range(kh):
-            for kj in range(kw):
-                cols[:m, :, ki, kj] = xc[:, :, ki:ki + sh * out_h:sh, kj:kj + sw * out_w:sw]
-        np.matmul(wmat, cols[:m].reshape(m, -1, out_h * out_w),
-                  out=out[i0:i0 + m].reshape(m, out_ch, -1))
-    out += bias[None, :, None, None]
-    return out
-
-
 def apply_layer_linear(layer: LayerSpec, x: np.ndarray,
                        weights64: Optional[np.ndarray] = None,
-                       bias64: Optional[np.ndarray] = None,
-                       im2col: bool = False) -> np.ndarray:
-    """The affine part of a layer on a batched input (no activation).
-
-    im2col selects conv2d_batch's GEMM kernel for conv layers; dense
-    layers are one GEMM either way.
-    """
+                       bias64: Optional[np.ndarray] = None) -> np.ndarray:
+    """The affine part of a layer on a batched input (no activation)."""
     w = layer.weights.astype(np.float64) if weights64 is None else weights64
     b = layer.bias.astype(np.float64) if bias64 is None else bias64
     if layer.kind == "dense":
         return x @ w.T + b
     if layer.kind == "conv2d":
-        return conv2d_batch(x, w, b, layer.stride, layer.padding, im2col=im2col)
+        return conv2d_batch(x, w, b, layer.stride, layer.padding)
     raise ValueError(f"layer kind {layer.kind!r} has no parameters")
 
 

@@ -58,19 +58,23 @@ skips them and leaves avg_currents and settle_step None.
 Why the spikes stay bit-identical.  Each neuron sees the same float64
 operations in the same order as a step-at-a-time loop: add the
 current, compare inclusively with v_thr, subtract v_thr on a spike.
-What changes is how a layer's currents are computed: over K*batch rows
-at once, and for conv layers by im2col + GEMM instead of per-offset
+What changes is how a layer's currents are computed: straight from the
+neuron-major spike buffer, one GEMM per step over the whole batch, a
+dense layer as W @ spikes + b and a conv layer as W @ columns + b, its
+columns gathered from the spikes by one index per stage (padding reads
+a zero row), where network.py's one conv kernel sums per-offset
 einsums.  Its inputs are 0/1 spikes, so every current is a sum of a
 subset of the float32 weights plus the bias.  Each of those is a whole
 multiple of u, the smallest float32 ulp among the layer's nonzero
 parameters, and when every neuron's sum(|w|) + |b| stays below 2^53 u
 each partial sum is exactly representable in float64: any summation
 order yields the same bits.  Layers that pass this test (_Stage.exact)
-get the block-wide call; a layer that fails it is computed one step and
+get the gathered GEMM; a layer that fails it is computed one step and
 row at a time, as a step-at-a-time run of that row alone computes it:
 a dense layer as one stacked matmul of single-row products, a conv
-layer as one per-offset einsum call per row.  Either way a row of run_batch is bit for bit the
-run of its frame alone, whatever else shares the batch.
+layer as one per-offset einsum call per row.  Either way a row of
+run_batch is bit for bit the run of its frame alone, whatever else
+shares the batch.
 """
 
 from __future__ import annotations
@@ -98,8 +102,8 @@ class SimConfig:
     def __post_init__(self):
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
-        if not self.v_thr > 0.0:
-            raise ValueError(f"v_thr must be positive, got {self.v_thr}")
+        if not 0.0 < self.v_thr < math.inf:
+            raise ValueError(f"v_thr must be positive and finite, got {self.v_thr}")
         if self.readout not in READOUTS:
             raise ValueError(f"readout must be one of {READOUTS}, got {self.readout!r}")
 
@@ -133,6 +137,24 @@ class _Stage:
             return True
         ulp = float(np.spacing(np.float32(smallest)))
         return bool(np.all((w / ulp).sum(axis=1) + b / ulp < 2.0 ** 53))
+
+    @cached_property
+    def gather(self) -> Optional[np.ndarray]:
+        """A conv layer's columns as input neurons, [in_ch * kh * kw,
+        out_h * out_w]: the neuron each kernel offset of each output
+        position reads, or the input width (a zero row past the last
+        neuron) where it reads padding.  None for a dense layer."""
+        if self.layer.kind != "conv2d":
+            return None
+        c, h, w = self.input_shape
+        _, oh, ow = self.shape
+        _, _, kh, kw = self.weights64.shape
+        (sh, sw), (ph, pw) = self.layer.stride, self.layer.padding
+        y = (np.arange(kh)[:, None] + sh * np.arange(oh) - ph)[:, None, :, None]
+        x = (np.arange(kw)[:, None] + sw * np.arange(ow) - pw)[None, :, None, :]
+        inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)  # [kh, kw, oh, ow]
+        at = np.arange(c)[:, None, None, None, None] * (h * w) + y * w + x
+        return np.where(inside, at, c * h * w).reshape(c * kh * kw, oh * ow)
 
 
 def _build_stages(net: NetworkSpec) -> list[_Stage]:
@@ -194,11 +216,18 @@ def _block_currents(stage: _Stage, spikes: np.ndarray) -> np.ndarray:
     """Input currents [K, width, batch] of a stage from the previous
     population's spikes [K, width, batch] (bool), both neuron-major."""
     steps, _, batch = spikes.shape
+    if stage.exact:
+        # Exact in any order: one GEMM per step straight on the
+        # neuron-major spikes, from which a conv layer gathers its columns.
+        if stage.gather is not None:
+            spikes = np.concatenate([spikes, np.zeros((steps, 1, batch), dtype=bool)], axis=1)
+            spikes = spikes[:, stage.gather].reshape(steps, len(stage.gather), -1)
+        z = stage.weights64.reshape(len(stage.bias64), -1) @ spikes.astype(np.float64)
+        z += stage.bias64[:, None]
+        return z.reshape(steps, -1, batch)
     x = np.ascontiguousarray(spikes.transpose(0, 2, 1), dtype=np.float64)
     x = x.reshape(steps * batch, *stage.input_shape)
-    if stage.exact:
-        z = apply_layer_linear(stage.layer, x, stage.weights64, stage.bias64, im2col=True)
-    elif stage.layer.kind == "dense":
+    if stage.layer.kind == "dense":
         # Not exact in every order: every row is its own single-row
         # product, exactly as a step-at-a-time run of that row alone makes
         # it (the rows of one batched GEMM may round differently).

@@ -382,6 +382,8 @@ def test_unknown_flag_is_usage_error(capsys):
     (["sweep", "--mode", "time", "--episode-len", "0"], "model"),
     (["play", "--episodes", "0"], "absent"),  # flags are checked before files are read
     (["sweep", "--mode", "time", "--frame-budget", "0"], "absent"),  # no calibration frames
+    (["simulate", "--vthr", "inf"], "model"),
+    (["play", "--vthr", "inf"], "model"),
 ])
 def test_bad_flag_value_is_usage_error(tmp_path, model_dir, frames_blob, flags, model):
     out = tmp_path / "out"

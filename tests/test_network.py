@@ -5,7 +5,6 @@ import pytest
 
 from rateconv import (NetworkSpec, dense, conv2d, flatten, forward, forward_batch,
                       greedy_action, epsilon_greedy_action, validate_network)
-from rateconv import network
 from rateconv.network import conv2d_batch
 
 from conftest import rand_conv_net, rand_net
@@ -181,22 +180,15 @@ def test_forward_batch_agrees_with_single():
         np.testing.assert_allclose(q[i], forward(net, xs[i]).qvalues, atol=1e-12)
 
 
-def test_conv2d_im2col_in_chunks_matches_einsum_and_oracle(rng, monkeypatch):
-    """One image per column chunk: bit-equal to the per-offset einsum on 0/1
-    inputs, where every sum of these weights is exact, and equal to the naive
-    loop to rounding on analog inputs."""
-    monkeypatch.setattr(network, "COLUMN_CHUNK_BYTES", 1)
-    w = rng.normal(0, 0.3, (3, 2, 3, 2)).astype(np.float32).astype(np.float64)
-    b = rng.normal(0, 0.1, 3).astype(np.float32).astype(np.float64)
-    for stride, padding in (((1, 1), (0, 0)), ((2, 1), (1, 2))):
-        spikes = (rng.random((5, 2, 7, 6)) < 0.4).astype(np.float64)
-        assert np.array_equal(conv2d_batch(spikes, w, b, stride, padding, im2col=True),
-                              conv2d_batch(spikes, w, b, stride, padding))
-        x = rng.random((5, 2, 7, 6))
-        got = conv2d_batch(x, w, b, stride, padding, im2col=True)
-        for i in range(len(x)):
-            np.testing.assert_allclose(got[i], naive_conv2d(x[i], w, b, stride, padding),
-                                       atol=1e-12)
+def test_padded_strided_conv2d_matches_oracle(rng):
+    """The per-offset einsum on a stride and padding that differ by axis,
+    against the naive loop, to rounding on analog inputs."""
+    w = rng.normal(0, 0.3, (3, 2, 3, 2))
+    b = rng.normal(0, 0.1, 3)
+    x = rng.random((5, 2, 7, 6))
+    got = conv2d_batch(x, w, b, (2, 1), (1, 2))
+    for i in range(len(x)):
+        np.testing.assert_allclose(got[i], naive_conv2d(x[i], w, b, (2, 1), (1, 2)), atol=1e-12)
 
 
 def test_hidden_activations_nonnegative():

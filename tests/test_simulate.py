@@ -575,14 +575,16 @@ def test_repeated_input_spikes_reuse_currents(rng, monkeypatch):
     """A stage computes its currents only where its input spikes change."""
     net = rand_dense_net(rng, sizes=[6, 9, 7, 4])
     first = net.layers[0]
+    block_currents = simulate._block_currents
     calls = []
 
-    def counting(layer, x, *args, **kwargs):
-        if layer is first:
-            calls.append(len(x))
-        return apply_layer_linear(layer, x, *args, **kwargs)
+    def counting(stage, spikes):
+        if stage.layer is first:
+            steps, _, batch = spikes.shape
+            calls.append(steps * batch)
+        return block_currents(stage, spikes)
 
-    monkeypatch.setattr(simulate, "apply_layer_linear", counting)
+    monkeypatch.setattr(simulate, "_block_currents", counting)
     # 4 steps per block: 3 rows over 6 + 9 + 7 + 4 neurons
     monkeypatch.setattr(simulate, "BLOCK_BYTES", 8 * 3 * sum(_widths(net)) * 4)
     binary = rng.choice([0.0, 1.0], (3, 6))
@@ -593,6 +595,49 @@ def test_repeated_input_spikes_reuse_currents(rng, monkeypatch):
     calls.clear()
     run_batch(net, binary * 0.5, SimConfig(timesteps=40))
     assert calls == [12] * 10
+
+
+@st.composite
+def exact_stages(draw):
+    """A one-stage net, conv (stride and padding per axis up to 2) or dense
+    (after a flatten or not), and neuron-major spikes [K, width, batch] for
+    it, a slice of a wider buffer as run_batch passes them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["conv", "dense", "flatten-dense"]))
+    if kind == "conv":
+        stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+        padding = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        kh = draw(st.integers(1, h + 2 * padding[0]))
+        kw = draw(st.integers(1, w + 2 * padding[1]))
+        out = draw(st.integers(1, 4))
+        net = NetworkSpec((c, h, w), [conv2d(rng.normal(0, 0.5, (out, c, kh, kw)),
+                                             rng.normal(0, 0.1, out), stride, padding)])
+    else:
+        out = draw(st.integers(1, 6))
+        layer = dense(rng.normal(0, 0.5, (out, c * h * w)), rng.normal(0, 0.1, out))
+        net = (NetworkSpec((c * h * w,), [layer]) if kind == "dense"
+               else NetworkSpec((c, h, w), [flatten(), layer]))
+    steps, batch = draw(st.integers(1, 8)), draw(st.integers(1, 9))
+    spikes = rng.random((steps, c * h * w + 3, batch)) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    return _build_stages(net)[0], spikes[:, 1:-2]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=exact_stages())
+def test_gathered_currents_equal_per_offset_einsum_bit_for_bit(case):
+    """Exact stages compute currents from the neuron-major spikes with one
+    gathered GEMM; they carry the bits of apply_layer_linear on the same
+    spikes, batch-major, which for conv layers is the per-offset einsum."""
+    stage, spikes = case
+    assert stage.exact
+    steps, _, batch = spikes.shape
+    x = spikes.transpose(0, 2, 1).reshape(steps * batch, *stage.input_shape)
+    want = apply_layer_linear(stage.layer, x.astype(np.float64), stage.weights64, stage.bias64)
+    want = want.reshape(steps, batch, -1).transpose(0, 2, 1)
+    got = simulate._block_currents(stage, spikes)
+    assert got.shape == want.shape
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @st.composite
