@@ -1,7 +1,9 @@
 """Command-line pipeline: stats -> normalize -> simulate/replay/play -> sweep.
 
 Exit codes: 0 success, 1 usage error (bad flags or parameter values),
-2 data error (missing or malformed files, shape mismatches).
+2 data error (missing or malformed files, shape mismatches, a model
+whose q-values do not match the action count, or one too large to
+allocate).
 
 Defaults reproduce the standard protocol: 500 timesteps, threshold 1.0,
 robust readout, percentile 99.9, epsilon 0.05, up to 30 no-op starts,
@@ -396,6 +398,9 @@ def main(argv=None) -> int:
     except (FormatError, FileNotFoundError, NotADirectoryError, IsADirectoryError,
             PermissionError, ValueError, OSError) as exc:
         print(f"rateconv {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a huge conv padding: its arrays cannot be allocated
+        print(f"rateconv {args.command}: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -10,27 +10,29 @@ network shadows every decision, or, with no spiking network, the source
 plays alone.  Its episodes play in lockstep.  Episode i has its own
 environment and its own generator, seeded derive_seed(master, i), from
 which it draws its environment seed, its no-op prefix and its
-exploration; each round, the live episodes' observations go to the
-spiking network as one run_batch, one row per live episode in episode
-order.  Every run starts from rest and a row of run_batch is bit for
-bit the run of that frame alone (see rateconv.simulate), so results
-depend only on the seed, never on which episodes share a round.  Analog
-q-values (the source playing alone, or shadowing) stay one forward pass
-per observation: the rows of a batched float64 GEMM can differ in the
-last bit from single-row products, and a hidden ReLU activation carries
-that into a near-tie argmax.
+exploration; each round, the player and the shadow each answer the
+live episodes' observations, one q-vector per live episode in episode
+order.  The spiking agent simulates them as one run_batch; every run
+starts from rest and a row of run_batch is bit for bit the run of that
+frame alone (see rateconv.simulate), so results depend only on the
+seed, never on which episodes share a round.  The analog agent (the
+source playing alone, or shadowing) still makes one forward pass per
+observation: the rows of a batched float64 GEMM can differ in the last
+bit from single-row products, and a hidden ReLU activation carries that
+into a near-tie argmax.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .lincatch import LineCatchEnv
 from .modelio import EpisodeTrace, ReportRow
-from .network import NetworkSpec, epsilon_greedy_action, forward, forward_batch, greedy_action
+from .network import (NetworkSpec, epsilon_greedy_action, forward, forward_batch,
+                      greedy_action, layer_output_shape)
 from .normalize import NormConfig, apply_normalization, collect_stats
 from .simulate import SimConfig, readout, run_batch
 
@@ -111,36 +113,44 @@ class ConversionReport(ActionAgreement):
 
 
 # ---------------------------------------------------------------------------
-# agents
+# agents: qvalues(observations) takes a list of observations or a
+# [rows, *shape] array and returns one q-vector per row
+
+def _check_q_width(net: NetworkSpec, action_count: int, role: str) -> None:
+    """ValueError unless net gives one q-value per action."""
+    shape = net.input_shape
+    for layer in net.layers:
+        shape = layer_output_shape(layer, shape)
+    width = int(np.prod(shape))
+    if width != action_count:
+        raise ValueError(f"{role} network gives {width} q-values, "
+                         f"but there are {action_count} actions")
+
 
 class AnalogAgent:
-    """Greedy values straight from the analog forward pass, one observation a call."""
+    """Values from the analog forward pass, one forward call per observation."""
 
     def __init__(self, net: NetworkSpec):
         self.net = net
 
-    def qvalues(self, obs) -> np.ndarray:
-        return forward(self.net, obs).qvalues
+    def qvalues(self, observations) -> list[np.ndarray]:
+        return [forward(self.net, obs).qvalues for obs in observations]
 
 
 class SpikingAgent:
     """Values from spiking runs of the converted network.
 
-    qvalues takes one observation, or a stack of them, and simulates
-    them from rest in one run_batch; each row reads what a run of its
-    observation alone reads, so no decision depends on another.
+    qvalues simulates the observations from rest in one run_batch; each
+    row reads what a run of its observation alone reads, so no decision
+    depends on another.
     """
 
     def __init__(self, net: NetworkSpec, sim_config: SimConfig):
         self.net = net
         self.sim_config = sim_config
 
-    def qvalues(self, obs) -> np.ndarray:
-        obs = np.asarray(obs, dtype=np.float64)
-        single = obs.shape == self.net.input_shape
-        values = readout(run_batch(self.net, obs[None] if single else obs, self.sim_config,
-                                   diagnose=False))
-        return values[0] if single else values
+    def qvalues(self, observations) -> np.ndarray:
+        return readout(run_batch(self.net, observations, self.sim_config, diagnose=False))
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +166,6 @@ class PlayRecord:
     rewards: list[float]
     noop_steps: int
     env_steps: int
-
-
-# values(observations): one q-vector per live episode, in episode order
-Values = Callable[[list[np.ndarray]], Sequence[np.ndarray]]
 
 
 @dataclass
@@ -196,30 +202,32 @@ def _start_episode(env: LineCatchEnv, config: EvalConfig, rng: np.random.Generat
     return episode
 
 
-def _play_lockstep(envs: list[LineCatchEnv], rngs: list[np.random.Generator],
-                   values: Values, config: EvalConfig, shadow: Optional[AnalogAgent] = None,
+def _play_lockstep(envs: list[LineCatchEnv], rngs: list[np.random.Generator], agent,
+                   config: EvalConfig, shadow: Optional[AnalogAgent] = None,
                    keep_frames: bool = True) -> list[PlayRecord]:
     """Play one episode per (env, rng), all advancing together.
 
-    Each round, values(observations) gets the current observations of
-    the live episodes (not done, under the frame budget), in episode
-    order, and returns one q-vector per row.  Each live episode then
-    draws its epsilon-greedy action from its own rng and steps its own
-    env; an episode that ends leaves the next round.
-    The shadow, if any, gives the source's greedy action for each row
-    from its own forward pass.
+    Each round, the agent and the shadow, if any, each get one qvalues
+    call on the current observations of the live episodes (not done,
+    under the frame budget), in episode order.  Each live episode then
+    draws its epsilon-greedy action from the agent's row and its own
+    rng, notes the shadow's greedy action and steps its own env; an
+    episode that ends leaves the next round.
     """
     episodes = [_start_episode(env, config, rng, shadow is not None)
                 for env, rng in zip(envs, rngs)]
     live = [i for i, episode in enumerate(episodes) if episode.live(config)]
     while live:
-        for i, q in zip(live, values([episodes[i].obs for i in live])):
+        observations = [episodes[i].obs for i in live]
+        values = agent.qvalues(observations)
+        shadowed = shadow.qvalues(observations) if shadow is not None else [None] * len(live)
+        for i, q, shadow_q in zip(live, values, shadowed):
             episode = episodes[i]
             rec = episode.record
             rec.greedy_actions.append(greedy_action(q))
             rec.executed_actions.append(epsilon_greedy_action(q, config.epsilon, episode.rng))
             if shadow is not None:
-                rec.shadow_actions.append(greedy_action(shadow.qvalues(episode.obs)))
+                rec.shadow_actions.append(greedy_action(shadow_q))
             if keep_frames:
                 rec.frames.append(np.asarray(episode.obs, dtype=np.float32).copy())
             episode.obs, reward, episode.done = episode.env.step(rec.executed_actions[-1])
@@ -230,14 +238,8 @@ def _play_lockstep(envs: list[LineCatchEnv], rngs: list[np.random.Generator],
     return [episode.record for episode in episodes]
 
 
-def _each_row(agent) -> Values:
-    """An agent's q-values row by row, one qvalues call per observation."""
-    return lambda observations: [agent.qvalues(obs) for obs in observations]
-
-
 def play_episode(env: LineCatchEnv, agent, config: EvalConfig,
-                 rng: np.random.Generator, shadow: Optional[AnalogAgent] = None
-                 ) -> PlayRecord:
+                 rng: np.random.Generator) -> PlayRecord:
     """One episode: random-length no-op prefix, then epsilon-greedy play.
 
     The environment is reseeded from `rng` before the no-op draw, so two
@@ -246,7 +248,7 @@ def play_episode(env: LineCatchEnv, agent, config: EvalConfig,
     decisions: they carry no frames or actions in the record.  This is
     the one-episode case of the lockstep loop evaluate plays.
     """
-    return _play_lockstep([env], [rng], _each_row(agent), config, shadow)[0]
+    return _play_lockstep([env], [rng], agent, config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +261,22 @@ def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfi
     Source actions are recomputed from source_net when given (guards
     against stale traces) and taken from the trace otherwise.  Nothing
     is executed, so exploration plays no role here.  Each distinct frame
-    is simulated once and its action given to every step that shows it:
-    a row of run_batch is bit for bit the run of its frame alone.
+    is simulated once, REPLAY_CHUNK frames per SpikingAgent.qvalues call,
+    and its action given to every step that shows it: a row of run_batch
+    is bit for bit the run of its frame alone.
     """
+    _check_q_width(snn_net, trace.action_count, "spiking")
+    if source_net is not None:
+        _check_q_width(source_net, trace.action_count, "source")
     if len(trace.steps) == 0:
         raise ValueError("cannot replay an empty trace")
     obs = trace.observations().astype(np.float64)
 
     distinct, inverse = np.unique(obs, axis=0, return_inverse=True)
-    actions = np.empty(len(distinct), dtype=np.int64)
-    for start in range(0, len(distinct), REPLAY_CHUNK):
-        result = run_batch(snn_net, distinct[start:start + REPLAY_CHUNK], sim_config,
-                           diagnose=False)
-        actions[start:start + REPLAY_CHUNK] = np.argmax(readout(result), axis=1)
+    agent = SpikingAgent(snn_net, sim_config)
+    actions = np.concatenate([np.argmax(agent.qvalues(distinct[start:start + REPLAY_CHUNK]),
+                                        axis=1)
+                              for start in range(0, len(distinct), REPLAY_CHUNK)])
     snn_actions = actions[inverse.reshape(-1)].tolist()
 
     if source_net is not None:
@@ -317,16 +322,16 @@ def evaluate(source_net: NetworkSpec, snn_net: Optional[NetworkSpec],
     same eval_config gives it the same environment seeds and no-op
     prefixes.
     """
+    _check_q_width(source_net, env.action_count, "source")
+    if snn_net is not None:
+        _check_q_width(snn_net, env.action_count, "spiking")
     seeds = [derive_seed(eval_config.seed, i) for i in range(eval_config.episodes)]
     source = AnalogAgent(source_net)
-    if snn_net is None:
-        values, shadow = _each_row(source), None
-    else:
-        spiking = SpikingAgent(snn_net, sim_config)
-        values, shadow = lambda observations: spiking.qvalues(np.stack(observations)), source
+    agent, shadow = ((source, None) if snn_net is None
+                     else (SpikingAgent(snn_net, sim_config), source))
     records = _play_lockstep([env.clone() for _ in seeds],
                              [np.random.default_rng(seed) for seed in seeds],
-                             values, eval_config, shadow, keep_records)
+                             agent, eval_config, shadow, keep_records)
     agreements = [_agreement(rec, eval_config.cr_mode) for rec in records]
     return ConversionReport(
         agreements=sum(a.agreements for a in agreements),
@@ -400,11 +405,13 @@ def collect_frames_by_play(source_net: NetworkSpec, env: LineCatchEnv, n_frames:
     """Gather calibration frames by letting the source play the environment."""
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
+    _check_q_width(source_net, env.action_count, "source")
+    agent = AnalogAgent(source_net)
     frames: list[np.ndarray] = []
     episode = 0
     empty_streak = 0
     while len(frames) < n_frames:
-        rec = play_episode(env.clone(), AnalogAgent(source_net), eval_config,
+        rec = play_episode(env.clone(), agent, eval_config,
                            np.random.default_rng(derive_seed(eval_config.seed, 0x10000 + episode)))
         episode += 1
         if not rec.frames:

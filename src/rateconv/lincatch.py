@@ -30,14 +30,13 @@ ACTION_COUNT = 3
 
 
 class LineCatchEnv:
-    def __init__(self, grid_size: int = 8, episode_len: int = 112, flat: bool = False):
+    def __init__(self, grid_size: int = 8, episode_len: int = 112):
         if grid_size < 2:
             raise ValueError(f"grid_size must be >= 2, got {grid_size}")
         if episode_len < 0:
             raise ValueError(f"episode_len must be >= 0, got {episode_len}")
         self.grid_size = int(grid_size)
         self.episode_len = int(episode_len)
-        self.flat = bool(flat)
         self._rng: Optional[np.random.Generator] = None
         self._paddle = 0
         self._obj_row = 0
@@ -50,8 +49,7 @@ class LineCatchEnv:
 
     @property
     def observation_shape(self) -> tuple[int, ...]:
-        g = self.grid_size
-        return (g * g,) if self.flat else (1, g, g)
+        return (1, self.grid_size, self.grid_size)
 
     @property
     def noop_action(self) -> int:
@@ -62,7 +60,7 @@ class LineCatchEnv:
         return self._steps >= self.episode_len
 
     def clone(self) -> "LineCatchEnv":
-        return LineCatchEnv(self.grid_size, self.episode_len, self.flat)
+        return LineCatchEnv(self.grid_size, self.episode_len)
 
     def reset(self, seed: int) -> np.ndarray:
         self._rng = np.random.default_rng(seed)
@@ -80,7 +78,7 @@ class LineCatchEnv:
         obs = np.zeros((g, g))
         obs[self._obj_row, self._obj_col] = 1.0
         obs[g - 1, self._paddle] = 1.0
-        return obs.reshape(-1) if self.flat else obs[None]
+        return obs[None]
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool]:
         """Apply one action; returns (observation, reward, done)."""
@@ -104,7 +102,7 @@ class LineCatchEnv:
         return self.episode_len // (self.grid_size - 1)
 
 
-def optimal_network(grid_size: int = 8, flat: bool = False) -> NetworkSpec:
+def optimal_network(grid_size: int = 8) -> NetworkSpec:
     """A hand-built network whose greedy policy catches every drop.
 
     Object pixels vote for moving toward their column, paddle pixels
@@ -124,8 +122,4 @@ def optimal_network(grid_size: int = 8, flat: bool = False) -> NetworkSpec:
                 w[LEFT, idx] = float(-col)
                 w[RIGHT, idx] = float(col)
     bias = np.array([0.0, 0.5, 0.0], dtype=np.float32)
-    layers = [dense(w, bias, activation="none")]
-    if not flat:
-        layers = [flatten()] + layers
-    input_shape = (g * g,) if flat else (1, g, g)
-    return NetworkSpec(input_shape=input_shape, layers=layers)
+    return NetworkSpec((1, g, g), [flatten(), dense(w, bias, activation="none")])

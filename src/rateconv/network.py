@@ -121,10 +121,10 @@ def layer_output_shape(layer: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int
             raise ValueError(f"conv2d bias must have shape ({out_ch},)")
         sh, sw = layer.stride
         ph, pw = layer.padding
-        if sh < 1 or sw < 1:
-            raise ValueError(f"conv2d stride must be >= 1, got {layer.stride}")
-        if ph < 0 or pw < 0:
-            raise ValueError(f"conv2d padding must be >= 0, got {layer.padding}")
+        if not (1 <= sh < 2**31 and 1 <= sw < 2**31):
+            raise ValueError(f"conv2d stride must be in [1, 2**31), got {layer.stride}")
+        if not (0 <= ph < 2**31 and 0 <= pw < 2**31):
+            raise ValueError(f"conv2d padding must be in [0, 2**31), got {layer.padding}")
         out_h = (h + 2 * ph - kh) // sh + 1
         out_w = (w + 2 * pw - kw) // sw + 1
         if out_h < 1 or out_w < 1:

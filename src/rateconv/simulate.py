@@ -445,11 +445,9 @@ def robust_readout(result: SimResult) -> np.ndarray:
     return result.f_last
 
 
-def readout(result: SimResult, kind: Optional[str] = None) -> np.ndarray:
-    kind = result.readout if kind is None else kind
-    if kind not in READOUTS:
-        raise ValueError(f"readout must be one of {READOUTS}, got {kind!r}")
-    return result.rate_last if kind == "rate" else result.f_last
+def readout(result: SimResult) -> np.ndarray:
+    """The output values under the run's configured readout."""
+    return result.rate_last if result.readout == "rate" else result.f_last
 
 
 def simulate_current_sequence(currents: np.ndarray, v_thr: float = 1.0

@@ -70,6 +70,19 @@ def trace_steps(shape, observations, actions, rewards):
     return steps
 
 
+def json_paths(doc, path=()):
+    """The key path of every value in a JSON document, the root included."""
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

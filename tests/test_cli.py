@@ -4,20 +4,23 @@ import copy
 import json
 import math
 import os
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import rateconv
-from rateconv import (EpisodeTrace, load_model, optimal_network, read_blob, read_report,
-                      read_trace, save_model, validate_network, write_blob, write_trace)
+from rateconv import (EpisodeTrace, NetworkSpec, conv2d, dense, flatten, load_model,
+                      optimal_network, read_blob, read_report, read_trace, save_model,
+                      validate_network, write_blob, write_trace)
 from rateconv.cli import main
 
-from conftest import trace_steps
+from conftest import json_paths, trace_steps
 
 
 @pytest.fixture
@@ -318,6 +321,93 @@ def test_play_without_decisions_reports_nan_cr_and_strict_json(tmp_path, model_d
     assert meta["conversion_rate"] is None and meta["spiking_agent"] is spiking
 
 
+def _model(path, grid, outputs, conv=False):
+    """A random net on (1, grid, grid) frames with `outputs` q-values,
+    conv first if conv; written to path."""
+    rng = np.random.default_rng(outputs)
+    layers = [flatten(), dense(rng.normal(0, 0.2, (outputs, grid * grid)),
+                               rng.normal(0, 0.05, outputs), activation="none")]
+    if conv:
+        side = grid - 2
+        layers = [conv2d(rng.normal(0, 0.3, (2, 1, 3, 3)), rng.normal(0, 0.05, 2)), flatten(),
+                  dense(rng.normal(0, 0.2, (outputs, 2 * side * side)),
+                        rng.normal(0, 0.05, outputs), activation="none")]
+    save_model(NetworkSpec((1, grid, grid), layers), path)
+    return path
+
+
+def _conv_model(path):
+    """Two conv layers on (1, 6, 6) frames, the second reducing to 3
+    q-values, so a stride or padding that keeps its 1 x 1 output loads."""
+    rng = np.random.default_rng(3)
+    save_model(NetworkSpec((1, 6, 6), [
+        conv2d(rng.normal(0, 0.3, (2, 1, 3, 3)), rng.normal(0, 0.05, 2), padding=(1, 1)),
+        conv2d(rng.normal(0, 0.2, (3, 2, 6, 6)), rng.normal(0, 0.05, 3), activation="none"),
+        flatten()]), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["play", "play-spiking", "play-epsilon-1", "replay",
+                                     "replay-source", "sweep"])
+def test_q_width_other_than_the_action_count_is_data_error(tmp_path, command, capsys):
+    """A model must give one q-value per action: a 2- or 5-output net on
+    3-action LineCatch, or against a 3-action trace, is refused before any
+    play, with exit 2 and no report written."""
+    two, five = _model(tmp_path / "two", 8, 2), _model(tmp_path / "five", 8, 5)
+    conv = _model(tmp_path / "conv", 8, 3, conv=True)
+    trace = tmp_path / "t.trace"
+    frames = (np.arange(4 * 64).reshape(4, 1, 8, 8) % 7 == 0).astype(np.float32)
+    write_trace(EpisodeTrace(3, (1, 8, 8), trace_steps((1, 8, 8), frames, [0, 1, 2, 1], 0.0)),
+                trace)
+    small = ["--episodes", "1", "--timesteps", "5", "--max-noop", "0", "--episode-len", "20"]
+    argv = {
+        "play": ["play", "--model", two, *small],
+        "play-spiking": ["play", "--model", conv, "--snn-model", two, *small],
+        "play-epsilon-1": ["play", "--model", five, "--epsilon", "1", *small],
+        "replay": ["replay", "--snn-model", two, "--trace", trace, "--timesteps", "5"],
+        "replay-source": ["replay", "--snn-model", five, "--source", conv, "--trace", trace,
+                          "--timesteps", "5"],
+        "sweep": ["sweep", "--mode", "time", "--values", "5", "--model", two, *small],
+    }[command]
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", out) == 2
+    assert "q-values, but there are 3 actions" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
+def test_huge_conv_stride_is_data_error(tmp_path, frames_blob, capsys):
+    """A stride of 2**31 or more is refused when the model loads, even one
+    that leaves the output shape as it was."""
+    model = _conv_model(tmp_path / "conv")
+    manifest = model / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    payload["layers"][1]["stride"] = [10**30, 1]
+    manifest.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    for argv in (["stats", "--model", model, "--frames", frames_blob, "--out", out],
+                 ["simulate", "--model", model, "--frame", frames_blob, "--diagnose", out]):
+        assert run_cli(*argv) == 2
+        assert "stride must be in [1, 2**31)" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_conv_too_large_to_allocate_is_data_error(tmp_path, capsys):
+    """Padding of 2**30 rows on 128-pixel-wide frames asks for arrays of
+    2 TiB or more, whose allocation fails at once: exit 2, no traceback."""
+    rng = np.random.default_rng(0)
+    model = tmp_path / "padded"
+    save_model(NetworkSpec((1, 2, 128), [
+        conv2d(rng.normal(0, 1, (1, 1, 1, 1)), [0.0], padding=(2**30, 0))]), model)
+    frames = tmp_path / "frames.bin"
+    write_blob(frames, (rng.random((2, 1, 2, 128)) < 0.5).astype(np.float32))
+    out = tmp_path / "out.json"
+    for argv in (["stats", "--model", model, "--frames", frames, "--out", out],
+                 ["simulate", "--model", model, "--frame", frames, "--timesteps", "5"]):
+        assert run_cli(*argv) == 2
+        assert "out of memory" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -480,6 +570,139 @@ def test_any_frame_blob_bytes_exit_0_1_or_2(tmp_path, model_dir, edits, words, c
     for code, out in zip(codes, (stats, diagnose)):
         if code == 0:
             _strict_json(out)
+
+
+# Mutations of a valid model directory.  Sizes, strides and paddings are
+# drawn small (at most 8) or at least 2**31, which is refused before any
+# allocation; the manifest's byte edits write no digits, so they make no
+# number in between.  Blob edits can claim any dims, but a blob's data
+# must fill them, so a blob never holds more than its file.
+_MODEL_FILES = ["manifest.json", "layer000_weights.bin", "layer000_bias.bin",
+                "layer001_weights.bin", "layer001_bias.bin"]
+_MODEL_VALUES = st.one_of(
+    st.integers(-1, 8), st.sampled_from([2**31, 2**40, 10**30]),
+    st.sampled_from([None, True, 1.5, "", "relu", "none", "dense", "conv2d", "flatten", {},
+                     "..", "../outside.bin", "sub/layer000_weights.bin", "/absent/x.bin",
+                     "layer001_bias.bin", "absent.bin"]),
+    st.lists(st.one_of(st.integers(-1, 8), st.sampled_from([2**31, 10**30, True, 1.5, "1"])),
+             max_size=4))
+_MODEL_EDITS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["set", "add"]), st.integers(0, 99), _MODEL_VALUES),
+    st.tuples(st.just("delete"), st.integers(0, 99), st.none()),
+    st.tuples(st.just("text"), st.integers(0, 2000), st.sampled_from(
+        [b"{", b"}", b"[", b'"', b",", b"x", b" ", b"-", b".", b"\xff"])),
+    st.tuples(st.just("byte"), st.sampled_from(_MODEL_FILES[1:]),
+              st.tuples(st.integers(0, 900), st.binary(min_size=1, max_size=4))),
+    st.tuples(st.just("word"), st.sampled_from(_MODEL_FILES[1:]), st.tuples(
+        st.integers(0, 24), st.sampled_from([0, 1, 3, 8, 0x7FC00000, 0x7F800000, 0x7F7FFFFF,
+                                             2**31 - 1, 2**32 - 1]))),
+    st.tuples(st.just("cut"), st.sampled_from(_MODEL_FILES), st.integers(0, 900)),
+    st.tuples(st.just("remove"), st.sampled_from(_MODEL_FILES), st.none()),
+    st.tuples(st.just("extra"), st.sampled_from(
+        ["extra.bin", "notes.txt", "sub/layer000_weights.bin", "../outside.bin"]), st.none()),
+), min_size=1, max_size=3)
+
+
+def _edit_manifest(doc, op, index, value):
+    """doc with the value at its index-th key path set, deleted or given
+    an extra key ("add")."""
+    paths = list(json_paths(doc))
+    path = paths[index % len(paths)]
+    if not path:
+        return value if op == "set" else doc
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "set":
+        parent[path[-1]] = value
+    elif op == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent[path[-1]], dict):
+        parent[path[-1]]["extra"] = value
+    return doc
+
+
+def _mutate_model(model, edits):
+    manifest = model / "manifest.json"
+    blob = (model / "layer000_weights.bin").read_bytes()
+    for op, target, arg in edits:
+        if op in ("set", "add", "delete"):
+            if manifest.is_file():
+                try:
+                    doc = json.loads(manifest.read_text())
+                except ValueError:
+                    continue
+                manifest.write_text(json.dumps(_edit_manifest(doc, op, target, arg)))
+        elif op == "text" and manifest.is_file():
+            data = bytearray(manifest.read_bytes())
+            data[target % len(data)] = arg[0]
+            manifest.write_bytes(bytes(data))
+        elif op in ("byte", "word", "cut") and (model / target).is_file():
+            data = bytearray((model / target).read_bytes())
+            if op == "byte":
+                pos, chunk = arg
+                data[pos:pos + len(chunk)] = chunk
+            elif op == "word":
+                index, word = arg
+                data[4 * index:4 * index + 4] = struct.pack("<I", word)
+            else:
+                del data[arg:]
+            (model / target).write_bytes(bytes(data))
+        elif op == "remove":
+            (model / target).unlink(missing_ok=True)
+        elif op == "extra":
+            path = model / target
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(blob if target.endswith("weights.bin") else b"junk")
+    return model
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_MODEL_EDITS)
+@example(edits=[("set", 26, 10**30)])  # second conv's stride [10**30, 1]
+@example(edits=[("set", 23, 2**31)])  # second conv's padding [2**31, 0]
+@example(edits=[("extra", "sub/layer000_weights.bin", None),
+                ("set", 17, "sub/layer000_weights.bin")])  # the blob is there, the name is a path
+@example(edits=[("extra", "../outside.bin", None), ("set", 17, "../outside.bin")])
+def test_any_mutated_model_directory_exits_0_1_or_2(tmp_path, edits):
+    """A valid conv model directory with its manifest, blobs or files
+    mutated never raises out of any command, and whatever JSON a
+    successful command writes is strict."""
+    case = tmp_path / "case"
+    shutil.rmtree(case, ignore_errors=True)
+    case.mkdir()
+    model = _mutate_model(_conv_model(case / "m"), edits)
+    frames = case / "frames.bin"
+    pixels = (np.arange(4 * 36).reshape(4, 1, 6, 6) % 5 == 0).astype(np.float32)
+    write_blob(frames, pixels)
+    trace = case / "t.trace"
+    write_trace(EpisodeTrace(3, (1, 6, 6), trace_steps((1, 6, 6), pixels, [0, 1, 2, 1], 1.0)),
+                trace)
+    stats = case / "given_stats.json"
+    stats.write_text(json.dumps({**_STATS, "scales": [1.0, 2.0, 4.0], "sample_counts": [0, 1, 1]}))
+    small = ["--timesteps", "5", "--episodes", "1", "--frame-budget", "4", "--max-noop", "0",
+             "--grid-size", "6"]
+    runs = [
+        (["stats", "--model", model, "--frames", frames, "--out", case / "s.json"],
+         [case / "s.json"]),
+        (["normalize", "--model", model, "--stats", stats, "--out", case / "n"],
+         [case / "n" / "manifest.json"]),
+        (["simulate", "--model", model, "--frame", frames, "--timesteps", "5",
+          "--diagnose", case / "d.json"], [case / "d.json"]),
+        (["replay", "--snn-model", model, "--source", model, "--trace", trace,
+          "--timesteps", "5", "--out", case / "r.csv"], [case / "r.csv.meta.json"]),
+        (["play", "--model", model, "--snn-model", model, *small, "--out", case / "p.csv"],
+         [case / "p.csv.meta.json"]),
+        (["sweep", "--mode", "time", "--values", "5", "--model", model, "--frames", frames,
+          *small, "--out", case / "w.csv"], [case / "w.csv.meta.json"]),
+    ]
+    for argv, outputs in runs:
+        code = run_cli(*argv)
+        assert code in (0, 1, 2), argv
+        if code == 0:
+            for out in outputs:
+                _strict_json(out)
 
 
 def test_missing_subcommand_is_usage_error():

@@ -8,13 +8,13 @@ import pytest
 from rateconv import (ConversionReport, EpisodeTrace, EvalConfig, LineCatchEnv, NetworkSpec,
                       NormConfig, PlayRecord, SimConfig, apply_normalization,
                       collect_frames_by_play, collect_stats, conversion_rate, dense,
-                      derive_seed, epsilon_greedy_action, evaluate, flatten, forward_batch,
-                      greedy_action, mean_std, optimal_network, pearson,
+                      derive_seed, epsilon_greedy_action, evaluate, flatten, forward,
+                      forward_batch, greedy_action, mean_std, optimal_network, pearson,
                       play_episode, readout, replay_trace, run, run_batch, step_dtype,
                       AnalogAgent, SpikingAgent)
 from rateconv.simulate import _build_stages
 
-from conftest import rand_dense_net, rand_frames, trace_steps
+from conftest import rand_conv_net, rand_dense_net, rand_frames, trace_steps
 
 
 def make_trace(rng, net, n, recompute=True):
@@ -152,12 +152,103 @@ def test_replay_simulates_each_distinct_frame_once(rng, monkeypatch):
     assert report.episodes == 1 and report.scores == [trace.total_reward()]
 
 
+def test_replay_asks_the_spiking_agent_once_per_chunk(rng, monkeypatch):
+    """replay_trace gets its spiking actions from SpikingAgent.qvalues, one
+    call per REPLAY_CHUNK distinct frames."""
+    module = importlib.import_module("rateconv.evaluate")
+    net = rand_dense_net(rng, sizes=[6, 10, 3])
+    base = make_trace(rng, net, 23)
+    trace = EpisodeTrace(action_count=3, observation_shape=net.input_shape,
+                         steps=base.steps[rng.integers(0, 23, 60)])
+    distinct = len(np.unique(trace.observations(), axis=0))
+    rows = []
+    qvalues = SpikingAgent.qvalues
+
+    def counted(self, observations):
+        rows.append(len(observations))
+        return qvalues(self, observations)
+
+    monkeypatch.setattr(SpikingAgent, "qvalues", counted)
+    monkeypatch.setattr(module, "REPLAY_CHUNK", 4)
+    replay_trace(trace, normalized(rng, net), SimConfig(timesteps=20))
+    assert len(rows) == -(-distinct // 4) and sum(rows) == distinct
+
+
 def test_replay_rejects_empty_trace(rng):
     net = rand_dense_net(rng, sizes=[4, 4, 2])
     empty = EpisodeTrace(action_count=2, observation_shape=(4,),
                          steps=np.empty(0, step_dtype((4,))))
     with pytest.raises(ValueError):
         replay_trace(empty, net, SimConfig(timesteps=10))
+
+
+# ---------------------------------------------------------------------------
+# agents
+
+def test_analog_agent_rows_equal_one_row_forward(rng):
+    """Each row of AnalogAgent.qvalues is the one-row forward pass of its
+    observation, bit for bit, whether the rows come as a list or an array."""
+    for net in (rand_dense_net(rng, n_actions=3), rand_conv_net(rng, n_actions=3)):
+        frames = rand_frames(rng, 7, net.input_shape)
+        agent = AnalogAgent(net)
+        want = [forward(net, frame).qvalues for frame in frames]
+        for rows in (frames, list(frames)):
+            got = agent.qvalues(rows)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_spiking_agent_takes_a_list_or_an_array(rng):
+    net = rand_dense_net(rng, sizes=[6, 10, 3])
+    norm = normalized(rng, net)
+    frames = rand_frames(rng, 5, net.input_shape)
+    agent = SpikingAgent(norm, SimConfig(timesteps=30))
+    got = agent.qvalues(list(frames))
+    assert got.shape == (5, 3) and np.array_equal(got, agent.qvalues(frames))
+    for frame, row in zip(frames, got):
+        assert np.array_equal(row, readout(run(norm, frame, SimConfig(timesteps=30))))
+
+
+def test_analog_decisions_are_one_row_forward_passes(monkeypatch):
+    """evaluate, play_episode and collect_frames_by_play compute every
+    analog q-vector with its own one-row forward_batch call."""
+    network = importlib.import_module("rateconv.network")
+    module = importlib.import_module("rateconv.evaluate")
+    rows = []
+    real = network.forward_batch
+
+    def spy(net, inputs):
+        rows.append(len(inputs))
+        return real(net, inputs)
+
+    net, snn, env = _setup_pair(10)
+    monkeypatch.setattr(network, "forward_batch", spy)
+    monkeypatch.setattr(module, "forward_batch", spy)
+    config = EvalConfig(episodes=4, seed=3, max_noop=3)
+    evaluate(net, snn, SimConfig(timesteps=20), config, env=env)
+    evaluate(net, None, SimConfig(timesteps=20), config, env=env)
+    play_episode(env.clone(), AnalogAgent(net), config, np.random.default_rng(1))
+    collect_frames_by_play(net, env, 40, config)
+    assert len(rows) > 3 * 40 and set(rows) == {1}
+
+
+def test_player_and_shadow_answer_each_round_once(monkeypatch):
+    """Each round the spiking player and the analog shadow get one qvalues
+    call each, on the same list of the live episodes' observations."""
+    net, snn, env = _setup_pair(11)
+    calls = []
+    for cls in (SpikingAgent, AnalogAgent):
+        def logged(self, observations, real=cls.qvalues, name=cls.__name__):
+            calls.append((name, observations))
+            return real(self, observations)
+        monkeypatch.setattr(cls, "qvalues", logged)
+    report = evaluate(net, snn, SimConfig(timesteps=20), EvalConfig(episodes=3, seed=5), env=env)
+    rounds = list(zip(calls[::2], calls[1::2]))
+    assert len(calls) == 2 * len(rounds) and len(rounds) > 1
+    for (player, rows), (shadow, shadow_rows) in rounds:
+        assert (player, shadow) == ("SpikingAgent", "AnalogAgent")
+        assert isinstance(rows, list) and shadow_rows is rows
+    assert sum(len(rows) for (_, rows), _ in rounds) == report.decisions
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +383,9 @@ def _spy_plays(monkeypatch):
     plays = []
     real = module._play_lockstep
 
-    def spy(envs, rngs, values, config, shadow=None, keep_frames=True):
+    def spy(envs, rngs, agent, config, shadow=None, keep_frames=True):
         plays.append(shadow is not None)
-        return real(envs, rngs, values, config, shadow, keep_frames)
+        return real(envs, rngs, agent, config, shadow, keep_frames)
 
     monkeypatch.setattr(module, "_play_lockstep", spy)
     return plays
@@ -325,8 +416,8 @@ def test_evaluate_plays_once_and_sweeps_play_no_source_alone_episode(monkeypatch
 # ---------------------------------------------------------------------------
 # lockstep evaluation against a literal sequential reference
 
-class _SequentialSpikingAgent:
-    """Reference agent: one single-frame spiking run per decision.  It logs
+class _SequentialSpikingValues:
+    """Reference q-values: one single-frame spiking run per call.  It logs
     every readout it returns."""
 
     def __init__(self, net, sim_config):
@@ -334,13 +425,14 @@ class _SequentialSpikingAgent:
         self.sim_config = sim_config
         self.log = []
 
-    def qvalues(self, obs):
+    def __call__(self, obs):
         self.log.append(readout(run(self.net, obs, self.sim_config)))
         return self.log[-1]
 
 
-def sequential_episode(env, agent, config, rng, shadow=None):
-    """Reference: one episode played one decision at a time."""
+def sequential_episode(env, values, config, rng, shadow=None):
+    """Reference: one episode played one decision at a time, values(obs)
+    and shadow(obs) giving the q-vector of one observation."""
     env_seed = int(rng.integers(0, 2**63))
     noop_len = int(rng.integers(0, config.max_noop + 1))
     obs = env.reset(env_seed)
@@ -357,11 +449,11 @@ def sequential_episode(env, agent, config, rng, shadow=None):
     executed, greedy, frames, rewards = [], [], [], []
     shadow_actions = [] if shadow is not None else None
     while not done and steps < config.frame_budget:
-        q = agent.qvalues(obs)
+        q = values(obs)
         intent = greedy_action(q)
         action = epsilon_greedy_action(q, config.epsilon, rng)
         if shadow is not None:
-            shadow_actions.append(greedy_action(shadow.qvalues(obs)))
+            shadow_actions.append(greedy_action(shadow(obs)))
         frames.append(np.asarray(obs, dtype=np.float32).copy())
         greedy.append(intent)
         executed.append(action)
@@ -380,7 +472,9 @@ def sequential_evaluate(source_net, snn_net, sim_config, eval_config, env):
     shadowing, or by the source alone when snn_net is None; an episode
     without decisions has a NaN rate.  Returns the report and each
     episode's spiking readouts."""
-    source = AnalogAgent(source_net)
+    def source(obs):
+        return forward(source_net, obs).qvalues
+
     agreements = decisions = 0
     scores, per_episode_cr, records = [], [], []
     readouts = {}
@@ -390,9 +484,9 @@ def sequential_evaluate(source_net, snn_net, sim_config, eval_config, env):
             rec = sequential_episode(env.clone(), source, eval_config, rng)
             hits = n = len(rec.greedy_actions)
         else:
-            agent = _SequentialSpikingAgent(snn_net, sim_config)
-            rec = sequential_episode(env.clone(), agent, eval_config, rng, shadow=source)
-            readouts[i] = agent.log
+            spiking = _SequentialSpikingValues(snn_net, sim_config)
+            rec = sequential_episode(env.clone(), spiking, eval_config, rng, shadow=source)
+            readouts[i] = spiking.log
             chosen = (rec.greedy_actions if eval_config.cr_mode == "greedy"
                       else rec.executed_actions)
             hits = sum(1 for a, b in zip(chosen, rec.shadow_actions) if a == b)
@@ -412,8 +506,8 @@ def _log_spiking_rounds(monkeypatch):
     rounds = []
     qvalues = SpikingAgent.qvalues
 
-    def logged(self, obs):
-        values = qvalues(self, obs)
+    def logged(self, observations):
+        values = qvalues(self, observations)
         rounds.append(list(values))
         return values
 

@@ -15,7 +15,7 @@ from rateconv import (BlobError, EpisodeTrace, FormatError, ManifestError, Netwo
                       load_model, read_blob, read_report, read_trace, save_model,
                       step_dtype, validate_network, write_blob, write_report, write_trace)
 
-from conftest import rand_conv_net, rand_dense_net, trace_steps
+from conftest import json_paths, rand_conv_net, rand_dense_net, trace_steps
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +124,6 @@ MANIFEST_VALUES = [None, True, 0, -1, 2, 1.5, 1e300, float("inf"), "", "x", ".."
                    [[1]], {}, {"kind": "dense"}]
 
 
-def _json_paths(doc, path=()):
-    """The key path of every value in a JSON document, the root included."""
-    yield path
-    if isinstance(doc, dict):
-        children = doc.items()
-    elif isinstance(doc, list):
-        children = enumerate(doc)
-    else:
-        children = ()
-    for key, child in children:
-        yield from _json_paths(child, path + (key,))
-
-
 def _with_value(doc, path, value):
     if not path:
         return value
@@ -154,7 +141,7 @@ def test_load_model_any_manifest_value_loads_or_raises_format_error(tmp_path):
     save_model(net, tmp_path / "m")
     manifest = tmp_path / "m" / "manifest.json"
     valid = json.loads(manifest.read_text())
-    for path in list(_json_paths(valid)):
+    for path in list(json_paths(valid)):
         for value in MANIFEST_VALUES:
             manifest.write_text(json.dumps(_with_value(valid, path, value)))
             try:
