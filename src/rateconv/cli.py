@@ -355,7 +355,7 @@ def cmd_sweep(args) -> int:
     source = modelio.load_model(args.model)
 
     if args.frames:
-        frames = _load_frames(args.frames).astype(np.float64)
+        frames = _load_frames(args.frames)
     else:
         frames = collect_frames_by_play(source, env, CALIBRATION_FRAMES,
                                         replace(eval_config, episodes=1))

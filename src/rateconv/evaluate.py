@@ -33,7 +33,7 @@ from .lincatch import LineCatchEnv
 from .modelio import EpisodeTrace, ReportRow
 from .network import (NetworkSpec, epsilon_greedy_action, forward, forward_batch,
                       greedy_action, layer_output_shape)
-from .normalize import NormConfig, apply_normalization, collect_stats
+from .normalize import NormConfig, _stats_per_config, apply_normalization, collect_stats
 from .simulate import SimConfig, readout, run_batch
 
 CR_MODES = ("greedy", "executed")
@@ -389,12 +389,15 @@ def sweep_time(source_net: NetworkSpec, env: LineCatchEnv, frames,
 def sweep_percentile(source_net: NetworkSpec, env: LineCatchEnv, frames,
                      norm_configs: list[NormConfig], sim_config: SimConfig,
                      eval_config: EvalConfig) -> list[ReportRow]:
-    """Re-normalize per percentile config, evaluate at a fixed simulation config."""
+    """Re-normalize per percentile config, evaluate at a fixed simulation config.
+
+    Configs that share max_frames share one calibration pass.
+    """
     if not norm_configs:
         raise ValueError("need at least one percentile value")
     rows = []
-    for config in norm_configs:
-        norm_net = apply_normalization(source_net, collect_stats(source_net, frames, config))
+    for config, stats in zip(norm_configs, _stats_per_config(source_net, frames, norm_configs)):
+        norm_net = apply_normalization(source_net, stats)
         report = evaluate(source_net, norm_net, sim_config, eval_config, env=env)
         rows.append(report_row("percentile", config.percentile, report))
     return _finish_rows(rows)

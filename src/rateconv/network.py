@@ -191,12 +191,18 @@ def validate_network(net: NetworkSpec) -> ValidationResult:
     return ValidationResult(not violations, violations)
 
 
-def frame_stack(net: NetworkSpec, frames) -> np.ndarray:
-    """frames as a float64 [batch, *input_shape] array; ValueError if misshapen or not finite."""
-    frames = np.asarray(frames, dtype=np.float64)
+def frame_batch(net: NetworkSpec, frames) -> np.ndarray:
+    """frames as a [batch, *input_shape] array in their own dtype; ValueError if misshapen."""
+    frames = np.asarray(frames)
     if frames.ndim != len(net.input_shape) + 1 or frames.shape[1:] != net.input_shape:
         raise ValueError(f"frames of shape {frames.shape} do not stack over "
                          f"network input {net.input_shape}")
+    return frames
+
+
+def frame_stack(net: NetworkSpec, frames) -> np.ndarray:
+    """frames as a float64 [batch, *input_shape] array; ValueError if misshapen or not finite."""
+    frames = frame_batch(net, frames).astype(np.float64, copy=False)
     if not np.all(np.isfinite(frames)):
         raise ValueError("frames must be finite (found NaN or infinity)")
     return frames

@@ -23,10 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import LayerSpec, NetworkSpec, forward_batch, frame_stack
+from .network import LayerSpec, NetworkSpec, forward_batch, frame_batch, frame_stack
 
 STATS_CHUNK = 1024  # calibration frames per forward_batch call
-_RANK_GUARD = 1e-9  # absorbs binary rounding of decimal percentiles, e.g. 99.9 % of 1000 -> rank 999
 
 
 @dataclass
@@ -58,19 +57,105 @@ class NormStats:
     provenance: str = ""
 
 
+def _rank(p, n: int) -> int:
+    """Nearest rank k = ceil(p/100 * n), clamped to [1, n], from p's exact decimal value.
+
+    Fraction(str(p)) is the decimal p was written as (99.9 is 999/10), so
+    no binary rounding of p or of the product can move k, whatever n.
+    """
+    # imported here: fractions loads decimal (2-3 ms), which commands that
+    # never rank samples should not pay at start-up
+    from fractions import Fraction
+    return min(max(math.ceil(Fraction(str(p)) * n / 100), 1), n)
+
+
 def percentile(samples, p: float) -> float:
     """Nearest-rank percentile: the k-th smallest with k = ceil(p/100 * n).
 
-    p = 100 returns the maximum.  No interpolation.
+    p = 100 returns the maximum.  No interpolation.  This pools every
+    sample; collect_stats streams to the same value.
     """
     arr = np.asarray(samples, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("percentile of an empty sample set")
     if not 0.0 < p <= 100.0:
         raise ValueError(f"percentile p must be in (0, 100], got {p}")
-    k = math.ceil(p * arr.size / 100.0 - _RANK_GUARD)
-    k = min(max(k, 1), arr.size)
+    k = _rank(p, arr.size)
     return float(np.partition(arr, k - 1)[k - 1])
+
+
+def _top_samples(net: NetworkSpec, frames, max_frames: int,
+                 p: float) -> tuple[list[int], list[np.ndarray]]:
+    """Each parameterized layer's sample count n and its n - k + 1 largest
+    samples, k the nearest rank of p, over the first max_frames frames.
+
+    The k-th smallest of n samples is the smallest of the n - k + 1
+    largest, so a running top keeps every rank from k up: one
+    np.partition per STATS_CHUNK frames cuts the kept top plus the
+    chunk's samples back to n - k + 1.  np.partition orders NaN last, as
+    percentile does.  Frames are converted to float64 one chunk at a
+    time, and every frame, also past max_frames, must be finite.
+    """
+    frames = frame_batch(net, frames)
+    if frames.shape[0] < 1:
+        raise ValueError("need at least one calibration frame")
+    used = min(frames.shape[0], max_frames)
+    param_idx = net.parameterized_indices()
+    counts = [0] * len(param_idx)
+    tops = [np.empty(0)] * len(param_idx)
+    for start in range(0, frames.shape[0], STATS_CHUNK):
+        chunk = frame_stack(net, frames[start:start + STATS_CHUNK])
+        if start >= used:
+            continue
+        acts, _ = forward_batch(net, chunk[:used - start])
+        for j, li in enumerate(param_idx):
+            a = acts[li]
+            if net.layers[li].activation != "relu":
+                a = np.maximum(a, 0.0)
+            counts[j] = used * (a.size // a.shape[0])
+            keep = counts[j] - _rank(p, counts[j]) + 1
+            pool = np.concatenate((tops[j], a.ravel()))
+            if pool.size > keep:
+                pool.partition(pool.size - keep)
+                pool = pool[pool.size - keep:].copy()
+            tops[j] = pool
+        acts = a = None  # free this chunk's activations before the next forward pass
+    return counts, tops
+
+
+def _stats_per_config(net: NetworkSpec, frames, configs: list[NormConfig],
+                      provenance: str = "") -> list[NormStats]:
+    """collect_stats for each config, from one calibration pass per distinct max_frames.
+
+    A pass keeps the top samples for the smallest percentile among the
+    configs it serves; every larger percentile's rank lies inside them.
+    """
+    passes = {}
+    for cap in dict.fromkeys(c.max_frames for c in configs):
+        p_min = min(c.percentile for c in configs if c.max_frames == cap)
+        passes[cap] = _top_samples(net, frames, cap, p_min)
+    return [_stats_from_tops(net, *passes[c.max_frames], c, provenance) for c in configs]
+
+
+def _stats_from_tops(net: NetworkSpec, counts: list[int], tops: list[np.ndarray],
+                     config: NormConfig, provenance: str) -> NormStats:
+    """NormStats read from each layer's kept top samples (see _top_samples).
+
+    The top holds ranks n - top.size + 1 .. n, so rank k sits at
+    top.size - (n - k + 1) in np.partition's order.
+    """
+    scales = [1.0]
+    warnings: list[str] = []
+    for li, n, top in zip(net.parameterized_indices(), counts, tops):
+        at = top.size - (n - _rank(config.percentile, n) + 1)
+        value = float(np.partition(top, at)[at])
+        if value <= 0.0:
+            warnings.append(f"layer {li}: no positive activations in calibration set; "
+                            "scale falls back to 1")
+            value = 1.0
+        scales.append(value)
+    return NormStats(scales=scales, sample_counts=[0, *counts], config=config,
+                     warnings=warnings, provenance=provenance)
 
 
 def collect_stats(net: NetworkSpec, frames, config: NormConfig,
@@ -78,39 +163,14 @@ def collect_stats(net: NetworkSpec, frames, config: NormConfig,
     """Scale factors from the percentile of all activation scalars per layer.
 
     Hidden layers sample their post-ReLU values; the final layer (which
-    may carry no ReLU) samples the positive part of its outputs.  A layer
-    whose percentile is not positive falls back to scale 1 with a warning
-    so downstream division stays safe.  Frames must be finite.
+    may carry no ReLU) samples the positive part of its outputs.  Each
+    scale equals percentile() of the layer's pooled samples, bit for bit,
+    but memory stays bounded by one chunk plus the top 1 % of samples
+    (p >= 99).  A layer whose percentile is not positive falls back to
+    scale 1 with a warning so downstream division stays safe.  Frames
+    must be finite.
     """
-    frames = frame_stack(net, frames)
-    if frames.shape[0] < 1:
-        raise ValueError("need at least one calibration frame")
-    frames = frames[:config.max_frames]
-
-    param_idx = net.parameterized_indices()
-    samples: list[list[np.ndarray]] = [[] for _ in param_idx]
-    for start in range(0, frames.shape[0], STATS_CHUNK):
-        acts, _ = forward_batch(net, frames[start:start + STATS_CHUNK])
-        for j, li in enumerate(param_idx):
-            a = acts[li]
-            if net.layers[li].activation != "relu":
-                a = np.maximum(a, 0.0)
-            samples[j].append(a.ravel())
-
-    scales = [1.0]
-    counts = [0]
-    warnings: list[str] = []
-    for j, li in enumerate(param_idx):
-        pooled = np.concatenate(samples[j])
-        counts.append(int(pooled.size))
-        value = percentile(pooled, config.percentile)
-        if value <= 0.0:
-            warnings.append(f"layer {li}: no positive activations in calibration set; "
-                            "scale falls back to 1")
-            value = 1.0
-        scales.append(float(value))
-    return NormStats(scales=scales, sample_counts=counts, config=config,
-                     warnings=warnings, provenance=provenance)
+    return _stats_per_config(net, frames, [config], provenance)[0]
 
 
 def apply_normalization(net: NetworkSpec, stats: NormStats) -> NetworkSpec:

@@ -71,6 +71,25 @@ def test_stats_non_finite_frame_is_data_error_and_writes_no_file(tmp_path, model
     assert not out.exists()
 
 
+_SWEEP_PERCENTILE = ["sweep", "--mode", "percentile", "--values", "99.9,100", "--grid-size", "6"]
+
+
+@pytest.mark.parametrize("command, max_frames", [
+    (["stats"], "2"), (_SWEEP_PERCENTILE, "15000"), (_SWEEP_PERCENTILE, "2")])
+def test_non_finite_calibration_frame_is_data_error_and_writes_no_file(
+        tmp_path, model_dir, capsys, command, max_frames):
+    """Frame 2 is NaN: used at the default cap, past a cap of 2."""
+    frames = np.zeros((4, 1, 6, 6), dtype=np.float32)
+    frames[2, 0, 3, 1] = np.nan
+    path = tmp_path / "nan.bin"
+    write_blob(path, frames)
+    out = tmp_path / "out"
+    assert run_cli(*command, "--model", model_dir, "--frames", path,
+                   "--max-frames", max_frames, "--out", out) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pixel", [1.5, -0.1])
 def test_frames_outside_unit_range_are_data_errors_and_write_no_file(tmp_path, model_dir,
                                                                       pixel, capsys):

@@ -667,6 +667,29 @@ def test_sweep_percentile_rows_carry_exact_values(rng):
     assert all(r.sweep_param == "percentile" for r in rows)
 
 
+def test_sweep_percentile_calibrates_once_with_per_point_rows(monkeypatch, rng):
+    """All points of a percentile sweep share one calibration pass, and its
+    rows equal those of normalizing once per point with collect_stats."""
+    from rateconv import normalize, sweep_percentile
+    from rateconv.evaluate import _finish_rows, report_row
+    net, _, env = _setup_pair(4)
+    frames = rng.random((normalize.STATS_CHUNK + 300, *net.input_shape)).astype(np.float32)
+    configs = [NormConfig(p) for p in (99.0, 99.9, 100.0)]
+    sim_config, eval_config = SimConfig(timesteps=30), EvalConfig(episodes=2, seed=6)
+    want = _finish_rows([
+        report_row("percentile", c.percentile,
+                   evaluate(net, apply_normalization(net, collect_stats(net, frames, c)),
+                            sim_config, eval_config, env=env))
+        for c in configs])
+    calls = []
+    real = normalize.forward_batch
+    monkeypatch.setattr(normalize, "forward_batch",
+                        lambda n, x: calls.append(len(x)) or real(n, x))
+    rows = sweep_percentile(net, env, frames, configs, sim_config, eval_config)
+    assert calls == [normalize.STATS_CHUNK, 300]
+    assert repr(rows) == repr(want)
+
+
 def test_percentile_sensitivity_to_outliers(rng):
     """One huge activation separates max-scaling from 99.9-percentile scaling."""
     from rateconv import NetworkSpec, dense, percentile

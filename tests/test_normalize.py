@@ -1,16 +1,19 @@
 """Percentile scale factors and parameter rescaling."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rateconv import (NetworkSpec, NormConfig, NormStats, apply_normalization,
-                      collect_stats, dense, forward, forward_batch, greedy_action,
-                      load_stats, percentile, save_stats)
+                      collect_stats, conv2d, dense, flatten, forward, forward_batch,
+                      greedy_action, load_stats, percentile, save_stats)
+from rateconv.normalize import STATS_CHUNK, _rank, _stats_per_config
 
-from conftest import rand_net, rand_frames
+from conftest import rand_conv_net, rand_dense_net, rand_net, rand_frames
 
 
 def oracle_percentile(samples, p):
@@ -44,6 +47,18 @@ def test_percentile_monotone_in_p(rng):
     samples = rng.normal(size=257)
     values = [percentile(samples, p) for p in np.linspace(0.5, 100.0, 64)]
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+def test_rank_is_exact_where_float_rank_rounds_up():
+    """99.15 % of 1 358 868 000 is exactly 1 347 317 622; in binary the
+    product lands just above it, past any absolute guard."""
+    n = 1_358_868_000
+    assert Fraction(9915, 10000) * n == 1_347_317_622
+    assert math.ceil(99.15 * n / 100.0 - 1e-9) == 1_347_317_623
+    assert _rank(99.15, n) == 1_347_317_622
+    assert _rank(99.9, 1000) == 999
+    assert _rank(100, n) == n
+    assert _rank(0.001, 10) == 1
 
 
 def test_percentile_rejects_bad_input():
@@ -106,6 +121,111 @@ def test_collect_stats_respects_max_frames(rng):
     assert stats.sample_counts[1] == 10
 
 
+def _pooled_stats(net, frames, config):
+    """Reference: pool every sample of every STATS_CHUNK pass, then percentile()."""
+    frames = np.asarray(frames, dtype=np.float64)[:config.max_frames]
+    param = net.parameterized_indices()
+    pools = [[] for _ in param]
+    for start in range(0, frames.shape[0], STATS_CHUNK):
+        acts, _ = forward_batch(net, frames[start:start + STATS_CHUNK])
+        for j, li in enumerate(param):
+            a = acts[li]
+            if net.layers[li].activation != "relu":
+                a = np.maximum(a, 0.0)
+            pools[j].append(a.ravel())
+    scales, counts, fallbacks = [1.0], [0], 0
+    for pool in pools:
+        pooled = np.concatenate(pool)
+        value = percentile(pooled, config.percentile)
+        fallbacks += value <= 0.0
+        scales.append(1.0 if value <= 0.0 else value)
+        counts.append(pooled.size)
+    return scales, counts, fallbacks
+
+
+def _overflow_net():
+    """Ten width-2 layers of +-3e38: activations reach inf, then inf - inf = NaN."""
+    w = np.array([[3e38, 3e38], [3e38, -3e38]])
+    layers = [dense(w, np.zeros(2)) for _ in range(9)]
+    return NetworkSpec((2,), layers + [dense(w, np.zeros(2), activation="none")])
+
+
+def _property_net(rng, kind, variant):
+    net = {"dense": rand_dense_net, "conv": rand_conv_net,
+           "overflow": lambda _: _overflow_net()}[kind](rng)
+    for layer in net.layers:
+        if not layer.parameterized or kind == "overflow":
+            continue
+        if variant == "zeros":
+            layer.weights[...] = 0.0
+            layer.bias[...] = 0.0
+        elif variant == "ties":  # a coarse grid makes many activations equal
+            layer.weights[...] = np.round(layer.weights * 2.0) / 2.0
+            layer.bias[...] = np.round(layer.bias * 2.0) / 2.0
+    if variant == "negative":
+        net.layers[-1].bias[...] -= 2.0  # most final-layer outputs below 0
+    return net
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["dense", "conv", "overflow"]),
+       variant=st.sampled_from(["plain", "ties", "zeros", "negative"]),
+       n_frames=st.integers(1, 40) | st.sampled_from([STATS_CHUNK, STATS_CHUNK + 1,
+                                                      2 * STATS_CHUNK, 2 * STATS_CHUNK + 37]),
+       cap=st.none() | st.integers(1, 3 * STATS_CHUNK),
+       p=st.sampled_from([99.0, 99.9, 100.0, 99.37]),
+       seed=st.integers(0, 2**16))
+@example(kind="overflow", variant="plain", n_frames=2 * STATS_CHUNK, cap=None, p=99.0, seed=2)
+def test_streaming_stats_equal_pooled_percentile(kind, variant, n_frames, cap, p, seed):
+    """Streaming collect_stats gives percentile() of the pooled samples bit
+    for bit (NaN equal to NaN): with ties, all zeros and negative outputs,
+    with fewer than 100 samples or one part-filled chunk, and with a last
+    chunk full or not."""
+    rng = np.random.default_rng(seed)
+    net = _property_net(rng, kind, variant)
+    frames = rng.random((n_frames, *net.input_shape))
+    if variant == "ties":
+        frames = np.round(frames * 2.0) / 2.0
+    if kind == "overflow":  # only the first seed % 4 frames reach inf and NaN
+        frames[seed % 4:] *= 1e-300
+    config = NormConfig(p, max_frames=cap or n_frames)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = collect_stats(net, frames, config)
+        scales, counts, fallbacks = _pooled_stats(net, frames, config)
+    assert [x.hex() for x in stats.scales] == [float(x).hex() for x in scales]
+    assert stats.sample_counts == counts
+    assert len(stats.warnings) == fallbacks
+
+
+def test_collect_stats_memory_stays_below_pooled_samples():
+    """Streaming holds one chunk and the top 1 %, not every sample: peak
+    traced memory over 8 chunks stays below half the pooled samples' bytes."""
+    rng = np.random.default_rng(3)
+    net = NetworkSpec((1, 12, 12), [
+        conv2d(rng.normal(0.0, 0.3, (6, 1, 3, 3)), rng.normal(0.0, 0.05, 6)), flatten(),
+        dense(rng.normal(0.0, 0.05, (16, 600)), rng.normal(0.0, 0.05, 16)),
+        dense(rng.normal(0.0, 0.25, (4, 16)), np.zeros(4), activation="none")])
+    frames = rng.random((8 * STATS_CHUNK, 1, 12, 12)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        stats = collect_stats(net, frames, NormConfig(99.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pooled_bytes = 8 * sum(stats.sample_counts)
+    assert peak < pooled_bytes / 2, (peak, pooled_bytes)
+
+
+def test_stats_per_config_equal_collect_stats_per_config(rng):
+    """Configs with the same frame cap share a pass; each cap gets its own."""
+    net = rand_conv_net(rng)
+    frames = rand_frames(rng, STATS_CHUNK + 50, net.input_shape)
+    configs = [NormConfig(100.0), NormConfig(99.0, max_frames=70), NormConfig(99.9),
+               NormConfig(99.5, max_frames=70)]
+    got = _stats_per_config(net, frames, configs, provenance="fixture")
+    assert got == [collect_stats(net, frames, c, provenance="fixture") for c in configs]
+
+
 def test_collect_stats_records_provenance(rng):
     net = rand_net(rng)
     frames = rand_frames(rng, 5, net.input_shape)
@@ -120,6 +240,18 @@ def test_collect_stats_rejects_non_finite_frames(bad):
     frames[1, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         collect_stats(net, frames, NormConfig())
+
+
+@pytest.mark.parametrize("n_frames, at, cap", [
+    (3, 2, 1), (3 * STATS_CHUNK, 2 * STATS_CHUNK + 5, 10),
+    (3 * STATS_CHUNK, 2 * STATS_CHUNK + 5, 15000)])
+def test_collect_stats_checks_every_frame_past_cap_and_first_chunk(n_frames, at, cap):
+    """Frames are converted chunk by chunk, yet every one must be finite."""
+    net = NetworkSpec((2,), [dense(np.eye(2), np.zeros(2), activation="none")])
+    frames = np.zeros((n_frames, 2), dtype=np.float32)
+    frames[at, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        collect_stats(net, frames, NormConfig(max_frames=cap))
 
 
 def test_save_stats_writes_only_strict_json(tmp_path):
