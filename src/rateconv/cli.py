@@ -51,9 +51,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_sim_flags(p, default_t=500):
-    p.add_argument("--timesteps", type=int, default=default_t,
-                   help=f"simulation steps per decision (default {default_t})")
+def _add_sim_flags(p):
+    p.add_argument("--timesteps", type=int, default=500,
+                   help="simulation steps per decision (default 500)")
     p.add_argument("--vthr", type=float, default=1.0, help="spike threshold (default 1.0)")
     p.add_argument("--readout", choices=READOUTS, default="robust",
                    help="output readout (default robust)")
@@ -208,10 +208,15 @@ def _finite_or_null(value):
     return value
 
 
-def _write_meta(out_path: str, payload: dict) -> None:
-    """The report's sidecar, strict JSON: a NaN or infinite value is written as null."""
-    Path(str(out_path) + ".meta.json").write_text(
+def _write_json(path, payload: dict) -> None:
+    """payload as strict JSON: a NaN or infinite value is written as null."""
+    Path(path).write_text(
         json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _write_meta(out_path: str, payload: dict) -> None:
+    """The report's sidecar."""
+    _write_json(str(out_path) + ".meta.json", payload)
 
 
 def _unit_frames(path, frames: np.ndarray) -> np.ndarray:
@@ -277,8 +282,7 @@ def cmd_simulate(args) -> int:
     print("readout:", " ".join(format(v, ".9g") for v in values))
     print("action:", greedy_action(values))
     if args.diagnose:
-        payload = diagnostics(result, net, frame=frame)
-        Path(args.diagnose).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(args.diagnose, diagnostics(result, net, frame=frame))
         print(f"wrote diagnostics to {args.diagnose}")
     return 0
 

@@ -32,7 +32,7 @@ import numpy as np
 from .lincatch import LineCatchEnv
 from .modelio import EpisodeTrace, ReportRow
 from .network import (NetworkSpec, epsilon_greedy_action, forward, forward_batch,
-                      greedy_action, layer_output_shape)
+                      greedy_action, layer_output_shape, require_integer)
 from .normalize import NormConfig, _stats_per_config, apply_normalization, collect_stats
 from .simulate import SimConfig, readout, run_batch
 
@@ -64,6 +64,8 @@ class EvalConfig:
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
+        for name in ("max_noop", "episodes", "seed", "frame_budget"):
+            require_integer(name, getattr(self, name))
         if self.max_noop < 0:
             raise ValueError(f"max_noop must be >= 0, got {self.max_noop}")
         if self.episodes < 1:

@@ -9,6 +9,7 @@ every layer, which the normalization and simulation code feed on.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -189,6 +190,12 @@ def validate_network(net: NetworkSpec) -> ValidationResult:
                 shape = None  # downstream shapes unknowable
 
     return ValidationResult(not violations, violations)
+
+
+def require_integer(name: str, value) -> None:
+    """ValueError unless value is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def frame_batch(net: NetworkSpec, frames) -> np.ndarray:

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import LayerSpec, NetworkSpec, forward_batch, frame_batch, frame_stack
+from .network import (LayerSpec, NetworkSpec, forward_batch, frame_batch, frame_stack,
+                      require_integer)
 
 STATS_CHUNK = 1024  # calibration frames per forward_batch call
 
@@ -40,8 +41,7 @@ class NormConfig:
             raise ValueError(f"percentile must be a number, got {self.percentile!r}")
         if not 99.0 <= self.percentile <= 100.0:
             raise ValueError(f"percentile must be in [99.0, 100.0], got {self.percentile}")
-        if isinstance(self.max_frames, bool) or not isinstance(self.max_frames, numbers.Integral):
-            raise ValueError(f"max_frames must be an integer, got {self.max_frames!r}")
+        require_integer("max_frames", self.max_frames)
         if self.max_frames < 1:
             raise ValueError(f"max_frames must be positive, got {self.max_frames}")
 

@@ -38,16 +38,16 @@ at least 1: memory stays bounded whatever T is, and a short run is one
 block, layer after layer.  simulate_current_sequence drives bare
 neurons through the same recurrence.
 
-A layer's currents change only when its input spikes do, so they are
-computed, and copied into the block's current buffer, only then.  If
-every step of a block repeats the previous step's input spikes, the
-layer keeps the currents already in the buffer and makes no affine
-call; if the steps of a block all equal its first, that one step is
-computed for the batch and copied to every step; any other block is
-computed whole.  When every pixel is 0 or v_thr, the input population
-fires the same pixels every step and its potential stays 0, so it
-leaves the loop: its counts are T times its spikes, and the first
-layer's currents are computed once.  Every run starts from rest.
+One rule for a stage's currents: every stage computes each block's
+currents whole, but the first stage under a steady input.  The input
+is steady when every pixel is <= 0 or >= v_thr.  Rounding is monotone,
+so once V >= 0, V + p >= v_thr stays true for a pixel p >= v_thr (and
+the spike leaves V >= 0), while a pixel <= 0 never reaches v_thr: the
+input fires the same pixels at every step, and the first stage's
+currents are computed once per run, for one step of the batch.  When
+every pixel is exactly 0 or v_thr, the input's potential also stays 0,
+so the input population leaves the loop: its counts are T times its
+spikes.  Every run starts from rest.
 
 Diagnostics only on request.  Current sums (added one step after
 another, never pairwise), the output potentials after each step and
@@ -87,7 +87,7 @@ from typing import Optional
 import numpy as np
 
 from .network import (LayerSpec, NetworkSpec, apply_layer_linear, frame_stack,
-                      layer_output_shape, validate_network)
+                      layer_output_shape, require_integer, validate_network)
 
 READOUTS = ("rate", "robust")
 BLOCK_BYTES = 1 << 20  # caps K * batch * (all populations' neurons) * 8 bytes
@@ -100,6 +100,7 @@ class SimConfig:
     readout: str = "robust"
 
     def __post_init__(self):
+        require_integer("timesteps", self.timesteps)
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
         if not 0.0 < self.v_thr < math.inf:
@@ -239,31 +240,6 @@ def _block_currents(stage: _Stage, spikes: np.ndarray) -> np.ndarray:
     return z.reshape(steps, batch, -1).transpose(0, 2, 1)
 
 
-def _stage_currents(stage: _Stage, spikes: np.ndarray, previous: Optional[np.ndarray],
-                    out: np.ndarray, held: bool) -> bool:
-    """Write a stage's input currents for one block into out [K, width,
-    batch]; spikes are its input population's spikes over the block
-    (neuron-major, possibly shorter than K), previous those spikes in
-    the step before the block (None before the first block), and held
-    whether out already holds one step's currents on every step.
-    Returns whether it does afterwards.
-
-    The same 0/1 input gives the same currents bit for bit, so they are
-    computed only where the input changes: a block that repeats the
-    previous step keeps the currents of that step, a block whose steps
-    all equal its first computes that one step, and any other block is
-    computed whole.
-    """
-    if (spikes[1:] == spikes[0]).all():
-        if previous is None or not np.array_equal(spikes[0], previous):
-            out[:] = _block_currents(stage, spikes[:1])
-        elif not held:
-            out[:] = out[-1]
-        return True
-    out[:len(spikes)] = _block_currents(stage, spikes)
-    return False
-
-
 @dataclass
 class SimResult:
     """Read-only summary of one finished run.
@@ -329,20 +305,23 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig, *,
     sums = np.zeros((edges[-1], batch)) if diagnose else None
     trail = np.empty((K, edges[-1] - edges[-2], batch)) \
         if diagnose and config.readout == "robust" else None
-    held = [False] * len(shapes)  # currents[:, rows[j]] hold one step's currents
 
     drive = frames.reshape(batch, -1).T
-    if np.all((drive == 0.0) | (drive == v_thr)):
+    fired0 = drive >= v_thr
+    # A steady input (every pixel <= 0 or >= v_thr) fires the same pixels
+    # at every step, so the first stage's currents are computed once.
+    steady = bool(np.all(fired0 | (drive <= 0.0)))
+    if steady:
+        currents[:, rows[1]] = _block_currents(stages[0], fired0[None])
+    if steady and np.all((drive == 0.0) | (drive == v_thr)):
         # Each step takes the potential from 0 to 0 or v_thr, and a spike
         # back to exactly 0: the input population leaves the loop.
-        fired0 = drive == v_thr
         counts[rows[0]] = T * fired0
         if diagnose:
             total = 0.0
             for _ in range(T):  # summed as a step loop sums it
                 total += v_thr
             sums[rows[0]] = np.where(fired0, total, 0.0)
-        currents[:, rows[1]] = _block_currents(stages[0], fired0[None])
         first = 1
     else:
         currents[:, rows[0]] = drive
@@ -355,13 +334,10 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig, *,
         lo = first + max(0, i - n_blocks + 1)
         hi = min(last_pop, first + i)
         fired, fed = spikes[i % 2], spikes[(i + 1) % 2]
-        for j in range(max(lo, first + 1), hi + 1):
+        for j in range(max(lo, 2 if steady else 1), hi + 1):
             b = i - (j - first)
             steps = short if b == n_blocks - 1 else K
-            # population j-1's spikes of block b-1 are still in fired
-            previous = fired[K - 1, rows[j - 1]] if b else None
-            held[j] = _stage_currents(stages[j - 1], fed[:steps, rows[j - 1]], previous,
-                                      currents[:, rows[j]], held[j])
+            currents[:steps, rows[j]] = _block_currents(stages[j - 1], fed[:steps, rows[j - 1]])
 
         # The lowest population may be in the last, short block: it leaves
         # the slice after its last step.

@@ -238,6 +238,17 @@ def test_simulate_diagnose_residuals_tiny(tmp_path, model_dir, frames_blob):
     assert payload["case_counts"]["impossible"] == 0
 
 
+def test_simulate_diagnose_writes_strict_json(tmp_path, model_dir, frames_blob):
+    """A threshold of 1e-310 is positive and finite, but T * v_thr is
+    subnormal and the readout overflows: the diagnostics file writes the
+    infinities as null, as the sidecars do."""
+    diag = tmp_path / "diag.json"
+    assert run_cli("simulate", "--model", model_dir, "--frame", frames_blob,
+                   "--timesteps", "5", "--vthr", "1e-310", "--diagnose", diag) == 0
+    payload = _strict_json(diag)
+    assert None in payload["readout_vector"]
+
+
 def test_simulate_shape_mismatch_is_data_error(tmp_path, model_dir):
     bad = tmp_path / "bad.bin"
     write_blob(bad, np.zeros((3, 3), dtype=np.float32))

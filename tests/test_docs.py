@@ -4,8 +4,10 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 import rateconv as rc
-from rateconv.cli import main
+from rateconv.cli import COMMANDS, build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -15,13 +17,31 @@ def _fenced(language: str) -> list[str]:
     return re.findall(rf"^```{language}\n(.*?)^```$", README, flags=re.M | re.S)
 
 
+def _commands() -> list[list[str]]:
+    """Every `rateconv ...` command of the README's sh blocks, as argv."""
+    return [shlex.split(command, comments=True)
+            for block in _fenced("sh")
+            for command in block.replace("\\\n", " ").splitlines()
+            if command.startswith("rateconv ")]
+
+
 def _quick_start_play() -> list[str]:
     """The quick start's recording `rateconv play` command, as argv."""
-    for block in _fenced("sh"):
-        for command in block.replace("\\\n", " ").splitlines():
-            if command.startswith("rateconv play") and "--record-trace" in command:
-                return shlex.split(command, comments=True)
+    for argv in _commands():
+        if argv[1] == "play" and "--record-trace" in argv:
+            return argv
     raise AssertionError("README has no recording play command")
+
+
+@pytest.mark.parametrize("argv", _commands(), ids=" ".join)
+def test_readme_commands_parse(argv):
+    """A flag renamed or removed cannot leave the README's commands stale."""
+    build_parser().parse_args(argv[1:])
+
+
+def test_readme_shows_every_command():
+    """The parse test above has something to check: every command is shown."""
+    assert {argv[1] for argv in _commands()} == set(COMMANDS)
 
 
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):

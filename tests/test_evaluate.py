@@ -641,6 +641,16 @@ def test_sweep_single_row_pearson_nan():
     assert len(rows) == 1 and np.isnan(rows[0].pearson_score_cr)
 
 
+@pytest.mark.parametrize("field", ["max_noop", "episodes", "seed", "frame_budget"])
+@pytest.mark.parametrize("value", [True, 2.5, 3.0, "3"])
+def test_eval_config_counts_are_integers(field, value):
+    """A bool or a non-integer count is refused up front, not run (a bool)
+    or left to fail deep inside a play."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        EvalConfig(**{field: value})
+    assert getattr(EvalConfig(**{field: np.int64(3)}), field) == 3
+
+
 def test_sweep_time_rejects_empty_or_bad_values():
     """An empty point list is rejected; a bad point value never reaches a
     sweep, because its config cannot be built."""

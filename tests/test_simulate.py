@@ -331,6 +331,10 @@ def test_run_batch_rejects_misshapen_frames_and_invalid_network(rng):
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(timesteps=0)
+    for timesteps in (True, 2.5, 3.0, "3"):  # a bool or a float would run, then mislabel
+        with pytest.raises(ValueError, match="timesteps must be an integer"):
+            SimConfig(timesteps=timesteps)
+    assert SimConfig(timesteps=np.int64(3)).timesteps == 3
     with pytest.raises(ValueError):
         SimConfig(v_thr=0.0)
     with pytest.raises(ValueError):
@@ -482,13 +486,16 @@ KERNEL_NETS = {
 }
 
 
-# (input drive, v_thr): binary pixels make the input population fire the
-# same neurons every step, so downstream currents are reused; {0, 0.5}
-# pixels at v_thr 1 fire every other step, so nothing is reused; pixels of
-# 1/8 and 0.3 change the input spikes inside blocks and between them.
-DRIVES = [("random", 0.8), ("binary", 1.0), ("binary", 0.8), ("half", 1.0),
+# (input drive, v_thr): binary pixels, and pixels below 0 or above v_thr
+# ("steady"), make the input population fire the same neurons every step,
+# so the first stage's currents are computed once (binary at v_thr 1
+# without stepping the input at all); {0, 0.5} pixels at v_thr 1 fire
+# every other step; pixels of 1/8 and 0.3 change the input spikes inside
+# blocks and between them.
+DRIVES = [("random", 0.8), ("binary", 1.0), ("binary", 0.8), ("steady", 1.0), ("half", 1.0),
           ("changing", 1.0)]
-DRIVE_LEVELS = {"binary": [0.0, 1.0], "half": [0.0, 0.5], "changing": [0.0, 1.0, 0.125, 0.3]}
+DRIVE_LEVELS = {"binary": [0.0, 1.0], "steady": [-0.5, 0.0, 1.0, 1.5], "half": [0.0, 0.5],
+                "changing": [0.0, 1.0, 0.125, 0.3]}
 
 
 def drive_frames(rng, drive, n, shape):
@@ -571,30 +578,40 @@ def test_kernel_bitwise_equals_step_loop(rng, monkeypatch, kind, batch, readout,
         assert np.array_equal(_steps_per_neuron(calls, sum(widths), batch), want)
 
 
-def test_repeated_input_spikes_reuse_currents(rng, monkeypatch):
-    """A stage computes its currents only where its input spikes change."""
+@pytest.mark.parametrize("levels, v_thr, steady", [
+    ([0.0, 1.0], 1.0, True),
+    ([0.0, 1.0], 0.8, True),
+    ([-0.5, 1.5], 1.0, True),
+    ([0.0, 0.5], 1.0, False),
+    ([-0.5, 0.5, 1.5], 1.0, False),
+    ([0.0, 0.8], 1.0, False),
+])
+def test_stage_current_rows(rng, monkeypatch, levels, v_thr, steady):
+    """Rows reaching _block_currents, per stage: T * batch, one block at a
+    time, but for the first stage under a steady input (every pixel <= 0
+    or >= v_thr), which computes one step of the batch once per run."""
     net = rand_dense_net(rng, sizes=[6, 9, 7, 4])
-    first = net.layers[0]
+    layers = [layer for layer in net.layers if layer.parameterized]
     block_currents = simulate._block_currents
-    calls = []
+    rows = [[] for _ in layers]
 
     def counting(stage, spikes):
-        if stage.layer is first:
-            steps, _, batch = spikes.shape
-            calls.append(steps * batch)
+        steps, _, batch = spikes.shape
+        rows[next(j for j, layer in enumerate(layers) if layer is stage.layer)].append(
+            steps * batch)
         return block_currents(stage, spikes)
 
     monkeypatch.setattr(simulate, "_block_currents", counting)
-    # 4 steps per block: 3 rows over 6 + 9 + 7 + 4 neurons
+    # 4 steps per block: 3 rows over 6 + 9 + 7 + 4 neurons; T = 42 is 10
+    # full blocks and a 2-step one
     monkeypatch.setattr(simulate, "BLOCK_BYTES", 8 * 3 * sum(_widths(net)) * 4)
-    binary = rng.choice([0.0, 1.0], (3, 6))
-    # the input fires the same neurons every step: one step of 3 rows, once
-    run_batch(net, binary, SimConfig(timesteps=40))
-    assert calls == [3]
-    # it fires every other step: every 4-step block is computed whole
-    calls.clear()
-    run_batch(net, binary * 0.5, SimConfig(timesteps=40))
-    assert calls == [12] * 10
+    frames = rng.choice(levels, (3, 6))
+    frames[0, :len(levels)] = levels  # every level present
+    config = SimConfig(timesteps=42, v_thr=v_thr)
+    _check_equals_step_loop(run_batch(net, frames, config), step_loop(net, frames, config))
+    whole = [12] * 10 + [6]
+    assert rows[0] == ([3] if steady else whole)
+    assert rows[1:] == [whole] * (len(layers) - 1)
 
 
 @st.composite
