@@ -12,14 +12,17 @@ environment and its own generator, seeded derive_seed(master, i), from
 which it draws its environment seed, its no-op prefix and its
 exploration; each round, the player and the shadow each answer the
 live episodes' observations, one q-vector per live episode in episode
-order.  The spiking agent simulates them as one run_batch; every run
-starts from rest and a row of run_batch is bit for bit the run of that
-frame alone (see rateconv.simulate), so results depend only on the
-seed, never on which episodes share a round.  The analog agent (the
-source playing alone, or shadowing) still makes one forward pass per
-observation: the rows of a batched float64 GEMM can differ in the last
-bit from single-row products, and a hidden ReLU activation carries that
-into a near-tie argmax.
+order.  The spiking agent simulates them as one run; every run starts
+from rest and a row of run_batch is bit for bit the run of that frame
+alone (see rateconv.simulate).  The analog agent (the source playing
+alone, or shadowing) answers them in one forward pass whose products
+are row-exact by construction (network.affine_rows): a stacked matmul
+of single-row products for a dense layer, the per-offset einsum for a
+conv layer.  Each of its rows is bit for bit the one-row forward pass
+of its observation; a plain batched float64 GEMM could round a row
+differently in the last bit, and a hidden ReLU carries that into a
+near-tie argmax.  So results depend only on the seed, never on which
+episodes share a round.
 """
 
 from __future__ import annotations
@@ -31,13 +34,13 @@ import numpy as np
 
 from .lincatch import LineCatchEnv
 from .modelio import EpisodeTrace, ReportRow
-from .network import (NetworkSpec, epsilon_greedy_action, forward, forward_batch,
-                      greedy_action, layer_output_shape, require_integer)
+from .network import (NetworkSpec, affine_rows, explore, forward_batch, frame_batch,
+                      frame_stack, layer_output_shape, require_integer)
 from .normalize import NormConfig, _stats_per_config, apply_normalization, collect_stats
-from .simulate import SimConfig, readout, run_batch
+from .simulate import SimConfig, _build_stages, _checked_stages, _run_stages, readout
 
 CR_MODES = ("greedy", "executed")
-REPLAY_CHUNK = 256  # distinct frames per run_batch call of a replay
+REPLAY_CHUNK = 256  # distinct frames per spiking run of a replay
 _MASK64 = (1 << 64) - 1
 
 
@@ -130,29 +133,46 @@ def _check_q_width(net: NetworkSpec, action_count: int, role: str) -> None:
 
 
 class AnalogAgent:
-    """Values from the analog forward pass, one forward call per observation."""
+    """Values from the analog forward pass of the network.
+
+    qvalues runs all its rows in one pass on float64 parameters made
+    once, every product row-exact (network.affine_rows): each row is
+    bit for bit the one-row forward pass of its observation, so no
+    decision depends on another.
+    """
 
     def __init__(self, net: NetworkSpec):
         self.net = net
+        self.stages = _build_stages(net)
 
-    def qvalues(self, observations) -> list[np.ndarray]:
-        return [forward(self.net, obs).qvalues for obs in observations]
+    def qvalues(self, observations) -> np.ndarray:
+        x = frame_batch(self.net, observations).astype(np.float64, copy=False)
+        for stage in self.stages:
+            x = affine_rows(stage.layer, x.reshape(len(x), *stage.input_shape),
+                            stage.weights64, stage.bias64)
+            if stage.layer.activation == "relu":
+                x = np.maximum(x, 0.0)
+        return x.reshape(len(x), -1)
 
 
 class SpikingAgent:
     """Values from spiking runs of the converted network.
 
-    qvalues simulates the observations from rest in one run_batch; each
-    row reads what a run of its observation alone reads, so no decision
-    depends on another.
+    The network is checked and its stages built once, at construction
+    (ValueError for an invalid network, as run_batch gives).  qvalues
+    simulates the observations from rest in one run; each row reads what
+    run_batch of its observation alone reads, so no decision depends on
+    another.
     """
 
     def __init__(self, net: NetworkSpec, sim_config: SimConfig):
         self.net = net
         self.sim_config = sim_config
+        self.stages = _checked_stages(net)
 
     def qvalues(self, observations) -> np.ndarray:
-        return readout(run_batch(self.net, observations, self.sim_config, diagnose=False))
+        frames = frame_stack(self.net, observations)
+        return readout(_run_stages(self.stages, frames, self.sim_config, diagnose=False))
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +231,11 @@ def _play_lockstep(envs: list[LineCatchEnv], rngs: list[np.random.Generator], ag
 
     Each round, the agent and the shadow, if any, each get one qvalues
     call on the current observations of the live episodes (not done,
-    under the frame budget), in episode order.  Each live episode then
-    draws its epsilon-greedy action from the agent's row and its own
-    rng, notes the shadow's greedy action and steps its own env; an
-    episode that ends leaves the next round.
+    under the frame budget), in episode order, and one argmax over its
+    rows.  Each live episode then takes its greedy action from the
+    agent's row, explores from it with its own rng, notes the shadow's
+    greedy action and steps its own env; an episode that ends leaves
+    the next round.
     """
     episodes = [_start_episode(env, config, rng, shadow is not None)
                 for env, rng in zip(envs, rngs)]
@@ -222,14 +243,17 @@ def _play_lockstep(envs: list[LineCatchEnv], rngs: list[np.random.Generator], ag
     while live:
         observations = [episodes[i].obs for i in live]
         values = agent.qvalues(observations)
-        shadowed = shadow.qvalues(observations) if shadow is not None else [None] * len(live)
-        for i, q, shadow_q in zip(live, values, shadowed):
+        width = np.shape(values)[1]
+        greedy = np.argmax(values, axis=1).tolist()
+        shadowed = (np.argmax(shadow.qvalues(observations), axis=1).tolist()
+                    if shadow is not None else greedy)
+        for i, action, shadow_action in zip(live, greedy, shadowed):
             episode = episodes[i]
             rec = episode.record
-            rec.greedy_actions.append(greedy_action(q))
-            rec.executed_actions.append(epsilon_greedy_action(q, config.epsilon, episode.rng))
+            rec.greedy_actions.append(action)
+            rec.executed_actions.append(explore(action, width, config.epsilon, episode.rng))
             if shadow is not None:
-                rec.shadow_actions.append(greedy_action(shadow_q))
+                rec.shadow_actions.append(shadow_action)
             if keep_frames:
                 rec.frames.append(np.asarray(episode.obs, dtype=np.float32).copy())
             episode.obs, reward, episode.done = episode.env.step(rec.executed_actions[-1])
@@ -319,7 +343,7 @@ def evaluate(source_net: NetworkSpec, snn_net: Optional[NetworkSpec],
     """Scores and conversion rate over eval_config.episodes episodes, in one play.
 
     With snn_net the spiking agent plays and the source shadows its
-    decisions, one spiking run_batch per round over the live episodes.
+    decisions, one spiking run per round over the live episodes.
     With snn_net None the source plays alone and agrees with itself; the
     same eval_config gives it the same environment seeds and no-op
     prefixes.
@@ -407,26 +431,38 @@ def sweep_percentile(source_net: NetworkSpec, env: LineCatchEnv, frames,
 
 def collect_frames_by_play(source_net: NetworkSpec, env: LineCatchEnv, n_frames: int,
                            eval_config: EvalConfig) -> np.ndarray:
-    """Gather calibration frames by letting the source play the environment."""
+    """Gather calibration frames by letting the source play the environment.
+
+    Episode i plays from derive_seed(seed, 0x10000 + i); its frames are
+    taken in episode order until there are n_frames.  Episodes play in
+    lockstep chunks.  No episode yields more than min(frame_budget,
+    episode_len) frames, and the search gives up after 101 empty
+    episodes in a row, so a chunk holds only episodes that playing one
+    episode at a time would also play.
+    """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     _check_q_width(source_net, env.action_count, "source")
     agent = AnalogAgent(source_net)
+    most = max(1, min(eval_config.frame_budget, env.episode_len))
     frames: list[np.ndarray] = []
     episode = 0
     empty_streak = 0
     while len(frames) < n_frames:
-        rec = play_episode(env.clone(), agent, eval_config,
-                           np.random.default_rng(derive_seed(eval_config.seed, 0x10000 + episode)))
-        episode += 1
-        if not rec.frames:
-            # a long no-op prefix can swallow a short episode; give up only
-            # when the environment never yields decisions
-            empty_streak += 1
-            if empty_streak > 100:
-                raise ValueError("environment produced no decision frames "
-                                 "(episode length or frame budget too small)")
-            continue
-        empty_streak = 0
-        frames.extend(rec.frames)
+        count = min(-(-(n_frames - len(frames)) // most), 101 - empty_streak)
+        seeds = [derive_seed(eval_config.seed, 0x10000 + episode + k) for k in range(count)]
+        episode += count
+        for rec in _play_lockstep([env.clone() for _ in seeds],
+                                  [np.random.default_rng(seed) for seed in seeds],
+                                  agent, eval_config):
+            if not rec.frames:
+                # a long no-op prefix can swallow a short episode; give up
+                # only when the environment never yields decisions
+                empty_streak += 1
+                if empty_streak > 100:
+                    raise ValueError("environment produced no decision frames "
+                                     "(episode length or frame budget too small)")
+                continue
+            empty_streak = 0
+            frames.extend(rec.frames)
     return np.stack(frames[:n_frames]).astype(np.float64)

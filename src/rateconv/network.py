@@ -259,6 +259,21 @@ def apply_layer_linear(layer: LayerSpec, x: np.ndarray,
     raise ValueError(f"layer kind {layer.kind!r} has no parameters")
 
 
+def affine_rows(layer: LayerSpec, x: np.ndarray, weights64: np.ndarray,
+                bias64: np.ndarray) -> np.ndarray:
+    """The affine part of a layer on a batch, each row bit for bit what a
+    one-row apply_layer_linear call gives it, whatever else is in the batch.
+
+    A dense layer is one stacked matmul of single-row products, each made
+    as a one-row call makes it (the rows of one batched GEMM may round
+    differently); a conv layer is conv2d_batch, whose per-offset einsum
+    sums every row alone.
+    """
+    if layer.kind == "dense":
+        return np.matmul(x[:, None, :], weights64.T)[:, 0] + bias64
+    return conv2d_batch(x, weights64, bias64, layer.stride, layer.padding)
+
+
 def forward_batch(net: NetworkSpec, inputs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Forward pass over a batch of inputs.
 
@@ -307,6 +322,13 @@ def epsilon_greedy_action(qvalues, epsilon: float, rng: np.random.Generator) -> 
     q = np.asarray(qvalues).ravel()
     if q.size == 0:
         raise ValueError("cannot pick an action from an empty q-value vector")
+    return explore(int(np.argmax(q)), q.size, epsilon, rng)
+
+
+def explore(greedy: int, width: int, epsilon: float, rng: np.random.Generator) -> int:
+    """The greedy action, replaced by a uniform one of width actions with
+    probability epsilon.  rng draws only when epsilon > 0: one random(),
+    then integers(width) if it explores."""
     if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(q.size))
-    return int(np.argmax(q))
+        return int(rng.integers(width))
+    return greedy

@@ -69,10 +69,11 @@ multiple of u, the smallest float32 ulp among the layer's nonzero
 parameters, and when every neuron's sum(|w|) + |b| stays below 2^53 u
 each partial sum is exactly representable in float64: any summation
 order yields the same bits.  Layers that pass this test (_Stage.exact)
-get the gathered GEMM; a layer that fails it is computed one step and
-row at a time, as a step-at-a-time run of that row alone computes it:
-a dense layer as one stacked matmul of single-row products, a conv
-layer as one per-offset einsum call per row.  Either way a row of
+get the gathered GEMM; a layer that fails it goes through
+network.affine_rows, which computes every row of every step as a
+step-at-a-time run of that row alone computes it: a dense layer as one
+stacked matmul of single-row products, a conv layer as the per-offset
+einsum, which sums each row alone.  Either way a row of
 run_batch is bit for bit the run of its frame alone, whatever else
 shares the batch.
 """
@@ -86,7 +87,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import (LayerSpec, NetworkSpec, apply_layer_linear, frame_stack,
+from .network import (LayerSpec, NetworkSpec, affine_rows, apply_layer_linear, frame_stack,
                       layer_output_shape, require_integer, validate_network)
 
 READOUTS = ("rate", "robust")
@@ -111,7 +112,8 @@ class SimConfig:
 
 @dataclass
 class _Stage:
-    """One spiking population fed by a parameterized layer."""
+    """A parameterized layer with float64 copies of its parameters: in a
+    run, the spiking population it feeds."""
 
     layer: LayerSpec
     weights64: np.ndarray
@@ -177,6 +179,14 @@ def _build_stages(net: NetworkSpec) -> list[_Stage]:
     return stages
 
 
+def _checked_stages(net: NetworkSpec) -> list[_Stage]:
+    """The stages of a valid network; ValueError naming its violations otherwise."""
+    check = validate_network(net)
+    if not check.ok:
+        raise ValueError("cannot simulate invalid network: " + "; ".join(check.violations))
+    return _build_stages(net)
+
+
 def _block_length(timesteps: int, batch: int, neurons: int) -> int:
     """K, the steps per block.  BLOCK_BYTES caps K * batch * neurons
     float64 values; ceil(sqrt(10 T)) weighs the per-block work (T / K
@@ -226,17 +236,11 @@ def _block_currents(stage: _Stage, spikes: np.ndarray) -> np.ndarray:
         z = stage.weights64.reshape(len(stage.bias64), -1) @ spikes.astype(np.float64)
         z += stage.bias64[:, None]
         return z.reshape(steps, -1, batch)
+    # Not exact in every order: every row of every step as a
+    # step-at-a-time run of that row alone computes it.
     x = np.ascontiguousarray(spikes.transpose(0, 2, 1), dtype=np.float64)
-    x = x.reshape(steps * batch, *stage.input_shape)
-    if stage.layer.kind == "dense":
-        # Not exact in every order: every row is its own single-row
-        # product, exactly as a step-at-a-time run of that row alone makes
-        # it (the rows of one batched GEMM may round differently).
-        z = np.matmul(x[:, None, :], stage.weights64.T)[:, 0] + stage.bias64
-    else:
-        rows = x.reshape(steps * batch, 1, *x.shape[1:])
-        z = np.concatenate([apply_layer_linear(stage.layer, r, stage.weights64, stage.bias64)
-                            for r in rows])
+    z = affine_rows(stage.layer, x.reshape(steps * batch, *stage.input_shape),
+                    stage.weights64, stage.bias64)
     return z.reshape(steps, batch, -1).transpose(0, 2, 1)
 
 
@@ -274,9 +278,13 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig, *,
     and settle_step are None, everything else is the same to the bit.
     """
     frames = frame_stack(net, frames)
-    check = validate_network(net)
-    if not check.ok:
-        raise ValueError("cannot simulate invalid network: " + "; ".join(check.violations))
+    return _run_stages(_checked_stages(net), frames, config, diagnose)
+
+
+def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
+                diagnose: bool) -> SimResult:
+    """run_batch on the stages of a checked network and a frame_stack of
+    its frames, for a caller that simulates one network many times."""
     batch = frames.shape[0]
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
@@ -284,8 +292,7 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig, *,
     # Population 0 is the input layer, driven by the frames; population j
     # >= 1 is fed by stage j-1 and holds rows edges[j]:edges[j+1] of every
     # buffer.  Every population starts at rest.
-    stages = _build_stages(net)
-    shapes = [net.input_shape] + [s.shape for s in stages]
+    shapes = [frames.shape[1:]] + [s.shape for s in stages]
     edges = [0]
     for shape in shapes:
         edges.append(edges[-1] + math.prod(shape))

@@ -405,6 +405,32 @@ def test_q_width_other_than_the_action_count_is_data_error(tmp_path, command, ca
     assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
 
+@pytest.mark.parametrize("command", ["play", "replay"])
+def test_invalid_spiking_model_is_data_error(tmp_path, command, capsys):
+    """A converted model that breaks a network rule (a hidden layer
+    without ReLU) is refused with exit 2 and no report written."""
+    model = _model(tmp_path / "model", 8, 3, conv=True)
+    bad = tmp_path / "bad"
+    shutil.copytree(model, bad)
+    payload = json.loads((bad / "manifest.json").read_text())
+    payload["layers"][0]["activation"] = "none"
+    (bad / "manifest.json").write_text(json.dumps(payload))
+    trace = tmp_path / "t.trace"
+    frames = (np.arange(4 * 64).reshape(4, 1, 8, 8) % 7 == 0).astype(np.float32)
+    write_trace(EpisodeTrace(3, (1, 8, 8), trace_steps((1, 8, 8), frames, [0, 1, 2, 1], 0.0)),
+                trace)
+    argv = {
+        "play": ["play", "--model", model, "--snn-model", bad, "--episodes", "1",
+                 "--timesteps", "5", "--episode-len", "20"],
+        "replay": ["replay", "--snn-model", bad, "--source", model, "--trace", trace,
+                   "--timesteps", "5"],
+    }[command]
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", out) == 2
+    assert "hidden layers must use relu" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
 def test_huge_conv_stride_is_data_error(tmp_path, frames_blob, capsys):
     """A stride of 2**31 or more is refused when the model loads, even one
     that leaves the output shape as it was."""

@@ -1,13 +1,15 @@
 """Conversion-rate accounting, replay, shadowed play, and sweeps."""
 
 import importlib
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rateconv import (ConversionReport, EpisodeTrace, EvalConfig, LineCatchEnv, NetworkSpec,
                       NormConfig, PlayRecord, SimConfig, apply_normalization,
-                      collect_frames_by_play, collect_stats, conversion_rate, dense,
+                      collect_frames_by_play, collect_stats, conv2d, conversion_rate, dense,
                       derive_seed, epsilon_greedy_action, evaluate, flatten, forward,
                       forward_batch, greedy_action, mean_std, optimal_network, pearson,
                       play_episode, readout, replay_trace, run, run_batch, step_dtype,
@@ -127,17 +129,17 @@ def test_replay_simulates_each_distinct_frame_once(rng, monkeypatch):
     config = SimConfig(timesteps=60)
 
     rows, compared = [], []
-    real_run_batch, real_conversion_rate = module.run_batch, module.conversion_rate
+    real_run, real_conversion_rate = module._run_stages, module.conversion_rate
 
-    def counting_run_batch(net_, frames, *args, **kwargs):
+    def counting_run(stages, frames, *args, **kwargs):
         rows.append(len(frames))
-        return real_run_batch(net_, frames, *args, **kwargs)
+        return real_run(stages, frames, *args, **kwargs)
 
     def recording_conversion_rate(snn_actions, source_actions):
         compared.append((list(snn_actions), list(source_actions)))
         return real_conversion_rate(snn_actions, source_actions)
 
-    monkeypatch.setattr(module, "run_batch", counting_run_batch)
+    monkeypatch.setattr(module, "_run_stages", counting_run)
     monkeypatch.setattr(module, "conversion_rate", recording_conversion_rate)
     monkeypatch.setattr(module, "REPLAY_CHUNK", 5)
     report = replay_trace(trace, norm, config, source_net=net)
@@ -185,17 +187,53 @@ def test_replay_rejects_empty_trace(rng):
 # ---------------------------------------------------------------------------
 # agents
 
-def test_analog_agent_rows_equal_one_row_forward(rng):
-    """Each row of AnalogAgent.qvalues is the one-row forward pass of its
-    observation, bit for bit, whether the rows come as a list or an array."""
-    for net in (rand_dense_net(rng, n_actions=3), rand_conv_net(rng, n_actions=3)):
-        frames = rand_frames(rng, 7, net.input_shape)
-        agent = AnalogAgent(net)
-        want = [forward(net, frame).qvalues for frame in frames]
-        for rows in (frames, list(frames)):
-            got = agent.qvalues(rows)
-            assert len(got) == len(want)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+def test_spiking_agent_checks_and_builds_its_network_once(rng, monkeypatch):
+    """A SpikingAgent validates its network and builds its stages once,
+    however many rounds it answers, and each row still reads what a run of
+    its frame alone reads."""
+    simulate = importlib.import_module("rateconv.simulate")
+    calls = Counter()
+    for name in ("validate_network", "_build_stages"):
+        def counted(net, real=getattr(simulate, name), name=name):
+            calls[name] += 1
+            return real(net)
+        monkeypatch.setattr(simulate, name, counted)
+    config = SimConfig(timesteps=25)
+    for net in (rand_dense_net(rng, sizes=[6, 10, 3]), rand_conv_net(rng, n_actions=3)):
+        norm = normalized(rng, net)
+        frames = rand_frames(rng, 12, net.input_shape)
+        calls.clear()
+        agent = SpikingAgent(norm, config)
+        rounds = [agent.qvalues(frames[start:start + size])
+                  for start, size in ((0, 5), (5, 1), (6, 4), (10, 2), (0, 12))]
+        assert calls == {"validate_network": 1, "_build_stages": 1}
+        want = [readout(run(norm, frame, config)) for frame in frames]
+        assert all(np.array_equal(a, b) for a, b in zip(np.concatenate(rounds), want + want))
+
+    net, snn, env = _setup_pair(12)
+    calls.clear()
+    report = evaluate(net, snn, config, EvalConfig(episodes=4, seed=2), env=env)
+    assert report.decisions > 4 and calls == {"validate_network": 1, "_build_stages": 1}
+
+
+def test_spiking_agent_refuses_an_invalid_network_as_run_batch_does(rng):
+    net = rand_dense_net(rng, sizes=[6, 10, 3])
+    broken = NetworkSpec(net.input_shape, [dense(net.layers[0].weights, net.layers[0].bias,
+                                                 activation="none"), net.layers[1]])
+    config = SimConfig(timesteps=5)
+    with pytest.raises(ValueError, match="invalid network") as want:
+        run_batch(broken, rand_frames(rng, 2, net.input_shape), config)
+    with pytest.raises(ValueError) as got:
+        SpikingAgent(broken, config)
+    assert str(got.value) == str(want.value)
+    env = LineCatchEnv(grid_size=8, episode_len=20)
+    source = NetworkSpec((1, 8, 8), [flatten(), dense(np.zeros((3, 64)), np.zeros(3),
+                                                      activation="none")])
+    broken = NetworkSpec((1, 8, 8), [flatten(), dense(np.zeros((4, 64)), np.zeros(4),
+                                                      activation="none"),
+                                     dense(np.zeros((3, 4)), np.zeros(3), activation="none")])
+    with pytest.raises(ValueError, match="hidden layers must use relu"):
+        evaluate(source, broken, config, EvalConfig(episodes=2), env=env)
 
 
 def test_spiking_agent_takes_a_list_or_an_array(rng):
@@ -209,27 +247,124 @@ def test_spiking_agent_takes_a_list_or_an_array(rng):
         assert np.array_equal(row, readout(run(norm, frame, SimConfig(timesteps=30))))
 
 
-def test_analog_decisions_are_one_row_forward_passes(monkeypatch):
-    """evaluate, play_episode and collect_frames_by_play compute every
-    analog q-vector with its own one-row forward_batch call."""
-    network = importlib.import_module("rateconv.network")
+def _random_analog_net(rng, conv, stride, padding):
+    """ReLU hidden layers and a linear 3-wide output, with weights spread
+    over many binades so that a batched GEMM rounds some rows differently
+    from single-row products; conv first if conv."""
+    def spread(*shape):
+        return rng.normal(0.0, 1.0, shape) * 2.0 ** rng.integers(-20, 1, shape)
+
+    layers = []
+    if conv:
+        c, side = int(rng.integers(1, 3)), int(rng.integers(5, 10))
+        shape = (c, side, side)
+        for _ in range(int(rng.integers(1, 3))):
+            out_ch, k = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            if side + 2 * padding < k:
+                break
+            layers.append(conv2d(spread(out_ch, c, k, k), spread(out_ch),
+                                 stride=(stride, stride), padding=(padding, padding)))
+            c, side = out_ch, (side + 2 * padding - k) // stride + 1
+        layers.append(flatten())
+        width = c * side * side
+    else:
+        width = int(rng.integers(2, 40))
+        shape = (width,)
+    for _ in range(int(rng.integers(0, 3))):
+        hidden = int(rng.integers(2, 40))
+        layers.append(dense(spread(hidden, width), spread(hidden)))
+        width = hidden
+    layers.append(dense(spread(3, width), spread(3), activation="none"))
+    return NetworkSpec(shape, layers)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), conv=st.booleans(), stride=st.integers(1, 2),
+       padding=st.integers(0, 1), batch=st.integers(1, 16), as_list=st.booleans())
+def test_analog_agent_rows_equal_one_row_forward(seed, conv, stride, padding, batch, as_list):
+    """AnalogAgent.qvalues answers a whole batch in one call, and each row
+    is bit for bit the one-row forward pass of its observation, whether
+    the rows come as a list or an array."""
+    rng = np.random.default_rng(seed)
+    net = _random_analog_net(rng, conv, stride, padding)
+    frames = rng.normal(0.0, 1.0, (batch, *net.input_shape))
+    got = AnalogAgent(net).qvalues(list(frames) if as_list else frames)
+    assert got.shape == (batch, 3)
+    for row, frame in zip(got, frames):
+        assert np.array_equal(row, forward(net, frame).qvalues)
+
+
+def _log_analog_plays(monkeypatch):
+    """Per lockstep play: the rows of each AnalogAgent.qvalues call made
+    in it, and the records it returns."""
     module = importlib.import_module("rateconv.evaluate")
-    rows = []
-    real = network.forward_batch
+    plays = []
+    real_play, real_qvalues = module._play_lockstep, AnalogAgent.qvalues
 
-    def spy(net, inputs):
-        rows.append(len(inputs))
-        return real(net, inputs)
+    def qvalues(self, observations):
+        plays[-1]["rows"].append(len(observations))
+        return real_qvalues(self, observations)
 
-    net, snn, env = _setup_pair(10)
-    monkeypatch.setattr(network, "forward_batch", spy)
-    monkeypatch.setattr(module, "forward_batch", spy)
-    config = EvalConfig(episodes=4, seed=3, max_noop=3)
-    evaluate(net, snn, SimConfig(timesteps=20), config, env=env)
-    evaluate(net, None, SimConfig(timesteps=20), config, env=env)
-    play_episode(env.clone(), AnalogAgent(net), config, np.random.default_rng(1))
-    collect_frames_by_play(net, env, 40, config)
-    assert len(rows) > 3 * 40 and set(rows) == {1}
+    def play(*args, **kwargs):
+        plays.append({"rows": []})
+        plays[-1]["records"] = real_play(*args, **kwargs)
+        return plays[-1]["records"]
+
+    monkeypatch.setattr(AnalogAgent, "qvalues", qvalues)
+    monkeypatch.setattr(module, "_play_lockstep", play)
+    return plays
+
+
+def _forward_values(net):
+    """Reference analog values: one forward pass per observation."""
+    return lambda obs: forward(net, obs).qvalues
+
+
+def sequential_frames(net, env, n_frames, config):
+    """Reference calibration: episode after episode, episode i from
+    derive_seed(seed, 0x10000 + i), one forward pass per observation.
+    Returns the frames and the number of episodes played."""
+    frames, episode, empty_streak = [], 0, 0
+    while len(frames) < n_frames:
+        rng = np.random.default_rng(derive_seed(config.seed, 0x10000 + episode))
+        rec = sequential_episode(env.clone(), _forward_values(net), config, rng)
+        episode += 1
+        if not rec.frames:
+            empty_streak += 1
+            if empty_streak > 100:
+                raise ValueError("environment produced no decision frames")
+            continue
+        empty_streak = 0
+        frames.extend(rec.frames)
+    return np.stack(frames[:n_frames]).astype(np.float64), episode
+
+
+def test_analog_agent_answers_each_round_in_one_call(monkeypatch):
+    """evaluate, play_episode and collect_frames_by_play ask the analog
+    agent once per lockstep round, for every live episode's observation,
+    and take the actions and frames of a per-observation forward loop."""
+    net, snn = _random_pair()
+    env = LineCatchEnv(grid_size=8, episode_len=40)
+    config = EvalConfig(episodes=5, seed=3, max_noop=12, frame_budget=30)
+    sim_config = SimConfig(timesteps=20)
+    plays = _log_analog_plays(monkeypatch)
+
+    for player in (snn, None):
+        got = evaluate(net, player, sim_config, config, env, keep_records=True)
+        _assert_same_report(got, sequential_evaluate(net, player, sim_config, config, env)[0])
+    rec = play_episode(env.clone(), AnalogAgent(net), config, np.random.default_rng(1))
+    want = sequential_episode(env.clone(), _forward_values(net), config,
+                              np.random.default_rng(1))
+    _assert_same_records([rec], [want])
+    frames = collect_frames_by_play(net, env, 70, config)
+    assert np.array_equal(frames, sequential_frames(net, env, 70, config)[0])
+
+    assert len(plays) >= 4
+    for play in plays:
+        lengths = [len(rec.greedy_actions) for rec in play["records"]]
+        # round r asks once, for the episodes that make more than r decisions
+        assert play["rows"] == [sum(n > r for n in lengths) for r in range(max(lengths))]
+    assert max(max(play["rows"]) for play in plays) > 1
 
 
 def test_player_and_shadow_answer_each_round_once(monkeypatch):
@@ -566,8 +701,12 @@ def _assert_same_report(got, want):
     for key in ("agreements", "decisions", "scores", "episodes"):
         assert getattr(got, key) == getattr(want, key), key
     assert np.array_equal(got.per_episode_cr, want.per_episode_cr, equal_nan=True)
-    assert len(got.records) == len(want.records)
-    for rec, ref in zip(got.records, want.records):
+    _assert_same_records(got.records, want.records)
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for rec, ref in zip(got, want):
         for key in ("score", "executed_actions", "greedy_actions", "shadow_actions",
                     "rewards", "noop_steps", "env_steps"):
             assert getattr(rec, key) == getattr(ref, key), key
@@ -706,6 +845,53 @@ def test_percentile_sensitivity_to_outliers(rng):
     samples = np.concatenate([rng.uniform(0.0, 0.5, 1999), [50.0]])
     assert percentile(samples, 100.0) == 50.0
     assert percentile(samples, 99.9) < 1.0
+
+
+CALIBRATION_CASES = {
+    # (episode_len, frame_budget, max_noop, n_frames)
+    "budget-above-episode": (21, 18000, 30, 50),
+    # every episode yields exactly 5 frames: one chunk of 4 fills n_frames
+    "chunk-fills-exactly": (21, 5, 0, 20),
+    "budget-cuts-episodes": (21, 7, 3, 40),
+    "one-frame-budget": (21, 1, 2, 9),
+    # no-op prefixes as long as the episode: many empty episodes between
+    "prefixes-swallow-episodes": (4, 18000, 6, 30),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CALIBRATION_CASES))
+def test_lockstep_calibration_equals_episode_by_episode_play(case, monkeypatch):
+    """collect_frames_by_play returns the bytes of playing one episode
+    after another, and plays no episode that loop would not play."""
+    episode_len, frame_budget, max_noop, n_frames = CALIBRATION_CASES[case]
+    net, _ = _random_pair()
+    env = LineCatchEnv(grid_size=8, episode_len=episode_len)
+    config = EvalConfig(seed=11, frame_budget=frame_budget, max_noop=max_noop)
+    want, episodes = sequential_frames(net, env, n_frames, config)
+    plays = _log_analog_plays(monkeypatch)
+    got = collect_frames_by_play(net, env, n_frames, config)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert sum(len(play["records"]) for play in plays) == episodes
+    if case == "chunk-fills-exactly":
+        assert [len(play["records"]) for play in plays] == [4]
+    if case == "prefixes-swallow-episodes":
+        assert any(not rec.frames for play in plays for rec in play["records"])
+
+
+@pytest.mark.parametrize("episode_len,frame_budget", [(0, 18000), (5, 0)])
+def test_calibration_without_decision_frames_is_refused(episode_len, frame_budget,
+                                                        monkeypatch):
+    """An environment that never yields a decision is given up after 101
+    empty episodes in a row, as the episode-by-episode loop gives up."""
+    net, _ = _random_pair()
+    env = LineCatchEnv(grid_size=8, episode_len=episode_len)
+    config = EvalConfig(frame_budget=frame_budget, max_noop=episode_len)
+    with pytest.raises(ValueError, match="no decision frames"):
+        sequential_frames(net, env, 300, config)
+    plays = _log_analog_plays(monkeypatch)
+    with pytest.raises(ValueError, match="no decision frames"):
+        collect_frames_by_play(net, env, 300, config)
+    assert sum(len(play["records"]) for play in plays) == 101
 
 
 def test_collect_frames_by_play(rng):
