@@ -9,9 +9,9 @@ from .network import (ActivationTrace, LayerSpec, NetworkSpec, ValidationResult,
                       conv2d, dense, epsilon_greedy_action, flatten, forward,
                       forward_batch, greedy_action, validate_network)
 from .modelio import (BlobError, EpisodeTrace, FormatError, ManifestError, ReportRow,
-                      TraceError, load_frames, load_model, read_blob, read_report,
-                      read_trace, save_model, step_dtype, write_blob, write_report,
-                      write_trace)
+                      TraceError, TraceReader, load_frames, load_model, read_blob,
+                      read_report, read_trace, save_model, step_dtype, write_blob,
+                      write_report, write_trace)
 from .normalize import (NormConfig, NormStats, apply_normalization, collect_stats,
                         load_stats, percentile, save_stats)
 from .simulate import (SimConfig, SimResult, classify_residual_cases, diagnostics,

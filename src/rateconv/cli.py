@@ -30,7 +30,8 @@ from .evaluate import (CR_MODES, EvalConfig, collect_frames_by_play, evaluate, m
 from .lincatch import LineCatchEnv
 from .modelio import EpisodeTrace, FormatError
 from .network import greedy_action
-from .normalize import NormConfig, apply_normalization, collect_stats, load_stats, save_stats
+from .normalize import (STATS_CHUNK, NormConfig, apply_normalization, collect_stats, load_stats,
+                        save_stats)
 from .simulate import READOUTS, SimConfig, diagnostics, readout, run
 
 DEFAULT_TIME_VALUES = [100, 500]
@@ -219,32 +220,49 @@ def _write_meta(out_path: str, payload: dict) -> None:
     _write_json(str(out_path) + ".meta.json", payload)
 
 
-def _unit_frames(path, frames: np.ndarray) -> np.ndarray:
-    """frames, if every pixel lies in [0, 1]; FormatError naming the file
-    and the first pixel outside.  Normalization assumes an input scale of
+def _unit_frames(path, windows) -> None:
+    """FormatError naming the file and its first pixel outside [0, 1], over
+    windows of frames in order.  Normalization assumes an input scale of
     1, and an input neuron fires at most once per step.  NaN passes here
-    and is rejected as non-finite where the frames are used."""
-    outside = (frames < 0.0) | (frames > 1.0)
-    if outside.any():
-        value = frames.reshape(-1)[np.argmax(outside.reshape(-1))]
-        raise FormatError(f"{path}: pixel value {value} outside [0, 1]")
+    and is rejected as non-finite where the frames are used.  Every
+    window is read before the error is raised, so a trace read window by
+    window reports a fault in its structure anywhere first."""
+    first = None
+    for frames in windows:
+        # NaN fails the min/max test too; only then are masks built
+        if first is None and frames.size and not (frames.min() >= 0.0 and frames.max() <= 1.0):
+            outside = (frames < 0.0) | (frames > 1.0)
+            if outside.any():
+                first = frames.flat[np.argmax(outside)]
+    if first is not None:
+        raise FormatError(f"{path}: pixel value {first} outside [0, 1]")
+
+
+def _load_frames(path):
+    """The frames of a blob as an array, or of a trace as a TraceReader,
+    which the calibration pass reads window by window; every pixel in
+    [0, 1]."""
+    if modelio.read_magic(path) != modelio.TRACE_MAGIC:
+        frames = modelio.load_frames(path)
+        _unit_frames(path, [frames])
+        return frames
+    frames = modelio.TraceReader(path)
+    _unit_frames(path, (records["observation"]
+                        for _, records in frames.windows(STATS_CHUNK)))
     return frames
-
-
-def _load_frames(path) -> np.ndarray:
-    """All frames of a blob or trace, every pixel in [0, 1]."""
-    return _unit_frames(path, modelio.load_frames(path))
 
 
 def _load_frame(path: str, input_shape) -> np.ndarray:
     """One frame from a blob (exact shape or stacked) or a trace (first frame)."""
     p = Path(path)
     if modelio.read_magic(p) == modelio.TRACE_MAGIC:
-        frames = _unit_frames(p, modelio.read_trace(p).observations())
+        frames = modelio.read_trace(p).observations()
+        _unit_frames(p, [frames])
         if frames.shape[0] < 1:
             raise FormatError(f"{p}: trace contains no frames")
         return frames[0].astype(np.float64)
-    arr = _unit_frames(p, modelio.read_blob(p))
+    arr = modelio.read_blob(p)
+    _unit_frames(p, [arr])
     if tuple(arr.shape) != tuple(input_shape) and arr.ndim >= 1 \
             and arr.shape[0] >= 1 and tuple(arr.shape[1:]) == tuple(input_shape):
         arr = arr[0]  # stacked frames: take the first
@@ -292,7 +310,7 @@ def cmd_replay(args) -> int:
     snn_net = modelio.load_model(args.snn_model)
     source = modelio.load_model(args.source) if args.source else None
     trace = modelio.read_trace(args.trace)
-    _unit_frames(args.trace, trace.observations())
+    _unit_frames(args.trace, [trace.observations()])
     report = replay_trace(trace, snn_net, config, source_net=source)
     modelio.write_report([report_row("replay", config.timesteps, report)], args.out)
     _write_meta(args.out, {
@@ -388,7 +406,28 @@ COMMANDS = {
 }
 
 
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed memory for reuse rather than return it.
+
+    A calibration pass allocates and frees about 15 MB of arrays per
+    STATS_CHUNK frames of calibrate-conv's net.  glibc sets its mmap and
+    trim thresholds from the largest block freed so far; with the trace
+    streamed, nothing larger than one chunk's arrays is freed first, so
+    each chunk's arrays went back to the system and faulted back in:
+    0.14 s of system time per 15000 frames.  Fixed thresholds keep them.
+    A C library without mallopt is left as it is.
+    """
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: up to 64 MiB free at its top stays
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

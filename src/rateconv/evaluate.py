@@ -460,8 +460,11 @@ def collect_frames_by_play(source_net: NetworkSpec, env: LineCatchEnv, n_frames:
                 # only when the environment never yields decisions
                 empty_streak += 1
                 if empty_streak > 100:
-                    raise ValueError("environment produced no decision frames "
-                                     "(episode length or frame budget too small)")
+                    raise ValueError(
+                        f"environment produced no decision frames in 101 episodes in a "
+                        f"row: each episode's budget of {eval_config.frame_budget} "
+                        f"environment steps counts its no-op prefix, which runs up to "
+                        f"{eval_config.max_noop} steps (episode length {env.episode_len})")
                 continue
             empty_streak = 0
             frames.extend(rec.frames)

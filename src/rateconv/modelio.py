@@ -16,11 +16,11 @@ Episode trace (``*.trace``)
     magic ``SNNTR001`` (8 bytes), action_count (u32), ndim (u32), dims
     (u32 each), step_count (u32), then per step: one tensor blob holding
     the observation (dims must match the header), action (u32), reward
-    (f64).  The header fixes every step record, so the body is decoded
-    in one pass into a record array (step_dtype behind the blob header);
-    an error names the first step that breaks the layout.  numpy caps a
-    record at 2**31 - 1 bytes, so one observation must be smaller than
-    2 GiB.
+    (f64).  The header fixes every step record, so TraceReader reads
+    the body into a record array (step_dtype behind the blob header) one
+    window of steps at a time; an error names the first step that breaks
+    the layout.  numpy caps a record at 2**31 - 1 bytes, so one
+    observation must be smaller than 2 GiB.
 
 Readers raise FormatError, naming the file and location, for anything
 they cannot load, including dims too large for a numpy array.
@@ -269,13 +269,15 @@ class EpisodeTrace:
         return float(sum(self.steps["reward"].tolist()))
 
 
-def _check_actions(action_count: int, actions: np.ndarray, where: str) -> None:
+def _check_actions(action_count: int, actions: np.ndarray, where: str, start: int = 0) -> None:
+    """TraceError for action_count < 1 or an action out of range; actions
+    are those of steps start, start + 1, ..."""
     if action_count < 1:
         raise TraceError(f"{where}: action_count must be >= 1")
     bad = np.flatnonzero(actions >= action_count)
     if len(bad):
         i = int(bad[0])
-        raise TraceError(f"{where}: step {i} action {actions[i]} out of range "
+        raise TraceError(f"{where}: step {start + i} action {actions[i]} out of range "
                          f"[0, {action_count})")
 
 
@@ -297,58 +299,129 @@ def write_trace(trace: EpisodeTrace, path) -> None:
                   + records.tobytes())
 
 
-def read_trace(path) -> EpisodeTrace:
-    """Read a trace file; a malformed one raises TraceError or BlobError
-    naming the first bad step."""
-    p = Path(path)
-    if not p.is_file():
-        raise TraceError(f"{p}: no such trace file")
-    buf = p.read_bytes()
-    offset = 0
+class TraceReader:
+    """A trace file read one window of step records at a time.
 
-    def take(n, what):
-        nonlocal offset
-        end = offset + n
-        if end > len(buf):
-            raise TraceError(f"{p}: truncated while reading {what}")
-        chunk = buf[offset:end]
-        offset = end
-        return chunk
+    Construction reads and checks the header.  Each windows(rows) pass
+    reads the body through one buffer of `rows` records, so a pass holds
+    one window of the file, whatever its length.  `shape` is that of the
+    trace's observations stacked, [step_count, *observation_shape].
+    """
 
-    if take(8, "magic") != TRACE_MAGIC:
-        raise TraceError(f"{p}: bad magic")
-    action_count = struct.unpack("<I", take(4, "action count"))[0]
-    ndim = struct.unpack("<I", take(4, "ndim"))[0]
-    if ndim > 32:
-        raise TraceError(f"{p}: implausible observation ndim {ndim}")
-    shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "observation shape"))
-    if not _holdable(shape):
-        raise TraceError(f"{p}: observation shape {shape} is too large for an array")
-    step_count = struct.unpack("<I", take(4, "step count"))[0]
+    def __init__(self, path):
+        p = Path(path)
+        if not p.is_file():
+            raise TraceError(f"{p}: no such trace file")
+        with open(p, "rb") as fh:
+            # the longest header: magic, action count, ndim, 32 dims, step count
+            buf = fh.read(8 + 4 * 35)
+            size = fh.seek(0, 2)
+        offset = 0
 
-    head, record = _file_record(shape, p)
-    whole = min(step_count, (len(buf) - offset) // record.itemsize)
-    raw = np.frombuffer(buf, dtype=record, count=whole, offset=offset)
-    bad = np.flatnonzero((raw["head"] != head).any(axis=1))
-    if len(bad) or whole < step_count:
-        # The first step whose record breaks the header's layout: its blob
-        # names the fault, else the body ends inside the step.
-        first = int(bad[0]) if len(bad) else whole
-        obs, end = blob_from_buffer(buf, offset + first * record.itemsize,
-                                    f"{p}: step {first} observation")
-        if obs.shape != shape:
+        def take(n, what):
+            nonlocal offset
+            end = offset + n
+            if end > len(buf):
+                raise TraceError(f"{p}: truncated while reading {what}")
+            chunk = buf[offset:end]
+            offset = end
+            return chunk
+
+        if take(8, "magic") != TRACE_MAGIC:
+            raise TraceError(f"{p}: bad magic")
+        action_count = struct.unpack("<I", take(4, "action count"))[0]
+        ndim = struct.unpack("<I", take(4, "ndim"))[0]
+        if ndim > 32:
+            raise TraceError(f"{p}: implausible observation ndim {ndim}")
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "observation shape"))
+        if not _holdable(shape):
+            raise TraceError(f"{p}: observation shape {shape} is too large for an array")
+        step_count = struct.unpack("<I", take(4, "step count"))[0]
+        self._head, self._record = _file_record(shape, p)
+        self.path = p
+        self.action_count = int(action_count)
+        self.observation_shape = shape
+        self.step_count = step_count
+        self.shape = (step_count, *shape)
+        # complete step records in the file, at most step_count
+        self._whole = min(step_count, (size - offset) // self._record.itemsize)
+        self._header = buf[:offset]
+        self._size = size
+        self._checked = False
+
+    def windows(self, rows: int):
+        """Yield (start, records) for each window of up to `rows` steps in
+        file order, records a view of the file's records (a blob header
+        field "head", then step_dtype's fields) that the next window
+        overwrites.
+
+        The first complete pass raises what a malformed file calls for,
+        in this order: a step that breaks the header's layout, before its
+        window is yielded; then, after the last window, truncation,
+        trailing bytes and the first action out of range.  Each later
+        pass checks the file against the first and raises TraceError if
+        its header, size or any record head changed.
+        """
+        p, head, record = self.path, self._head, self._record
+        with open(p, "rb") as fh:
+            if fh.read(len(self._header)) != self._header or fh.seek(0, 2) != self._size:
+                raise self._changed()
+            fh.seek(len(self._header))
+            buf = np.empty(min(rows, self._whole), record)
+            bad_actions = None  # (start, actions) of the first window with one out of range
+            for start in range(0, self._whole, rows):
+                records = buf[:min(rows, self._whole - start)]
+                if fh.readinto(records.view(np.uint8)) != records.nbytes:
+                    raise self._changed()
+                bad = np.flatnonzero((records["head"] != head).any(axis=1))
+                if len(bad):
+                    if self._checked:
+                        raise self._changed()
+                    self._bad_step(fh, start + int(bad[0]))
+                actions = records["action"]
+                if bad_actions is None and not (actions < self.action_count).all():
+                    bad_actions = start, actions.copy()
+                yield start, records
+            if self._whole < self.step_count:
+                self._bad_step(fh, self._whole)
+            trailing = self._size - len(self._header) - self.step_count * record.itemsize
+            if trailing:
+                raise TraceError(f"{p}: {trailing} trailing bytes after last step")
+            start, actions = bad_actions or (0, buf["action"][:0])
+            _check_actions(self.action_count, actions, str(p), start)
+        self._checked = True
+
+    def _bad_step(self, fh, first: int):
+        """Raise the fault of step `first`, whose record breaks the header's
+        layout: its blob names the fault, else the body ends inside the step."""
+        p = self.path
+        fh.seek(len(self._header) + first * self._record.itemsize)
+        rest = fh.read()
+        obs, end = blob_from_buffer(rest, 0, f"{p}: step {first} observation")
+        if obs.shape != self.observation_shape:
             raise TraceError(f"{p}: step {first} observation shape {obs.shape} "
-                             f"!= header {shape}")
-        what = "action" if len(buf) - end < 4 else "reward"
+                             f"!= header {self.observation_shape}")
+        what = "action" if len(rest) - end < 4 else "reward"
         raise TraceError(f"{p}: truncated while reading step {first} {what}")
-    trailing = len(buf) - offset - step_count * record.itemsize
-    if trailing:
-        raise TraceError(f"{p}: {trailing} trailing bytes after last step")
-    _check_actions(action_count, raw["action"], str(p))
-    steps = np.empty(step_count, step_dtype(shape))
-    for name in steps.dtype.names:
-        steps[name] = raw[name]
-    return EpisodeTrace(action_count=int(action_count), observation_shape=shape, steps=steps)
+
+    def _changed(self) -> TraceError:
+        return TraceError(f"{self.path}: trace changed while it was being read")
+
+
+def read_trace(path) -> EpisodeTrace:
+    """Read a trace file into one array of steps; a malformed one raises
+    TraceError or BlobError naming the first bad step.
+
+    The file is read through TraceReader about 1 MiB at a time, so the
+    steps are the one copy of the trace held.
+    """
+    reader = TraceReader(path)
+    steps = np.empty(reader._whole, step_dtype(reader.observation_shape))
+    rows = max(1, 2**20 // reader._record.itemsize)
+    for start, records in reader.windows(rows):
+        for name in steps.dtype.names:
+            steps[name][start:start + len(records)] = records[name]
+    return EpisodeTrace(reader.action_count, reader.observation_shape, steps)
 
 
 def read_magic(path) -> bytes:
@@ -361,7 +434,9 @@ def read_magic(path) -> bytes:
 
 
 def load_frames(path) -> np.ndarray:
-    """Read a frame set from either a stacked tensor blob or a trace file."""
+    """Read a frame set from either a stacked tensor blob or a trace file,
+    as one array.  TraceReader reads a trace's frames window by window
+    instead."""
     p = Path(path)
     magic = read_magic(p)
     if magic == TRACE_MAGIC:

@@ -198,12 +198,17 @@ def require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_stack(net: NetworkSpec, shape: tuple[int, ...]) -> None:
+    """ValueError unless shape is [batch, *input_shape]."""
+    if len(shape) != len(net.input_shape) + 1 or tuple(shape[1:]) != net.input_shape:
+        raise ValueError(f"frames of shape {tuple(shape)} do not stack over "
+                         f"network input {net.input_shape}")
+
+
 def frame_batch(net: NetworkSpec, frames) -> np.ndarray:
     """frames as a [batch, *input_shape] array in their own dtype; ValueError if misshapen."""
     frames = np.asarray(frames)
-    if frames.ndim != len(net.input_shape) + 1 or frames.shape[1:] != net.input_shape:
-        raise ValueError(f"frames of shape {frames.shape} do not stack over "
-                         f"network input {net.input_shape}")
+    require_stack(net, frames.shape)
     return frames
 
 

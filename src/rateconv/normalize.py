@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import (LayerSpec, NetworkSpec, forward_batch, frame_batch, frame_stack,
-                      require_integer)
+                      require_integer, require_stack)
 
 STATS_CHUNK = 1024  # calibration frames per forward_batch call
 
@@ -84,6 +84,20 @@ def percentile(samples, p: float) -> float:
     return float(np.partition(arr, k - 1)[k - 1])
 
 
+def _windows(net: NetworkSpec, frames):
+    """The frame count of frames and their (start, window) pairs, windows of
+    STATS_CHUNK frames from frame 0.  frames is an array, or a
+    modelio.TraceReader, whose frames are read from the file one window
+    at a time and never held whole."""
+    if hasattr(frames, "windows"):
+        require_stack(net, frames.shape)
+        return frames.shape[0], ((start, records["observation"])
+                                 for start, records in frames.windows(STATS_CHUNK))
+    frames = frame_batch(net, frames)
+    return frames.shape[0], ((start, frames[start:start + STATS_CHUNK])
+                             for start in range(0, frames.shape[0], STATS_CHUNK))
+
+
 def _top_samples(net: NetworkSpec, frames, max_frames: int,
                  p: float) -> tuple[list[int], list[np.ndarray]]:
     """Each parameterized layer's sample count n and its n - k + 1 largest
@@ -96,15 +110,15 @@ def _top_samples(net: NetworkSpec, frames, max_frames: int,
     percentile does.  Frames are converted to float64 one chunk at a
     time, and every frame, also past max_frames, must be finite.
     """
-    frames = frame_batch(net, frames)
-    if frames.shape[0] < 1:
+    n, windows = _windows(net, frames)
+    if n < 1:
         raise ValueError("need at least one calibration frame")
-    used = min(frames.shape[0], max_frames)
+    used = min(n, max_frames)
     param_idx = net.parameterized_indices()
     counts = [0] * len(param_idx)
     tops = [np.empty(0)] * len(param_idx)
-    for start in range(0, frames.shape[0], STATS_CHUNK):
-        chunk = frame_stack(net, frames[start:start + STATS_CHUNK])
+    for start, window in windows:
+        chunk = frame_stack(net, window)
         if start >= used:
             continue
         acts, _ = forward_batch(net, chunk[:used - start])
@@ -166,8 +180,9 @@ def collect_stats(net: NetworkSpec, frames, config: NormConfig,
     may carry no ReLU) samples the positive part of its outputs.  Each
     scale equals percentile() of the layer's pooled samples, bit for bit,
     but memory stays bounded by one chunk plus the top 1 % of samples
-    (p >= 99).  A layer whose percentile is not positive falls back to
-    scale 1 with a warning so downstream division stays safe.  Frames
+    (p >= 99); frames given as a modelio.TraceReader are read one chunk
+    at a time too.  A layer whose percentile is not positive falls back
+    to scale 1 with a warning so downstream division stays safe.  Frames
     must be finite.
     """
     return _stats_per_config(net, frames, [config], provenance)[0]

@@ -106,6 +106,10 @@ class SimConfig:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
         if not 0.0 < self.v_thr < math.inf:
             raise ValueError(f"v_thr must be positive and finite, got {self.v_thr}")
+        # the readout divides by T * v_thr: a subnormal one overflows it
+        if self.timesteps * self.v_thr < np.finfo(np.float64).tiny:
+            raise ValueError(f"timesteps * v_thr must be a normal float, got "
+                             f"{self.timesteps} * {self.v_thr}")
         if self.readout not in READOUTS:
             raise ValueError(f"readout must be one of {READOUTS}, got {self.readout!r}")
 

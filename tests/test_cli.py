@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import rateconv
 from rateconv import (EpisodeTrace, NetworkSpec, conv2d, dense, flatten, load_model,
                       optimal_network, read_blob, read_report, read_trace, save_model,
                       validate_network, write_blob, write_trace)
+from rateconv import cli, normalize
 from rateconv.cli import main
 
 from conftest import json_paths, trace_steps
@@ -119,6 +121,149 @@ def test_frames_outside_unit_range_are_data_errors_and_write_no_file(tmp_path, m
         err = capsys.readouterr().err
         assert str(path) in err and f"pixel value {np.float32(pixel)} outside [0, 1]" in err
         assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# calibration frames streamed from a trace file
+
+_CHUNK = 4  # a small STATS_CHUNK, so a few frames span several windows
+
+
+def _unit_trace(path, frames):
+    shape = frames.shape[1:]
+    actions = [i % 3 for i in range(len(frames))]
+    write_trace(EpisodeTrace(3, shape, trace_steps(shape, frames, actions, 1.0)), path)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK,
+                          2 * _CHUNK + 1, 3 * _CHUNK + 2]),
+       cap=st.sampled_from(["inside", "edge", "end", "past"]), seed=st.integers(0, 3),
+       p=st.sampled_from(["99", "99.9", "100"]))
+def test_stats_on_a_trace_equals_stats_on_its_frames_as_an_array(tmp_path, monkeypatch,
+                                                                 n, cap, seed, p):
+    """stats reads a trace window by window; its stats.json equals, byte
+    for byte, that of the same frames in a blob, which stats holds whole,
+    with max_frames inside a window, at a window's edge, at or past the end."""
+    monkeypatch.setattr(normalize, "STATS_CHUNK", _CHUNK)
+    model = tmp_path / "model"
+    if not model.exists():
+        _conv_model(model)
+    rng = np.random.default_rng(seed)
+    frames = (rng.random((n, 1, 6, 6)) * (rng.random((n, 1, 6, 6)) < 0.5)).astype(np.float32)
+    blob, trace = tmp_path / "f.bin", tmp_path / "f.trace"
+    write_blob(blob, frames)
+    _unit_trace(trace, frames)
+    max_frames = {"inside": min(n, _CHUNK + 2), "edge": max(1, n // _CHUNK * _CHUNK),
+                  "end": n, "past": n + 5}[cap]
+    outputs = []
+    for path in (blob, trace):
+        out = tmp_path / f"{path.suffix[1:]}.json"
+        assert run_cli("stats", "--model", model, "--frames", path, "--percentile", p,
+                       "--max-frames", max_frames, "--provenance", "frames",
+                       "--out", out) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def _faulty_trace(path, faults):
+    """13 frames of 3 windows of _CHUNK: a pixel of 1.5 in frame 0, NaN in
+    frame 1, then the structural faults named, all in the last window."""
+    frames = np.full((13, 1, 6, 6), 0.25, dtype=np.float32)
+    frames[0, 0, 2, 2] = 1.5
+    frames[1, 0, 3, 3] = np.nan
+    _unit_trace(path, frames)
+    data = bytearray(path.read_bytes())
+
+    def put(step, offset, value: bytes):
+        at = 32 + step * (24 + 144 + 12) + offset  # header, then step records
+        data[at:at + len(value)] = value
+
+    if "action" in faults:
+        put(12, 24 + 144, struct.pack("<I", 7))
+    if "head" in faults:
+        put(11, 0, b"XXXXXXXX")
+    if "dims" in faults:
+        put(10, 12, struct.pack("<3I", 1, 6, 5))
+    if "cut" in faults:
+        del data[-5:]
+    if "trailing" in faults:
+        data += b"\0\0"
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({"head", "dims", "cut", "trailing", "action"},
+     "step 10 observation shape (1, 6, 5) != header (1, 6, 6)"),
+    ({"head", "cut", "action"}, "step 11 observation: bad magic b'XXXXXXXX'"),
+    ({"cut", "action"}, "truncated while reading step 12 reward"),
+    ({"trailing", "action"}, "2 trailing bytes after last step"),
+    ({"action"}, "step 12 action 7 out of range [0, 3)"),
+    (set(), "pixel value 1.5 outside [0, 1]"),
+])
+@pytest.mark.parametrize("command", [
+    ["stats", "--max-frames", "2"],
+    ["sweep", "--mode", "percentile", "--values", "99.9,100", "--grid-size", "6"]])
+def test_trace_with_several_faults_reports_the_first_by_kind(tmp_path, model_dir, monkeypatch,
+                                                             capsys, faults, message, command):
+    """A structural fault anywhere in the file wins over a pixel outside
+    [0, 1] in its first window, which wins over a NaN: the layout, then
+    truncation, trailing bytes, actions, pixels, finiteness."""
+    monkeypatch.setattr(normalize, "STATS_CHUNK", _CHUNK)
+    monkeypatch.setattr(cli, "STATS_CHUNK", _CHUNK)
+    path = tmp_path / "t.trace"
+    _faulty_trace(path, faults)
+    out = tmp_path / "out"
+    assert run_cli(*command, "--model", model_dir, "--frames", path, "--out", out) == 2
+    assert capsys.readouterr().err == f"rateconv {command[0]}: {path}: {message}\n"
+    assert not out.exists()
+
+
+def test_trace_with_only_a_nan_frame_reports_it(tmp_path, model_dir, monkeypatch, capsys):
+    monkeypatch.setattr(normalize, "STATS_CHUNK", _CHUNK)
+    frames = np.zeros((13, 1, 6, 6), dtype=np.float32)
+    frames[9, 0, 1, 1] = np.nan  # past the cap of 2, in the third window
+    _unit_trace(tmp_path / "t.trace", frames)
+    assert run_cli("stats", "--model", model_dir, "--frames", tmp_path / "t.trace",
+                   "--max-frames", "2", "--out", tmp_path / "s.json") == 2
+    assert capsys.readouterr().err == ("rateconv stats: frames must be finite "
+                                       "(found NaN or infinity)\n")
+
+
+def _stats_peak(model, path, out) -> int:
+    tracemalloc.start()
+    try:
+        assert run_cli("stats", "--model", model, "--frames", path, "--out", out) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stats_memory_does_not_grow_with_the_trace(tmp_path, model_dir):
+    """stats holds one STATS_CHUNK window of a trace, not the trace: four
+    times the frames leave its traced peak within 10 %."""
+    chunk = normalize.STATS_CHUNK
+    rng = np.random.default_rng(5)
+    peaks = []
+    for n in (2 * chunk, 8 * chunk):
+        path = tmp_path / f"{n}.trace"
+        _unit_trace(path, rng.random((n, 1, 6, 6)).astype(np.float32))
+        peaks.append(_stats_peak(model_dir, path, tmp_path / "s.json"))
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_unit_range_check_builds_no_masks_for_valid_frames(tmp_path):
+    """A valid array is checked by its minimum and maximum alone: no
+    boolean mask the size of the frames is allocated."""
+    frames = np.random.default_rng(2).random((64, 1, 32, 32)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        cli._unit_frames(tmp_path / "f.bin", [frames])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < frames.size // 8, peak
 
 
 def test_stats_missing_model_is_data_error(tmp_path, frames_blob, capsys):
@@ -239,14 +384,16 @@ def test_simulate_diagnose_residuals_tiny(tmp_path, model_dir, frames_blob):
 
 
 def test_simulate_diagnose_writes_strict_json(tmp_path, model_dir, frames_blob):
-    """A threshold of 1e-310 is positive and finite, but T * v_thr is
-    subnormal and the readout overflows: the diagnostics file writes the
-    infinities as null, as the sidecars do."""
+    """The diagnostics file is strict JSON, and the writer it shares with
+    the sidecars writes an infinity or NaN at any depth as null."""
     diag = tmp_path / "diag.json"
     assert run_cli("simulate", "--model", model_dir, "--frame", frames_blob,
-                   "--timesteps", "5", "--vthr", "1e-310", "--diagnose", diag) == 0
-    payload = _strict_json(diag)
-    assert None in payload["readout_vector"]
+                   "--timesteps", "5", "--diagnose", diag) == 0
+    assert _strict_json(diag)["readout_vector"]
+    cli._write_json(diag, {"readout_vector": [1.0, math.inf, -math.inf],
+                           "residuals": {"max": math.nan}, "steps": 5})
+    assert _strict_json(diag) == {"readout_vector": [1.0, None, None],
+                                  "residuals": {"max": None}, "steps": 5}
 
 
 def test_simulate_shape_mismatch_is_data_error(tmp_path, model_dir):
@@ -530,6 +677,7 @@ def test_unknown_flag_is_usage_error(capsys):
     (["sweep", "--mode", "time", "--frame-budget", "0"], "absent"),  # no calibration frames
     (["simulate", "--vthr", "inf"], "model"),
     (["play", "--vthr", "inf"], "model"),
+    (["simulate", "--vthr", "1e-310", "--timesteps", "5"], "model"),  # T * v_thr subnormal
 ])
 def test_bad_flag_value_is_usage_error(tmp_path, model_dir, frames_blob, flags, model):
     out = tmp_path / "out"

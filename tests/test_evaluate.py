@@ -889,7 +889,8 @@ def test_calibration_without_decision_frames_is_refused(episode_len, frame_budge
     with pytest.raises(ValueError, match="no decision frames"):
         sequential_frames(net, env, 300, config)
     plays = _log_analog_plays(monkeypatch)
-    with pytest.raises(ValueError, match="no decision frames"):
+    with pytest.raises(ValueError, match=rf"no decision frames in 101 episodes in a row: "
+                                         rf"each episode's budget of {frame_budget} "):
         collect_frames_by_play(net, env, 300, config)
     assert sum(len(play["records"]) for play in plays) == 101
 

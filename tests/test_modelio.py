@@ -11,9 +11,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rateconv import (BlobError, EpisodeTrace, FormatError, ManifestError, NetworkSpec,
-                      ReportRow, TraceError, dense, conv2d, flatten, load_frames,
-                      load_model, read_blob, read_report, read_trace, save_model,
-                      step_dtype, validate_network, write_blob, write_report, write_trace)
+                      NormConfig, ReportRow, TraceError, TraceReader, collect_stats, dense,
+                      conv2d, flatten, load_frames, load_model, read_blob, read_report,
+                      read_trace, save_model, step_dtype, validate_network, write_blob,
+                      write_report, write_trace)
 
 from conftest import json_paths, rand_conv_net, rand_dense_net, trace_steps
 
@@ -207,6 +208,16 @@ def test_trace_round_trip_keeps_every_field(tmp_path, data, shape, count, action
     assert back.steps.dtype == steps.dtype
     for name in steps.dtype.names:  # bytes, so NaNs compare too
         assert back.steps[name].tobytes() == steps[name].tobytes()
+    rows = data.draw(st.integers(1, 6))
+    reader = TraceReader(path)
+    assert reader.shape == (count, *shape)
+    for _ in range(2):  # a second pass reads the same windows
+        starts = []
+        for start, records in reader.windows(rows):
+            starts.append(start)
+            for name in steps.dtype.names:
+                assert records[name].tobytes() == steps[name][start:start + rows].tobytes()
+        assert starts == list(range(0, count, rows))
 
 
 def test_sliced_steps_write_that_slice_of_the_file(tmp_path, rng):
@@ -312,6 +323,29 @@ def test_trace_errors_name_the_step_that_breaks_the_layout(tmp_path, rng):
     path.write_bytes(raw + b"\0")
     with pytest.raises(TraceError, match="1 trailing bytes"):
         read_trace(path)
+
+
+@pytest.mark.parametrize("change", ["head", "header", "longer", "shorter"])
+def test_trace_changed_between_passes_is_a_trace_error(tmp_path, rng, change):
+    """A pass after the first checks the file against it: a record head,
+    the header or the size that changed is a TraceError, not other frames."""
+    path = tmp_path / "t.trace"
+    write_trace(_trace(rng, 9), path)
+    reader = TraceReader(path)
+    for _ in reader.windows(4):
+        pass
+    raw = path.read_bytes()
+    header, record = 32, 24 + 64 + 12
+    edits = {"head": raw[:header + 5 * record] + b"X" + raw[header + 5 * record + 1:],
+             "header": raw[:8] + struct.pack("<I", 5) + raw[12:],
+             "longer": raw + raw[header:header + record],
+             "shorter": raw[:-record]}
+    path.write_bytes(edits[change])
+    with pytest.raises(TraceError, match="changed while it was being read"):
+        list(reader.windows(4))
+    net = NetworkSpec((1, 4, 4), [flatten(), dense(np.ones((2, 16)), np.zeros(2))])
+    with pytest.raises(TraceError, match="changed"):
+        collect_stats(net, reader, NormConfig())
 
 
 def test_dims_too_large_for_an_array_are_format_errors(tmp_path):

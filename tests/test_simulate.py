@@ -337,6 +337,9 @@ def test_sim_config_validation():
     assert SimConfig(timesteps=np.int64(3)).timesteps == 3
     with pytest.raises(ValueError):
         SimConfig(v_thr=0.0)
+    with pytest.raises(ValueError, match="normal float"):  # the readout divides by T * v_thr
+        SimConfig(timesteps=5, v_thr=1e-310)
+    assert SimConfig(timesteps=1, v_thr=np.finfo(np.float64).tiny).v_thr > 0
     with pytest.raises(ValueError):
         SimConfig(readout="median")
 
