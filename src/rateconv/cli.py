@@ -253,14 +253,17 @@ def _load_frames(path):
 
 
 def _load_frame(path: str, input_shape) -> np.ndarray:
-    """One frame from a blob (exact shape or stacked) or a trace (first frame)."""
+    """One frame from a blob (exact shape or stacked) or a trace (first
+    frame, once _load_frames has checked the trace window by window)."""
     p = Path(path)
     if modelio.read_magic(p) == modelio.TRACE_MAGIC:
-        frames = modelio.read_trace(p).observations()
-        _unit_frames(p, [frames])
-        if frames.shape[0] < 1:
+        reader = _load_frames(p)
+        if reader.shape[0] < 1:
             raise FormatError(f"{p}: trace contains no frames")
-        return frames[0].astype(np.float64)
+        windows = reader.windows(1)
+        _, records = next(windows)
+        windows.close()  # closes the file
+        return records["observation"][0].astype(np.float64)
     arr = modelio.read_blob(p)
     _unit_frames(p, [arr])
     if tuple(arr.shape) != tuple(input_shape) and arr.ndim >= 1 \

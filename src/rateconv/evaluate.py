@@ -22,7 +22,8 @@ conv layer.  Each of its rows is bit for bit the one-row forward pass
 of its observation; a plain batched float64 GEMM could round a row
 differently in the last bit, and a hidden ReLU carries that into a
 near-tie argmax.  So results depend only on the seed, never on which
-episodes share a round.
+episodes share a round, and a replay's source actions never on which
+frames share its trace.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 
 from .lincatch import LineCatchEnv
 from .modelio import EpisodeTrace, ReportRow
-from .network import (NetworkSpec, affine_rows, explore, forward_batch, frame_batch,
-                      frame_stack, layer_output_shape, require_integer)
+from .network import (NetworkSpec, affine_rows, explore, frame_batch, frame_stack,
+                      layer_output_shape, require_integer)
 from .normalize import NormConfig, _stats_per_config, apply_normalization, collect_stats
 from .simulate import SimConfig, _build_stages, _checked_stages, _run_stages, readout
 
@@ -285,7 +286,8 @@ def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfi
     """Feed recorded frames to both networks and compare greedy decisions.
 
     Source actions are recomputed from source_net when given (guards
-    against stale traces) and taken from the trace otherwise.  Nothing
+    against stale traces), each step's the argmax of AnalogAgent.qvalues
+    on its frame alone, and taken from the trace otherwise.  Nothing
     is executed, so exploration plays no role here.  Each distinct frame
     is simulated once, REPLAY_CHUNK frames per SpikingAgent.qvalues call,
     and its action given to every step that shows it: a row of run_batch
@@ -306,8 +308,7 @@ def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfi
     snn_actions = actions[inverse.reshape(-1)].tolist()
 
     if source_net is not None:
-        _, q = forward_batch(source_net, obs)
-        source_actions = [int(a) for a in np.argmax(q, axis=1)]
+        source_actions = np.argmax(AnalogAgent(source_net).qvalues(obs), axis=1).tolist()
     else:
         source_actions = trace.actions()
 

@@ -277,7 +277,9 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig, *,
 
     frames: [batch, *input_shape], finite, each held constant for the
     whole run.  Every run starts from a fresh all-zero state, so a row's
-    result depends on its frame and the config alone.  With diagnose
+    result depends on its frame and the config alone.  ValueError if the
+    robust readout f_last is not finite, whatever the configured readout
+    (a v_thr too small for the output potentials).  With diagnose
     False, current sums and settle tracking are skipped: avg_currents
     and settle_step are None, everything else is the same to the bit.
     """
@@ -392,10 +394,15 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
 
     rates = [c / T for c in per_population(counts)]
     ends = per_population(potentials)
+    rate_last = rates[-1].reshape(batch, -1)
+    with np.errstate(over="ignore"):
+        f_last = rate_last + ends[-1].reshape(batch, -1) / (T * v_thr)
+    if not np.all(np.isfinite(f_last)):
+        # a v_thr far below the output potentials: V / (T * v_thr) overflows
+        raise ValueError(f"the output potentials over timesteps * v_thr = {T} * {v_thr} "
+                         f"overflow the readout")
     residuals = [v / T for v in ends]
     avg_currents = [z / (T * v_thr) for z in per_population(sums)] if diagnose else None
-    rate_last = rates[-1].reshape(batch, -1)
-    f_last = rate_last + ends[-1].reshape(batch, -1) / (T * v_thr)
     return SimResult(timesteps=T, v_thr=v_thr, readout=config.readout,
                      rates=rates, residuals=residuals, avg_currents=avg_currents,
                      rate_last=rate_last, f_last=f_last, settle_step=settle)

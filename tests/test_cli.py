@@ -204,18 +204,22 @@ def _faulty_trace(path, faults):
 ])
 @pytest.mark.parametrize("command", [
     ["stats", "--max-frames", "2"],
-    ["sweep", "--mode", "percentile", "--values", "99.9,100", "--grid-size", "6"]])
+    ["sweep", "--mode", "percentile", "--values", "99.9,100", "--grid-size", "6"],
+    ["simulate", "--timesteps", "5"]])
 def test_trace_with_several_faults_reports_the_first_by_kind(tmp_path, model_dir, monkeypatch,
                                                              capsys, faults, message, command):
     """A structural fault anywhere in the file wins over a pixel outside
     [0, 1] in its first window, which wins over a NaN: the layout, then
-    truncation, trailing bytes, actions, pixels, finiteness."""
+    truncation, trailing bytes, actions, pixels, finiteness.  simulate,
+    which uses frame 0 alone, checks the file as stats does."""
     monkeypatch.setattr(normalize, "STATS_CHUNK", _CHUNK)
     monkeypatch.setattr(cli, "STATS_CHUNK", _CHUNK)
     path = tmp_path / "t.trace"
     _faulty_trace(path, faults)
     out = tmp_path / "out"
-    assert run_cli(*command, "--model", model_dir, "--frames", path, "--out", out) == 2
+    frames, written = ("--frame", "--diagnose") if command[0] == "simulate" \
+        else ("--frames", "--out")
+    assert run_cli(*command, "--model", model_dir, frames, path, written, out) == 2
     assert capsys.readouterr().err == f"rateconv {command[0]}: {path}: {message}\n"
     assert not out.exists()
 
@@ -231,10 +235,11 @@ def test_trace_with_only_a_nan_frame_reports_it(tmp_path, model_dir, monkeypatch
                                        "(found NaN or infinity)\n")
 
 
-def _stats_peak(model, path, out) -> int:
+def _traced_peak(*args) -> int:
+    """The traced memory peak of a successful CLI command."""
     tracemalloc.start()
     try:
-        assert run_cli("stats", "--model", model, "--frames", path, "--out", out) == 0
+        assert run_cli(*args) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -249,7 +254,23 @@ def test_stats_memory_does_not_grow_with_the_trace(tmp_path, model_dir):
     for n in (2 * chunk, 8 * chunk):
         path = tmp_path / f"{n}.trace"
         _unit_trace(path, rng.random((n, 1, 6, 6)).astype(np.float32))
-        peaks.append(_stats_peak(model_dir, path, tmp_path / "s.json"))
+        peaks.append(_traced_peak("stats", "--model", model_dir, "--frames", path,
+                                  "--out", tmp_path / "s.json"))
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_simulate_memory_does_not_grow_with_the_trace(tmp_path, model_dir):
+    """simulate --frame on a trace checks it one STATS_CHUNK window at a
+    time and keeps frame 0: four times the frames leave its traced peak
+    within 10 %."""
+    chunk = cli.STATS_CHUNK
+    rng = np.random.default_rng(6)
+    peaks = []
+    for n in (2 * chunk, 8 * chunk):
+        path = tmp_path / f"{n}.trace"
+        _unit_trace(path, rng.random((n, 1, 6, 6)).astype(np.float32))
+        peaks.append(_traced_peak("simulate", "--model", model_dir, "--frame", path,
+                                  "--timesteps", "5"))
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
@@ -341,15 +362,20 @@ def test_normalize_mistyped_stats_value_is_data_error(tmp_path, model_dir, key, 
     assert not (tmp_path / "norm").exists()
 
 
+def run_cli_process(*args):
+    """The CLI in a fresh interpreter, with numpy's warnings as they print."""
+    env = {**os.environ, "PYTHONPATH": str(Path(rateconv.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from rateconv.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *[str(a) for a in args]],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_normalize_float32_overflow_is_data_error_without_numpy_warning(tmp_path, model_dir):
     stats = tmp_path / "stats.json"
     stats.write_text(json.dumps({**_STATS, "scales": [1.0, 1e-40]}))
-    env = {**os.environ, "PYTHONPATH": str(Path(rateconv.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys; from rateconv.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", "normalize", "--model", str(model_dir),
-         "--stats", str(stats), "--out", str(tmp_path / "norm")],
-        env=env, capture_output=True, text=True, timeout=120)
+    done = run_cli_process("normalize", "--model", model_dir, "--stats", stats,
+                           "--out", tmp_path / "norm")
     assert done.returncode == 2
     assert "do not fit in float32" in done.stderr
     assert "RuntimeWarning" not in done.stderr
@@ -394,6 +420,20 @@ def test_simulate_diagnose_writes_strict_json(tmp_path, model_dir, frames_blob):
                            "residuals": {"max": math.nan}, "steps": 5})
     assert _strict_json(diag) == {"readout_vector": [1.0, None, None],
                                   "residuals": {"max": None}, "steps": 5}
+
+
+def test_simulate_readout_overflow_is_data_error_without_numpy_warning(tmp_path, model_dir):
+    """A normal T * v_thr can still be far below the output potentials:
+    V / (T * v_thr) overflows, and the run is refused, not read as +-inf."""
+    frame = tmp_path / "half.bin"
+    write_blob(frame, np.full((1, 6, 6), 0.5, dtype=np.float32))
+    done = run_cli_process("simulate", "--model", model_dir, "--frame", frame,
+                           "--vthr", "3e-308", "--timesteps", "5",
+                           "--diagnose", tmp_path / "d.json")
+    assert done.returncode == 2
+    assert "overflow the readout" in done.stderr and done.stdout == ""
+    assert "RuntimeWarning" not in done.stderr
+    assert not (tmp_path / "d.json").exists()
 
 
 def test_simulate_shape_mismatch_is_data_error(tmp_path, model_dir):

@@ -118,9 +118,11 @@ def test_replay_unrelated_networks_sit_at_chance(rng):
 
 def test_replay_simulates_each_distinct_frame_once(rng, monkeypatch):
     """A trace that repeats frames gives the report and per-frame actions
-    of simulating every row, from one simulated row per distinct frame."""
+    of simulating every row, from one simulated row per distinct frame.
+    Each step's source action is that of AnalogAgent on its frame alone,
+    so a prefix of the trace gets the prefix of the trace's actions."""
     module = importlib.import_module("rateconv.evaluate")
-    net = rand_dense_net(rng, sizes=[6, 10, 3])
+    net = rand_dense_net(rng, sizes=[16, 32, 3])
     norm = normalized(rng, net)
     base = make_trace(rng, net, 12)
     picks = rng.integers(0, 12, 40)
@@ -146,12 +148,17 @@ def test_replay_simulates_each_distinct_frame_once(rng, monkeypatch):
 
     obs = trace.observations().astype(np.float64)
     every_row = [int(np.argmax(readout(run(norm, frame, config)))) for frame in obs]
-    source = [int(a) for a in np.argmax(forward_batch(net, obs)[1], axis=1)]
+    source = [int(np.argmax(AnalogAgent(net).qvalues(frame[None]))) for frame in obs]
     assert compared == [(every_row, source)]
     assert sum(rows) == len(np.unique(picks)) and max(rows) <= 5
     want = conversion_rate(every_row, source)
     assert (report.agreements, report.decisions) == (want.agreements, want.decisions)
     assert report.episodes == 1 and report.scores == [trace.total_reward()]
+
+    compared.clear()
+    replay_trace(EpisodeTrace(3, net.input_shape, trace.steps[:17]), norm, config,
+                 source_net=net)
+    assert compared == [(every_row[:17], source[:17])]
 
 
 def test_replay_asks_the_spiking_agent_once_per_chunk(rng, monkeypatch):
