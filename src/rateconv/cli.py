@@ -39,6 +39,7 @@ DEFAULT_PERCENTILE_VALUES = [99.9, 99.99]
 SWEEP_EPISODES = 10
 EVAL_EPISODES = 50
 CALIBRATION_FRAMES = 512
+FRAME_WINDOW = 1 << 18  # float32 values per window when simulate checks a blob
 
 
 class UsageError(Exception):
@@ -254,7 +255,8 @@ def _load_frames(path):
 
 def _load_frame(path: str, input_shape) -> np.ndarray:
     """One frame from a blob (exact shape or stacked) or a trace (first
-    frame, once _load_frames has checked the trace window by window)."""
+    frame), once _load_frames' checks pass: the whole file is checked one
+    window at a time, and only what is returned is kept."""
     p = Path(path)
     if modelio.read_magic(p) == modelio.TRACE_MAGIC:
         reader = _load_frames(p)
@@ -264,12 +266,23 @@ def _load_frame(path: str, input_shape) -> np.ndarray:
         _, records = next(windows)
         windows.close()  # closes the file
         return records["observation"][0].astype(np.float64)
-    arr = modelio.read_blob(p)
-    _unit_frames(p, [arr])
-    if tuple(arr.shape) != tuple(input_shape) and arr.ndim >= 1 \
-            and arr.shape[0] >= 1 and tuple(arr.shape[1:]) == tuple(input_shape):
-        arr = arr[0]  # stacked frames: take the first
-    return arr.astype(np.float64)
+    blob = modelio.BlobReader(p)
+    shape, input_shape = blob.shape, tuple(input_shape)
+    if shape != input_shape and len(shape) >= 1 and shape[0] >= 1 \
+            and shape[1:] == input_shape:
+        shape = shape[1:]  # stacked frames: take the first
+    frame = np.empty(math.prod(shape), dtype=np.float32)
+
+    def windows():
+        start = 0
+        for window in blob.windows(FRAME_WINDOW):
+            kept = window[:max(0, len(frame) - start)]
+            frame[start:start + len(kept)] = kept
+            start += len(window)
+            yield window
+
+    _unit_frames(p, windows())
+    return frame.reshape(shape).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

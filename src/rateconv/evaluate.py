@@ -38,7 +38,8 @@ from .modelio import EpisodeTrace, ReportRow
 from .network import (NetworkSpec, affine_rows, explore, frame_batch, frame_stack,
                       layer_output_shape, require_integer)
 from .normalize import NormConfig, _stats_per_config, apply_normalization, collect_stats
-from .simulate import SimConfig, _build_stages, _checked_stages, _run_stages, readout
+from .simulate import (SimConfig, _build_stages, _checked_stages, _run_stages, distinct_rows,
+                       readout)
 
 CR_MODES = ("greedy", "executed")
 REPLAY_CHUNK = 256  # distinct frames per spiking run of a replay
@@ -300,12 +301,13 @@ def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfi
         raise ValueError("cannot replay an empty trace")
     obs = trace.observations().astype(np.float64)
 
-    distinct, inverse = np.unique(obs, axis=0, return_inverse=True)
+    first, inverse = distinct_rows(obs.reshape(len(obs), -1))
+    distinct = obs[first]
     agent = SpikingAgent(snn_net, sim_config)
     actions = np.concatenate([np.argmax(agent.qvalues(distinct[start:start + REPLAY_CHUNK]),
                                         axis=1)
                               for start in range(0, len(distinct), REPLAY_CHUNK)])
-    snn_actions = actions[inverse.reshape(-1)].tolist()
+    snn_actions = actions[inverse].tolist()
 
     if source_net is not None:
         source_actions = np.argmax(AnalogAgent(source_net).qvalues(obs), axis=1).tolist()

@@ -32,6 +32,7 @@ parse of the written file recovers values to within 1e-9 relative.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,8 +89,8 @@ def _holdable(dims) -> bool:
     return nbytes <= np.iinfo(np.intp).max
 
 
-def blob_from_buffer(buf: bytes, offset: int, where: str) -> tuple[np.ndarray, int]:
-    """Parse one blob starting at `offset`; returns (array, next offset)."""
+def _blob_dims(buf: bytes, offset: int, where: str) -> tuple[tuple[int, ...], int]:
+    """Parse a blob's header starting at `offset`; returns (dims, data offset)."""
     def take(n, what):
         end = offset + n
         if end > len(buf):
@@ -107,12 +108,17 @@ def blob_from_buffer(buf: bytes, offset: int, where: str) -> tuple[np.ndarray, i
     dims = struct.unpack(f"<{ndim}I", chunk)
     if not _holdable(dims):
         raise BlobError(f"{where}: dims {dims} are too large for an array")
-    count = 1
-    for d in dims:
-        count *= d
-    chunk, offset = take(4 * count, "data")
-    data = np.frombuffer(chunk, dtype="<f4").reshape(dims)
-    return data.astype(np.float32), offset
+    return dims, offset
+
+
+def blob_from_buffer(buf: bytes, offset: int, where: str) -> tuple[np.ndarray, int]:
+    """Parse one blob starting at `offset`; returns (array, next offset)."""
+    dims, offset = _blob_dims(buf, offset, where)
+    end = offset + 4 * math.prod(dims)
+    if end > len(buf):
+        raise BlobError(f"{where}: truncated while reading data")
+    data = np.frombuffer(buf[offset:end], dtype="<f4").reshape(dims)
+    return data.astype(np.float32), end
 
 
 def write_blob(path, array: np.ndarray) -> None:
@@ -128,6 +134,44 @@ def read_blob(path) -> np.ndarray:
     if end != len(buf):
         raise BlobError(f"{p}: {len(buf) - end} trailing bytes after tensor data")
     return arr
+
+
+class BlobReader:
+    """A blob file read one window of values at a time.
+
+    Construction reads the header and the file's size and raises what
+    read_blob raises, in read_blob's order.  Each windows(values) pass
+    reads the data in row-major order through one buffer of `values`
+    float32 values, so a pass holds one window of the file.
+    """
+
+    def __init__(self, path):
+        p = Path(path)
+        if not p.is_file():
+            raise BlobError(f"{p}: no such blob file")
+        with open(p, "rb") as fh:
+            head = fh.read(8 + 4 + 4 * 32)  # the longest header: magic, ndim, 32 dims
+            size = fh.seek(0, 2)
+        self.shape, self._offset = _blob_dims(head, 0, str(p))
+        self.size = math.prod(self.shape)
+        end = self._offset + 4 * self.size
+        if end > size:
+            raise BlobError(f"{p}: truncated while reading data")
+        if end < size:
+            raise BlobError(f"{p}: {size - end} trailing bytes after tensor data")
+        self.path = p
+
+    def windows(self, values: int):
+        """Yield each window of up to `values` values in file order, a
+        view that the next window overwrites."""
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset)
+            buf = np.empty(min(values, self.size), "<f4")
+            for start in range(0, self.size, values):
+                window = buf[:min(values, self.size - start)]
+                if fh.readinto(window.view(np.uint8)) != window.nbytes:
+                    raise BlobError(f"{self.path}: blob changed while it was being read")
+                yield window
 
 
 # ---------------------------------------------------------------------------

@@ -228,8 +228,9 @@ def conv2d_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     accumulates one kernel offset at a time, which keeps summation order
     fixed and results bit-reproducible.  This is the one conv kernel.
     The simulator's exact stages instead gather their columns from the
-    neuron-major spike buffer into one GEMM, which gives these bits
-    because every partial sum of 0/1 inputs is exact there (see
+    spike buffer into one GEMM per block, over every row or over one
+    unit per distinct receptive field, which gives these bits because
+    every partial sum of 0/1 inputs is exact there (see
     rateconv.simulate).
     """
     out_ch, in_ch, kh, kw = weights.shape

@@ -25,18 +25,40 @@ spikes over those same steps, so run_batch, the one network loop, runs
 every population in one recurrence, pipelined one block apart:
 population j runs block b at iteration b + j, on the currents of the
 spikes population j-1 produced for block b in the iteration before.
-All state lives in buffers allocated once per run and laid out
-neuron-major, [sum of widths, batch], populations in order, so the
-populations active in an iteration (a contiguous run of them, short
-only while the pipeline fills and drains) are one slice, and each step
-is three ufunc calls on it (_integrate): add the currents, compare with
-v_thr, subtract v_thr where a spike fired.  The last block may be
-short; only the lowest active population can be in it, and it leaves
-the slice after its last step.  K, the steps per block, is
-min(BLOCK_BYTES // (8 * batch * sum of widths), ceil(sqrt(10 T)), T),
-at least 1: memory stays bounded whatever T is, and a short run is one
-block, layer after layer.  simulate_current_sequence drives bare
-neurons through the same recurrence.
+All state lives in buffers allocated once per run, each step one flat
+row of every population's elements in order, so the populations active
+in an iteration (a contiguous run of them, short only while the
+pipeline fills and drains) are one slice, and each step is three ufunc
+calls on it (_integrate): add the currents, compare with v_thr,
+subtract v_thr where a spike fired.  The last block may be short; only
+the lowest active population can be in it, and it leaves the slice
+after its last step.  K, the steps per block, is min(BLOCK_BYTES // (8
+E), ceil(sqrt(10 T)), T), at least 1, where E is the larger of the
+state per step (every population's elements) and the columns one stage
+gathers per step (fan-in times its elements over its channels): memory
+stays bounded whatever T is, and a short run is one block, layer after
+layer.  simulate_current_sequence drives bare neurons through the same
+recurrence.
+
+Each distinct receptive field once.  Conv weights are shared across
+positions, every run starts from rest, and an exact stage (below)
+gives the same bits in any summation order, so in the leading run of
+exact conv stages a neuron's whole spike train depends only on its
+channel and on what its receptive field holds.  Those populations are
+kept as [channels, units], one unit per distinct field: the input's
+units are the distinct pixel vectors of one position, and a conv
+population's units the distinct windows of unit ids of the population
+below, padding one more id that reads a zero row (distinct_rows finds
+them from integer codes).  A unit stage's currents are W @ columns + b,
+one GEMM per block, its columns gathered from the units below by one
+index per run.  The units never include the output stage and end
+before the first dense or inexact stage, which reads the last unit
+population per row through one gather; from there on a population is
+[width, batch], one column per row, as is every population of a net
+whose first stage is no exact conv.  They also end at the first conv
+population with more units than half its (frame, position) pairs:
+gathering one unit at a time costs more there than the repeats save.
+The results give a unit's values to every position that holds it.
 
 One rule for a stage's currents: every stage computes each block's
 currents whole, but the first stage under a steady input.  The input
@@ -59,17 +81,21 @@ Why the spikes stay bit-identical.  Each neuron sees the same float64
 operations in the same order as a step-at-a-time loop: add the
 current, compare inclusively with v_thr, subtract v_thr on a spike.
 What changes is how a layer's currents are computed: straight from the
-neuron-major spike buffer, one GEMM per step over the whole batch, a
-dense layer as W @ spikes + b and a conv layer as W @ columns + b, its
-columns gathered from the spikes by one index per stage (padding reads
+spike buffer, a dense layer as W @ spikes + b, one GEMM per step over
+the whole batch, and a conv layer as W @ columns + b, one GEMM per
+block, its columns gathered from the spikes by one index (padding reads
 a zero row), where network.py's one conv kernel sums per-offset
 einsums.  Its inputs are 0/1 spikes, so every current is a sum of a
 subset of the float32 weights plus the bias.  Each of those is a whole
 multiple of u, the smallest float32 ulp among the layer's nonzero
 parameters, and when every neuron's sum(|w|) + |b| stays below 2^53 u
 each partial sum is exactly representable in float64: any summation
-order yields the same bits.  Layers that pass this test (_Stage.exact)
-get the gathered GEMM; a layer that fails it goes through
+order yields the same bits.  So two neurons of one channel whose
+receptive fields hold the same pixels get the same currents at the
+first step, hence the same spikes, and by induction over steps and
+layers the same spike train: a unit stands for every one of them
+bit for bit.  Layers that pass this test (_Stage.exact) get the
+gathered GEMM; a layer that fails it goes through
 network.affine_rows, which computes every row of every step as a
 step-at-a-time run of that row alone computes it: a dense layer as one
 stacked matmul of single-row products, a conv layer as the per-offset
@@ -146,22 +172,63 @@ class _Stage:
         return bool(np.all((w / ulp).sum(axis=1) + b / ulp < 2.0 ** 53))
 
     @cached_property
-    def gather(self) -> Optional[np.ndarray]:
-        """A conv layer's columns as input neurons, [in_ch * kh * kw,
-        out_h * out_w]: the neuron each kernel offset of each output
-        position reads, or the input width (a zero row past the last
-        neuron) where it reads padding.  None for a dense layer."""
-        if self.layer.kind != "conv2d":
-            return None
-        c, h, w = self.input_shape
+    def window(self) -> np.ndarray:
+        """A conv layer's receptive fields, [kh * kw, out_h * out_w]: the
+        input position (y * w + x) each kernel offset of each output
+        position reads, or h * w where it reads padding."""
+        _, h, w = self.input_shape
         _, oh, ow = self.shape
         _, _, kh, kw = self.weights64.shape
         (sh, sw), (ph, pw) = self.layer.stride, self.layer.padding
         y = (np.arange(kh)[:, None] + sh * np.arange(oh) - ph)[:, None, :, None]
         x = (np.arange(kw)[:, None] + sw * np.arange(ow) - pw)[None, :, None, :]
         inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)  # [kh, kw, oh, ow]
-        at = np.arange(c)[:, None, None, None, None] * (h * w) + y * w + x
-        return np.where(inside, at, c * h * w).reshape(c * kh * kw, oh * ow)
+        return np.where(inside, y * w + x, h * w).reshape(kh * kw, oh * ow)
+
+    @cached_property
+    def gather(self) -> Optional[np.ndarray]:
+        """A conv layer's columns as input neurons, [in_ch * kh * kw,
+        out_h * out_w] (_channel_index of its window), or None for a
+        dense layer."""
+        if self.layer.kind != "conv2d":
+            return None
+        c, h, w = self.input_shape
+        return _channel_index(self.window, c, h * w)
+
+
+def _channel_index(window: np.ndarray, channels: int, n: int) -> np.ndarray:
+    """Columns over channels * n neurons, channel-major, from a window
+    [offsets, columns] of positions in [0, n], n being padding: [channels
+    * offsets, columns], each entry c * n + position, or channels * n (a
+    zero row past the last neuron) where it reads padding."""
+    at = np.arange(channels)[:, None, None] * n + window
+    return np.where(window == n, channels * n, at).reshape(-1, window.shape[1])
+
+
+def distinct_rows(rows: np.ndarray, radix: Optional[int] = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of rows, [n, d]: (first, ids), where first[u] is
+    the first row equal to the u-th distinct row and ids[i] is the
+    distinct row that row i equals.
+
+    rows hold integers in [0, radix), or, with radix None, any numbers,
+    which are first replaced by their rank among the distinct values
+    (so -0.0 equals 0.0).  Each row is read as one mixed-radix integer,
+    digit after digit; when the next digit would overflow int64 the codes
+    so far are ranked (np.unique), which keeps them below n.
+    """
+    if radix is None:
+        values = np.unique(rows)
+        rows, radix = np.searchsorted(values, rows), len(values)
+    codes, span = np.zeros(len(rows), dtype=np.int64), 1
+    for k in range(rows.shape[1]):
+        if span * radix > 2 ** 63:
+            codes = np.unique(codes, return_inverse=True)[1].reshape(-1)
+            span = int(codes.max()) + 1
+        codes = codes * radix + rows[:, k]
+        span *= radix
+    _, first, ids = np.unique(codes, return_index=True, return_inverse=True)
+    return first, ids.reshape(-1)
 
 
 def _build_stages(net: NetworkSpec) -> list[_Stage]:
@@ -191,13 +258,58 @@ def _checked_stages(net: NetworkSpec) -> list[_Stage]:
     return _build_stages(net)
 
 
-def _block_length(timesteps: int, batch: int, neurons: int) -> int:
-    """K, the steps per block.  BLOCK_BYTES caps K * batch * neurons
-    float64 values; ceil(sqrt(10 T)) weighs the per-block work (T / K
-    blocks) against the pipeline's partly filled ends (about K steps per
-    population); a block never exceeds the run."""
-    return max(1, min(BLOCK_BYTES // (8 * batch * neurons), math.isqrt(10 * timesteps - 1) + 1,
+def _block_length(timesteps: int, elements: int) -> int:
+    """K, the steps per block.  BLOCK_BYTES caps K * elements float64
+    values, elements being the larger of a run's state per step and a
+    stage's gathered columns per step; ceil(sqrt(10 T)) weighs the
+    per-block work (T / K blocks) against the pipeline's partly filled
+    ends (about K steps per population); a block never exceeds the run."""
+    return max(1, min(BLOCK_BYTES // (8 * elements), math.isqrt(10 * timesteps - 1) + 1,
                       timesteps))
+
+
+@dataclass
+class _Units:
+    """A population kept per unit: one column per distinct receptive field."""
+
+    ids: np.ndarray  # [batch, positions]: the unit of each position of each frame
+    count: int
+    index: Optional[np.ndarray]  # the stage's columns over the units below; None for the input
+
+
+def _unit_maps(stages: list[_Stage], frames: np.ndarray
+               ) -> tuple[list[_Units], Optional[np.ndarray]]:
+    """The populations kept per unit, and the input's drive per unit [c, units].
+
+    An input unit is a distinct pixel vector of one position; a conv unit
+    is a distinct window of unit ids of the population below, padding
+    read as one more id.  Units run from the input through the leading
+    exact conv stages, never the output stage, and stop at the first
+    conv population whose units exceed half its (frame, position) pairs:
+    there, gathering columns one unit at a time costs more than the
+    repeats save.  None (and no drive) unless stage 0's population is
+    kept.
+    """
+    lead = stages[:-1]
+    if not lead or lead[0].layer.kind != "conv2d" or not lead[0].exact:
+        return [], None
+    batch, c = frames.shape[:2]
+    pixels = frames.transpose(0, 2, 3, 1).reshape(-1, c)
+    first, ids = distinct_rows(pixels)
+    maps = [_Units(ids.reshape(batch, -1), len(first), None)]
+    drive = pixels[first].T
+    for stage in lead:
+        if stage.layer.kind != "conv2d" or not stage.exact:
+            break
+        below = maps[-1]
+        padded = np.concatenate([below.ids, np.full((batch, 1), below.count)], axis=1)
+        window = padded[:, stage.window].transpose(0, 2, 1).reshape(-1, len(stage.window))
+        first, ids = distinct_rows(window, below.count + 1)
+        if 2 * len(first) > len(ids):
+            break
+        maps.append(_Units(ids.reshape(batch, -1), len(first),
+                           _channel_index(window[first].T, stage.input_shape[0], below.count)))
+    return (maps, drive) if len(maps) > 1 else ([], None)
 
 
 # ---------------------------------------------------------------------------
@@ -227,25 +339,34 @@ def _integrate(potentials: np.ndarray, currents: np.ndarray, v_thr: float,
             trail[k] = tail
 
 
-def _block_currents(stage: _Stage, spikes: np.ndarray) -> np.ndarray:
-    """Input currents [K, width, batch] of a stage from the previous
-    population's spikes [K, width, batch] (bool), both neuron-major."""
-    steps, _, batch = spikes.shape
+def _block_currents(stage: _Stage, spikes: np.ndarray,
+                    index: Optional[np.ndarray]) -> np.ndarray:
+    """Input currents [K, neurons, columns] of a stage from the previous
+    population's spikes [K, width, columns] (bool), both neuron-major.
+    A conv stage reads its columns through index, [fan-in, positions]
+    over the width, where the width itself is a zero row (padding)."""
+    steps, width, cols = spikes.shape
     if stage.exact:
-        # Exact in any order: one GEMM per step straight on the
-        # neuron-major spikes, from which a conv layer gathers its columns.
-        if stage.gather is not None:
-            spikes = np.concatenate([spikes, np.zeros((steps, 1, batch), dtype=bool)], axis=1)
-            spikes = spikes[:, stage.gather].reshape(steps, len(stage.gather), -1)
-        z = stage.weights64.reshape(len(stage.bias64), -1) @ spikes.astype(np.float64)
+        # Exact in any order: straight on the neuron-major spikes.
+        w = stage.weights64.reshape(len(stage.bias64), -1)
+        if index is None:
+            z = w @ spikes.astype(np.float64)
+            z += stage.bias64[:, None]
+            return z
+        # One GEMM for the block, on columns gathered [fan-in, positions,
+        # steps, columns].
+        padded = np.zeros((width + 1, steps, cols), dtype=bool)
+        padded[:width] = spikes.transpose(1, 0, 2)
+        z = w @ padded[index].reshape(len(index), -1).astype(np.float64)
         z += stage.bias64[:, None]
-        return z.reshape(steps, -1, batch)
+        return z.reshape(len(w), index.shape[1], steps, cols).transpose(2, 0, 1, 3).reshape(
+            steps, -1, cols)
     # Not exact in every order: every row of every step as a
     # step-at-a-time run of that row alone computes it.
     x = np.ascontiguousarray(spikes.transpose(0, 2, 1), dtype=np.float64)
-    z = affine_rows(stage.layer, x.reshape(steps * batch, *stage.input_shape),
+    z = affine_rows(stage.layer, x.reshape(steps * cols, *stage.input_shape),
                     stage.weights64, stage.bias64)
-    return z.reshape(steps, batch, -1).transpose(0, 2, 1)
+    return z.reshape(steps, cols, -1).transpose(0, 2, 1)
 
 
 @dataclass
@@ -296,50 +417,79 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         raise ValueError(f"batch must be >= 1, got {batch}")
 
     # Population 0 is the input layer, driven by the frames; population j
-    # >= 1 is fed by stage j-1 and holds rows edges[j]:edges[j+1] of every
-    # buffer.  Every population starts at rest.
+    # >= 1 is fed by stage j-1.  The first len(units) populations are kept
+    # per unit, as [channels * units, 1], the rest per row, as [width,
+    # batch]; population j is [neurons[j], cols[j]] and holds the flat
+    # elements edges[j]:edges[j+1] of every buffer.  Every population
+    # starts at rest.
+    units, drive = _unit_maps(stages, frames)
     shapes = [frames.shape[1:]] + [s.shape for s in stages]
+    neurons = [shape[0] * units[j].count if j < len(units) else math.prod(shape)
+               for j, shape in enumerate(shapes)]
+    cols = [1 if j < len(units) else batch for j in range(len(shapes))]
     edges = [0]
-    for shape in shapes:
-        edges.append(edges[-1] + math.prod(shape))
-    rows = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    for n, m in zip(neurons, cols):
+        edges.append(edges[-1] + n * m)
     last_pop = len(shapes) - 1
+    index = [None] + [units[j].index if j < len(units) else stage.gather
+                      for j, stage in enumerate(stages, start=1)]
+    if units:
+        # The first population kept per row reads the last one kept per
+        # unit through one gather, [channels * positions, batch].
+        last = units[-1]
+        row_gather = (np.arange(shapes[len(units) - 1][0])[:, None, None] * last.count
+                      + last.ids.T).reshape(-1, batch)
+        drive = drive.reshape(-1)
+    else:
+        drive = frames.reshape(batch, -1).T.reshape(-1)
+
+    def view(buffer, j, steps):
+        """Population j's part of steps of a [K, edges[-1]] buffer, [steps, neurons, cols]."""
+        return buffer[:steps, edges[j]:edges[j + 1]].reshape(steps, neurons[j], cols[j])
+
+    def stage_currents(j, spikes, steps):
+        """Population j's currents over steps, from population j-1's spikes."""
+        x = spikes[:steps, edges[j - 1]:edges[j]]
+        x = np.take(x, row_gather, axis=1) if j == len(units) else \
+            x.reshape(steps, neurons[j - 1], cols[j - 1])
+        return _block_currents(stages[j - 1], x, index[j])
 
     T = config.timesteps
     v_thr = config.v_thr
-    K = _block_length(T, batch, edges[-1])
+    gathered = max(stage.weights64[0].size * n * m // len(stage.bias64)
+                   for stage, n, m in zip(stages, neurons[1:], cols[1:]))
+    K = _block_length(T, max(edges[-1], gathered))
     n_blocks = -(-T // K)
     short = T - (n_blocks - 1) * K  # steps of the last block
-    potentials = np.zeros((edges[-1], batch))
-    counts = np.zeros((edges[-1], batch), dtype=np.int64)
-    currents = np.empty((K, edges[-1], batch))
-    spikes = (np.empty((K, edges[-1], batch), dtype=bool),
-              np.empty((K, edges[-1], batch), dtype=bool))
-    sums = np.zeros((edges[-1], batch)) if diagnose else None
-    trail = np.empty((K, edges[-1] - edges[-2], batch)) \
+    potentials = np.zeros(edges[-1])
+    counts = np.zeros(edges[-1], dtype=np.int64)
+    currents = np.empty((K, edges[-1]))
+    spikes = (np.empty((K, edges[-1]), dtype=bool), np.empty((K, edges[-1]), dtype=bool))
+    sums = np.zeros(edges[-1]) if diagnose else None
+    trail = np.empty((K, edges[-1] - edges[-2])) \
         if diagnose and config.readout == "robust" else None
 
-    drive = frames.reshape(batch, -1).T
     fired0 = drive >= v_thr
     # A steady input (every pixel <= 0 or >= v_thr) fires the same pixels
     # at every step, so the first stage's currents are computed once.
     steady = bool(np.all(fired0 | (drive <= 0.0)))
     if steady:
-        currents[:, rows[1]] = _block_currents(stages[0], fired0[None])
+        view(currents, 1, K)[:] = stage_currents(1, fired0[None], 1)
     if steady and np.all((drive == 0.0) | (drive == v_thr)):
         # Each step takes the potential from 0 to 0 or v_thr, and a spike
         # back to exactly 0: the input population leaves the loop.
-        counts[rows[0]] = T * fired0
+        counts[:edges[1]] = T * fired0
         if diagnose:
             total = 0.0
             for _ in range(T):  # summed as a step loop sums it
                 total += v_thr
-            sums[rows[0]] = np.where(fired0, total, 0.0)
+            sums[:edges[1]] = np.where(fired0, total, 0.0)
         first = 1
     else:
-        currents[:, rows[0]] = drive
+        currents[:, :edges[1]] = drive
         first = 0
 
+    out = slice(edges[-2], edges[-1])
     settle = np.ones(batch, dtype=np.int64) if diagnose else None
     prev_choice = None
     for i in range(n_blocks + last_pop - first):
@@ -350,7 +500,7 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         for j in range(max(lo, 2 if steady else 1), hi + 1):
             b = i - (j - first)
             steps = short if b == n_blocks - 1 else K
-            currents[:steps, rows[j]] = _block_currents(stages[j - 1], fed[:steps, rows[j - 1]])
+            view(currents, j, steps)[:] = stage_currents(j, fed, steps)
 
         # The lowest population may be in the last, short block: it leaves
         # the slice after its last step.
@@ -360,7 +510,7 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
             parts = [(0, short, edges[lo]), (short, K, edges[lo + 1])]
         watch = diagnose and hi == last_pop
         if watch:
-            out_before = counts[rows[-1]].copy()
+            out_before = counts[out].copy()
         for s0, s1, r0 in parts:
             if r0 < end:
                 span = slice(r0, end)
@@ -376,10 +526,10 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
             # The output argmax after each step of its block, as a step loop sees it.
             b = i - (last_pop - first)
             steps = short if b == n_blocks - 1 else K
-            score = out_before + np.cumsum(fired[:steps, rows[-1]], axis=0, dtype=np.int64)
+            score = out_before + np.cumsum(fired[:steps, out], axis=0, dtype=np.int64)
             if trail is not None:
                 score = score * v_thr + trail[:steps]
-            choice = np.argmax(score, axis=1)
+            choice = np.argmax(score.reshape(steps, -1, batch), axis=1)
             seq = choice if prev_choice is None else np.concatenate([prev_choice[None], choice])
             changed = seq[1:] != seq[:-1]
             if len(changed):
@@ -388,9 +538,17 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
             prev_choice = choice[-1]
 
     def per_population(state):
-        """[batch, *shape] per population, from neuron-major state."""
-        by_row = np.ascontiguousarray(state.T)
-        return [by_row[:, r].reshape(batch, *shape) for r, shape in zip(rows, shapes)]
+        """[batch, *shape] per population, a unit's values given to every
+        position of every frame that holds it."""
+        by_row = []
+        for j, shape in enumerate(shapes):
+            part = state[edges[j]:edges[j + 1]]
+            if j < len(units):
+                part = part.reshape(shape[0], -1)[:, units[j].ids].transpose(1, 0, 2)
+            else:
+                part = part.reshape(-1, batch).T
+            by_row.append(part.reshape(batch, *shape))
+        return by_row
 
     rates = [c / T for c in per_population(counts)]
     ends = per_population(potentials)

@@ -274,6 +274,66 @@ def test_simulate_memory_does_not_grow_with_the_trace(tmp_path, model_dir):
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
+def test_simulate_memory_does_not_grow_with_the_blob(tmp_path, model_dir, monkeypatch):
+    """simulate --frame on a stacked blob checks it one window at a time
+    and keeps frame 0: four times the frames add less than a tenth of the
+    added bytes to its traced peak (a whole read adds them twice over)."""
+    monkeypatch.setattr(cli, "FRAME_WINDOW", 64 * 36)
+    rng = np.random.default_rng(7)
+    peaks, sizes = [], []
+    for n in (1000, 4000):
+        path = tmp_path / f"{n}.bin"
+        write_blob(path, rng.random((n, 1, 6, 6)).astype(np.float32))
+        sizes.append(path.stat().st_size)
+        peaks.append(_traced_peak("simulate", "--model", model_dir, "--frame", path,
+                                  "--timesteps", "5"))
+    assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 10, (peaks, sizes)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("magic", "bad magic b'XXXXXXXX'"),
+    ("cut", "truncated while reading data"),
+    ("trailing", "2 trailing bytes after tensor data"),
+    ("pixel", "pixel value 1.5 outside [0, 1]"),
+    (None, None),
+])
+def test_simulate_checks_a_stacked_blob_as_a_whole_read_does(tmp_path, model_dir, monkeypatch, capsys,
+                                                              fault, message):
+    """simulate --frame reads a stacked blob in windows, yet reports what
+    a whole read reports: read_blob's fault in its structure before a
+    pixel outside [0, 1] in a late frame (as stats reports it); a sound
+    blob gives frame 0's run."""
+    monkeypatch.setattr(cli, "FRAME_WINDOW", 50)
+    frames = np.full((13, 1, 6, 6), 0.25, dtype=np.float32)
+    frames[0, 0, 5, :] = frames[0, 0, 0, 2] = 1.0
+    if fault is not None:
+        frames[11, 0, 2, 2] = 1.5
+    path = tmp_path / "f.bin"
+    write_blob(path, frames)
+    data = path.read_bytes()
+    data = {"magic": b"XXXXXXXX" + data[8:], "cut": data[:-5],
+            "trailing": data + b"\0\0"}.get(fault, data)
+    path.write_bytes(data)
+    code = run_cli("simulate", "--model", model_dir, "--frame", path, "--timesteps", "20")
+    got = capsys.readouterr()
+    if fault is None:
+        alone = tmp_path / "frame0.bin"
+        write_blob(alone, frames[0])
+        assert code == run_cli("simulate", "--model", model_dir, "--frame", alone,
+                               "--timesteps", "20") == 0
+        assert got.out == capsys.readouterr().out
+        return
+    assert code == 2 and got.err == f"rateconv simulate: {path}: {message}\n"
+    if fault == "pixel":
+        assert run_cli("stats", "--model", model_dir, "--frames", path,
+                       "--out", tmp_path / "s.json") == 2
+        assert capsys.readouterr().err == f"rateconv stats: {path}: {message}\n"
+    else:
+        with pytest.raises(rateconv.BlobError) as caught:
+            read_blob(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+
 def test_unit_range_check_builds_no_masks_for_valid_frames(tmp_path):
     """A valid array is checked by its minimum and maximum alone: no
     boolean mask the size of the frames is allocated."""

@@ -11,8 +11,9 @@ from rateconv import (NetworkSpec, NormConfig, SimConfig, apply_normalization,
                       flatten, forward_batch, layer_identity_residual, rate_readout,
                       robust_readout, run, run_batch, simulate_current_sequence)
 from rateconv import simulate
+from rateconv.lincatch import LineCatchEnv
 from rateconv.network import apply_layer_linear
-from rateconv.simulate import _build_stages, classify_case_counts
+from rateconv.simulate import _build_stages, classify_case_counts, distinct_rows
 
 from conftest import rand_conv_net, rand_dense_net, rand_net, rand_frames
 
@@ -511,6 +512,55 @@ def _widths(net):
     return [int(np.prod(sh)) for sh in [net.input_shape] + [s.shape for s in _build_stages(net)]]
 
 
+def _unit_counts(net, frames):
+    """Distinct receptive fields of the populations run_batch keeps per
+    unit, by brute force: the input and the leading exact conv stages,
+    never the output stage, up to the first whose fields are more than
+    half its (frame, position) pairs; none unless stage 0's are kept.  An
+    input field is a position's pixel vector; a conv field is the tuple
+    of the fields it reads, padding marked."""
+    if len(net.input_shape) != 3:
+        return []
+    _, h, w = net.input_shape
+    fields = [[[tuple(f[:, y, x]) for x in range(w)] for y in range(h)] for f in frames]
+    counts = [len({key for f in fields for row in f for key in row})]
+    for stage in _build_stages(net)[:-1]:
+        if stage.layer.kind != "conv2d" or not stage.exact:
+            break
+        _, _, kh, kw = stage.weights64.shape
+        (sh, sw), (ph, pw) = stage.layer.stride, stage.layer.padding
+        _, oh, ow = stage.shape
+
+        def read(f, y, x):
+            return f[y][x] if 0 <= y < len(f) and 0 <= x < len(f[0]) else "pad"
+
+        fields = [[[tuple(read(f, oy * sh - ph + i, ox * sw - pw + j)
+                          for i in range(kh) for j in range(kw))
+                    for ox in range(ow)] for oy in range(oh)] for f in fields]
+        count = len({key for f in fields for row in f for key in row})
+        if 2 * count > len(frames) * oh * ow:
+            break
+        counts.append(count)
+    return counts if len(counts) > 1 else []
+
+
+def _sizes(net, frames):
+    """Each population's elements in run_batch's buffers: channels * units
+    for those kept per unit, width * batch for the rest."""
+    units = _unit_counts(net, frames)
+    return [sh[0] * units[j] if j < len(units) else int(np.prod(sh)) * len(frames)
+            for j, sh in enumerate([net.input_shape] + [s.shape for s in _build_stages(net)])]
+
+
+def _block_elements(net, frames):
+    """The float64 values per step that BLOCK_BYTES bounds: the larger of
+    the state and one stage's gathered columns (fan-in per neuron)."""
+    sizes = _sizes(net, frames)
+    gathered = max(s.weights64[0].size * n // len(s.bias64)
+                   for s, n in zip(_build_stages(net), sizes[1:]))
+    return max(sum(sizes), gathered)
+
+
 def _is_input_shortcut(frames, v_thr):
     """Every pixel 0 or v_thr: the input population fires the same pixels
     every step and leaves the loop."""
@@ -526,26 +576,26 @@ def _check_equals_step_loop(res, ref):
 
 
 def _count_neuron_steps(monkeypatch):
-    """Wrap _integrate; the returned dict maps each call's first row in the
-    run's neuron-major potentials to its steps, row count and batch."""
+    """Wrap _integrate; the returned list holds, per call, its first
+    element in the run's flat potentials, its element count and its steps."""
     calls = []
     integrate = simulate._integrate
 
     def counting(potentials, currents, *args, **kwargs):
         base = potentials.base if potentials.base is not None else potentials
         start = (potentials.__array_interface__["data"][0]
-                 - base.__array_interface__["data"][0]) // potentials.strides[0]
-        calls.append((start, len(potentials), potentials.shape[1], len(currents)))
+                 - base.__array_interface__["data"][0]) // potentials.itemsize
+        calls.append((start, potentials.size, len(currents)))
         return integrate(potentials, currents, *args, **kwargs)
 
     monkeypatch.setattr(simulate, "_integrate", counting)
     return calls
 
 
-def _steps_per_neuron(calls, neurons, batch):
-    stepped = np.zeros(neurons, dtype=np.int64)
-    for start, n, cols, steps in calls:
-        assert cols == batch  # every row of the batch steps together
+def _steps_per_neuron(calls, elements):
+    stepped = np.zeros(elements, dtype=np.int64)
+    for start, n, steps in calls:
+        assert start + n <= elements  # no population holds more than its units or rows
         stepped[start:start + n] += steps
     return stepped
 
@@ -559,26 +609,31 @@ def test_kernel_bitwise_equals_step_loop(rng, monkeypatch, kind, batch, readout,
     stages = _build_stages(net)
     assert all(stage.exact for stage in stages) == (kind != "conv-inexact")
     T = 23
-    widths = _widths(net)
     # "one": BLOCK_BYTES at its default, where K = ceil(sqrt(10 T)) = 16,
     # so a full block and a short one; "several": 4 steps per block, so
     # 5 full blocks and a 3-step one.
-    if blocks == "several":
-        monkeypatch.setattr(simulate, "BLOCK_BYTES", 8 * batch * sum(widths) * 4)
+    K = 4 if blocks == "several" else 16
     calls = _count_neuron_steps(monkeypatch)
 
     for drive, v_thr in DRIVES:
         config = SimConfig(timesteps=T, v_thr=v_thr, readout=readout)
         frames = drive_frames(rng, drive, batch, net.input_shape)
         ref = step_loop(net, frames, config)
+        sizes = _sizes(net, frames)
         calls.clear()
-        _check_equals_step_loop(run_batch(net, frames, config), ref)
-        # every population of every row is stepped exactly T times, but
-        # the input population under the input shortcut, which never is
-        want = np.full(sum(widths), T)
+        with monkeypatch.context() as mp:
+            if blocks == "several":
+                mp.setattr(simulate, "BLOCK_BYTES", 8 * _block_elements(net, frames) * K)
+            _check_equals_step_loop(run_batch(net, frames, config), ref)
+        steps = {steps for _, _, steps in calls}
+        assert max(steps) == K and T % K in steps  # full blocks and a short one
+        # every neuron of every population (of every unit or row) is
+        # stepped exactly T times, but the input population under the
+        # input shortcut, which never is
+        want = np.full(sum(sizes), T)
         if _is_input_shortcut(frames, v_thr):
-            want[:widths[0]] = 0
-        assert np.array_equal(_steps_per_neuron(calls, sum(widths), batch), want)
+            want[:sizes[0]] = 0
+        assert np.array_equal(_steps_per_neuron(calls, sum(sizes)), want)
 
 
 @pytest.mark.parametrize("levels, v_thr, steady", [
@@ -598,18 +653,19 @@ def test_stage_current_rows(rng, monkeypatch, levels, v_thr, steady):
     block_currents = simulate._block_currents
     rows = [[] for _ in layers]
 
-    def counting(stage, spikes):
+    def counting(stage, spikes, index):
         steps, _, batch = spikes.shape
         rows[next(j for j, layer in enumerate(layers) if layer is stage.layer)].append(
             steps * batch)
-        return block_currents(stage, spikes)
+        return block_currents(stage, spikes, index)
 
     monkeypatch.setattr(simulate, "_block_currents", counting)
-    # 4 steps per block: 3 rows over 6 + 9 + 7 + 4 neurons; T = 42 is 10
-    # full blocks and a 2-step one
-    monkeypatch.setattr(simulate, "BLOCK_BYTES", 8 * 3 * sum(_widths(net)) * 4)
     frames = rng.choice(levels, (3, 6))
     frames[0, :len(levels)] = levels  # every level present
+    # 4 steps per block: 3 rows over 6 + 9 + 7 + 4 neurons; T = 42 is 10
+    # full blocks and a 2-step one
+    assert _block_elements(net, frames) == 3 * sum(_widths(net))
+    monkeypatch.setattr(simulate, "BLOCK_BYTES", 8 * _block_elements(net, frames) * 4)
     config = SimConfig(timesteps=42, v_thr=v_thr)
     _check_equals_step_loop(run_batch(net, frames, config), step_loop(net, frames, config))
     whole = [12] * 10 + [6]
@@ -655,7 +711,7 @@ def test_gathered_currents_equal_per_offset_einsum_bit_for_bit(case):
     x = spikes.transpose(0, 2, 1).reshape(steps * batch, *stage.input_shape)
     want = apply_layer_linear(stage.layer, x.astype(np.float64), stage.weights64, stage.bias64)
     want = want.reshape(steps, batch, -1).transpose(0, 2, 1)
-    got = simulate._block_currents(stage, spikes)
+    got = simulate._block_currents(stage, spikes, stage.gather)
     assert got.shape == want.shape
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
@@ -678,7 +734,7 @@ def pipeline_runs(draw):
 def test_pipelined_run_batch_equals_step_loop_bit_for_bit(case):
     net, frames, config, block = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "BLOCK_BYTES", 8 * len(frames) * sum(_widths(net)) * block)
+        mp.setattr(simulate, "BLOCK_BYTES", 8 * _block_elements(net, frames) * block)
         res = run_batch(net, frames, config)
         quiet = run_batch(net, frames, config, diagnose=False)
     _check_equals_step_loop(res, step_loop(net, frames, config))
@@ -686,6 +742,146 @@ def test_pipelined_run_batch_equals_step_loop_bit_for_bit(case):
         assert np.array_equal(got, want)
     assert np.array_equal(quiet.f_last, res.f_last)
     assert quiet.avg_currents is None and quiet.settle_step is None
+
+
+# ---------------------------------------------------------------------------
+# populations kept per distinct receptive field
+
+# (pixel levels, v_thr): binary at v_thr 1 (the input shortcut, with and
+# without -0.0 beside 0.0), binary at v_thr 0.8 and pixels <= 0 or >= 1
+# (steady), and levels that fire only on some steps (unsteady)
+UNIT_LEVELS = [([0.0, 1.0], 1.0), ([0.0, -0.0, 1.0], 1.0), ([0.0, 1.0], 0.8),
+               ([-0.5, -0.0, 1.0, 1.5], 1.0), ([0.0, -0.0, 0.5], 1.0),
+               ([0.0, 1.0, 0.125, 0.3], 1.0)]
+
+
+def tiled_frames(rng, n, shape, levels):
+    """n frames tiled from 2-3 patch types of the given pixel levels, so
+    receptive fields repeat within frames and across them."""
+    c, h, w = shape
+    ph, pw = (int(d) for d in rng.integers(1, 4, 2))
+    patches = rng.choice(np.array(levels), (int(rng.integers(2, 4)), c, ph, pw))
+    gy, gx = -(-h // ph), -(-w // pw)
+    tiles = patches[rng.integers(len(patches), size=(n, gy, gx))]  # [n, gy, gx, c, ph, pw]
+    return tiles.transpose(0, 3, 1, 4, 2, 5).reshape(n, c, gy * ph, gx * pw)[:, :, :h, :w]
+
+
+@st.composite
+def repeating_conv_runs(draw):
+    """A net of 1-3 conv stages (stride 1-2 and padding 0-2 per axis),
+    one of them perhaps inexact, then either dense layers or nothing (the
+    last conv is the output); frames tiled from a few patch types; a
+    config, diagnostics on or off, and perhaps a forced short block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, h, w = draw(st.integers(1, 3)), draw(st.integers(4, 9)), draw(st.integers(4, 9))
+    shape = (c, h, w)
+    n_conv, all_conv = draw(st.integers(1, 3)), draw(st.booleans())
+    inexact = draw(st.integers(-n_conv, n_conv))  # the 1-based inexact conv, if positive
+    layers = []
+    for i in range(1, n_conv + 1):
+        kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+        padding = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        oh = (h + 2 * padding[0] - kh) // stride[0] + 1
+        ow = (w + 2 * padding[1] - kw) // stride[1] + 1
+        if oh < 1 or ow < 1:
+            break
+        out = draw(st.integers(2, 4))
+        wt = rng.normal(0.0, 1.0 / np.sqrt(c * kh * kw), (out, c, kh, kw))
+        if i == inexact:
+            wt *= 2.0 ** rng.integers(-40, 1, wt.shape)
+        layers.append(conv2d(wt, rng.normal(0, 0.05, out), stride, padding))
+        c, h, w = out, oh, ow
+    if all_conv:
+        layers[-1].activation = "none"
+    else:
+        layers += [flatten(), dense(rng.normal(0, 1.0 / np.sqrt(c * h * w), (5, c * h * w)),
+                                    rng.normal(0, 0.05, 5)),
+                   dense(rng.normal(0, 0.5, (3, 5)), rng.normal(0, 0.05, 3), activation="none")]
+    net = NetworkSpec(shape, layers)
+    levels, v_thr = draw(st.sampled_from(UNIT_LEVELS))
+    frames = tiled_frames(rng, draw(st.integers(1, 6)), shape, levels)
+    config = SimConfig(timesteps=draw(st.integers(1, 40)), v_thr=v_thr,
+                       readout=draw(st.sampled_from(["rate", "robust"])))
+    return net, frames, config, draw(st.booleans()), draw(st.sampled_from([None, 1, 2, 3, 5]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=repeating_conv_runs())
+def test_unit_populations_equal_step_loop_bit_for_bit(case):
+    """Populations kept per distinct receptive field give every row the
+    step loop's bits, and each of their neurons steps exactly T times
+    (the input none under the input shortcut)."""
+    net, frames, config, diagnose, block = case
+    sizes = _sizes(net, frames)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(simulate, "BLOCK_BYTES", 8 * _block_elements(net, frames) * block)
+        calls = _count_neuron_steps(mp)
+        res = run_batch(net, frames, config, diagnose=diagnose)
+    ref = step_loop(net, frames, config)
+    if diagnose:
+        _check_equals_step_loop(res, ref)
+    else:
+        for key in ("rates", "residuals"):
+            for got, want in zip(getattr(res, key), ref[key]):
+                assert np.array_equal(got, want), key
+        assert np.array_equal(res.f_last, ref["f_last"])
+        assert res.avg_currents is None and res.settle_step is None
+    want = np.full(sum(sizes), config.timesteps)
+    if _is_input_shortcut(frames, config.v_thr):
+        want[:sizes[0]] = 0
+    assert np.array_equal(_steps_per_neuron(calls, sum(sizes)), want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 70),
+       radix=st.sampled_from([None, 1, 2, 3, 1000, 2**40]))
+def test_distinct_rows_groups_rows_as_unique_does(seed, n, d, radix):
+    """distinct_rows finds np.unique(axis=0)'s groups, each first row
+    its first member, also when codes are ranked anew (a radix up to
+    2^40 over up to 70 digits) and for floats, where -0.0 equals 0.0."""
+    rng = np.random.default_rng(seed)
+    if radix is None:
+        rows = rng.choice(np.array([0.0, -0.0, 0.25, 1.0]), (n, d))
+    else:
+        rows = rng.integers(0, min(radix, 3), (n, d))
+    first, ids = distinct_rows(rows, radix)
+    _, inverse = np.unique(rows, axis=0, return_inverse=True)
+    pairs = np.unique(np.stack([ids, inverse]), axis=1).shape[1]
+    assert len(first) == len(np.unique(inverse)) == pairs  # the same groups
+    assert np.array_equal(first, [np.flatnonzero(ids == u)[0] for u in range(len(first))])
+
+
+def test_conv_populations_step_distinct_windows_on_linecatch_frames(rng, monkeypatch):
+    """On 16x16 LineCatch frames the conv populations step one unit per
+    distinct receptive field, not one per (frame, position): T * channels
+    * units neuron-steps, with units far fewer than frames * positions."""
+    env = LineCatchEnv(grid_size=16)
+    frames = [env.reset(5)]
+    for _ in range(63):
+        frames.append(env.step(int(rng.integers(3)))[0])
+    frames = np.array(frames)
+
+    def he(shape):
+        return rng.normal(0.0, 1.0 / np.sqrt(np.prod(shape[1:])), shape)
+
+    net = NetworkSpec((1, 16, 16), [
+        conv2d(he((8, 1, 3, 3)), rng.normal(0, 0.05, 8), stride=(2, 2)),
+        conv2d(he((16, 8, 3, 3)), rng.normal(0, 0.05, 16)),
+        flatten(),
+        dense(he((32, 400)), rng.normal(0, 0.05, 32)),
+        dense(he((3, 32)), rng.normal(0, 0.05, 3), activation="none"),
+    ])
+    assert all(stage.exact for stage in _build_stages(net))
+    _, units1, units2 = _unit_counts(net, frames)
+    assert 10 * units1 < 64 * 7 * 7 and 10 * units2 < 64 * 5 * 5
+    T = 50
+    calls = _count_neuron_steps(monkeypatch)
+    res = run_batch(net, frames, SimConfig(timesteps=T))
+    # binary frames at v_thr 1: the input population never steps
+    assert sum(n * steps for _, n, steps in calls) == T * (8 * units1 + 16 * units2 + 35 * 64)
+    _check_equals_step_loop(res, step_loop(net, frames, SimConfig(timesteps=T)))
 
 
 @pytest.mark.parametrize("levels, v_thr, shortcut", [
@@ -704,9 +900,9 @@ def test_input_shortcut_gate(rng, monkeypatch, levels, v_thr, shortcut):
     config = SimConfig(timesteps=23, v_thr=v_thr)
     calls = _count_neuron_steps(monkeypatch)
     res = run_batch(net, frames, config)
-    stepped = _steps_per_neuron(calls, sum(widths), 3)
-    assert np.all(stepped[:widths[0]] == (0 if shortcut else 23))
-    assert np.all(stepped[widths[0]:] == 23)
+    stepped = _steps_per_neuron(calls, 3 * sum(widths))
+    assert np.all(stepped[:3 * widths[0]] == (0 if shortcut else 23))
+    assert np.all(stepped[3 * widths[0]:] == 23)
     _check_equals_step_loop(res, step_loop(net, frames, config))
     if v_thr == 0.1:  # the step-by-step sum is not T * v_thr, and the result keeps it
         assert 23 * 0.1 != sum([0.1] * 23)
