@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import closing
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -39,7 +40,6 @@ DEFAULT_PERCENTILE_VALUES = [99.9, 99.99]
 SWEEP_EPISODES = 10
 EVAL_EPISODES = 50
 CALIBRATION_FRAMES = 512
-FRAME_WINDOW = 1 << 18  # float32 values per window when simulate checks a blob
 
 
 class UsageError(Exception):
@@ -239,50 +239,25 @@ def _unit_frames(path, windows) -> None:
         raise FormatError(f"{path}: pixel value {first} outside [0, 1]")
 
 
-def _load_frames(path):
-    """The frames of a blob as an array, or of a trace as a TraceReader,
-    which the calibration pass reads window by window; every pixel in
-    [0, 1]."""
-    if modelio.read_magic(path) != modelio.TRACE_MAGIC:
-        frames = modelio.load_frames(path)
-        _unit_frames(path, [frames])
-        return frames
-    frames = modelio.TraceReader(path)
-    _unit_frames(path, (records["observation"]
-                        for _, records in frames.windows(STATS_CHUNK)))
+def _load_frames(path, frame_shape=None):
+    """The frames of a trace or blob (modelio.open_frames) once every pixel
+    is checked to lie in [0, 1], one STATS_CHUNK window at a time; the
+    calibration pass reads them again, window by window."""
+    frames = modelio.open_frames(path, frame_shape)
+    _unit_frames(path, (window for _, window in frames.frame_windows(STATS_CHUNK)))
     return frames
 
 
 def _load_frame(path: str, input_shape) -> np.ndarray:
-    """One frame from a blob (exact shape or stacked) or a trace (first
-    frame), once _load_frames' checks pass: the whole file is checked one
-    window at a time, and only what is returned is kept."""
+    """Frame 0 of a trace or of a stacked blob, or a blob of one frame (one
+    not stacked over input_shape), once _load_frames' checks pass: only
+    that frame is kept."""
     p = Path(path)
-    if modelio.read_magic(p) == modelio.TRACE_MAGIC:
-        reader = _load_frames(p)
-        if reader.shape[0] < 1:
-            raise FormatError(f"{p}: trace contains no frames")
-        windows = reader.windows(1)
-        _, records = next(windows)
-        windows.close()  # closes the file
-        return records["observation"][0].astype(np.float64)
-    blob = modelio.BlobReader(p)
-    shape, input_shape = blob.shape, tuple(input_shape)
-    if shape != input_shape and len(shape) >= 1 and shape[0] >= 1 \
-            and shape[1:] == input_shape:
-        shape = shape[1:]  # stacked frames: take the first
-    frame = np.empty(math.prod(shape), dtype=np.float32)
-
-    def windows():
-        start = 0
-        for window in blob.windows(FRAME_WINDOW):
-            kept = window[:max(0, len(frame) - start)]
-            frame[start:start + len(kept)] = kept
-            start += len(window)
-            yield window
-
-    _unit_frames(p, windows())
-    return frame.reshape(shape).astype(np.float64)
+    frames = _load_frames(p, input_shape)
+    with closing(frames.frame_windows(1)) as windows:  # closes the file
+        for _, window in windows:
+            return window[0].astype(np.float64)
+    raise FormatError(f"{p}: {frames.kind} contains no frames")
 
 
 # ---------------------------------------------------------------------------

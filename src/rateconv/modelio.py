@@ -22,6 +22,14 @@ Episode trace (``*.trace``)
     the layout.  numpy caps a record at 2**31 - 1 bytes, so one
     observation must be smaller than 2 GiB.
 
+Frame files
+    Calibration and simulation frames come from a trace (its
+    observations) or a blob (slices along its leading dim).
+    open_frames tells the two apart and returns a TraceReader or a
+    BlobReader; both give the frames' `shape` and frame_windows(rows),
+    which yields (start, float32 frames) a window at a time, so no pass
+    holds more than one window of the file.
+
 Readers raise FormatError, naming the file and location, for anything
 they cannot load, including dims too large for a numpy array.
 
@@ -137,41 +145,59 @@ def read_blob(path) -> np.ndarray:
 
 
 class BlobReader:
-    """A blob file read one window of values at a time.
+    """A frame blob read one window of frames at a time.
 
-    Construction reads the header and the file's size and raises what
-    read_blob raises, in read_blob's order.  Each windows(values) pass
-    reads the data in row-major order through one buffer of `values`
-    float32 values, so a pass holds one window of the file.
+    Its frames lie along the blob's leading dim, and `shape` is
+    [frame_count, *frame_shape].  Construction reads the header and the
+    file's size and raises what read_blob raises, in read_blob's order.
+    Given `frame_shape`, a blob whose dims are not [n, *frame_shape]
+    holds one frame, the whole blob; without it, a blob must have a
+    leading frame dimension, as load_frames requires.
     """
 
-    def __init__(self, path):
+    kind = "blob"
+
+    def __init__(self, path, frame_shape=None):
         p = Path(path)
         if not p.is_file():
             raise BlobError(f"{p}: no such blob file")
         with open(p, "rb") as fh:
             head = fh.read(8 + 4 + 4 * 32)  # the longest header: magic, ndim, 32 dims
             size = fh.seek(0, 2)
-        self.shape, self._offset = _blob_dims(head, 0, str(p))
-        self.size = math.prod(self.shape)
-        end = self._offset + 4 * self.size
+        dims, offset = _blob_dims(head, 0, str(p))
+        end = offset + 4 * math.prod(dims)
         if end > size:
             raise BlobError(f"{p}: truncated while reading data")
         if end < size:
             raise BlobError(f"{p}: {size - end} trailing bytes after tensor data")
+        if frame_shape is not None and dims[1:] != tuple(frame_shape):
+            dims = (1, *dims)
+        elif len(dims) < 2:
+            raise BlobError(f"{p}: frame blob must have a leading frame dimension")
         self.path = p
+        self.shape = dims
+        self._header = head[:offset]
+        self._size = size
 
-    def windows(self, values: int):
-        """Yield each window of up to `values` values in file order, a
-        view that the next window overwrites."""
+    def frame_windows(self, rows: int):
+        """Yield (start, frames) for each window of up to `rows` frames in
+        file order, frames a float32 [n, *frame_shape] view that the next
+        window overwrites.  Each pass checks the file against construction
+        and raises BlobError if its header or size changed."""
         with open(self.path, "rb") as fh:
-            fh.seek(self._offset)
-            buf = np.empty(min(values, self.size), "<f4")
-            for start in range(0, self.size, values):
-                window = buf[:min(values, self.size - start)]
+            if fh.read(len(self._header)) != self._header or fh.seek(0, 2) != self._size:
+                raise self._changed()
+            fh.seek(len(self._header))
+            count = self.shape[0]
+            buf = np.empty((min(rows, count), *self.shape[1:]), "<f4")
+            for start in range(0, count, rows):
+                window = buf[:min(rows, count - start)]
                 if fh.readinto(window.view(np.uint8)) != window.nbytes:
-                    raise BlobError(f"{self.path}: blob changed while it was being read")
-                yield window
+                    raise self._changed()
+                yield start, window
+
+    def _changed(self) -> BlobError:
+        return BlobError(f"{self.path}: blob changed while it was being read")
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +378,8 @@ class TraceReader:
     trace's observations stacked, [step_count, *observation_shape].
     """
 
+    kind = "trace"
+
     def __init__(self, path):
         p = Path(path)
         if not p.is_file():
@@ -435,6 +463,11 @@ class TraceReader:
             _check_actions(self.action_count, actions, str(p), start)
         self._checked = True
 
+    def frame_windows(self, rows: int):
+        """windows(rows) with each window's observations, a float32 view of
+        its records: (start, [n, *observation_shape])."""
+        return ((start, records["observation"]) for start, records in self.windows(rows))
+
     def _bad_step(self, fh, first: int):
         """Raise the fault of step `first`, whose record breaks the header's
         layout: its blob names the fault, else the body ends inside the step."""
@@ -468,29 +501,30 @@ def read_trace(path) -> EpisodeTrace:
     return EpisodeTrace(reader.action_count, reader.observation_shape, steps)
 
 
-def read_magic(path) -> bytes:
-    """The first 8 bytes of a file, which tell a tensor blob from a trace."""
+def open_frames(path, frame_shape=None) -> TraceReader | BlobReader:
+    """The frames of a file, whichever its format: a TraceReader for a
+    trace, else a BlobReader(path, frame_shape), which refuses anything
+    but a tensor blob.  Both give `kind`, `shape` ([frame_count,
+    *frame_shape]) and frame_windows(rows), a pass yielding (start,
+    float32 frames) a window at a time; a trace ignores frame_shape.
+    This is the one place that tells the formats apart."""
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"{p}: no such file")
     with open(p, "rb") as fh:
-        return fh.read(8)
+        magic = fh.read(len(TRACE_MAGIC))
+    return TraceReader(p) if magic == TRACE_MAGIC else BlobReader(p, frame_shape)
 
 
 def load_frames(path) -> np.ndarray:
-    """Read a frame set from either a stacked tensor blob or a trace file,
-    as one array.  TraceReader reads a trace's frames window by window
-    instead."""
-    p = Path(path)
-    magic = read_magic(p)
-    if magic == TRACE_MAGIC:
-        return read_trace(p).observations()
-    if magic == BLOB_MAGIC:
-        frames = read_blob(p)
-        if frames.ndim < 2:
-            raise BlobError(f"{p}: frame blob must have a leading frame dimension")
-        return frames
-    raise FormatError(f"{p}: neither a tensor blob nor a trace (magic {magic!r})")
+    """The frames of a stacked tensor blob or a trace file, as one array;
+    open_frames reads them a window at a time instead."""
+    frames = open_frames(path)
+    if isinstance(frames, TraceReader):
+        return read_trace(path).observations()
+    # one window of every frame: the blob's data is read once, into the array returned
+    windows = [window for _, window in frames.frame_windows(max(1, frames.shape[0]))]
+    return windows[0] if windows else np.empty(frames.shape, np.float32)
 
 
 # ---------------------------------------------------------------------------

@@ -86,13 +86,12 @@ def percentile(samples, p: float) -> float:
 
 def _windows(net: NetworkSpec, frames):
     """The frame count of frames and their (start, window) pairs, windows of
-    STATS_CHUNK frames from frame 0.  frames is an array, or a
-    modelio.TraceReader, whose frames are read from the file one window
-    at a time and never held whole."""
-    if hasattr(frames, "windows"):
+    STATS_CHUNK frames from frame 0.  frames is an array, or a reader
+    from modelio.open_frames, whose frames are read from the file one
+    window at a time and never held whole."""
+    if hasattr(frames, "frame_windows"):
         require_stack(net, frames.shape)
-        return frames.shape[0], ((start, records["observation"])
-                                 for start, records in frames.windows(STATS_CHUNK))
+        return frames.shape[0], frames.frame_windows(STATS_CHUNK)
     frames = frame_batch(net, frames)
     return frames.shape[0], ((start, frames[start:start + STATS_CHUNK])
                              for start in range(0, frames.shape[0], STATS_CHUNK))
@@ -180,10 +179,10 @@ def collect_stats(net: NetworkSpec, frames, config: NormConfig,
     may carry no ReLU) samples the positive part of its outputs.  Each
     scale equals percentile() of the layer's pooled samples, bit for bit,
     but memory stays bounded by one chunk plus the top 1 % of samples
-    (p >= 99); frames given as a modelio.TraceReader are read one chunk
-    at a time too.  A layer whose percentile is not positive falls back
-    to scale 1 with a warning so downstream division stays safe.  Frames
-    must be finite.
+    (p >= 99); frames given as a reader from modelio.open_frames (a
+    trace or a frame blob) are read one chunk at a time too.  A layer
+    whose percentile is not positive falls back to scale 1 with a
+    warning so downstream division stays safe.  Frames must be finite.
     """
     return _stats_per_config(net, frames, [config], provenance)[0]
 

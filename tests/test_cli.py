@@ -144,8 +144,8 @@ def _unit_trace(path, frames):
 def test_stats_on_a_trace_equals_stats_on_its_frames_as_an_array(tmp_path, monkeypatch,
                                                                  n, cap, seed, p):
     """stats reads a trace window by window; its stats.json equals, byte
-    for byte, that of the same frames in a blob, which stats holds whole,
-    with max_frames inside a window, at a window's edge, at or past the end."""
+    for byte, that of the same frames in a blob, with max_frames inside a
+    window, at a window's edge, at or past the end."""
     monkeypatch.setattr(normalize, "STATS_CHUNK", _CHUNK)
     model = tmp_path / "model"
     if not model.exists():
@@ -259,6 +259,20 @@ def test_stats_memory_does_not_grow_with_the_trace(tmp_path, model_dir):
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
+def test_stats_memory_does_not_grow_with_the_blob(tmp_path, model_dir):
+    """stats holds one STATS_CHUNK window of a blob, not the blob: four
+    times the frames leave its traced peak within 10 %."""
+    chunk = normalize.STATS_CHUNK
+    rng = np.random.default_rng(5)
+    peaks = []
+    for n in (2 * chunk, 8 * chunk):
+        path = tmp_path / f"{n}.bin"
+        write_blob(path, rng.random((n, 1, 6, 6)).astype(np.float32))
+        peaks.append(_traced_peak("stats", "--model", model_dir, "--frames", path,
+                                  "--out", tmp_path / "s.json"))
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 def test_simulate_memory_does_not_grow_with_the_trace(tmp_path, model_dir):
     """simulate --frame on a trace checks it one STATS_CHUNK window at a
     time and keeps frame 0: four times the frames leave its traced peak
@@ -278,7 +292,7 @@ def test_simulate_memory_does_not_grow_with_the_blob(tmp_path, model_dir, monkey
     """simulate --frame on a stacked blob checks it one window at a time
     and keeps frame 0: four times the frames add less than a tenth of the
     added bytes to its traced peak (a whole read adds them twice over)."""
-    monkeypatch.setattr(cli, "FRAME_WINDOW", 64 * 36)
+    monkeypatch.setattr(cli, "STATS_CHUNK", 64)
     rng = np.random.default_rng(7)
     peaks, sizes = [], []
     for n in (1000, 4000):
@@ -299,11 +313,12 @@ def test_simulate_memory_does_not_grow_with_the_blob(tmp_path, model_dir, monkey
 ])
 def test_simulate_checks_a_stacked_blob_as_a_whole_read_does(tmp_path, model_dir, monkeypatch, capsys,
                                                               fault, message):
-    """simulate --frame reads a stacked blob in windows, yet reports what
-    a whole read reports: read_blob's fault in its structure before a
-    pixel outside [0, 1] in a late frame (as stats reports it); a sound
-    blob gives frame 0's run."""
-    monkeypatch.setattr(cli, "FRAME_WINDOW", 50)
+    """simulate --frame and stats --frames read a stacked blob in windows,
+    yet report what a whole read reports: read_blob's fault in its
+    structure before a pixel outside [0, 1] in a late frame; a sound blob
+    gives frame 0's run."""
+    monkeypatch.setattr(cli, "STATS_CHUNK", _CHUNK)
+    monkeypatch.setattr(normalize, "STATS_CHUNK", _CHUNK)
     frames = np.full((13, 1, 6, 6), 0.25, dtype=np.float32)
     frames[0, 0, 5, :] = frames[0, 0, 0, 2] = 1.0
     if fault is not None:
@@ -324,14 +339,74 @@ def test_simulate_checks_a_stacked_blob_as_a_whole_read_does(tmp_path, model_dir
         assert got.out == capsys.readouterr().out
         return
     assert code == 2 and got.err == f"rateconv simulate: {path}: {message}\n"
-    if fault == "pixel":
-        assert run_cli("stats", "--model", model_dir, "--frames", path,
-                       "--out", tmp_path / "s.json") == 2
-        assert capsys.readouterr().err == f"rateconv stats: {path}: {message}\n"
-    else:
+    assert run_cli("stats", "--model", model_dir, "--frames", path,
+                   "--out", tmp_path / "s.json") == 2
+    assert capsys.readouterr().err == f"rateconv stats: {path}: {message}\n"
+    if fault != "pixel":
         with pytest.raises(rateconv.BlobError) as caught:
             read_blob(path)
         assert str(caught.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("kind", ["trace", "blob"])
+def test_simulate_on_a_file_of_no_frames_is_data_error(tmp_path, model_dir, capsys, kind):
+    """An empty trace, or a blob stacking no frames of the network input,
+    has no frame 0."""
+    frames = np.zeros((0, 1, 6, 6), dtype=np.float32)
+    path = tmp_path / f"empty.{kind}"
+    if kind == "trace":
+        _unit_trace(path, frames)
+    else:
+        write_blob(path, frames)
+    assert run_cli("simulate", "--model", model_dir, "--frame", path) == 2
+    assert capsys.readouterr().err == f"rateconv simulate: {path}: {kind} contains no frames\n"
+
+
+# float32 values an edited pixel takes: NaN, +inf, -inf, one outside [0, 1], negative zero
+_PIXELS = st.sampled_from([math.nan, math.inf, -math.inf, 1.5, -0.0])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 3 * _CHUNK + 2), seed=st.integers(0, 3),
+       pixels=st.lists(st.tuples(st.integers(0, 10**6), _PIXELS), max_size=3),
+       max_frames=st.integers(1, 4 * _CHUNK))
+@example(n=3 * _CHUNK + 2, seed=0, pixels=[], max_frames=_CHUNK + 1)
+@example(n=2 * _CHUNK, seed=1, pixels=[(5 * 36, 1.5), (3 * 36 + 7, math.nan)], max_frames=2)
+@example(n=2 * _CHUNK + 1, seed=2, pixels=[(7 * 36 + 3, math.nan)], max_frames=3)
+@example(n=_CHUNK + 3, seed=3, pixels=[(4 * 36, -0.0), (0, -0.0)], max_frames=_CHUNK + 1)
+def test_stats_on_a_blob_equals_stats_on_the_same_frames_as_a_trace(
+        tmp_path, monkeypatch, capsys, n, seed, pixels, max_frames):
+    """The file format does not show: the same frames as a blob and as a
+    trace give stats the same exit code, the same message after the path,
+    the same stats.json bytes and the same chunks through the network,
+    whatever pixels are edited in and wherever max_frames cuts the
+    STATS_CHUNK windows."""
+    monkeypatch.setattr(normalize, "STATS_CHUNK", _CHUNK)
+    monkeypatch.setattr(cli, "STATS_CHUNK", _CHUNK)
+    chunks = []
+    monkeypatch.setattr(normalize, "forward_batch",
+                        lambda net, x: chunks.append(x.shape[0]) or rateconv.forward_batch(net, x))
+    model = tmp_path / "model"
+    if not model.exists():
+        _conv_model(model)
+    rng = np.random.default_rng(seed)
+    frames = (rng.random((n, 1, 6, 6)) * (rng.random((n, 1, 6, 6)) < 0.5)).astype(np.float32)
+    for index, value in pixels:
+        frames.flat[index % frames.size] = value
+    blob, trace = tmp_path / "f.bin", tmp_path / "f.trace"
+    write_blob(blob, frames)
+    _unit_trace(trace, frames)
+    results = []
+    for path in (blob, trace):
+        out = tmp_path / f"{path.suffix[1:]}.json"
+        out.unlink(missing_ok=True)
+        code = run_cli("stats", "--model", model, "--frames", path, "--max-frames", max_frames,
+                       "--provenance", "frames", "--out", out)
+        err = capsys.readouterr().err.replace(str(path), "FRAMES")
+        results.append((code, err, out.read_bytes() if out.exists() else None, chunks[:]))
+        chunks.clear()
+    assert results[0] == results[1]
 
 
 def test_unit_range_check_builds_no_masks_for_valid_frames(tmp_path):

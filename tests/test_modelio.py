@@ -15,6 +15,7 @@ from rateconv import (BlobError, EpisodeTrace, FormatError, ManifestError, Netwo
                       conv2d, flatten, load_frames, load_model, read_blob, read_report,
                       read_trace, save_model, step_dtype, validate_network, write_blob,
                       write_report, write_trace)
+from rateconv.modelio import BlobReader, open_frames
 
 from conftest import json_paths, rand_conv_net, rand_dense_net, trace_steps
 
@@ -346,6 +347,75 @@ def test_trace_changed_between_passes_is_a_trace_error(tmp_path, rng, change):
     net = NetworkSpec((1, 4, 4), [flatten(), dense(np.ones((2, 16)), np.zeros(2))])
     with pytest.raises(TraceError, match="changed"):
         collect_stats(net, reader, NormConfig())
+
+
+@pytest.mark.parametrize("change", ["header", "longer", "shorter"])
+def test_blob_changed_between_passes_is_a_blob_error(tmp_path, rng, change):
+    """A pass after the first checks the file against it: a header or a
+    size that changed is a BlobError, not other frames."""
+    path = tmp_path / "f.bin"
+    write_blob(path, rng.random((9, 1, 4, 4)).astype(np.float32))
+    reader = open_frames(path)
+    for _ in reader.frame_windows(4):
+        pass
+    raw = path.read_bytes()
+    header, frame = 8 + 4 + 4 * 4, 4 * 16
+    edits = {"header": raw[:12] + struct.pack("<I", 5) + raw[16:],
+             "longer": raw + raw[header:header + frame],
+             "shorter": raw[:-frame]}
+    path.write_bytes(edits[change])
+    with pytest.raises(BlobError, match="changed while it was being read"):
+        list(reader.frame_windows(4))
+    net = NetworkSpec((1, 4, 4), [flatten(), dense(np.ones((2, 16)), np.zeros(2))])
+    with pytest.raises(BlobError, match="changed"):
+        collect_stats(net, reader, NormConfig())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), shape=st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
+       count=st.integers(0, 20), kind=st.sampled_from(["blob", "trace"]))
+def test_frame_windows_are_the_frames_in_order(tmp_path, data, shape, count, kind):
+    """Either format's frame windows are slices of the frames along the
+    leading dim, on every pass, and load_frames returns those frames."""
+    frames = data.draw(arrays(np.float32, (count, *shape)))
+    path = tmp_path / f"f.{kind}"
+    if kind == "blob":
+        write_blob(path, frames)
+    else:
+        steps = np.zeros(count, step_dtype(shape))
+        steps["observation"] = frames
+        write_trace(EpisodeTrace(1, shape, steps), path)
+    reader = open_frames(path)
+    assert isinstance(reader, BlobReader if kind == "blob" else TraceReader)
+    assert reader.kind == kind and reader.shape == (count, *shape)
+    rows = data.draw(st.integers(1, 6))
+    for _ in range(2):
+        starts = []
+        for start, window in reader.frame_windows(rows):
+            starts.append(start)
+            assert window.dtype == np.float32 and window.shape[1:] == shape
+            assert window.tobytes() == frames[start:start + rows].tobytes()
+        assert starts == list(range(0, count, rows))
+    got = load_frames(path)
+    assert got.dtype == np.float32 and got.tobytes() == frames.tobytes()
+    assert got.shape == frames.shape
+
+
+def test_a_blob_is_one_frame_unless_it_stacks_the_frame_shape(tmp_path):
+    """Given a frame shape, a blob of [n, *frame_shape] holds n frames and
+    any other blob one, whatever its ndim; without one, a blob needs a
+    leading frame dimension."""
+    path = tmp_path / "f.bin"
+    for dims, frame_shape, shape in [((3, 4), (4,), (3, 4)), ((0, 4), (4,), (0, 4)),
+                                     ((4,), (4,), (1, 4)), ((3, 5), (4,), (1, 3, 5)),
+                                     ((2, 3), None, (2, 3))]:
+        write_blob(path, np.zeros(dims, dtype=np.float32))
+        assert open_frames(path, frame_shape).shape == shape
+    write_blob(path, np.zeros(4, dtype=np.float32))
+    for read in (open_frames, load_frames):
+        with pytest.raises(BlobError, match="leading frame dimension"):
+            read(path)
 
 
 def test_dims_too_large_for_an_array_are_format_errors(tmp_path):
