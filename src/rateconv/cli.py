@@ -22,6 +22,7 @@ import sys
 from contextlib import closing
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .evaluate import (CR_MODES, EvalConfig, collect_frames_by_play, evaluate, m
                        replay_trace, report_row, sweep_percentile, sweep_time)
 from .lincatch import LineCatchEnv
 from .modelio import EpisodeTrace, FormatError
-from .network import greedy_action
+from .network import NetworkSpec, greedy_action, require_stack
 from .normalize import (STATS_CHUNK, NormConfig, apply_normalization, collect_stats, load_stats,
                         save_stats)
 from .simulate import READOUTS, SimConfig, diagnostics, readout, run
@@ -239,11 +240,15 @@ def _unit_frames(path, windows) -> None:
         raise FormatError(f"{path}: pixel value {first} outside [0, 1]")
 
 
-def _load_frames(path, frame_shape=None):
-    """The frames of a trace or blob (modelio.open_frames) once every pixel
-    is checked to lie in [0, 1], one STATS_CHUNK window at a time; the
-    calibration pass reads them again, window by window."""
+def _load_frames(path, frame_shape=None, net: Optional[NetworkSpec] = None):
+    """The frames of a trace or blob (modelio.open_frames) once they stack
+    over net's input, if net is given, and every pixel is checked to lie
+    in [0, 1], one STATS_CHUNK window at a time; the calibration pass
+    reads them again, window by window.  The stack check comes first, so
+    frames that no pass could use are refused before any is read."""
     frames = modelio.open_frames(path, frame_shape)
+    if net is not None:
+        require_stack(net, frames.shape)
     _unit_frames(path, (window for _, window in frames.frame_windows(STATS_CHUNK)))
     return frames
 
@@ -266,7 +271,7 @@ def _load_frame(path: str, input_shape) -> np.ndarray:
 def cmd_stats(args) -> int:
     config = _usage(NormConfig, args.percentile, args.max_frames)
     net = modelio.load_model(args.model)
-    frames = _load_frames(args.frames)
+    frames = _load_frames(args.frames, net=net)
     stats = collect_stats(net, frames, config, provenance=args.provenance or str(args.frames))
     save_stats(stats, args.out)
     print(f"wrote {args.out}: {len(stats.scales)} scales, "
@@ -368,7 +373,7 @@ def cmd_sweep(args) -> int:
     source = modelio.load_model(args.model)
 
     if args.frames:
-        frames = _load_frames(args.frames)
+        frames = _load_frames(args.frames, net=source)
     else:
         frames = collect_frames_by_play(source, env, CALIBRATION_FRAMES,
                                         replace(eval_config, episodes=1))

@@ -35,11 +35,10 @@ import numpy as np
 
 from .lincatch import LineCatchEnv
 from .modelio import EpisodeTrace, ReportRow
-from .network import (NetworkSpec, affine_rows, explore, frame_batch, frame_stack,
-                      layer_output_shape, require_integer)
+from .network import (NetworkSpec, affine_rows, distinct_rows, explore, frame_batch,
+                      frame_stack, layer_output_shape, require_integer, unit_forward)
 from .normalize import NormConfig, _stats_per_config, apply_normalization, collect_stats
-from .simulate import (SimConfig, _build_stages, _checked_stages, _run_stages, distinct_rows,
-                       readout)
+from .simulate import SimConfig, _build_stages, _checked_stages, _run_stages, readout
 
 CR_MODES = ("greedy", "executed")
 REPLAY_CHUNK = 256  # distinct frames per spiking run of a replay
@@ -138,9 +137,10 @@ class AnalogAgent:
     """Values from the analog forward pass of the network.
 
     qvalues runs all its rows in one pass on float64 parameters made
-    once, every product row-exact (network.affine_rows): each row is
-    bit for bit the one-row forward pass of its observation, so no
-    decision depends on another.
+    once, every product row-exact: the leading conv layers once per
+    distinct receptive field (network.unit_forward), the rest through
+    network.affine_rows.  Each row is bit for bit the one-row forward
+    pass of its observation, so no decision depends on another.
     """
 
     def __init__(self, net: NetworkSpec):
@@ -149,7 +149,9 @@ class AnalogAgent:
 
     def qvalues(self, observations) -> np.ndarray:
         x = frame_batch(self.net, observations).astype(np.float64, copy=False)
-        for stage in self.stages:
+        acts = unit_forward(x, ((s.layer, s.weights64, s.bias64) for s in self.stages))
+        x = acts[-1] if acts else x
+        for stage in self.stages[len(acts):]:
             x = affine_rows(stage.layer, x.reshape(len(x), *stage.input_shape),
                             stage.weights64, stage.bias64)
             if stage.layer.activation == "relu":

@@ -9,6 +9,7 @@ every layer, which the normalization and simulation code feed on.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional
@@ -227,6 +228,16 @@ def conv2d_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     x: [batch, in_ch, h, w]; weights: [out_ch, in_ch, kh, kw].  It
     accumulates one kernel offset at a time, which keeps summation order
     fixed and results bit-reproducible.  This is the one conv kernel.
+
+    Each output element is summed alone: over channels in order within
+    an offset's einsum, then offset after offset into a zero start, then
+    the bias, the same operations whatever its batch row or position.
+    So a receptive field cut out of x and given alone, as a [1, in_ch,
+    kh, kw] input, gets the bits it gets in place; unit_forward computes
+    each distinct field once on that ground, no exactness needed.  The
+    one exception is a 1x1 kernel, whose weights lie contiguous along
+    channels: einsum may then sum the channels in SIMD lanes, in an
+    order that depends on x's layout, so units stop before such a layer.
     The simulator's exact stages instead gather their columns from the
     spike buffer into one GEMM per block, over every row or over one
     unit per distinct receptive field, which gives these bits because
@@ -280,19 +291,199 @@ def affine_rows(layer: LayerSpec, x: np.ndarray, weights64: np.ndarray,
     return conv2d_batch(x, weights64, bias64, layer.stride, layer.padding)
 
 
+# ---------------------------------------------------------------------------
+# units: one per distinct receptive field
+
+UNIT_SAMPLE = 1024  # pixel vectors unit_maps' repeat test reads
+
+
+def receptive_fields(layer: LayerSpec, in_shape: tuple[int, ...]) -> np.ndarray:
+    """A conv layer's receptive fields, [kh * kw, out_h * out_w]: the
+    input position (y * w + x) each kernel offset of each output
+    position reads, or h * w where it reads padding."""
+    _, h, w = in_shape
+    _, _, kh, kw = layer.weights.shape
+    (sh, sw), (ph, pw) = layer.stride, layer.padding
+    oh, ow = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+    y = (np.arange(kh)[:, None] + sh * np.arange(oh) - ph)[:, None, :, None]
+    x = (np.arange(kw)[:, None] + sw * np.arange(ow) - pw)[None, :, None, :]
+    inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)  # [kh, kw, oh, ow]
+    return np.where(inside, y * w + x, h * w).reshape(kh * kw, oh * ow)
+
+
+def channel_index(window: np.ndarray, channels: int, n: int) -> np.ndarray:
+    """Columns over channels * n neurons, channel-major, from a window
+    [offsets, columns] of positions in [0, n], n being padding: [channels
+    * offsets, columns], each entry c * n + position, or channels * n (a
+    zero row past the last neuron) where it reads padding."""
+    at = np.arange(channels)[:, None, None] * n + window
+    return np.where(window == n, channels * n, at).reshape(-1, window.shape[1])
+
+
+def _distinct_codes(digits, n: int, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """distinct_rows of n rows of integers in [0, radix), given as their
+    digit columns one after another, each any array of n integers."""
+    codes, span = np.zeros(n, dtype=np.int64), 1
+    for digit in digits:
+        if span * radix > 2 ** 63:
+            codes = np.unique(codes, return_inverse=True)[1].reshape(-1)
+            span = int(codes.max()) + 1
+        codes *= radix
+        codes += digit.reshape(-1)
+        span *= radix
+    _, first, ids = np.unique(codes, return_index=True, return_inverse=True)
+    return first, ids.reshape(-1)
+
+
+def _distinct_values(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, sorted, -0.0 equal to 0.0.  A plain
+    np.unique would import numpy.ma on its first call, 12-20 ms."""
+    s = np.sort(a, axis=None)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
+def distinct_rows(rows: np.ndarray, radix: Optional[int] = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of rows, [n, d]: (first, ids), where first[u] is
+    the first row equal to the u-th distinct row and ids[i] is the
+    distinct row that row i equals.
+
+    rows hold integers in [0, radix), or, with radix None, any numbers,
+    which are first replaced by their rank among the distinct values
+    (so -0.0 equals 0.0).  Each row is read as one mixed-radix integer,
+    digit after digit; when the next digit would overflow int64 the codes
+    so far are ranked (np.unique), which keeps them below n.
+    """
+    if radix is None:
+        values = _distinct_values(rows)
+        rows, radix = np.searchsorted(values, rows), len(values)
+    return _distinct_codes(rows.T, len(rows), radix)
+
+
+@dataclass
+class Units:
+    """A population kept per unit: one per distinct receptive field."""
+
+    ids: np.ndarray  # [batch, positions]: the unit each position of each frame holds
+    count: int
+    windows: Optional[np.ndarray]  # [units, kh * kw]: the ids below each reads; None for input
+
+
+def pixel_vectors(frames: np.ndarray) -> np.ndarray:
+    """frames [batch, c, h, w] as [batch * h * w, c], one row per position."""
+    return frames.transpose(0, 2, 3, 1).reshape(-1, frames.shape[1])
+
+
+def unit_maps(frames: np.ndarray, windows: list[np.ndarray]
+              ) -> tuple[list[Units], Optional[np.ndarray]]:
+    """The units of the input and of the conv populations that read it
+    through windows in turn (receptive_fields), and the input units'
+    pixel vectors [units, c]; ([], None) when no conv population is kept.
+
+    An input unit is a distinct pixel vector; a conv unit is a distinct
+    window of unit ids of the population below, padding read as one more
+    id (the count below), its code built one kernel offset at a time.
+    Units stop at the first conv population whose units exceed half its
+    (frame, position) pairs: there, handling one unit at a time costs
+    more than the repeats save.  Frames with at least 2 UNIT_SAMPLE
+    pixel vectors are first tested on a strided sample of about
+    UNIT_SAMPLE of them: if more than half of it is distinct, the frames
+    do not repeat enough, and nothing is ranked.  Frames holding NaN,
+    whose payloads differ unseen, are not kept per unit either.
+    """
+    if not windows or len(frames) == 0:
+        return [], None
+    batch, c = frames.shape[:2]
+    pixels = pixel_vectors(frames)
+    step = max(1, len(pixels) // UNIT_SAMPLE)
+    sample = pixels[::step]
+    if step > 1 and 2 * len(distinct_rows(sample)[0]) > len(sample):
+        return [], None
+    # Each pixel's rank among the sample's values, or among all values
+    # if the sample lacks one of them.
+    values = _distinct_values(sample)
+    ranks = np.searchsorted(values, pixels)
+    if step > 1 and not np.array_equal(values[np.minimum(ranks, len(values) - 1)], pixels):
+        values = _distinct_values(pixels)
+        ranks = np.searchsorted(values, pixels)
+    if np.isnan(values).any():
+        return [], None
+    if c == 1:  # the ranks are the units
+        ids, vectors = ranks[:, 0], values[:, None]
+    else:
+        first, ids = _distinct_codes(ranks.T, len(pixels), len(values))
+        vectors = pixels[first]
+    maps = [Units(ids.reshape(batch, -1), len(vectors), None)]
+    for window in windows:
+        below = maps[-1]
+        padded = np.concatenate([below.ids, np.full((batch, 1), below.count)], axis=1)
+        first, ids = _distinct_codes((padded[:, at] for at in window), batch * window.shape[1],
+                                     below.count + 1)
+        if 2 * len(first) > len(ids):
+            break
+        frame, position = np.divmod(first, window.shape[1])
+        maps.append(Units(ids.reshape(batch, -1), len(first),
+                          padded[frame[:, None], window.T[position]]))
+    return (maps, vectors) if len(maps) > 1 else ([], None)
+
+
+def unit_forward(x: np.ndarray, convs) -> list[np.ndarray]:
+    """The post-activation arrays [batch, *shape] of the leading conv
+    layers on x [batch, *input_shape], each distinct receptive field
+    computed once (unit_maps), as many as are kept per unit: [] when
+    none is, and the caller computes every layer whole.
+
+    convs holds a network's leading (layer, weights64, bias64) in order;
+    the run stops at the first layer that is no conv or has a 1x1 kernel
+    (see conv2d_batch).  A unit's [c, kh, kw] field, read from the units
+    below (padding from a zero row), goes through conv2d_batch alone and
+    then the activation, and every position gets its unit's values: bit
+    for bit what conv2d_batch computes over the whole batch.
+    """
+    lead, shape = [], x.shape[1:]
+    for layer, weights64, bias64 in convs:
+        if layer.kind != "conv2d" or layer.weights.shape[2:] == (1, 1):
+            break
+        try:
+            out = layer_output_shape(layer, shape)
+        except ValueError:  # left to the whole pass, which reports it
+            break
+        lead.append((layer, weights64, bias64, shape, out))
+        shape = out
+    maps, values = unit_maps(x, [receptive_fields(layer, s) for layer, _, _, s, _ in lead])
+    acts = []
+    for (layer, weights64, bias64, (c, _, _), out), units in zip(lead, maps[1:]):
+        padded = np.concatenate([values, np.zeros((1, c))])
+        fields = np.ascontiguousarray(padded[units.windows].transpose(0, 2, 1))
+        values = conv2d_batch(fields.reshape(units.count, c, *layer.weights.shape[2:]),
+                              weights64, bias64, (1, 1), (0, 0))[:, :, 0, 0]
+        if layer.activation == "relu":
+            values = np.maximum(values, 0.0)
+        act = np.empty((len(x), out[0], units.ids.shape[1]))
+        for k, channel in enumerate(values.T):
+            act[:, k] = channel[units.ids]
+        acts.append(act.reshape(len(x), *out))
+    return acts
+
+
 def forward_batch(net: NetworkSpec, inputs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Forward pass over a batch of inputs.
 
     inputs: [batch, *input_shape].  Returns (per-layer post-activation
-    arrays, q-values [batch, n_actions]).
+    arrays, q-values [batch, n_actions]).  The leading conv layers are
+    computed once per distinct receptive field (unit_forward), with the
+    bits of the whole pass; from the first dense layer on, each layer is
+    one batched call.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.shape[1:] != net.input_shape:
         raise ValueError(
             f"input shape {inputs.shape[1:]} does not match network input {net.input_shape}")
-    x = inputs
-    acts: list[np.ndarray] = []
-    for layer in net.layers:
+    convs = ((layer, layer.weights.astype(np.float64), layer.bias.astype(np.float64))
+             for layer in itertools.takewhile(lambda l: l.kind == "conv2d", net.layers))
+    acts: list[np.ndarray] = unit_forward(inputs, convs)
+    x = acts[-1] if acts else inputs
+    for layer in net.layers[len(acts):]:
         if layer.kind == "flatten":
             x = x.reshape(x.shape[0], -1)
         else:

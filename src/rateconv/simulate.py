@@ -48,17 +48,26 @@ channel and on what its receptive field holds.  Those populations are
 kept as [channels, units], one unit per distinct field: the input's
 units are the distinct pixel vectors of one position, and a conv
 population's units the distinct windows of unit ids of the population
-below, padding one more id that reads a zero row (distinct_rows finds
-them from integer codes).  A unit stage's currents are W @ columns + b,
-one GEMM per block, its columns gathered from the units below by one
-index per run.  The units never include the output stage and end
-before the first dense or inexact stage, which reads the last unit
-population per row through one gather; from there on a population is
-[width, batch], one column per row, as is every population of a net
-whose first stage is no exact conv.  They also end at the first conv
+below, padding one more id that reads a zero row.  network.unit_maps
+finds them from integer codes, for the simulator and the analog pass
+alike.  A unit stage's currents are W @ columns + b, one GEMM per
+block, its columns gathered from the units below by one index per
+run.  The units never include the output stage and end before the
+first dense or inexact stage, which reads the last unit population
+per row through one gather; from there on a population is [width,
+batch], one column per row, as is every population of a net whose
+first stage is no exact conv.  They also end at the first conv
 population with more units than half its (frame, position) pairs:
 gathering one unit at a time costs more there than the repeats save.
-The results give a unit's values to every position that holds it.
+Frames whose strided sample of pixel vectors is more than half
+distinct are not ranked at all.  The results give a unit's values to
+every position that holds it.
+
+The analog pass (network.unit_forward) keeps its units for another
+reason: its inputs are floats, so no partial sum need be exact, but
+network.conv2d_batch sums each output element alone, in an order that
+depends on neither its batch row nor its position, so a field
+computed once gets the bits it gets in every place that holds it.
 
 One rule for a stage's currents: every stage computes each block's
 currents whole, but the first stage under a steady input.  The input
@@ -113,8 +122,9 @@ from typing import Optional
 
 import numpy as np
 
-from .network import (LayerSpec, NetworkSpec, affine_rows, apply_layer_linear, frame_stack,
-                      layer_output_shape, require_integer, validate_network)
+from .network import (LayerSpec, NetworkSpec, Units, affine_rows, apply_layer_linear,
+                      channel_index, frame_stack, layer_output_shape, receptive_fields,
+                      require_integer, unit_maps, validate_network)
 
 READOUTS = ("rate", "robust")
 BLOCK_BYTES = 1 << 20  # caps K * batch * (all populations' neurons) * 8 bytes
@@ -173,62 +183,18 @@ class _Stage:
 
     @cached_property
     def window(self) -> np.ndarray:
-        """A conv layer's receptive fields, [kh * kw, out_h * out_w]: the
-        input position (y * w + x) each kernel offset of each output
-        position reads, or h * w where it reads padding."""
-        _, h, w = self.input_shape
-        _, oh, ow = self.shape
-        _, _, kh, kw = self.weights64.shape
-        (sh, sw), (ph, pw) = self.layer.stride, self.layer.padding
-        y = (np.arange(kh)[:, None] + sh * np.arange(oh) - ph)[:, None, :, None]
-        x = (np.arange(kw)[:, None] + sw * np.arange(ow) - pw)[None, :, None, :]
-        inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)  # [kh, kw, oh, ow]
-        return np.where(inside, y * w + x, h * w).reshape(kh * kw, oh * ow)
+        """A conv layer's receptive fields (network.receptive_fields)."""
+        return receptive_fields(self.layer, self.input_shape)
 
     @cached_property
     def gather(self) -> Optional[np.ndarray]:
         """A conv layer's columns as input neurons, [in_ch * kh * kw,
-        out_h * out_w] (_channel_index of its window), or None for a
+        out_h * out_w] (channel_index of its window), or None for a
         dense layer."""
         if self.layer.kind != "conv2d":
             return None
         c, h, w = self.input_shape
-        return _channel_index(self.window, c, h * w)
-
-
-def _channel_index(window: np.ndarray, channels: int, n: int) -> np.ndarray:
-    """Columns over channels * n neurons, channel-major, from a window
-    [offsets, columns] of positions in [0, n], n being padding: [channels
-    * offsets, columns], each entry c * n + position, or channels * n (a
-    zero row past the last neuron) where it reads padding."""
-    at = np.arange(channels)[:, None, None] * n + window
-    return np.where(window == n, channels * n, at).reshape(-1, window.shape[1])
-
-
-def distinct_rows(rows: np.ndarray, radix: Optional[int] = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of rows, [n, d]: (first, ids), where first[u] is
-    the first row equal to the u-th distinct row and ids[i] is the
-    distinct row that row i equals.
-
-    rows hold integers in [0, radix), or, with radix None, any numbers,
-    which are first replaced by their rank among the distinct values
-    (so -0.0 equals 0.0).  Each row is read as one mixed-radix integer,
-    digit after digit; when the next digit would overflow int64 the codes
-    so far are ranked (np.unique), which keeps them below n.
-    """
-    if radix is None:
-        values = np.unique(rows)
-        rows, radix = np.searchsorted(values, rows), len(values)
-    codes, span = np.zeros(len(rows), dtype=np.int64), 1
-    for k in range(rows.shape[1]):
-        if span * radix > 2 ** 63:
-            codes = np.unique(codes, return_inverse=True)[1].reshape(-1)
-            span = int(codes.max()) + 1
-        codes = codes * radix + rows[:, k]
-        span *= radix
-    _, first, ids = np.unique(codes, return_index=True, return_inverse=True)
-    return first, ids.reshape(-1)
+        return channel_index(self.window, c, h * w)
 
 
 def _build_stages(net: NetworkSpec) -> list[_Stage]:
@@ -268,48 +234,20 @@ def _block_length(timesteps: int, elements: int) -> int:
                       timesteps))
 
 
-@dataclass
-class _Units:
-    """A population kept per unit: one column per distinct receptive field."""
-
-    ids: np.ndarray  # [batch, positions]: the unit of each position of each frame
-    count: int
-    index: Optional[np.ndarray]  # the stage's columns over the units below; None for the input
-
-
 def _unit_maps(stages: list[_Stage], frames: np.ndarray
-               ) -> tuple[list[_Units], Optional[np.ndarray]]:
+               ) -> tuple[list[Units], Optional[np.ndarray]]:
     """The populations kept per unit, and the input's drive per unit [c, units].
 
-    An input unit is a distinct pixel vector of one position; a conv unit
-    is a distinct window of unit ids of the population below, padding
-    read as one more id.  Units run from the input through the leading
-    exact conv stages, never the output stage, and stop at the first
-    conv population whose units exceed half its (frame, position) pairs:
-    there, gathering columns one unit at a time costs more than the
-    repeats save.  None (and no drive) unless stage 0's population is
-    kept.
+    network.unit_maps over the leading exact conv stages, never the
+    output stage: [] (and no drive) unless stage 0's population is kept.
     """
-    lead = stages[:-1]
-    if not lead or lead[0].layer.kind != "conv2d" or not lead[0].exact:
-        return [], None
-    batch, c = frames.shape[:2]
-    pixels = frames.transpose(0, 2, 3, 1).reshape(-1, c)
-    first, ids = distinct_rows(pixels)
-    maps = [_Units(ids.reshape(batch, -1), len(first), None)]
-    drive = pixels[first].T
-    for stage in lead:
+    windows = []
+    for stage in stages[:-1]:
         if stage.layer.kind != "conv2d" or not stage.exact:
             break
-        below = maps[-1]
-        padded = np.concatenate([below.ids, np.full((batch, 1), below.count)], axis=1)
-        window = padded[:, stage.window].transpose(0, 2, 1).reshape(-1, len(stage.window))
-        first, ids = distinct_rows(window, below.count + 1)
-        if 2 * len(first) > len(ids):
-            break
-        maps.append(_Units(ids.reshape(batch, -1), len(first),
-                           _channel_index(window[first].T, stage.input_shape[0], below.count)))
-    return (maps, drive) if len(maps) > 1 else ([], None)
+        windows.append(stage.window)
+    units, vectors = unit_maps(frames, windows)
+    return units, None if vectors is None else vectors.T
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +369,8 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
     for n, m in zip(neurons, cols):
         edges.append(edges[-1] + n * m)
     last_pop = len(shapes) - 1
-    index = [None] + [units[j].index if j < len(units) else stage.gather
+    index = [None] + [channel_index(units[j].windows.T, shapes[j - 1][0], units[j - 1].count)
+                      if j < len(units) else stage.gather
                       for j, stage in enumerate(stages, start=1)]
     if units:
         # The first population kept per row reads the last one kept per

@@ -19,7 +19,7 @@ import rateconv
 from rateconv import (EpisodeTrace, NetworkSpec, conv2d, dense, flatten, load_model,
                       optimal_network, read_blob, read_report, read_trace, save_model,
                       validate_network, write_blob, write_trace)
-from rateconv import cli, normalize
+from rateconv import cli, modelio, normalize
 from rateconv.cli import main
 
 from conftest import json_paths, trace_steps
@@ -257,6 +257,25 @@ def test_stats_memory_does_not_grow_with_the_trace(tmp_path, model_dir):
         peaks.append(_traced_peak("stats", "--model", model_dir, "--frames", path,
                                   "--out", tmp_path / "s.json"))
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("command", [
+    ["stats"], ["sweep", "--mode", "time", "--values", "5", "--grid-size", "6"]])
+def test_frames_that_do_not_stack_are_refused_before_any_window_is_read(
+        tmp_path, model_dir, monkeypatch, capsys, command):
+    """A 20-byte blob of 4294967295 zero-size frames is refused by the
+    stack check, exit 2 with its message, before the pixel pass reads a
+    window (walking its empty windows took seconds)."""
+    path = tmp_path / "empty.bin"
+    path.write_bytes(modelio.BLOB_MAGIC + struct.pack("<3I", 2, 4294967295, 0))
+    windows, real = [], modelio.BlobReader.frame_windows
+    monkeypatch.setattr(modelio.BlobReader, "frame_windows",
+                        lambda self, rows: windows.append(rows) or real(self, rows))
+    out = tmp_path / "out"
+    assert run_cli(*command, "--model", model_dir, "--frames", path, "--out", out) == 2
+    assert capsys.readouterr().err == (f"rateconv {command[0]}: frames of shape (4294967295, 0) "
+                                       f"do not stack over network input (1, 6, 6)\n")
+    assert windows == [] and not out.exists()
 
 
 def test_stats_memory_does_not_grow_with_the_blob(tmp_path, model_dir):
