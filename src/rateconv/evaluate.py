@@ -210,7 +210,8 @@ class _Episode:
 
 def _start_episode(env: LineCatchEnv, config: EvalConfig, rng: np.random.Generator,
                    shadowed: bool) -> _Episode:
-    """Reset the env from rng, then play the random-length no-op prefix."""
+    """Reset the env from rng, then play the random-length no-op prefix,
+    whose steps are not decisions: they leave no frames or actions."""
     env_seed = int(rng.integers(0, 2**63))
     noop_len = int(rng.integers(0, config.max_noop + 1))
     episode = _Episode(env, rng, env.reset(env_seed), env.done, PlayRecord(
@@ -266,19 +267,6 @@ def _play_lockstep(envs: list[LineCatchEnv], rngs: list[np.random.Generator], ag
             rec.env_steps += 1
         live = [i for i in live if episodes[i].live(config)]
     return [episode.record for episode in episodes]
-
-
-def play_episode(env: LineCatchEnv, agent, config: EvalConfig,
-                 rng: np.random.Generator) -> PlayRecord:
-    """One episode: random-length no-op prefix, then epsilon-greedy play.
-
-    The environment is reseeded from `rng` before the no-op draw, so two
-    calls with identically seeded rngs see the same object sequence and
-    prefix regardless of which agent plays.  Forced no-op steps are not
-    decisions: they carry no frames or actions in the record.  This is
-    the one-episode case of the lockstep loop evaluate plays.
-    """
-    return _play_lockstep([env], [rng], agent, config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +376,7 @@ def pearson(xs, ys) -> float:
     if sx == 0.0 or sy == 0.0:
         return float("nan")
     r = float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
-    return max(-1.0, min(1.0, r))
+    return float(np.clip(r, -1.0, 1.0))  # NaN stays NaN
 
 
 def report_row(sweep_param: str, value: float, report: ConversionReport) -> ReportRow:

@@ -133,15 +133,33 @@ def write_blob(path, array: np.ndarray) -> None:
     Path(path).write_bytes(blob_to_bytes(array))
 
 
-def read_blob(path) -> np.ndarray:
-    p = Path(path)
+def _blob_layout(p: Path) -> tuple[tuple[int, ...], bytes, int]:
+    """A blob file's dims, header bytes and size, once it is checked in
+    this order: the file exists, its header parses, and its data fills
+    the rest of the file exactly."""
     if not p.is_file():
         raise BlobError(f"{p}: no such blob file")
-    buf = p.read_bytes()
-    arr, end = blob_from_buffer(buf, 0, str(p))
-    if end != len(buf):
-        raise BlobError(f"{p}: {len(buf) - end} trailing bytes after tensor data")
-    return arr
+    with open(p, "rb") as fh:
+        head = fh.read(8 + 4 + 4 * 32)  # the longest header: magic, ndim, 32 dims
+        size = fh.seek(0, 2)
+    dims, offset = _blob_dims(head, 0, str(p))
+    end = offset + 4 * math.prod(dims)
+    if end > size:
+        raise BlobError(f"{p}: truncated while reading data")
+    if end < size:
+        raise BlobError(f"{p}: {size - end} trailing bytes after tensor data")
+    return dims, head[:offset], size
+
+
+def read_blob(path) -> np.ndarray:
+    p = Path(path)
+    dims, header, _ = _blob_layout(p)
+    data = np.empty(dims, "<f4")
+    with open(p, "rb") as fh:
+        if (fh.read(len(header)) != header
+                or fh.readinto(data.reshape(-1).view(np.uint8)) != data.nbytes or fh.read(1)):
+            raise BlobError(f"{p}: blob changed while it was being read")
+    return data.astype(np.float32, copy=False)
 
 
 class BlobReader:
@@ -159,24 +177,14 @@ class BlobReader:
 
     def __init__(self, path, frame_shape=None):
         p = Path(path)
-        if not p.is_file():
-            raise BlobError(f"{p}: no such blob file")
-        with open(p, "rb") as fh:
-            head = fh.read(8 + 4 + 4 * 32)  # the longest header: magic, ndim, 32 dims
-            size = fh.seek(0, 2)
-        dims, offset = _blob_dims(head, 0, str(p))
-        end = offset + 4 * math.prod(dims)
-        if end > size:
-            raise BlobError(f"{p}: truncated while reading data")
-        if end < size:
-            raise BlobError(f"{p}: {size - end} trailing bytes after tensor data")
+        dims, header, size = _blob_layout(p)
         if frame_shape is not None and dims[1:] != tuple(frame_shape):
             dims = (1, *dims)
         elif len(dims) < 2:
             raise BlobError(f"{p}: frame blob must have a leading frame dimension")
         self.path = p
         self.shape = dims
-        self._header = head[:offset]
+        self._header = header
         self._size = size
 
     def frame_windows(self, rows: int):
@@ -562,33 +570,3 @@ def write_report(rows: list[ReportRow], path) -> None:
         ]))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_report(path) -> list[ReportRow]:
-    p = Path(path)
-    if not p.is_file():
-        raise FormatError(f"{p}: no such report file")
-    lines = p.read_text().splitlines()
-    if not lines or lines[0] != REPORT_HEADER:
-        raise FormatError(f"{p}: missing or unexpected CSV header")
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != 8:
-            raise FormatError(f"{p}: line {ln} has {len(cells)} cells, expected 8")
-        try:
-            rows.append(ReportRow(
-                sweep_param=cells[0],
-                value=float(cells[1]),
-                episodes=int(cells[2]),
-                mean_score=float(cells[3]),
-                std_score=float(cells[4]),
-                mean_cr=float(cells[5]),
-                std_cr=float(cells[6]),
-                pearson_score_cr=float(cells[7]),
-            ))
-        except ValueError as exc:
-            raise FormatError(f"{p}: line {ln} failed to parse ({exc})") from exc
-    return rows

@@ -80,14 +80,6 @@ class NetworkSpec:
 
 
 @dataclass
-class ActivationTrace:
-    """Post-activation arrays of one forward pass, one entry per layer."""
-
-    activations: list[np.ndarray]
-    qvalues: np.ndarray
-
-
-@dataclass
 class ValidationResult:
     ok: bool
     violations: list[str]
@@ -494,32 +486,12 @@ def forward_batch(net: NetworkSpec, inputs: np.ndarray) -> tuple[list[np.ndarray
     return acts, acts[-1].reshape(x.shape[0], -1)
 
 
-def forward(net: NetworkSpec, inputs) -> ActivationTrace:
-    """Single forward pass; pure function of (net, inputs)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.shape != net.input_shape:
-        raise ValueError(
-            f"input shape {inputs.shape} does not match network input {net.input_shape}")
-    acts, q = forward_batch(net, inputs[None])
-    return ActivationTrace(activations=[a[0] for a in acts], qvalues=q[0])
-
-
 def greedy_action(qvalues) -> int:
     """Index of the largest q-value; ties break to the lowest index."""
     q = np.asarray(qvalues).ravel()
     if q.size == 0:
         raise ValueError("cannot pick an action from an empty q-value vector")
     return int(np.argmax(q))
-
-
-def epsilon_greedy_action(qvalues, epsilon: float, rng: np.random.Generator) -> int:
-    """Greedy action, replaced by a uniform random one with probability epsilon."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    q = np.asarray(qvalues).ravel()
-    if q.size == 0:
-        raise ValueError("cannot pick an action from an empty q-value vector")
-    return explore(int(np.argmax(q)), q.size, epsilon, rng)
 
 
 def explore(greedy: int, width: int, epsilon: float, rng: np.random.Generator) -> int:

@@ -37,8 +37,7 @@ E), ceil(sqrt(10 T)), T), at least 1, where E is the larger of the
 state per step (every population's elements) and the columns one stage
 gathers per step (fan-in times its elements over its channels): memory
 stays bounded whatever T is, and a short run is one block, layer after
-layer.  simulate_current_sequence drives bare neurons through the same
-recurrence.
+layer.
 
 Each distinct receptive field once.  Conv weights are shared across
 positions, every run starts from rest, and an exact stage (below)
@@ -522,11 +521,6 @@ def run(net: NetworkSpec, frame: np.ndarray, config: SimConfig) -> SimResult:
     )
 
 
-def rate_readout(result: SimResult) -> np.ndarray:
-    """Output-layer firing rates; every value lies in [0, 1]."""
-    return result.rate_last
-
-
 def robust_readout(result: SimResult) -> np.ndarray:
     """Output rates plus leftover potential over (T * v_thr).
 
@@ -539,23 +533,6 @@ def robust_readout(result: SimResult) -> np.ndarray:
 def readout(result: SimResult) -> np.ndarray:
     """The output values under the run's configured readout."""
     return result.rate_last if result.readout == "rate" else result.f_last
-
-
-def simulate_current_sequence(currents: np.ndarray, v_thr: float = 1.0
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drive bare neurons with an arbitrary current sequence.
-
-    currents: [timesteps, *neurons].  Returns (spike counts, final
-    potentials, summed currents), each shaped like one time slice.
-    """
-    currents = np.asarray(currents, dtype=np.float64)
-    if currents.ndim < 1 or currents.shape[0] < 1:
-        raise ValueError("need at least one timestep of currents")
-    potentials = np.zeros(currents.shape[1:])
-    total = np.zeros(currents.shape[1:])
-    fired = np.empty(currents.shape, dtype=bool)
-    _integrate(potentials, currents, v_thr, fired, total)
-    return fired.sum(axis=0, dtype=np.int64), potentials, total
 
 
 def _require_diagnostics(result: SimResult) -> None:

@@ -14,12 +14,13 @@ import pytest
 from rateconv import (EpisodeTrace, NetworkSpec, NormConfig, ReportRow, SimConfig,
                       apply_normalization, collect_stats, dense,
                       forward_batch, layer_identity_residual, load_model, load_stats,
-                      optimal_network, read_report, read_trace, run, run_batch,
+                      optimal_network, read_trace, run, run_batch,
                       save_model, save_stats, write_report, write_trace)
 from rateconv.cli import main as cli_main
-from rateconv.simulate import classify_case_counts, simulate_current_sequence
+from rateconv.simulate import classify_case_counts
 
-from conftest import rand_dense_net, rand_net, rand_frames, trace_steps
+from conftest import (drive_neurons, rand_dense_net, rand_net, rand_frames, read_report_rows,
+                      trace_steps)
 
 
 @contextmanager
@@ -142,7 +143,7 @@ def test_criterion_5_impossible_case_never_occurs():
                 currents = rng.normal(-0.3, 0.5, (T, n))
             else:
                 currents = rng.uniform(-1.0, 1.0, (T, n))
-            counts, potentials, injected = simulate_current_sequence(currents)
+            counts, potentials, injected = drive_neurons(currents)
             cases = classify_case_counts(injected / T, potentials / T)
             assert cases["impossible"] == 0
             total += n
@@ -235,7 +236,7 @@ def test_criterion_9_format_round_trips(tmp_path):
                           float(rng.random()), float(rng.random()), float(rng.random()),
                           float(rng.uniform(-1, 1))) for _ in range(10)]
         write_report(fuzz, tmp_path / "f.csv")
-        for a, b in zip(fuzz, read_report(tmp_path / "f.csv")):
+        for a, b in zip(fuzz, read_report_rows(tmp_path / "f.csv")):
             for field in ("value", "mean_score", "std_score", "mean_cr", "std_cr",
                           "pearson_score_cr"):
                 x, y = getattr(a, field), getattr(b, field)
@@ -256,6 +257,6 @@ def test_criterion_10_protocol_defaults(tmp_path):
         assert meta["max_noop"] == 30
         assert meta["percentile"] == 99.9
         assert meta["readout"] == "robust"
-        rows = read_report(out)
+        rows = read_report_rows(out)
         assert [r.value for r in rows] == [100.0, 500.0]
         assert all(r.episodes == 10 for r in rows)

@@ -17,12 +17,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import rateconv
 from rateconv import (EpisodeTrace, NetworkSpec, conv2d, dense, flatten, load_model,
-                      optimal_network, read_blob, read_report, read_trace, save_model,
+                      optimal_network, read_blob, read_trace, save_model,
                       validate_network, write_blob, write_trace)
 from rateconv import cli, modelio, normalize
 from rateconv.cli import main
 
-from conftest import json_paths, trace_steps
+from conftest import json_paths, read_report_rows, trace_steps
 
 
 @pytest.fixture
@@ -623,7 +623,7 @@ def test_play_records_replayable_trace(tmp_path, model_dir):
     assert run_cli("play", "--model", model_dir, "--episodes", "2", "--seed", "5",
                    "--grid-size", "6", "--episode-len", "20",
                    "--record-trace", trace_path, "--out", csv_path) == 0
-    rows = read_report(csv_path)
+    rows = read_report_rows(csv_path)
     assert len(rows) == 1 and rows[0].sweep_param == "play" and rows[0].episodes == 2
     trace = read_trace(trace_path)
     assert trace.action_count == 3 and len(trace.steps) > 0
@@ -638,7 +638,7 @@ def test_play_records_replayable_trace(tmp_path, model_dir):
                    "--out", norm) == 0
     assert run_cli("replay", "--snn-model", norm, "--source", model_dir,
                    "--trace", trace_path, "--timesteps", "80", "--out", out) == 0
-    row = read_report(out)[0]
+    row = read_report_rows(out)[0]
     assert row.sweep_param == "replay" and row.mean_cr == 1.0
 
 
@@ -659,7 +659,7 @@ def test_play_with_spiking_agent(tmp_path, model_dir):
                    "--episodes", "2", "--seed", "3", "--timesteps", "60",
                    "--grid-size", "6", "--episode-len", "20",
                    "--out", tmp_path / "b.csv") == 0
-    row = read_report(tmp_path / "b.csv")[0]
+    row = read_report_rows(tmp_path / "b.csv")[0]
     assert 0.0 <= row.mean_cr <= 1.0
     meta = json.loads((tmp_path / "b.csv.meta.json").read_text())
     assert meta["spiking_agent"] is True and meta["epsilon"] == 0.05
@@ -669,7 +669,7 @@ def test_play_with_spiking_agent(tmp_path, model_dir):
     alone = json.loads((tmp_path / "c.csv.meta.json").read_text())
     assert meta["mean_source_score"] == alone["mean_source_score"]
     assert alone["mean_source_score"] == pytest.approx(
-        read_report(tmp_path / "c.csv")[0].mean_score)
+        read_report_rows(tmp_path / "c.csv")[0].mean_score)
 
 
 def _strict_json(path):
@@ -686,7 +686,7 @@ def test_play_without_decisions_reports_nan_cr_and_strict_json(tmp_path, model_d
     out = tmp_path / "zero.csv"
     assert run_cli("play", "--model", model_dir, *snn, "--frame-budget", "0",
                    "--episodes", "2", "--out", out) == 0
-    row = read_report(out)[0]
+    row = read_report_rows(out)[0]
     assert np.isnan(row.mean_cr) and np.isnan(row.std_cr)
     meta = _strict_json(tmp_path / "zero.csv.meta.json")
     assert meta["conversion_rate"] is None and meta["spiking_agent"] is spiking
@@ -815,7 +815,7 @@ def test_sweep_rows_and_reproducible_bytes(tmp_path, model_dir):
     assert run_cli(*args, "--out", tmp_path / "a.csv") == 0
     assert run_cli(*args, "--out", tmp_path / "b.csv") == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    rows = read_report(tmp_path / "a.csv")
+    rows = read_report_rows(tmp_path / "a.csv")
     assert [r.value for r in rows] == [20.0, 60.0]
     assert len(rows) == 2
 

@@ -1,5 +1,6 @@
 """The README's documented commands and library sketch run as written."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 
 import rateconv as rc
 from rateconv.cli import COMMANDS, build_parser, main
+
+from conftest import PERFBENCH, name_resolves, rateconv_names
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -53,3 +56,18 @@ def test_readme_library_sketch_runs(tmp_path, monkeypatch):
     [sketch] = _fenced("python")
     exec(compile(sketch, "README.md", "exec"), {})
     assert rc.read_trace("first100.trace").action_count == 3
+
+
+def test_sketch_and_benchmark_names_resolve():
+    """Every rateconv name the library sketch and the benchmark look up
+    exists, so trimming the exports cannot break either."""
+    sources = {"README.md": _fenced("python")[0]}
+    sources.update((f"perfbench/{p.name}", p.read_text()) for p in sorted(PERFBENCH.glob("*.py")))
+    used = {(where, module, name) for where, text in sources.items()
+            for module, name in rateconv_names(ast.parse(text))}
+    missing = sorted(u for u in used if not name_resolves(*u[1:]))
+    assert not missing, f"names rateconv no longer has: {missing}"
+    # the scan sees the calls a trim of the exports would break
+    assert {("README.md", "rateconv", "robust_readout"), ("README.md", "rateconv", "load_frames"),
+            ("perfbench/bench.py", "rateconv", "robust_readout"),
+            ("perfbench/workloads.py", "rateconv", "load_frames")} <= used

@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from rateconv import (ConversionReport, EpisodeTrace, EvalConfig, LineCatchEnv, NetworkSpec,
                       NormConfig, PlayRecord, SimConfig, apply_normalization,
                       collect_frames_by_play, collect_stats, conv2d, conversion_rate, dense,
-                      derive_seed, epsilon_greedy_action, evaluate, flatten, forward,
-                      forward_batch, greedy_action, mean_std, optimal_network, pearson,
-                      play_episode, readout, replay_trace, run, run_batch, step_dtype,
-                      AnalogAgent, SpikingAgent)
+                      derive_seed, evaluate, flatten, forward_batch, greedy_action,
+                      mean_std, optimal_network, pearson, readout, replay_trace, run,
+                      run_batch, step_dtype, AnalogAgent, SpikingAgent)
+from rateconv.evaluate import _play_lockstep
+from rateconv.network import explore
 from rateconv.simulate import _build_stages
 
 from conftest import rand_conv_net, rand_dense_net, rand_frames, trace_steps
@@ -298,7 +299,7 @@ def test_analog_agent_rows_equal_one_row_forward(seed, conv, stride, padding, ba
     got = AnalogAgent(net).qvalues(list(frames) if as_list else frames)
     assert got.shape == (batch, 3)
     for row, frame in zip(got, frames):
-        assert np.array_equal(row, forward(net, frame).qvalues)
+        assert np.array_equal(row, forward_batch(net, frame[None])[1][0])
 
 
 def _log_analog_plays(monkeypatch):
@@ -324,7 +325,7 @@ def _log_analog_plays(monkeypatch):
 
 def _forward_values(net):
     """Reference analog values: one forward pass per observation."""
-    return lambda obs: forward(net, obs).qvalues
+    return lambda obs: forward_batch(net, obs[None])[1][0]
 
 
 def sequential_frames(net, env, n_frames, config):
@@ -347,7 +348,7 @@ def sequential_frames(net, env, n_frames, config):
 
 
 def test_analog_agent_answers_each_round_in_one_call(monkeypatch):
-    """evaluate, play_episode and collect_frames_by_play ask the analog
+    """evaluate, a one-episode play and collect_frames_by_play ask the analog
     agent once per lockstep round, for every live episode's observation,
     and take the actions and frames of a per-observation forward loop."""
     net, snn = _random_pair()
@@ -359,7 +360,8 @@ def test_analog_agent_answers_each_round_in_one_call(monkeypatch):
     for player in (snn, None):
         got = evaluate(net, player, sim_config, config, env, keep_records=True)
         _assert_same_report(got, sequential_evaluate(net, player, sim_config, config, env)[0])
-    rec = play_episode(env.clone(), AnalogAgent(net), config, np.random.default_rng(1))
+    play_one = importlib.import_module("rateconv.evaluate")._play_lockstep  # the logged one
+    [rec] = play_one([env.clone()], [np.random.default_rng(1)], AnalogAgent(net), config)
     want = sequential_episode(env.clone(), _forward_values(net), config,
                               np.random.default_rng(1))
     _assert_same_records([rec], [want])
@@ -400,7 +402,7 @@ def test_play_zero_frame_budget_empty():
     env = LineCatchEnv(grid_size=8, episode_len=14)
     agent = AnalogAgent(optimal_network(8))
     config = EvalConfig(epsilon=0.0, max_noop=5, episodes=1, frame_budget=0)
-    rec = play_episode(env, agent, config, np.random.default_rng(0))
+    [rec] = _play_lockstep([env], [np.random.default_rng(0)], agent, config)
     assert rec.score == 0.0 and rec.executed_actions == [] and rec.frames == []
 
 
@@ -410,7 +412,7 @@ def test_play_noop_prefix_bounded_and_excluded_from_decisions():
     config = EvalConfig(epsilon=0.0, max_noop=30, episodes=1, frame_budget=10_000)
     lengths = set()
     for i in range(40):
-        rec = play_episode(env.clone(), agent, config, np.random.default_rng(i))
+        [rec] = _play_lockstep([env.clone()], [np.random.default_rng(i)], agent, config)
         lengths.add(rec.noop_steps)
         assert 0 <= rec.noop_steps <= 30
         assert len(rec.greedy_actions) == 70 - rec.noop_steps
@@ -422,7 +424,7 @@ def test_play_epsilon_zero_executes_greedy():
     env = LineCatchEnv(grid_size=8, episode_len=35)
     agent = AnalogAgent(optimal_network(8))
     config = EvalConfig(epsilon=0.0, max_noop=0, episodes=1, frame_budget=10_000)
-    rec = play_episode(env, agent, config, np.random.default_rng(3))
+    [rec] = _play_lockstep([env], [np.random.default_rng(3)], agent, config)
     assert rec.executed_actions == rec.greedy_actions
 
 
@@ -593,7 +595,7 @@ def sequential_episode(env, values, config, rng, shadow=None):
     while not done and steps < config.frame_budget:
         q = values(obs)
         intent = greedy_action(q)
-        action = epsilon_greedy_action(q, config.epsilon, rng)
+        action = explore(intent, np.size(q), config.epsilon, rng)
         if shadow is not None:
             shadow_actions.append(greedy_action(shadow(obs)))
         frames.append(np.asarray(obs, dtype=np.float32).copy())
@@ -615,7 +617,7 @@ def sequential_evaluate(source_net, snn_net, sim_config, eval_config, env):
     without decisions has a NaN rate.  Returns the report and each
     episode's spiking readouts."""
     def source(obs):
-        return forward(source_net, obs).qvalues
+        return forward_batch(source_net, obs[None])[1][0]
 
     agreements = decisions = 0
     scores, per_episode_cr, records = [], [], []
@@ -763,6 +765,9 @@ def test_pearson_definition():
     assert pearson([1, 2, 3], [6, 4, 2]) == pytest.approx(-1.0)
     assert np.isnan(pearson([1.0], [2.0]))
     assert np.isnan(pearson([1, 1, 1], [1, 2, 3]))
+    # a NaN point (an episode set without decisions) leaves the statistic undefined
+    assert np.isnan(pearson([1.0, 2.0, 3.0], [0.5, float("nan"), 0.7]))
+    assert np.isnan(pearson([float("nan"), 2.0, 3.0], [0.5, 0.6, 0.7]))
 
 
 def test_sweep_time_rows_and_trend():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from rateconv import (AnalogAgent, EvalConfig, LineCatchEnv, forward, greedy_action,
-                      optimal_network, play_episode)
+from rateconv import (AnalogAgent, EvalConfig, LineCatchEnv, forward_batch, greedy_action,
+                      optimal_network)
+from rateconv.evaluate import _play_lockstep
 
 
 class _BlindAgent:
@@ -82,7 +83,7 @@ def test_optimal_network_moves_toward_object():
     grid = obs[0]
     obj_col = int(np.argmax(grid[:-1].sum(axis=0)))
     paddle_col = 4
-    action = greedy_action(forward(net, obs).qvalues)
+    action = greedy_action(forward_batch(net, obs[None])[1][0])
     want = 1 if obj_col == paddle_col else (0 if obj_col < paddle_col else 2)
     assert action == want
 
@@ -92,7 +93,7 @@ def test_optimal_policy_catches_every_drop():
     agent = AnalogAgent(optimal_network(8))
     config = EvalConfig(epsilon=0.0, max_noop=0, episodes=1, frame_budget=10_000)
     for seed in range(5):
-        rec = play_episode(env.clone(), agent, config, np.random.default_rng(seed))
+        [rec] = _play_lockstep([env.clone()], [np.random.default_rng(seed)], agent, config)
         assert rec.score == env.drops_per_episode() == 16
 
 
@@ -106,8 +107,8 @@ def test_random_policy_matches_analytic_value():
     env = LineCatchEnv(grid_size=g, episode_len=drops * (g - 1))
     config = EvalConfig(epsilon=1.0, max_noop=0, episodes=1, frame_budget=10_000)
     n = 1000
-    scores = [play_episode(env.clone(), _BlindAgent(), config,
-                           np.random.default_rng(10_000 + i)).score
+    scores = [_play_lockstep([env.clone()], [np.random.default_rng(10_000 + i)],
+                             _BlindAgent(), config)[0].score
               for i in range(n)]
     expected = drops / g
     p = 1.0 / g

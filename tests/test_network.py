@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rateconv import (NetworkSpec, SimConfig, dense, conv2d, flatten, forward, forward_batch,
-                      greedy_action, epsilon_greedy_action, run_batch, validate_network)
+from rateconv import (NetworkSpec, SimConfig, dense, conv2d, flatten, forward_batch,
+                      greedy_action, run_batch, validate_network)
 from rateconv import network
 from rateconv.evaluate import AnalogAgent
 from rateconv.lincatch import LineCatchEnv
-from rateconv.network import UNIT_SAMPLE, apply_layer_linear, conv2d_batch, distinct_rows
+from rateconv.network import (UNIT_SAMPLE, apply_layer_linear, conv2d_batch, distinct_rows,
+                              explore)
 
 from conftest import rand_conv_net, rand_net
 
@@ -140,20 +141,20 @@ def test_validate_requires_parameterized_layer():
 
 def test_forward_identity_weights():
     net = NetworkSpec((2,), [dense(np.eye(2), np.zeros(2))])
-    trace = forward(net, [0.3, 0.7])
-    np.testing.assert_allclose(trace.activations[0], [0.3, 0.7])
+    acts, _ = forward_batch(net, np.array([[0.3, 0.7]]))
+    np.testing.assert_allclose(acts[0][0], [0.3, 0.7])
 
 
 def test_forward_relu_clamps_negative():
     net = NetworkSpec((2,), [dense(np.array([[1.0, -1.0]]), np.zeros(1))])
-    trace = forward(net, [0.2, 0.5])
-    assert trace.activations[0][0] == 0.0
+    acts, _ = forward_batch(net, np.array([[0.2, 0.5]]))
+    assert acts[0][0, 0] == 0.0
 
 
 def test_forward_rejects_bad_shape():
     net = NetworkSpec((2,), [dense(np.eye(2), np.zeros(2))])
     with pytest.raises(ValueError):
-        forward(net, [0.1, 0.2, 0.3])
+        forward_batch(net, np.array([[0.1, 0.2, 0.3]]))
 
 
 def test_forward_matches_naive_oracle_on_random_nets():
@@ -161,7 +162,7 @@ def test_forward_matches_naive_oracle_on_random_nets():
     for _ in range(100):
         net = rand_net(rng)
         x = rng.random(net.input_shape)
-        got = forward(net, x).qvalues
+        got = forward_batch(net, x[None])[1][0]
         want = naive_forward(net, x)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -170,8 +171,8 @@ def test_forward_is_deterministic():
     rng = np.random.default_rng(3)
     net = rand_conv_net(rng)
     x = rng.random(net.input_shape)
-    a = forward(net, x).qvalues
-    b = forward(net, x).qvalues
+    a = forward_batch(net, x[None])[1][0]
+    b = forward_batch(net, x[None])[1][0]
     assert np.array_equal(a, b)
 
 
@@ -181,7 +182,7 @@ def test_forward_batch_agrees_with_single():
     xs = rng.random((16, *net.input_shape))
     _, q = forward_batch(net, xs)
     for i in range(16):
-        np.testing.assert_allclose(q[i], forward(net, xs[i]).qvalues, atol=1e-12)
+        np.testing.assert_allclose(q[i], forward_batch(net, xs[i][None])[1][0], atol=1e-12)
 
 
 def test_padded_strided_conv2d_matches_oracle(rng):
@@ -199,8 +200,8 @@ def test_hidden_activations_nonnegative():
     rng = np.random.default_rng(5)
     for _ in range(20):
         net = rand_net(rng)
-        trace = forward(net, rng.random(net.input_shape))
-        for a in trace.activations[:-1]:
+        acts, _ = forward_batch(net, rng.random((1, *net.input_shape)))
+        for a in acts[:-1]:
             assert np.all(a >= 0.0)
 
 
@@ -209,12 +210,12 @@ def test_positive_scaling_of_final_layer_keeps_greedy_action():
     for _ in range(30):
         net = rand_net(rng)
         x = rng.random(net.input_shape)
-        before = greedy_action(forward(net, x).qvalues)
+        before = greedy_action(forward_batch(net, x[None])[1][0])
         c = float(rng.uniform(0.1, 10.0))
         last = net.layers[-1]
         scaled = NetworkSpec(net.input_shape, net.layers[:-1] + [
             dense(last.weights * c, last.bias * c, activation=last.activation)])
-        after = greedy_action(forward(scaled, x).qvalues)
+        after = greedy_action(forward_batch(scaled, x[None])[1][0])
         assert before == after
 
 
@@ -242,7 +243,7 @@ def test_greedy_action_matches_linear_scan():
 def test_epsilon_zero_is_greedy():
     rng = np.random.default_rng(8)
     q = [0.2, 0.9, 0.1]
-    assert all(epsilon_greedy_action(q, 0.0, rng) == 1 for _ in range(100))
+    assert all(explore(greedy_action(q), len(q), 0.0, rng) == 1 for _ in range(100))
 
 
 def test_epsilon_one_is_uniform():
@@ -250,21 +251,16 @@ def test_epsilon_one_is_uniform():
     counts = np.zeros(4)
     n = 100_000
     for _ in range(n):
-        counts[epsilon_greedy_action([1.0, 0.0, 0.0, 0.0], 1.0, rng)] += 1
+        counts[explore(0, 4, 1.0, rng)] += 1
     np.testing.assert_allclose(counts / n, 0.25, atol=0.01)
 
 
 def test_epsilon_small_frequency_matches_expectation():
     rng = np.random.default_rng(10)
     n = 100_000
-    hits = sum(epsilon_greedy_action([1.0, 0.0], 0.05, rng) == 0 for _ in range(n))
+    hits = sum(explore(0, 2, 0.05, rng) == 0 for _ in range(n))
     assert abs(hits / n - 0.975) < 0.005  # 1 - eps + eps/2
 
-
-def test_epsilon_out_of_range_rejected():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        epsilon_greedy_action([1.0], 1.5, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rateconv import (NetworkSpec, NormConfig, NormStats, apply_normalization,
-                      collect_stats, conv2d, dense, flatten, forward, forward_batch,
+                      collect_stats, conv2d, dense, flatten, forward_batch,
                       greedy_action, load_stats, percentile, save_stats)
 from rateconv.normalize import STATS_CHUNK, _rank, _stats_per_config
 
@@ -99,9 +99,9 @@ def test_collect_stats_matches_capture_all_oracle(rng):
         # oracle: run each frame separately, pool every scalar, rank by sorting
         pools = [[] for _ in param]
         for frame in frames:
-            trace = forward(net, frame)
+            acts, _ = forward_batch(net, frame[None])
             for j, li in enumerate(param):
-                a = trace.activations[li]
+                a = acts[li][0]
                 if net.layers[li].activation != "relu":
                     a = np.maximum(a, 0.0)
                 pools[j].extend(a.ravel().tolist())

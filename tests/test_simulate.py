@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from rateconv import (NetworkSpec, NormConfig, SimConfig, apply_normalization,
                       classify_residual_cases, collect_stats, conv2d, dense, diagnostics,
-                      flatten, forward_batch, layer_identity_residual, rate_readout,
-                      robust_readout, run, run_batch, simulate_current_sequence)
+                      flatten, forward_batch, layer_identity_residual, robust_readout, run,
+                      run_batch)
 from rateconv import simulate
 from rateconv.lincatch import LineCatchEnv
 from rateconv.network import UNIT_SAMPLE, apply_layer_linear
 from rateconv.simulate import _build_stages, classify_case_counts
 
-from conftest import rand_conv_net, rand_dense_net, rand_net, rand_frames
+from conftest import drive_neurons, rand_conv_net, rand_dense_net, rand_net, rand_frames
 
 
 def hand_stepped_counts(currents, v_thr=1.0):
@@ -35,31 +35,31 @@ def hand_stepped_counts(currents, v_thr=1.0):
 
 def test_spike_and_soft_reset():
     # 0.6 then 0.5: the second step reaches 1.1, fires once and keeps 0.1
-    counts, v, total = simulate_current_sequence(np.array([[0.6], [0.5]]))
+    counts, v, total = drive_neurons(np.array([[0.6], [0.5]]))
     assert counts[0] == 1
     assert v[0] == pytest.approx(0.1)
     assert total[0] == pytest.approx(1.1)
 
 
 def test_no_lower_clamp():
-    counts, v, _ = simulate_current_sequence(np.array([[-0.2], [-0.3]]))
+    counts, v, _ = drive_neurons(np.array([[-0.2], [-0.3]]))
     assert counts[0] == 0
     assert v[0] == pytest.approx(-0.5)
 
 
 def test_threshold_inclusive():
     # exactly v_thr fires and leaves exactly 0
-    counts, v, _ = simulate_current_sequence(np.array([[0.5], [0.5]]))
+    counts, v, _ = drive_neurons(np.array([[0.5], [0.5]]))
     assert counts[0] == 1
     assert v[0] == 0.0
-    counts, v, _ = simulate_current_sequence(np.array([[0.85]]), v_thr=0.85)
+    counts, v, _ = drive_neurons(np.array([[0.85]]), v_thr=0.85)
     assert counts[0] == 1 and v[0] == 0.0
 
 
 def test_constant_drive_matches_hand_sequence():
     # float64 0.3 sits just below 3/10, so ten steps accumulate to 1 - 2e-16
     # and only two spikes fire; the hand-stepped oracle agrees.
-    counts, v, total = simulate_current_sequence(np.full((10, 1), 0.3))
+    counts, v, total = drive_neurons(np.full((10, 1), 0.3))
     want_count, want_v = hand_stepped_counts([0.3] * 10)
     assert counts[0] == want_count == 2
     assert v[0] == pytest.approx(want_v, abs=1e-15)
@@ -68,7 +68,7 @@ def test_constant_drive_matches_hand_sequence():
 
 def test_constant_drive_exact_when_representable():
     # 0.375 * 16 = 6 exactly in binary: six spikes and an empty membrane
-    counts, v, total = simulate_current_sequence(np.full((16, 1), 0.375))
+    counts, v, total = drive_neurons(np.full((16, 1), 0.375))
     want_count, want_v = hand_stepped_counts([0.375] * 16)
     assert counts[0] == want_count == 6
     assert v[0] == want_v == 0.0
@@ -80,7 +80,7 @@ def test_random_sequences_match_hand_loop(rng):
         T = int(rng.integers(1, 40))
         zs = rng.normal(0, 0.7, T)
         v_thr = float(rng.uniform(0.5, 1.5))
-        counts, v, _ = simulate_current_sequence(zs.reshape(-1, 1), v_thr)
+        counts, v, _ = drive_neurons(zs.reshape(-1, 1), v_thr)
         want_count, want_v = hand_stepped_counts(list(zs), v_thr)
         assert counts[0] == want_count
         assert v[0] == pytest.approx(want_v, abs=1e-12)
@@ -210,7 +210,7 @@ def test_rate_readout_counts_over_time():
     net = _identity_net(3)
     res = run(net, np.array([0.5, 0.0, 1.0]), SimConfig(timesteps=4))
     np.testing.assert_allclose(res.rates[0], [0.5, 0.0, 1.0])
-    np.testing.assert_allclose(rate_readout(res), [0.5, 0.0, 1.0])
+    np.testing.assert_allclose(res.rate_last, [0.5, 0.0, 1.0])
 
 
 def test_robust_readout_arithmetic():
@@ -239,7 +239,7 @@ def test_robust_readout_recovers_affine_map_exactly():
 def test_robust_equals_rate_when_no_leftover():
     net = _identity_net()
     res = run(net, np.array([1.0]), SimConfig(timesteps=8))
-    np.testing.assert_allclose(rate_readout(res), robust_readout(res))
+    np.testing.assert_allclose(res.rate_last, robust_readout(res))
 
 
 def test_robust_readout_exactness_random_nets(rng):
@@ -261,7 +261,7 @@ def test_robust_readout_exactness_random_nets(rng):
 # residual case classification
 
 def test_overdraft_case_from_sequence():
-    counts, v, total = simulate_current_sequence(np.array([[1.0], [-0.3]]))
+    counts, v, total = drive_neurons(np.array([[1.0], [-0.3]]))
     assert counts[0] == 1 and v[0] == pytest.approx(-0.3)
     T = 2
     R = total[0] / T          # 0.35 > 0
@@ -275,7 +275,7 @@ def test_overdraft_case_from_sequence():
 
 
 def test_constant_negative_drive_case():
-    counts, v, total = simulate_current_sequence(np.full((6, 1), -0.2))
+    counts, v, total = drive_neurons(np.full((6, 1), -0.2))
     cases = classify_case_counts(total / 6, v / 6)
     assert counts[0] == 0
     assert cases["nonpos_drive_neg_leftover"] == 1
@@ -284,7 +284,7 @@ def test_constant_negative_drive_case():
 def test_no_impossible_case_over_random_sequences(rng):
     T = 24
     currents = rng.normal(0.0, 1.0, (T, 10_000))
-    counts, v, total = simulate_current_sequence(currents)
+    counts, v, total = drive_neurons(currents)
     cases = classify_case_counts(total / T, v / T)
     assert cases["impossible"] == 0
     assert sum(cases[k] for k in list(cases)[:4]) == 10_000
