@@ -149,9 +149,9 @@ class AnalogAgent:
 
     def qvalues(self, observations) -> np.ndarray:
         x = frame_batch(self.net, observations).astype(np.float64, copy=False)
-        acts = unit_forward(x, ((s.layer, s.weights64, s.bias64) for s in self.stages))
-        x = acts[-1] if acts else x
-        for stage in self.stages[len(acts):]:
+        lead = unit_forward(x, ((s.layer, s.weights64, s.bias64) for s in self.stages))
+        x = lead[-1].expanded if lead else x
+        for stage in self.stages[len(lead):]:
             x = affine_rows(stage.layer, x.reshape(len(x), *stage.input_shape),
                             stage.weights64, stage.bias64)
             if stage.layer.activation == "relu":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -318,20 +319,24 @@ def _distinct_codes(digits, n: int, radix: int) -> tuple[np.ndarray, np.ndarray]
     codes, span = np.zeros(n, dtype=np.int64), 1
     for digit in digits:
         if span * radix > 2 ** 63:
-            codes = np.unique(codes, return_inverse=True)[1].reshape(-1)
-            span = int(codes.max()) + 1
+            values = _distinct_values(codes)
+            codes, span = np.searchsorted(values, codes), len(values)
         codes *= radix
         codes += digit.reshape(-1)
         span *= radix
-    _, first, ids = np.unique(codes, return_index=True, return_inverse=True)
-    return first, ids.reshape(-1)
+    values = _distinct_values(codes)
+    ids = np.searchsorted(values, codes)
+    first = np.full(len(values), n, dtype=np.intp)
+    np.minimum.at(first, ids, np.arange(n))
+    return first, ids
 
 
 def _distinct_values(a: np.ndarray) -> np.ndarray:
     """The distinct values of a, sorted, -0.0 equal to 0.0.  A plain
-    np.unique would import numpy.ma on its first call, 12-20 ms."""
+    np.unique would import numpy.ma on its first call, 12-20 ms, and
+    sort stably where no order of equal values shows."""
     s = np.sort(a, axis=None)
-    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+    return np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
 
 
 def distinct_rows(rows: np.ndarray, radix: Optional[int] = None
@@ -344,7 +349,7 @@ def distinct_rows(rows: np.ndarray, radix: Optional[int] = None
     which are first replaced by their rank among the distinct values
     (so -0.0 equals 0.0).  Each row is read as one mixed-radix integer,
     digit after digit; when the next digit would overflow int64 the codes
-    so far are ranked (np.unique), which keeps them below n.
+    so far are replaced by their ranks, which keeps them below n.
     """
     if radix is None:
         values = _distinct_values(rows)
@@ -419,18 +424,38 @@ def unit_maps(frames: np.ndarray, windows: list[np.ndarray]
     return (maps, vectors) if len(maps) > 1 else ([], None)
 
 
-def unit_forward(x: np.ndarray, convs) -> list[np.ndarray]:
-    """The post-activation arrays [batch, *shape] of the leading conv
-    layers on x [batch, *input_shape], each distinct receptive field
-    computed once (unit_maps), as many as are kept per unit: [] when
-    none is, and the caller computes every layer whole.
+@dataclass
+class UnitValues:
+    """A conv layer's post-activation values kept per unit: values [units,
+    channels], units.ids saying which unit each position of each frame
+    holds, and shape, that of the whole array [batch, channels, h, w]."""
+
+    values: np.ndarray
+    units: Units
+    shape: tuple[int, ...]
+
+    @cached_property
+    def expanded(self) -> np.ndarray:
+        """The whole array, every position given its unit's values; made
+        once, on first use."""
+        batch, channels = self.shape[:2]
+        act = np.empty((batch, channels, self.units.ids.shape[1]))
+        for k, channel in enumerate(self.values.T):
+            act[:, k] = channel[self.units.ids]
+        return act.reshape(self.shape)
+
+
+def unit_forward(x: np.ndarray, convs) -> list[UnitValues]:
+    """The leading conv layers on x [batch, *input_shape], each distinct
+    receptive field computed once (unit_maps), as many as are kept per
+    unit: [] when none is, and the caller computes every layer whole.
 
     convs holds a network's leading (layer, weights64, bias64) in order;
     the run stops at the first layer that is no conv or has a 1x1 kernel
     (see conv2d_batch).  A unit's [c, kh, kw] field, read from the units
     below (padding from a zero row), goes through conv2d_batch alone and
-    then the activation, and every position gets its unit's values: bit
-    for bit what conv2d_batch computes over the whole batch.
+    then the activation: each layer's expanded array is bit for bit what
+    conv2d_batch computes over the whole batch.
     """
     lead, shape = [], x.shape[1:]
     for layer, weights64, bias64 in convs:
@@ -443,7 +468,7 @@ def unit_forward(x: np.ndarray, convs) -> list[np.ndarray]:
         lead.append((layer, weights64, bias64, shape, out))
         shape = out
     maps, values = unit_maps(x, [receptive_fields(layer, s) for layer, _, _, s, _ in lead])
-    acts = []
+    kept = []
     for (layer, weights64, bias64, (c, _, _), out), units in zip(lead, maps[1:]):
         padded = np.concatenate([values, np.zeros((1, c))])
         fields = np.ascontiguousarray(padded[units.windows].transpose(0, 2, 1))
@@ -451,21 +476,16 @@ def unit_forward(x: np.ndarray, convs) -> list[np.ndarray]:
                               weights64, bias64, (1, 1), (0, 0))[:, :, 0, 0]
         if layer.activation == "relu":
             values = np.maximum(values, 0.0)
-        act = np.empty((len(x), out[0], units.ids.shape[1]))
-        for k, channel in enumerate(values.T):
-            act[:, k] = channel[units.ids]
-        acts.append(act.reshape(len(x), *out))
-    return acts
+        kept.append(UnitValues(values, units, (len(x), *out)))
+    return kept
 
 
-def forward_batch(net: NetworkSpec, inputs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Forward pass over a batch of inputs.
-
-    inputs: [batch, *input_shape].  Returns (per-layer post-activation
-    arrays, q-values [batch, n_actions]).  The leading conv layers are
-    computed once per distinct receptive field (unit_forward), with the
-    bits of the whole pass; from the first dense layer on, each layer is
-    one batched call.
+def forward_units(net: NetworkSpec, inputs: np.ndarray) -> list:
+    """Forward pass over a batch of inputs [batch, *input_shape], one
+    post-activation result per layer: a UnitValues for each leading conv
+    layer kept per unit (unit_forward), then an array [batch, *shape]
+    for each later layer, one batched call per layer, the first reading
+    the last UnitValues expanded.  The bits are those of the whole pass.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.shape[1:] != net.input_shape:
@@ -473,17 +493,28 @@ def forward_batch(net: NetworkSpec, inputs: np.ndarray) -> tuple[list[np.ndarray
             f"input shape {inputs.shape[1:]} does not match network input {net.input_shape}")
     convs = ((layer, layer.weights.astype(np.float64), layer.bias.astype(np.float64))
              for layer in itertools.takewhile(lambda l: l.kind == "conv2d", net.layers))
-    acts: list[np.ndarray] = unit_forward(inputs, convs)
-    x = acts[-1] if acts else inputs
-    for layer in net.layers[len(acts):]:
+    results: list = unit_forward(inputs, convs)
+    x = results[-1].expanded if results else inputs
+    for layer in net.layers[len(results):]:
         if layer.kind == "flatten":
             x = x.reshape(x.shape[0], -1)
         else:
             x = apply_layer_linear(layer, x)
         if layer.activation == "relu":
             x = np.maximum(x, 0.0)
-        acts.append(x)
-    return acts, acts[-1].reshape(x.shape[0], -1)
+        results.append(x)
+    return results
+
+
+def forward_batch(net: NetworkSpec, inputs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Forward pass over a batch of inputs.
+
+    inputs: [batch, *input_shape].  Returns (per-layer post-activation
+    arrays, q-values [batch, n_actions]): forward_units with every layer
+    kept per unit expanded.
+    """
+    acts = [r.expanded if isinstance(r, UnitValues) else r for r in forward_units(net, inputs)]
+    return acts, acts[-1].reshape(len(acts[-1]), -1)
 
 
 def greedy_action(qvalues) -> int:

@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import (LayerSpec, NetworkSpec, forward_batch, frame_batch, frame_stack,
-                      require_integer, require_stack)
+from .network import (LayerSpec, NetworkSpec, UnitValues, forward_units, frame_batch,
+                      frame_stack, require_integer, require_stack)
 
-STATS_CHUNK = 1024  # calibration frames per forward_batch call
+STATS_CHUNK = 1024  # calibration frames per forward_units call
 
 
 @dataclass
@@ -97,6 +97,23 @@ def _windows(net: NetworkSpec, frames):
                              for start in range(0, frames.shape[0], STATS_CHUNK))
 
 
+def _top_of_counts(values: np.ndarray, counts: np.ndarray, keep: int) -> np.ndarray:
+    """The keep largest samples of the multiset that holds each of values
+    counts times, as a plain array (every sample when there are fewer).
+
+    Each value counts at least once, so the keep largest samples lie
+    among the keep largest values; np.argpartition and np.argsort order
+    NaN last, as np.partition does.
+    """
+    if values.size > keep:
+        at = np.argpartition(values, values.size - keep)[values.size - keep:]
+        values, counts = values[at], counts[at]
+    order = np.argsort(values)[::-1]
+    values, counts = values[order], counts[order]
+    needed = np.searchsorted(np.cumsum(counts), keep) + 1
+    return np.repeat(values[:needed], counts[:needed])[:keep]
+
+
 def _top_samples(net: NetworkSpec, frames, max_frames: int,
                  p: float) -> tuple[list[int], list[np.ndarray]]:
     """Each parameterized layer's sample count n and its n - k + 1 largest
@@ -106,33 +123,44 @@ def _top_samples(net: NetworkSpec, frames, max_frames: int,
     largest, so a running top keeps every rank from k up: one
     np.partition per STATS_CHUNK frames cuts the kept top plus the
     chunk's samples back to n - k + 1.  np.partition orders NaN last, as
-    percentile does.  Frames are converted to float64 one chunk at a
-    time, and every frame, also past max_frames, must be finite.
+    percentile does.  A conv layer kept per unit (network.forward_units)
+    gives its samples as (value, count) pairs, each unit's values
+    counting once per position that holds it, and only their n - k + 1
+    largest samples join the partition: the same multiset of top values,
+    so the same scale, bit for bit.  forward_units expands only the last
+    such layer, into the matrix the first dense layer's batched product
+    reads as in forward_batch, so the dense layers keep their bits too.
+    Frames are converted to float64 one chunk at a time, and every
+    frame, also past max_frames, must be finite.
     """
     n, windows = _windows(net, frames)
     if n < 1:
         raise ValueError("need at least one calibration frame")
     used = min(n, max_frames)
     param_idx = net.parameterized_indices()
-    counts = [0] * len(param_idx)
     tops = [np.empty(0)] * len(param_idx)
     for start, window in windows:
         chunk = frame_stack(net, window)
         if start >= used:
             continue
-        acts, _ = forward_batch(net, chunk[:used - start])
+        results = forward_units(net, chunk[:used - start])
+        if start == 0:  # the first chunk: n and n - k + 1 hold for every chunk
+            counts = [used * math.prod(results[li].shape[1:]) for li in param_idx]
+            keeps = [c - _rank(p, c) + 1 for c in counts]
         for j, li in enumerate(param_idx):
-            a = acts[li]
+            r = results[li]
+            a = r.values if isinstance(r, UnitValues) else r
             if net.layers[li].activation != "relu":
                 a = np.maximum(a, 0.0)
-            counts[j] = used * (a.size // a.shape[0])
-            keep = counts[j] - _rank(p, counts[j]) + 1
+            if isinstance(r, UnitValues):
+                held = np.bincount(r.units.ids.ravel(), minlength=r.units.count)
+                a = _top_of_counts(a.ravel(), np.repeat(held, a.shape[1]), keeps[j])
             pool = np.concatenate((tops[j], a.ravel()))
-            if pool.size > keep:
-                pool.partition(pool.size - keep)
-                pool = pool[pool.size - keep:].copy()
+            if pool.size > keeps[j]:
+                pool.partition(pool.size - keeps[j])
+                pool = pool[pool.size - keeps[j]:].copy()
             tops[j] = pool
-        acts = a = None  # free this chunk's activations before the next forward pass
+        results = r = a = None  # free this chunk's activations before the next forward pass
     return counts, tops
 
 
@@ -180,9 +208,14 @@ def collect_stats(net: NetworkSpec, frames, config: NormConfig,
     scale equals percentile() of the layer's pooled samples, bit for bit,
     but memory stays bounded by one chunk plus the top 1 % of samples
     (p >= 99); frames given as a reader from modelio.open_frames (a
-    trace or a frame blob) are read one chunk at a time too.  A layer
-    whose percentile is not positive falls back to scale 1 with a
-    warning so downstream division stays safe.  Frames must be finite.
+    trace or a frame blob) are read one chunk at a time too.  The conv
+    layers the analog pass keeps per unit are pooled as (value, count)
+    pairs and only the last of them is expanded, into the matrix the
+    first dense layer's batched product reads as in forward_batch: the
+    kept top samples are the same values and the dense layers see the
+    same matrices, so every scale keeps its bits.  A layer whose
+    percentile is not positive falls back to scale 1 with a warning so
+    downstream division stays safe.  Frames must be finite.
     """
     return _stats_per_config(net, frames, [config], provenance)[0]
 

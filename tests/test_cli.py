@@ -19,7 +19,7 @@ import rateconv
 from rateconv import (EpisodeTrace, NetworkSpec, conv2d, dense, flatten, load_model,
                       optimal_network, read_blob, read_trace, save_model,
                       validate_network, write_blob, write_trace)
-from rateconv import cli, modelio, normalize
+from rateconv import cli, modelio, network, normalize
 from rateconv.cli import main
 
 from conftest import json_paths, read_report_rows, trace_steps
@@ -404,8 +404,8 @@ def test_stats_on_a_blob_equals_stats_on_the_same_frames_as_a_trace(
     monkeypatch.setattr(normalize, "STATS_CHUNK", _CHUNK)
     monkeypatch.setattr(cli, "STATS_CHUNK", _CHUNK)
     chunks = []
-    monkeypatch.setattr(normalize, "forward_batch",
-                        lambda net, x: chunks.append(x.shape[0]) or rateconv.forward_batch(net, x))
+    monkeypatch.setattr(normalize, "forward_units",
+                        lambda net, x: chunks.append(x.shape[0]) or network.forward_units(net, x))
     model = tmp_path / "model"
     if not model.exists():
         _conv_model(model)

@@ -843,8 +843,8 @@ def test_sweep_percentile_calibrates_once_with_per_point_rows(monkeypatch, rng):
                             sim_config, eval_config, env=env))
         for c in configs])
     calls = []
-    real = normalize.forward_batch
-    monkeypatch.setattr(normalize, "forward_batch",
+    real = normalize.forward_units
+    monkeypatch.setattr(normalize, "forward_units",
                         lambda n, x: calls.append(len(x)) or real(n, x))
     rows = sweep_percentile(net, env, frames, configs, sim_config, eval_config)
     assert calls == [normalize.STATS_CHUNK, 300]

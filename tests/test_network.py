@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rateconv import (NetworkSpec, SimConfig, dense, conv2d, flatten, forward_batch,
                       greedy_action, run_batch, validate_network)
@@ -269,10 +269,15 @@ def test_epsilon_small_frequency_matches_expectation():
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 70),
        radix=st.sampled_from([None, 1, 2, 3, 1000, 2**40]))
+@example(seed=0, n=0, d=70, radix=2**40)
+@example(seed=0, n=0, d=3, radix=None)
+@example(seed=1, n=1, d=70, radix=2**40)
+@example(seed=1, n=1, d=5, radix=None)
 def test_distinct_rows_groups_rows_as_unique_does(seed, n, d, radix):
     """distinct_rows finds np.unique(axis=0)'s groups, each first row
     its first member, also when codes are ranked anew (a radix up to
-    2^40 over up to 70 digits) and for floats, where -0.0 equals 0.0."""
+    2^40 over up to 70 digits), for floats, where -0.0 equals 0.0, and
+    for zero rows and one."""
     rng = np.random.default_rng(seed)
     if radix is None:
         rows = rng.choice(np.array([0.0, -0.0, 0.25, 1.0]), (n, d))

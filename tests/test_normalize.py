@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from rateconv import (NetworkSpec, NormConfig, NormStats, apply_normalization,
                       collect_stats, conv2d, dense, flatten, forward_batch,
                       greedy_action, load_stats, percentile, save_stats)
-from rateconv.normalize import STATS_CHUNK, _rank, _stats_per_config
+from rateconv.network import UnitValues, forward_units
+from rateconv.normalize import STATS_CHUNK, _rank, _stats_per_config, _top_of_counts
 
 from conftest import rand_conv_net, rand_dense_net, rand_net, rand_frames
 
@@ -150,11 +151,25 @@ def _overflow_net():
     return NetworkSpec((2,), layers + [dense(w, np.zeros(2), activation="none")])
 
 
+def _overflow_conv_net():
+    """Two 2x2 convs of +-3e38 on (1, 6, 6) frames, then a dense output:
+    a frame scaled to 1e300 reaches inf and NaN in the convs themselves."""
+    k = 3e38 * np.array([[1.0, 1.0], [1.0, -1.0]])
+    return NetworkSpec((1, 6, 6), [
+        conv2d(np.stack([k, -k])[:, None], np.zeros(2)),
+        conv2d(np.stack([np.stack([k, -k]), np.stack([-k, k])]), np.zeros(2)),
+        flatten(), dense(np.full((2, 32), 3e38), np.zeros(2), activation="none")])
+
+
+OVERFLOW_NETS = {"overflow": _overflow_net, "conv-overflow": _overflow_conv_net}
+
+
 def _property_net(rng, kind, variant):
-    net = {"dense": rand_dense_net, "conv": rand_conv_net,
-           "overflow": lambda _: _overflow_net()}[kind](rng)
+    if kind in OVERFLOW_NETS:
+        return OVERFLOW_NETS[kind]()
+    net = {"dense": rand_dense_net, "conv": rand_conv_net}[kind](rng)
     for layer in net.layers:
-        if not layer.parameterized or kind == "overflow":
+        if not layer.parameterized:
             continue
         if variant == "zeros":
             layer.weights[...] = 0.0
@@ -167,27 +182,54 @@ def _property_net(rng, kind, variant):
     return net
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(kind=st.sampled_from(["dense", "conv", "overflow"]),
+def _property_frames(rng, variant, source, n_frames, shape):
+    """Analog frames, binary ones (conv fields repeat, wider windows
+    mostly not), or frames drawn from three binary ones (every window
+    repeats)."""
+    if source == "analog":
+        frames = rng.random((n_frames, *shape))
+    else:
+        frames = (rng.random((n_frames if source == "binary" else 3, *shape)) < 0.5) * 1.0
+        if source == "repeats":
+            frames = frames[rng.integers(3, size=n_frames)]
+    if variant == "ties":
+        frames = np.round(frames * 2.0) / 2.0
+    return frames
+
+
+@settings(max_examples=90, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["dense", "conv", "overflow", "conv-overflow"]),
        variant=st.sampled_from(["plain", "ties", "zeros", "negative"]),
+       source=st.sampled_from(["analog", "binary", "repeats"]),
        n_frames=st.integers(1, 40) | st.sampled_from([STATS_CHUNK, STATS_CHUNK + 1,
                                                       2 * STATS_CHUNK, 2 * STATS_CHUNK + 37]),
        cap=st.none() | st.integers(1, 3 * STATS_CHUNK),
        p=st.sampled_from([99.0, 99.9, 100.0, 99.37]),
        seed=st.integers(0, 2**16))
-@example(kind="overflow", variant="plain", n_frames=2 * STATS_CHUNK, cap=None, p=99.0, seed=2)
-def test_streaming_stats_equal_pooled_percentile(kind, variant, n_frames, cap, p, seed):
+@example(kind="overflow", variant="plain", source="analog", n_frames=2 * STATS_CHUNK, cap=None,
+         p=99.0, seed=2)
+# units kept through both convs, a last chunk part-filled
+@example(kind="conv", variant="plain", source="repeats", n_frames=2 * STATS_CHUNK + 37,
+         cap=None, p=99.0, seed=0)
+# units kept for the first conv only
+@example(kind="conv", variant="plain", source="binary", n_frames=STATS_CHUNK + 1, cap=None,
+         p=99.9, seed=0)
+# NaN and inf in both convs' unit values
+@example(kind="conv-overflow", variant="plain", source="repeats", n_frames=2 * STATS_CHUNK,
+         cap=None, p=99.9, seed=2)
+def test_streaming_stats_equal_pooled_percentile(kind, variant, source, n_frames, cap, p, seed):
     """Streaming collect_stats gives percentile() of the pooled samples bit
     for bit (NaN equal to NaN): with ties, all zeros and negative outputs,
-    with fewer than 100 samples or one part-filled chunk, and with a last
-    chunk full or not."""
+    with fewer than 100 samples or one part-filled chunk, with a last
+    chunk full or not, and with frames that repeat, where conv layers
+    kept per unit pool (value, count) pairs."""
     rng = np.random.default_rng(seed)
     net = _property_net(rng, kind, variant)
-    frames = rng.random((n_frames, *net.input_shape))
-    if variant == "ties":
-        frames = np.round(frames * 2.0) / 2.0
+    frames = _property_frames(rng, variant, source, n_frames, net.input_shape)
     if kind == "overflow":  # only the first seed % 4 frames reach inf and NaN
         frames[seed % 4:] *= 1e-300
+    elif kind == "conv-overflow":
+        frames[:seed % 4] *= 1e300
     config = NormConfig(p, max_frames=cap or n_frames)
     with np.errstate(over="ignore", invalid="ignore"):
         stats = collect_stats(net, frames, config)
@@ -195,6 +237,20 @@ def test_streaming_stats_equal_pooled_percentile(kind, variant, n_frames, cap, p
     assert [x.hex() for x in stats.scales] == [float(x).hex() for x in scales]
     assert stats.sample_counts == counts
     assert len(stats.warnings) == fallbacks
+
+
+def test_top_of_counts_orders_nan_last_as_partition_does():
+    """The keep largest of a (value, count) multiset are the values
+    np.partition puts last in the pooled samples, NaN above inf."""
+    values = np.array([1.0, np.nan, np.inf, 0.5, np.nan, -2.0, 3.0])
+    counts = np.array([3, 2, 1, 4, 1, 2, 1])
+    pooled = np.repeat(values, counts)
+    for keep in range(1, pooled.size + 3):
+        at = max(pooled.size - keep, 0)
+        want = np.sort(np.partition(pooled, at)[at:])
+        got = np.sort(_top_of_counts(values, counts, keep))
+        assert [x.hex() for x in got] == [x.hex() for x in want], keep
+    assert np.isnan(_top_of_counts(values, counts, 3)).all()
 
 
 def test_collect_stats_memory_stays_below_pooled_samples():
@@ -214,6 +270,31 @@ def test_collect_stats_memory_stays_below_pooled_samples():
         tracemalloc.stop()
     pooled_bytes = 8 * sum(stats.sample_counts)
     assert peak < pooled_bytes / 2, (peak, pooled_bytes)
+
+
+def test_collect_stats_pools_conv_units_without_expanding_them():
+    """On frames that repeat both convs are kept per unit and pooled as
+    (value, count) pairs: peak traced memory over 8 chunks stays below
+    the bytes of one chunk's conv samples, which expanding them would
+    take."""
+    rng = np.random.default_rng(4)
+    net = NetworkSpec((1, 12, 12), [
+        conv2d(rng.normal(0.0, 0.3, (16, 1, 3, 3)), rng.normal(0.0, 0.05, 16)),
+        conv2d(rng.normal(0.0, 0.1, (4, 16, 3, 3)), rng.normal(0.0, 0.05, 4)), flatten(),
+        dense(rng.normal(0.0, 0.05, (16, 256)), rng.normal(0.0, 0.05, 16)),
+        dense(rng.normal(0.0, 0.25, (4, 16)), np.zeros(4), activation="none")])
+    binary = (rng.random((20, 1, 12, 12)) < 0.3).astype(np.float32)
+    frames = binary[rng.integers(len(binary), size=8 * STATS_CHUNK)]
+    kept = forward_units(net, frames[:STATS_CHUNK])[:2]
+    assert all(isinstance(r, UnitValues) for r in kept)
+    tracemalloc.start()
+    try:
+        collect_stats(net, frames, NormConfig(99.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk_bytes = 8 * STATS_CHUNK * (16 * 10 * 10 + 4 * 8 * 8)  # as float64
+    assert peak < chunk_bytes, (peak, chunk_bytes)
 
 
 def test_stats_per_config_equal_collect_stats_per_config(rng):
