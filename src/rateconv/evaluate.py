@@ -15,15 +15,15 @@ live episodes' observations, one q-vector per live episode in episode
 order.  The spiking agent simulates them as one run; every run starts
 from rest and a row of run_batch is bit for bit the run of that frame
 alone (see rateconv.simulate).  The analog agent (the source playing
-alone, or shadowing) answers them in one forward pass whose products
-are row-exact by construction (network.affine_rows): a stacked matmul
+alone, or shadowing) answers them in one network.forward_units pass
+with the row-exact affine map (network.affine_rows): a stacked matmul
 of single-row products for a dense layer, the per-offset einsum for a
 conv layer.  Each of its rows is bit for bit the one-row forward pass
 of its observation; a plain batched float64 GEMM could round a row
 differently in the last bit, and a hidden ReLU carries that into a
 near-tie argmax.  So results depend only on the seed, never on which
-episodes share a round, and a replay's source actions never on which
-frames share its trace.
+episodes share a round, and a replay's actions never on which frames
+share its trace: a replay asks each agent once per distinct frame.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ import numpy as np
 
 from .lincatch import LineCatchEnv
 from .modelio import EpisodeTrace, ReportRow
-from .network import (NetworkSpec, affine_rows, distinct_rows, explore, frame_batch,
-                      frame_stack, layer_output_shape, require_integer, unit_forward)
+from .network import (NetworkSpec, UnitValues, affine_rows, distinct_rows, explore,
+                      forward_units, frame_stack, layer_output_shape, require_integer)
 from .normalize import NormConfig, _stats_per_config, apply_normalization, collect_stats
-from .simulate import SimConfig, _build_stages, _checked_stages, _run_stages, readout
+from .simulate import SimConfig, _checked_stages, _run_stages, readout
 
 CR_MODES = ("greedy", "executed")
-REPLAY_CHUNK = 256  # distinct frames per spiking run of a replay
+REPLAY_CHUNK = 256  # distinct frames per qvalues call of a replay
 _MASK64 = (1 << 64) - 1
 
 
@@ -136,27 +136,21 @@ def _check_q_width(net: NetworkSpec, action_count: int, role: str) -> None:
 class AnalogAgent:
     """Values from the analog forward pass of the network.
 
-    qvalues runs all its rows in one pass on float64 parameters made
-    once, every product row-exact: the leading conv layers once per
-    distinct receptive field (network.unit_forward), the rest through
-    network.affine_rows.  Each row is bit for bit the one-row forward
+    qvalues answers all its rows in one network.forward_units pass with
+    the row-exact affine map (network.affine_rows): the leading conv
+    layers once per distinct receptive field, every later product as a
+    one-row pass makes it.  Each row is bit for bit the one-row forward
     pass of its observation, so no decision depends on another.
     """
 
     def __init__(self, net: NetworkSpec):
         self.net = net
-        self.stages = _build_stages(net)
 
     def qvalues(self, observations) -> np.ndarray:
-        x = frame_batch(self.net, observations).astype(np.float64, copy=False)
-        lead = unit_forward(x, ((s.layer, s.weights64, s.bias64) for s in self.stages))
-        x = lead[-1].expanded if lead else x
-        for stage in self.stages[len(lead):]:
-            x = affine_rows(stage.layer, x.reshape(len(x), *stage.input_shape),
-                            stage.weights64, stage.bias64)
-            if stage.layer.activation == "relu":
-                x = np.maximum(x, 0.0)
-        return x.reshape(len(x), -1)
+        values = forward_units(self.net, observations, affine_rows)[-1]
+        if isinstance(values, UnitValues):
+            values = values.expanded
+        return values.reshape(len(values), -1)
 
 
 class SpikingAgent:
@@ -272,17 +266,28 @@ def _play_lockstep(envs: list[LineCatchEnv], rngs: list[np.random.Generator], ag
 # ---------------------------------------------------------------------------
 # replay
 
+def _replay_actions(agent, distinct: np.ndarray, inverse: np.ndarray) -> list[int]:
+    """Each step's greedy action from agent, which answers each distinct
+    frame once, REPLAY_CHUNK frames per qvalues call; inverse[i] is the
+    distinct frame step i shows."""
+    actions = np.concatenate([np.argmax(agent.qvalues(distinct[start:start + REPLAY_CHUNK]),
+                                        axis=1)
+                              for start in range(0, len(distinct), REPLAY_CHUNK)])
+    return actions[inverse].tolist()
+
+
 def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfig,
                  source_net: Optional[NetworkSpec] = None) -> ConversionReport:
     """Feed recorded frames to both networks and compare greedy decisions.
 
     Source actions are recomputed from source_net when given (guards
-    against stale traces), each step's the argmax of AnalogAgent.qvalues
-    on its frame alone, and taken from the trace otherwise.  Nothing
-    is executed, so exploration plays no role here.  Each distinct frame
-    is simulated once, REPLAY_CHUNK frames per SpikingAgent.qvalues call,
-    and its action given to every step that shows it: a row of run_batch
-    is bit for bit the run of its frame alone.
+    against stale traces), from AnalogAgent.qvalues, and taken from the
+    trace otherwise.  Nothing is executed, so exploration plays no role
+    here.  Each agent answers each distinct frame once, REPLAY_CHUNK
+    frames per qvalues call, and its action goes to every step that
+    shows it: a row of either agent is bit for bit its frame's answer
+    alone, and frames that differ only in the sign of a zero get equal
+    values.
     """
     _check_q_width(snn_net, trace.action_count, "spiking")
     if source_net is not None:
@@ -290,19 +295,11 @@ def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfi
     if len(trace.steps) == 0:
         raise ValueError("cannot replay an empty trace")
     obs = trace.observations().astype(np.float64)
-
     first, inverse = distinct_rows(obs.reshape(len(obs), -1))
     distinct = obs[first]
-    agent = SpikingAgent(snn_net, sim_config)
-    actions = np.concatenate([np.argmax(agent.qvalues(distinct[start:start + REPLAY_CHUNK]),
-                                        axis=1)
-                              for start in range(0, len(distinct), REPLAY_CHUNK)])
-    snn_actions = actions[inverse].tolist()
-
-    if source_net is not None:
-        source_actions = np.argmax(AnalogAgent(source_net).qvalues(obs), axis=1).tolist()
-    else:
-        source_actions = trace.actions()
+    snn_actions = _replay_actions(SpikingAgent(snn_net, sim_config), distinct, inverse)
+    source_actions = (trace.actions() if source_net is None
+                      else _replay_actions(AnalogAgent(source_net), distinct, inverse))
 
     agreement = conversion_rate(snn_actions, source_actions)
     return ConversionReport(

@@ -480,17 +480,20 @@ def unit_forward(x: np.ndarray, convs) -> list[UnitValues]:
     return kept
 
 
-def forward_units(net: NetworkSpec, inputs: np.ndarray) -> list:
-    """Forward pass over a batch of inputs [batch, *input_shape], one
-    post-activation result per layer: a UnitValues for each leading conv
-    layer kept per unit (unit_forward), then an array [batch, *shape]
-    for each later layer, one batched call per layer, the first reading
-    the last UnitValues expanded.  The bits are those of the whole pass.
+def forward_units(net: NetworkSpec, inputs, affine=None) -> list:
+    """Forward pass over a batch of inputs [batch, *input_shape]
+    (frame_batch), one post-activation result per layer: a UnitValues for
+    each leading conv layer kept per unit (unit_forward), then an array
+    [batch, *shape] for each later layer, the first reading the last
+    UnitValues expanded.  The bits are those of the whole pass.
+
+    affine(layer, x, weights64, bias64) maps each later layer:
+    apply_layer_linear, one batched call, unless given; affine_rows gives
+    every row the bits of its one-row pass.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.shape[1:] != net.input_shape:
-        raise ValueError(
-            f"input shape {inputs.shape[1:]} does not match network input {net.input_shape}")
+    inputs = frame_batch(net, inputs).astype(np.float64, copy=False)
+    if affine is None:  # looked up per call, so a wrapper set on the module applies
+        affine = apply_layer_linear
     convs = ((layer, layer.weights.astype(np.float64), layer.bias.astype(np.float64))
              for layer in itertools.takewhile(lambda l: l.kind == "conv2d", net.layers))
     results: list = unit_forward(inputs, convs)
@@ -499,7 +502,7 @@ def forward_units(net: NetworkSpec, inputs: np.ndarray) -> list:
         if layer.kind == "flatten":
             x = x.reshape(x.shape[0], -1)
         else:
-            x = apply_layer_linear(layer, x)
+            x = affine(layer, x, layer.weights.astype(np.float64), layer.bias.astype(np.float64))
         if layer.activation == "relu":
             x = np.maximum(x, 0.0)
         results.append(x)

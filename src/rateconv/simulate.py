@@ -25,6 +25,12 @@ spikes over those same steps, so run_batch, the one network loop, runs
 every population in one recurrence, pipelined one block apart:
 population j runs block b at iteration b + j, on the currents of the
 spikes population j-1 produced for block b in the iteration before.
+A run is three parts (_run_stages): a _Plan of the batch, made once,
+which holds its layout (the units, each population's place in the
+buffers, the gather indices, the input's drive, K and the block
+count) and computes a population's currents for a block; the
+pipelined loop over the blocks; and the result, read from the end
+state per population.
 All state lives in buffers allocated once per run, each step one flat
 row of every population's elements in order, so the populations active
 in an iteration (a contiguous run of them, short only while the
@@ -121,9 +127,9 @@ from typing import Optional
 
 import numpy as np
 
-from .network import (LayerSpec, NetworkSpec, Units, affine_rows, apply_layer_linear,
-                      channel_index, frame_stack, layer_output_shape, receptive_fields,
-                      require_integer, unit_maps, validate_network)
+from .network import (LayerSpec, NetworkSpec, affine_rows, apply_layer_linear, channel_index,
+                      frame_stack, layer_output_shape, receptive_fields, require_integer,
+                      unit_maps, validate_network)
 
 READOUTS = ("rate", "robust")
 BLOCK_BYTES = 1 << 20  # caps K * batch * (all populations' neurons) * 8 bytes
@@ -223,30 +229,102 @@ def _checked_stages(net: NetworkSpec) -> list[_Stage]:
     return _build_stages(net)
 
 
-def _block_length(timesteps: int, elements: int) -> int:
-    """K, the steps per block.  BLOCK_BYTES caps K * elements float64
-    values, elements being the larger of a run's state per step and a
+class _Plan:
+    """The layout of one run of a batch, built once, before its loop.
+
+    Population 0 is the input layer, driven by the frames; population j
+    >= 1 is fed by stage j-1.  The first len(units) populations are kept
+    per unit (network.unit_maps over the leading exact conv stages, never
+    the output stage), as [channels * units, 1], the rest per row, as
+    [width, batch]; population j is [neurons[j], cols[j]] and holds the
+    flat elements edges[j]:edges[j+1] of every buffer.  index[j] gathers
+    stage j-1's columns, and row_gather the first population kept per row
+    from the last one kept per unit, [channels * positions, batch].
+    drive is population 0's current and fired0 its spikes at the first
+    step; steady says it fires them at every step, and first is 1 when
+    it leaves the loop (see the module docstring), 0 otherwise.
+
+    K, the steps per block, caps K * elements float64 values at
+    BLOCK_BYTES, elements being the larger of the state per step and a
     stage's gathered columns per step; ceil(sqrt(10 T)) weighs the
     per-block work (T / K blocks) against the pipeline's partly filled
-    ends (about K steps per population); a block never exceeds the run."""
-    return max(1, min(BLOCK_BYTES // (8 * elements), math.isqrt(10 * timesteps - 1) + 1,
-                      timesteps))
-
-
-def _unit_maps(stages: list[_Stage], frames: np.ndarray
-               ) -> tuple[list[Units], Optional[np.ndarray]]:
-    """The populations kept per unit, and the input's drive per unit [c, units].
-
-    network.unit_maps over the leading exact conv stages, never the
-    output stage: [] (and no drive) unless stage 0's population is kept.
+    ends (about K steps per population); a block never exceeds the run.
     """
-    windows = []
-    for stage in stages[:-1]:
-        if stage.layer.kind != "conv2d" or not stage.exact:
-            break
-        windows.append(stage.window)
-    units, vectors = unit_maps(frames, windows)
-    return units, None if vectors is None else vectors.T
+
+    def __init__(self, stages: list[_Stage], frames: np.ndarray, config: SimConfig):
+        batch = frames.shape[0]
+        if batch < 1:
+            raise ValueError(f"batch must be >= 1, got {batch}")
+        windows = []
+        for stage in stages[:-1]:
+            if stage.layer.kind != "conv2d" or not stage.exact:
+                break
+            windows.append(stage.window)
+        units, vectors = unit_maps(frames, windows)
+        shapes = [frames.shape[1:]] + [s.shape for s in stages]
+        neurons = [shape[0] * units[j].count if j < len(units) else math.prod(shape)
+                   for j, shape in enumerate(shapes)]
+        cols = [1 if j < len(units) else batch for j in range(len(shapes))]
+        edges = [0]
+        for n, m in zip(neurons, cols):
+            edges.append(edges[-1] + n * m)
+        self.index = [None] + [channel_index(units[j].windows.T, shapes[j - 1][0],
+                                             units[j - 1].count)
+                               if j < len(units) else stage.gather
+                               for j, stage in enumerate(stages, start=1)]
+        self.row_gather = None
+        if units:
+            last = units[-1]
+            self.row_gather = (np.arange(shapes[len(units) - 1][0])[:, None, None] * last.count
+                               + last.ids.T).reshape(-1, batch)
+            self.drive = vectors.T.reshape(-1)
+        else:
+            self.drive = frames.reshape(batch, -1).T.reshape(-1)
+        self.stages, self.batch, self.units, self.shapes = stages, batch, units, shapes
+        self.neurons, self.cols, self.edges = neurons, cols, edges
+
+        T = self.timesteps = config.timesteps
+        gathered = max(stage.weights64[0].size * n * m // len(stage.bias64)
+                       for stage, n, m in zip(stages, neurons[1:], cols[1:]))
+        self.K = max(1, min(BLOCK_BYTES // (8 * max(edges[-1], gathered)),
+                            math.isqrt(10 * T - 1) + 1, T))
+        self.n_blocks = -(-T // self.K)
+        self.fired0 = self.drive >= config.v_thr
+        self.steady = bool(np.all(self.fired0 | (self.drive <= 0.0)))
+        self.first = int(self.steady and np.all((self.drive == 0.0)
+                                                | (self.drive == config.v_thr)))
+
+    def steps(self, b: int) -> int:
+        """The steps of block b: K, but for a short last block."""
+        return min(self.K, self.timesteps - b * self.K)
+
+    def view(self, buffer: np.ndarray, j: int, steps: int) -> np.ndarray:
+        """Population j's part of the first steps of a [K, edges[-1]]
+        buffer, [steps, neurons[j], cols[j]]."""
+        return buffer[:steps, self.edges[j]:self.edges[j + 1]].reshape(
+            steps, self.neurons[j], self.cols[j])
+
+    def currents(self, j: int, spikes: np.ndarray, steps: int) -> np.ndarray:
+        """Population j's currents over the first steps of a block, from
+        population j-1's spikes in a [K, edges[-1]] buffer."""
+        if j == len(self.units):
+            x = np.take(spikes[:steps, self.edges[j - 1]:self.edges[j]], self.row_gather, axis=1)
+        else:
+            x = self.view(spikes, j - 1, steps)
+        return _block_currents(self.stages[j - 1], x, self.index[j])
+
+    def per_population(self, state: np.ndarray) -> list[np.ndarray]:
+        """A flat state as [batch, *shape] per population, a unit's values
+        given to every position of every frame that holds it."""
+        by_row = []
+        for j, shape in enumerate(self.shapes):
+            part = state[self.edges[j]:self.edges[j + 1]]
+            if j < len(self.units):
+                part = part.reshape(shape[0], -1)[:, self.units[j].ids].transpose(1, 0, 2)
+            else:
+                part = part.reshape(-1, self.batch).T
+            by_row.append(part.reshape(self.batch, *shape))
+        return by_row
 
 
 # ---------------------------------------------------------------------------
@@ -348,57 +426,14 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig, *,
 def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
                 diagnose: bool) -> SimResult:
     """run_batch on the stages of a checked network and a frame_stack of
-    its frames, for a caller that simulates one network many times."""
-    batch = frames.shape[0]
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-
-    # Population 0 is the input layer, driven by the frames; population j
-    # >= 1 is fed by stage j-1.  The first len(units) populations are kept
-    # per unit, as [channels * units, 1], the rest per row, as [width,
-    # batch]; population j is [neurons[j], cols[j]] and holds the flat
-    # elements edges[j]:edges[j+1] of every buffer.  Every population
-    # starts at rest.
-    units, drive = _unit_maps(stages, frames)
-    shapes = [frames.shape[1:]] + [s.shape for s in stages]
-    neurons = [shape[0] * units[j].count if j < len(units) else math.prod(shape)
-               for j, shape in enumerate(shapes)]
-    cols = [1 if j < len(units) else batch for j in range(len(shapes))]
-    edges = [0]
-    for n, m in zip(neurons, cols):
-        edges.append(edges[-1] + n * m)
-    last_pop = len(shapes) - 1
-    index = [None] + [channel_index(units[j].windows.T, shapes[j - 1][0], units[j - 1].count)
-                      if j < len(units) else stage.gather
-                      for j, stage in enumerate(stages, start=1)]
-    if units:
-        # The first population kept per row reads the last one kept per
-        # unit through one gather, [channels * positions, batch].
-        last = units[-1]
-        row_gather = (np.arange(shapes[len(units) - 1][0])[:, None, None] * last.count
-                      + last.ids.T).reshape(-1, batch)
-        drive = drive.reshape(-1)
-    else:
-        drive = frames.reshape(batch, -1).T.reshape(-1)
-
-    def view(buffer, j, steps):
-        """Population j's part of steps of a [K, edges[-1]] buffer, [steps, neurons, cols]."""
-        return buffer[:steps, edges[j]:edges[j + 1]].reshape(steps, neurons[j], cols[j])
-
-    def stage_currents(j, spikes, steps):
-        """Population j's currents over steps, from population j-1's spikes."""
-        x = spikes[:steps, edges[j - 1]:edges[j]]
-        x = np.take(x, row_gather, axis=1) if j == len(units) else \
-            x.reshape(steps, neurons[j - 1], cols[j - 1])
-        return _block_currents(stages[j - 1], x, index[j])
-
-    T = config.timesteps
-    v_thr = config.v_thr
-    gathered = max(stage.weights64[0].size * n * m // len(stage.bias64)
-                   for stage, n, m in zip(stages, neurons[1:], cols[1:]))
-    K = _block_length(T, max(edges[-1], gathered))
-    n_blocks = -(-T // K)
-    short = T - (n_blocks - 1) * K  # steps of the last block
+    its frames, for a caller that simulates one network many times: the
+    batch's _Plan, the pipelined loop over its blocks, and the result
+    read from the end state."""
+    plan = _Plan(stages, frames, config)
+    T, v_thr, batch = config.timesteps, config.v_thr, plan.batch
+    K, n_blocks, edges, first, steady = plan.K, plan.n_blocks, plan.edges, plan.first, plan.steady
+    view, currents_of, steps_of = plan.view, plan.currents, plan.steps
+    last_pop = len(edges) - 2
     potentials = np.zeros(edges[-1])
     counts = np.zeros(edges[-1], dtype=np.int64)
     currents = np.empty((K, edges[-1]))
@@ -407,25 +442,21 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
     trail = np.empty((K, edges[-1] - edges[-2])) \
         if diagnose and config.readout == "robust" else None
 
-    fired0 = drive >= v_thr
-    # A steady input (every pixel <= 0 or >= v_thr) fires the same pixels
-    # at every step, so the first stage's currents are computed once.
-    steady = bool(np.all(fired0 | (drive <= 0.0)))
     if steady:
-        view(currents, 1, K)[:] = stage_currents(1, fired0[None], 1)
-    if steady and np.all((drive == 0.0) | (drive == v_thr)):
+        # The input fires the same pixels at every step, so the first
+        # stage's currents are computed once.
+        view(currents, 1, K)[:] = currents_of(1, plan.fired0[None], 1)
+    if first:
         # Each step takes the potential from 0 to 0 or v_thr, and a spike
         # back to exactly 0: the input population leaves the loop.
-        counts[:edges[1]] = T * fired0
+        counts[:edges[1]] = T * plan.fired0
         if diagnose:
             total = 0.0
             for _ in range(T):  # summed as a step loop sums it
                 total += v_thr
-            sums[:edges[1]] = np.where(fired0, total, 0.0)
-        first = 1
+            sums[:edges[1]] = np.where(plan.fired0, total, 0.0)
     else:
-        currents[:, :edges[1]] = drive
-        first = 0
+        currents[:, :edges[1]] = plan.drive
 
     out = slice(edges[-2], edges[-1])
     settle = np.ones(batch, dtype=np.int64) if diagnose else None
@@ -436,16 +467,15 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         hi = min(last_pop, first + i)
         fired, fed = spikes[i % 2], spikes[(i + 1) % 2]
         for j in range(max(lo, 2 if steady else 1), hi + 1):
-            b = i - (j - first)
-            steps = short if b == n_blocks - 1 else K
-            view(currents, j, steps)[:] = stage_currents(j, fed, steps)
+            steps = steps_of(i - (j - first))
+            view(currents, j, steps)[:] = currents_of(j, fed, steps)
 
         # The lowest population may be in the last, short block: it leaves
         # the slice after its last step.
         end = edges[hi + 1]
-        parts = [(0, K, edges[lo])]
-        if i - (lo - first) == n_blocks - 1 and short < K:
-            parts = [(0, short, edges[lo]), (short, K, edges[lo + 1])]
+        short = steps_of(i - (lo - first))
+        parts = [(0, short, edges[lo]), (short, K, edges[lo + 1])] if short < K else \
+            [(0, K, edges[lo])]
         watch = diagnose and hi == last_pop
         if watch:
             out_before = counts[out].copy()
@@ -463,7 +493,7 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         if watch:
             # The output argmax after each step of its block, as a step loop sees it.
             b = i - (last_pop - first)
-            steps = short if b == n_blocks - 1 else K
+            steps = steps_of(b)
             score = out_before + np.cumsum(fired[:steps, out], axis=0, dtype=np.int64)
             if trail is not None:
                 score = score * v_thr + trail[:steps]
@@ -475,21 +505,8 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
                 settle = np.where(changed.any(axis=0), b * K + steps - from_end, settle)
             prev_choice = choice[-1]
 
-    def per_population(state):
-        """[batch, *shape] per population, a unit's values given to every
-        position of every frame that holds it."""
-        by_row = []
-        for j, shape in enumerate(shapes):
-            part = state[edges[j]:edges[j + 1]]
-            if j < len(units):
-                part = part.reshape(shape[0], -1)[:, units[j].ids].transpose(1, 0, 2)
-            else:
-                part = part.reshape(-1, batch).T
-            by_row.append(part.reshape(batch, *shape))
-        return by_row
-
-    rates = [c / T for c in per_population(counts)]
-    ends = per_population(potentials)
+    rates = [c / T for c in plan.per_population(counts)]
+    ends = plan.per_population(potentials)
     rate_last = rates[-1].reshape(batch, -1)
     with np.errstate(over="ignore"):
         f_last = rate_last + ends[-1].reshape(batch, -1) / (T * v_thr)
@@ -498,7 +515,7 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         raise ValueError(f"the output potentials over timesteps * v_thr = {T} * {v_thr} "
                          f"overflow the readout")
     residuals = [v / T for v in ends]
-    avg_currents = [z / (T * v_thr) for z in per_population(sums)] if diagnose else None
+    avg_currents = [z / (T * v_thr) for z in plan.per_population(sums)] if diagnose else None
     return SimResult(timesteps=T, v_thr=v_thr, readout=config.readout,
                      rates=rates, residuals=residuals, avg_currents=avg_currents,
                      rate_last=rate_last, f_last=f_last, settle_step=settle)

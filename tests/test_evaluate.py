@@ -121,14 +121,19 @@ def test_replay_simulates_each_distinct_frame_once(rng, monkeypatch):
     """A trace that repeats frames gives the report and per-frame actions
     of simulating every row, from one simulated row per distinct frame.
     Each step's source action is that of AnalogAgent on its frame alone,
-    so a prefix of the trace gets the prefix of the trace's actions."""
+    so a prefix of the trace gets the prefix of the trace's actions.  A
+    frame that repeats another but for a zero written as -0.0 counts as
+    the same frame and gets its own frame's actions."""
     module = importlib.import_module("rateconv.evaluate")
     net = rand_dense_net(rng, sizes=[16, 32, 3])
     norm = normalized(rng, net)
     base = make_trace(rng, net, 12)
-    picks = rng.integers(0, 12, 40)
+    base.steps["observation"][0, 0] = 0.0
+    negated = base.steps[:1].copy()
+    negated["observation"][0, 0] = -0.0
+    picks = np.append(rng.integers(0, 12, 40), 0)
     trace = EpisodeTrace(action_count=3, observation_shape=net.input_shape,
-                         steps=base.steps[picks])
+                         steps=np.concatenate([base.steps[picks], negated]))
     config = SimConfig(timesteps=60)
 
     rows, compared = [], []
@@ -163,25 +168,25 @@ def test_replay_simulates_each_distinct_frame_once(rng, monkeypatch):
 
 
 def test_replay_asks_the_spiking_agent_once_per_chunk(rng, monkeypatch):
-    """replay_trace gets its spiking actions from SpikingAgent.qvalues, one
-    call per REPLAY_CHUNK distinct frames."""
+    """replay_trace gets its spiking actions from SpikingAgent.qvalues and
+    its source actions from AnalogAgent.qvalues, each one call per
+    REPLAY_CHUNK distinct frames."""
     module = importlib.import_module("rateconv.evaluate")
     net = rand_dense_net(rng, sizes=[6, 10, 3])
     base = make_trace(rng, net, 23)
     trace = EpisodeTrace(action_count=3, observation_shape=net.input_shape,
                          steps=base.steps[rng.integers(0, 23, 60)])
     distinct = len(np.unique(trace.observations(), axis=0))
-    rows = []
-    qvalues = SpikingAgent.qvalues
-
-    def counted(self, observations):
-        rows.append(len(observations))
-        return qvalues(self, observations)
-
-    monkeypatch.setattr(SpikingAgent, "qvalues", counted)
+    rows = {SpikingAgent: [], AnalogAgent: []}
+    for cls in rows:
+        def counted(self, observations, real=cls.qvalues, cls=cls):
+            rows[cls].append(len(observations))
+            return real(self, observations)
+        monkeypatch.setattr(cls, "qvalues", counted)
     monkeypatch.setattr(module, "REPLAY_CHUNK", 4)
-    replay_trace(trace, normalized(rng, net), SimConfig(timesteps=20))
-    assert len(rows) == -(-distinct // 4) and sum(rows) == distinct
+    replay_trace(trace, normalized(rng, net), SimConfig(timesteps=20), source_net=net)
+    for calls in rows.values():
+        assert len(calls) == -(-distinct // 4) and sum(calls) == distinct
 
 
 def test_replay_rejects_empty_trace(rng):
@@ -255,15 +260,24 @@ def test_spiking_agent_takes_a_list_or_an_array(rng):
         assert np.array_equal(row, readout(run(norm, frame, SimConfig(timesteps=30))))
 
 
-def _random_analog_net(rng, conv, stride, padding):
+def _random_analog_net(rng, kind, stride, padding):
     """ReLU hidden layers and a linear 3-wide output, with weights spread
     over many binades so that a batched GEMM rounds some rows differently
-    from single-row products; conv first if conv."""
+    from single-row products; conv first if kind is "conv".  A
+    "conv-output" net is two convs, the last one linear with 3 channels
+    over the whole map it reads."""
     def spread(*shape):
         return rng.normal(0.0, 1.0, shape) * 2.0 ** rng.integers(-20, 1, shape)
 
+    if kind == "conv-output":
+        c, side, k = int(rng.integers(1, 3)), int(rng.integers(5, 10)), int(rng.integers(2, 4))
+        mid, out = int(rng.integers(2, 5)), (side + 2 * padding - k) // stride + 1
+        return NetworkSpec((c, side, side), [
+            conv2d(spread(mid, c, k, k), spread(mid), stride=(stride, stride),
+                   padding=(padding, padding)),
+            conv2d(spread(3, mid, out, out), spread(3), activation="none")])
     layers = []
-    if conv:
+    if kind == "conv":
         c, side = int(rng.integers(1, 3)), int(rng.integers(5, 10))
         shape = (c, side, side)
         for _ in range(int(rng.integers(1, 3))):
@@ -287,15 +301,20 @@ def _random_analog_net(rng, conv, stride, padding):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), conv=st.booleans(), stride=st.integers(1, 2),
-       padding=st.integers(0, 1), batch=st.integers(1, 16), as_list=st.booleans())
-def test_analog_agent_rows_equal_one_row_forward(seed, conv, stride, padding, batch, as_list):
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(("dense", "conv", "conv-output")),
+       stride=st.integers(1, 2), padding=st.integers(0, 1), batch=st.integers(1, 16),
+       as_list=st.booleans())
+def test_analog_agent_rows_equal_one_row_forward(seed, kind, stride, padding, batch, as_list):
     """AnalogAgent.qvalues answers a whole batch in one call, and each row
     is bit for bit the one-row forward pass of its observation, whether
-    the rows come as a list or an array."""
+    the rows come as a list or an array.  A conv-output net sees repeating
+    binary frames, so that its output layer can be kept per unit."""
     rng = np.random.default_rng(seed)
-    net = _random_analog_net(rng, conv, stride, padding)
-    frames = rng.normal(0.0, 1.0, (batch, *net.input_shape))
+    net = _random_analog_net(rng, kind, stride, padding)
+    if kind == "conv-output":
+        frames = rng.integers(0, 2, (2, *net.input_shape))[rng.integers(0, 2, batch)] * 1.0
+    else:
+        frames = rng.normal(0.0, 1.0, (batch, *net.input_shape))
     got = AnalogAgent(net).qvalues(list(frames) if as_list else frames)
     assert got.shape == (batch, 3)
     for row, frame in zip(got, frames):
