@@ -3,13 +3,16 @@
 Networks are plain data (numpy arrays plus a little metadata), not a
 framework.  Parameters are stored in float32; all arithmetic runs in
 float64 so results can be checked against naive reference code to tight
-tolerances.  Every forward pass captures the post-activation values of
-every layer, which the normalization and simulation code feed on.
+tolerances.  A layer owns its parameters, read-only, and the one float64
+copy of them that every computation reads (LayerSpec.weights64,
+LayerSpec.bias64); code that changes parameters builds a new layer
+(dataclasses.replace).  Every forward pass captures the post-activation
+values of every layer, which the normalization and simulation code feed
+on.
 """
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,7 +29,10 @@ class LayerSpec:
     """One layer: kind, parameters, and geometry.
 
     Weight layout: dense [out, in], conv2d [out_ch, in_ch, kh, kw].
-    Bias is [out] / [out_ch].  Flatten carries no parameters.
+    Bias is [out] / [out_ch].  Flatten carries no parameters.  The layer
+    keeps its own C-contiguous float32 copies of the parameters it is
+    given, read-only: weights64 and bias64 cache float64 copies of them,
+    which an in-place edit would leave stale.
     """
 
     kind: str
@@ -37,16 +43,33 @@ class LayerSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.weights is not None:
-            self.weights = np.ascontiguousarray(self.weights, dtype=np.float32)
-        if self.bias is not None:
-            self.bias = np.ascontiguousarray(self.bias, dtype=np.float32)
+        self.weights = _read_only(self.weights, np.float32)
+        self.bias = _read_only(self.bias, np.float32)
         self.stride = (int(self.stride[0]), int(self.stride[1]))
         self.padding = (int(self.padding[0]), int(self.padding[1]))
 
     @property
     def parameterized(self) -> bool:
         return self.kind in ("dense", "conv2d")
+
+    @cached_property
+    def weights64(self) -> Optional[np.ndarray]:
+        """The weights in float64, read-only; made once, on first use."""
+        return _read_only(self.weights, np.float64)
+
+    @cached_property
+    def bias64(self) -> Optional[np.ndarray]:
+        """The bias in float64, read-only; made once, on first use."""
+        return _read_only(self.bias, np.float64)
+
+
+def _read_only(a, dtype) -> Optional[np.ndarray]:
+    """A read-only C-contiguous copy of a in dtype, or None for None."""
+    if a is None:
+        return None
+    a = np.array(a, dtype=dtype, order="C")
+    a.flags.writeable = False
+    return a
 
 
 def dense(weights, bias, activation="relu") -> LayerSpec:
@@ -256,32 +279,27 @@ def conv2d_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     return out
 
 
-def apply_layer_linear(layer: LayerSpec, x: np.ndarray,
-                       weights64: Optional[np.ndarray] = None,
-                       bias64: Optional[np.ndarray] = None) -> np.ndarray:
+def apply_layer_linear(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
     """The affine part of a layer on a batched input (no activation)."""
-    w = layer.weights.astype(np.float64) if weights64 is None else weights64
-    b = layer.bias.astype(np.float64) if bias64 is None else bias64
     if layer.kind == "dense":
-        return x @ w.T + b
+        return x @ layer.weights64.T + layer.bias64
     if layer.kind == "conv2d":
-        return conv2d_batch(x, w, b, layer.stride, layer.padding)
+        return conv2d_batch(x, layer.weights64, layer.bias64, layer.stride, layer.padding)
     raise ValueError(f"layer kind {layer.kind!r} has no parameters")
 
 
-def affine_rows(layer: LayerSpec, x: np.ndarray, weights64: np.ndarray,
-                bias64: np.ndarray) -> np.ndarray:
+def affine_rows(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
     """The affine part of a layer on a batch, each row bit for bit what a
     one-row apply_layer_linear call gives it, whatever else is in the batch.
 
     A dense layer is one stacked matmul of single-row products, each made
     as a one-row call makes it (the rows of one batched GEMM may round
     differently); a conv layer is conv2d_batch, whose per-offset einsum
-    sums every row alone.
+    sums every row alone.  Both read the layer's float64 parameters.
     """
     if layer.kind == "dense":
-        return np.matmul(x[:, None, :], weights64.T)[:, 0] + bias64
-    return conv2d_batch(x, weights64, bias64, layer.stride, layer.padding)
+        return np.matmul(x[:, None, :], layer.weights64.T)[:, 0] + layer.bias64
+    return conv2d_batch(x, layer.weights64, layer.bias64, layer.stride, layer.padding)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +315,7 @@ def receptive_fields(layer: LayerSpec, in_shape: tuple[int, ...]) -> np.ndarray:
     _, h, w = in_shape
     _, _, kh, kw = layer.weights.shape
     (sh, sw), (ph, pw) = layer.stride, layer.padding
-    oh, ow = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+    _, oh, ow = layer_output_shape(layer, in_shape)
     y = (np.arange(kh)[:, None] + sh * np.arange(oh) - ph)[:, None, :, None]
     x = (np.arange(kw)[:, None] + sw * np.arange(ow) - pw)[None, :, None, :]
     inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)  # [kh, kw, oh, ow]
@@ -445,35 +463,35 @@ class UnitValues:
         return act.reshape(self.shape)
 
 
-def unit_forward(x: np.ndarray, convs) -> list[UnitValues]:
+def unit_forward(x: np.ndarray, layers) -> list[UnitValues]:
     """The leading conv layers on x [batch, *input_shape], each distinct
     receptive field computed once (unit_maps), as many as are kept per
     unit: [] when none is, and the caller computes every layer whole.
 
-    convs holds a network's leading (layer, weights64, bias64) in order;
-    the run stops at the first layer that is no conv or has a 1x1 kernel
-    (see conv2d_batch).  A unit's [c, kh, kw] field, read from the units
-    below (padding from a zero row), goes through conv2d_batch alone and
-    then the activation: each layer's expanded array is bit for bit what
-    conv2d_batch computes over the whole batch.
+    layers are a network's layers in order; the run stops at the first
+    layer that is no conv or has a 1x1 kernel (see conv2d_batch).  A
+    unit's [c, kh, kw] field, read from the units below (padding from a
+    zero row), goes through conv2d_batch alone, with the layer's float64
+    parameters, and then the activation: each layer's expanded array is
+    bit for bit what conv2d_batch computes over the whole batch.
     """
     lead, shape = [], x.shape[1:]
-    for layer, weights64, bias64 in convs:
+    for layer in layers:
         if layer.kind != "conv2d" or layer.weights.shape[2:] == (1, 1):
             break
         try:
             out = layer_output_shape(layer, shape)
         except ValueError:  # left to the whole pass, which reports it
             break
-        lead.append((layer, weights64, bias64, shape, out))
+        lead.append((layer, shape, out))
         shape = out
-    maps, values = unit_maps(x, [receptive_fields(layer, s) for layer, _, _, s, _ in lead])
+    maps, values = unit_maps(x, [receptive_fields(layer, s) for layer, s, _ in lead])
     kept = []
-    for (layer, weights64, bias64, (c, _, _), out), units in zip(lead, maps[1:]):
+    for (layer, (c, _, _), out), units in zip(lead, maps[1:]):
         padded = np.concatenate([values, np.zeros((1, c))])
         fields = np.ascontiguousarray(padded[units.windows].transpose(0, 2, 1))
         values = conv2d_batch(fields.reshape(units.count, c, *layer.weights.shape[2:]),
-                              weights64, bias64, (1, 1), (0, 0))[:, :, 0, 0]
+                              layer.weights64, layer.bias64, (1, 1), (0, 0))[:, :, 0, 0]
         if layer.activation == "relu":
             values = np.maximum(values, 0.0)
         kept.append(UnitValues(values, units, (len(x), *out)))
@@ -487,22 +505,21 @@ def forward_units(net: NetworkSpec, inputs, affine=None) -> list:
     [batch, *shape] for each later layer, the first reading the last
     UnitValues expanded.  The bits are those of the whole pass.
 
-    affine(layer, x, weights64, bias64) maps each later layer:
-    apply_layer_linear, one batched call, unless given; affine_rows gives
-    every row the bits of its one-row pass.
+    affine(layer, x) maps each later layer: apply_layer_linear, one
+    batched call, unless given; affine_rows gives every row the bits of
+    its one-row pass.  Every layer reads its own float64 parameters,
+    made once per layer, not per call.
     """
     inputs = frame_batch(net, inputs).astype(np.float64, copy=False)
     if affine is None:  # looked up per call, so a wrapper set on the module applies
         affine = apply_layer_linear
-    convs = ((layer, layer.weights.astype(np.float64), layer.bias.astype(np.float64))
-             for layer in itertools.takewhile(lambda l: l.kind == "conv2d", net.layers))
-    results: list = unit_forward(inputs, convs)
+    results: list = unit_forward(inputs, net.layers)
     x = results[-1].expanded if results else inputs
     for layer in net.layers[len(results):]:
         if layer.kind == "flatten":
             x = x.reshape(x.shape[0], -1)
         else:
-            x = affine(layer, x, layer.weights.astype(np.float64), layer.bias.astype(np.float64))
+            x = affine(layer, x)
         if layer.activation == "relu":
             x = np.maximum(x, 0.0)
         results.append(x)

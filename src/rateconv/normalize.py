@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import (LayerSpec, NetworkSpec, UnitValues, forward_units, frame_batch,
+from .network import (NetworkSpec, UnitValues, forward_units, frame_batch,
                       frame_stack, require_integer, require_stack)
 
 STATS_CHUNK = 1024  # calibration frames per forward_units call
@@ -241,14 +241,12 @@ def apply_normalization(net: NetworkSpec, stats: NormStats) -> NetworkSpec:
             continue
         prev_scale, this_scale = stats.scales[j], stats.scales[j + 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            w = (layer.weights.astype(np.float64) * (prev_scale / this_scale)).astype(np.float32)
-            b = (layer.bias.astype(np.float64) / this_scale).astype(np.float32)
+            w = (layer.weights64 * (prev_scale / this_scale)).astype(np.float32)
+            b = (layer.bias64 / this_scale).astype(np.float32)
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError(f"layer {i}: weights or bias scaled by {prev_scale!r} / "
                              f"{this_scale!r} do not fit in float32")
-        layers.append(LayerSpec(kind=layer.kind, weights=w, bias=b,
-                                stride=layer.stride, padding=layer.padding,
-                                activation=layer.activation))
+        layers.append(replace(layer, weights=w, bias=b))
         j += 1
     return NetworkSpec(input_shape=net.input_shape, layers=layers)
 

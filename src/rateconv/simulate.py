@@ -157,12 +157,11 @@ class SimConfig:
 
 @dataclass
 class _Stage:
-    """A parameterized layer with float64 copies of its parameters: in a
-    run, the spiking population it feeds."""
+    """A parameterized layer and its input and output shapes: in a run,
+    the spiking population it feeds.  The layer holds the float64
+    parameters every stage computation reads."""
 
     layer: LayerSpec
-    weights64: np.ndarray
-    bias64: np.ndarray
     input_shape: tuple[int, ...]  # the layer's input, flattened if a flatten precedes it
     shape: tuple[int, ...]
 
@@ -177,8 +176,8 @@ class _Stage:
         and a float64 sum of non-negative integers (in any order) stays
         below 2^53 exactly when the true sum does.
         """
-        w = np.abs(self.weights64.reshape(len(self.bias64), -1))
-        b = np.abs(self.bias64)
+        w = np.abs(self.layer.weights64.reshape(len(self.layer.bias64), -1))
+        b = np.abs(self.layer.bias64)
         smallest = min(np.min(w, initial=np.inf, where=w > 0),
                        np.min(b, initial=np.inf, where=b > 0))
         if smallest == np.inf:
@@ -210,13 +209,7 @@ def _build_stages(net: NetworkSpec) -> list[_Stage]:
             shape = layer_output_shape(layer, shape)
             continue
         out = layer_output_shape(layer, shape)
-        stages.append(_Stage(
-            layer=layer,
-            weights64=layer.weights.astype(np.float64),
-            bias64=layer.bias.astype(np.float64),
-            input_shape=shape,
-            shape=out,
-        ))
+        stages.append(_Stage(layer=layer, input_shape=shape, shape=out))
         shape = out
     return stages
 
@@ -284,7 +277,7 @@ class _Plan:
         self.neurons, self.cols, self.edges = neurons, cols, edges
 
         T = self.timesteps = config.timesteps
-        gathered = max(stage.weights64[0].size * n * m // len(stage.bias64)
+        gathered = max(stage.layer.weights[0].size * n * m // len(stage.layer.bias)
                        for stage, n, m in zip(stages, neurons[1:], cols[1:]))
         self.K = max(1, min(BLOCK_BYTES // (8 * max(edges[-1], gathered)),
                             math.isqrt(10 * T - 1) + 1, T))
@@ -361,26 +354,26 @@ def _block_currents(stage: _Stage, spikes: np.ndarray,
     A conv stage reads its columns through index, [fan-in, positions]
     over the width, where the width itself is a zero row (padding)."""
     steps, width, cols = spikes.shape
+    layer = stage.layer
     if stage.exact:
         # Exact in any order: straight on the neuron-major spikes.
-        w = stage.weights64.reshape(len(stage.bias64), -1)
+        w = layer.weights64.reshape(len(layer.bias64), -1)
         if index is None:
             z = w @ spikes.astype(np.float64)
-            z += stage.bias64[:, None]
+            z += layer.bias64[:, None]
             return z
         # One GEMM for the block, on columns gathered [fan-in, positions,
         # steps, columns].
         padded = np.zeros((width + 1, steps, cols), dtype=bool)
         padded[:width] = spikes.transpose(1, 0, 2)
         z = w @ padded[index].reshape(len(index), -1).astype(np.float64)
-        z += stage.bias64[:, None]
+        z += layer.bias64[:, None]
         return z.reshape(len(w), index.shape[1], steps, cols).transpose(2, 0, 1, 3).reshape(
             steps, -1, cols)
     # Not exact in every order: every row of every step as a
     # step-at-a-time run of that row alone computes it.
     x = np.ascontiguousarray(spikes.transpose(0, 2, 1), dtype=np.float64)
-    z = affine_rows(stage.layer, x.reshape(steps * cols, *stage.input_shape),
-                    stage.weights64, stage.bias64)
+    z = affine_rows(layer, x.reshape(steps * cols, *stage.input_shape))
     return z.reshape(steps, cols, -1).transpose(0, 2, 1)
 
 
@@ -585,7 +578,7 @@ def layer_identity_residual(result: SimResult, net: NetworkSpec,
     for j, stage in enumerate(stages, start=1):
         r_prev = result.rates[j - 1]
         r_prev = r_prev.reshape(len(r_prev) if batched else 1, *stage.input_shape)
-        z = apply_layer_linear(stage.layer, r_prev, stage.weights64, stage.bias64)
+        z = apply_layer_linear(stage.layer, r_prev)
         if not batched:
             z = z[0]
         pred = (z - result.residuals[j]) / v_thr

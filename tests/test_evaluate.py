@@ -2,6 +2,7 @@
 
 import importlib
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -708,7 +709,7 @@ def _random_pair(spread=False):
     snn = apply_normalization(net, collect_stats(net, frames, NormConfig(99.9)))
     if spread:
         w = snn.layers[2].weights
-        w *= 2.0 ** rng.integers(-40, 1, w.shape)
+        snn.layers[2] = replace(snn.layers[2], weights=w * 2.0 ** rng.integers(-40, 1, w.shape))
     return net, snn
 
 

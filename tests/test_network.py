@@ -1,11 +1,16 @@
 """Forward-pass correctness against naive reference arithmetic."""
 
+import ast
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rateconv import (NetworkSpec, SimConfig, dense, conv2d, flatten, forward_batch,
-                      greedy_action, run_batch, validate_network)
+from rateconv import (NetworkSpec, NormConfig, SimConfig, apply_normalization, collect_stats,
+                      dense, conv2d, flatten, forward_batch, greedy_action, run_batch,
+                      validate_network)
 from rateconv import network
 from rateconv.evaluate import AnalogAgent
 from rateconv.lincatch import LineCatchEnv
@@ -134,6 +139,71 @@ def test_validate_requires_parameterized_layer():
     net = NetworkSpec((1, 4, 4), [flatten()])
     result = validate_network(net)
     assert not result.ok
+
+
+# ---------------------------------------------------------------------------
+# parameters: each layer owns them, read-only, with one float64 copy
+
+def test_layer_parameters_are_read_only_with_one_float64_copy(rng):
+    w = rng.normal(size=(3, 8)).astype(np.float32)
+    conv = conv2d(rng.normal(size=(2, 1, 3, 3)), rng.normal(size=2), padding=(1, 1))
+    net = NetworkSpec((1, 4, 4), [conv, flatten(), dense(rng.normal(size=(8, 32)), np.zeros(8)),
+                                  dense(w, np.arange(3.0), activation="none")])
+    assert not np.shares_memory(net.layers[-1].weights, w) and w.flags.writeable
+    w[0, 0] += 1.0
+    assert net.layers[-1].weights[0, 0] != w[0, 0]
+    assert flatten().weights64 is None and flatten().bias64 is None
+
+    assert conv.weights64 is not None  # cached before replace, which must not carry it over
+    doubled = replace(conv, weights=conv.weights * 2.0)
+    stats = collect_stats(net, rng.random((20, 1, 4, 4)), NormConfig(99.0))
+    normalized = [l for l in apply_normalization(net, stats).layers if l.parameterized]
+    for layer in [l for l in net.layers if l.parameterized] + [doubled] + normalized:
+        assert layer.weights64 is layer.weights64 and layer.bias64 is layer.bias64
+        for low, wide in ((layer.weights, layer.weights64), (layer.bias, layer.bias64)):
+            assert low.dtype == np.float32 and wide.dtype == np.float64
+            assert low.flags.c_contiguous and wide.flags.c_contiguous
+            assert np.array_equal(wide.view(np.uint64), low.astype(np.float64).view(np.uint64))
+        for name in ("weights", "bias", "weights64", "bias64"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(layer, name)[...] = 0.0
+    assert np.array_equal(doubled.weights64, 2.0 * conv.weights64)
+
+
+def _widenings(tree: ast.AST) -> list[str]:
+    """Where a module widens parameters outside LayerSpec (a .weights or
+    .bias .astype call) or takes them widened (a weights64 or bias64
+    function parameter)."""
+    owner = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             and c.name == "LayerSpec" for n in ast.walk(c)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            found += [f"line {node.lineno}: parameter {arg.arg}"
+                      for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                      if arg is not None and arg.arg in ("weights64", "bias64")]
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "astype" and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr in ("weights", "bias") and id(node) not in owner):
+            found.append(f"line {node.lineno}: .{node.func.value.attr}.astype")
+    return found
+
+
+def test_only_layerspec_widens_parameters():
+    """The float64 parameters have one owner: a module that widened them
+    again, or passed widened copies around, would bring back the copies
+    made per call that LayerSpec.weights64 and .bias64 replace."""
+    assert len(_widenings(ast.parse(
+        "def f(layer, x, weights64=None, *, bias64):\n"
+        "    return layer.weights.astype(float), layer.bias.astype(float)\n"
+        "class LayerSpec:\n"
+        "    def g(self):\n"
+        "        return self.weights.astype(float)\n"))) == 4
+    sources = sorted(Path(network.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    found = [f"{p.name} {where}" for p in sources for where in _widenings(ast.parse(p.read_text()))]
+    assert not found, found
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -168,17 +169,17 @@ def _property_net(rng, kind, variant):
     if kind in OVERFLOW_NETS:
         return OVERFLOW_NETS[kind]()
     net = {"dense": rand_dense_net, "conv": rand_conv_net}[kind](rng)
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         if not layer.parameterized:
             continue
         if variant == "zeros":
-            layer.weights[...] = 0.0
-            layer.bias[...] = 0.0
+            net.layers[i] = replace(layer, weights=np.zeros_like(layer.weights),
+                                    bias=np.zeros_like(layer.bias))
         elif variant == "ties":  # a coarse grid makes many activations equal
-            layer.weights[...] = np.round(layer.weights * 2.0) / 2.0
-            layer.bias[...] = np.round(layer.bias * 2.0) / 2.0
-    if variant == "negative":
-        net.layers[-1].bias[...] -= 2.0  # most final-layer outputs below 0
+            net.layers[i] = replace(layer, weights=np.round(layer.weights * 2.0) / 2.0,
+                                    bias=np.round(layer.bias * 2.0) / 2.0)
+    if variant == "negative":  # most final-layer outputs below 0
+        net.layers[-1] = replace(net.layers[-1], bias=net.layers[-1].bias - 2.0)
     return net
 
 

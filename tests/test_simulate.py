@@ -1,6 +1,7 @@
 """Integrate-and-fire dynamics, bookkeeping identities, and diagnostics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,8 +439,7 @@ def step_loop(net, frames, config):
             else:
                 layer, flat = layers[j - 1]
                 x = spikes.reshape(B, -1) if flat else spikes
-                z = apply_layer_linear(layer, x, layer.weights.astype(np.float64),
-                                       layer.bias.astype(np.float64))
+                z = apply_layer_linear(layer, x)
             pots[j] += z
             spikes = (pots[j] >= v_thr).astype(np.float64)
             pots[j] -= v_thr * spikes
@@ -478,7 +478,7 @@ def _inexact_conv_net(rng):
     per-step einsums."""
     net = _padded_conv_net(rng)
     w = net.layers[0].weights
-    w *= 2.0 ** rng.integers(-40, 1, w.shape)
+    net.layers[0] = replace(net.layers[0], weights=w * 2.0 ** rng.integers(-40, 1, w.shape))
     return net
 
 
@@ -533,7 +533,7 @@ def _unit_counts(net, frames):
     for stage in _build_stages(net)[:-1]:
         if stage.layer.kind != "conv2d" or not stage.exact:
             break
-        _, _, kh, kw = stage.weights64.shape
+        _, _, kh, kw = stage.layer.weights64.shape
         (sh, sw), (ph, pw) = stage.layer.stride, stage.layer.padding
         _, oh, ow = stage.shape
 
@@ -562,7 +562,7 @@ def _block_elements(net, frames):
     """The float64 values per step that BLOCK_BYTES bounds: the larger of
     the state and one stage's gathered columns (fan-in per neuron)."""
     sizes = _sizes(net, frames)
-    gathered = max(s.weights64[0].size * n // len(s.bias64)
+    gathered = max(s.layer.weights64[0].size * n // len(s.layer.bias64)
                    for s, n in zip(_build_stages(net), sizes[1:]))
     return max(sum(sizes), gathered)
 
@@ -715,7 +715,7 @@ def test_gathered_currents_equal_per_offset_einsum_bit_for_bit(case):
     assert stage.exact
     steps, _, batch = spikes.shape
     x = spikes.transpose(0, 2, 1).reshape(steps * batch, *stage.input_shape)
-    want = apply_layer_linear(stage.layer, x.astype(np.float64), stage.weights64, stage.bias64)
+    want = apply_layer_linear(stage.layer, x.astype(np.float64))
     want = want.reshape(steps, batch, -1).transpose(0, 2, 1)
     got = simulate._block_currents(stage, spikes, stage.gather)
     assert got.shape == want.shape
@@ -909,8 +909,8 @@ def test_diagnostics_need_a_diagnosed_run(rng):
 
 def fsum_exact(stage):
     """Reference for _Stage.exact: the correctly rounded bound from math.fsum."""
-    w = np.abs(stage.weights64.reshape(len(stage.bias64), -1))
-    b = np.abs(stage.bias64)
+    w = np.abs(stage.layer.weights64.reshape(len(stage.layer.bias64), -1))
+    b = np.abs(stage.layer.bias64)
     nonzero = np.concatenate([w[w > 0], b[b > 0]])
     if nonzero.size == 0:
         return True
