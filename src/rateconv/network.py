@@ -389,7 +389,7 @@ def pixel_vectors(frames: np.ndarray) -> np.ndarray:
     return frames.transpose(0, 2, 3, 1).reshape(-1, frames.shape[1])
 
 
-def unit_maps(frames: np.ndarray, windows: list[np.ndarray]
+def unit_maps(frames: np.ndarray, windows: list[np.ndarray], rows: Optional[int] = None
               ) -> tuple[list[Units], Optional[np.ndarray]]:
     """The units of the input and of the conv populations that read it
     through windows in turn (receptive_fields), and the input units'
@@ -400,10 +400,12 @@ def unit_maps(frames: np.ndarray, windows: list[np.ndarray]
     id (the count below), its code built one kernel offset at a time.
     Units stop at the first conv population whose units exceed half its
     (frame, position) pairs: there, handling one unit at a time costs
-    more than the repeats save.  Frames with at least 2 UNIT_SAMPLE
-    pixel vectors are first tested on a strided sample of about
-    UNIT_SAMPLE of them: if more than half of it is distinct, the frames
-    do not repeat enough, and nothing is ranked.  Frames holding NaN,
+    more than the repeats save.  Given rows, the pairs are counted over
+    that many frames instead, for units that stand for more frames than
+    are given (normalize's frame table).  Frames with at least 2
+    UNIT_SAMPLE pixel vectors are first tested on a strided sample of
+    about UNIT_SAMPLE of them: if more than half of it is distinct, the
+    frames do not repeat enough, and nothing is ranked.  Frames holding NaN,
     whose payloads differ unseen, are not kept per unit either.
     """
     if not windows or len(frames) == 0:
@@ -434,7 +436,7 @@ def unit_maps(frames: np.ndarray, windows: list[np.ndarray]
         padded = np.concatenate([below.ids, np.full((batch, 1), below.count)], axis=1)
         first, ids = _distinct_codes((padded[:, at] for at in window), batch * window.shape[1],
                                      below.count + 1)
-        if 2 * len(first) > len(ids):
+        if 2 * len(first) > (batch if rows is None else rows) * window.shape[1]:
             break
         frame, position = np.divmod(first, window.shape[1])
         maps.append(Units(ids.reshape(batch, -1), len(first),
@@ -463,19 +465,12 @@ class UnitValues:
         return act.reshape(self.shape)
 
 
-def unit_forward(x: np.ndarray, layers) -> list[UnitValues]:
-    """The leading conv layers on x [batch, *input_shape], each distinct
-    receptive field computed once (unit_maps), as many as are kept per
-    unit: [] when none is, and the caller computes every layer whole.
-
-    layers are a network's layers in order; the run stops at the first
-    layer that is no conv or has a 1x1 kernel (see conv2d_batch).  A
-    unit's [c, kh, kw] field, read from the units below (padding from a
-    zero row), goes through conv2d_batch alone, with the layer's float64
-    parameters, and then the activation: each layer's expanded array is
-    bit for bit what conv2d_batch computes over the whole batch.
-    """
-    lead, shape = [], x.shape[1:]
+def leading_convs(layers, shape: tuple[int, ...]) -> list[tuple]:
+    """The (layer, input shape, output shape) of each leading conv layer
+    that unit_forward may keep per unit, layers being a network's layers
+    in order and shape its input shape: up to the first layer that is no
+    conv, has a 1x1 kernel (see conv2d_batch) or does not fit its input."""
+    lead = []
     for layer in layers:
         if layer.kind != "conv2d" or layer.weights.shape[2:] == (1, 1):
             break
@@ -485,7 +480,23 @@ def unit_forward(x: np.ndarray, layers) -> list[UnitValues]:
             break
         lead.append((layer, shape, out))
         shape = out
-    maps, values = unit_maps(x, [receptive_fields(layer, s) for layer, s, _ in lead])
+    return lead
+
+
+def unit_forward(x: np.ndarray, layers, rows: Optional[int] = None) -> list[UnitValues]:
+    """The leading conv layers on x [batch, *input_shape], each distinct
+    receptive field computed once (unit_maps), as many as are kept per
+    unit: [] when none is, and the caller computes every layer whole.
+
+    layers are a network's layers in order; the run stops where
+    leading_convs does, and rows goes to unit_maps.  A unit's [c, kh,
+    kw] field, read from the units below (padding from a zero row), goes
+    through conv2d_batch alone, with the layer's float64 parameters, and
+    then the activation: each layer's expanded array is bit for bit what
+    conv2d_batch computes over the whole batch.
+    """
+    lead = leading_convs(layers, x.shape[1:])
+    maps, values = unit_maps(x, [receptive_fields(layer, s) for layer, s, _ in lead], rows)
     kept = []
     for (layer, (c, _, _), out), units in zip(lead, maps[1:]):
         padded = np.concatenate([values, np.zeros((1, c))])
@@ -511,11 +522,19 @@ def forward_units(net: NetworkSpec, inputs, affine=None) -> list:
     made once per layer, not per call.
     """
     inputs = frame_batch(net, inputs).astype(np.float64, copy=False)
+    lead: list = unit_forward(inputs, net.layers)
+    return lead + forward_layers(net.layers[len(lead):],
+                                 lead[-1].expanded if lead else inputs, affine)
+
+
+def forward_layers(layers, x: np.ndarray, affine=None) -> list[np.ndarray]:
+    """Each of layers in turn on x [batch, ...], one post-activation array
+    per layer, affine(layer, x) mapping each parameterized one
+    (apply_layer_linear unless given)."""
     if affine is None:  # looked up per call, so a wrapper set on the module applies
         affine = apply_layer_linear
-    results: list = unit_forward(inputs, net.layers)
-    x = results[-1].expanded if results else inputs
-    for layer in net.layers[len(results):]:
+    results = []
+    for layer in layers:
         if layer.kind == "flatten":
             x = x.reshape(x.shape[0], -1)
         else:

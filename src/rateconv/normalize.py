@@ -23,10 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import (NetworkSpec, UnitValues, forward_units, frame_batch,
-                      frame_stack, require_integer, require_stack)
+from .network import (NetworkSpec, Units, UnitValues, forward_layers, forward_units,
+                      frame_batch, frame_stack, leading_convs, require_integer,
+                      require_stack, unit_forward)
 
-STATS_CHUNK = 1024  # calibration frames per forward_units call
+STATS_CHUNK = 1024  # calibration frames per forward pass
+STATS_TABLE_BYTES = 2 << 20  # bytes of distinct frames (in their own dtype) a frame table holds
 
 
 @dataclass
@@ -114,6 +116,114 @@ def _top_of_counts(values: np.ndarray, counts: np.ndarray, keep: int) -> np.ndar
     return np.repeat(values[:needed], counts[:needed])[:keep]
 
 
+def _row_keys(window: np.ndarray) -> list[bytes]:
+    """Each frame of window as its bytes in window's own dtype: frames with
+    equal keys are equal.  Equal frames may get different keys (0.0 and
+    -0.0), which only costs a second entry.  The keys are copies, so the
+    reader's reused window buffer may change under them."""
+    if window.dtype.hasobject:  # an object's bytes are its address
+        window = window.astype(np.float64)
+    rows = np.ascontiguousarray(window).reshape(len(window), -1)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+
+class _FrameTable:
+    """The distinct frames of a calibration pass, so that the leading conv
+    layers kept per unit (network.unit_forward) run on each once.
+
+    rows maps a frame's key (_row_keys) to its row, seen[row] counts the
+    times the frame came, and each layer the table holds keeps a
+    UnitValues over every unit the table's unit_forward calls made:
+    values [units, channels] stacked call after call, and ids [capacity,
+    positions] int32, the unit each position of each frame holds.  It
+    holds capacity frames: as many as STATS_TABLE_BYTES of their keys.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.rows: dict[bytes, int] = {}
+        self.seen = np.zeros(capacity, dtype=np.int64)
+        self.layers: list[UnitValues] = []
+
+    def forward(self, net: NetworkSpec, window: np.ndarray) -> tuple[list, int, list]:
+        """(flushed, depth, results) for a chunk of frames, window [batch,
+        *input_shape] in its own dtype.
+
+        results are forward_units(net, frame_stack(net, window)) with the
+        same bits: its first depth layers are UnitValues read from the
+        table, the last of them expanded for every row in order, so the
+        later layers run on the very matrix the whole pass gives them.
+        Frames the table has not seen are converted to float64 (and
+        checked finite: a frame it has seen has the bytes of one that
+        was) and run through unit_forward, and the table counts every
+        row; it pools those depth layers itself (flush).  If the chunk's
+        new frames would overflow the table it is flushed first, and
+        flushed holds what it pooled.  A chunk whose distinct frames do
+        not fit in an empty table, or whose new frames keep fewer layers
+        per unit than the table holds (none, for frames that do not
+        repeat), runs through forward_units whole, depth 0, and the table
+        keeps nothing of it.
+        """
+        keys = _row_keys(window)
+        size, flushed = len(self.rows), []
+        slots = self._slots(keys)
+        if len(self.rows) > self.capacity and size:
+            for _ in range(len(self.rows) - size):
+                self.rows.popitem()
+            flushed, size = self.flush(), 0
+            slots = self._slots(keys)
+        keys = None  # the table holds its new keys; the chunk's repeats go before the forward
+        new = len(self.rows) - size
+        fits, kept = len(self.rows) <= self.capacity, []
+        if fits and new:
+            # new rows are numbered in the order their frames first come
+            first = np.flatnonzero(slots > np.maximum.accumulate(np.append(size - 1, slots[:-1])))
+            kept = unit_forward(frame_stack(net, window[first]), net.layers, len(window))
+        depth = len(self.layers) if size else len(kept)
+        if not fits or not depth or new and len(kept) < depth:
+            for _ in range(new):
+                self.rows.popitem()
+            return flushed, 0, forward_units(net, frame_stack(net, window))
+        if not size:
+            self.layers = [UnitValues(np.empty((0, r.values.shape[1])),
+                                      Units(np.empty((self.capacity, r.units.ids.shape[1]),
+                                                     dtype=np.int32), 0, None),
+                                      (self.capacity, *r.shape[1:])) for r in kept[:depth]]
+        for held, got in zip(self.layers, kept):
+            held.units.ids[size:len(self.rows)] = got.units.ids + held.units.count
+            held.units.count += got.units.count
+            held.values = np.concatenate((held.values, got.values))
+        self.seen[:len(self.rows)] += np.bincount(slots, minlength=len(self.rows))
+        lead = [UnitValues(held.values, Units(held.units.ids[slots].astype(np.intp),
+                                              held.units.count, None),
+                           (len(window), *held.shape[1:])) for held in self.layers]
+        return flushed, depth, lead + forward_layers(net.layers[depth:], lead[-1].expanded)
+
+    def _slots(self, keys: list[bytes]) -> np.ndarray:
+        """Each key's row, new keys taking the next rows in the order they first come."""
+        get = self.rows.get
+        slots = np.array([get(key, -1) for key in keys], dtype=np.intp)
+        for i in np.flatnonzero(slots < 0).tolist():
+            slots[i] = self.rows.setdefault(keys[i], len(self.rows))
+        return slots
+
+    def flush(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each layer the table holds as (values [units, channels], counts
+        [units]), a unit's count being the sum, over the table's frames,
+        of the times the frame came times the positions that hold the
+        unit in it; then the table is emptied."""
+        size = len(self.rows)
+        pooled = []
+        for held in self.layers:
+            ids = held.units.ids[:size]
+            counts = np.bincount(ids.ravel(), np.repeat(self.seen[:size], ids.shape[1]),
+                                 held.units.count)
+            pooled.append((held.values, counts.astype(np.int64)))  # exact below 2**53
+        self.rows, self.layers = {}, []
+        self.seen[:] = 0
+        return pooled
+
+
 def _top_samples(net: NetworkSpec, frames, max_frames: int,
                  p: float) -> tuple[list[int], list[np.ndarray]]:
     """Each parameterized layer's sample count n and its n - k + 1 largest
@@ -123,15 +233,23 @@ def _top_samples(net: NetworkSpec, frames, max_frames: int,
     largest, so a running top keeps every rank from k up: one
     np.partition per STATS_CHUNK frames cuts the kept top plus the
     chunk's samples back to n - k + 1.  np.partition orders NaN last, as
-    percentile does.  A conv layer kept per unit (network.forward_units)
-    gives its samples as (value, count) pairs, each unit's values
-    counting once per position that holds it, and only their n - k + 1
-    largest samples join the partition: the same multiset of top values,
-    so the same scale, bit for bit.  forward_units expands only the last
-    such layer, into the matrix the first dense layer's batched product
-    reads as in forward_batch, so the dense layers keep their bits too.
-    Frames are converted to float64 one chunk at a time, and every
-    frame, also past max_frames, must be finite.
+    percentile does.
+
+    A network that starts with conv layers that can be kept per unit
+    (network.leading_convs) runs its chunks through one _FrameTable:
+    each distinct frame goes through unit_forward once, and the layers
+    kept per unit give their samples as (value, count) pairs, each
+    unit's values counting once per position of each frame that holds
+    it, each time the frame comes; only their n - k + 1 largest samples
+    join the partition, once per table.  The top of a multiset does not
+    depend on how it is split, so the scale is the same, bit for bit.
+    Each chunk still expands the last such layer for all its rows, into
+    the matrix the first dense layer's batched product reads as in
+    forward_batch, so the dense layers keep their bits too.  A chunk the
+    table cannot take pools its layers kept per unit by itself.  Frames
+    are converted to float64 one chunk at a time (only its new frames,
+    through the table), and every frame, also past max_frames, must be
+    finite.
     """
     n, windows = _windows(net, frames)
     if n < 1:
@@ -139,28 +257,48 @@ def _top_samples(net: NetworkSpec, frames, max_frames: int,
     used = min(n, max_frames)
     param_idx = net.parameterized_indices()
     tops = [np.empty(0)] * len(param_idx)
+    table = None
+
+    def pool(j: int, a: np.ndarray, times=None) -> None:
+        """Join layer j's samples a, or each of a's rows times[row] times, to its top."""
+        if net.layers[param_idx[j]].activation != "relu":
+            a = np.maximum(a, 0.0)
+        if times is not None:
+            a = _top_of_counts(a.ravel(), np.repeat(times, a.shape[1]), keeps[j])
+        top = np.concatenate((tops[j], a.ravel()))
+        if top.size > keeps[j]:
+            top.partition(top.size - keeps[j])
+            top = top[top.size - keeps[j]:].copy()
+        tops[j] = top
+
     for start, window in windows:
-        chunk = frame_stack(net, window)
+        frame_stack(net, window[max(0, used - start):])  # frames past max_frames: checked only
         if start >= used:
             continue
-        results = forward_units(net, chunk[:used - start])
+        window = window[:used - start]
+        if start == 0 and leading_convs(net.layers, net.input_shape):
+            table = _FrameTable(max(1, STATS_TABLE_BYTES // max(1, window[0].nbytes)))
+        if table is not None:
+            flushed, depth, results = table.forward(net, window)
+        else:
+            flushed, depth, results = [], 0, forward_units(net, frame_stack(net, window))
         if start == 0:  # the first chunk: n and n - k + 1 hold for every chunk
             counts = [used * math.prod(results[li].shape[1:]) for li in param_idx]
             keeps = [c - _rank(p, c) + 1 for c in counts]
+        for j, (values, times) in enumerate(flushed):
+            pool(j, values, times)
         for j, li in enumerate(param_idx):
             r = results[li]
-            a = r.values if isinstance(r, UnitValues) else r
-            if net.layers[li].activation != "relu":
-                a = np.maximum(a, 0.0)
+            if li < depth:
+                continue  # the table pools it
             if isinstance(r, UnitValues):
-                held = np.bincount(r.units.ids.ravel(), minlength=r.units.count)
-                a = _top_of_counts(a.ravel(), np.repeat(held, a.shape[1]), keeps[j])
-            pool = np.concatenate((tops[j], a.ravel()))
-            if pool.size > keeps[j]:
-                pool.partition(pool.size - keeps[j])
-                pool = pool[pool.size - keeps[j]:].copy()
-            tops[j] = pool
-        results = r = a = None  # free this chunk's activations before the next forward pass
+                pool(j, r.values, np.bincount(r.units.ids.ravel(), minlength=r.units.count))
+            else:
+                pool(j, r)
+        results = r = None  # free this chunk's activations before the next forward pass
+    if table is not None:
+        for j, (values, times) in enumerate(table.flush()):
+            pool(j, values, times)
     return counts, tops
 
 
@@ -206,16 +344,18 @@ def collect_stats(net: NetworkSpec, frames, config: NormConfig,
     Hidden layers sample their post-ReLU values; the final layer (which
     may carry no ReLU) samples the positive part of its outputs.  Each
     scale equals percentile() of the layer's pooled samples, bit for bit,
-    but memory stays bounded by one chunk plus the top 1 % of samples
-    (p >= 99); frames given as a reader from modelio.open_frames (a
-    trace or a frame blob) are read one chunk at a time too.  The conv
-    layers the analog pass keeps per unit are pooled as (value, count)
-    pairs and only the last of them is expanded, into the matrix the
-    first dense layer's batched product reads as in forward_batch: the
-    kept top samples are the same values and the dense layers see the
-    same matrices, so every scale keeps its bits.  A layer whose
-    percentile is not positive falls back to scale 1 with a warning so
-    downstream division stays safe.  Frames must be finite.
+    but memory stays bounded by one chunk, plus the frame table, plus
+    the top 1 % of samples (p >= 99); frames given as a reader from
+    modelio.open_frames (a trace or a frame blob) are read one chunk at
+    a time too.  The frame table (at most STATS_TABLE_BYTES of distinct
+    frames) runs the leading conv layers the analog pass keeps per unit
+    once per distinct frame and pools them as (value, count) pairs;
+    each chunk expands only the last of them, into the matrix the first
+    dense layer's batched product reads as in forward_batch: the kept
+    top samples are the same values and the dense layers see the same
+    matrices, so every scale keeps its bits (see _top_samples).  A layer
+    whose percentile is not positive falls back to scale 1 with a
+    warning so downstream division stays safe.  Frames must be finite.
     """
     return _stats_per_config(net, frames, [config], provenance)[0]
 

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from rateconv import (NetworkSpec, NormConfig, NormStats, apply_normalization,
                       collect_stats, conv2d, dense, flatten, forward_batch,
                       greedy_action, load_stats, percentile, save_stats)
+from rateconv import network, normalize
 from rateconv.network import UnitValues, forward_units
 from rateconv.normalize import STATS_CHUNK, _rank, _stats_per_config, _top_of_counts
 
@@ -123,13 +125,13 @@ def test_collect_stats_respects_max_frames(rng):
     assert stats.sample_counts[1] == 10
 
 
-def _pooled_stats(net, frames, config):
-    """Reference: pool every sample of every STATS_CHUNK pass, then percentile()."""
+def _pooled_stats(net, frames, config, chunk=STATS_CHUNK):
+    """Reference: pool every sample of every pass over chunk frames, then percentile()."""
     frames = np.asarray(frames, dtype=np.float64)[:config.max_frames]
     param = net.parameterized_indices()
     pools = [[] for _ in param]
-    for start in range(0, frames.shape[0], STATS_CHUNK):
-        acts, _ = forward_batch(net, frames[start:start + STATS_CHUNK])
+    for start in range(0, frames.shape[0], chunk):
+        acts, _ = forward_batch(net, frames[start:start + chunk])
         for j, li in enumerate(param):
             a = acts[li]
             if net.layers[li].activation != "relu":
@@ -240,6 +242,172 @@ def test_streaming_stats_equal_pooled_percentile(kind, variant, source, n_frames
     assert len(stats.warnings) == fallbacks
 
 
+def _table_frames(rng, shape, distinct, n_frames, chunk, order, signed_zero, dtype):
+    """n_frames binary frames drawn from distinct ones, plus, with
+    signed_zero, a copy of the first whose zeros are -0.0 (the same
+    values in other bytes).  order "random" draws them at random;
+    "one-new-per-chunk" opens each chunk with a frame no earlier chunk
+    showed, the rest of the chunk drawn from those before it."""
+    pool = (rng.random((distinct, *shape)) < 0.5) * 1.0
+    if signed_zero:
+        pool = np.concatenate([pool, np.where(pool[:1] == 0.0, -0.0, pool[:1])])
+    if order == "random":
+        at = rng.integers(len(pool), size=n_frames)
+    else:
+        newest = np.minimum(np.arange(n_frames) // chunk, len(pool) - 1)
+        at = np.where(np.arange(n_frames) % chunk == 0, newest,
+                      (rng.random(n_frames) * (newest + 1)).astype(int))
+    return pool[at].astype(dtype)
+
+
+def _check_frame_table_stats(kind, distinct, n_frames, chunk, table, cap, order,
+                             signed_zero, dtype, p, seed):
+    """collect_stats with STATS_CHUNK = chunk and a table of table frames
+    equals _pooled_stats over the same chunks, bit for bit."""
+    rng = np.random.default_rng(seed)
+    net = _property_net(rng, kind, "plain")
+    frames = _table_frames(rng, net.input_shape, distinct, n_frames, chunk, order,
+                           signed_zero, dtype)
+    config = NormConfig(p, max_frames=cap or n_frames)
+    with mock.patch.object(normalize, "STATS_CHUNK", chunk), \
+            mock.patch.object(normalize, "STATS_TABLE_BYTES", table * frames[0].nbytes):
+        stats = collect_stats(net, frames, config)
+    scales, counts, fallbacks = _pooled_stats(net, frames, config, chunk)
+    assert [x.hex() for x in stats.scales] == [float(x).hex() for x in scales]
+    assert stats.sample_counts == counts
+    assert len(stats.warnings) == fallbacks
+
+
+TABLE_PATHS = {
+    # the table flushes at most chunks, and some chunks hold more
+    # distinct frames than it can
+    "flushes-and-refusals": dict(kind="conv", distinct=12, n_frames=90, chunk=7, table=6,
+                                 cap=None, order="random", signed_zero=True,
+                                 dtype=np.float32, p=99.0, seed=1),
+    # each chunk brings one new frame, the late ones too; max_frames cuts a chunk
+    "one-new-per-chunk": dict(kind="conv", distinct=12, n_frames=90, chunk=4, table=6,
+                              cap=61, order="one-new-per-chunk", signed_zero=False,
+                              dtype=np.float64, p=99.9, seed=2),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["conv", "dense"]),
+       distinct=st.integers(1, 12),
+       n_frames=st.integers(1, 90),
+       chunk=st.integers(1, 12),
+       table=st.integers(1, 10),
+       cap=st.none() | st.integers(1, 90),
+       order=st.sampled_from(["random", "one-new-per-chunk"]),
+       signed_zero=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64, object]),
+       p=st.sampled_from([99.0, 99.9, 100.0]),
+       seed=st.integers(0, 2**16))
+@example(**TABLE_PATHS["flushes-and-refusals"])
+@example(**TABLE_PATHS["one-new-per-chunk"])
+@example(kind="dense", distinct=5, n_frames=60, chunk=9, table=3, cap=50, order="random",
+         signed_zero=True, dtype=np.float32, p=100.0, seed=3)
+def test_frame_table_stats_equal_pooled_percentile(kind, distinct, n_frames, chunk, table, cap,
+                                                   order, signed_zero, dtype, p, seed):
+    """Frames that repeat across chunks, each distinct one run once through
+    the frame table, give the scales of pooling every sample, bit for
+    bit, and the same sample counts and warnings: with a table small
+    enough to flush many times or to refuse a chunk, with max_frames
+    cutting a chunk, with -0.0 beside 0.0, with frames of any dtype
+    (object ones are keyed as float64), and for a dense net, which
+    keeps no table."""
+    _check_frame_table_stats(kind, distinct, n_frames, chunk, table, cap, order, signed_zero,
+                             dtype, p, seed)
+
+
+def test_frame_table_paths_are_taken(monkeypatch):
+    """The property's TABLE_PATHS examples take every path of the table:
+    several flushes, chunks run whole because their distinct frames
+    overflow an empty table, and late chunks whose one new frame runs
+    through unit_forward alone."""
+    seen = {"flush": 0, "whole": 0, "new": []}
+    real_flush, real_units = normalize._FrameTable.flush, normalize.unit_forward
+
+    def flush(table):
+        seen["flush"] += bool(table.rows)
+        return real_flush(table)
+
+    def whole(net, x):
+        seen["whole"] += 1
+        return forward_units(net, x)
+
+    def units(x, *rest):
+        seen["new"].append(len(x))
+        return real_units(x, *rest)
+
+    monkeypatch.setattr(normalize._FrameTable, "flush", flush)
+    monkeypatch.setattr(normalize, "forward_units", whole)
+    monkeypatch.setattr(normalize, "unit_forward", units)
+    _check_frame_table_stats(**TABLE_PATHS["flushes-and-refusals"])
+    assert seen["flush"] >= 3 and seen["whole"] >= 1, seen
+    seen.update(flush=0, whole=0, new=[])
+    _check_frame_table_stats(**TABLE_PATHS["one-new-per-chunk"])
+    assert seen["flush"] >= 2 and seen["new"][1:].count(1) >= 3, seen
+
+
+def test_frame_table_runs_each_distinct_frame_once_and_dense_layers_per_chunk(monkeypatch):
+    """Over 8 chunks drawn from 20 binary frames, the unit maps see each
+    distinct frame once, while the dense layers still get every chunk
+    whole, in order, as the very matrices forward_batch gives them."""
+    rng = np.random.default_rng(5)
+    net = NetworkSpec((1, 12, 12), [
+        conv2d(rng.normal(0.0, 0.3, (8, 1, 3, 3)), rng.normal(0.0, 0.05, 8)),
+        conv2d(rng.normal(0.0, 0.1, (4, 8, 3, 3)), rng.normal(0.0, 0.05, 4)), flatten(),
+        dense(rng.normal(0.0, 0.05, (16, 256)), rng.normal(0.0, 0.05, 16)),
+        dense(rng.normal(0.0, 0.25, (4, 16)), np.zeros(4), activation="none")])
+    binary = (rng.random((20, 1, 12, 12)) < 0.3).astype(np.float32)
+    frames = binary[rng.integers(len(binary), size=8 * STATS_CHUNK)]
+    mapped, dense_inputs = [], []
+    real_maps, real_linear = network.unit_maps, network.apply_layer_linear
+    monkeypatch.setattr(network, "unit_maps",
+                        lambda x, *rest: mapped.append(len(x)) or real_maps(x, *rest))
+    monkeypatch.setattr(network, "apply_layer_linear",
+                        lambda layer, x: dense_inputs.append((layer, x.copy()))
+                        or real_linear(layer, x))
+    collect_stats(net, frames, NormConfig(99.0))
+    assert sum(mapped) == len({frame.tobytes() for frame in frames}) == 20
+    where = {id(layer): i for i, layer in enumerate(net.layers)}
+    assert [(where[id(layer)], len(x)) for layer, x in dense_inputs] == \
+        [(i, STATS_CHUNK) for _ in range(8) for i in (3, 4)]
+    monkeypatch.setattr(network, "unit_maps", real_maps)
+    monkeypatch.setattr(network, "apply_layer_linear", real_linear)
+    for start, (_, x) in zip(range(0, len(frames), STATS_CHUNK), dense_inputs[::2]):
+        acts, _ = forward_batch(net, frames[start:start + STATS_CHUNK])
+        assert np.array_equal(x, acts[2]) and not np.signbit(x).any()
+
+
+def test_frame_table_memory_does_not_grow_with_the_frames(monkeypatch):
+    """Frames that keep units but never repeat fill the table, which
+    flushes when the next chunk would overflow it: peak traced memory
+    over 8 chunks stays within 10 % of that over 2.  p = 100 keeps one
+    top sample per layer, so only the table could grow."""
+    rng = np.random.default_rng(6)
+    net = NetworkSpec((1, 12, 12), [
+        conv2d(rng.normal(0.0, 0.3, (16, 1, 3, 3)), rng.normal(0.0, 0.05, 16)),
+        conv2d(rng.normal(0.0, 0.1, (4, 16, 3, 3)), rng.normal(0.0, 0.05, 4)), flatten(),
+        dense(rng.normal(0.0, 0.05, (16, 256)), rng.normal(0.0, 0.05, 16)),
+        dense(rng.normal(0.0, 0.25, (4, 16)), np.zeros(4), activation="none")])
+    frames = (rng.random((8 * STATS_CHUNK, 1, 12, 12)) < 0.05).astype(np.float32)
+    assert len({frame.tobytes() for frame in frames}) > 0.99 * len(frames)
+    kept = forward_units(net, frames[:STATS_CHUNK])[:2]
+    assert all(isinstance(r, UnitValues) for r in kept)
+    monkeypatch.setattr(normalize, "STATS_TABLE_BYTES", 3 * STATS_CHUNK // 2 * frames[0].nbytes)
+    peaks = []
+    for chunks in (2, 8):
+        tracemalloc.start()
+        try:
+            collect_stats(net, frames[:chunks * STATS_CHUNK], NormConfig(100.0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 def test_top_of_counts_orders_nan_last_as_partition_does():
     """The keep largest of a (value, count) multiset are the values
     np.partition puts last in the pooled samples, NaN above inf."""
@@ -332,6 +500,22 @@ def test_collect_stats_checks_every_frame_past_cap_and_first_chunk(n_frames, at,
     net = NetworkSpec((2,), [dense(np.eye(2), np.zeros(2), activation="none")])
     frames = np.zeros((n_frames, 2), dtype=np.float32)
     frames[at, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        collect_stats(net, frames, NormConfig(max_frames=cap))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("n_frames, at, cap", [
+    (3, 2, 1), (3 * STATS_CHUNK, 2 * STATS_CHUNK + 5, 10),
+    (3 * STATS_CHUNK, 2 * STATS_CHUNK + 5, 15000)])
+def test_frame_table_checks_every_frame(n_frames, at, cap, bad):
+    """The frame table converts only the frames it has not seen, yet every
+    frame must be finite: a NaN frame keeps no unit and runs its chunk
+    whole, an infinite one is a new frame of the table."""
+    net = NetworkSpec((1, 4, 4), [conv2d(np.ones((2, 1, 3, 3)), np.zeros(2)), flatten(),
+                                  dense(np.ones((2, 8)), np.zeros(2), activation="none")])
+    frames = np.zeros((n_frames, 1, 4, 4), dtype=np.float32)
+    frames[at, 0, 1, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         collect_stats(net, frames, NormConfig(max_frames=cap))
 
