@@ -35,8 +35,8 @@ import numpy as np
 
 from .lincatch import LineCatchEnv
 from .modelio import EpisodeTrace, ReportRow
-from .network import (NetworkSpec, UnitValues, affine_rows, distinct_rows, explore,
-                      forward_units, frame_stack, layer_output_shape, require_integer)
+from .network import (NetworkSpec, UnitValues, affine_rows, explore, first_new, forward_units,
+                      frame_keys, frame_stack, layer_shapes, number_keys, require_integer)
 from .normalize import NormConfig, _stats_per_config, apply_normalization, collect_stats
 from .simulate import SimConfig, _checked_stages, _run_stages, readout
 
@@ -124,10 +124,7 @@ class ConversionReport(ActionAgreement):
 
 def _check_q_width(net: NetworkSpec, action_count: int, role: str) -> None:
     """ValueError unless net gives one q-value per action."""
-    shape = net.input_shape
-    for layer in net.layers:
-        shape = layer_output_shape(layer, shape)
-    width = int(np.prod(shape))
+    width = int(np.prod([net.input_shape, *layer_shapes(net)][-1]))
     if width != action_count:
         raise ValueError(f"{role} network gives {width} q-values, "
                          f"but there are {action_count} actions")
@@ -283,20 +280,21 @@ def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfi
     Source actions are recomputed from source_net when given (guards
     against stale traces), from AnalogAgent.qvalues, and taken from the
     trace otherwise.  Nothing is executed, so exploration plays no role
-    here.  Each agent answers each distinct frame once, REPLAY_CHUNK
-    frames per qvalues call, and its action goes to every step that
-    shows it: a row of either agent is bit for bit its frame's answer
-    alone, and frames that differ only in the sign of a zero get equal
-    values.
+    here.  Each agent answers each distinct frame once, in the order
+    frames first come, REPLAY_CHUNK frames per qvalues call, and its
+    action goes to every step that shows it: a row of either agent is
+    bit for bit its frame's answer alone.  Frames are keyed by their
+    bytes (network.frame_keys) plus 0.0, so a -0.0 reads as 0.0, to
+    which both agents give equal values.
     """
     _check_q_width(snn_net, trace.action_count, "spiking")
     if source_net is not None:
         _check_q_width(source_net, trace.action_count, "source")
     if len(trace.steps) == 0:
         raise ValueError("cannot replay an empty trace")
-    obs = trace.observations().astype(np.float64)
-    first, inverse = distinct_rows(obs.reshape(len(obs), -1))
-    distinct = obs[first]
+    obs = trace.observations()
+    inverse = number_keys({}, frame_keys(obs + 0.0))
+    distinct = obs[first_new(inverse, 0)]
     snn_actions = _replay_actions(SpikingAgent(snn_net, sim_config), distinct, inverse)
     source_actions = (trace.actions() if source_net is None
                       else _replay_actions(AnalogAgent(source_net), distinct, inverse))

@@ -525,12 +525,10 @@ def open_frames(path, frame_shape=None) -> TraceReader | BlobReader:
 
 
 def load_frames(path) -> np.ndarray:
-    """The frames of a stacked tensor blob or a trace file, as one array;
-    open_frames reads them a window at a time instead."""
+    """The frames of a stacked tensor blob or a trace file, as one array
+    (open_frames' one window); open_frames reads them a window at a time."""
     frames = open_frames(path)
-    if isinstance(frames, TraceReader):
-        return read_trace(path).observations()
-    # one window of every frame: the blob's data is read once, into the array returned
+    # one window of every frame: the file is read once, into the array returned
     windows = [window for _, window in frames.frame_windows(max(1, frames.shape[0]))]
     return windows[0] if windows else np.empty(frames.shape, np.float32)
 

@@ -13,6 +13,7 @@ on.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -156,6 +157,16 @@ def layer_output_shape(layer: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int
     raise ValueError(f"unknown layer kind {layer.kind!r}")
 
 
+def layer_shapes(net: NetworkSpec) -> list[tuple[int, ...]]:
+    """Each layer's output shape, in order; ValueError (layer_output_shape)
+    at the first layer that does not fit its input."""
+    shapes, shape = [], net.input_shape
+    for layer in net.layers:
+        shape = layer_output_shape(layer, shape)
+        shapes.append(shape)
+    return shapes
+
+
 def validate_network(net: NetworkSpec) -> ValidationResult:
     """Check shape chaining and structural invariants.
 
@@ -235,6 +246,35 @@ def frame_stack(net: NetworkSpec, frames) -> np.ndarray:
     if not np.all(np.isfinite(frames)):
         raise ValueError("frames must be finite (found NaN or infinity)")
     return frames
+
+
+def frame_keys(frames: np.ndarray) -> list[bytes]:
+    """Each frame of frames [batch, ...] as a copy of its bytes, in frames'
+    own dtype (object frames, whose bytes are addresses, as float64):
+    equal keys are equal frames.  0.0 and -0.0 get different keys, which
+    frames + 0.0 folds."""
+    if frames.dtype.hasobject:
+        frames = frames.astype(np.float64)
+    width = math.prod(frames.shape[1:]) * frames.itemsize
+    if not width:  # frames of no values are all one frame
+        return [b""] * len(frames)
+    rows = np.ascontiguousarray(frames).view(np.uint8).reshape(len(frames), width)
+    return rows.view(np.dtype((np.void, width))).ravel().tolist()
+
+
+def number_keys(numbers: dict, keys: list[bytes]) -> np.ndarray:
+    """Each key's number in numbers (a dict it extends): keys it lacks take
+    the next numbers, len(numbers) on, in the order they first come."""
+    get = numbers.get
+    slots = np.array([get(key, -1) for key in keys], dtype=np.intp)
+    for i in np.flatnonzero(slots < 0).tolist():
+        slots[i] = numbers.setdefault(keys[i], len(numbers))
+    return slots
+
+
+def first_new(slots: np.ndarray, size: int) -> np.ndarray:
+    """Where in slots, number_keys of a dict of size keys, each new number first comes."""
+    return np.flatnonzero(slots > np.maximum.accumulate(np.append(size - 1, slots[:-1])))
 
 
 def conv2d_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
@@ -332,8 +372,11 @@ def channel_index(window: np.ndarray, channels: int, n: int) -> np.ndarray:
 
 
 def _distinct_codes(digits, n: int, radix: int) -> tuple[np.ndarray, np.ndarray]:
-    """distinct_rows of n rows of integers in [0, radix), given as their
-    digit columns one after another, each any array of n integers."""
+    """(first, ids) of n rows of integers in [0, radix), given as their digit
+    columns in turn: first[u] is the first row equal to the u-th distinct
+    row, ids[i] the distinct row row i equals.  Each row is read as one
+    mixed-radix integer; when the next digit would overflow int64 the
+    codes so far are replaced by their ranks, which keeps them below n."""
     codes, span = np.zeros(n, dtype=np.int64), 1
     for digit in digits:
         if span * radix > 2 ** 63:
@@ -355,24 +398,6 @@ def _distinct_values(a: np.ndarray) -> np.ndarray:
     sort stably where no order of equal values shows."""
     s = np.sort(a, axis=None)
     return np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
-
-
-def distinct_rows(rows: np.ndarray, radix: Optional[int] = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of rows, [n, d]: (first, ids), where first[u] is
-    the first row equal to the u-th distinct row and ids[i] is the
-    distinct row that row i equals.
-
-    rows hold integers in [0, radix), or, with radix None, any numbers,
-    which are first replaced by their rank among the distinct values
-    (so -0.0 equals 0.0).  Each row is read as one mixed-radix integer,
-    digit after digit; when the next digit would overflow int64 the codes
-    so far are replaced by their ranks, which keeps them below n.
-    """
-    if radix is None:
-        values = _distinct_values(rows)
-        rows, radix = np.searchsorted(values, rows), len(values)
-    return _distinct_codes(rows.T, len(rows), radix)
 
 
 @dataclass
@@ -404,9 +429,10 @@ def unit_maps(frames: np.ndarray, windows: list[np.ndarray], rows: Optional[int]
     that many frames instead, for units that stand for more frames than
     are given (normalize's frame table).  Frames with at least 2
     UNIT_SAMPLE pixel vectors are first tested on a strided sample of
-    about UNIT_SAMPLE of them: if more than half of it is distinct, the
-    frames do not repeat enough, and nothing is ranked.  Frames holding NaN,
-    whose payloads differ unseen, are not kept per unit either.
+    about UNIT_SAMPLE of them, ranked by its own values: if more than half
+    of it is distinct, the frames do not repeat enough, and nothing else
+    is ranked.  Frames holding NaN, whose payloads differ unseen, are
+    not kept per unit either.
     """
     if not windows or len(frames) == 0:
         return [], None
@@ -414,11 +440,13 @@ def unit_maps(frames: np.ndarray, windows: list[np.ndarray], rows: Optional[int]
     pixels = pixel_vectors(frames)
     step = max(1, len(pixels) // UNIT_SAMPLE)
     sample = pixels[::step]
-    if step > 1 and 2 * len(distinct_rows(sample)[0]) > len(sample):
-        return [], None
+    values = _distinct_values(sample)
+    if step > 1:
+        first, _ = _distinct_codes(np.searchsorted(values, sample).T, len(sample), len(values))
+        if 2 * len(first) > len(sample):
+            return [], None
     # Each pixel's rank among the sample's values, or among all values
     # if the sample lacks one of them.
-    values = _distinct_values(sample)
     ranks = np.searchsorted(values, pixels)
     if step > 1 and not np.array_equal(values[np.minimum(ranks, len(values) - 1)], pixels):
         values = _distinct_values(pixels)

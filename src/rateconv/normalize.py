@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import (NetworkSpec, Units, UnitValues, forward_layers, forward_units,
-                      frame_batch, frame_stack, leading_convs, require_integer,
-                      require_stack, unit_forward)
+from .network import (NetworkSpec, Units, UnitValues, first_new, forward_layers, forward_units,
+                      frame_batch, frame_keys, frame_stack, layer_shapes, leading_convs,
+                      number_keys, require_integer, require_stack, unit_forward)
 
 STATS_CHUNK = 1024  # calibration frames per forward pass
 STATS_TABLE_BYTES = 2 << 20  # bytes of distinct frames (in their own dtype) a frame table holds
@@ -116,23 +116,12 @@ def _top_of_counts(values: np.ndarray, counts: np.ndarray, keep: int) -> np.ndar
     return np.repeat(values[:needed], counts[:needed])[:keep]
 
 
-def _row_keys(window: np.ndarray) -> list[bytes]:
-    """Each frame of window as its bytes in window's own dtype: frames with
-    equal keys are equal.  Equal frames may get different keys (0.0 and
-    -0.0), which only costs a second entry.  The keys are copies, so the
-    reader's reused window buffer may change under them."""
-    if window.dtype.hasobject:  # an object's bytes are its address
-        window = window.astype(np.float64)
-    rows = np.ascontiguousarray(window).reshape(len(window), -1)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
-
-
 class _FrameTable:
     """The distinct frames of a calibration pass, so that the leading conv
     layers kept per unit (network.unit_forward) run on each once.
 
-    rows maps a frame's key (_row_keys) to its row, seen[row] counts the
-    times the frame came, and each layer the table holds keeps a
+    rows numbers each frame's key (network.number_keys), seen[row] counts
+    the times the frame came, and each layer the table holds keeps a
     UnitValues over every unit the table's unit_forward calls made:
     values [units, channels] stacked call after call, and ids [capacity,
     positions] int32, the unit each position of each frame holds.  It
@@ -149,14 +138,14 @@ class _FrameTable:
         """(flushed, depth, results) for a chunk of frames, window [batch,
         *input_shape] in its own dtype.
 
-        results are forward_units(net, frame_stack(net, window)) with the
-        same bits: its first depth layers are UnitValues read from the
-        table, the last of them expanded for every row in order, so the
-        later layers run on the very matrix the whole pass gives them.
-        Frames the table has not seen are converted to float64 (and
-        checked finite: a frame it has seen has the bytes of one that
-        was) and run through unit_forward, and the table counts every
-        row; it pools those depth layers itself (flush).  If the chunk's
+        results are forward_units(net, frame_stack(net, window)) from
+        layer depth on, with the same bits: the table holds the layers
+        before, the last of them gathered and expanded for every row in
+        order, so the later layers run on the very matrix the whole pass
+        gives them.  Frames the table has not seen are converted to
+        float64 (and checked finite: a frame it has seen has the bytes of
+        one that was) and run through unit_forward, and the table counts
+        every row; it pools its layers itself (flush).  If the chunk's
         new frames would overflow the table it is flushed first, and
         flushed holds what it pooled.  A chunk whose distinct frames do
         not fit in an empty table, or whose new frames keep fewer layers
@@ -164,21 +153,20 @@ class _FrameTable:
         repeat), runs through forward_units whole, depth 0, and the table
         keeps nothing of it.
         """
-        keys = _row_keys(window)
+        keys = frame_keys(window)
         size, flushed = len(self.rows), []
-        slots = self._slots(keys)
+        slots = number_keys(self.rows, keys)
         if len(self.rows) > self.capacity and size:
             for _ in range(len(self.rows) - size):
                 self.rows.popitem()
             flushed, size = self.flush(), 0
-            slots = self._slots(keys)
+            slots = number_keys(self.rows, keys)
         keys = None  # the table holds its new keys; the chunk's repeats go before the forward
         new = len(self.rows) - size
         fits, kept = len(self.rows) <= self.capacity, []
         if fits and new:
-            # new rows are numbered in the order their frames first come
-            first = np.flatnonzero(slots > np.maximum.accumulate(np.append(size - 1, slots[:-1])))
-            kept = unit_forward(frame_stack(net, window[first]), net.layers, len(window))
+            kept = unit_forward(frame_stack(net, window[first_new(slots, size)]), net.layers,
+                                len(window))
         depth = len(self.layers) if size else len(kept)
         if not fits or not depth or new and len(kept) < depth:
             for _ in range(new):
@@ -194,18 +182,10 @@ class _FrameTable:
             held.units.count += got.units.count
             held.values = np.concatenate((held.values, got.values))
         self.seen[:len(self.rows)] += np.bincount(slots, minlength=len(self.rows))
-        lead = [UnitValues(held.values, Units(held.units.ids[slots].astype(np.intp),
-                                              held.units.count, None),
-                           (len(window), *held.shape[1:])) for held in self.layers]
-        return flushed, depth, lead + forward_layers(net.layers[depth:], lead[-1].expanded)
-
-    def _slots(self, keys: list[bytes]) -> np.ndarray:
-        """Each key's row, new keys taking the next rows in the order they first come."""
-        get = self.rows.get
-        slots = np.array([get(key, -1) for key in keys], dtype=np.intp)
-        for i in np.flatnonzero(slots < 0).tolist():
-            slots[i] = self.rows.setdefault(keys[i], len(self.rows))
-        return slots
+        last = self.layers[-1]
+        units = Units(last.units.ids[slots].astype(np.intp), last.units.count, None)
+        expanded = UnitValues(last.values, units, (len(window), *last.shape[1:])).expanded
+        return flushed, depth, forward_layers(net.layers[depth:], expanded)
 
     def flush(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Each layer the table holds as (values [units, channels], counts
@@ -232,8 +212,8 @@ def _top_samples(net: NetworkSpec, frames, max_frames: int,
     The k-th smallest of n samples is the smallest of the n - k + 1
     largest, so a running top keeps every rank from k up: one
     np.partition per STATS_CHUNK frames cuts the kept top plus the
-    chunk's samples back to n - k + 1.  np.partition orders NaN last, as
-    percentile does.
+    chunk's samples back to n - k + 1, n being the frames used times the
+    layer's size.  np.partition orders NaN last, as percentile does.
 
     A network that starts with conv layers that can be kept per unit
     (network.leading_convs) runs its chunks through one _FrameTable:
@@ -256,6 +236,9 @@ def _top_samples(net: NetworkSpec, frames, max_frames: int,
         raise ValueError("need at least one calibration frame")
     used = min(n, max_frames)
     param_idx = net.parameterized_indices()
+    shapes = layer_shapes(net)
+    counts = [used * math.prod(shapes[li]) for li in param_idx]
+    keeps = [c - _rank(p, c) + 1 for c in counts]
     tops = [np.empty(0)] * len(param_idx)
     table = None
 
@@ -282,15 +265,12 @@ def _top_samples(net: NetworkSpec, frames, max_frames: int,
             flushed, depth, results = table.forward(net, window)
         else:
             flushed, depth, results = [], 0, forward_units(net, frame_stack(net, window))
-        if start == 0:  # the first chunk: n and n - k + 1 hold for every chunk
-            counts = [used * math.prod(results[li].shape[1:]) for li in param_idx]
-            keeps = [c - _rank(p, c) + 1 for c in counts]
         for j, (values, times) in enumerate(flushed):
             pool(j, values, times)
         for j, li in enumerate(param_idx):
-            r = results[li]
             if li < depth:
                 continue  # the table pools it
+            r = results[li - depth]
             if isinstance(r, UnitValues):
                 pool(j, r.values, np.bincount(r.units.ids.ravel(), minlength=r.units.count))
             else:

@@ -128,7 +128,7 @@ from typing import Optional
 import numpy as np
 
 from .network import (LayerSpec, NetworkSpec, affine_rows, apply_layer_linear, channel_index,
-                      frame_stack, layer_output_shape, receptive_fields, require_integer,
+                      frame_stack, layer_shapes, receptive_fields, require_integer,
                       unit_maps, validate_network)
 
 READOUTS = ("rate", "robust")
@@ -202,16 +202,9 @@ class _Stage:
 
 
 def _build_stages(net: NetworkSpec) -> list[_Stage]:
-    stages: list[_Stage] = []
-    shape = net.input_shape
-    for layer in net.layers:
-        if layer.kind == "flatten":
-            shape = layer_output_shape(layer, shape)
-            continue
-        out = layer_output_shape(layer, shape)
-        stages.append(_Stage(layer=layer, input_shape=shape, shape=out))
-        shape = out
-    return stages
+    shapes = [net.input_shape, *layer_shapes(net)]
+    return [_Stage(layer=layer, input_shape=shapes[i], shape=shapes[i + 1])
+            for i, layer in enumerate(net.layers) if layer.kind != "flatten"]
 
 
 def _checked_stages(net: NetworkSpec) -> list[_Stage]:

@@ -14,7 +14,7 @@ from rateconv import (NetworkSpec, NormConfig, NormStats, apply_normalization,
                       collect_stats, conv2d, dense, flatten, forward_batch,
                       greedy_action, load_stats, percentile, save_stats)
 from rateconv import network, normalize
-from rateconv.network import UnitValues, forward_units
+from rateconv.network import Units, UnitValues, forward_units
 from rateconv.normalize import STATS_CHUNK, _rank, _stats_per_config, _top_of_counts
 
 from conftest import rand_conv_net, rand_dense_net, rand_net, rand_frames
@@ -353,7 +353,9 @@ def test_frame_table_paths_are_taken(monkeypatch):
 def test_frame_table_runs_each_distinct_frame_once_and_dense_layers_per_chunk(monkeypatch):
     """Over 8 chunks drawn from 20 binary frames, the unit maps see each
     distinct frame once, while the dense layers still get every chunk
-    whole, in order, as the very matrices forward_batch gives them."""
+    whole, in order, as the very matrices forward_batch gives them.  Each
+    chunk gathers the unit ids of one layer only, the last the table
+    holds, the one it expands."""
     rng = np.random.default_rng(5)
     net = NetworkSpec((1, 12, 12), [
         conv2d(rng.normal(0.0, 0.3, (8, 1, 3, 3)), rng.normal(0.0, 0.05, 8)),
@@ -362,15 +364,19 @@ def test_frame_table_runs_each_distinct_frame_once_and_dense_layers_per_chunk(mo
         dense(rng.normal(0.0, 0.25, (4, 16)), np.zeros(4), activation="none")])
     binary = (rng.random((20, 1, 12, 12)) < 0.3).astype(np.float32)
     frames = binary[rng.integers(len(binary), size=8 * STATS_CHUNK)]
-    mapped, dense_inputs = [], []
-    real_maps, real_linear = network.unit_maps, network.apply_layer_linear
+    mapped, dense_inputs, gathered = [], [], []
+    real_maps, real_linear, real_units = network.unit_maps, network.apply_layer_linear, Units
     monkeypatch.setattr(network, "unit_maps",
                         lambda x, *rest: mapped.append(len(x)) or real_maps(x, *rest))
     monkeypatch.setattr(network, "apply_layer_linear",
                         lambda layer, x: dense_inputs.append((layer, x.copy()))
                         or real_linear(layer, x))
+    monkeypatch.setattr(normalize, "Units", lambda ids, *rest: gathered.append(ids.shape)
+                        or real_units(ids, *rest))
     collect_stats(net, frames, NormConfig(99.0))
     assert sum(mapped) == len({frame.tobytes() for frame in frames}) == 20
+    per_chunk = [shape for shape in gathered if shape[0] == STATS_CHUNK]
+    assert per_chunk == [(STATS_CHUNK, 8 * 8)] * 8, gathered  # the second conv's 8x8 positions
     where = {id(layer): i for i, layer in enumerate(net.layers)}
     assert [(where[id(layer)], len(x)) for layer, x in dense_inputs] == \
         [(i, STATS_CHUNK) for _ in range(8) for i in (3, 4)]
