@@ -11,10 +11,11 @@ plays alone.  Its episodes play in lockstep.  Episode i has its own
 environment and its own generator, seeded derive_seed(master, i), from
 which it draws its environment seed, its no-op prefix and its
 exploration; each round, the player and the shadow each answer the
-live episodes' observations, one q-vector per live episode in episode
-order.  The spiking agent simulates them as one run; every run starts
-from rest and a row of run_batch is bit for bit the run of that frame
-alone (see rateconv.simulate).  The analog agent (the source playing
+live episodes' observations, one greedy action per live episode in
+episode order.  The spiking agent simulates them as one run, which ends
+once every row's action is certified; every run starts from rest and a
+row of run_batch is bit for bit the run of that frame alone (see
+rateconv.simulate).  The analog agent (the source playing
 alone, or shadowing) answers them in one network.forward_units pass
 with the row-exact affine map (network.affine_rows): a stacked matmul
 of single-row products for a dense layer, the per-offset einsum for a
@@ -41,7 +42,7 @@ from .normalize import NormConfig, _stats_per_config, apply_normalization, colle
 from .simulate import SimConfig, _checked_stages, _run_stages, readout
 
 CR_MODES = ("greedy", "executed")
-REPLAY_CHUNK = 256  # distinct frames per qvalues call of a replay
+REPLAY_CHUNK = 256  # distinct frames per actions call of a replay, and frames keyed at once
 _MASK64 = (1 << 64) - 1
 
 
@@ -119,25 +120,32 @@ class ConversionReport(ActionAgreement):
 
 
 # ---------------------------------------------------------------------------
-# agents: qvalues(observations) takes a list of observations or a
-# [rows, *shape] array and returns one q-vector per row
+# agents: actions(observations) takes a list of observations or a
+# [rows, *shape] array and returns one greedy action per row, the first
+# index of the row's largest value; qvalues returns the values themselves
+
+def _q_width(net: NetworkSpec) -> int:
+    """The number of values, one per action, that net gives."""
+    return int(np.prod([net.input_shape, *layer_shapes(net)][-1]))
+
 
 def _check_q_width(net: NetworkSpec, action_count: int, role: str) -> None:
     """ValueError unless net gives one q-value per action."""
-    width = int(np.prod([net.input_shape, *layer_shapes(net)][-1]))
+    width = _q_width(net)
     if width != action_count:
         raise ValueError(f"{role} network gives {width} q-values, "
                          f"but there are {action_count} actions")
 
 
 class AnalogAgent:
-    """Values from the analog forward pass of the network.
+    """Values and actions from the analog forward pass of the network.
 
     qvalues answers all its rows in one network.forward_units pass with
     the row-exact affine map (network.affine_rows): the leading conv
     layers once per distinct receptive field, every later product as a
     one-row pass makes it.  Each row is bit for bit the one-row forward
-    pass of its observation, so no decision depends on another.
+    pass of its observation, so no decision depends on another.  actions
+    is the argmax of qvalues.
     """
 
     def __init__(self, net: NetworkSpec):
@@ -149,15 +157,24 @@ class AnalogAgent:
             values = values.expanded
         return values.reshape(len(values), -1)
 
+    def actions(self, observations) -> np.ndarray:
+        return np.argmax(self.qvalues(observations), axis=1)
+
 
 class SpikingAgent:
-    """Values from spiking runs of the converted network.
+    """Values and actions from spiking runs of the converted network.
 
     The network is checked and its stages built once, at construction
-    (ValueError for an invalid network, as run_batch gives).  qvalues
-    simulates the observations from rest in one run; each row reads what
-    run_batch of its observation alone reads, so no decision depends on
-    another.
+    (ValueError for an invalid network, as run_batch gives).  Both
+    methods simulate the observations from rest in one run; each row
+    reads what run_batch of its observation alone reads, so no decision
+    depends on another.  qvalues runs to T and returns the readout.
+    actions returns the argmax of that readout without always running to
+    T: the run ends once interval bounds on the currents still to come
+    prove that no row's action can change (see Certified early decisions
+    in rateconv.simulate), so the actions are those of the whole run by
+    proof.  It runs to T for the rate readout, and when a stage is not
+    exact or v_thr is not a whole multiple of a stage's u.
     """
 
     def __init__(self, net: NetworkSpec, sim_config: SimConfig):
@@ -168,6 +185,10 @@ class SpikingAgent:
     def qvalues(self, observations) -> np.ndarray:
         frames = frame_stack(self.net, observations)
         return readout(_run_stages(self.stages, frames, self.sim_config, diagnose=False))
+
+    def actions(self, observations) -> np.ndarray:
+        frames = frame_stack(self.net, observations)
+        return _run_stages(self.stages, frames, self.sim_config, diagnose=False, decide=True)
 
 
 # ---------------------------------------------------------------------------
@@ -225,24 +246,22 @@ def _play_lockstep(envs: list[LineCatchEnv], rngs: list[np.random.Generator], ag
                    keep_frames: bool = True) -> list[PlayRecord]:
     """Play one episode per (env, rng), all advancing together.
 
-    Each round, the agent and the shadow, if any, each get one qvalues
+    Each round, the agent and the shadow, if any, each get one actions
     call on the current observations of the live episodes (not done,
-    under the frame budget), in episode order, and one argmax over its
-    rows.  Each live episode then takes its greedy action from the
-    agent's row, explores from it with its own rng, notes the shadow's
+    under the frame budget), in episode order.  Each live episode then
+    takes its greedy action from the agent's row, explores from it with
+    its own rng over the agent's network's actions, notes the shadow's
     greedy action and steps its own env; an episode that ends leaves
     the next round.
     """
     episodes = [_start_episode(env, config, rng, shadow is not None)
                 for env, rng in zip(envs, rngs)]
+    width = _q_width(agent.net)
     live = [i for i, episode in enumerate(episodes) if episode.live(config)]
     while live:
         observations = [episodes[i].obs for i in live]
-        values = agent.qvalues(observations)
-        width = np.shape(values)[1]
-        greedy = np.argmax(values, axis=1).tolist()
-        shadowed = (np.argmax(shadow.qvalues(observations), axis=1).tolist()
-                    if shadow is not None else greedy)
+        greedy = agent.actions(observations).tolist()
+        shadowed = shadow.actions(observations).tolist() if shadow is not None else greedy
         for i, action, shadow_action in zip(live, greedy, shadowed):
             episode = episodes[i]
             rec = episode.record
@@ -265,12 +284,26 @@ def _play_lockstep(envs: list[LineCatchEnv], rngs: list[np.random.Generator], ag
 
 def _replay_actions(agent, distinct: np.ndarray, inverse: np.ndarray) -> list[int]:
     """Each step's greedy action from agent, which answers each distinct
-    frame once, REPLAY_CHUNK frames per qvalues call; inverse[i] is the
+    frame once, REPLAY_CHUNK frames per actions call; inverse[i] is the
     distinct frame step i shows."""
-    actions = np.concatenate([np.argmax(agent.qvalues(distinct[start:start + REPLAY_CHUNK]),
-                                        axis=1)
+    actions = np.concatenate([agent.actions(distinct[start:start + REPLAY_CHUNK])
                               for start in range(0, len(distinct), REPLAY_CHUNK)])
     return actions[inverse].tolist()
+
+
+def _distinct_frames(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct frames of obs plus 0.0, in the order they first come,
+    and the distinct frame each row shows.  The keys are numbered into one
+    dict REPLAY_CHUNK rows at a time, so only the distinct ones are held."""
+    numbers: dict = {}
+    inverse = np.empty(len(obs), dtype=np.intp)
+    firsts = []
+    for start in range(0, len(obs), REPLAY_CHUNK):
+        size = len(numbers)
+        slots = number_keys(numbers, frame_keys(obs[start:start + REPLAY_CHUNK] + 0.0))
+        inverse[start:start + len(slots)] = slots
+        firsts.append(start + first_new(slots, size))
+    return obs[np.concatenate(firsts)], inverse
 
 
 def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfig,
@@ -278,10 +311,10 @@ def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfi
     """Feed recorded frames to both networks and compare greedy decisions.
 
     Source actions are recomputed from source_net when given (guards
-    against stale traces), from AnalogAgent.qvalues, and taken from the
+    against stale traces), from AnalogAgent.actions, and taken from the
     trace otherwise.  Nothing is executed, so exploration plays no role
     here.  Each agent answers each distinct frame once, in the order
-    frames first come, REPLAY_CHUNK frames per qvalues call, and its
+    frames first come, REPLAY_CHUNK frames per actions call, and its
     action goes to every step that shows it: a row of either agent is
     bit for bit its frame's answer alone.  Frames are keyed by their
     bytes (network.frame_keys) plus 0.0, so a -0.0 reads as 0.0, to
@@ -292,9 +325,7 @@ def replay_trace(trace: EpisodeTrace, snn_net: NetworkSpec, sim_config: SimConfi
         _check_q_width(source_net, trace.action_count, "source")
     if len(trace.steps) == 0:
         raise ValueError("cannot replay an empty trace")
-    obs = trace.observations()
-    inverse = number_keys({}, frame_keys(obs + 0.0))
-    distinct = obs[first_new(inverse, 0)]
+    distinct, inverse = _distinct_frames(trace.observations())
     snn_actions = _replay_actions(SpikingAgent(snn_net, sim_config), distinct, inverse)
     source_actions = (trace.actions() if source_net is None
                       else _replay_actions(AnalogAgent(source_net), distinct, inverse))

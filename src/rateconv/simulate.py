@@ -91,6 +91,61 @@ the settle step (from the output argmax after each step, taken once
 per block) cost time in the hot loop; run_batch(..., diagnose=False)
 skips them and leaves avg_currents and settle_step None.
 
+Certified early decisions.  A caller that needs only each row's action
+(SpikingAgent.actions, the one caller of _run_stages with decide) gets
+the argmax of the robust readout at T, and the run ends as soon as
+interval bounds (interval bound propagation, Gowal et al. 2018, on the
+spike counts of soft-reset IF neurons) prove that no row's action can
+change.  By the bookkeeping identity the robust readout is the output's
+current summed over the run, over T v_thr: a row may stop at a step
+once a sound bound on the rest of that sum leaves its leading output
+ahead of every other.  The bound (rateconv.certify) is checked beside
+settle tracking, at the end of a few scheduled output blocks
+(_Plan.checks), population by population, each from the steps it has
+run (the pipeline runs population j one block ahead of j + 1):
+
+- the input's drive is constant; under a steady input it fires the
+  same pixels at every step, so the first stage's counts are known to
+  within one spike;
+- for every other population, the spikes of the population below over
+  the steps still to come lie between known bounds, and each of its
+  inputs fires at every step, at none, or may fire; that gives each
+  neuron's current summed over those steps, and its current at any one
+  step, within bounds; its potential at T lies in [min(0, V) + m
+  min(0, lowest step), max(v_thr, V) + m max(0, highest step - v_thr)]
+  over its m steps left, and its spikes are (V + current sum - V at T)
+  / v_thr, at most m and at least 0; a neuron whose lowest step reaches
+  v_thr from V >= 0 fires at every step, one whose highest step is <= 0
+  below v_thr at none;
+- the output's summed currents are compared pairwise, on the rows W_a
+  - W_c of its weights, so what the rivals share cancels: row a is
+  certified once its lowest lead over every other output c is above
+  the most the readout's rounding can take from it (a strict lead, as
+  argmax breaks a tie by the first index).
+
+Every sum is bounded with explicit slack for float64 rounding: its
+terms' rounding and the rounding of every potential over the steps
+left, 2^-50 (T + fan-in + 8) T (max(sum |w| + |b|) + v_thr) per
+population, several times the worst case; with every stage exact and
+v_thr a whole multiple of each stage's u most sums are exact anyway.
+The readout's own rounding is at most 2^-51 (T v_thr + |V at T| +
+|sum|) / (T v_thr) per output.
+
+The first block is RAMP steps, each next one twice as long up to K,
+and a check ends each output block that ends at least twice as late
+as the last check, so a run makes O(log T) checks.  A check that
+certifies no new row is the last.  The run stops when every row is
+certified; rows do not leave the batch (rows that certify at all tend
+to do so at the first check, or only near T).  It runs to T, and
+answers the argmax of its readout, for the rate readout, for
+diagnose=True, when any stage is not exact or v_thr is not a whole
+multiple of its u (potentials that round), and once a bound is not
+finite; a run whose readout overflows reaches T and is refused as
+before.  Under these conditions a current is below 2^53 u <= 2^53
+v_thr, so |V| / (T v_thr) < 2^53 + 1 and the readout of a certified
+run cannot overflow.  run_batch, run and every diagnostic read whole
+runs.
+
 Why the spikes stay bit-identical.  Each neuron sees the same float64
 operations in the same order as a step-at-a-time loop: add the
 current, compare inclusively with v_thr, subtract v_thr on a spike.
@@ -127,12 +182,14 @@ from typing import Optional
 
 import numpy as np
 
+from .certify import _Certifier, _StageBounds, _certifiable
 from .network import (LayerSpec, NetworkSpec, affine_rows, apply_layer_linear, channel_index,
                       frame_stack, layer_shapes, receptive_fields, require_integer,
                       unit_maps, validate_network)
 
 READOUTS = ("rate", "robust")
 BLOCK_BYTES = 1 << 20  # caps K * batch * (all populations' neurons) * 8 bytes
+RAMP = 1  # the first block of a run that may stop early; each next one doubles, up to K
 
 
 @dataclass
@@ -156,14 +213,26 @@ class SimConfig:
 
 
 @dataclass
-class _Stage:
+class _Stage(_StageBounds):
     """A parameterized layer and its input and output shapes: in a run,
     the spiking population it feeds.  The layer holds the float64
-    parameters every stage computation reads."""
+    parameters every stage computation reads; _StageBounds adds the
+    arrays the bound check of an early decision reads."""
 
     layer: LayerSpec
     input_shape: tuple[int, ...]  # the layer's input, flattened if a flatten precedes it
     shape: tuple[int, ...]
+
+    @cached_property
+    def ulp(self) -> float:
+        """u, the smallest float32 ulp among the layer's nonzero
+        parameters: every parameter is a whole multiple of it (inf for a
+        layer of zeros)."""
+        w = np.abs(self.layer.weights64)
+        b = np.abs(self.layer.bias64)
+        smallest = min(np.min(w, initial=np.inf, where=w > 0),
+                       np.min(b, initial=np.inf, where=b > 0))
+        return math.inf if smallest == np.inf else float(np.spacing(np.float32(smallest)))
 
     @cached_property
     def exact(self) -> bool:
@@ -176,14 +245,11 @@ class _Stage:
         and a float64 sum of non-negative integers (in any order) stays
         below 2^53 exactly when the true sum does.
         """
+        if self.ulp == math.inf:
+            return True
         w = np.abs(self.layer.weights64.reshape(len(self.layer.bias64), -1))
         b = np.abs(self.layer.bias64)
-        smallest = min(np.min(w, initial=np.inf, where=w > 0),
-                       np.min(b, initial=np.inf, where=b > 0))
-        if smallest == np.inf:
-            return True
-        ulp = float(np.spacing(np.float32(smallest)))
-        return bool(np.all((w / ulp).sum(axis=1) + b / ulp < 2.0 ** 53))
+        return bool(np.all((w / self.ulp).sum(axis=1) + b / self.ulp < 2.0 ** 53))
 
     @cached_property
     def window(self) -> np.ndarray:
@@ -235,9 +301,13 @@ class _Plan:
     stage's gathered columns per step; ceil(sqrt(10 T)) weighs the
     per-block work (T / K blocks) against the pipeline's partly filled
     ends (about K steps per population); a block never exceeds the run.
+    With ramp (a run that may stop early) the blocks start at RAMP
+    steps and double up to K, and checks names the output blocks after
+    which the bound is checked (see Certified early decisions).
     """
 
-    def __init__(self, stages: list[_Stage], frames: np.ndarray, config: SimConfig):
+    def __init__(self, stages: list[_Stage], frames: np.ndarray, config: SimConfig,
+                 ramp: bool = False):
         batch = frames.shape[0]
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
@@ -274,15 +344,30 @@ class _Plan:
                        for stage, n, m in zip(stages, neurons[1:], cols[1:]))
         self.K = max(1, min(BLOCK_BYTES // (8 * max(edges[-1], gathered)),
                             math.isqrt(10 * T - 1) + 1, T))
-        self.n_blocks = -(-T // self.K)
+        # Block b is steps starts[b]..starts[b+1]-1; checks are the blocks
+        # after whose output block the bound is checked, each ending at
+        # least twice as late as the one before, never at the last block.
+        self.starts, self.checks = list(range(0, T, self.K)) + [T], set()
+        if ramp:
+            self.starts, size = [0], min(RAMP, self.K)
+            while self.starts[-1] + size < T:
+                self.starts.append(self.starts[-1] + size)
+                size = min(2 * size, self.K)
+            self.starts.append(T)
+            last = 0
+            for b, end in enumerate(self.starts[1:-1]):
+                if end >= 2 * last:
+                    self.checks.add(b)
+                    last = end
+        self.n_blocks = len(self.starts) - 1
         self.fired0 = self.drive >= config.v_thr
         self.steady = bool(np.all(self.fired0 | (self.drive <= 0.0)))
         self.first = int(self.steady and np.all((self.drive == 0.0)
                                                 | (self.drive == config.v_thr)))
 
     def steps(self, b: int) -> int:
-        """The steps of block b: K, but for a short last block."""
-        return min(self.K, self.timesteps - b * self.K)
+        """The steps of block b: K, but for the ramp and a short last block."""
+        return self.starts[b + 1] - self.starts[b]
 
     def view(self, buffer: np.ndarray, j: int, steps: int) -> np.ndarray:
         """Population j's part of the first steps of a [K, edges[-1]]
@@ -290,14 +375,26 @@ class _Plan:
         return buffer[:steps, self.edges[j]:self.edges[j + 1]].reshape(
             steps, self.neurons[j], self.cols[j])
 
+    def inputs(self, j: int, buffer: np.ndarray, steps: int) -> np.ndarray:
+        """Stage j-1's inputs over the first steps of a [K, edges[-1]]
+        buffer of population j-1's values, [steps, width, cols[j]]: the
+        last population kept per unit read per row."""
+        if j == len(self.units):
+            return np.take(buffer[:steps, self.edges[j - 1]:self.edges[j]], self.row_gather,
+                           axis=1)
+        return self.view(buffer, j - 1, steps)
+
+    def linear(self, j: int, w: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """w, stage j-1's weights or the like, applied to population j-1's
+        values in the rows of a [rows, edges[-1]] buffer: [rows, neurons[j]
+        * cols[j]], neuron-major, no bias."""
+        x = self.inputs(j, values, len(values))
+        return _linear(w, x, self.index[j]).reshape(len(values), -1)
+
     def currents(self, j: int, spikes: np.ndarray, steps: int) -> np.ndarray:
         """Population j's currents over the first steps of a block, from
         population j-1's spikes in a [K, edges[-1]] buffer."""
-        if j == len(self.units):
-            x = np.take(spikes[:steps, self.edges[j - 1]:self.edges[j]], self.row_gather, axis=1)
-        else:
-            x = self.view(spikes, j - 1, steps)
-        return _block_currents(self.stages[j - 1], x, self.index[j])
+        return _block_currents(self.stages[j - 1], self.inputs(j, spikes, steps), self.index[j])
 
     def per_population(self, state: np.ndarray) -> list[np.ndarray]:
         """A flat state as [batch, *shape] per population, a unit's values
@@ -340,29 +437,39 @@ def _integrate(potentials: np.ndarray, currents: np.ndarray, v_thr: float,
             trail[k] = tail
 
 
+def _linear(w: np.ndarray, x: np.ndarray, index: Optional[np.ndarray],
+            bias: Optional[np.ndarray] = None) -> np.ndarray:
+    """w [out_ch, fan-in] (plus bias) applied to x [K, width, columns]
+    (0/1 spikes or float values), neuron-major: [K, neurons, columns].
+    A conv stage reads its columns through index, [fan-in, positions]
+    over the width, where the width itself is a zero row (padding)."""
+    steps, width, cols = x.shape
+    if index is None:
+        z = w @ x.astype(np.float64, copy=False)
+        if bias is not None:
+            z += bias[:, None]
+        return z
+    # One GEMM for the block, on columns gathered [fan-in, positions,
+    # steps, columns].
+    padded = np.zeros((width + 1, steps, cols), dtype=x.dtype)
+    padded[:width] = x.transpose(1, 0, 2)
+    z = w @ padded[index].reshape(len(index), -1).astype(np.float64, copy=False)
+    if bias is not None:
+        z += bias[:, None]
+    return z.reshape(len(w), index.shape[1], steps, cols).transpose(2, 0, 1, 3).reshape(
+        steps, -1, cols)
+
+
 def _block_currents(stage: _Stage, spikes: np.ndarray,
                     index: Optional[np.ndarray]) -> np.ndarray:
     """Input currents [K, neurons, columns] of a stage from the previous
-    population's spikes [K, width, columns] (bool), both neuron-major.
-    A conv stage reads its columns through index, [fan-in, positions]
-    over the width, where the width itself is a zero row (padding)."""
+    population's spikes [K, width, columns] (bool), both neuron-major."""
     steps, width, cols = spikes.shape
     layer = stage.layer
     if stage.exact:
         # Exact in any order: straight on the neuron-major spikes.
-        w = layer.weights64.reshape(len(layer.bias64), -1)
-        if index is None:
-            z = w @ spikes.astype(np.float64)
-            z += layer.bias64[:, None]
-            return z
-        # One GEMM for the block, on columns gathered [fan-in, positions,
-        # steps, columns].
-        padded = np.zeros((width + 1, steps, cols), dtype=bool)
-        padded[:width] = spikes.transpose(1, 0, 2)
-        z = w @ padded[index].reshape(len(index), -1).astype(np.float64)
-        z += layer.bias64[:, None]
-        return z.reshape(len(w), index.shape[1], steps, cols).transpose(2, 0, 1, 3).reshape(
-            steps, -1, cols)
+        return _linear(layer.weights64.reshape(len(layer.bias64), -1), spikes, index,
+                       layer.bias64)
     # Not exact in every order: every row of every step as a
     # step-at-a-time run of that row alone computes it.
     x = np.ascontiguousarray(spikes.transpose(0, 2, 1), dtype=np.float64)
@@ -410,12 +517,20 @@ def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig, *,
 
 
 def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
-                diagnose: bool) -> SimResult:
+                diagnose: bool, decide: bool = False) -> SimResult | np.ndarray:
     """run_batch on the stages of a checked network and a frame_stack of
     its frames, for a caller that simulates one network many times: the
     batch's _Plan, the pipelined loop over its blocks, and the result
-    read from the end state."""
-    plan = _Plan(stages, frames, config)
+    read from the end state.  With decide, the run answers each row's
+    action, the argmax of its readout at T, instead of a SimResult, and
+    ends as soon as the bound check certifies every row's action (see
+    Certified early decisions in the module docstring)."""
+    certifier = None
+    if decide and not diagnose and _certifiable(stages, config):
+        plan = _Plan(stages, frames, config, ramp=True)
+        certifier = _Certifier(plan, config)
+    else:
+        plan = _Plan(stages, frames, config)
     T, v_thr, batch = config.timesteps, config.v_thr, plan.batch
     K, n_blocks, edges, first, steady = plan.K, plan.n_blocks, plan.edges, plan.first, plan.steady
     view, currents_of, steps_of = plan.view, plan.currents, plan.steps
@@ -452,29 +567,31 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         lo = first + max(0, i - n_blocks + 1)
         hi = min(last_pop, first + i)
         fired, fed = spikes[i % 2], spikes[(i + 1) % 2]
+        lengths = [steps_of(i - (j - first)) for j in range(lo, hi + 1)]
         for j in range(max(lo, 2 if steady else 1), hi + 1):
-            steps = steps_of(i - (j - first))
-            view(currents, j, steps)[:] = currents_of(j, fed, steps)
+            view(currents, j, lengths[j - lo])[:] = currents_of(j, fed, lengths[j - lo])
 
-        # The lowest population may be in the last, short block: it leaves
-        # the slice after its last step.
-        end = edges[hi + 1]
-        short = steps_of(i - (lo - first))
-        parts = [(0, short, edges[lo]), (short, K, edges[lo + 1])] if short < K else \
-            [(0, K, edges[lo])]
+        # A population's block is no longer than the one below it runs,
+        # but the lowest population may be in the last, short block: the
+        # populations still stepping after s0 steps are one slice, lo or
+        # lo + 1 to the last one whose block is longer than s0.
         watch = diagnose and hi == last_pop
         if watch:
             out_before = counts[out].copy()
-        for s0, s1, r0 in parts:
-            if r0 < end:
-                span = slice(r0, end)
-                _integrate(potentials[span], currents[s0:s1, span], v_thr, fired[s0:s1, span],
-                           sums[span] if diagnose else None,
-                           trail[s0:s1] if watch and trail is not None else None)
-                # Large batches run one-step blocks, where adding the step's
-                # spikes costs half of summing a one-step block.
-                np.add(counts[span], fired[s0, span] if s1 - s0 == 1 else
-                       fired[s0:s1, span].sum(axis=0, dtype=np.int64), out=counts[span])
+        s0 = 0
+        for s1 in sorted(set(lengths)):
+            j0, j1 = lo if lengths[0] >= s1 else lo + 1, hi
+            while lengths[j1 - lo] < s1:
+                j1 -= 1
+            span = slice(edges[j0], edges[j1 + 1])
+            _integrate(potentials[span], currents[s0:s1, span], v_thr, fired[s0:s1, span],
+                       sums[span] if diagnose else None,
+                       trail[s0:s1] if watch and trail is not None else None)
+            # Large batches run one-step blocks, where adding the step's
+            # spikes costs half of summing a one-step block.
+            np.add(counts[span], fired[s0, span] if s1 - s0 == 1 else
+                   fired[s0:s1, span].sum(axis=0, dtype=np.int64), out=counts[span])
+            s0 = s1
 
         if watch:
             # The output argmax after each step of its block, as a step loop sees it.
@@ -488,8 +605,13 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
             changed = seq[1:] != seq[:-1]
             if len(changed):
                 from_end = np.argmax(changed[::-1], axis=0)
-                settle = np.where(changed.any(axis=0), b * K + steps - from_end, settle)
+                settle = np.where(changed.any(axis=0), plan.starts[b] + steps - from_end,
+                                  settle)
             prev_choice = choice[-1]
+
+        if (certifier is not None and hi == last_pop and i - (last_pop - first) in plan.checks
+                and certifier.check(i, lo, lengths, potentials, counts, fired)):
+            return certifier.actions
 
     rates = [c / T for c in plan.per_population(counts)]
     ends = plan.per_population(potentials)
@@ -500,6 +622,8 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         # a v_thr far below the output potentials: V / (T * v_thr) overflows
         raise ValueError(f"the output potentials over timesteps * v_thr = {T} * {v_thr} "
                          f"overflow the readout")
+    if decide:
+        return np.argmax(rate_last if config.readout == "rate" else f_last, axis=1)
     residuals = [v / T for v in ends]
     avg_currents = [z / (T * v_thr) for z in plan.per_population(sums)] if diagnose else None
     return SimResult(timesteps=T, v_thr=v_thr, readout=config.readout,

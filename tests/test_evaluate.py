@@ -169,8 +169,8 @@ def test_replay_simulates_each_distinct_frame_once(rng, monkeypatch):
 
 
 def test_replay_asks_the_spiking_agent_once_per_chunk(rng, monkeypatch):
-    """replay_trace gets its spiking actions from SpikingAgent.qvalues and
-    its source actions from AnalogAgent.qvalues, each one call per
+    """replay_trace gets its spiking actions from SpikingAgent.actions and
+    its source actions from AnalogAgent.actions, each one call per
     REPLAY_CHUNK distinct frames."""
     module = importlib.import_module("rateconv.evaluate")
     net = rand_dense_net(rng, sizes=[6, 10, 3])
@@ -180,14 +180,48 @@ def test_replay_asks_the_spiking_agent_once_per_chunk(rng, monkeypatch):
     distinct = len(np.unique(trace.observations(), axis=0))
     rows = {SpikingAgent: [], AnalogAgent: []}
     for cls in rows:
-        def counted(self, observations, real=cls.qvalues, cls=cls):
+        def counted(self, observations, real=cls.actions, cls=cls):
             rows[cls].append(len(observations))
             return real(self, observations)
-        monkeypatch.setattr(cls, "qvalues", counted)
+        monkeypatch.setattr(cls, "actions", counted)
     monkeypatch.setattr(module, "REPLAY_CHUNK", 4)
     replay_trace(trace, normalized(rng, net), SimConfig(timesteps=20), source_net=net)
     for calls in rows.values():
         assert len(calls) == -(-distinct // 4) and sum(calls) == distinct
+
+
+def test_replay_keys_its_frames_window_by_window(rng, monkeypatch):
+    """replay_trace numbers the frames' keys into one dict REPLAY_CHUNK
+    frames at a time: its traced peak holds one window's copy and keys
+    and the distinct frames' keys, not a copy and a key of every step.
+    The agents get each distinct frame once, in the order frames first
+    come, -0.0 read as 0.0."""
+    import tracemalloc
+
+    module = importlib.import_module("rateconv.evaluate")
+    shape = (1, 16, 16)
+    net = NetworkSpec(shape, [flatten(), dense(rng.normal(0, 0.1, (3, 256)), np.zeros(3),
+                                               activation="none")])
+    patterns = rng.integers(0, 2, (20, *shape)).astype(np.float32)
+    patterns[3] = -patterns[2] * 0.0  # the zeros of frame 2 with their sign flipped
+    patterns[3][patterns[2] != 0] = patterns[2][patterns[2] != 0]
+    picks = rng.integers(0, 20, 8192)
+    trace = EpisodeTrace(3, shape, trace_steps(shape, patterns[picks], picks % 3, 0.0))
+    seen = []
+    monkeypatch.setattr(module, "_replay_actions",
+                        lambda agent, distinct, inverse: seen.append((distinct, inverse))
+                        or inverse.tolist())
+    tracemalloc.start()
+    try:
+        replay_trace(trace, net, SimConfig(timesteps=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < trace.observations().nbytes / 8, (peak, trace.observations().nbytes)
+    distinct, inverse = seen[0]
+    order = list(dict.fromkeys(np.where(picks == 3, 2, picks).tolist()))
+    assert np.array_equal(distinct, patterns[order])
+    assert np.array_equal(distinct[inverse] + 0.0, trace.observations() + 0.0)
 
 
 def test_replay_rejects_empty_trace(rng):
@@ -397,15 +431,15 @@ def test_analog_agent_answers_each_round_in_one_call(monkeypatch):
 
 
 def test_player_and_shadow_answer_each_round_once(monkeypatch):
-    """Each round the spiking player and the analog shadow get one qvalues
+    """Each round the spiking player and the analog shadow get one actions
     call each, on the same list of the live episodes' observations."""
     net, snn, env = _setup_pair(11)
     calls = []
     for cls in (SpikingAgent, AnalogAgent):
-        def logged(self, observations, real=cls.qvalues, name=cls.__name__):
+        def logged(self, observations, real=cls.actions, name=cls.__name__):
             calls.append((name, observations))
             return real(self, observations)
-        monkeypatch.setattr(cls, "qvalues", logged)
+        monkeypatch.setattr(cls, "actions", logged)
     report = evaluate(net, snn, SimConfig(timesteps=20), EvalConfig(episodes=3, seed=5), env=env)
     rounds = list(zip(calls[::2], calls[1::2]))
     assert len(calls) == 2 * len(rounds) and len(rounds) > 1
@@ -666,16 +700,16 @@ def sequential_evaluate(source_net, snn_net, sim_config, eval_config, env):
 
 
 def _log_spiking_rounds(monkeypatch):
-    """Log the rows each SpikingAgent.qvalues call returns: one list per round."""
+    """Log the actions each SpikingAgent.actions call returns: one list per round."""
     rounds = []
-    qvalues = SpikingAgent.qvalues
+    actions = SpikingAgent.actions
 
     def logged(self, observations):
-        values = qvalues(self, observations)
-        rounds.append(list(values))
-        return values
+        chosen = actions(self, observations)
+        rounds.append(chosen.tolist())
+        return chosen
 
-    monkeypatch.setattr(SpikingAgent, "qvalues", logged)
+    monkeypatch.setattr(SpikingAgent, "actions", logged)
     return rounds
 
 
@@ -760,12 +794,12 @@ def test_lockstep_evaluate_equals_sequential_reference(case, monkeypatch):
     got = evaluate(source, snn, sim_config, eval_config, env, keep_records=True)
     _assert_same_report(got, want)
     lengths = [len(rec.greedy_actions) for rec in want.records]
-    got_readouts = _readouts_by_episode(rounds, lengths if snn is not None else [])
-    # every decision's readout, bit for bit, in each episode's order
-    assert got_readouts.keys() == {i for i, log in want_readouts.items() if log}
-    for i, log in got_readouts.items():
-        assert len(log) == len(want_readouts[i])
-        assert all(np.array_equal(a, b) for a, b in zip(log, want_readouts[i]))
+    got_actions = _readouts_by_episode(rounds, lengths if snn is not None else [])
+    # every decision's action is the argmax of its whole run's readout,
+    # in each episode's order
+    assert got_actions.keys() == {i for i, log in want_readouts.items() if log}
+    for i, log in got_actions.items():
+        assert log == [greedy_action(values) for values in want_readouts[i]]
     bare = evaluate(source, snn, sim_config, eval_config, env)
     assert bare.records is None
     assert np.array_equal(bare.per_episode_cr, got.per_episode_cr, equal_nan=True)

@@ -9,10 +9,12 @@ from rateconv.evaluate import _play_lockstep
 
 
 class _BlindAgent:
-    """Constant q-values; only useful under epsilon = 1."""
+    """Always action 0 of the 8x8 net's 3; only useful under epsilon = 1."""
 
-    def qvalues(self, observations):
-        return np.zeros((len(observations), 3))
+    net = optimal_network(8)
+
+    def actions(self, observations):
+        return np.zeros(len(observations), dtype=int)
 
 
 def test_observation_shape_and_values():
