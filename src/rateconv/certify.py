@@ -79,14 +79,15 @@ class _Certifier:
     the steps its consumer has yet to run, and marks a row certified
     once its leading output's total current beats every other output's
     by more than the readout can round; actions holds each certified
-    row's action, -1 for the others.  Once a bound is not finite it
-    checks no more, and the run goes to T.
+    row's action, -1 for the others, one row per column of the
+    populations kept per row (a signature, see _Plan).  Once a bound is
+    not finite it checks no more, and the run goes to T.
     """
 
     def __init__(self, plan: _Plan, config: SimConfig):
         T, v_thr = config.timesteps, config.v_thr
         self.plan, self.T, self.v_thr = plan, T, v_thr
-        self.actions = np.full(plan.batch, -1)
+        self.actions = np.full(plan.columns, -1)
         self.on = True
         # Per population: its bias over its flat elements, and the slack
         # that covers every rounding of its potentials over the rest of
@@ -173,13 +174,13 @@ class _Certifier:
         held: each output's spikes times v_thr plus its potential, so
         far, whose sum with the currents still to come is its readout
         times T v_thr; x: the output stage's inputs from feed, [4, inputs,
-        batch]."""
-        T, v_thr, batch, slack = self.T, self.v_thr, self.plan.batch, self.slack[-1]
-        held = held.reshape(-1, batch) + m * self.bias[-1].reshape(-1, batch)
+        columns]."""
+        T, v_thr, columns, slack = self.T, self.v_thr, self.plan.columns, self.slack[-1]
+        held = held.reshape(-1, columns) + m * self.bias[-1].reshape(-1, columns)
         n = len(held)
         # the lowest total_a - total_c, for every ordered pair (a, c)
         center, radius = stage.gaps @ np.stack([x[0], x[2]])
-        lead = (held[:, None] - held[None]) + (center - radius).reshape(n, n, batch)
+        lead = (held[:, None] - held[None]) + (center - radius).reshape(n, n, columns)
         # |total| at most, from the bounds of each output alone
         size = (np.abs(held + stage.matrix @ x[0]) + np.abs(stage.matrix) @ x[2]
                 + 2.0 * slack)
@@ -190,7 +191,7 @@ class _Certifier:
         if not (np.isfinite(margin).all() and np.isfinite(size).all()):
             self.on = False
             return False
-        win = (lead > margin).all(axis=1)  # [a, batch]: a beats every c
+        win = (lead > margin).all(axis=1)  # [a, columns]: a beats every c
         decided = win.any(axis=0) & (self.actions < 0)
         self.actions[decided] = np.argmax(win[:, decided], axis=0)
         # A check that certifies no new row is the last.

@@ -59,14 +59,33 @@ alike.  A unit stage's currents are W @ columns + b, one GEMM per
 block, its columns gathered from the units below by one index per
 run.  The units never include the output stage and end before the
 first dense or inexact stage, which reads the last unit population
-per row through one gather; from there on a population is [width,
-batch], one column per row, as is every population of a net whose
-first stage is no exact conv.  They also end at the first conv
-population with more units than half its (frame, position) pairs:
-gathering one unit at a time costs more there than the repeats save.
-Frames whose strided sample of pixel vectors is more than half
-distinct are not ranked at all.  The results give a unit's values to
-every position that holds it.
+per signature (below) through one gather; from there on a population
+is [width, signatures], one column per signature.  Every population
+of a net whose first stage is no exact conv is [width, batch], one
+column per row.  The units also end at the first conv population with
+more units than half its (frame, position) pairs: gathering one unit
+at a time costs more there than the repeats save.  Frames whose
+strided sample of pixel vectors is more than half distinct are not
+ranked at all.  The results give a unit's values to every position
+that holds it.
+
+Each distinct signature once.  A row's signature is its row of unit
+ids in the last population kept per unit: a unit whose window is that
+whole map, found by the same integer codes (network._distinct_codes).
+Rows with one signature feed the first stage kept per row the same
+spikes at every step.  Every run starts from rest, and from there on
+each row's state is bit for bit that of its frame's run alone (see
+Why the spikes stay bit-identical: an exact stage gives the same bits
+in any order, whatever else shares the batch, and an inexact one
+computes each row alone).  So such rows hold equal state at every
+step, and the populations kept per row hold one column per distinct
+signature; settle tracking and the bound check of an early decision
+work on those columns too.  Rows that agree on every pixel the
+leading conv units read share a signature whatever their other pixels
+hold: a 3x3, stride-2, unpadded conv on 16x16 LineCatch frames never
+reads row 15, the paddle's.  The results give a signature's rates,
+potentials, current sums, settle step and certified action to every
+row that has it.
 
 The analog pass (network.unit_forward) keeps its units for another
 reason: its inputs are floats, so no partial sum need be exact, but
@@ -183,9 +202,9 @@ from typing import Optional
 import numpy as np
 
 from .certify import _Certifier, _StageBounds, _certifiable
-from .network import (LayerSpec, NetworkSpec, affine_rows, apply_layer_linear, channel_index,
-                      frame_stack, layer_shapes, receptive_fields, require_integer,
-                      unit_maps, validate_network)
+from .network import (LayerSpec, NetworkSpec, _distinct_codes, affine_rows, apply_layer_linear,
+                      channel_index, frame_stack, layer_shapes, receptive_fields,
+                      require_integer, unit_maps, validate_network)
 
 READOUTS = ("rate", "robust")
 BLOCK_BYTES = 1 << 20  # caps K * batch * (all populations' neurons) * 8 bytes
@@ -288,10 +307,13 @@ class _Plan:
     >= 1 is fed by stage j-1.  The first len(units) populations are kept
     per unit (network.unit_maps over the leading exact conv stages, never
     the output stage), as [channels * units, 1], the rest per row, as
-    [width, batch]; population j is [neurons[j], cols[j]] and holds the
+    [width, columns]: one column per signature, the distinct rows of the
+    last unit population's ids, row i's being rows[i]; without units
+    rows is None and there is one column per row (see the module
+    docstring).  Population j is [neurons[j], cols[j]] and holds the
     flat elements edges[j]:edges[j+1] of every buffer.  index[j] gathers
     stage j-1's columns, and row_gather the first population kept per row
-    from the last one kept per unit, [channels * positions, batch].
+    from the last one kept per unit, [channels * positions, columns].
     drive is population 0's current and fired0 its spikes at the first
     step; steady says it fires them at every step, and first is 1 when
     it leaves the loop (see the module docstring), 0 otherwise.
@@ -318,9 +340,20 @@ class _Plan:
             windows.append(stage.window)
         units, vectors = unit_maps(frames, windows)
         shapes = [frames.shape[1:]] + [s.shape for s in stages]
+        self.rows, self.row_gather, columns = None, None, batch
+        if units:
+            # A signature is a unit whose window is the whole last unit map.
+            last = units[-1]
+            picked, self.rows = _distinct_codes(last.ids.T, batch, last.count)
+            columns = len(picked)
+            self.row_gather = (np.arange(shapes[len(units) - 1][0])[:, None, None] * last.count
+                               + last.ids[picked].T).reshape(-1, columns)
+            self.drive = vectors.T.reshape(-1)
+        else:
+            self.drive = frames.reshape(batch, -1).T.reshape(-1)
         neurons = [shape[0] * units[j].count if j < len(units) else math.prod(shape)
                    for j, shape in enumerate(shapes)]
-        cols = [1 if j < len(units) else batch for j in range(len(shapes))]
+        cols = [1 if j < len(units) else columns for j in range(len(shapes))]
         edges = [0]
         for n, m in zip(neurons, cols):
             edges.append(edges[-1] + n * m)
@@ -328,16 +361,8 @@ class _Plan:
                                              units[j - 1].count)
                                if j < len(units) else stage.gather
                                for j, stage in enumerate(stages, start=1)]
-        self.row_gather = None
-        if units:
-            last = units[-1]
-            self.row_gather = (np.arange(shapes[len(units) - 1][0])[:, None, None] * last.count
-                               + last.ids.T).reshape(-1, batch)
-            self.drive = vectors.T.reshape(-1)
-        else:
-            self.drive = frames.reshape(batch, -1).T.reshape(-1)
         self.stages, self.batch, self.units, self.shapes = stages, batch, units, shapes
-        self.neurons, self.cols, self.edges = neurons, cols, edges
+        self.neurons, self.cols, self.edges, self.columns = neurons, cols, edges, columns
 
         T = self.timesteps = config.timesteps
         gathered = max(stage.layer.weights[0].size * n * m // len(stage.layer.bias)
@@ -396,16 +421,22 @@ class _Plan:
         population j-1's spikes in a [K, edges[-1]] buffer."""
         return _block_currents(self.stages[j - 1], self.inputs(j, spikes, steps), self.index[j])
 
+    def by_row(self, values: np.ndarray) -> np.ndarray:
+        """values [columns, ...] of the populations kept per row as [batch,
+        ...]: each row given its signature's."""
+        return values if self.rows is None else values[self.rows]
+
     def per_population(self, state: np.ndarray) -> list[np.ndarray]:
         """A flat state as [batch, *shape] per population, a unit's values
-        given to every position of every frame that holds it."""
+        given to every position of every frame that holds it, and a
+        signature's to every row that has it."""
         by_row = []
         for j, shape in enumerate(self.shapes):
             part = state[self.edges[j]:self.edges[j + 1]]
             if j < len(self.units):
                 part = part.reshape(shape[0], -1)[:, self.units[j].ids].transpose(1, 0, 2)
             else:
-                part = part.reshape(-1, self.batch).T
+                part = self.by_row(part.reshape(-1, self.columns).T)
             by_row.append(part.reshape(self.batch, *shape))
         return by_row
 
@@ -531,7 +562,7 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         certifier = _Certifier(plan, config)
     else:
         plan = _Plan(stages, frames, config)
-    T, v_thr, batch = config.timesteps, config.v_thr, plan.batch
+    T, v_thr, batch, columns = config.timesteps, config.v_thr, plan.batch, plan.columns
     K, n_blocks, edges, first, steady = plan.K, plan.n_blocks, plan.edges, plan.first, plan.steady
     view, currents_of, steps_of = plan.view, plan.currents, plan.steps
     last_pop = len(edges) - 2
@@ -560,7 +591,7 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         currents[:, :edges[1]] = plan.drive
 
     out = slice(edges[-2], edges[-1])
-    settle = np.ones(batch, dtype=np.int64) if diagnose else None
+    settle = np.ones(columns, dtype=np.int64) if diagnose else None
     prev_choice = None
     for i in range(n_blocks + last_pop - first):
         # Population j runs block i - (j - first); the active ones are lo..hi.
@@ -600,7 +631,7 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
             score = out_before + np.cumsum(fired[:steps, out], axis=0, dtype=np.int64)
             if trail is not None:
                 score = score * v_thr + trail[:steps]
-            choice = np.argmax(score.reshape(steps, -1, batch), axis=1)
+            choice = np.argmax(score.reshape(steps, -1, columns), axis=1)
             seq = choice if prev_choice is None else np.concatenate([prev_choice[None], choice])
             changed = seq[1:] != seq[:-1]
             if len(changed):
@@ -611,7 +642,7 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
 
         if (certifier is not None and hi == last_pop and i - (last_pop - first) in plan.checks
                 and certifier.check(i, lo, lengths, potentials, counts, fired)):
-            return certifier.actions
+            return plan.by_row(certifier.actions)
 
     rates = [c / T for c in plan.per_population(counts)]
     ends = plan.per_population(potentials)
@@ -628,7 +659,8 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
     avg_currents = [z / (T * v_thr) for z in plan.per_population(sums)] if diagnose else None
     return SimResult(timesteps=T, v_thr=v_thr, readout=config.readout,
                      rates=rates, residuals=residuals, avg_currents=avg_currents,
-                     rate_last=rate_last, f_last=f_last, settle_step=settle)
+                     rate_last=rate_last, f_last=f_last,
+                     settle_step=plan.by_row(settle) if diagnose else None)
 
 
 def run(net: NetworkSpec, frame: np.ndarray, config: SimConfig) -> SimResult:

@@ -19,7 +19,8 @@ from rateconv.simulate import _build_stages, _checked_stages, _run_stages
 
 from conftest import rand_conv_net, rand_dense_net
 from test_cli import run_cli_process
-from test_simulate import KERNEL_NETS, _count_neuron_steps, drive_frames, tiled_frames
+from test_simulate import (KERNEL_NETS, TWINS, _count_neuron_steps, drive_frames, tiled_frames,
+                           twin_rows)
 
 
 def whole_run_actions(net, frames, config):
@@ -69,8 +70,9 @@ def certified_runs(draw):
     """A dense net, a conv net ending in dense layers, or a conv net whose
     last conv is the output; its output perhaps tied or nearly tied on
     purpose; binary, steady or changing frames (tiled from a few patches
-    for conv nets, so units repeat); T from 1 to 300; and perhaps a block
-    length forced short, so the run has many blocks and a short last one."""
+    for conv nets, so units repeat, perhaps with twin rows that share a
+    signature); T from 1 to 300; and perhaps a block length forced short,
+    so the run has many blocks and a short last one."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["dense", "conv", "conv-output"]))
     if kind == "dense":
@@ -93,6 +95,7 @@ def certified_runs(draw):
     batch = draw(st.integers(1, 8))
     if len(net.input_shape) == 3:
         frames = tiled_frames(rng, batch, net.input_shape, levels)
+        frames = twin_rows(rng, frames, net, levels, draw(TWINS))
     else:
         frames = rng.choice(levels, (batch, *net.input_shape))
     timesteps = draw(st.one_of(st.integers(1, 12), st.integers(13, 300)))
@@ -105,7 +108,7 @@ def certified_runs(draw):
 def test_certified_actions_equal_the_whole_run(case):
     """The certified action of every row is the argmax of the whole run's
     readout, in a batch that mixes rows that certify with rows that do
-    not, and alone."""
+    not, or whose rows share signatures, and alone."""
     net, frames, config, block = case
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:

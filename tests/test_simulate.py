@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rateconv import (NetworkSpec, NormConfig, SimConfig, apply_normalization,
+from rateconv import (NetworkSpec, NormConfig, SimConfig, SpikingAgent, apply_normalization,
                       classify_residual_cases, collect_stats, conv2d, dense, diagnostics,
                       flatten, forward_batch, layer_identity_residual, robust_readout, run,
                       run_batch)
 from rateconv import simulate
 from rateconv.lincatch import LineCatchEnv
-from rateconv.network import UNIT_SAMPLE, apply_layer_linear
+from rateconv.network import UNIT_SAMPLE, apply_layer_linear, receptive_fields
 from rateconv.simulate import _build_stages, classify_case_counts
 
 from conftest import drive_neurons, rand_conv_net, rand_dense_net, rand_net, rand_frames
@@ -512,15 +512,15 @@ def _widths(net):
     return [int(np.prod(sh)) for sh in [net.input_shape] + [s.shape for s in _build_stages(net)]]
 
 
-def _unit_counts(net, frames):
-    """Distinct receptive fields of the populations run_batch keeps per
-    unit, by brute force: the input and the leading exact conv stages,
-    never the output stage, up to the first whose fields are more than
-    half its (frame, position) pairs; none unless stage 0's are kept, or
-    when more than half of a strided sample of the pixel vectors (taken
-    from 2 UNIT_SAMPLE of them up) is distinct.  An input field is a
-    position's pixel vector; a conv field is the tuple of the fields it
-    reads, padding marked."""
+def _kept_fields(net, frames):
+    """The receptive fields of the populations run_batch keeps per unit,
+    by brute force, each as every frame's [h][w] fields: the input and
+    the leading exact conv stages, never the output stage, up to the
+    first whose distinct fields are more than half its (frame, position)
+    pairs; none unless stage 0's are kept, or when more than half of a
+    strided sample of the pixel vectors (taken from 2 UNIT_SAMPLE of them
+    up) is distinct.  An input field is a position's pixel vector; a
+    conv field is the tuple of the fields it reads, padding marked."""
     if len(net.input_shape) != 3:
         return []
     c, h, w = net.input_shape
@@ -528,8 +528,7 @@ def _unit_counts(net, frames):
     step = len(pixels) // UNIT_SAMPLE
     if step > 1 and 2 * len(set(pixels[::step])) > len(pixels[::step]):
         return []
-    fields = [[[tuple(f[:, y, x]) for x in range(w)] for y in range(h)] for f in frames]
-    counts = [len({key for f in fields for row in f for key in row})]
+    kept = [[[[tuple(f[:, y, x]) for x in range(w)] for y in range(h)] for f in frames]]
     for stage in _build_stages(net)[:-1]:
         if stage.layer.kind != "conv2d" or not stage.exact:
             break
@@ -542,19 +541,36 @@ def _unit_counts(net, frames):
 
         fields = [[[tuple(read(f, oy * sh - ph + i, ox * sw - pw + j)
                           for i in range(kh) for j in range(kw))
-                    for ox in range(ow)] for oy in range(oh)] for f in fields]
-        count = len({key for f in fields for row in f for key in row})
-        if 2 * count > len(frames) * oh * ow:
+                    for ox in range(ow)] for oy in range(oh)] for f in kept[-1]]
+        if 2 * len({key for f in fields for row in f for key in row}) > len(frames) * oh * ow:
             break
-        counts.append(count)
-    return counts if len(counts) > 1 else []
+        kept.append(fields)
+    return kept if len(kept) > 1 else []
+
+
+def _unit_counts(net, frames):
+    """Distinct receptive fields of each population run_batch keeps per
+    unit (_kept_fields)."""
+    return [len({key for f in fields for row in f for key in row})
+            for fields in _kept_fields(net, frames)]
+
+
+def _signature_count(net, frames):
+    """The columns of the populations run_batch keeps per row: the
+    distinct rows of fields of the last population kept per unit, or one
+    per frame when none is."""
+    kept = _kept_fields(net, frames)
+    if not kept:
+        return len(frames)
+    return len({tuple(key for row in f for key in row) for f in kept[-1]})
 
 
 def _sizes(net, frames):
     """Each population's elements in run_batch's buffers: channels * units
-    for those kept per unit, width * batch for the rest."""
+    for those kept per unit, width * signatures for the rest."""
     units = _unit_counts(net, frames)
-    return [sh[0] * units[j] if j < len(units) else int(np.prod(sh)) * len(frames)
+    rows = _signature_count(net, frames)
+    return [sh[0] * units[j] if j < len(units) else int(np.prod(sh)) * rows
             for j, sh in enumerate([net.input_shape] + [s.shape for s in _build_stages(net)])]
 
 
@@ -772,22 +788,54 @@ def tiled_frames(rng, n, shape, levels):
     return tiles.transpose(0, 3, 1, 4, 2, 5).reshape(n, c, gy * ph, gx * pw)[:, :, :h, :w]
 
 
+def twin_rows(rng, frames, net, levels, kinds):
+    """frames with one more row per kind, in shuffled order, each a copy
+    of one of them: "same" an exact copy; "blind" one with a pixel the
+    first conv never reads set to another level, where it has such a
+    pixel (an exact copy where it does not).  Either shares its signature
+    with the row it copies."""
+    c, h, w = net.input_shape
+    read = receptive_fields(net.layers[0], net.input_shape)
+    unread = np.setdiff1d(np.arange(h * w), read)
+    rows = list(frames)
+    for kind in kinds:
+        twin = frames[rng.integers(len(frames))].copy()
+        if kind == "blind" and len(unread):
+            y, x = divmod(int(rng.choice(unread)), w)
+            k = rng.integers(c)
+            twin[k, y, x] = rng.choice([v for v in levels if v != twin[k, y, x]])
+        rows.append(twin)
+    return np.array(rows)[rng.permutation(len(rows))]
+
+
+TWINS = st.lists(st.sampled_from(["same", "blind"]), max_size=3)
+
+
 @st.composite
 def repeating_conv_runs(draw):
     """A net of 1-3 conv stages (stride 1-2 and padding 0-2 per axis),
     one of them perhaps inexact, then either dense layers or nothing (the
-    last conv is the output); frames tiled from a few patch types; a
+    last conv is the output); its first conv perhaps blind to the last
+    row or column (stride 2, no padding, one step short of it); frames
+    tiled from a few patch types, perhaps with twin rows (twin_rows); a
     config, diagnostics on or off, and perhaps a forced short block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c, h, w = draw(st.integers(1, 3)), draw(st.integers(4, 9)), draw(st.integers(4, 9))
     shape = (c, h, w)
     n_conv, all_conv = draw(st.integers(1, 3)), draw(st.booleans())
     inexact = draw(st.integers(-n_conv, n_conv))  # the 1-based inexact conv, if positive
+    blind = draw(st.sampled_from([None, 0, 1]))  # the axis the first conv leaves a line of
     layers = []
     for i in range(1, n_conv + 1):
         kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
         padding = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        if i == 1 and blind is not None:
+            # size - k odd: the last stride-2 window ends one short of the edge
+            k = 2 if shape[1 + blind] % 2 else draw(st.sampled_from([1, 3]))
+            kh, kw = (k, kw) if blind == 0 else (kh, k)
+            stride = (2, stride[1]) if blind == 0 else (stride[0], 2)
+            padding = (0, padding[1]) if blind == 0 else (padding[0], 0)
         oh = (h + 2 * padding[0] - kh) // stride[0] + 1
         ow = (w + 2 * padding[1] - kw) // stride[1] + 1
         if oh < 1 or ow < 1:
@@ -807,6 +855,7 @@ def repeating_conv_runs(draw):
     net = NetworkSpec(shape, layers)
     levels, v_thr = draw(st.sampled_from(UNIT_LEVELS))
     frames = tiled_frames(rng, draw(st.integers(1, 6)), shape, levels)
+    frames = twin_rows(rng, frames, net, levels, draw(TWINS))
     config = SimConfig(timesteps=draw(st.integers(1, 40)), v_thr=v_thr,
                        readout=draw(st.sampled_from(["rate", "robust"])))
     return net, frames, config, draw(st.booleans()), draw(st.sampled_from([None, 1, 2, 3, 5]))
@@ -815,9 +864,10 @@ def repeating_conv_runs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=repeating_conv_runs())
 def test_unit_populations_equal_step_loop_bit_for_bit(case):
-    """Populations kept per distinct receptive field give every row the
-    step loop's bits, and each of their neurons steps exactly T times
-    (the input none under the input shortcut)."""
+    """Populations kept per distinct receptive field, and those kept per
+    signature after them, give every row the step loop's bits, twin rows
+    included, and each of their neurons steps exactly T times (the input
+    none under the input shortcut)."""
     net, frames, config, diagnose, block = case
     sizes = _sizes(net, frames)
     with pytest.MonkeyPatch.context() as mp:
@@ -834,6 +884,9 @@ def test_unit_populations_equal_step_loop_bit_for_bit(case):
                 assert np.array_equal(got, want), key
         assert np.array_equal(res.f_last, ref["f_last"])
         assert res.avg_currents is None and res.settle_step is None
+        want = (ref["f_last"] if config.readout == "robust"
+                else ref["rates"][-1].reshape(len(frames), -1))
+        assert np.array_equal(SpikingAgent(net, config).qvalues(frames), want)
     want = np.full(sum(sizes), config.timesteps)
     if _is_input_shortcut(frames, config.v_thr):
         want[:sizes[0]] = 0
@@ -842,8 +895,10 @@ def test_unit_populations_equal_step_loop_bit_for_bit(case):
 
 def test_conv_populations_step_distinct_windows_on_linecatch_frames(rng, monkeypatch):
     """On 16x16 LineCatch frames the conv populations step one unit per
-    distinct receptive field, not one per (frame, position): T * channels
-    * units neuron-steps, with units far fewer than frames * positions."""
+    distinct receptive field, not one per (frame, position), and the
+    dense ones one column per signature, not one per frame: T * (channels
+    * units + width * signatures) neuron-steps, with units far fewer than
+    frames * positions and signatures fewer than frames."""
     env = LineCatchEnv(grid_size=16)
     frames = [env.reset(5)]
     for _ in range(63):
@@ -863,11 +918,15 @@ def test_conv_populations_step_distinct_windows_on_linecatch_frames(rng, monkeyp
     assert all(stage.exact for stage in _build_stages(net))
     _, units1, units2 = _unit_counts(net, frames)
     assert 10 * units1 < 64 * 7 * 7 and 10 * units2 < 64 * 5 * 5
+    # the first conv never reads row 15, the paddle's: frames that differ
+    # only there share a signature
+    rows = _signature_count(net, frames)
+    assert rows < 64
     T = 50
     calls = _count_neuron_steps(monkeypatch)
     res = run_batch(net, frames, SimConfig(timesteps=T))
     # binary frames at v_thr 1: the input population never steps
-    assert sum(n * steps for _, n, steps in calls) == T * (8 * units1 + 16 * units2 + 35 * 64)
+    assert sum(n * steps for _, n, steps in calls) == T * (8 * units1 + 16 * units2 + 35 * rows)
     _check_equals_step_loop(res, step_loop(net, frames, SimConfig(timesteps=T)))
 
 
