@@ -105,6 +105,9 @@ class _Certifier:
               counts: np.ndarray, fired: np.ndarray) -> bool:
         """After iteration i, in which populations lo.. ran lengths[j - lo]
         steps each and the output a block: whether every row is certified.
+        i = -1 is the check at rest, before any step: every population
+        has run none (t[j] is starts[0]), lo is past the last one and
+        fired is not read.
 
         feed holds, per neuron of the population below, the centers and
         the half widths of two intervals over the steps the population
@@ -114,8 +117,9 @@ class _Certifier:
             return False
         plan, T, v_thr, feed = self.plan, self.T, self.v_thr, self.feed
         edges, first, last = plan.edges, plan.first, len(plan.edges) - 2
-        # t[j]: the steps population j has run
-        t = [plan.starts[min(i - (j - first) + 1, plan.n_blocks)] for j in range(last + 1)]
+        # t[j]: the steps population j has run, none at rest
+        t = [plan.starts[max(0, min(i - (j - first) + 1, plan.n_blocks))]
+             for j in range(last + 1)]
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(last + 1):
                 flat = slice(edges[j], edges[j + 1])

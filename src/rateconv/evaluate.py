@@ -270,7 +270,7 @@ def _play_lockstep(envs: list[LineCatchEnv], rngs: list[np.random.Generator], ag
             if shadow is not None:
                 rec.shadow_actions.append(shadow_action)
             if keep_frames:
-                rec.frames.append(np.asarray(episode.obs, dtype=np.float32).copy())
+                rec.frames.append(np.array(episode.obs, dtype=np.float32))
             episode.obs, reward, episode.done = episode.env.step(rec.executed_actions[-1])
             rec.score += reward
             rec.rewards.append(reward)

@@ -118,10 +118,11 @@ spike counts of soft-reset IF neurons) prove that no row's action can
 change.  By the bookkeeping identity the robust readout is the output's
 current summed over the run, over T v_thr: a row may stop at a step
 once a sound bound on the rest of that sum leaves its leading output
-ahead of every other.  The bound (rateconv.certify) is checked beside
-settle tracking, at the end of a few scheduled output blocks
-(_Plan.checks), population by population, each from the steps it has
-run (the pipeline runs population j one block ahead of j + 1):
+ahead of every other.  The bound (rateconv.certify) is checked first at
+rest, before any step, and then beside settle tracking, at the end of a
+few scheduled output blocks (_Plan.checks), population by population,
+each from the steps it has run (the pipeline runs population j one
+block ahead of j + 1; at rest every population has run none):
 
 - the input's drive is constant; under a steady input it fires the
   same pixels at every step, so the first stage's counts are known to
@@ -152,10 +153,14 @@ The readout's own rounding is at most 2^-51 (T v_thr + |V at T| +
 
 The first block is RAMP steps, each next one twice as long up to K,
 and a check ends each output block that ends at least twice as late
-as the last check, so a run makes O(log T) checks.  A check that
-certifies no new row is the last.  The run stops when every row is
-certified; rows do not leave the batch (rows that certify at all tend
-to do so at the first check, or only near T).  It runs to T, and
+as the last check, so a run makes O(log T) checks.  The check at rest
+is the first: a run whose every row it certifies runs no step and
+makes none of the loop's buffers, and a T = 1 run, whose one block
+ends no check, may certify there.  A check that certifies no new row
+is the last, so a net whose check at rest certifies nothing (a deep
+conv net) pays that one check and runs to T.  The run stops when every
+row is certified; rows do not leave the batch (rows that certify at
+all tend to do so at the first check, or only near T).  It runs to T, and
 answers the argmax of its readout, for the rate readout, for
 diagnose=True, when any stage is not exact or v_thr is not a whole
 multiple of its u (potentials that round), and once a bound is not
@@ -325,7 +330,8 @@ class _Plan:
     ends (about K steps per population); a block never exceeds the run.
     With ramp (a run that may stop early) the blocks start at RAMP
     steps and double up to K, and checks names the output blocks after
-    which the bound is checked (see Certified early decisions).
+    which the bound is checked (see Certified early decisions), besides
+    the check at rest, iteration -1, before any block.
     """
 
     def __init__(self, stages: list[_Stage], frames: np.ndarray, config: SimConfig,
@@ -568,6 +574,9 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
     last_pop = len(edges) - 2
     potentials = np.zeros(edges[-1])
     counts = np.zeros(edges[-1], dtype=np.int64)
+    # The first check is at rest: a run whose actions it proves runs no step.
+    if certifier is not None and certifier.check(-1, last_pop + 1, [], potentials, counts, None):
+        return plan.by_row(certifier.actions)
     currents = np.empty((K, edges[-1]))
     spikes = (np.empty((K, edges[-1]), dtype=bool), np.empty((K, edges[-1]), dtype=bool))
     sums = np.zeros(edges[-1]) if diagnose else None

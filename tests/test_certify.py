@@ -130,14 +130,15 @@ def _state_elements(net, frames):
 
 
 def _log_checks(monkeypatch):
-    """Log each bound check: (output steps so far, rows certified, result)."""
+    """Log each bound check: (output steps so far, rows certified, result);
+    the check at rest, iteration -1, has 0 output steps."""
     log = []
     check = certify._Certifier.check
 
     def logged(self, i, *args):
         done = check(self, i, *args)
         b = i - (len(self.plan.edges) - 2 - self.plan.first)
-        log.append((self.plan.starts[b + 1], int((self.actions >= 0).sum()), done))
+        log.append((self.plan.starts[max(b + 1, 0)], int((self.actions >= 0).sum()), done))
         return done
 
     monkeypatch.setattr(certify._Certifier, "check", logged)
@@ -145,18 +146,19 @@ def _log_checks(monkeypatch):
 
 
 def test_certified_paths_are_taken(monkeypatch):
-    """A batch ends at its first check, output step 1 of 500; with two
-    outputs tied, the rows the third output leads are certified and the
-    others send the batch to T: the bound is not vacuous, and a batch
-    stops only when all its rows are certified."""
+    """A batch ends at its first check, at rest, before any of its 500
+    steps; with two outputs tied, the rows the third output leads are
+    certified and the others send the batch to T: the bound is not
+    vacuous, and a batch stops only when all its rows are certified."""
     log = _log_checks(monkeypatch)
     rng = np.random.default_rng(8)
     net = rand_dense_net(rng, sizes=[16, 12, 3])
     frames = rng.choice([0.0, 1.0], (6, 16))
     config = SimConfig(timesteps=500)
+    want = whole_run_actions(net, frames, config)
     calls = _count_neuron_steps(monkeypatch)
-    assert decide(net, frames, config).tolist() == whole_run_actions(net, frames, config).tolist()
-    assert log == [(1, 6, True)] and output_steps(calls[:3]) < 500
+    assert decide(net, frames, config).tolist() == want.tolist()
+    assert log == [(0, 6, True)] and calls == []
 
     # a tie of the first two outputs: rows that lead with the third certify,
     # the rest cannot, and the batch runs to T
@@ -166,7 +168,7 @@ def test_certified_paths_are_taken(monkeypatch):
     log.clear()
     calls.clear()
     assert decide(tied, frames, config).tolist() == want.tolist()
-    assert log[0][1] == (want == 2).sum() and not any(done for *_, done in log)
+    assert log[0] == (0, (want == 2).sum(), False) and not any(done for *_, done in log)
     assert output_steps(calls) == 500
 
 
@@ -179,7 +181,10 @@ RUN_TO_T = {
     # 0.7 is no whole multiple of any stage's u
     "v_thr-not-a-multiple": (lambda rng: rand_dense_net(rng, sizes=[16, 12, 3]),
                              dict(v_thr=0.7)),
-    "T-1": (lambda rng: rand_dense_net(rng, sizes=[16, 12, 3]), dict(timesteps=1)),
+    # a tie of the first two outputs over one step: the rest check
+    # certifies the other rows, and the tied ones run the step
+    "T-1": (lambda rng: _tied(rand_dense_net(rng, sizes=[16, 12, 3]), rng, "tie"),
+            dict(timesteps=1)),
     # a tie of the first two outputs over 37 steps, in blocks of up to 8:
     # checks that certify the other rows, then a short last block
     "short-last-block": (lambda rng: _tied(rand_dense_net(rng, sizes=[16, 12, 3]), rng, "tie"),
@@ -199,9 +204,9 @@ def _spread_output(net, rng):
 @pytest.mark.parametrize("case", sorted(RUN_TO_T))
 def test_runs_that_cannot_certify_reach_T(monkeypatch, case, diagnose):
     """The rate readout, an inexact output stage, a v_thr that is not a
-    multiple of u, a diagnosed run, T = 1 and a tie that holds to a short
-    last block each run the output to T, and answer the whole run's
-    argmax."""
+    multiple of u, a diagnosed run and a tie, over one step, to a short
+    last block or through a padded conv net, each run the output to T,
+    and answer the whole run's argmax."""
     make, overrides = RUN_TO_T[case]
     rng = np.random.default_rng(3 if case == "conv-tie" else 8)
     net = make(rng)
@@ -215,13 +220,67 @@ def test_runs_that_cannot_certify_reach_T(monkeypatch, case, diagnose):
             mp.setattr(simulate, "BLOCK_BYTES", 8 * 8 * _state_elements(net, frames))
         assert decide(net, frames, config, diagnose=diagnose).tolist() == want.tolist()
     assert output_steps(calls) == config.timesteps
-    tie = case in ("short-last-block", "conv-tie")
-    assert certify._certifiable(_build_stages(net), config) == (tie or case == "T-1")
+    tie = case in ("T-1", "short-last-block", "conv-tie")
+    assert certify._certifiable(_build_stages(net), config) == tie
     if tie:
         assert 0 in want and len(set(want.tolist())) > 1  # a tied row beside certifiable ones
         assert bool(log) != diagnose
     else:
         assert log == []
+
+
+def _padded_conv_to_output(rng):
+    """A padded conv straight into the output: 2x7x7 -> 4x4x4 -> 3, the
+    conv kept per unit and the output per signature."""
+    return NetworkSpec((2, 7, 7), [
+        conv2d(rng.normal(0, 1.0 / 3.0, (4, 2, 3, 3)), rng.normal(0, 0.05, 4),
+               stride=(2, 2), padding=(1, 1)),
+        flatten(),
+        dense(rng.normal(0, 0.125, (3, 64)), rng.normal(0, 0.05, 3), activation="none")])
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv-padded"])
+def test_runs_certified_at_rest_run_no_step(monkeypatch, kind):
+    """A batch whose every action the check at rest proves runs no step:
+    a dense net on steady frames that are not binary (so the input is a
+    population of the loop), and a padded conv net whose rows share
+    units and signatures, each answer the whole run's actions with no
+    call to _integrate."""
+    rng = np.random.default_rng(1 if kind == "dense" else 2)
+    if kind == "dense":
+        net = rand_dense_net(rng, sizes=[16, 12, 3])
+        frames = drive_frames(rng, "steady", 6, net.input_shape)
+    else:
+        net = _padded_conv_to_output(rng)
+        frames = tiled_frames(rng, 6, net.input_shape, [0.0, 1.0])
+        frames = twin_rows(rng, frames, net, [0.0, 1.0], ["same", "blind"])
+    config = SimConfig(timesteps=500)
+    want = whole_run_actions(net, frames, config)
+    assert len(set(want.tolist())) > 1
+    log = _log_checks(monkeypatch)
+    calls = _count_neuron_steps(monkeypatch)
+    assert decide(net, frames, config).tolist() == want.tolist()
+    assert [(steps, done) for steps, _, done in log] == [(0, True)] and calls == []
+
+
+def test_a_rest_check_that_certifies_nothing_is_the_only_one(monkeypatch):
+    """On a padded conv net whose check at rest certifies no row, the
+    bound is computed once and the run goes to T, as a deep conv net's
+    replay does."""
+    rng = np.random.default_rng(3)
+    net = KERNEL_NETS["conv-padded"](rng)
+    frames = drive_frames(rng, "binary", 6, net.input_shape)
+    config = SimConfig(timesteps=200)
+    want = whole_run_actions(net, frames, config)
+    leads = []
+    lead = certify._Certifier._lead
+    monkeypatch.setattr(certify._Certifier, "_lead",
+                        lambda self, *args: leads.append(len(leads)) or lead(self, *args))
+    log = _log_checks(monkeypatch)
+    calls = _count_neuron_steps(monkeypatch)
+    assert decide(net, frames, config).tolist() == want.tolist()
+    assert log[0] == (0, 0, False) and len(leads) == 1
+    assert output_steps(calls) == config.timesteps
 
 
 def test_readout_overflow_still_refused(tmp_path, rng, monkeypatch):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rateconv as rc
+from rateconv import SpikingAgent, simulate
 from rateconv.cli import COMMANDS, build_parser, main
 
 from conftest import PERFBENCH, name_resolves, rateconv_names
@@ -26,6 +27,15 @@ def _commands() -> list[list[str]]:
             for block in _fenced("sh")
             for command in block.replace("\\\n", " ").splitlines()
             if command.startswith("rateconv ")]
+
+
+def _python_c(saves: str) -> str:
+    """The code of the README's `python3 -c` command that saves the given model."""
+    for block in _fenced("sh"):
+        for code in re.findall(r'^python3 -c "(.*?)"$', block, flags=re.M | re.S):
+            if f"save_model(net, '{saves}')" in code:
+                return code
+    raise AssertionError(f"README has no python3 -c command saving {saves}")
 
 
 def _quick_start_play() -> list[str]:
@@ -71,3 +81,20 @@ def test_sketch_and_benchmark_names_resolve():
     assert {("README.md", "rateconv", "robust_readout"), ("README.md", "rateconv", "load_frames"),
             ("perfbench/bench.py", "rateconv", "robust_readout"),
             ("perfbench/workloads.py", "rateconv", "load_frames")} <= used
+
+
+def test_readme_time_sweep_decides_at_rest(tmp_path, monkeypatch):
+    """On the README's random dense net every decision of a time sweep is
+    certified at rest, before any step: a short sweep (its frame budget
+    cut to 24) makes decisions and never calls _integrate."""
+    monkeypatch.chdir(tmp_path)
+    exec(_python_c("rand_model"), {})
+    [argv] = [a for a in _commands() if a[1] == "sweep" and "rand_model" in a]
+    assert argv[argv.index("--values") + 1] == "10,50,500"
+    decisions, steps = [], []
+    actions = SpikingAgent.actions
+    monkeypatch.setattr(SpikingAgent, "actions", lambda self, observations: (
+        decisions.append(len(observations)) or actions(self, observations)))
+    monkeypatch.setattr(simulate, "_integrate", lambda *args, **kwargs: steps.append(args))
+    assert main([*argv[1:], "--frame-budget", "24"]) == 0
+    assert sum(decisions) > 100 and steps == []
