@@ -12,10 +12,10 @@ environment and its own generator, seeded derive_seed(master, i), from
 which it draws its environment seed, its no-op prefix and its
 exploration; each round, the player and the shadow each answer the
 live episodes' observations, one greedy action per live episode in
-episode order.  The spiking agent simulates them as one run, which ends
-once every row's action is certified; every run starts from rest and a
-row of run_batch is bit for bit the run of that frame alone (see
-rateconv.simulate).  The analog agent (the source playing
+episode order.  The spiking agent simulates them as one run, which makes
+no step when a bound at rest certifies every row's action; every run
+starts from rest and a row of run_batch is bit for bit the run of that
+frame alone (see rateconv.simulate).  The analog agent (the source playing
 alone, or shadowing) answers them in one network.forward_units pass
 with the row-exact affine map (network.affine_rows): a stacked matmul
 of single-row products for a dense layer, the per-offset einsum for a
@@ -169,12 +169,13 @@ class SpikingAgent:
     methods simulate the observations from rest in one run; each row
     reads what run_batch of its observation alone reads, so no decision
     depends on another.  qvalues runs to T and returns the readout.
-    actions returns the argmax of that readout without always running to
-    T: the run ends once interval bounds on the currents still to come
-    prove that no row's action can change (see Certified early decisions
-    in rateconv.simulate), so the actions are those of the whole run by
-    proof.  It runs to T for the rate readout, and when a stage is not
-    exact or v_thr is not a whole multiple of a stage's u.
+    actions returns the argmax of that readout, and runs no step when
+    interval bounds on the run's currents, computed once at rest, prove
+    every row's action (see Certified early decisions in
+    rateconv.simulate), so the actions are those of the whole run by
+    proof.  It runs to T when the bound leaves a row open, for the rate
+    readout, and when a stage is not exact or v_thr is not a whole
+    multiple of a stage's u.
     """
 
     def __init__(self, net: NetworkSpec, sim_config: SimConfig):

@@ -112,31 +112,27 @@ skips them and leaves avg_currents and settle_step None.
 
 Certified early decisions.  A caller that needs only each row's action
 (SpikingAgent.actions, the one caller of _run_stages with decide) gets
-the argmax of the robust readout at T, and the run ends as soon as
+the argmax of the robust readout at T, and the run makes no step when
 interval bounds (interval bound propagation, Gowal et al. 2018, on the
-spike counts of soft-reset IF neurons) prove that no row's action can
-change.  By the bookkeeping identity the robust readout is the output's
-current summed over the run, over T v_thr: a row may stop at a step
-once a sound bound on the rest of that sum leaves its leading output
-ahead of every other.  The bound (rateconv.certify) is checked first at
-rest, before any step, and then beside settle tracking, at the end of a
-few scheduled output blocks (_Plan.checks), population by population,
-each from the steps it has run (the pipeline runs population j one
-block ahead of j + 1; at rest every population has run none):
+spike counts of soft-reset IF neurons) prove at rest, before any step,
+that no row's action can be other than that.  By the bookkeeping
+identity the robust readout is the output's current summed over the
+run, over T v_thr: a row is decided once a sound bound on that sum
+leaves its leading output ahead of every other.  The bound
+(rateconv.certify) is computed once per run, at rest, population by
+population, each with T steps to run from V = 0:
 
 - the input's drive is constant; under a steady input it fires the
   same pixels at every step, so the first stage's counts are known to
   within one spike;
 - for every other population, the spikes of the population below over
-  the steps still to come lie between known bounds, and each of its
-  inputs fires at every step, at none, or may fire; that gives each
-  neuron's current summed over those steps, and its current at any one
-  step, within bounds; its potential at T lies in [min(0, V) + m
-  min(0, lowest step), max(v_thr, V) + m max(0, highest step - v_thr)]
-  over its m steps left, and its spikes are (V + current sum - V at T)
-  / v_thr, at most m and at least 0; a neuron whose lowest step reaches
-  v_thr from V >= 0 fires at every step, one whose highest step is <= 0
-  below v_thr at none;
+  the run lie between known bounds, and each of its inputs fires at
+  every step, at none, or may fire; that gives each neuron's current
+  summed over the run, and its current at any one step, within bounds;
+  its potential at T lies in [T min(0, lowest step), v_thr + T max(0,
+  highest step - v_thr)], and its spikes are (current sum - V at T) /
+  v_thr, at most T and at least 0; a neuron whose lowest step reaches
+  v_thr fires at every step, one whose highest step is <= 0 at none;
 - the output's summed currents are compared pairwise, on the rows W_a
   - W_c of its weights, so what the rivals share cancels: row a is
   certified once its lowest lead over every other output c is above
@@ -144,31 +140,24 @@ block ahead of j + 1; at rest every population has run none):
   argmax breaks a tie by the first index).
 
 Every sum is bounded with explicit slack for float64 rounding: its
-terms' rounding and the rounding of every potential over the steps
-left, 2^-50 (T + fan-in + 8) T (max(sum |w| + |b|) + v_thr) per
-population, several times the worst case; with every stage exact and
-v_thr a whole multiple of each stage's u most sums are exact anyway.
-The readout's own rounding is at most 2^-51 (T v_thr + |V at T| +
-|sum|) / (T v_thr) per output.
+terms' rounding and the rounding of every potential over the run,
+2^-50 (T + fan-in + 8) T (max(sum |w| + |b|) + v_thr) per population,
+several times the worst case; with every stage exact and v_thr a whole
+multiple of each stage's u most sums are exact anyway.  The readout's
+own rounding is at most 2^-51 (T v_thr + |V at T| + |sum|) / (T v_thr)
+per output.
 
-The first block is RAMP steps, each next one twice as long up to K,
-and a check ends each output block that ends at least twice as late
-as the last check, so a run makes O(log T) checks.  The check at rest
-is the first: a run whose every row it certifies runs no step and
-makes none of the loop's buffers, and a T = 1 run, whose one block
-ends no check, may certify there.  A check that certifies no new row
-is the last, so a net whose check at rest certifies nothing (a deep
-conv net) pays that one check and runs to T.  The run stops when every
-row is certified; rows do not leave the batch (rows that certify at
-all tend to do so at the first check, or only near T).  It runs to T, and
-answers the argmax of its readout, for the rate readout, for
-diagnose=True, when any stage is not exact or v_thr is not a whole
-multiple of its u (potentials that round), and once a bound is not
-finite; a run whose readout overflows reaches T and is refused as
-before.  Under these conditions a current is below 2^53 u <= 2^53
-v_thr, so |V| / (T v_thr) < 2^53 + 1 and the readout of a certified
-run cannot overflow.  run_batch, run and every diagnostic read whole
-runs.
+A run whose every row the bound certifies runs no step and makes none
+of the loop's buffers; any other runs to T, whatever rows the bound
+did certify, and answers the argmax of its readout (rows that certify
+at all do so at rest, or only near T, where stopping saves little).
+Runs also go to T for the rate readout, for diagnose=True, when any
+stage is not exact or v_thr is not a whole multiple of its u
+(potentials that round), and when a bound is not finite; a run whose
+readout overflows reaches T and is refused as before.  Under these
+conditions a current is below 2^53 u <= 2^53 v_thr, so |V| / (T
+v_thr) < 2^53 + 1 and the readout of a certified run cannot overflow.
+run_batch, run and every diagnostic read whole runs.
 
 Why the spikes stay bit-identical.  Each neuron sees the same float64
 operations in the same order as a step-at-a-time loop: add the
@@ -206,14 +195,13 @@ from typing import Optional
 
 import numpy as np
 
-from .certify import _Certifier, _StageBounds, _certifiable
+from .certify import _StageBounds, _actions_at_rest, _certifiable
 from .network import (LayerSpec, NetworkSpec, _distinct_codes, affine_rows, apply_layer_linear,
                       channel_index, frame_stack, layer_shapes, receptive_fields,
                       require_integer, unit_maps, validate_network)
 
 READOUTS = ("rate", "robust")
 BLOCK_BYTES = 1 << 20  # caps K * batch * (all populations' neurons) * 8 bytes
-RAMP = 1  # the first block of a run that may stop early; each next one doubles, up to K
 
 
 @dataclass
@@ -328,14 +316,9 @@ class _Plan:
     stage's gathered columns per step; ceil(sqrt(10 T)) weighs the
     per-block work (T / K blocks) against the pipeline's partly filled
     ends (about K steps per population); a block never exceeds the run.
-    With ramp (a run that may stop early) the blocks start at RAMP
-    steps and double up to K, and checks names the output blocks after
-    which the bound is checked (see Certified early decisions), besides
-    the check at rest, iteration -1, before any block.
     """
 
-    def __init__(self, stages: list[_Stage], frames: np.ndarray, config: SimConfig,
-                 ramp: bool = False):
+    def __init__(self, stages: list[_Stage], frames: np.ndarray, config: SimConfig):
         batch = frames.shape[0]
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
@@ -375,30 +358,15 @@ class _Plan:
                        for stage, n, m in zip(stages, neurons[1:], cols[1:]))
         self.K = max(1, min(BLOCK_BYTES // (8 * max(edges[-1], gathered)),
                             math.isqrt(10 * T - 1) + 1, T))
-        # Block b is steps starts[b]..starts[b+1]-1; checks are the blocks
-        # after whose output block the bound is checked, each ending at
-        # least twice as late as the one before, never at the last block.
-        self.starts, self.checks = list(range(0, T, self.K)) + [T], set()
-        if ramp:
-            self.starts, size = [0], min(RAMP, self.K)
-            while self.starts[-1] + size < T:
-                self.starts.append(self.starts[-1] + size)
-                size = min(2 * size, self.K)
-            self.starts.append(T)
-            last = 0
-            for b, end in enumerate(self.starts[1:-1]):
-                if end >= 2 * last:
-                    self.checks.add(b)
-                    last = end
-        self.n_blocks = len(self.starts) - 1
+        self.n_blocks = -(-T // self.K)
         self.fired0 = self.drive >= config.v_thr
         self.steady = bool(np.all(self.fired0 | (self.drive <= 0.0)))
         self.first = int(self.steady and np.all((self.drive == 0.0)
                                                 | (self.drive == config.v_thr)))
 
     def steps(self, b: int) -> int:
-        """The steps of block b: K, but for the ramp and a short last block."""
-        return self.starts[b + 1] - self.starts[b]
+        """The steps of block b: K, but for a short last block."""
+        return min(self.K, self.timesteps - b * self.K)
 
     def view(self, buffer: np.ndarray, j: int, steps: int) -> np.ndarray:
         """Population j's part of the first steps of a [K, edges[-1]]
@@ -560,23 +528,20 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
     batch's _Plan, the pipelined loop over its blocks, and the result
     read from the end state.  With decide, the run answers each row's
     action, the argmax of its readout at T, instead of a SimResult, and
-    ends as soon as the bound check certifies every row's action (see
-    Certified early decisions in the module docstring)."""
-    certifier = None
+    runs no step when the bound at rest certifies every row's action
+    (see Certified early decisions in the module docstring)."""
+    plan = _Plan(stages, frames, config)
     if decide and not diagnose and _certifiable(stages, config):
-        plan = _Plan(stages, frames, config, ramp=True)
-        certifier = _Certifier(plan, config)
-    else:
-        plan = _Plan(stages, frames, config)
+        # The bound at rest: a run whose every action it proves runs no step.
+        actions = _actions_at_rest(plan, config)
+        if actions is not None:
+            return plan.by_row(actions)
     T, v_thr, batch, columns = config.timesteps, config.v_thr, plan.batch, plan.columns
     K, n_blocks, edges, first, steady = plan.K, plan.n_blocks, plan.edges, plan.first, plan.steady
     view, currents_of, steps_of = plan.view, plan.currents, plan.steps
     last_pop = len(edges) - 2
     potentials = np.zeros(edges[-1])
     counts = np.zeros(edges[-1], dtype=np.int64)
-    # The first check is at rest: a run whose actions it proves runs no step.
-    if certifier is not None and certifier.check(-1, last_pop + 1, [], potentials, counts, None):
-        return plan.by_row(certifier.actions)
     currents = np.empty((K, edges[-1]))
     spikes = (np.empty((K, edges[-1]), dtype=bool), np.empty((K, edges[-1]), dtype=bool))
     sums = np.zeros(edges[-1]) if diagnose else None
@@ -607,31 +572,29 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         lo = first + max(0, i - n_blocks + 1)
         hi = min(last_pop, first + i)
         fired, fed = spikes[i % 2], spikes[(i + 1) % 2]
-        lengths = [steps_of(i - (j - first)) for j in range(lo, hi + 1)]
         for j in range(max(lo, 2 if steady else 1), hi + 1):
-            view(currents, j, lengths[j - lo])[:] = currents_of(j, fed, lengths[j - lo])
+            steps = steps_of(i - (j - first))
+            view(currents, j, steps)[:] = currents_of(j, fed, steps)
 
-        # A population's block is no longer than the one below it runs,
-        # but the lowest population may be in the last, short block: the
-        # populations still stepping after s0 steps are one slice, lo or
-        # lo + 1 to the last one whose block is longer than s0.
+        # The lowest population may be in the last, short block: it leaves
+        # the slice after its last step.
+        end = edges[hi + 1]
+        short = steps_of(i - (lo - first))
+        parts = [(0, short, edges[lo]), (short, K, edges[lo + 1])] if short < K else \
+            [(0, K, edges[lo])]
         watch = diagnose and hi == last_pop
         if watch:
             out_before = counts[out].copy()
-        s0 = 0
-        for s1 in sorted(set(lengths)):
-            j0, j1 = lo if lengths[0] >= s1 else lo + 1, hi
-            while lengths[j1 - lo] < s1:
-                j1 -= 1
-            span = slice(edges[j0], edges[j1 + 1])
-            _integrate(potentials[span], currents[s0:s1, span], v_thr, fired[s0:s1, span],
-                       sums[span] if diagnose else None,
-                       trail[s0:s1] if watch and trail is not None else None)
-            # Large batches run one-step blocks, where adding the step's
-            # spikes costs half of summing a one-step block.
-            np.add(counts[span], fired[s0, span] if s1 - s0 == 1 else
-                   fired[s0:s1, span].sum(axis=0, dtype=np.int64), out=counts[span])
-            s0 = s1
+        for s0, s1, r0 in parts:
+            if r0 < end:
+                span = slice(r0, end)
+                _integrate(potentials[span], currents[s0:s1, span], v_thr, fired[s0:s1, span],
+                           sums[span] if diagnose else None,
+                           trail[s0:s1] if watch and trail is not None else None)
+                # Large batches run one-step blocks, where adding the step's
+                # spikes costs half of summing a one-step block.
+                np.add(counts[span], fired[s0, span] if s1 - s0 == 1 else
+                       fired[s0:s1, span].sum(axis=0, dtype=np.int64), out=counts[span])
 
         if watch:
             # The output argmax after each step of its block, as a step loop sees it.
@@ -645,13 +608,8 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
             changed = seq[1:] != seq[:-1]
             if len(changed):
                 from_end = np.argmax(changed[::-1], axis=0)
-                settle = np.where(changed.any(axis=0), plan.starts[b] + steps - from_end,
-                                  settle)
+                settle = np.where(changed.any(axis=0), b * K + steps - from_end, settle)
             prev_choice = choice[-1]
-
-        if (certifier is not None and hi == last_pop and i - (last_pop - first) in plan.checks
-                and certifier.check(i, lo, lengths, potentials, counts, fired)):
-            return plan.by_row(certifier.actions)
 
     rates = [c / T for c in plan.per_population(counts)]
     ends = plan.per_population(potentials)

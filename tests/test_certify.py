@@ -108,15 +108,25 @@ def certified_runs(draw):
 def test_certified_actions_equal_the_whole_run(case):
     """The certified action of every row is the argmax of the whole run's
     readout, in a batch that mixes rows that certify with rows that do
-    not, or whose rows share signatures, and alone."""
+    not, or whose rows share signatures, and alone.  The bound is
+    checked at most once per run, and a run it does not wholly certify
+    steps its output T times."""
     net, frames, config, block = case
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(simulate, "BLOCK_BYTES", 8 * block * _state_elements(net, frames))
         want = whole_run_actions(net, frames, config)
-        assert decide(net, frames, config).tolist() == want.tolist()
-        for frame, action in zip(frames, want):
-            assert decide(net, frame[None], config).tolist() == [action]
+        log = _log_checks(mp)
+        calls = _count_neuron_steps(mp)
+        for rows, actions in [(frames, want), *zip(frames[:, None], want[:, None])]:
+            log.clear()
+            calls.clear()
+            assert decide(net, rows, config).tolist() == actions.tolist()
+            assert len(log) <= 1
+            if log and log[0][1]:  # certified at rest
+                assert calls == []
+            else:
+                assert output_steps(calls) == config.timesteps
 
 
 def _state_elements(net, frames):
@@ -130,23 +140,24 @@ def _state_elements(net, frames):
 
 
 def _log_checks(monkeypatch):
-    """Log each bound check: (output steps so far, rows certified, result);
-    the check at rest, iteration -1, has 0 output steps."""
-    log = []
-    check = certify._Certifier.check
+    """Log each bound check at rest: (columns certified, whether all are);
+    a check whose hidden bounds are not finite certifies none."""
+    log, wins = [], []
+    check, lead = simulate._actions_at_rest, certify._lead
 
-    def logged(self, i, *args):
-        done = check(self, i, *args)
-        b = i - (len(self.plan.edges) - 2 - self.plan.first)
-        log.append((self.plan.starts[max(b + 1, 0)], int((self.actions >= 0).sum()), done))
-        return done
+    def logged(plan, config):
+        wins.clear()
+        actions = check(plan, config)
+        log.append((int(wins[0].any(axis=0).sum()) if wins else 0, actions is not None))
+        return actions
 
-    monkeypatch.setattr(certify._Certifier, "check", logged)
+    monkeypatch.setattr(certify, "_lead", lambda *args: wins.append(lead(*args)) or wins[-1])
+    monkeypatch.setattr(simulate, "_actions_at_rest", logged)
     return log
 
 
 def test_certified_paths_are_taken(monkeypatch):
-    """A batch ends at its first check, at rest, before any of its 500
+    """A batch ends at its one check, at rest, before any of its 500
     steps; with two outputs tied, the rows the third output leads are
     certified and the others send the batch to T: the bound is not
     vacuous, and a batch stops only when all its rows are certified."""
@@ -158,7 +169,7 @@ def test_certified_paths_are_taken(monkeypatch):
     want = whole_run_actions(net, frames, config)
     calls = _count_neuron_steps(monkeypatch)
     assert decide(net, frames, config).tolist() == want.tolist()
-    assert log == [(0, 6, True)] and calls == []
+    assert log == [(6, True)] and calls == []
 
     # a tie of the first two outputs: rows that lead with the third certify,
     # the rest cannot, and the batch runs to T
@@ -168,7 +179,7 @@ def test_certified_paths_are_taken(monkeypatch):
     log.clear()
     calls.clear()
     assert decide(tied, frames, config).tolist() == want.tolist()
-    assert log[0] == (0, (want == 2).sum(), False) and not any(done for *_, done in log)
+    assert log == [((want == 2).sum(), False)]
     assert output_steps(calls) == 500
 
 
@@ -186,7 +197,8 @@ RUN_TO_T = {
     "T-1": (lambda rng: _tied(rand_dense_net(rng, sizes=[16, 12, 3]), rng, "tie"),
             dict(timesteps=1)),
     # a tie of the first two outputs over 37 steps, in blocks of up to 8:
-    # checks that certify the other rows, then a short last block
+    # the rest check certifies the untied rows, then K-step blocks run to
+    # a short last block
     "short-last-block": (lambda rng: _tied(rand_dense_net(rng, sizes=[16, 12, 3]), rng, "tie"),
                          dict(timesteps=37)),
     "conv-tie": (lambda rng: _tied(KERNEL_NETS["conv-padded"](rng), rng, "tie"),
@@ -260,7 +272,7 @@ def test_runs_certified_at_rest_run_no_step(monkeypatch, kind):
     log = _log_checks(monkeypatch)
     calls = _count_neuron_steps(monkeypatch)
     assert decide(net, frames, config).tolist() == want.tolist()
-    assert [(steps, done) for steps, _, done in log] == [(0, True)] and calls == []
+    assert [done for _, done in log] == [True] and calls == []
 
 
 def test_a_rest_check_that_certifies_nothing_is_the_only_one(monkeypatch):
@@ -273,13 +285,12 @@ def test_a_rest_check_that_certifies_nothing_is_the_only_one(monkeypatch):
     config = SimConfig(timesteps=200)
     want = whole_run_actions(net, frames, config)
     leads = []
-    lead = certify._Certifier._lead
-    monkeypatch.setattr(certify._Certifier, "_lead",
-                        lambda self, *args: leads.append(len(leads)) or lead(self, *args))
+    lead = certify._lead
+    monkeypatch.setattr(certify, "_lead", lambda *args: leads.append(len(leads)) or lead(*args))
     log = _log_checks(monkeypatch)
     calls = _count_neuron_steps(monkeypatch)
     assert decide(net, frames, config).tolist() == want.tolist()
-    assert log[0] == (0, 0, False) and len(leads) == 1
+    assert log == [(0, False)] and len(leads) == 1
     assert output_steps(calls) == config.timesteps
 
 
