@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from rateconv import (NetworkSpec, SimConfig, SpikingAgent, conv2d, dense, flatten, readout,
                       run_batch, simulate)
-from rateconv import certify
 from rateconv.modelio import save_model
 from rateconv.network import frame_stack
 from rateconv.simulate import _build_stages, _checked_stages, _run_stages
@@ -143,7 +142,7 @@ def _log_checks(monkeypatch):
     """Log each bound check at rest: (columns certified, whether all are);
     a check whose hidden bounds are not finite certifies none."""
     log, wins = [], []
-    check, lead = simulate._actions_at_rest, certify._lead
+    check, lead = simulate._actions_at_rest, simulate._lead
 
     def logged(plan, config):
         wins.clear()
@@ -151,7 +150,7 @@ def _log_checks(monkeypatch):
         log.append((int(wins[0].any(axis=0).sum()) if wins else 0, actions is not None))
         return actions
 
-    monkeypatch.setattr(certify, "_lead", lambda *args: wins.append(lead(*args)) or wins[-1])
+    monkeypatch.setattr(simulate, "_lead", lambda *args: wins.append(lead(*args)) or wins[-1])
     monkeypatch.setattr(simulate, "_actions_at_rest", logged)
     return log
 
@@ -233,7 +232,7 @@ def test_runs_that_cannot_certify_reach_T(monkeypatch, case, diagnose):
         assert decide(net, frames, config, diagnose=diagnose).tolist() == want.tolist()
     assert output_steps(calls) == config.timesteps
     tie = case in ("T-1", "short-last-block", "conv-tie")
-    assert certify._certifiable(_build_stages(net), config) == tie
+    assert simulate._certifiable(_build_stages(net), config) == tie
     if tie:
         assert 0 in want and len(set(want.tolist())) > 1  # a tied row beside certifiable ones
         assert bool(log) != diagnose
@@ -285,8 +284,8 @@ def test_a_rest_check_that_certifies_nothing_is_the_only_one(monkeypatch):
     config = SimConfig(timesteps=200)
     want = whole_run_actions(net, frames, config)
     leads = []
-    lead = certify._lead
-    monkeypatch.setattr(certify, "_lead", lambda *args: leads.append(len(leads)) or lead(*args))
+    lead = simulate._lead
+    monkeypatch.setattr(simulate, "_lead", lambda *args: leads.append(len(leads)) or lead(*args))
     log = _log_checks(monkeypatch)
     calls = _count_neuron_steps(monkeypatch)
     assert decide(net, frames, config).tolist() == want.tolist()
@@ -311,7 +310,7 @@ def test_readout_overflow_still_refused(tmp_path, rng, monkeypatch):
     # 2^53 v_thr, so |V| / (T v_thr) cannot overflow
     stages = _build_stages(net)
     exact = SimConfig(timesteps=20, v_thr=max(stage.ulp for stage in stages))
-    assert certify._certifiable(stages, exact)
+    assert simulate._certifiable(stages, exact)
     assert decide(net, frames, exact).tolist() == whole_run_actions(net, frames, exact).tolist()
 
     source = NetworkSpec((1, 8, 8), [flatten(), dense(rng.normal(0, 30.0, (3, 64)),
