@@ -476,17 +476,19 @@ def _bias(plan: _Plan, j: int) -> np.ndarray:
     return np.repeat(bias, plan.neurons[j] // len(bias) * plan.cols[j])
 
 
-def _actions_at_rest(plan: _Plan, config: SimConfig) -> Optional[np.ndarray]:
-    """Each column's action (one per column of the populations kept per
-    row, a signature, see _Plan) when the bound certifies every column
-    at rest, before any step; None otherwise, and the run goes to T.
+def _rest_bounds(plan: _Plan, config: SimConfig
+                 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The bound at rest of a run, before any step: (feed, lead,
+    margin), or None where a bound is not finite.
 
     At rest every population has T steps to run from V = 0.  Population
-    by population, feed holds, per neuron, the centers and the half
-    widths of two intervals over those steps: its spikes over all of
-    them, and its spike at any one of them (0 never, 1 always, 0 or 1).
-    A column is certified when its leading output's total current beats
-    every other output's by more than the readout can round."""
+    by population, feed [4, edges[-1]] holds, per neuron, the centers
+    and the half widths of two intervals over those steps: its spikes
+    over all of them, and its spike at any one of them (0 never, 1
+    always, 0 or 1); the output's elements stay 0.  lead [outputs,
+    outputs, columns] is the lowest total_a - total_c of the output's
+    currents summed over the run, for every ordered pair (a, c), and
+    margin the most the readout's rounding can take from it."""
     T, v_thr, edges = config.timesteps, config.v_thr, plan.edges
     last = len(edges) - 2
     feed = np.zeros((4, edges[-1]))
@@ -532,35 +534,43 @@ def _actions_at_rest(plan: _Plan, config: SimConfig) -> Optional[np.ndarray]:
             feed[1, flat] = always + 0.5 * may
             feed[2, flat] = 0.5 * (n_high - n_low)
             feed[3, flat] = 0.5 * may
-        win = _lead(plan, config, plan.inputs(last, feed, 4))
+        x = plan.inputs(last, feed, 4)  # the output stage's inputs, [4, inputs, columns]
+        stage, columns = plan.stages[-1], plan.columns
+        slack = _slack(T, stage.layer.weights[0].size, stage.peak, v_thr)
+        # each output's bias summed over the run, which with the currents of
+        # its inputs makes its total, its readout times T v_thr
+        held = T * _bias(plan, len(plan.stages)).reshape(-1, columns)
+        n = len(held)
+        # the lowest total_a - total_c, for every ordered pair (a, c)
+        center, radius = stage.gaps @ np.stack([x[0], x[2]])
+        lead = (held[:, None] - held[None]) + (center - radius).reshape(n, n, columns)
+        # |total| at most, from the bounds of each output alone
+        size = (np.abs(held + stage.matrix @ x[0]) + np.abs(stage.matrix) @ x[2]
+                + 2.0 * slack)
+        # The readout of a total S rounds by at most 2^-51 (T v_thr + |V at
+        # T| + |S|) / (T v_thr), and |V at T| <= |S| + T v_thr.
+        margin = 2.0 ** -47 * (T * v_thr + size[:, None] + size[None]) + 4.0 * slack
+    if not (np.isfinite(margin).all() and np.isfinite(size).all()):
+        return None
+    return feed, lead, margin
+
+
+def _actions_at_rest(plan: _Plan, config: SimConfig) -> Optional[np.ndarray]:
+    """Each column's action (one per column of the populations kept per
+    row, a signature, see _Plan) when the bound at rest (_rest_bounds)
+    certifies every column; None otherwise, and the run goes to T."""
+    bounds = _rest_bounds(plan, config)
+    if bounds is None:
+        return None
+    win = _lead(*bounds[1:])
     return np.argmax(win, axis=0) if win.any(axis=0).all() else None
 
 
-def _lead(plan: _Plan, config: SimConfig, x: np.ndarray) -> np.ndarray:
-    """[outputs, columns]: whether an output leads every other output of
-    its column by a proven margin; none does where a bound is not finite.
-
-    x: the output stage's inputs from feed, [4, inputs, columns]."""
-    T, v_thr, columns, stage = config.timesteps, config.v_thr, plan.columns, plan.stages[-1]
-    slack = _slack(T, stage.layer.weights[0].size, stage.peak, v_thr)
-    # each output's bias summed over the run, which with the currents of
-    # its inputs makes its total, its readout times T v_thr
-    held = T * _bias(plan, len(plan.stages)).reshape(-1, columns)
-    n = len(held)
-    # the lowest total_a - total_c, for every ordered pair (a, c)
-    center, radius = stage.gaps @ np.stack([x[0], x[2]])
-    lead = (held[:, None] - held[None]) + (center - radius).reshape(n, n, columns)
-    # |total| at most, from the bounds of each output alone
-    size = (np.abs(held + stage.matrix @ x[0]) + np.abs(stage.matrix) @ x[2]
-            + 2.0 * slack)
-    # The readout of a total S rounds by at most 2^-51 (T v_thr + |V at
-    # T| + |S|) / (T v_thr), and |V at T| <= |S| + T v_thr.
-    margin = 2.0 ** -47 * (T * v_thr + size[:, None] + size[None]) + 4.0 * slack
-    lead[np.arange(n), np.arange(n)] = np.inf
-    win = (lead > margin).all(axis=1)  # [a, columns]: a beats every c
-    if not (np.isfinite(margin).all() and np.isfinite(size).all()):
-        win[:] = False
-    return win
+def _lead(lead: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """[outputs, columns]: whether an output's total current beats every
+    other output's of its column by more than the readout can round."""
+    itself = np.eye(len(lead), dtype=bool)[:, :, None]
+    return ((lead > margin) | itself).all(axis=1)  # [a, columns]: a beats every c
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,8 @@ def test_certified_actions_equal_the_whole_run(case):
     readout, in a batch that mixes rows that certify with rows that do
     not, or whose rows share signatures, and alone.  The bound is
     checked at most once per run, and a run it does not wholly certify
-    steps its output T times."""
+    steps its output T times.  Under a config that may certify, the
+    bound holds neuron by neuron (_check_rest_bounds)."""
     net, frames, config, block = case
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
@@ -126,6 +127,32 @@ def test_certified_actions_equal_the_whole_run(case):
                 assert calls == []
             else:
                 assert output_steps(calls) == config.timesteps
+    if simulate._certifiable(_build_stages(net), config):
+        _check_rest_bounds(net, frames, config)
+
+
+def _check_rest_bounds(net, frames, config):
+    """The bound at rest against the run to T: every neuron below the
+    output spikes within its interval, one flagged to fire at every step
+    fires T times and one flagged never none, and each output's lead
+    over another, less what the readout may round, is at most the lead
+    of the run's summed currents."""
+    T = config.timesteps
+    plan = simulate._Plan(_checked_stages(net), frame_stack(net, frames), config)
+    bounds = simulate._rest_bounds(plan, config)
+    if bounds is None:
+        return
+    feed, lead, margin = bounds
+    res = run_batch(net, frames, config, diagnose=True)
+    center, step, radius, width = (plan.per_population(part) for part in feed)
+    for j in range(len(plan.shapes) - 1):
+        count = np.rint(res.rates[j] * T)
+        assert np.all(center[j] - radius[j] <= count) and np.all(count <= center[j] + radius[j])
+        assert np.all(count[step[j] - width[j] == 1.0] == T)
+        assert np.all(count[step[j] + width[j] == 0.0] == 0.0)
+    total = res.avg_currents[-1].reshape(len(frames), -1) * (T * config.v_thr)
+    bound = plan.by_row((lead - margin).transpose(2, 0, 1))  # [batch, a, c]
+    assert np.all(bound <= total[:, :, None] - total[:, None, :])
 
 
 def _state_elements(net, frames):
