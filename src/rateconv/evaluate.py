@@ -185,11 +185,11 @@ class SpikingAgent:
 
     def qvalues(self, observations) -> np.ndarray:
         frames = frame_stack(self.net, observations)
-        return readout(_run_stages(self.stages, frames, self.sim_config, diagnose=False))
+        return readout(_run_stages(self.stages, frames, self.sim_config))
 
     def actions(self, observations) -> np.ndarray:
         frames = frame_stack(self.net, observations)
-        return _run_stages(self.stages, frames, self.sim_config, diagnose=False, decide=True)
+        return _run_stages(self.stages, frames, self.sim_config, decide=True)
 
 
 # ---------------------------------------------------------------------------

@@ -107,11 +107,11 @@ runs that go to T (with the rate readout, say) would otherwise step the
 input population and its stage at every step: a time sweep of such
 runs measured 1.3 to 1.4 times as slow without it.
 
-Diagnostics only on request.  Current sums (added one step after
+A run either decides or reports.  Current sums (added one step after
 another, never pairwise), the output potentials after each step and
 the settle step (from the output argmax after each step, taken once
-per block) cost time in the hot loop; run_batch(..., diagnose=False)
-skips them and leaves avg_currents and settle_step None.
+per block) cost time in the hot loop; a run that decides skips them,
+and every run that returns a SimResult makes them.
 
 Certified early decisions.  A caller that needs only each row's action
 (SpikingAgent.actions, the one caller of _run_stages with decide) gets
@@ -155,12 +155,12 @@ A run whose every row the bound certifies runs no step and makes none
 of the loop's buffers; any other runs to T, whatever rows the bound
 did certify, and answers the argmax of its readout (rows that certify
 at all do so at rest, or only near T, where stopping saves little).
-Runs also go to T for the rate readout, for diagnose=True, when any
-stage is not exact or v_thr is not a whole multiple of its u
-(potentials that round), and when a bound is not finite; a run whose
-readout overflows reaches T and is refused as before.  Under these
-conditions a current is below 2^53 u <= 2^53 v_thr, so |V| / (T
-v_thr) < 2^53 + 1 and the readout of a certified run cannot overflow.
+Runs also go to T for the rate readout, when any stage is not exact
+or v_thr is not a whole multiple of its u (potentials that round), and
+when a bound is not finite; a run whose readout overflows reaches T and
+is refused as before.  Under these conditions a current is below 2^53
+u <= 2^53 v_thr, so |V| / (T v_thr) < 2^53 + 1 and the readout of a
+certified run cannot overflow.
 run_batch, run and every diagnostic read whole runs.
 
 Why the spikes stay bit-identical.  Each neuron sees the same float64
@@ -243,7 +243,7 @@ class _Stage:
         """u, the smallest float32 ulp among the layer's nonzero
         parameters: every parameter is a whole multiple of it (inf for a
         layer of zeros)."""
-        w = np.abs(self.layer.weights64)
+        w = self.magnitude
         b = np.abs(self.layer.bias64)
         smallest = min(np.min(w, initial=np.inf, where=w > 0),
                        np.min(b, initial=np.inf, where=b > 0))
@@ -262,7 +262,7 @@ class _Stage:
         """
         if self.ulp == math.inf:
             return True
-        w = np.abs(self.layer.weights64.reshape(len(self.layer.bias64), -1))
+        w = self.magnitude
         b = np.abs(self.layer.bias64)
         return bool(np.all((w / self.ulp).sum(axis=1) + b / self.ulp < 2.0 ** 53))
 
@@ -652,8 +652,7 @@ class SimResult:
     (end potential / T), and average drive (injected current per step
     over v_thr).  rate_last / f_last flatten the output population.
     settle_step is the last step at which the output argmax changed
-    under the configured readout, a latency diagnostic.  avg_currents
-    and settle_step are None when the run was made without diagnostics.
+    under the configured readout, a latency diagnostic.
     """
 
     timesteps: int
@@ -661,39 +660,38 @@ class SimResult:
     readout: str
     rates: list[np.ndarray]
     residuals: list[np.ndarray]
-    avg_currents: Optional[list[np.ndarray]]
+    avg_currents: list[np.ndarray]
     rate_last: np.ndarray
     f_last: np.ndarray
-    settle_step: Optional[np.ndarray]
+    settle_step: np.ndarray
 
 
-def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig, *,
-              diagnose: bool = True) -> SimResult:
+def run_batch(net: NetworkSpec, frames: np.ndarray, config: SimConfig) -> SimResult:
     """Simulate a batch of frames for config.timesteps steps, from rest.
 
     frames: [batch, *input_shape], finite, each held constant for the
     whole run.  Every run starts from a fresh all-zero state, so a row's
     result depends on its frame and the config alone.  ValueError if the
     robust readout f_last is not finite, whatever the configured readout
-    (a v_thr too small for the output potentials).  With diagnose
-    False, current sums and settle tracking are skipped: avg_currents
-    and settle_step are None, everything else is the same to the bit.
+    (a v_thr too small for the output potentials).  The result carries
+    every diagnostic: current sums and the settle step included.
     """
     frames = frame_stack(net, frames)
-    return _run_stages(_checked_stages(net), frames, config, diagnose)
+    return _run_stages(_checked_stages(net), frames, config)
 
 
 def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
-                diagnose: bool, decide: bool = False) -> SimResult | np.ndarray:
+                decide: bool = False) -> SimResult | np.ndarray:
     """run_batch on the stages of a checked network and a frame_stack of
     its frames, for a caller that simulates one network many times: the
     batch's _Plan, the pipelined loop over its blocks, and the result
     read from the end state.  With decide, the run answers each row's
-    action, the argmax of its readout at T, instead of a SimResult, and
-    runs no step when the bound at rest certifies every row's action
-    (see Certified early decisions in the module docstring)."""
+    action, the argmax of its readout at T, instead of a SimResult: it
+    skips current sums, the output trail and settle tracking, and runs
+    no step when the bound at rest certifies every row's action (see
+    Certified early decisions in the module docstring)."""
     plan = _Plan(stages, frames, config)
-    if decide and not diagnose and _certifiable(stages, config):
+    if decide and _certifiable(stages, config):
         # The bound at rest: a run whose every action it proves runs no step.
         actions = _actions_at_rest(plan, config)
         if actions is not None:
@@ -706,9 +704,9 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
     counts = np.zeros(edges[-1], dtype=np.int64)
     currents = np.empty((K, edges[-1]))
     spikes = (np.empty((K, edges[-1]), dtype=bool), np.empty((K, edges[-1]), dtype=bool))
-    sums = np.zeros(edges[-1]) if diagnose else None
+    sums = None if decide else np.zeros(edges[-1])
     trail = np.empty((K, edges[-1] - edges[-2])) \
-        if diagnose and config.readout == "robust" else None
+        if not decide and config.readout == "robust" else None
 
     if steady:
         # The input fires the same pixels at every step, so the first
@@ -718,7 +716,7 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         # Each step takes the potential from 0 to 0 or v_thr, and a spike
         # back to exactly 0: the input population leaves the loop.
         counts[:edges[1]] = T * plan.fired0
-        if diagnose:
+        if not decide:
             total = 0.0
             for _ in range(T):  # summed as a step loop sums it
                 total += v_thr
@@ -727,7 +725,7 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         currents[:, :edges[1]] = plan.drive
 
     out = slice(edges[-2], edges[-1])
-    settle = np.ones(columns, dtype=np.int64) if diagnose else None
+    settle = np.ones(columns, dtype=np.int64)
     prev_choice = None
     for i in range(n_blocks + last_pop - first):
         # Population j runs block i - (j - first); the active ones are lo..hi.
@@ -744,14 +742,14 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         short = steps_of(i - (lo - first))
         parts = [(0, short, edges[lo]), (short, K, edges[lo + 1])] if short < K else \
             [(0, K, edges[lo])]
-        watch = diagnose and hi == last_pop
+        watch = not decide and hi == last_pop
         if watch:
             out_before = counts[out].copy()
         for s0, s1, r0 in parts:
             if r0 < end:
                 span = slice(r0, end)
                 _integrate(potentials[span], currents[s0:s1, span], v_thr, fired[s0:s1, span],
-                           sums[span] if diagnose else None,
+                           None if decide else sums[span],
                            trail[s0:s1] if watch and trail is not None else None)
                 # Large batches run one-step blocks, where adding the step's
                 # spikes costs half of summing a one-step block.
@@ -785,11 +783,10 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
     if decide:
         return np.argmax(rate_last if config.readout == "rate" else f_last, axis=1)
     residuals = [v / T for v in ends]
-    avg_currents = [z / (T * v_thr) for z in plan.per_population(sums)] if diagnose else None
+    avg_currents = [z / (T * v_thr) for z in plan.per_population(sums)]
     return SimResult(timesteps=T, v_thr=v_thr, readout=config.readout,
                      rates=rates, residuals=residuals, avg_currents=avg_currents,
-                     rate_last=rate_last, f_last=f_last,
-                     settle_step=plan.by_row(settle) if diagnose else None)
+                     rate_last=rate_last, f_last=f_last, settle_step=plan.by_row(settle))
 
 
 def run(net: NetworkSpec, frame: np.ndarray, config: SimConfig) -> SimResult:
@@ -823,20 +820,13 @@ def readout(result: SimResult) -> np.ndarray:
     return result.rate_last if result.readout == "rate" else result.f_last
 
 
-def _require_diagnostics(result: SimResult) -> None:
-    if result.avg_currents is None or result.settle_step is None:
-        raise ValueError("result was simulated without diagnostics "
-                         "(run_batch(..., diagnose=False))")
-
-
 def layer_identity_residual(result: SimResult, net: NetworkSpec,
                             frame: Optional[np.ndarray] = None) -> list[float]:
     """Max deviation, per population, from the rate bookkeeping identity.
 
     Population l >= 1: rate_l vs (affine_l(rate_{l-1}) - residual_l) / v_thr.
     Population 0: rate_0 vs (input - residual_0) / v_thr, where the input
-    is the given frame or, if omitted, the measured average current
-    (which a run without diagnostics lacks: ValueError).
+    is the given frame or, if omitted, the measured average current.
     With float64 accumulation these sit at rounding level (<= 1e-9);
     anything larger means the simulation and the network disagree.
     """
@@ -849,7 +839,6 @@ def layer_identity_residual(result: SimResult, net: NetworkSpec,
     if frame is not None:
         drive0 = np.asarray(frame, dtype=np.float64)
     else:
-        _require_diagnostics(result)
         drive0 = result.avg_currents[0] * v_thr
     residuals = [float(np.max(np.abs(result.rates[0] - (drive0 - result.residuals[0]) / v_thr)))]
 
@@ -862,11 +851,6 @@ def layer_identity_residual(result: SimResult, net: NetworkSpec,
         pred = (z - result.residuals[j]) / v_thr
         residuals.append(float(np.max(np.abs(result.rates[j] - pred))))
     return residuals
-
-
-CASE_KEYS = ("pos_drive_nonneg_leftover", "pos_drive_neg_leftover",
-             "nonpos_drive_neg_leftover", "nonpos_drive_nonneg_leftover",
-             "impossible")
 
 
 def classify_case_counts(avg_current: np.ndarray, residual: np.ndarray) -> dict[str, int]:
@@ -891,19 +875,13 @@ def classify_case_counts(avg_current: np.ndarray, residual: np.ndarray) -> dict[
 
 def classify_residual_cases(result: SimResult) -> dict[str, int]:
     """Case counts summed over every neuron of every population."""
-    _require_diagnostics(result)
-    totals = dict.fromkeys(CASE_KEYS, 0)
-    for R, dV in zip(result.avg_currents, result.residuals):
-        counts = classify_case_counts(R, dV)
-        for key in CASE_KEYS:
-            totals[key] += counts[key]
-    return totals
+    return classify_case_counts(np.concatenate([R.ravel() for R in result.avg_currents]),
+                                np.concatenate([dV.ravel() for dV in result.residuals]))
 
 
 def diagnostics(result: SimResult, net: NetworkSpec,
                 frame: Optional[np.ndarray] = None) -> dict:
     """JSON-ready per-run diagnostic summary."""
-    _require_diagnostics(result)
     return {
         "timesteps": result.timesteps,
         "v_thr": result.v_thr,

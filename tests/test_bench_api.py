@@ -10,9 +10,10 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import PERFBENCH, name_resolves, rateconv_names
+from conftest import PERFBENCH, name_resolves, rand_conv_net, rand_dense_net, rateconv_names
 
 SOURCES = sorted(PERFBENCH.glob("*.py"))
 
@@ -46,6 +47,24 @@ def test_workload_loaders_exist(monkeypatch):
     for workload in workloads.WORKLOADS.values():
         for fn, _ in workload.loads(Path("inputs")):
             assert callable(getattr(modelio, fn, None)), (workload.name, fn)
+
+
+@pytest.mark.parametrize("make", [rand_dense_net, rand_conv_net], ids=["dense", "conv"])
+def test_bench_check_decisions_passes(monkeypatch, make):
+    """The benchmark's output check runs on the library as it is: a change
+    to what it calls (run_batch, layer_identity_residual, robust_readout)
+    would fail every benchmark operation, and fails this test instead."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        bench = importlib.import_module("bench")
+    finally:  # perfbench's flat module names stay out of other tests' imports
+        for name in ("bench", "spans"):
+            sys.modules.pop(name, None)
+    rng = np.random.default_rng(4)
+    net = make(rng)
+    frames = rng.choice([0.0, 1.0], (3, *net.input_shape))
+    residual, readout_error = bench.check_decisions(net, frames)
+    assert residual <= bench.IDENTITY_TOL and readout_error <= bench.IDENTITY_TOL
 
 
 # spans of the stepping API that run_batch replaced, and of the one-episode

@@ -24,13 +24,12 @@ from test_simulate import (KERNEL_NETS, TWINS, _count_neuron_steps, drive_frames
 
 def whole_run_actions(net, frames, config):
     """The reference: argmax of the readout of a run to T."""
-    values = readout(run_batch(net, frames, config, diagnose=False))
+    values = readout(run_batch(net, frames, config))
     return np.argmax(values.reshape(len(frames), -1), axis=1)
 
 
-def decide(net, frames, config, diagnose=False):
-    return _run_stages(_checked_stages(net), frame_stack(net, frames), config, diagnose,
-                       decide=True)
+def decide(net, frames, config):
+    return _run_stages(_checked_stages(net), frame_stack(net, frames), config, decide=True)
 
 
 def output_steps(calls):
@@ -143,7 +142,7 @@ def _check_rest_bounds(net, frames, config):
     if bounds is None:
         return
     feed, lead, margin = bounds
-    res = run_batch(net, frames, config, diagnose=True)
+    res = run_batch(net, frames, config)
     center, step, radius, width = (plan.per_population(part) for part in feed)
     for j in range(len(plan.shapes) - 1):
         count = np.rint(res.rates[j] * T)
@@ -238,13 +237,31 @@ def _spread_output(net, rng):
     return NetworkSpec(net.input_shape, [*net.layers[:-1], dense(w, out.bias, activation="none")])
 
 
-@pytest.mark.parametrize("diagnose", [False, True])
+def _log_sums(monkeypatch):
+    """Wrap _integrate; the returned list holds, per call, whether it got
+    a total (the current sums) and whether it got a trail (the output
+    potentials after each step)."""
+    sums = []
+    integrate = simulate._integrate
+
+    def logged(potentials, currents, v_thr, fired, total=None, trail=None):
+        sums.append((total is not None, trail is not None))
+        return integrate(potentials, currents, v_thr, fired, total, trail)
+
+    monkeypatch.setattr(simulate, "_integrate", logged)
+    return sums
+
+
+@pytest.mark.parametrize("report", [False, True])
 @pytest.mark.parametrize("case", sorted(RUN_TO_T))
-def test_runs_that_cannot_certify_reach_T(monkeypatch, case, diagnose):
+def test_runs_that_cannot_certify_reach_T(monkeypatch, case, report):
     """The rate readout, an inexact output stage, a v_thr that is not a
-    multiple of u, a diagnosed run and a tie, over one step, to a short
-    last block or through a padded conv net, each run the output to T,
-    and answer the whole run's argmax."""
+    multiple of u and a tie, over one step, to a short last block or
+    through a padded conv net, each run the output to T, and answer the
+    whole run's argmax.  A run that decides hands _integrate no current
+    sum and no output trail at any step, which keeps its loop lean;
+    run_batch, which reports, makes no rest check and sums the currents
+    at every step."""
     make, overrides = RUN_TO_T[case]
     rng = np.random.default_rng(3 if case == "conv-tie" else 8)
     net = make(rng)
@@ -253,16 +270,23 @@ def test_runs_that_cannot_certify_reach_T(monkeypatch, case, diagnose):
     want = whole_run_actions(net, frames, config)
     log = _log_checks(monkeypatch)
     calls = _count_neuron_steps(monkeypatch)
+    sums = _log_sums(monkeypatch)
+    run = whole_run_actions if report else decide
     with monkeypatch.context() as mp:
         if case == "short-last-block":
             mp.setattr(simulate, "BLOCK_BYTES", 8 * 8 * _state_elements(net, frames))
-        assert decide(net, frames, config, diagnose=diagnose).tolist() == want.tolist()
+        assert run(net, frames, config).tolist() == want.tolist()
     assert output_steps(calls) == config.timesteps
+    if report:
+        assert all(total for total, _ in sums)
+        assert any(trail for _, trail in sums) == (config.readout == "robust")
+    else:
+        assert sums and not any(total or trail for total, trail in sums)
     tie = case in ("T-1", "short-last-block", "conv-tie")
     assert simulate._certifiable(_build_stages(net), config) == tie
     if tie:
         assert 0 in want and len(set(want.tolist())) > 1  # a tied row beside certifiable ones
-        assert bool(log) != diagnose
+        assert bool(log) != report
     else:
         assert log == []
 
@@ -350,7 +374,7 @@ def test_readout_overflow_still_refused(tmp_path, rng, monkeypatch):
     assert "Traceback" not in done.stderr
 
 
-# f_last of run_batch(..., diagnose=False) at T = 57 on exact stages,
+# f_last of run_batch at T = 57 on exact stages,
 # whose bits no summation order changes: sha256 prefixes of the bytes
 # the simulator gave before runs could end early.
 F_LAST_SHA256 = {
@@ -369,14 +393,14 @@ def test_run_batch_f_last_keeps_its_bits(kind, drive):
     frames = drive_frames(rng, drive, 3, net.input_shape)
     assert all(stage.exact for stage in _build_stages(net))
     config = SimConfig(timesteps=57, v_thr=0.8 if drive == "random" else 1.0)
-    res = run_batch(net, frames, config, diagnose=False)
+    res = run_batch(net, frames, config)
     assert hashlib.sha256(res.f_last.tobytes()).hexdigest()[:16] == F_LAST_SHA256[kind, drive]
     assert decide(net, frames, config).tolist() == np.argmax(res.f_last, axis=1).tolist()
 
 
 def _decide_calls(tree: ast.AST) -> list[str]:
     """The functions ("Class.method" or "function") that call _run_stages
-    with decide, as a keyword or a fifth positional argument."""
+    with decide, as a keyword or a fourth positional argument."""
     found = []
 
     def visit(node, where):
@@ -390,7 +414,7 @@ def _decide_calls(tree: ast.AST) -> list[str]:
                         isinstance(child.func, ast.Name) and child.func.id == "_run_stages"
                         or isinstance(child.func, ast.Attribute)
                         and child.func.attr == "_run_stages")
-                        and (len(child.args) > 4
+                        and (len(child.args) > 3
                              or any(k.arg in ("decide", None) for k in child.keywords))):
                     found.append(where)
                 visit(child, where)
@@ -404,14 +428,14 @@ def test_only_the_spiking_agents_actions_decide():
     run, diagnostics and layer_identity_residual always read whole runs."""
     assert _decide_calls(ast.parse(
         "def f(s, x, c):\n"
-        "    _run_stages(s, x, c, False, True)\n"
+        "    _run_stages(s, x, c, True)\n"
         "class A:\n"
         "    def g(self):\n"
-        "        return simulate._run_stages(s, x, c, diagnose=False, decide=True)\n"
+        "        return simulate._run_stages(s, x, c, decide=True)\n"
         "    def h(self):\n"
-        "        return _run_stages(s, x, c, False, **flags)\n"
+        "        return _run_stages(s, x, c, **flags)\n"
         "    def k(self):\n"
-        "        return _run_stages(s, x, c, False)\n")) == ["f", "A.g", "A.h"]
+        "        return _run_stages(s, x, c)\n")) == ["f", "A.g", "A.h"]
     sources = sorted(Path(simulate.__file__).parent.glob("*.py"))
     assert len(sources) > 5
     found = [f"{p.name} {where}" for p in sources for where in _decide_calls(ast.parse(

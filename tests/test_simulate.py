@@ -758,12 +758,7 @@ def test_pipelined_run_batch_equals_step_loop_bit_for_bit(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "BLOCK_BYTES", 8 * _block_elements(net, frames) * block)
         res = run_batch(net, frames, config)
-        quiet = run_batch(net, frames, config, diagnose=False)
     _check_equals_step_loop(res, step_loop(net, frames, config))
-    for got, want in zip(quiet.rates + quiet.residuals, res.rates + res.residuals):
-        assert np.array_equal(got, want)
-    assert np.array_equal(quiet.f_last, res.f_last)
-    assert quiet.avg_currents is None and quiet.settle_step is None
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +813,7 @@ def repeating_conv_runs(draw):
     last conv is the output); its first conv perhaps blind to the last
     row or column (stride 2, no padding, one step short of it); frames
     tiled from a few patch types, perhaps with twin rows (twin_rows); a
-    config, diagnostics on or off, and perhaps a forced short block."""
+    config, and perhaps a forced short block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c, h, w = draw(st.integers(1, 3)), draw(st.integers(4, 9)), draw(st.integers(4, 9))
     shape = (c, h, w)
@@ -858,7 +853,7 @@ def repeating_conv_runs(draw):
     frames = twin_rows(rng, frames, net, levels, draw(TWINS))
     config = SimConfig(timesteps=draw(st.integers(1, 40)), v_thr=v_thr,
                        readout=draw(st.sampled_from(["rate", "robust"])))
-    return net, frames, config, draw(st.booleans()), draw(st.sampled_from([None, 1, 2, 3, 5]))
+    return net, frames, config, draw(st.sampled_from([None, 1, 2, 3, 5]))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -867,26 +862,20 @@ def test_unit_populations_equal_step_loop_bit_for_bit(case):
     """Populations kept per distinct receptive field, and those kept per
     signature after them, give every row the step loop's bits, twin rows
     included, and each of their neurons steps exactly T times (the input
-    none under the input shortcut)."""
-    net, frames, config, diagnose, block = case
+    none under the input shortcut); SpikingAgent.qvalues reads the
+    step loop's readout."""
+    net, frames, config, block = case
     sizes = _sizes(net, frames)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(simulate, "BLOCK_BYTES", 8 * _block_elements(net, frames) * block)
         calls = _count_neuron_steps(mp)
-        res = run_batch(net, frames, config, diagnose=diagnose)
+        res = run_batch(net, frames, config)
     ref = step_loop(net, frames, config)
-    if diagnose:
-        _check_equals_step_loop(res, ref)
-    else:
-        for key in ("rates", "residuals"):
-            for got, want in zip(getattr(res, key), ref[key]):
-                assert np.array_equal(got, want), key
-        assert np.array_equal(res.f_last, ref["f_last"])
-        assert res.avg_currents is None and res.settle_step is None
-        want = (ref["f_last"] if config.readout == "robust"
-                else ref["rates"][-1].reshape(len(frames), -1))
-        assert np.array_equal(SpikingAgent(net, config).qvalues(frames), want)
+    _check_equals_step_loop(res, ref)
+    want = (ref["f_last"] if config.readout == "robust"
+            else ref["rates"][-1].reshape(len(frames), -1))
+    assert np.array_equal(SpikingAgent(net, config).qvalues(frames), want)
     want = np.full(sum(sizes), config.timesteps)
     if _is_input_shortcut(frames, config.v_thr):
         want[:sizes[0]] = 0
@@ -953,17 +942,6 @@ def test_input_shortcut_gate(rng, monkeypatch, levels, v_thr, shortcut):
     if v_thr == 0.1:  # the step-by-step sum is not T * v_thr, and the result keeps it
         assert 23 * 0.1 != sum([0.1] * 23)
         assert res.avg_currents[0][0, 1] == sum([0.1] * 23) / (23 * 0.1) != 1.0
-
-
-def test_diagnostics_need_a_diagnosed_run(rng):
-    net = rand_dense_net(rng)
-    frames = rng.random((2, *net.input_shape))
-    quiet = run_batch(net, frames, SimConfig(timesteps=20), diagnose=False)
-    for call in (lambda: classify_residual_cases(quiet), lambda: diagnostics(quiet, net),
-                 lambda: layer_identity_residual(quiet, net)):
-        with pytest.raises(ValueError, match="without diagnostics"):
-            call()
-    assert max(layer_identity_residual(quiet, net, frame=frames)) <= 1e-9
 
 
 def fsum_exact(stage):
