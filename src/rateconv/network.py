@@ -120,6 +120,8 @@ def layer_output_shape(layer: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int
         if layer.weights is None or layer.weights.ndim != 2:
             raise ValueError("dense layer needs 2-D weights [out, in]")
         out_dim, in_dim = layer.weights.shape
+        if out_dim < 1:
+            raise ValueError("dense layer needs at least one output neuron")
         if len(in_shape) != 1:
             raise ValueError(f"dense layer expects 1-D input, got {in_shape}")
         if in_shape[0] != in_dim:
@@ -131,6 +133,8 @@ def layer_output_shape(layer: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int
         if layer.weights is None or layer.weights.ndim != 4:
             raise ValueError("conv2d layer needs 4-D weights [out_ch, in_ch, kh, kw]")
         out_ch, in_ch, kh, kw = layer.weights.shape
+        if out_ch < 1:
+            raise ValueError("conv2d layer needs at least one output channel")
         if len(in_shape) != 3:
             raise ValueError(f"conv2d layer expects [channels, h, w] input, got {in_shape}")
         c, h, w = in_shape
@@ -294,11 +298,11 @@ def conv2d_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     one exception is a 1x1 kernel, whose weights lie contiguous along
     channels: einsum may then sum the channels in SIMD lanes, in an
     order that depends on x's layout, so units stop before such a layer.
-    The simulator's exact stages instead gather their columns from the
-    spike buffer into one GEMM per block, over every row or over one
-    unit per distinct receptive field, which gives these bits because
-    every partial sum of 0/1 inputs is exact there (see
-    rateconv.simulate).
+    The simulator's exact conv stages instead take whole rows from a
+    step-minor float64 copy of the spikes into one GEMM per block, over
+    every row or over one unit per distinct receptive field, which gives
+    these bits because every partial sum of 0/1 inputs is exact there
+    (see rateconv.simulate).
     """
     out_ch, in_ch, kh, kw = weights.shape
     sh, sw = stride

@@ -30,7 +30,14 @@ which holds its layout (the units, each population's place in the
 buffers, the gather indices, the input's drive, K and the block
 count) and computes a population's currents for a block; the
 pipelined loop over the blocks; and the result, read from the end
-state per population.
+state per population.  A stage that gathers its inputs (a conv stage,
+and the first stage kept per row, which reads the last population kept
+per unit) computes a block from a step-minor float64 copy of the
+population below, [neurons + 1, columns * steps], its last row zero:
+one take of whole rows through the stage's index, one 2-D GEMM, W @ x
++ b, and the [out, positions * columns * steps] result, transposed, is
+the block, neuron-major as the buffers hold it.  A dense stage on a
+population kept per row reads the buffer as it lies, one batched GEMM.
 All state lives in buffers allocated once per run, each step one flat
 row of every population's elements in order, so the populations active
 in an iteration (a contiguous run of them, short only while the
@@ -166,17 +173,20 @@ run_batch, run and every diagnostic read whole runs.
 Why the spikes stay bit-identical.  Each neuron sees the same float64
 operations in the same order as a step-at-a-time loop: add the
 current, compare inclusively with v_thr, subtract v_thr on a spike.
-What changes is how a layer's currents are computed: straight from the
-spike buffer, a dense layer as W @ spikes + b, one GEMM per step over
-the whole batch, and a conv layer as W @ columns + b, one GEMM per
-block, its columns gathered from the spikes by one index (padding reads
-a zero row), where network.py's one conv kernel sums per-offset
-einsums.  Its inputs are 0/1 spikes, so every current is a sum of a
-subset of the float32 weights plus the bias.  Each of those is a whole
-multiple of u, the smallest float32 ulp among the layer's nonzero
-parameters, and when every neuron's sum(|w|) + |b| stays below 2^53 u
-each partial sum is exactly representable in float64: any summation
-order yields the same bits.  So two neurons of one channel whose
+What changes is how a layer's currents are computed: a dense layer on
+a population kept per row as W @ spikes + b straight from the spike
+buffer, one GEMM per step over the whole batch, and a gathering stage
+(a conv layer, or the first layer kept per row) as W @ x + b, one 2-D
+GEMM per block on whole rows taken from a step-minor float64 copy of
+the spikes below (padding reads its zero row; see Order of work),
+where network.py's one conv kernel sums per-offset einsums.  The
+layout sets the order of the sums, and it is free: the inputs are 0/1
+spikes, so every current is a sum of a subset of the float32 weights
+plus the bias.  Each of those is a whole multiple of u, the smallest
+float32 ulp among the layer's nonzero parameters, and when every
+neuron's sum(|w|) + |b| stays below 2^53 u each partial sum is
+exactly representable in float64: any summation order yields the
+same bits.  So two neurons of one channel whose
 receptive fields hold the same pixels get the same currents at the
 first step, hence the same spikes, and by induction over steps and
 layers the same spike train: a unit stands for every one of them
@@ -339,16 +349,23 @@ class _Plan:
     last unit population's ids, row i's being rows[i]; without units
     rows is None and there is one column per row (see the module
     docstring).  Population j is [neurons[j], cols[j]] and holds the
-    flat elements edges[j]:edges[j+1] of every buffer.  index[j] gathers
-    stage j-1's columns, and row_gather the first population kept per row
-    from the last one kept per unit, [channels * positions, columns].
+    flat elements edges[j]:edges[j+1] of every buffer.  row_gather reads
+    the first population kept per row from the last one kept per unit,
+    [channels * positions, columns].  index[j] gathers stage j-1's
+    inputs from the rows of population j-1's neurons, plus one zero row
+    past them that padding reads (see linear): [fan-in, positions] for
+    a conv stage; for the first stage kept per row after the units,
+    row_gather itself if it is dense, composed with the conv's gather,
+    [fan-in, positions, columns], if not; None for a dense stage on a
+    population kept per row, which reads the buffer as it lies.
     drive is population 0's current and fired0 its spikes at the first
     step; steady says it fires them at every step, and first is 1 when
     it leaves the loop (see the module docstring), 0 otherwise.
 
     K, the steps per block, caps K * elements float64 values at
     BLOCK_BYTES, elements being the larger of the state per step and a
-    stage's gathered columns per step; ceil(sqrt(10 T)) weighs the
+    stage's gathered values per step (index[j].size * cols[j-1], its
+    fan-in * positions * cols[j]); ceil(sqrt(10 T)) weighs the
     per-block work (T / K blocks) against the pipeline's partly filled
     ends (about K steps per population); a block never exceeds the run.
     """
@@ -381,16 +398,25 @@ class _Plan:
         edges = [0]
         for n, m in zip(neurons, cols):
             edges.append(edges[-1] + n * m)
-        self.index = [None] + [channel_index(units[j].windows.T, shapes[j - 1][0],
-                                             units[j - 1].count)
-                               if j < len(units) else stage.gather
-                               for j, stage in enumerate(stages, start=1)]
+        self.index = [None]
+        for j, stage in enumerate(stages, start=1):
+            if j < len(units):
+                self.index.append(channel_index(units[j].windows.T, shapes[j - 1][0],
+                                                units[j - 1].count))
+            elif j > len(units):
+                self.index.append(stage.gather)
+            elif stage.gather is None:
+                self.index.append(self.row_gather)
+            else:
+                # the conv's gather composed with the row gather, padding the zero row
+                padded = np.vstack([self.row_gather, np.full((1, columns), neurons[j - 1])])
+                self.index.append(padded[stage.gather])
         self.stages, self.batch, self.units, self.shapes = stages, batch, units, shapes
         self.neurons, self.cols, self.edges, self.columns = neurons, cols, edges, columns
 
         T = self.timesteps = config.timesteps
-        gathered = max(stage.layer.weights[0].size * n * m // len(stage.layer.bias)
-                       for stage, n, m in zip(stages, neurons[1:], cols[1:]))
+        gathered = max((index.size * m for index, m in zip(self.index[1:], cols)
+                        if index is not None), default=0)
         self.K = max(1, min(BLOCK_BYTES // (8 * max(edges[-1], gathered)),
                             math.isqrt(10 * T - 1) + 1, T))
         self.n_blocks = -(-T // self.K)
@@ -418,17 +444,50 @@ class _Plan:
                            axis=1)
         return self.view(buffer, j - 1, steps)
 
-    def linear(self, j: int, w: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """w, stage j-1's weights or the like, applied to population j-1's
-        values in the rows of a [rows, edges[-1]] buffer: [rows, neurons[j]
-        * cols[j]], neuron-major, no bias."""
-        x = self.inputs(j, values, len(values))
-        return _linear(w, x, self.index[j]).reshape(len(values), -1)
+    def linear(self, j: int, w: np.ndarray, values: np.ndarray,
+               bias: Optional[np.ndarray] = None) -> np.ndarray:
+        """w, stage j-1's weights or the like (plus bias), applied to
+        population j-1's values (0/1 spikes or floats) in the rows of a
+        [rows, edges[-1]] buffer: [rows, neurons[j] * cols[j]], each row
+        neuron-major.
+
+        A gathered stage (index[j]) reads a step-minor float64 copy of
+        population j-1, [neurons + 1, cols * rows], whose last row is zero
+        (padding): one take of whole rows through index[j], then one 2-D
+        GEMM, whose [out, positions * cols * rows] result, transposed, is
+        the block.  A dense stage on a population kept per row is one
+        batched GEMM on the values as they lie."""
+        rows, index = len(values), self.index[j]
+        if index is None:
+            z = w @ self.view(values, j - 1, rows).astype(np.float64, copy=False)
+            if bias is not None:
+                z += bias[:, None]
+            return z.reshape(rows, -1)
+        n, m = self.neurons[j - 1], self.cols[j - 1]
+        x = np.empty((n + 1, m, rows))
+        x[:n] = self.view(values, j - 1, rows).transpose(1, 2, 0)
+        x[n] = 0.0
+        z = w @ np.take(x.reshape(n + 1, -1), index, axis=0).reshape(len(index), -1)
+        if bias is not None:
+            z += bias[:, None]
+        return z.reshape(-1, rows).T
 
     def currents(self, j: int, spikes: np.ndarray, steps: int) -> np.ndarray:
         """Population j's currents over the first steps of a block, from
-        population j-1's spikes in a [K, edges[-1]] buffer."""
-        return _block_currents(self.stages[j - 1], self.inputs(j, spikes, steps), self.index[j])
+        population j-1's spikes in a [K, edges[-1]] buffer: [steps,
+        neurons[j], cols[j]], neuron-major."""
+        stage, cols = self.stages[j - 1], self.cols[j]
+        layer = stage.layer
+        if stage.exact:
+            # Exact in any order: one GEMM on the spikes (linear).
+            return self.linear(j, layer.weights64.reshape(len(layer.bias64), -1),
+                               spikes[:steps], layer.bias64).reshape(steps, -1, cols)
+        # Not exact in every order: every row of every step as a
+        # step-at-a-time run of that row alone computes it.
+        x = np.ascontiguousarray(self.inputs(j, spikes, steps).transpose(0, 2, 1),
+                                 dtype=np.float64)
+        z = affine_rows(layer, x.reshape(steps * cols, *stage.input_shape))
+        return z.reshape(steps, cols, -1).transpose(0, 2, 1)
 
     def by_row(self, values: np.ndarray) -> np.ndarray:
         """values [columns, ...] of the populations kept per row as [batch,
@@ -602,46 +661,6 @@ def _integrate(potentials: np.ndarray, currents: np.ndarray, v_thr: float,
         np.subtract(potentials, v_thr, out=potentials, where=f)
         if tail is not None:
             trail[k] = tail
-
-
-def _linear(w: np.ndarray, x: np.ndarray, index: Optional[np.ndarray],
-            bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """w [out_ch, fan-in] (plus bias) applied to x [K, width, columns]
-    (0/1 spikes or float values), neuron-major: [K, neurons, columns].
-    A conv stage reads its columns through index, [fan-in, positions]
-    over the width, where the width itself is a zero row (padding)."""
-    steps, width, cols = x.shape
-    if index is None:
-        z = w @ x.astype(np.float64, copy=False)
-        if bias is not None:
-            z += bias[:, None]
-        return z
-    # One GEMM for the block, on columns gathered [fan-in, positions,
-    # steps, columns].
-    padded = np.zeros((width + 1, steps, cols), dtype=x.dtype)
-    padded[:width] = x.transpose(1, 0, 2)
-    z = w @ padded[index].reshape(len(index), -1).astype(np.float64, copy=False)
-    if bias is not None:
-        z += bias[:, None]
-    return z.reshape(len(w), index.shape[1], steps, cols).transpose(2, 0, 1, 3).reshape(
-        steps, -1, cols)
-
-
-def _block_currents(stage: _Stage, spikes: np.ndarray,
-                    index: Optional[np.ndarray]) -> np.ndarray:
-    """Input currents [K, neurons, columns] of a stage from the previous
-    population's spikes [K, width, columns] (bool), both neuron-major."""
-    steps, width, cols = spikes.shape
-    layer = stage.layer
-    if stage.exact:
-        # Exact in any order: straight on the neuron-major spikes.
-        return _linear(layer.weights64.reshape(len(layer.bias64), -1), spikes, index,
-                       layer.bias64)
-    # Not exact in every order: every row of every step as a
-    # step-at-a-time run of that row alone computes it.
-    x = np.ascontiguousarray(spikes.transpose(0, 2, 1), dtype=np.float64)
-    z = affine_rows(layer, x.reshape(steps * cols, *stage.input_shape))
-    return z.reshape(steps, cols, -1).transpose(0, 2, 1)
 
 
 @dataclass

@@ -772,6 +772,35 @@ def test_invalid_spiking_model_is_data_error(tmp_path, command, capsys):
     assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_zero_width_layer_is_data_error(tmp_path, kind, capsys):
+    """A hidden layer with no output neurons (a 16 -> 0 -> 3 dense net) or
+    no output channels (a conv feeding a conv that reads none) is refused
+    when the model loads: simulate exits 2 naming the layer, no traceback."""
+    rng = np.random.default_rng(0)
+    model = tmp_path / "model"
+    if kind == "dense":
+        save_model(NetworkSpec((16,), [
+            dense(rng.normal(0, 0.3, (4, 16)), np.zeros(4)),
+            dense(rng.normal(0, 0.3, (3, 4)), np.zeros(3), activation="none")]), model)
+        empty = {"layer000_weights.bin": (0, 16), "layer000_bias.bin": (0,),
+                 "layer001_weights.bin": (3, 0)}
+        frame, message = np.zeros(16), "layer 0: dense layer needs at least one output neuron"
+    else:
+        _conv_model(model)
+        empty = {"layer000_weights.bin": (0, 1, 3, 3), "layer000_bias.bin": (0,),
+                 "layer001_weights.bin": (3, 0, 6, 6)}
+        frame = np.zeros((1, 6, 6))
+        message = "layer 0: conv2d layer needs at least one output channel"
+    for name, shape in empty.items():
+        write_blob(model / name, np.zeros(shape, dtype=np.float32))
+    path = tmp_path / "frame.bin"
+    write_blob(path, frame.astype(np.float32))
+    assert run_cli("simulate", "--model", model, "--frame", path) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_huge_conv_stride_is_data_error(tmp_path, frames_blob, capsys):
     """A stride of 2**31 or more is refused when the model loads, even one
     that leaves the output shape as it was."""

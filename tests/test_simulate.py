@@ -667,21 +667,19 @@ def test_kernel_bitwise_equals_step_loop(rng, monkeypatch, kind, batch, readout,
     ([0.0, 0.8], 1.0, False),
 ])
 def test_stage_current_rows(rng, monkeypatch, levels, v_thr, steady):
-    """Rows reaching _block_currents, per stage: T * batch, one block at a
+    """Rows reaching _Plan.currents, per stage: T * batch, one block at a
     time, but for the first stage under a steady input (every pixel <= 0
     or >= v_thr), which computes one step of the batch once per run."""
     net = rand_dense_net(rng, sizes=[6, 9, 7, 4])
     layers = [layer for layer in net.layers if layer.parameterized]
-    block_currents = simulate._block_currents
+    plan_currents = simulate._Plan.currents
     rows = [[] for _ in layers]
 
-    def counting(stage, spikes, index):
-        steps, _, batch = spikes.shape
-        rows[next(j for j, layer in enumerate(layers) if layer is stage.layer)].append(
-            steps * batch)
-        return block_currents(stage, spikes, index)
+    def counting(plan, j, spikes, steps):
+        rows[j - 1].append(steps * plan.cols[j - 1])
+        return plan_currents(plan, j, spikes, steps)
 
-    monkeypatch.setattr(simulate, "_block_currents", counting)
+    monkeypatch.setattr(simulate._Plan, "currents", counting)
     frames = rng.choice(levels, (3, 6))
     frames[0, :len(levels)] = levels  # every level present
     # 4 steps per block: 3 rows over 6 + 9 + 7 + 4 neurons; T = 42 is 10
@@ -698,8 +696,9 @@ def test_stage_current_rows(rng, monkeypatch, levels, v_thr, steady):
 @st.composite
 def exact_stages(draw):
     """A one-stage net, conv (stride and padding per axis up to 2) or dense
-    (after a flatten or not), and neuron-major spikes [K, width, batch] for
-    it, a slice of a wider buffer as run_batch passes them."""
+    (after a flatten or not), its _Plan for a batch, and a spike buffer
+    [K, edges[-1]] for it as run_batch passes them: K at least the block's
+    steps, the output population's part holding stray spikes too."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
     kind = draw(st.sampled_from(["conv", "dense", "flatten-dense"]))
@@ -717,8 +716,11 @@ def exact_stages(draw):
         net = (NetworkSpec((c * h * w,), [layer]) if kind == "dense"
                else NetworkSpec((c, h, w), [flatten(), layer]))
     steps, batch = draw(st.integers(1, 8)), draw(st.integers(1, 9))
-    spikes = rng.random((steps, c * h * w + 3, batch)) < draw(st.sampled_from([0.1, 0.5, 0.9]))
-    return _build_stages(net)[0], spikes[:, 1:-2]
+    plan = simulate._Plan(_build_stages(net), np.zeros((batch, *net.input_shape)),
+                          SimConfig(timesteps=steps))
+    rows = steps + draw(st.integers(0, 2))
+    spikes = rng.random((rows, plan.edges[-1])) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    return plan, spikes, steps
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -727,13 +729,14 @@ def test_gathered_currents_equal_per_offset_einsum_bit_for_bit(case):
     """Exact stages compute currents from the neuron-major spikes with one
     gathered GEMM; they carry the bits of apply_layer_linear on the same
     spikes, batch-major, which for conv layers is the per-offset einsum."""
-    stage, spikes = case
+    plan, spikes, steps = case
+    stage, = plan.stages
     assert stage.exact
-    steps, _, batch = spikes.shape
-    x = spikes.transpose(0, 2, 1).reshape(steps * batch, *stage.input_shape)
+    batch = plan.batch
+    x = plan.view(spikes, 0, steps).transpose(0, 2, 1).reshape(steps * batch, *stage.input_shape)
     want = apply_layer_linear(stage.layer, x.astype(np.float64))
     want = want.reshape(steps, batch, -1).transpose(0, 2, 1)
-    got = simulate._block_currents(stage, spikes, stage.gather)
+    got = plan.currents(1, spikes, steps)
     assert got.shape == want.shape
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
@@ -880,6 +883,81 @@ def test_unit_populations_equal_step_loop_bit_for_bit(case):
     if _is_input_shortcut(frames, config.v_thr):
         want[:sizes[0]] = 0
     assert np.array_equal(_steps_per_neuron(calls, sum(sizes)), want)
+
+
+@st.composite
+def gathered_plans(draw):
+    """The _Plan of a repeating_conv_runs case, made under its forced short
+    block if it has one; the BLOCK_BYTES it was made under; and a random
+    generator."""
+    net, frames, config, block = draw(repeating_conv_runs())
+    block_bytes = simulate.BLOCK_BYTES
+    if block is not None:
+        block_bytes = 8 * _block_elements(net, frames) * block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "BLOCK_BYTES", block_bytes)
+        plan = simulate._Plan(_build_stages(net), frames, config)
+    return plan, block_bytes, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def _expanded(plan, j, values):
+    """Population j's part of a flat [edges[-1]] state as [batch, *shape]:
+    a unit's values at every position that holds it, a signature's in
+    every row that has it."""
+    state = np.zeros(plan.edges[-1])
+    state[plan.edges[j]:plan.edges[j + 1]] = values
+    return plan.per_population(state)[j]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=gathered_plans())
+def test_gathered_stages_equal_apply_layer_linear_bit_for_bit(case):
+    """Every gathered exact stage (a unit conv, the first stage kept per
+    row, dense or conv, which reads the last unit population, and a conv
+    kept per row) gives, from a block of 0/1 spikes, the currents of
+    apply_layer_linear on the population below expanded to [batch,
+    *shape], batch-major; and so does _Plan.linear, plus the bias, on
+    float rows of half-integers up to T, as the bound at rest feeds it,
+    wherever such rows keep every sum exact."""
+    plan, _, rng = case
+    T, K, edges = plan.timesteps, plan.K, plan.edges
+    for j, stage in enumerate(plan.stages, start=1):
+        if plan.index[j] is None or not stage.exact:
+            continue
+        layer, batch = stage.layer, plan.batch
+        steps = int(rng.integers(1, K + 1))
+        spikes = rng.random((K, edges[-1])) < rng.choice([0.1, 0.5, 0.9])
+        got = plan.currents(j, spikes, steps)
+        assert got.shape == (steps, plan.neurons[j], plan.cols[j])
+        for k in range(steps):
+            x = _expanded(plan, j - 1, spikes[k, edges[j - 1]:edges[j]].astype(np.float64))
+            want = apply_layer_linear(layer, x.reshape(batch, *stage.input_shape))
+            assert _expanded(plan, j, got[k].ravel()).tobytes() == want.tobytes()
+        if stage.peak * 2 * T >= 2.0 ** 53 * stage.ulp:
+            continue  # half-integers up to T could round some sum
+        values = rng.integers(0, 2 * T + 1, (3, edges[-1])) / 2
+        got = plan.linear(j, layer.weights64.reshape(len(layer.bias64), -1), values)
+        assert got.shape == (3, plan.neurons[j] * plan.cols[j])
+        for row, z in zip(values, got + simulate._bias(plan, j)):
+            x = _expanded(plan, j - 1, row[edges[j - 1]:edges[j]])
+            want = apply_layer_linear(layer, x.reshape(batch, *stage.input_shape))
+            assert _expanded(plan, j, z).tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=gathered_plans())
+def test_gathered_blocks_stay_within_block_bytes(case):
+    """A gathered stage takes fan-in * positions * cols float64 values per
+    step from its step-minor copy of the population below; K of them stay
+    within BLOCK_BYTES unless K is 1."""
+    plan, block_bytes, _ = case
+    for j, (stage, index) in enumerate(zip(plan.stages, plan.index[1:]), start=1):
+        if index is None:
+            continue
+        positions = plan.neurons[j] // len(stage.layer.bias64)
+        gathered = stage.layer.weights64[0].size * positions * plan.cols[j]
+        assert index.size * plan.cols[j - 1] == gathered
+        assert plan.K == 1 or 8 * plan.K * gathered <= block_bytes
 
 
 def test_conv_populations_step_distinct_windows_on_linecatch_frames(rng, monkeypatch):
