@@ -37,7 +37,8 @@ import numpy as np
 from .lincatch import LineCatchEnv
 from .modelio import EpisodeTrace, ReportRow
 from .network import (NetworkSpec, UnitValues, affine_rows, explore, first_new, forward_units,
-                      frame_keys, frame_stack, layer_shapes, number_keys, require_integer)
+                      frame_keys, frame_stack, layer_shapes, number_keys, require_integer,
+                      require_number)
 from .normalize import NormConfig, _stats_per_config, apply_normalization, collect_stats
 from .simulate import SimConfig, _checked_stages, _run_stages, readout
 
@@ -67,6 +68,7 @@ class EvalConfig:
     cr_mode: str = "greedy"  # compare greedy intents; "executed" counts exploration noise
 
     def __post_init__(self):
+        require_number("epsilon", self.epsilon)
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         for name in ("max_noop", "episodes", "seed", "frame_budget"):

@@ -230,6 +230,12 @@ def require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_number(name: str, value) -> None:
+    """ValueError unless value is a real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def require_stack(net: NetworkSpec, shape: tuple[int, ...]) -> None:
     """ValueError unless shape is [batch, *input_shape]."""
     if len(shape) != len(net.input_shape) + 1 or tuple(shape[1:]) != net.input_shape:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .network import (NetworkSpec, Units, UnitValues, first_new, forward_layers, forward_units,
                       frame_batch, frame_keys, frame_stack, layer_shapes, leading_convs,
-                      number_keys, require_integer, require_stack, unit_forward)
+                      number_keys, require_integer, require_number, require_stack, unit_forward)
 
 STATS_CHUNK = 1024  # calibration frames per forward pass
 STATS_TABLE_BYTES = 2 << 20  # bytes of distinct frames (in their own dtype) a frame table holds
@@ -39,8 +38,7 @@ class NormConfig:
     max_frames: int = 15000
 
     def __post_init__(self):
-        if isinstance(self.percentile, bool) or not isinstance(self.percentile, numbers.Real):
-            raise ValueError(f"percentile must be a number, got {self.percentile!r}")
+        require_number("percentile", self.percentile)
         if not 99.0 <= self.percentile <= 100.0:
             raise ValueError(f"percentile must be in [99.0, 100.0], got {self.percentile}")
         require_integer("max_frames", self.max_frames)

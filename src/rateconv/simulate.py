@@ -101,18 +101,17 @@ depends on neither its batch row nor its position, so a field
 computed once gets the bits it gets in every place that holds it.
 
 One rule for a stage's currents: every stage computes each block's
-currents whole, but the first stage under a steady input.  The input
-is steady when every pixel is <= 0 or >= v_thr.  Rounding is monotone,
-so once V >= 0, V + p >= v_thr stays true for a pixel p >= v_thr (and
-the spike leaves V >= 0), while a pixel <= 0 never reaches v_thr: the
-input fires the same pixels at every step, and the first stage's
-currents are computed once per run, for one step of the batch.  When
-every pixel is exactly 0 or v_thr, the input's potential also stays 0,
-so the input population leaves the loop: its counts are T times its
-spikes.  Every run starts from rest.  The rule stays because dense
-runs that go to T (with the rate readout, say) would otherwise step the
-input population and its stage at every step: a time sweep of such
-runs measured 1.3 to 1.4 times as slow without it.
+currents whole, but the first stage under a steady input, every pixel
+<= 0 or >= v_thr.  Rounding is monotone, so once V >= 0 (a run starts
+from rest), V + p >= v_thr stays true for a pixel p >= v_thr and the
+spike leaves V >= 0, while a pixel <= 0 never reaches v_thr: a steady
+input fires the same pixels at every step.  So it leaves the loop, its
+counts T times its first spikes, and the first stage's currents are
+computed once per run; a SimResult's input end potentials and current
+sums come from stepping each distinct pixel value alone.  The rule
+stays because runs that go to T (dense runs with the rate readout,
+say) would otherwise step the input and its stage at every step: a
+time sweep of such runs measured 1.3 to 1.4 times as slow without it.
 
 A run either decides or reports.  Current sums (added one step after
 another, never pairwise), the output potentials after each step and
@@ -133,9 +132,8 @@ leaves its leading output ahead of every other.  The bound
 alone, and changes nothing; population by population, each has T
 steps to run from V = 0:
 
-- the input's drive is constant; under a steady input it fires the
-  same pixels at every step, so the first stage's counts are known to
-  within one spike;
+- the input's drive is constant: a steady input's counts are exactly T
+  times its first spikes, any other input's bounded from it as below;
 - for every other population, the spikes of the population below over
   the run lie between known bounds, and each of its inputs fires at
   every step, at none, or may fire; that gives each neuron's current
@@ -209,9 +207,10 @@ from typing import Optional
 
 import numpy as np
 
-from .network import (LayerSpec, NetworkSpec, _distinct_codes, affine_rows, apply_layer_linear,
-                      channel_index, frame_stack, layer_shapes, receptive_fields,
-                      require_integer, unit_maps, validate_network)
+from .network import (LayerSpec, NetworkSpec, _distinct_codes, _distinct_values, affine_rows,
+                      apply_layer_linear, channel_index, frame_stack, layer_shapes,
+                      receptive_fields, require_integer, require_number, unit_maps,
+                      validate_network)
 
 READOUTS = ("rate", "robust")
 BLOCK_BYTES = 1 << 20  # caps K * batch * (all populations' neurons) * 8 bytes
@@ -227,6 +226,7 @@ class SimConfig:
         require_integer("timesteps", self.timesteps)
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
+        require_number("v_thr", self.v_thr)
         if not 0.0 < self.v_thr < math.inf:
             raise ValueError(f"v_thr must be positive and finite, got {self.v_thr}")
         # the readout divides by T * v_thr: a subnormal one overflows it
@@ -359,8 +359,7 @@ class _Plan:
     [fan-in, positions, columns], if not; None for a dense stage on a
     population kept per row, which reads the buffer as it lies.
     drive is population 0's current and fired0 its spikes at the first
-    step; steady says it fires them at every step, and first is 1 when
-    it leaves the loop (see the module docstring), 0 otherwise.
+    step; steady says it fires them at every step (see One rule).
 
     K, the steps per block, caps K * elements float64 values at
     BLOCK_BYTES, elements being the larger of the state per step and a
@@ -422,8 +421,6 @@ class _Plan:
         self.n_blocks = -(-T // self.K)
         self.fired0 = self.drive >= config.v_thr
         self.steady = bool(np.all(self.fired0 | (self.drive <= 0.0)))
-        self.first = int(self.steady and np.all((self.drive == 0.0)
-                                                | (self.drive == config.v_thr)))
 
     def steps(self, b: int) -> int:
         """The steps of block b: K, but for a short last block."""
@@ -716,7 +713,7 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         if actions is not None:
             return plan.by_row(actions)
     T, v_thr, batch, columns = config.timesteps, config.v_thr, plan.batch, plan.columns
-    K, n_blocks, edges, first, steady = plan.K, plan.n_blocks, plan.edges, plan.first, plan.steady
+    K, n_blocks, edges, steady = plan.K, plan.n_blocks, plan.edges, plan.steady
     view, currents_of, steps_of = plan.view, plan.currents, plan.steps
     last_pop = len(edges) - 2
     potentials = np.zeros(edges[-1])
@@ -728,37 +725,36 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         if not decide and config.readout == "robust" else None
 
     if steady:
-        # The input fires the same pixels at every step, so the first
-        # stage's currents are computed once.
+        # A steady input leaves the loop (see One rule).
         view(currents, 1, K)[:] = currents_of(1, plan.fired0[None], 1)
-    if first:
-        # Each step takes the potential from 0 to 0 or v_thr, and a spike
-        # back to exactly 0: the input population leaves the loop.
         counts[:edges[1]] = T * plan.fired0
         if not decide:
-            total = 0.0
-            for _ in range(T):  # summed as a step loop sums it
-                total += v_thr
-            sums[:edges[1]] = np.where(plan.fired0, total, 0.0)
+            # Each distinct pixel value stepped alone, in _integrate's order.
+            values = _distinct_values(plan.drive)
+            state = np.zeros((2, len(values)))  # the potentials and the current sums
+            for _ in range(T):
+                state += values
+                state[0, state[0] >= v_thr] -= v_thr
+            potentials[:edges[1]], sums[:edges[1]] = state[:, np.searchsorted(values, plan.drive)]
     else:
         currents[:, :edges[1]] = plan.drive
 
     out = slice(edges[-2], edges[-1])
     settle = np.ones(columns, dtype=np.int64)
-    prev_choice = None
-    for i in range(n_blocks + last_pop - first):
-        # Population j runs block i - (j - first); the active ones are lo..hi.
-        lo = first + max(0, i - n_blocks + 1)
-        hi = min(last_pop, first + i)
+    prev_choice = np.zeros(columns, dtype=np.intp)  # at rest every score is 0
+    for i in range(n_blocks + last_pop - steady):
+        # Population j runs block i - (j - steady); the active ones are lo..hi.
+        lo = steady + max(0, i - n_blocks + 1)
+        hi = min(last_pop, steady + i)
         fired, fed = spikes[i % 2], spikes[(i + 1) % 2]
-        for j in range(max(lo, 2 if steady else 1), hi + 1):
-            steps = steps_of(i - (j - first))
+        for j in range(max(lo, steady + 1), hi + 1):
+            steps = steps_of(i - (j - steady))
             view(currents, j, steps)[:] = currents_of(j, fed, steps)
 
         # The lowest population may be in the last, short block: it leaves
         # the slice after its last step.
         end = edges[hi + 1]
-        short = steps_of(i - (lo - first))
+        short = steps_of(i - (lo - steady))
         parts = [(0, short, edges[lo]), (short, K, edges[lo + 1])] if short < K else \
             [(0, K, edges[lo])]
         watch = not decide and hi == last_pop
@@ -777,17 +773,15 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
 
         if watch:
             # The output argmax after each step of its block, as a step loop sees it.
-            b = i - (last_pop - first)
+            b = i - (last_pop - steady)
             steps = steps_of(b)
             score = out_before + np.cumsum(fired[:steps, out], axis=0, dtype=np.int64)
             if trail is not None:
                 score = score * v_thr + trail[:steps]
             choice = np.argmax(score.reshape(steps, -1, columns), axis=1)
-            seq = choice if prev_choice is None else np.concatenate([prev_choice[None], choice])
-            changed = seq[1:] != seq[:-1]
-            if len(changed):
-                from_end = np.argmax(changed[::-1], axis=0)
-                settle = np.where(changed.any(axis=0), b * K + steps - from_end, settle)
+            changed = choice != np.concatenate([prev_choice[None], choice[:-1]])
+            from_end = np.argmax(changed[::-1], axis=0)
+            settle = np.where(changed.any(axis=0), b * K + steps - from_end, settle)
             prev_choice = choice[-1]
 
     rates = [c / T for c in plan.per_population(counts)]

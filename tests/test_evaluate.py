@@ -856,6 +856,15 @@ def test_eval_config_counts_are_integers(field, value):
     assert getattr(EvalConfig(**{field: np.int64(3)}), field) == 3
 
 
+@pytest.mark.parametrize("value", [True, "0.05", None])
+def test_eval_config_epsilon_is_a_number(value):
+    """A bool is not an exploration rate, and a string is refused with
+    ValueError, not a TypeError from the range check."""
+    with pytest.raises(ValueError, match="epsilon must be a number"):
+        EvalConfig(epsilon=value)
+    assert EvalConfig(epsilon=np.float64(0.5)).epsilon == 0.5 and EvalConfig(epsilon=0).epsilon == 0
+
+
 def test_sweep_time_rejects_empty_or_bad_values():
     """An empty point list is rejected; a bad point value never reaches a
     sweep, because its config cannot be built."""

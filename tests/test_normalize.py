@@ -551,6 +551,14 @@ def test_norm_config_rejects_mistyped_values(kwargs):
         NormConfig(**kwargs)
 
 
+@pytest.mark.parametrize("value", [True, "99.9", None])
+def test_norm_config_percentile_is_a_number(value):
+    """The percentile is checked by the rule every config's numbers share
+    (network.require_number)."""
+    with pytest.raises(ValueError, match="percentile must be a number"):
+        NormConfig(percentile=value)
+
+
 def test_norm_config_accepts_any_integer_count_and_real_percentile():
     config = NormConfig(percentile=100, max_frames=np.int64(10))
     assert (config.percentile, config.max_frames) == (100, 10)

@@ -346,6 +346,15 @@ def test_sim_config_validation():
         SimConfig(readout="median")
 
 
+@pytest.mark.parametrize("value", [True, "1.0", None])
+def test_sim_config_v_thr_is_a_number(value):
+    """A bool or a non-number v_thr is refused as the other fields are,
+    with ValueError; any real number is taken."""
+    with pytest.raises(ValueError, match="v_thr must be a number"):
+        SimConfig(v_thr=value)
+    assert SimConfig(v_thr=np.float32(0.5)).v_thr == 0.5 and SimConfig(v_thr=2).v_thr == 2
+
+
 def test_run_is_deterministic(rng):
     net = rand_net(rng)
     frame = rng.random(net.input_shape)
@@ -492,10 +501,9 @@ KERNEL_NETS = {
 
 # (input drive, v_thr): binary pixels, and pixels below 0 or above v_thr
 # ("steady"), make the input population fire the same neurons every step,
-# so the first stage's currents are computed once (binary at v_thr 1
-# without stepping the input at all); {0, 0.5} pixels at v_thr 1 fire
-# every other step; pixels of 1/8 and 0.3 change the input spikes inside
-# blocks and between them.
+# so it leaves the loop and the first stage's currents are computed once;
+# {0, 0.5} pixels at v_thr 1 fire every other step; pixels of 1/8 and 0.3
+# change the input spikes inside blocks and between them.
 DRIVES = [("random", 0.8), ("binary", 1.0), ("binary", 0.8), ("steady", 1.0), ("half", 1.0),
           ("changing", 1.0)]
 DRIVE_LEVELS = {"binary": [0.0, 1.0], "steady": [-0.5, 0.0, 1.0, 1.5], "half": [0.0, 0.5],
@@ -584,9 +592,9 @@ def _block_elements(net, frames):
 
 
 def _is_input_shortcut(frames, v_thr):
-    """Every pixel 0 or v_thr: the input population fires the same pixels
-    every step and leaves the loop."""
-    return bool(np.all((frames == 0.0) | (frames == v_thr)))
+    """A steady input, every pixel <= 0 or >= v_thr: the input population
+    fires the same pixels every step and leaves the loop."""
+    return bool(np.all((frames <= 0.0) | (frames >= v_thr)))
 
 
 def _check_equals_step_loop(res, ref):
@@ -767,9 +775,9 @@ def test_pipelined_run_batch_equals_step_loop_bit_for_bit(case):
 # ---------------------------------------------------------------------------
 # populations kept per distinct receptive field
 
-# (pixel levels, v_thr): binary at v_thr 1 (the input shortcut, with and
-# without -0.0 beside 0.0), binary at v_thr 0.8 and pixels <= 0 or >= 1
-# (steady), and levels that fire only on some steps (unsteady)
+# (pixel levels, v_thr): steady inputs, which leave the loop: binary at
+# v_thr 1 (with and without -0.0 beside 0.0), binary at v_thr 0.8 and
+# pixels <= 0 or >= 1; and levels that fire only on some steps (unsteady)
 UNIT_LEVELS = [([0.0, 1.0], 1.0), ([0.0, -0.0, 1.0], 1.0), ([0.0, 1.0], 0.8),
                ([-0.5, -0.0, 1.0, 1.5], 1.0), ([0.0, -0.0, 0.5], 1.0),
                ([0.0, 1.0, 0.125, 0.3], 1.0)]
@@ -1000,12 +1008,14 @@ def test_conv_populations_step_distinct_windows_on_linecatch_frames(rng, monkeyp
 @pytest.mark.parametrize("levels, v_thr, shortcut", [
     ([0.0, 1.0], 1.0, True),
     ([0.0, 0.5], 1.0, False),
-    ([0.0, 1.0], 0.8, False),
+    ([0.0, 1.0], 0.8, True),
     ([0.0, 0.1], 0.1, True),
 ])
 def test_input_shortcut_gate(rng, monkeypatch, levels, v_thr, shortcut):
-    """The input population leaves the loop exactly when every pixel is 0
-    or v_thr, and the run still equals the step loop bit for bit."""
+    """The input population leaves the loop exactly when the input is
+    steady (every pixel <= 0 or >= v_thr), and the run still equals the
+    step loop bit for bit: at v_thr 0.8 a pixel of 1 leaves a potential
+    that grows by 0.2 a step, which the run keeps."""
     net = rand_dense_net(rng, sizes=[6, 9, 7, 4])
     widths = _widths(net)
     frames = rng.choice(levels, (3, 6))
@@ -1017,9 +1027,41 @@ def test_input_shortcut_gate(rng, monkeypatch, levels, v_thr, shortcut):
     assert np.all(stepped[:3 * widths[0]] == (0 if shortcut else 23))
     assert np.all(stepped[3 * widths[0]:] == 23)
     _check_equals_step_loop(res, step_loop(net, frames, config))
+    assert _is_input_shortcut(frames, v_thr) == shortcut
     if v_thr == 0.1:  # the step-by-step sum is not T * v_thr, and the result keeps it
         assert 23 * 0.1 != sum([0.1] * 23)
         assert res.avg_currents[0][0, 1] == sum([0.1] * 23) / (23 * 0.1) != 1.0
+
+
+@pytest.mark.parametrize("kind, levels, v_thr", [
+    ("conv", [-0.5, 0.0, 1.0, 1.5], 1.0),
+    ("dense", [0.0, 1.0], 0.8),
+])
+def test_steady_input_leaves_the_loop(rng, monkeypatch, kind, levels, v_thr):
+    """A steady input that is not binary at v_thr, on a conv net whose
+    input is kept per unit and on a dense net, never reaches _integrate:
+    neither in a run that returns a SimResult, which equals the step
+    loop bit for bit, nor in a deciding run of the rate readout
+    (SpikingAgent.actions), which steps every other population T times
+    and answers the step loop's argmax."""
+    net = _padded_conv_net(rng) if kind == "conv" else rand_dense_net(rng, sizes=[6, 9, 7, 4])
+    frames = rng.choice(levels, (2, *net.input_shape))
+    frames.reshape(2, -1)[0, :len(levels)] = levels  # every level present
+    frames = frames[[0, 1, 1, 0, 1, 0]]  # repeated, so the conv populations are kept per unit
+    config = SimConfig(timesteps=23, v_thr=v_thr, readout="rate")
+    plan = simulate._Plan(_build_stages(net), frames, config)
+    assert plan.steady and bool(plan.units) == (kind == "conv")
+    sizes = _sizes(net, frames)
+    want = np.full(sum(sizes), 23)
+    want[:sizes[0]] = 0
+    ref = step_loop(net, frames, config)
+    calls = _count_neuron_steps(monkeypatch)
+    _check_equals_step_loop(run_batch(net, frames, config), ref)
+    assert np.array_equal(_steps_per_neuron(calls, sum(sizes)), want)
+    calls.clear()
+    actions = SpikingAgent(net, config).actions(frames)
+    assert np.array_equal(_steps_per_neuron(calls, sum(sizes)), want)
+    assert np.array_equal(actions, np.argmax(ref["rates"][-1].reshape(len(frames), -1), axis=1))
 
 
 def fsum_exact(stage):
