@@ -30,8 +30,11 @@ Frame files
     which yields (start, float32 frames) a window at a time, so no pass
     holds more than one window of the file.
 
-Readers raise FormatError, naming the file and location, for anything
-they cannot load, including dims too large for a numpy array.
+Readers share one header cursor (_Header: truncation, ndim <= 32, dims
+numpy can hold) and one windowed read (_windows: the header and size
+seen at open, then one reused buffer; read_blob reads one window), and
+raise FormatError, naming the file and location, for anything they
+cannot load.
 
 CSV reports render every number with ten significant digits, so a
 parse of the written file recovers values to within 1e-9 relative.
@@ -47,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import LayerSpec, NetworkSpec, validate_network
+from .network import LAYER_KINDS, LayerSpec, NetworkSpec, validate_network
 
 BLOB_MAGIC = b"SNNT0001"
 TRACE_MAGIC = b"SNNTR001"
@@ -73,7 +76,7 @@ class TraceError(FormatError):
 
 
 # ---------------------------------------------------------------------------
-# tensor blobs
+# headers, windowed reads and tensor blobs
 
 def _blob_head(shape: tuple[int, ...]) -> bytes:
     """A blob's bytes before its data: magic, ndim and dims."""
@@ -81,85 +84,116 @@ def _blob_head(shape: tuple[int, ...]) -> bytes:
 
 
 def blob_to_bytes(array: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(array, dtype="<f4")
+    arr = np.asarray(array, dtype="<f4")  # not ascontiguousarray, which makes a 0-d array 1-d
     return _blob_head(arr.shape) + arr.tobytes(order="C")
 
 
-def _holdable(dims) -> bool:
-    """Whether numpy can hold a float32 array of these dims.
+class _Header:
+    """A cursor over a file's leading bytes, holding the rules every
+    format's header shares; each fault is an `error` naming `where`."""
 
-    numpy refuses an array whose nonzero dims and item size multiply past
-    the largest intp, even when a zero dim leaves it empty.
-    """
-    nbytes = 4
-    for d in dims:
-        nbytes *= d or 1
-    return nbytes <= np.iinfo(np.intp).max
+    def __init__(self, buf: bytes, where, error: type[FormatError]):
+        self.buf, self.where, self.error = buf, where, error
+        self.offset = 0
+
+    def fail(self, message: str) -> FormatError:
+        return self.error(f"{self.where}: {message}")
+
+    def take(self, n: int, what: str) -> bytes:
+        """The next n bytes, or a fault naming `what` if the buffer ends first."""
+        end = self.offset + n
+        if end > len(self.buf):
+            raise self.fail(f"truncated while reading {what}")
+        chunk, self.offset = self.buf[self.offset:end], end
+        return chunk
+
+    def u32(self, what: str) -> int:
+        return struct.unpack("<I", self.take(4, what))[0]
+
+    def dims(self, ndim: str = "ndim", noun: str = "dims", verb: str = "are"
+             ) -> tuple[int, ...]:
+        """ndim (a u32, at most 32), then ndim dims (u32 each) of a float32
+        array numpy can hold, which it refuses if the nonzero dims and item
+        size multiply past the largest intp, even when a zero dim leaves
+        it empty; messages call them `ndim` and `noun`."""
+        n = self.u32("ndim")
+        if n > 32:
+            raise self.fail(f"implausible {ndim} {n}")
+        dims = struct.unpack(f"<{n}I", self.take(4 * n, noun))
+        if 4 * math.prod(d or 1 for d in dims) > np.iinfo(np.intp).max:
+            raise self.fail(f"{noun} {dims} {verb} too large for an array")
+        return dims
 
 
-def _blob_dims(buf: bytes, offset: int, where: str) -> tuple[tuple[int, ...], int]:
-    """Parse a blob's header starting at `offset`; returns (dims, data offset)."""
-    def take(n, what):
-        end = offset + n
-        if end > len(buf):
-            raise BlobError(f"{where}: truncated while reading {what}")
-        return buf[offset:end], end
-
-    chunk, offset = take(8, "magic")
-    if chunk != BLOB_MAGIC:
-        raise BlobError(f"{where}: bad magic {chunk!r}")
-    chunk, offset = take(4, "ndim")
-    ndim = struct.unpack("<I", chunk)[0]
-    if ndim > 32:
-        raise BlobError(f"{where}: implausible ndim {ndim}")
-    chunk, offset = take(4 * ndim, "dims")
-    dims = struct.unpack(f"<{ndim}I", chunk)
-    if not _holdable(dims):
-        raise BlobError(f"{where}: dims {dims} are too large for an array")
-    return dims, offset
+def _read_header(path: Path, where, error: type[FormatError], at: int = 0
+                 ) -> tuple[_Header, int]:
+    """A cursor over the bytes of a file from `at` (as many as the longest
+    header holds), and the number of bytes from `at` to its end."""
+    with open(path, "rb") as fh:
+        fh.seek(at)
+        # the longest header: a trace's magic, action count, ndim, 32 dims, step count
+        return _Header(fh.read(8 + 4 * 35), where, error), fh.seek(0, 2) - at
 
 
-def blob_from_buffer(buf: bytes, offset: int, where: str) -> tuple[np.ndarray, int]:
-    """Parse one blob starting at `offset`; returns (array, next offset)."""
-    dims, offset = _blob_dims(buf, offset, where)
-    end = offset + 4 * math.prod(dims)
-    if end > len(buf):
-        raise BlobError(f"{where}: truncated while reading data")
-    data = np.frombuffer(buf[offset:end], dtype="<f4").reshape(dims)
-    return data.astype(np.float32), end
+def _windows(path: Path, header: bytes, size: int, item: tuple, count: int, rows: int,
+             changed):
+    """Yield (start, window) for each window of up to `rows` of the
+    `count` items after a file's header, in file order: each item an
+    array of item = (dtype, shape), the window one buffer that the next
+    overwrites.  Raises changed() if the file's header bytes or size are
+    not those seen at open, or if a read comes up short."""
+    dtype, shape = item
+    with open(path, "rb") as fh:
+        if fh.read(len(header)) != header or fh.seek(0, 2) != size:
+            raise changed()
+        fh.seek(len(header))
+        # shaped, not of a subarray dtype, which makes a zero-size item's array V0
+        buf = np.empty((min(rows, count), *shape), dtype)
+        for start in range(0, count, rows):
+            window = buf[:min(rows, count - start)]
+            if fh.readinto(window.view(np.uint8)) != window.nbytes:
+                raise changed()
+            yield start, window
+
+
+def _blob_dims(head: _Header, size: int) -> tuple[tuple[int, ...], int]:
+    """A blob's dims and the end of its data, parsed at the cursor's start
+    in `size` bytes; a fault if the data would run past them."""
+    magic = head.take(8, "magic")
+    if magic != BLOB_MAGIC:
+        raise head.fail(f"bad magic {magic!r}")
+    dims = head.dims()
+    end = head.offset + 4 * math.prod(dims)
+    if end > size:
+        raise head.fail("truncated while reading data")
+    return dims, end
 
 
 def write_blob(path, array: np.ndarray) -> None:
     Path(path).write_bytes(blob_to_bytes(array))
 
 
-def _blob_layout(p: Path) -> tuple[tuple[int, ...], bytes, int]:
-    """A blob file's dims, header bytes and size, once it is checked in
-    this order: the file exists, its header parses, and its data fills
-    the rest of the file exactly."""
+def _blob_layout(p: Path):
+    """A blob file's dims, and read(item, count, rows), _windows over its
+    data as checked here, in this order: the file exists, its header
+    parses, and its data fills the rest of the file exactly."""
     if not p.is_file():
         raise BlobError(f"{p}: no such blob file")
-    with open(p, "rb") as fh:
-        head = fh.read(8 + 4 + 4 * 32)  # the longest header: magic, ndim, 32 dims
-        size = fh.seek(0, 2)
-    dims, offset = _blob_dims(head, 0, str(p))
-    end = offset + 4 * math.prod(dims)
-    if end > size:
-        raise BlobError(f"{p}: truncated while reading data")
+    head, size = _read_header(p, p, BlobError)
+    dims, end = _blob_dims(head, size)
     if end < size:
-        raise BlobError(f"{p}: {size - end} trailing bytes after tensor data")
-    return dims, head[:offset], size
+        raise head.fail(f"{size - end} trailing bytes after tensor data")
+
+    def read(item, count, rows):
+        return _windows(p, head.buf[:head.offset], size, item, count, rows,
+                        lambda: head.fail("blob changed while it was being read"))
+    return dims, read
 
 
 def read_blob(path) -> np.ndarray:
-    p = Path(path)
-    dims, header, _ = _blob_layout(p)
-    data = np.empty(dims, "<f4")
-    with open(p, "rb") as fh:
-        if (fh.read(len(header)) != header
-                or fh.readinto(data.reshape(-1).view(np.uint8)) != data.nbytes or fh.read(1)):
-            raise BlobError(f"{p}: blob changed while it was being read")
-    return data.astype(np.float32, copy=False)
+    dims, read = _blob_layout(Path(path))
+    [(_, data)] = read(("<f4", dims), 1, 1)
+    return data[0].astype(np.float32, copy=False)
 
 
 class BlobReader:
@@ -177,35 +211,20 @@ class BlobReader:
 
     def __init__(self, path, frame_shape=None):
         p = Path(path)
-        dims, header, size = _blob_layout(p)
+        dims, self._read = _blob_layout(p)
         if frame_shape is not None and dims[1:] != tuple(frame_shape):
             dims = (1, *dims)
         elif len(dims) < 2:
             raise BlobError(f"{p}: frame blob must have a leading frame dimension")
         self.path = p
         self.shape = dims
-        self._header = header
-        self._size = size
 
     def frame_windows(self, rows: int):
         """Yield (start, frames) for each window of up to `rows` frames in
         file order, frames a float32 [n, *frame_shape] view that the next
         window overwrites.  Each pass checks the file against construction
         and raises BlobError if its header or size changed."""
-        with open(self.path, "rb") as fh:
-            if fh.read(len(self._header)) != self._header or fh.seek(0, 2) != self._size:
-                raise self._changed()
-            fh.seek(len(self._header))
-            count = self.shape[0]
-            buf = np.empty((min(rows, count), *self.shape[1:]), "<f4")
-            for start in range(0, count, rows):
-                window = buf[:min(rows, count - start)]
-                if fh.readinto(window.view(np.uint8)) != window.nbytes:
-                    raise self._changed()
-                yield start, window
-
-    def _changed(self) -> BlobError:
-        return BlobError(f"{self.path}: blob changed while it was being read")
+        return self._read(("<f4", self.shape[1:]), self.shape[0], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +292,7 @@ def load_model(model_dir) -> NetworkSpec:
         if not isinstance(rec, dict):
             raise ManifestError(f"{mpath}: layer {i} must be an object")
         kind = rec.get("kind")
-        if kind not in ("dense", "conv2d", "flatten"):
+        if kind not in LAYER_KINDS:
             raise ManifestError(f"{mpath}: layer {i} has unknown kind {kind!r}")
         for key in ("stride", "padding"):
             if rec.get(key) is not None and not _is_int_list(rec[key], length=2):
@@ -392,31 +411,12 @@ class TraceReader:
         p = Path(path)
         if not p.is_file():
             raise TraceError(f"{p}: no such trace file")
-        with open(p, "rb") as fh:
-            # the longest header: magic, action count, ndim, 32 dims, step count
-            buf = fh.read(8 + 4 * 35)
-            size = fh.seek(0, 2)
-        offset = 0
-
-        def take(n, what):
-            nonlocal offset
-            end = offset + n
-            if end > len(buf):
-                raise TraceError(f"{p}: truncated while reading {what}")
-            chunk = buf[offset:end]
-            offset = end
-            return chunk
-
-        if take(8, "magic") != TRACE_MAGIC:
-            raise TraceError(f"{p}: bad magic")
-        action_count = struct.unpack("<I", take(4, "action count"))[0]
-        ndim = struct.unpack("<I", take(4, "ndim"))[0]
-        if ndim > 32:
-            raise TraceError(f"{p}: implausible observation ndim {ndim}")
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "observation shape"))
-        if not _holdable(shape):
-            raise TraceError(f"{p}: observation shape {shape} is too large for an array")
-        step_count = struct.unpack("<I", take(4, "step count"))[0]
+        head, size = _read_header(p, p, TraceError)
+        if head.take(8, "magic") != TRACE_MAGIC:
+            raise head.fail("bad magic")
+        action_count = head.u32("action count")
+        shape = head.dims("observation ndim", "observation shape", "is")
+        step_count = head.u32("step count")
         self._head, self._record = _file_record(shape, p)
         self.path = p
         self.action_count = int(action_count)
@@ -424,8 +424,8 @@ class TraceReader:
         self.step_count = step_count
         self.shape = (step_count, *shape)
         # complete step records in the file, at most step_count
-        self._whole = min(step_count, (size - offset) // self._record.itemsize)
-        self._header = buf[:offset]
+        self._whole = min(step_count, (size - head.offset) // self._record.itemsize)
+        self._header = head.buf[:head.offset]
         self._size = size
         self._checked = False
 
@@ -442,33 +442,25 @@ class TraceReader:
         pass checks the file against the first and raises TraceError if
         its header, size or any record head changed.
         """
-        p, head, record = self.path, self._head, self._record
-        with open(p, "rb") as fh:
-            if fh.read(len(self._header)) != self._header or fh.seek(0, 2) != self._size:
-                raise self._changed()
-            fh.seek(len(self._header))
-            buf = np.empty(min(rows, self._whole), record)
-            bad_actions = None  # (start, actions) of the first window with one out of range
-            for start in range(0, self._whole, rows):
-                records = buf[:min(rows, self._whole - start)]
-                if fh.readinto(records.view(np.uint8)) != records.nbytes:
+        bad_actions = None  # (start, actions) of the first window with one out of range
+        for start, records in _windows(self.path, self._header, self._size, (self._record, ()),
+                                       self._whole, rows, self._changed):
+            bad = np.flatnonzero((records["head"] != self._head).any(axis=1))
+            if len(bad):
+                if self._checked:
                     raise self._changed()
-                bad = np.flatnonzero((records["head"] != head).any(axis=1))
-                if len(bad):
-                    if self._checked:
-                        raise self._changed()
-                    self._bad_step(fh, start + int(bad[0]))
-                actions = records["action"]
-                if bad_actions is None and not (actions < self.action_count).all():
-                    bad_actions = start, actions.copy()
-                yield start, records
-            if self._whole < self.step_count:
-                self._bad_step(fh, self._whole)
-            trailing = self._size - len(self._header) - self.step_count * record.itemsize
-            if trailing:
-                raise TraceError(f"{p}: {trailing} trailing bytes after last step")
-            start, actions = bad_actions or (0, buf["action"][:0])
-            _check_actions(self.action_count, actions, str(p), start)
+                self._bad_step(start + int(bad[0]))
+            actions = records["action"]
+            if bad_actions is None and not (actions < self.action_count).all():
+                bad_actions = start, actions.copy()
+            yield start, records
+        if self._whole < self.step_count:
+            self._bad_step(self._whole)
+        trailing = self._size - len(self._header) - self.step_count * self._record.itemsize
+        if trailing:
+            raise TraceError(f"{self.path}: {trailing} trailing bytes after last step")
+        start, actions = bad_actions or (0, np.empty(0, np.uint32))
+        _check_actions(self.action_count, actions, str(self.path), start)
         self._checked = True
 
     def frame_windows(self, rows: int):
@@ -476,17 +468,17 @@ class TraceReader:
         its records: (start, [n, *observation_shape])."""
         return ((start, records["observation"]) for start, records in self.windows(rows))
 
-    def _bad_step(self, fh, first: int):
+    def _bad_step(self, first: int):
         """Raise the fault of step `first`, whose record breaks the header's
         layout: its blob names the fault, else the body ends inside the step."""
         p = self.path
-        fh.seek(len(self._header) + first * self._record.itemsize)
-        rest = fh.read()
-        obs, end = blob_from_buffer(rest, 0, f"{p}: step {first} observation")
-        if obs.shape != self.observation_shape:
-            raise TraceError(f"{p}: step {first} observation shape {obs.shape} "
+        head, rest = _read_header(p, f"{p}: step {first} observation", BlobError,
+                                  len(self._header) + first * self._record.itemsize)
+        dims, end = _blob_dims(head, rest)
+        if dims != self.observation_shape:
+            raise TraceError(f"{p}: step {first} observation shape {dims} "
                              f"!= header {self.observation_shape}")
-        what = "action" if len(rest) - end < 4 else "reward"
+        what = "action" if rest - end < 4 else "reward"
         raise TraceError(f"{p}: truncated while reading step {first} {what}")
 
     def _changed(self) -> TraceError:

@@ -29,7 +29,8 @@ A run is three parts (_run_stages): a _Plan of the batch, made once,
 which holds its layout (the units, each population's place in the
 buffers, the gather indices, the input's drive, K and the block
 count) and computes a population's currents for a block; the
-pipelined loop over the blocks; and the result, read from the end
+pipelined loop over the blocks, on one spike buffer; and the result:
+a decision from the output population alone, a SimResult from the end
 state per population.  A stage that gathers its inputs (a conv stage,
 and the first stage kept per row, which reads the last population kept
 per unit) computes a block from a step-minor float64 copy of the
@@ -227,6 +228,8 @@ class SimConfig:
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
         require_number("v_thr", self.v_thr)
+        # a float64, so T * v_thr rounds as one (widening a float32 is exact)
+        self.v_thr = float(self.v_thr)
         if not 0.0 < self.v_thr < math.inf:
             raise ValueError(f"v_thr must be positive and finite, got {self.v_thr}")
         # the readout divides by T * v_thr: a subnormal one overflows it
@@ -712,14 +715,14 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         actions = _actions_at_rest(plan, config)
         if actions is not None:
             return plan.by_row(actions)
-    T, v_thr, batch, columns = config.timesteps, config.v_thr, plan.batch, plan.columns
+    T, v_thr, columns = config.timesteps, config.v_thr, plan.columns
     K, n_blocks, edges, steady = plan.K, plan.n_blocks, plan.edges, plan.steady
     view, currents_of, steps_of = plan.view, plan.currents, plan.steps
     last_pop = len(edges) - 2
     potentials = np.zeros(edges[-1])
     counts = np.zeros(edges[-1], dtype=np.int64)
     currents = np.empty((K, edges[-1]))
-    spikes = (np.empty((K, edges[-1]), dtype=bool), np.empty((K, edges[-1]), dtype=bool))
+    fired = np.empty((K, edges[-1]), dtype=bool)
     sums = None if decide else np.zeros(edges[-1])
     trail = np.empty((K, edges[-1] - edges[-2])) \
         if not decide and config.readout == "robust" else None
@@ -746,10 +749,11 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         # Population j runs block i - (j - steady); the active ones are lo..hi.
         lo = steady + max(0, i - n_blocks + 1)
         hi = min(last_pop, steady + i)
-        fired, fed = spikes[i % 2], spikes[(i + 1) % 2]
+        # Every active stage reads the spikes the iteration before wrote,
+        # before _integrate overwrites them below.
         for j in range(max(lo, steady + 1), hi + 1):
             steps = steps_of(i - (j - steady))
-            view(currents, j, steps)[:] = currents_of(j, fed, steps)
+            view(currents, j, steps)[:] = currents_of(j, fired, steps)
 
         # The lowest population may be in the last, short block: it leaves
         # the slice after its last step.
@@ -784,22 +788,24 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
             settle = np.where(changed.any(axis=0), b * K + steps - from_end, settle)
             prev_choice = choice[-1]
 
-    rates = [c / T for c in plan.per_population(counts)]
-    ends = plan.per_population(potentials)
-    rate_last = rates[-1].reshape(batch, -1)
+    # Each column's readout, from the output population alone: [columns, outputs].
+    rate_last = counts[out].reshape(-1, columns).T / T
     with np.errstate(over="ignore"):
-        f_last = rate_last + ends[-1].reshape(batch, -1) / (T * v_thr)
+        f_last = rate_last + potentials[out].reshape(-1, columns).T / (T * v_thr)
     if not np.all(np.isfinite(f_last)):
         # a v_thr far below the output potentials: V / (T * v_thr) overflows
         raise ValueError(f"the output potentials over timesteps * v_thr = {T} * {v_thr} "
                          f"overflow the readout")
     if decide:
-        return np.argmax(rate_last if config.readout == "rate" else f_last, axis=1)
-    residuals = [v / T for v in ends]
+        return plan.by_row(np.argmax(rate_last if config.readout == "rate" else f_last,
+                                     axis=1))
+    rates = [c / T for c in plan.per_population(counts)]
+    residuals = [v / T for v in plan.per_population(potentials)]
     avg_currents = [z / (T * v_thr) for z in plan.per_population(sums)]
     return SimResult(timesteps=T, v_thr=v_thr, readout=config.readout,
                      rates=rates, residuals=residuals, avg_currents=avg_currents,
-                     rate_last=rate_last, f_last=f_last, settle_step=plan.by_row(settle))
+                     rate_last=plan.by_row(rate_last), f_last=plan.by_row(f_last),
+                     settle_step=plan.by_row(settle))
 
 
 def run(net: NetworkSpec, frame: np.ndarray, config: SimConfig) -> SimResult:
@@ -847,7 +853,6 @@ def layer_identity_residual(result: SimResult, net: NetworkSpec,
     if len(stages) + 1 != len(result.rates):
         raise ValueError("result does not belong to this network")
     v_thr = result.v_thr
-    batched = result.rates[0].ndim == len(net.input_shape) + 1
 
     if frame is not None:
         drive0 = np.asarray(frame, dtype=np.float64)
@@ -856,13 +861,10 @@ def layer_identity_residual(result: SimResult, net: NetworkSpec,
     residuals = [float(np.max(np.abs(result.rates[0] - (drive0 - result.residuals[0]) / v_thr)))]
 
     for j, stage in enumerate(stages, start=1):
-        r_prev = result.rates[j - 1]
-        r_prev = r_prev.reshape(len(r_prev) if batched else 1, *stage.input_shape)
-        z = apply_layer_linear(stage.layer, r_prev)
-        if not batched:
-            z = z[0]
-        pred = (z - result.residuals[j]) / v_thr
-        residuals.append(float(np.max(np.abs(result.rates[j] - pred))))
+        # a run's result reads as a batch of one row
+        z = apply_layer_linear(stage.layer, result.rates[j - 1].reshape(-1, *stage.input_shape))
+        pred = (z - result.residuals[j].reshape(z.shape)) / v_thr
+        residuals.append(float(np.max(np.abs(result.rates[j].reshape(z.shape) - pred))))
     return residuals
 
 

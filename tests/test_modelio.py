@@ -55,6 +55,37 @@ def test_blob_bad_magic_and_trailing_bytes(tmp_path):
         read_blob(path)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), dims=st.lists(st.integers(0, 3), max_size=4).map(tuple),
+       stacked=st.booleans())
+def test_blob_round_trip_through_every_read(tmp_path, data, dims, stacked):
+    """read_blob and BlobReader.frame_windows give back what write_blob
+    wrote, as float32 arrays of the blob's dims (zero dims included), on
+    every pass and at any rows: frames along the leading dim, or the
+    whole blob as one frame."""
+    arr = data.draw(arrays(np.float32, dims))
+    path = tmp_path / "t.bin"
+    write_blob(path, arr)
+    # a frame shape of dims[1:] stacks frames along the leading dim; any other is one frame
+    stacked = stacked and len(dims) >= 2
+    reader = BlobReader(path, dims[1:] if stacked else (*dims, 1))
+    assert reader.shape == (dims if stacked else (1, *dims))
+    frames = arr.reshape(reader.shape)
+    rows = data.draw(st.integers(1, 6))
+    for _ in range(2):
+        back = read_blob(path)
+        assert back.dtype == np.float32 and back.shape == dims
+        assert back.tobytes() == arr.tobytes()
+        starts = []
+        for start, window in reader.frame_windows(rows):
+            starts.append(start)
+            expected = frames[start:start + rows]
+            assert window.dtype == np.float32 and window.shape == expected.shape
+            assert window.tobytes() == expected.tobytes()
+        assert starts == list(range(0, len(frames), rows))
+
+
 # ---------------------------------------------------------------------------
 # model directories
 

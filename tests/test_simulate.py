@@ -402,6 +402,25 @@ def test_diagnostics_payload_is_json_ready(rng):
     assert "identity_residuals" in text and "case_counts" in text
 
 
+def test_float32_v_thr_runs_as_its_float64_value(rng):
+    """SimConfig widens a float32 v_thr to float64, which is exact: the run
+    equals that of the float64 value bit for bit (T * v_thr no longer
+    rounds in float32), and its diagnostics serialize as JSON."""
+    import json
+    net = rand_dense_net(rng)
+    frame = rng.random(net.input_shape)
+    narrow = run(net, frame, SimConfig(timesteps=50, v_thr=np.float32(0.8)))
+    wide = run(net, frame, SimConfig(timesteps=50, v_thr=float(np.float32(0.8))))
+    for name in ("rates", "residuals", "avg_currents"):
+        for a, b in zip(getattr(narrow, name), getattr(wide, name)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("rate_last", "f_last", "settle_step"):
+        assert getattr(narrow, name).tobytes() == getattr(wide, name).tobytes(), name
+    assert type(narrow.v_thr) is float and narrow.v_thr == wide.v_thr
+    assert json.dumps(diagnostics(narrow, net, frame=frame)) == \
+        json.dumps(diagnostics(wide, net, frame=frame))
+
+
 # ---------------------------------------------------------------------------
 # convergence toward analog values
 
