@@ -462,6 +462,7 @@ def collect_frames_by_play(source_net: NetworkSpec, env: LineCatchEnv, n_frames:
     episodes in a row, so a chunk holds only episodes that playing one
     episode at a time would also play.
     """
+    require_integer("n_frames", n_frames)
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     _check_q_width(source_net, env.action_count, "source")

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import NetworkSpec, dense, flatten
+from .network import NetworkSpec, dense, flatten, require_integer
 
 LEFT, STAY, RIGHT = 0, 1, 2
 NOOP_ACTION = STAY
@@ -31,6 +31,8 @@ ACTION_COUNT = 3
 
 class LineCatchEnv:
     def __init__(self, grid_size: int = 8, episode_len: int = 112):
+        require_integer("grid_size", grid_size)
+        require_integer("episode_len", episode_len)
         if grid_size < 2:
             raise ValueError(f"grid_size must be >= 2, got {grid_size}")
         if episode_len < 0:

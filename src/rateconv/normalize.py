@@ -78,6 +78,7 @@ def percentile(samples, p: float) -> float:
     arr = np.asarray(samples, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("percentile of an empty sample set")
+    require_number("p", p)
     if not 0.0 < p <= 100.0:
         raise ValueError(f"percentile p must be in (0, 100], got {p}")
     k = _rank(p, arr.size)

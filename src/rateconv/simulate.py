@@ -106,19 +106,20 @@ currents whole, but the first stage under a steady input, every pixel
 <= 0 or >= v_thr.  Rounding is monotone, so once V >= 0 (a run starts
 from rest), V + p >= v_thr stays true for a pixel p >= v_thr and the
 spike leaves V >= 0, while a pixel <= 0 never reaches v_thr: a steady
-input fires the same pixels at every step.  So it leaves the loop, its
-counts T times its first spikes, and the first stage's currents are
-computed once per run; a SimResult's input end potentials and current
-sums come from stepping each distinct pixel value alone.  The rule
-stays because runs that go to T (dense runs with the rate readout,
-say) would otherwise step the input and its stage at every step: a
-time sweep of such runs measured 1.3 to 1.4 times as slow without it.
+input fires the same pixels at every step.  So the first stage's
+currents are computed once per run, and a run that decides leaves the
+input out of its loop; a run that reports steps it with every other
+population.  The rule stays because deciding runs that go to T (dense
+runs with the rate readout, say) would otherwise step the input and
+its stage at every step: a time sweep of such runs measured 1.3 to 1.4
+times as slow without it.
 
 A run either decides or reports.  Current sums (added one step after
 another, never pairwise), the output potentials after each step and
 the settle step (from the output argmax after each step, taken once
-per block) cost time in the hot loop; a run that decides skips them,
-and every run that returns a SimResult makes them.
+per block) cost time in the hot loop; a run that decides skips them
+and a steady input's steps, and every run that returns a SimResult
+makes them all.
 
 Certified early decisions.  A caller that needs only each row's action
 (SpikingAgent.actions, the one caller of _run_stages with decide) gets
@@ -208,10 +209,9 @@ from typing import Optional
 
 import numpy as np
 
-from .network import (LayerSpec, NetworkSpec, _distinct_codes, _distinct_values, affine_rows,
-                      apply_layer_linear, channel_index, frame_stack, layer_shapes,
-                      receptive_fields, require_integer, require_number, unit_maps,
-                      validate_network)
+from .network import (LayerSpec, NetworkSpec, _distinct_codes, affine_rows, apply_layer_linear,
+                      channel_index, frame_stack, layer_shapes, receptive_fields,
+                      require_integer, require_number, unit_maps, validate_network)
 
 READOUTS = ("rate", "robust")
 BLOCK_BYTES = 1 << 20  # caps K * batch * (all populations' neurons) * 8 bytes
@@ -229,7 +229,10 @@ class SimConfig:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
         require_number("v_thr", self.v_thr)
         # a float64, so T * v_thr rounds as one (widening a float32 is exact)
-        self.v_thr = float(self.v_thr)
+        try:
+            self.v_thr = float(self.v_thr)
+        except OverflowError:  # an integer past the largest float
+            raise ValueError(f"v_thr must be positive and finite, got {self.v_thr}") from None
         if not 0.0 < self.v_thr < math.inf:
             raise ValueError(f"v_thr must be positive and finite, got {self.v_thr}")
         # the readout divides by T * v_thr: a subnormal one overflows it
@@ -362,7 +365,8 @@ class _Plan:
     [fan-in, positions, columns], if not; None for a dense stage on a
     population kept per row, which reads the buffer as it lies.
     drive is population 0's current and fired0 its spikes at the first
-    step; steady says it fires them at every step (see One rule).
+    step; steady says it fires them at every step, so the first stage's
+    currents are one step's (see One rule).
 
     K, the steps per block, caps K * elements float64 values at
     BLOCK_BYTES, elements being the larger of the state per step and a
@@ -716,9 +720,11 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         if actions is not None:
             return plan.by_row(actions)
     T, v_thr, columns = config.timesteps, config.v_thr, plan.columns
-    K, n_blocks, edges, steady = plan.K, plan.n_blocks, plan.edges, plan.steady
+    K, n_blocks, edges = plan.K, plan.n_blocks, plan.edges
     view, currents_of, steps_of = plan.view, plan.currents, plan.steps
     last_pop = len(edges) - 2
+    # A steady input leaves the loop of a run that decides (see One rule).
+    leaves = plan.steady and decide
     potentials = np.zeros(edges[-1])
     counts = np.zeros(edges[-1], dtype=np.int64)
     currents = np.empty((K, edges[-1]))
@@ -726,39 +732,28 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
     sums = None if decide else np.zeros(edges[-1])
     trail = np.empty((K, edges[-1] - edges[-2])) \
         if not decide and config.readout == "robust" else None
-
-    if steady:
-        # A steady input leaves the loop (see One rule).
+    if plan.steady:
         view(currents, 1, K)[:] = currents_of(1, plan.fired0[None], 1)
-        counts[:edges[1]] = T * plan.fired0
-        if not decide:
-            # Each distinct pixel value stepped alone, in _integrate's order.
-            values = _distinct_values(plan.drive)
-            state = np.zeros((2, len(values)))  # the potentials and the current sums
-            for _ in range(T):
-                state += values
-                state[0, state[0] >= v_thr] -= v_thr
-            potentials[:edges[1]], sums[:edges[1]] = state[:, np.searchsorted(values, plan.drive)]
-    else:
+    if not leaves:
         currents[:, :edges[1]] = plan.drive
 
     out = slice(edges[-2], edges[-1])
     settle = np.ones(columns, dtype=np.int64)
     prev_choice = np.zeros(columns, dtype=np.intp)  # at rest every score is 0
-    for i in range(n_blocks + last_pop - steady):
-        # Population j runs block i - (j - steady); the active ones are lo..hi.
-        lo = steady + max(0, i - n_blocks + 1)
-        hi = min(last_pop, steady + i)
+    for i in range(n_blocks + last_pop - leaves):
+        # Population j runs block i - (j - leaves); the active ones are lo..hi.
+        lo = leaves + max(0, i - n_blocks + 1)
+        hi = min(last_pop, leaves + i)
         # Every active stage reads the spikes the iteration before wrote,
         # before _integrate overwrites them below.
-        for j in range(max(lo, steady + 1), hi + 1):
-            steps = steps_of(i - (j - steady))
+        for j in range(max(lo, 1 + plan.steady), hi + 1):
+            steps = steps_of(i - (j - leaves))
             view(currents, j, steps)[:] = currents_of(j, fired, steps)
 
         # The lowest population may be in the last, short block: it leaves
         # the slice after its last step.
         end = edges[hi + 1]
-        short = steps_of(i - (lo - steady))
+        short = steps_of(i - (lo - leaves))
         parts = [(0, short, edges[lo]), (short, K, edges[lo + 1])] if short < K else \
             [(0, K, edges[lo])]
         watch = not decide and hi == last_pop
@@ -777,7 +772,7 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
 
         if watch:
             # The output argmax after each step of its block, as a step loop sees it.
-            b = i - (last_pop - steady)
+            b = i - (last_pop - leaves)
             steps = steps_of(b)
             score = out_before + np.cumsum(fired[:steps, out], axis=0, dtype=np.int64)
             if trail is not None:

@@ -900,6 +900,7 @@ def test_unknown_flag_is_usage_error(capsys):
     (["sweep", "--mode", "time", "--frame-budget", "0"], "absent"),  # no calibration frames
     (["simulate", "--vthr", "inf"], "model"),
     (["play", "--vthr", "inf"], "model"),
+    (["simulate", "--vthr", "1e400"], "model"),  # read as inf by argparse
     (["simulate", "--vthr", "1e-310", "--timesteps", "5"], "model"),  # T * v_thr subnormal
 ])
 def test_bad_flag_value_is_usage_error(tmp_path, model_dir, frames_blob, flags, model):

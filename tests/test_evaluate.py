@@ -977,3 +977,6 @@ def test_collect_frames_by_play(rng):
     assert frames.shape == (50, 1, 8, 8)
     again = collect_frames_by_play(net, env, 50, EvalConfig(episodes=1, seed=0))
     assert np.array_equal(frames, again)
+    for n_frames in (2.5, True, "50"):  # refused before any play
+        with pytest.raises(ValueError, match="n_frames must be an integer"):
+            collect_frames_by_play(net, env, n_frames, EvalConfig(episodes=1, seed=0))

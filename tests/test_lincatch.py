@@ -78,6 +78,16 @@ def test_env_guards():
         env.step(1)
 
 
+@pytest.mark.parametrize("name, value", [("grid_size", 8.5), ("grid_size", True),
+                                         ("episode_len", True), ("episode_len", 14.0)])
+def test_env_sizes_are_integers(name, value):
+    """A float or a bool size is refused, not truncated or read as 1; a
+    numpy integer is taken."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        LineCatchEnv(**{name: value})
+    assert getattr(LineCatchEnv(**{name: np.int64(9)}), name) == 9
+
+
 def test_optimal_network_moves_toward_object():
     net = optimal_network(8)
     env = LineCatchEnv(grid_size=8, episode_len=21)

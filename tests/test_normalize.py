@@ -72,6 +72,10 @@ def test_percentile_rejects_bad_input():
         percentile([1.0], 0.0)
     with pytest.raises(ValueError):
         percentile([1.0], 101.0)
+    for p in ("99.9", True, None):
+        with pytest.raises(ValueError, match="p must be a number"):
+            percentile([1.0], p)
+    assert percentile([1.0, 2.0], np.float32(50.0)) == 1.0 and percentile([1.0, 2.0], 100) == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,9 @@ def test_sim_config_validation():
     assert SimConfig(timesteps=np.int64(3)).timesteps == 3
     with pytest.raises(ValueError):
         SimConfig(v_thr=0.0)
+    for v_thr in (10**400, -10**400):  # past the largest float: no OverflowError
+        with pytest.raises(ValueError, match="v_thr must be positive and finite"):
+            SimConfig(v_thr=v_thr)
     with pytest.raises(ValueError, match="normal float"):  # the readout divides by T * v_thr
         SimConfig(timesteps=5, v_thr=1e-310)
     assert SimConfig(timesteps=1, v_thr=np.finfo(np.float64).tiny).v_thr > 0
@@ -610,12 +613,6 @@ def _block_elements(net, frames):
     return max(sum(sizes), gathered)
 
 
-def _is_input_shortcut(frames, v_thr):
-    """A steady input, every pixel <= 0 or >= v_thr: the input population
-    fires the same pixels every step and leaves the loop."""
-    return bool(np.all((frames <= 0.0) | (frames >= v_thr)))
-
-
 def _check_equals_step_loop(res, ref):
     for key in ("rates", "residuals", "avg_currents"):
         for got, want in zip(getattr(res, key), ref[key]):
@@ -676,13 +673,9 @@ def test_kernel_bitwise_equals_step_loop(rng, monkeypatch, kind, batch, readout,
             _check_equals_step_loop(run_batch(net, frames, config), ref)
         steps = {steps for _, _, steps in calls}
         assert max(steps) == K and T % K in steps  # full blocks and a short one
-        # every neuron of every population (of every unit or row) is
-        # stepped exactly T times, but the input population under the
-        # input shortcut, which never is
-        want = np.full(sum(sizes), T)
-        if _is_input_shortcut(frames, v_thr):
-            want[:sizes[0]] = 0
-        assert np.array_equal(_steps_per_neuron(calls, sum(sizes)), want)
+        # every neuron of every population (of every unit or row), the
+        # input's included, is stepped exactly T times
+        assert np.array_equal(_steps_per_neuron(calls, sum(sizes)), np.full(sum(sizes), T))
 
 
 @pytest.mark.parametrize("levels, v_thr, steady", [
@@ -891,9 +884,9 @@ def repeating_conv_runs(draw):
 def test_unit_populations_equal_step_loop_bit_for_bit(case):
     """Populations kept per distinct receptive field, and those kept per
     signature after them, give every row the step loop's bits, twin rows
-    included, and each of their neurons steps exactly T times (the input
-    none under the input shortcut); SpikingAgent.qvalues reads the
-    step loop's readout."""
+    included, and each of their neurons, the input's included, steps
+    exactly T times; SpikingAgent.qvalues reads the step loop's
+    readout."""
     net, frames, config, block = case
     sizes = _sizes(net, frames)
     with pytest.MonkeyPatch.context() as mp:
@@ -906,10 +899,8 @@ def test_unit_populations_equal_step_loop_bit_for_bit(case):
     want = (ref["f_last"] if config.readout == "robust"
             else ref["rates"][-1].reshape(len(frames), -1))
     assert np.array_equal(SpikingAgent(net, config).qvalues(frames), want)
-    want = np.full(sum(sizes), config.timesteps)
-    if _is_input_shortcut(frames, config.v_thr):
-        want[:sizes[0]] = 0
-    assert np.array_equal(_steps_per_neuron(calls, sum(sizes)), want)
+    assert np.array_equal(_steps_per_neuron(calls, sum(sizes)),
+                          np.full(sum(sizes), config.timesteps))
 
 
 @st.composite
@@ -991,8 +982,9 @@ def test_conv_populations_step_distinct_windows_on_linecatch_frames(rng, monkeyp
     """On 16x16 LineCatch frames the conv populations step one unit per
     distinct receptive field, not one per (frame, position), and the
     dense ones one column per signature, not one per frame: T * (channels
-    * units + width * signatures) neuron-steps, with units far fewer than
-    frames * positions and signatures fewer than frames."""
+    * units + width * signatures) neuron-steps, the input's units
+    included, with units far fewer than frames * positions and signatures
+    fewer than frames."""
     env = LineCatchEnv(grid_size=16)
     frames = [env.reset(5)]
     for _ in range(63):
@@ -1010,7 +1002,7 @@ def test_conv_populations_step_distinct_windows_on_linecatch_frames(rng, monkeyp
         dense(he((3, 32)), rng.normal(0, 0.05, 3), activation="none"),
     ])
     assert all(stage.exact for stage in _build_stages(net))
-    _, units1, units2 = _unit_counts(net, frames)
+    units0, units1, units2 = _unit_counts(net, frames)
     assert 10 * units1 < 64 * 7 * 7 and 10 * units2 < 64 * 5 * 5
     # the first conv never reads row 15, the paddle's: frames that differ
     # only there share a signature
@@ -1019,8 +1011,8 @@ def test_conv_populations_step_distinct_windows_on_linecatch_frames(rng, monkeyp
     T = 50
     calls = _count_neuron_steps(monkeypatch)
     res = run_batch(net, frames, SimConfig(timesteps=T))
-    # binary frames at v_thr 1: the input population never steps
-    assert sum(n * steps for _, n, steps in calls) == T * (8 * units1 + 16 * units2 + 35 * rows)
+    assert sum(n * steps for _, n, steps in calls) == T * (units0 + 8 * units1 + 16 * units2
+                                                            + 35 * rows)
     _check_equals_step_loop(res, step_loop(net, frames, SimConfig(timesteps=T)))
 
 
@@ -1031,22 +1023,30 @@ def test_conv_populations_step_distinct_windows_on_linecatch_frames(rng, monkeyp
     ([0.0, 0.1], 0.1, True),
 ])
 def test_input_shortcut_gate(rng, monkeypatch, levels, v_thr, shortcut):
-    """The input population leaves the loop exactly when the input is
-    steady (every pixel <= 0 or >= v_thr), and the run still equals the
-    step loop bit for bit: at v_thr 0.8 a pixel of 1 leaves a potential
-    that grows by 0.2 a step, which the run keeps."""
+    """The input population leaves the loop of a deciding run exactly
+    when the input is steady (every pixel <= 0 or >= v_thr); a run that
+    reports steps it T times, and equals the step loop bit for bit: at
+    v_thr 0.8 a pixel of 1 leaves a potential that grows by 0.2 a step,
+    which the run keeps."""
     net = rand_dense_net(rng, sizes=[6, 9, 7, 4])
     widths = _widths(net)
     frames = rng.choice(levels, (3, 6))
     frames[0, :2] = levels  # both levels present
     config = SimConfig(timesteps=23, v_thr=v_thr)
+    assert simulate._Plan(_build_stages(net), frames, config).steady == shortcut
     calls = _count_neuron_steps(monkeypatch)
     res = run_batch(net, frames, config)
+    assert np.all(_steps_per_neuron(calls, 3 * sum(widths)) == 23)
+    ref = step_loop(net, frames, config)
+    _check_equals_step_loop(res, ref)
+    # the rate readout's deciding run goes to T
+    calls.clear()
+    rate = SimConfig(timesteps=23, v_thr=v_thr, readout="rate")
+    actions = SpikingAgent(net, rate).actions(frames)
     stepped = _steps_per_neuron(calls, 3 * sum(widths))
     assert np.all(stepped[:3 * widths[0]] == (0 if shortcut else 23))
     assert np.all(stepped[3 * widths[0]:] == 23)
-    _check_equals_step_loop(res, step_loop(net, frames, config))
-    assert _is_input_shortcut(frames, v_thr) == shortcut
+    assert np.array_equal(actions, np.argmax(ref["rates"][-1].reshape(3, -1), axis=1))
     if v_thr == 0.1:  # the step-by-step sum is not T * v_thr, and the result keeps it
         assert 23 * 0.1 != sum([0.1] * 23)
         assert res.avg_currents[0][0, 1] == sum([0.1] * 23) / (23 * 0.1) != 1.0
@@ -1058,11 +1058,11 @@ def test_input_shortcut_gate(rng, monkeypatch, levels, v_thr, shortcut):
 ])
 def test_steady_input_leaves_the_loop(rng, monkeypatch, kind, levels, v_thr):
     """A steady input that is not binary at v_thr, on a conv net whose
-    input is kept per unit and on a dense net, never reaches _integrate:
-    neither in a run that returns a SimResult, which equals the step
-    loop bit for bit, nor in a deciding run of the rate readout
-    (SpikingAgent.actions), which steps every other population T times
-    and answers the step loop's argmax."""
+    input is kept per unit and on a dense net, never reaches _integrate
+    in a deciding run of the rate readout (SpikingAgent.actions), which
+    steps every other population T times and answers the step loop's
+    argmax; a run that returns a SimResult steps every population T
+    times, the input's included, and equals the step loop bit for bit."""
     net = _padded_conv_net(rng) if kind == "conv" else rand_dense_net(rng, sizes=[6, 9, 7, 4])
     frames = rng.choice(levels, (2, *net.input_shape))
     frames.reshape(2, -1)[0, :len(levels)] = levels  # every level present
@@ -1072,11 +1072,11 @@ def test_steady_input_leaves_the_loop(rng, monkeypatch, kind, levels, v_thr):
     assert plan.steady and bool(plan.units) == (kind == "conv")
     sizes = _sizes(net, frames)
     want = np.full(sum(sizes), 23)
-    want[:sizes[0]] = 0
     ref = step_loop(net, frames, config)
     calls = _count_neuron_steps(monkeypatch)
     _check_equals_step_loop(run_batch(net, frames, config), ref)
     assert np.array_equal(_steps_per_neuron(calls, sum(sizes)), want)
+    want[:sizes[0]] = 0
     calls.clear()
     actions = SpikingAgent(net, config).actions(frames)
     assert np.array_equal(_steps_per_neuron(calls, sum(sizes)), want)
