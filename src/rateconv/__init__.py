@@ -13,8 +13,8 @@ from .modelio import (BlobError, EpisodeTrace, FormatError, ManifestError, Repor
                       write_trace)
 from .normalize import (NormConfig, NormStats, apply_normalization, collect_stats,
                         load_stats, percentile, save_stats)
-from .simulate import (SimConfig, SimResult, classify_residual_cases, diagnostics,
-                       layer_identity_residual, readout, robust_readout, run, run_batch)
+from .simulate import (SimConfig, SimResult, diagnostics, layer_identity_residual, readout,
+                       robust_readout, run, run_batch)
 from .lincatch import LineCatchEnv, optimal_network
 from .evaluate import (ActionAgreement, AnalogAgent, ConversionReport, EvalConfig,
                        PlayRecord, SpikingAgent, collect_frames_by_play,

@@ -75,6 +75,8 @@ class EvalConfig:
             require_integer(name, getattr(self, name))
         if self.max_noop < 0:
             raise ValueError(f"max_noop must be >= 0, got {self.max_noop}")
+        if self.max_noop >= 2 ** 63:  # past int64, where numpy draws the no-op count
+            raise ValueError(f"max_noop must be < 2**63, got {self.max_noop}")
         if self.episodes < 1:
             raise ValueError(f"episodes must be >= 1, got {self.episodes}")
         if self.frame_budget < 0:

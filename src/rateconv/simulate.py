@@ -24,7 +24,8 @@ Order of work.  Layer l over steps t..t+K-1 depends only on layer l-1's
 spikes over those same steps, so run_batch, the one network loop, runs
 every population in one recurrence, pipelined one block apart:
 population j runs block b at iteration b + j, on the currents of the
-spikes population j-1 produced for block b in the iteration before.
+spikes population j-1 produced for block b in the iteration before; a
+run whose input leaves the loop (see One rule) starts it at iteration 1.
 A run is three parts (_run_stages): a _Plan of the batch, made once,
 which holds its layout (the units, each population's place in the
 buffers, the gather indices, the input's drive, K and the block
@@ -227,6 +228,8 @@ class SimConfig:
         require_integer("timesteps", self.timesteps)
         if self.timesteps < 1:
             raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
+        if self.timesteps >= 2 ** 63:  # past int64, where numpy counts steps
+            raise ValueError(f"timesteps must be < 2**63, got {self.timesteps}")
         require_number("v_thr", self.v_thr)
         # a float64, so T * v_thr rounds as one (widening a float32 is exact)
         try:
@@ -464,17 +467,15 @@ class _Plan:
         rows, index = len(values), self.index[j]
         if index is None:
             z = w @ self.view(values, j - 1, rows).astype(np.float64, copy=False)
-            if bias is not None:
-                z += bias[:, None]
-            return z.reshape(rows, -1)
-        n, m = self.neurons[j - 1], self.cols[j - 1]
-        x = np.empty((n + 1, m, rows))
-        x[:n] = self.view(values, j - 1, rows).transpose(1, 2, 0)
-        x[n] = 0.0
-        z = w @ np.take(x.reshape(n + 1, -1), index, axis=0).reshape(len(index), -1)
+        else:
+            n, m = self.neurons[j - 1], self.cols[j - 1]
+            x = np.empty((n + 1, m, rows))
+            x[:n] = self.view(values, j - 1, rows).transpose(1, 2, 0)
+            x[n] = 0.0
+            z = w @ np.take(x.reshape(n + 1, -1), index, axis=0).reshape(len(index), -1)
         if bias is not None:
             z += bias[:, None]
-        return z.reshape(-1, rows).T
+        return z.reshape(rows, -1) if index is None else z.reshape(-1, rows).T
 
     def currents(self, j: int, spikes: np.ndarray, steps: int) -> np.ndarray:
         """Population j's currents over the first steps of a block, from
@@ -723,8 +724,8 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
     K, n_blocks, edges = plan.K, plan.n_blocks, plan.edges
     view, currents_of, steps_of = plan.view, plan.currents, plan.steps
     last_pop = len(edges) - 2
-    # A steady input leaves the loop of a run that decides (see One rule).
-    leaves = plan.steady and decide
+    # A steady input leaves a deciding run's loop, which starts at 1 (see One rule).
+    leaves = int(plan.steady and decide)
     potentials = np.zeros(edges[-1])
     counts = np.zeros(edges[-1], dtype=np.int64)
     currents = np.empty((K, edges[-1]))
@@ -740,20 +741,20 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
     out = slice(edges[-2], edges[-1])
     settle = np.ones(columns, dtype=np.int64)
     prev_choice = np.zeros(columns, dtype=np.intp)  # at rest every score is 0
-    for i in range(n_blocks + last_pop - leaves):
-        # Population j runs block i - (j - leaves); the active ones are lo..hi.
-        lo = leaves + max(0, i - n_blocks + 1)
-        hi = min(last_pop, leaves + i)
+    for i in range(leaves, n_blocks + last_pop):
+        # Population j runs block i - j; the active ones are lo..hi.
+        lo = max(leaves, i - n_blocks + 1)
+        hi = min(last_pop, i)
         # Every active stage reads the spikes the iteration before wrote,
         # before _integrate overwrites them below.
         for j in range(max(lo, 1 + plan.steady), hi + 1):
-            steps = steps_of(i - (j - leaves))
+            steps = steps_of(i - j)
             view(currents, j, steps)[:] = currents_of(j, fired, steps)
 
         # The lowest population may be in the last, short block: it leaves
         # the slice after its last step.
         end = edges[hi + 1]
-        short = steps_of(i - (lo - leaves))
+        short = steps_of(i - lo)
         parts = [(0, short, edges[lo]), (short, K, edges[lo + 1])] if short < K else \
             [(0, K, edges[lo])]
         watch = not decide and hi == last_pop
@@ -772,7 +773,7 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
 
         if watch:
             # The output argmax after each step of its block, as a step loop sees it.
-            b = i - (last_pop - leaves)
+            b = i - last_pop
             steps = steps_of(b)
             score = out_before + np.cumsum(fired[:steps, out], axis=0, dtype=np.int64)
             if trail is not None:
@@ -883,12 +884,6 @@ def classify_case_counts(avg_current: np.ndarray, residual: np.ndarray) -> dict[
     }
 
 
-def classify_residual_cases(result: SimResult) -> dict[str, int]:
-    """Case counts summed over every neuron of every population."""
-    return classify_case_counts(np.concatenate([R.ravel() for R in result.avg_currents]),
-                                np.concatenate([dV.ravel() for dV in result.residuals]))
-
-
 def diagnostics(result: SimResult, net: NetworkSpec,
                 frame: Optional[np.ndarray] = None) -> dict:
     """JSON-ready per-run diagnostic summary."""
@@ -899,6 +894,7 @@ def diagnostics(result: SimResult, net: NetworkSpec,
         "readout_vector": [float(x) for x in np.atleast_2d(readout(result))[0]],
         "mean_rate_per_layer": [float(np.mean(r)) for r in result.rates],
         "identity_residuals": layer_identity_residual(result, net, frame=frame),
-        "case_counts": classify_residual_cases(result),
+        "case_counts": classify_case_counts(np.concatenate(result.avg_currents, axis=None),
+                                            np.concatenate(result.residuals, axis=None)),
         "settle_step": int(np.max(result.settle_step)),
     }

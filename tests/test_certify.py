@@ -154,6 +154,18 @@ def _check_rest_bounds(net, frames, config):
     assert np.all(bound <= total[:, :, None] - total[:, None, :])
 
 
+def test_bound_that_is_not_finite_certifies_nothing():
+    """A pixel of 1e308 summed over 10 steps passes the largest float: the
+    bound at rest gives no bound and certifies no action, so a run would
+    go to T.  Only the bound is called; no run is made."""
+    net = rand_dense_net(np.random.default_rng(3), sizes=[4, 3, 2])
+    config = SimConfig(timesteps=10)
+    plan = simulate._Plan(_build_stages(net), np.array([[0.5, 1e308, 1.0, 0.0]]), config)
+    assert not plan.steady
+    assert simulate._rest_bounds(plan, config) is None
+    assert simulate._actions_at_rest(plan, config) is None
+
+
 def _state_elements(net, frames):
     """An upper bound on the float64 values per step the state of a run
     holds, so BLOCK_BYTES of block times it gives blocks of at most block

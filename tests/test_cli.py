@@ -902,6 +902,10 @@ def test_unknown_flag_is_usage_error(capsys):
     (["play", "--vthr", "inf"], "model"),
     (["simulate", "--vthr", "1e400"], "model"),  # read as inf by argparse
     (["simulate", "--vthr", "1e-310", "--timesteps", "5"], "model"),  # T * v_thr subnormal
+    # past int64 (2**63), on the model's own grid so that nothing else fails first
+    (["play", "--grid-size", "6", "--timesteps", "9223372036854775808"], "model"),
+    (["play", "--grid-size", "6", "--max-noop", "9223372036854775808"], "model"),
+    (["sweep", "--mode", "time", "--grid-size", "6", "--values", "1e19"], "model"),
 ])
 def test_bad_flag_value_is_usage_error(tmp_path, model_dir, frames_blob, flags, model):
     out = tmp_path / "out"
@@ -911,6 +915,17 @@ def test_bad_flag_value_is_usage_error(tmp_path, model_dir, frames_blob, flags, 
     else:
         tail = ["--out", out]
     assert run_cli(*flags, "--model", model_path, *tail) == 1
+    assert not out.exists()
+
+
+def test_spiking_play_past_int64_timesteps_is_usage_error(tmp_path, model_dir, capsys):
+    """A step count numpy cannot hold exits 1 before any run, not with an
+    OverflowError traceback from the bound at rest."""
+    out = tmp_path / "p.csv"
+    assert run_cli("play", "--model", model_dir, "--snn-model", model_dir, "--grid-size", "6",
+                   "--episodes", "1", "--timesteps", "9223372036854775808", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "timesteps must be < 2**63" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -52,6 +52,11 @@ def test_conversion_rate_rejects_bad_input():
         conversion_rate([1], [1, 2])
 
 
+def test_mean_std_of_no_values_is_nan():
+    mean, std = mean_std([])
+    assert np.isnan(mean) and np.isnan(std)
+
+
 def test_derive_seed_stable_and_spread():
     assert derive_seed(0, 0) == derive_seed(0, 0)
     seeds = {derive_seed(7, i) for i in range(1000)}
@@ -856,6 +861,19 @@ def test_eval_config_counts_are_integers(field, value):
     assert getattr(EvalConfig(**{field: np.int64(3)}), field) == 3
 
 
+def test_eval_config_cr_mode_is_one_of_the_modes():
+    with pytest.raises(ValueError, match="cr_mode must be one of"):
+        EvalConfig(cr_mode="x")
+
+
+def test_eval_config_max_noop_fits_int64():
+    """A no-op count numpy cannot draw is refused up front with ValueError,
+    not left to fail in the first episode's draw."""
+    with pytest.raises(ValueError, match=r"max_noop must be < 2\*\*63"):
+        EvalConfig(max_noop=2**63)
+    assert EvalConfig(max_noop=2**63 - 1).max_noop == 2**63 - 1
+
+
 @pytest.mark.parametrize("value", [True, "0.05", None])
 def test_eval_config_epsilon_is_a_number(value):
     """A bool is not an exploration rate, and a string is refused with
@@ -980,3 +998,5 @@ def test_collect_frames_by_play(rng):
     for n_frames in (2.5, True, "50"):  # refused before any play
         with pytest.raises(ValueError, match="n_frames must be an integer"):
             collect_frames_by_play(net, env, n_frames, EvalConfig(episodes=1, seed=0))
+    with pytest.raises(ValueError, match="n_frames must be >= 1, got 0"):
+        collect_frames_by_play(net, env, 0, EvalConfig(episodes=1, seed=0))

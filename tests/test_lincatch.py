@@ -76,6 +76,8 @@ def test_env_guards():
         env.step(1)
     with pytest.raises(RuntimeError):
         env.step(1)
+    with pytest.raises(ValueError, match="episode_len must be >= 0, got -1"):
+        LineCatchEnv(episode_len=-1)
 
 
 @pytest.mark.parametrize("name, value", [("grid_size", 8.5), ("grid_size", True),

@@ -129,6 +129,13 @@ def test_load_model_missing_dir_and_missing_blob(tmp_path, rng):
         load_model(tmp_path / "m")
 
 
+def test_save_model_refuses_invalid_network(tmp_path):
+    broken = NetworkSpec((3,), [dense(np.zeros((2, 5)), np.zeros(2))])
+    with pytest.raises(ValueError, match="cannot save invalid network"):
+        save_model(broken, tmp_path / "m")
+    assert not (tmp_path / "m").exists()
+
+
 def test_load_model_dim_mismatch_reported(tmp_path, rng):
     net = NetworkSpec((5,), [dense(rng.normal(size=(4, 5)), np.zeros(4)),
                              dense(rng.normal(size=(3, 4)), np.zeros(3), activation="none")])
@@ -204,6 +211,14 @@ def _trace(rng, steps, action_count=4, shape=(1, 4, 4)):
     records = trace_steps(shape, rng.random((steps, *shape)),
                           rng.integers(action_count, size=steps), rng.integers(0, 2, size=steps))
     return EpisodeTrace(action_count=action_count, observation_shape=shape, steps=records)
+
+
+def test_missing_frames_file_is_named(tmp_path):
+    missing = tmp_path / "absent.trace"
+    with pytest.raises(TraceError, match="absent.trace: no such trace file"):
+        TraceReader(missing)
+    with pytest.raises(FormatError, match="absent.trace: no such file"):
+        open_frames(missing)
 
 
 def test_trace_round_trip_empty(tmp_path, rng):

@@ -15,8 +15,9 @@ from rateconv import (NetworkSpec, NormConfig, SimConfig, apply_normalization, c
 from rateconv import network
 from rateconv.evaluate import AnalogAgent
 from rateconv.lincatch import LineCatchEnv
-from rateconv.network import (UNIT_SAMPLE, apply_layer_linear, conv2d_batch, explore, first_new,
-                              frame_keys, number_keys)
+from rateconv.network import (UNIT_SAMPLE, LayerSpec, apply_layer_linear, conv2d_batch, explore,
+                              first_new, frame_keys, layer_output_shape, leading_convs,
+                              number_keys, receptive_fields, unit_maps)
 
 from conftest import rand_conv_net, rand_net
 
@@ -142,6 +143,33 @@ def test_validate_requires_parameterized_layer():
     assert not result.ok
 
 
+def test_validate_rejects_unknown_kind_and_flatten_with_parameters():
+    head = dense(np.zeros((2, 4)), np.zeros(2), activation="none")
+    unknown = validate_network(NetworkSpec((4,), [LayerSpec("pool", activation="none"), head]))
+    assert unknown.violations == ["layer 0: unknown kind 'pool'"]
+    weighted = LayerSpec("flatten", weights=np.zeros(1), activation="none")
+    carrying = validate_network(NetworkSpec((1, 2, 2), [weighted, head]))
+    assert carrying.violations == ["layer 0: flatten carries no parameters"]
+
+
+@pytest.mark.parametrize("layer, in_shape, message", [
+    (LayerSpec("dense", np.zeros((2, 3, 1)), np.zeros(2)), (3,),
+     r"dense layer needs 2-D weights \[out, in\]"),
+    (LayerSpec("dense", np.zeros((2, 3)), np.zeros(2)), (1, 3),
+     r"dense layer expects 1-D input, got \(1, 3\)"),
+    (LayerSpec("dense", np.zeros((2, 3)), np.zeros(3)), (3,),
+     r"dense bias must have shape \(2,\)"),
+    (LayerSpec("conv2d", np.zeros((2, 1, 3)), np.zeros(2)), (1, 4, 4),
+     r"conv2d layer needs 4-D weights \[out_ch, in_ch, kh, kw\]"),
+    (LayerSpec("conv2d", np.zeros((2, 1, 3, 3)), np.zeros(3)), (1, 4, 4),
+     r"conv2d bias must have shape \(2,\)"),
+    (LayerSpec("pool"), (3,), "unknown layer kind 'pool'"),
+])
+def test_layer_output_shape_names_what_does_not_fit(layer, in_shape, message):
+    with pytest.raises(ValueError, match=message):
+        layer_output_shape(layer, in_shape)
+
+
 # ---------------------------------------------------------------------------
 # parameters: each layer owns them, read-only, with one float64 copy
 
@@ -261,6 +289,13 @@ def test_forward_matches_naive_oracle_on_random_nets():
         got = forward_batch(net, x[None])[1][0]
         want = naive_forward(net, x)
         np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+def test_affine_kernels_refuse_what_they_cannot_compute():
+    with pytest.raises(ValueError, match="conv2d input has 2 channels, expected 1"):
+        conv2d_batch(np.zeros((1, 2, 4, 4)), np.zeros((3, 1, 2, 2)), np.zeros(3), (1, 1), (0, 0))
+    with pytest.raises(ValueError, match="layer kind 'flatten' has no parameters"):
+        apply_layer_linear(flatten(), np.zeros((1, 3)))
 
 
 def test_forward_is_deterministic():
@@ -544,6 +579,22 @@ def _conv_rows(monkeypatch):
     monkeypatch.setattr(network, "conv2d_batch",
                         lambda x, *args: rows.append(len(x)) or real(x, *args))
     return rows
+
+
+def test_frames_holding_nan_are_not_kept_per_unit():
+    """Repeating frames with a NaN pixel, whose payloads may differ unseen."""
+    layer = conv2d(np.ones((2, 1, 2, 2)), np.zeros(2))
+    frames = np.zeros((3, 1, 4, 4))
+    frames[1, 0, 2, 2] = np.nan
+    maps, vectors = unit_maps(frames, [receptive_fields(layer, (1, 4, 4))])
+    assert maps == [] and vectors is None
+
+
+def test_leading_convs_stop_at_a_conv_that_does_not_fit():
+    fits = conv2d(np.ones((2, 1, 2, 2)), np.zeros(2))
+    too_big = conv2d(np.ones((2, 2, 3, 3)), np.zeros(2))  # 3x3 on the 2x2 map `fits` leaves
+    lead = leading_convs([fits, too_big, fits], (1, 3, 3))
+    assert len(lead) == 1 and lead[0][0] is fits and lead[0][1:] == ((1, 3, 3), (2, 2, 2))
 
 
 def test_forward_batch_computes_each_distinct_field_once(rng, monkeypatch):

@@ -493,6 +493,20 @@ def test_collect_stats_records_provenance(rng):
     assert stats.provenance == "unit test frames"
 
 
+def test_collect_stats_needs_a_frame():
+    net = NetworkSpec((2,), [dense(np.eye(2), np.zeros(2), activation="none")])
+    with pytest.raises(ValueError, match="need at least one calibration frame"):
+        collect_stats(net, np.zeros((0, 2)), NormConfig(99.9))
+
+
+def test_apply_normalization_refuses_weights_past_float32():
+    net = NetworkSpec((2,), [dense(np.full((2, 2), 1e38), np.zeros(2), activation="none")])
+    stats = NormStats(scales=[1.0, 1e-3], sample_counts=[2, 2], config=NormConfig(99.9))
+    with pytest.raises(ValueError, match="layer 0: weights or bias scaled by .* do not fit "
+                                         "in float32"):
+        apply_normalization(net, stats)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_collect_stats_rejects_non_finite_frames(bad):
     net = NetworkSpec((2,), [dense(np.eye(2), np.zeros(2), activation="none")])
@@ -666,3 +680,8 @@ def test_load_stats_rejects_malformed(tmp_path):
     (tmp_path / "s.json").write_text("{\"percentile\": 99.9}")
     with pytest.raises(ValueError):
         load_stats(tmp_path / "s.json")
+
+
+def test_load_stats_of_a_missing_file_is_not_malformed(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_stats(tmp_path / "absent.json")

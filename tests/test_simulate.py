@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rateconv import (NetworkSpec, NormConfig, SimConfig, SpikingAgent, apply_normalization,
-                      classify_residual_cases, collect_stats, conv2d, dense, diagnostics,
-                      flatten, forward_batch, layer_identity_residual, robust_readout, run,
-                      run_batch)
+                      collect_stats, conv2d, dense, diagnostics, flatten, forward_batch,
+                      layer_identity_residual, robust_readout, run, run_batch)
 from rateconv import simulate
 from rateconv.lincatch import LineCatchEnv
 from rateconv.network import UNIT_SAMPLE, apply_layer_linear, receptive_fields
@@ -294,7 +293,7 @@ def test_no_impossible_case_over_random_sequences(rng):
 def test_classify_residual_cases_sums_to_neuron_count(rng):
     net = rand_dense_net(rng, sizes=[4, 6, 5, 3])
     res = run(net, rng.random(4), SimConfig(timesteps=100))
-    cases = classify_residual_cases(res)
+    cases = diagnostics(res, net)["case_counts"]
     n_neurons = 4 + 6 + 5 + 3
     assert sum(v for k, v in cases.items() if k != "impossible") == n_neurons
     assert cases["impossible"] == 0
@@ -330,6 +329,12 @@ def test_run_batch_rejects_misshapen_frames_and_invalid_network(rng):
         run_batch(broken, np.zeros((1, 3)), config)
 
 
+def test_identity_residual_refuses_a_result_of_another_net(rng):
+    res = run(rand_dense_net(rng, sizes=[4, 3, 2]), rng.random(4), SimConfig(timesteps=5))
+    with pytest.raises(ValueError, match="result does not belong to this network"):
+        layer_identity_residual(res, rand_dense_net(rng, sizes=[4, 3, 3, 2]))
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(timesteps=0)
@@ -342,6 +347,10 @@ def test_sim_config_validation():
     for v_thr in (10**400, -10**400):  # past the largest float: no OverflowError
         with pytest.raises(ValueError, match="v_thr must be positive and finite"):
             SimConfig(v_thr=v_thr)
+    for timesteps in (2**63, 10**19):  # past int64: refused, not an OverflowError in a run
+        with pytest.raises(ValueError, match=r"timesteps must be < 2\*\*63"):
+            SimConfig(timesteps=timesteps)
+    assert SimConfig(timesteps=2**63 - 1).timesteps == 2**63 - 1
     with pytest.raises(ValueError, match="normal float"):  # the readout divides by T * v_thr
         SimConfig(timesteps=5, v_thr=1e-310)
     assert SimConfig(timesteps=1, v_thr=np.finfo(np.float64).tiny).v_thr > 0
@@ -777,11 +786,19 @@ def pipeline_runs(draw):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(case=pipeline_runs())
 def test_pipelined_run_batch_equals_step_loop_bit_for_bit(case):
+    """run_batch, and a deciding run's actions, under forced blocks: a
+    steady input leaves a deciding run's loop, which then fills and drains
+    the pipeline without it and may end on a short block."""
     net, frames, config, block = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "BLOCK_BYTES", 8 * _block_elements(net, frames) * block)
         res = run_batch(net, frames, config)
-    _check_equals_step_loop(res, step_loop(net, frames, config))
+        actions = SpikingAgent(net, config).actions(frames)
+    ref = step_loop(net, frames, config)
+    _check_equals_step_loop(res, ref)
+    readout = ref["rates"][-1].reshape(len(frames), -1) if config.readout == "rate" \
+        else ref["f_last"]
+    assert np.array_equal(actions, np.argmax(readout, axis=1))
 
 
 # ---------------------------------------------------------------------------
