@@ -375,8 +375,7 @@ def cmd_sweep(args) -> int:
     if args.frames:
         frames = _load_frames(args.frames, net=source)
     else:
-        frames = collect_frames_by_play(source, env, CALIBRATION_FRAMES,
-                                        replace(eval_config, episodes=1))
+        frames = collect_frames_by_play(source, env, CALIBRATION_FRAMES, eval_config)
     rows = sweep(source, env, frames, points, fixed, eval_config)
     modelio.write_report(rows, args.out)
     _write_meta(args.out, {

@@ -178,8 +178,8 @@ class SpikingAgent:
     every row's action (see Certified early decisions in
     rateconv.simulate), so the actions are those of the whole run by
     proof.  It runs to T when the bound leaves a row open, for the rate
-    readout, and when a stage is not exact or v_thr is not a whole
-    multiple of a stage's u.
+    readout, for an output of more than one position, and when a stage
+    is not exact or v_thr is not a whole multiple of a stage's u.
     """
 
     def __init__(self, net: NetworkSpec, sim_config: SimConfig):

@@ -146,10 +146,15 @@ steps to run from V = 0:
   v_thr, at most T and at least 0; a neuron whose lowest step reaches
   v_thr fires at every step, one whose highest step is <= 0 at none;
 - the output's summed currents are compared pairwise, on the rows W_a
-  - W_c of its weights, so what the rivals share cancels: row a is
+  - W_c of its weights (_Stage.gaps, whole leads only for an output of
+  one position), so what the rivals share cancels: row a is
   certified once its lowest lead over every other output c is above
   the most the readout's rounding can take from it (a strict lead, as
   argmax breaks a tie by the first index).
+
+Each stage's bound is its layer applied by _Plan.linear, as its
+currents are: its weights, or the rows W_a - W_c, to the centers below
+and their magnitudes to the half widths.
 
 Every sum is bounded with explicit slack for float64 rounding: its
 terms' rounding and the rounding of every potential over the run,
@@ -164,7 +169,9 @@ of the loop's buffers; any other runs to T, whatever rows the bound
 did certify, and answers the argmax of its readout (rows that certify
 at all do so at rest, or only near T, where stopping saves little).
 Runs also go to T for the rate readout, when any stage is not exact
-or v_thr is not a whole multiple of its u (potentials that round), and
+or v_thr is not a whole multiple of its u (potentials that round), when
+the output has more than one position (a conv map larger than 1x1,
+whose leads between positions the rows W_a - W_c do not give), and
 when a bound is not finite; a run whose readout overflows reaches T and
 is refused as before.  Under these conditions a current is below 2^53
 u <= 2^53 v_thr, so |V| / (T v_thr) < 2^53 + 1 and the readout of a
@@ -250,8 +257,8 @@ class SimConfig:
 class _Stage:
     """A parameterized layer and its input and output shapes: in a run,
     the spiking population it feeds.  The layer holds the float64
-    parameters every stage computation reads; peak, magnitude, gaps and
-    matrix are the arrays the bound at rest reads."""
+    parameters every stage computation reads, its weights as kernel;
+    peak, magnitude and gaps are the arrays the bound at rest reads."""
 
     layer: LayerSpec
     input_shape: tuple[int, ...]  # the layer's input, flattened if a flatten precedes it
@@ -307,30 +314,23 @@ class _Stage:
         return float(np.max(self.magnitude.sum(axis=1) + np.abs(self.layer.bias64)))
 
     @cached_property
+    def kernel(self) -> np.ndarray:
+        """The layer's float64 weights as [out_ch, fan-in], one row per
+        channel: the map _Plan.linear applies."""
+        return self.layer.weights64.reshape(len(self.layer.bias64), -1)
+
+    @cached_property
     def magnitude(self) -> np.ndarray:
         """|w| of the layer's weights, [out_ch, fan-in]."""
-        return np.abs(self.layer.weights64.reshape(len(self.layer.bias64), -1))
+        return np.abs(self.kernel)
 
     @cached_property
     def gaps(self) -> np.ndarray:
-        """Row a - row c of matrix for every ordered pair of neurons, and
-        their magnitudes: [2, neurons * neurons, inputs]."""
-        w = self.matrix
+        """Row a - row c of the layer's weights for every ordered pair of
+        its channels, and their magnitudes: [2, out_ch * out_ch, fan-in]."""
+        w = self.kernel
         gaps = (w[:, None] - w[None]).reshape(len(w) ** 2, -1)
         return np.stack([gaps, np.abs(gaps)])
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The layer's weights as a dense map of its flattened input,
-        [neurons, inputs]: a conv layer's kernel copied to every position."""
-        w = self.layer.weights64.reshape(len(self.layer.bias64), -1)
-        if self.gather is None:
-            return w
-        width = math.prod(self.input_shape)
-        positions = self.gather.shape[1]
-        m = np.zeros((len(w), positions, width + 1))  # the last column takes the padding
-        m[:, np.arange(positions), self.gather] = w[:, :, None]
-        return m[:, :, :width].reshape(len(w) * positions, width)
 
 
 def _build_stages(net: NetworkSpec) -> list[_Stage]:
@@ -442,15 +442,6 @@ class _Plan:
         return buffer[:steps, self.edges[j]:self.edges[j + 1]].reshape(
             steps, self.neurons[j], self.cols[j])
 
-    def inputs(self, j: int, buffer: np.ndarray, steps: int) -> np.ndarray:
-        """Stage j-1's inputs over the first steps of a [K, edges[-1]]
-        buffer of population j-1's values, [steps, width, cols[j]]: the
-        last population kept per unit read per row."""
-        if j == len(self.units):
-            return np.take(buffer[:steps, self.edges[j - 1]:self.edges[j]], self.row_gather,
-                           axis=1)
-        return self.view(buffer, j - 1, steps)
-
     def linear(self, j: int, w: np.ndarray, values: np.ndarray,
                bias: Optional[np.ndarray] = None) -> np.ndarray:
         """w, stage j-1's weights or the like (plus bias), applied to
@@ -485,12 +476,16 @@ class _Plan:
         layer = stage.layer
         if stage.exact:
             # Exact in any order: one GEMM on the spikes (linear).
-            return self.linear(j, layer.weights64.reshape(len(layer.bias64), -1),
-                               spikes[:steps], layer.bias64).reshape(steps, -1, cols)
+            return self.linear(j, stage.kernel, spikes[:steps],
+                               layer.bias64).reshape(steps, -1, cols)
         # Not exact in every order: every row of every step as a
-        # step-at-a-time run of that row alone computes it.
-        x = np.ascontiguousarray(self.inputs(j, spikes, steps).transpose(0, 2, 1),
-                                 dtype=np.float64)
+        # step-at-a-time run of that row alone computes it, from the
+        # inputs [steps, width, cols], the last unit population read per row.
+        if j == len(self.units):
+            x = np.take(spikes[:steps, self.edges[j - 1]:self.edges[j]], self.row_gather, axis=1)
+        else:
+            x = self.view(spikes, j - 1, steps)
+        x = np.ascontiguousarray(x.transpose(0, 2, 1), dtype=np.float64)
         z = affine_rows(layer, x.reshape(steps * cols, *stage.input_shape))
         return z.reshape(steps, cols, -1).transpose(0, 2, 1)
 
@@ -519,9 +514,11 @@ class _Plan:
 
 def _certifiable(stages: list[_Stage], config: SimConfig) -> bool:
     """Whether a run of these stages may stop once its actions are
-    certified: the robust readout, and every stage exact with a v_thr
-    that is a whole multiple of its u."""
-    if config.readout != "robust":
+    certified: the robust readout, an output of one position (its
+    neurons its channels, which _Stage.gaps compares), and every stage
+    exact with a v_thr that is a whole multiple of its u."""
+    out = stages[-1]
+    if config.readout != "robust" or math.prod(out.shape) != len(out.layer.bias64):
         return False
     for stage in stages:
         if not stage.exact:
@@ -576,8 +573,7 @@ def _rest_bounds(plan: _Plan, config: SimConfig
                 stage = plan.stages[j - 1]
                 slack = 3.0 * _slack(T, stage.layer.weights[0].size, stage.peak, v_thr)
                 bias = _bias(plan, j)
-                w = stage.layer.weights64.reshape(len(stage.layer.bias64), -1)
-                center = plan.linear(j, w, feed[:2])
+                center = plan.linear(j, stage.kernel, feed[:2])
                 radius = plan.linear(j, stage.magnitude, feed[2:])
                 low = T * bias + center[0] - radius[0]
                 high = low + 2.0 * radius[0]
@@ -602,19 +598,19 @@ def _rest_bounds(plan: _Plan, config: SimConfig
             feed[1, flat] = always + 0.5 * may
             feed[2, flat] = 0.5 * (n_high - n_low)
             feed[3, flat] = 0.5 * may
-        x = plan.inputs(last, feed, 4)  # the output stage's inputs, [4, inputs, columns]
-        stage, columns = plan.stages[-1], plan.columns
+        stage = plan.stages[-1]
         slack = _slack(T, stage.layer.weights[0].size, stage.peak, v_thr)
         # each output's bias summed over the run, which with the currents of
         # its inputs makes its total, its readout times T v_thr
-        held = T * _bias(plan, len(plan.stages)).reshape(-1, columns)
+        held = T * _bias(plan, last).reshape(-1, plan.columns)
         n = len(held)
-        # the lowest total_a - total_c, for every ordered pair (a, c)
-        center, radius = stage.gaps @ np.stack([x[0], x[2]])
-        lead = (held[:, None] - held[None]) + (center - radius).reshape(n, n, columns)
         # |total| at most, from the bounds of each output alone
-        size = (np.abs(held + stage.matrix @ x[0]) + np.abs(stage.matrix) @ x[2]
-                + 2.0 * slack)
+        size = (np.abs(held + plan.linear(last, stage.kernel, feed[:1]).reshape(n, -1))
+                + plan.linear(last, stage.magnitude, feed[2:3]).reshape(n, -1) + 2.0 * slack)
+        # the lowest total_a - total_c, for every ordered pair (a, c)
+        center = plan.linear(last, stage.gaps[0], feed[:1])
+        radius = plan.linear(last, stage.gaps[1], feed[2:3])
+        lead = (held[:, None] - held[None]) + (center - radius).reshape(n, n, -1)
         # The readout of a total S rounds by at most 2^-51 (T v_thr + |V at
         # T| + |S|) / (T v_thr), and |V at T| <= |S| + T v_thr.
         margin = 2.0 ** -47 * (T * v_thr + size[:, None] + size[None]) + 4.0 * slack

@@ -66,7 +66,8 @@ LEVELS = [([0.0, 1.0], 1.0), ([-0.5, 0.0, 1.0, 1.5], 1.0), ([0.0, 0.5], 1.0),
 @st.composite
 def certified_runs(draw):
     """A dense net, a conv net ending in dense layers, or a conv net whose
-    last conv is the output; its output perhaps tied or nearly tied on
+    last conv is the output, of one position or of up to nine, which the
+    bound leaves to run to T; its output perhaps tied or nearly tied on
     purpose; binary, steady or changing frames (tiled from a few patches
     for conv nets, so units repeat, perhaps with twin rows that share a
     signature); T from 1 to 300; and perhaps a block length forced short,
@@ -80,7 +81,8 @@ def certified_runs(draw):
     else:
         c, side = int(rng.integers(1, 3)), int(rng.integers(5, 9))
         mid, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
-        out = side - k + 1
+        # the output map is 1x1 (certifiable) to 3x3 (run to T)
+        out = side - k + 1 - int(rng.integers(0, 3))
         net = NetworkSpec((c, side, side), [
             conv2d(rng.normal(0, 1.0 / np.sqrt(c * k * k), (mid, c, k, k)),
                    rng.normal(0, 0.05, mid)),
@@ -155,15 +157,19 @@ def _check_rest_bounds(net, frames, config):
 
 
 def test_bound_that_is_not_finite_certifies_nothing():
-    """A pixel of 1e308 summed over 10 steps passes the largest float: the
+    """A pixel of 1e308 summed over 10 steps passes the largest float, and
+    so does 10 v_thr at a v_thr of 1e308 on binary frames, whose hidden
+    bounds stay finite but whose readout margin does not: either way the
     bound at rest gives no bound and certifies no action, so a run would
-    go to T.  Only the bound is called; no run is made."""
+    go to T.  Only the bound is called; no run is made, and no overflow
+    warns."""
     net = rand_dense_net(np.random.default_rng(3), sizes=[4, 3, 2])
-    config = SimConfig(timesteps=10)
-    plan = simulate._Plan(_build_stages(net), np.array([[0.5, 1e308, 1.0, 0.0]]), config)
-    assert not plan.steady
-    assert simulate._rest_bounds(plan, config) is None
-    assert simulate._actions_at_rest(plan, config) is None
+    for frames, config in [([[0.5, 1e308, 1.0, 0.0]], SimConfig(timesteps=10)),
+                           ([[0, 1, 1, 0], [1, 1, 0, 0]], SimConfig(timesteps=10, v_thr=1e308))]:
+        plan = simulate._Plan(_build_stages(net), np.array(frames, dtype=np.float64), config)
+        assert not plan.steady
+        assert simulate._rest_bounds(plan, config) is None
+        assert simulate._actions_at_rest(plan, config) is None
 
 
 def _state_elements(net, frames):
@@ -335,6 +341,29 @@ def test_runs_certified_at_rest_run_no_step(monkeypatch, kind):
     calls = _count_neuron_steps(monkeypatch)
     assert decide(net, frames, config).tolist() == want.tolist()
     assert [done for _, done in log] == [True] and calls == []
+
+
+def test_an_output_of_several_positions_runs_to_T(monkeypatch):
+    """A conv output whose map is 2x2, 3 channels at 4 positions: the
+    bound compares outputs on the rows of the layer's weights, which
+    give no lead between two positions, so no run of it is certifiable,
+    and a deciding run steps its output T times and answers the argmax
+    of the whole run's readout."""
+    rng = np.random.default_rng(5)
+    net = NetworkSpec((1, 5, 5), [
+        conv2d(rng.normal(0, 0.5, (2, 1, 2, 2)), rng.normal(0, 0.05, 2)),
+        conv2d(rng.normal(0, 1.0 / 3.0, (3, 2, 3, 3)), rng.normal(0, 0.05, 3),
+               activation="none")])
+    stages = _build_stages(net)
+    assert stages[-1].shape == (3, 2, 2)
+    frames = drive_frames(rng, "binary", 6, net.input_shape)
+    config = SimConfig(timesteps=200)
+    assert not simulate._certifiable(stages, config)
+    want = whole_run_actions(net, frames, config)
+    log = _log_checks(monkeypatch)
+    calls = _count_neuron_steps(monkeypatch)
+    assert SpikingAgent(net, config).actions(frames).tolist() == want.tolist()
+    assert log == [] and output_steps(calls) == config.timesteps
 
 
 def test_a_rest_check_that_certifies_nothing_is_the_only_one(monkeypatch):
