@@ -12,8 +12,8 @@ environment and its own generator, seeded derive_seed(master, i), from
 which it draws its environment seed, its no-op prefix and its
 exploration; each round, the player and the shadow each answer the
 live episodes' observations, one greedy action per live episode in
-episode order.  The spiking agent simulates them as one run, which makes
-no step when a bound at rest certifies every row's action; every run
+episode order.  The spiking agent simulates them as one run, which stops
+short of T where a bound certifies a row's action; every run
 starts from rest and a row of run_batch is bit for bit the run of that
 frame alone (see rateconv.simulate).  The analog agent (the source playing
 alone, or shadowing) answers them in one network.forward_units pass
@@ -173,13 +173,15 @@ class SpikingAgent:
     methods simulate the observations from rest in one run; each row
     reads what run_batch of its observation alone reads, so no decision
     depends on another.  qvalues runs to T and returns the readout.
-    actions returns the argmax of that readout, and runs no step when
-    interval bounds on the run's currents, computed once at rest, prove
-    every row's action (see Certified early decisions in
-    rateconv.simulate), so the actions are those of the whole run by
-    proof.  It runs to T when the bound leaves a row open, for the rate
-    readout, for an output of more than one position, and when a stage
-    is not exact or v_thr is not a whole multiple of a stage's u.
+    actions returns the argmax of that readout.  It takes one interval
+    bound on the run's currents, at rest on a net without units, and on
+    a conv net after its exact prefix (the populations kept per unit,
+    run to T); one row of each column the bound leaves open then runs to
+    T alone (see Certified early decisions in rateconv.simulate), so the
+    actions are those of the whole run by proof.  It runs every row to T
+    for the rate readout, for an output of more than one position, and
+    when a stage is not exact or v_thr is not a whole multiple of a
+    stage's u.
     """
 
     def __init__(self, net: NetworkSpec, sim_config: SimConfig):

@@ -49,8 +49,9 @@ subtract v_thr where a spike fired.  The last block may be short; only
 the lowest active population can be in it, and it leaves the slice
 after its last step.  K, the steps per block, is min(BLOCK_BYTES // (8
 E), ceil(sqrt(10 T)), T), at least 1, where E is the larger of the
-state per step (every population's elements) and the columns one stage
-gathers per step (fan-in times its elements over its channels): memory
+state per step (the elements of every population the run steps) and
+the columns one of its stages gathers per step (fan-in times its
+elements over its channels): memory
 stays bounded whatever T is, and a short run is one block, layer after
 layer.
 
@@ -124,27 +125,56 @@ makes them all.
 
 Certified early decisions.  A caller that needs only each row's action
 (SpikingAgent.actions, the one caller of _run_stages with decide) gets
-the argmax of the robust readout at T, and the run makes no step when
-interval bounds (interval bound propagation, Gowal et al. 2018, on the
-spike counts of soft-reset IF neurons) prove at rest, before any step,
-that no row's action can be other than that.  By the bookkeeping
-identity the robust readout is the output's current summed over the
-run, over T v_thr: a row is decided once a sound bound on that sum
-leaves its leading output ahead of every other.  The bound
-(_rest_bounds) is computed once per run, at rest, from the run's plan
-alone, and changes nothing; population by population, each has T
-steps to run from V = 0:
+the argmax of the robust readout at T, and the run stops short of T
+where interval bounds (interval bound propagation, Gowal et al. 2018,
+on the spike counts of soft-reset IF neurons) prove that no row's
+action can be other than that.  By the bookkeeping identity the robust
+readout is the output's current summed over the run, over T v_thr (a
+rate is summed current, Rueckauer et al. 2017): a row is decided once a
+sound bound on that sum leaves its leading output ahead of every other.
+A run that may be certified takes one bound (_bounds), and its steps
+are these:
 
-- the input's drive is constant: a steady input's counts are exactly T
-  times its first spikes, any other input's bounded from it as below;
-- for every other population, the spikes of the population below over
-  the run lie between known bounds, and each of its inputs fires at
-  every step, at none, or may fire; that gives each neuron's current
-  summed over the run, and its current at any one step, within bounds;
-  its potential at T lies in [T min(0, lowest step), v_thr + T max(0,
-  highest step - v_thr)], and its spikes are (current sum - V at T) /
-  v_thr, at most T and at least 0; a neuron whose lowest step reaches
-  v_thr fires at every step, one whose highest step is <= 0 at none;
+- on a net with units, the exact prefix (_prefix): populations 0..k, k
+  = len(units) - 1, the last kept per unit, run to T by the one loop
+  (_loop), which stops at population k and adds population k's spikes
+  up per window of L = ceil(T / 64) steps; a net without units has no
+  prefix, k = 0, and its bound is taken at rest, before any step;
+- the bound, from the counts of the prefix, exact, and a steady input's,
+  exactly T times its first spikes;
+- a run to T, with no bound, of one row of each column the bound leaves
+  open (_run_to_T on the sub-batch): a row of a batch is bit for bit
+  its frame's run alone (see Why the spikes stay bit-identical), so
+  each answers the whole run's action.  Where the bound certifies every
+  column, no population above k makes a step.
+
+The bound, population by population, each with T steps to run from V =
+0:
+
+- population k + 1 after a prefix, from the window sums (_suffix_counts,
+  the suffix bound): with S(t) a neuron's current summed over steps
+  1..t, S at every window end e is W C(e) + e b, C(e) the prefix's
+  counts so far, one GEMM per window, not per step.  After its last
+  spike V >= 0 and it only adds current, so V at T >= min over s of
+  (S(T) - S(s)); after the last step s at which it did not fire V(s) <
+  v_thr and it fired at every step since, so V at T < v_thr + max over
+  s of (S(T) - S(s) - (T - s) v_thr).  Within a window the partial sums
+  lie between W- c + L min(b, 0) and W+ c + L max(b, 0), c the window's
+  counts and W- and W+ W's negative and positive parts, so the spikes
+  (S(T) - V at T) / v_thr lie in an interval at most T and at least 0;
+  a neuron of T spikes, here or in the prefix, fires at every step, one
+  of none at none;
+- the input, without a prefix: a steady input's counts are exact, any
+  other input's bounded from its constant drive as below;
+- every other population below the output: the spikes of the
+  population below over the run lie between known bounds, and each of
+  its inputs fires at every step, at none, or may fire; that gives each
+  neuron's current summed over the run, and its current at any one
+  step, within bounds; its potential at T lies in [T min(0, lowest
+  step), v_thr + T max(0, highest step - v_thr)], and its spikes are
+  (current sum - V at T) / v_thr, at most T and at least 0; a neuron
+  whose lowest step reaches v_thr fires at every step, one whose
+  highest step is <= 0 at none;
 - the output's summed currents are compared pairwise, on the rows W_a
   - W_c of its weights (_Stage.gaps, whole leads only for an output of
   one position), so what the rivals share cancels: row a is
@@ -153,29 +183,31 @@ steps to run from V = 0:
   argmax breaks a tie by the first index).
 
 Each stage's bound is its layer applied by _Plan.linear, as its
-currents are: its weights, or the rows W_a - W_c, to the centers below
-and their magnitudes to the half widths.
+currents are: its weights, W+ and W- to the window counts, or the rows
+W_a - W_c, to the centers below and their magnitudes to the half
+widths.  The window GEMMs go in chunks whose gathered values and
+results stay within BLOCK_BYTES.  L weighs the bound's cost, about 64
+windows whatever T is, against its width, about a spike per step of
+L, while the leads grow with T; on the benchmark's replay frames ceil(T
+/ 64) measured faster than T / 100 and T / 50.
 
 Every sum is bounded with explicit slack for float64 rounding: its
 terms' rounding and the rounding of every potential over the run,
 2^-50 (T + fan-in + 8) T (max(sum |w| + |b|) + v_thr) per population,
 several times the worst case; with every stage exact and v_thr a whole
-multiple of each stage's u most sums are exact anyway.  The readout's
-own rounding is at most 2^-51 (T v_thr + |V at T| + |sum|) / (T v_thr)
-per output.
+multiple of each stage's u most sums are exact anyway, but not the
+window sums S(e): sum |w| / u reaches 2^47 on the benchmark's first
+dense stage, and T times it passes 2^53.  The readout's own rounding
+is at most 2^-51 (T v_thr + |V at T| + |sum|) / (T v_thr) per output.
 
-A run whose every row the bound certifies runs no step and makes none
-of the loop's buffers; any other runs to T, whatever rows the bound
-did certify, and answers the argmax of its readout (rows that certify
-at all do so at rest, or only near T, where stopping saves little).
-Runs also go to T for the rate readout, when any stage is not exact
-or v_thr is not a whole multiple of its u (potentials that round), when
-the output has more than one position (a conv map larger than 1x1,
-whose leads between positions the rows W_a - W_c do not give), and
-when a bound is not finite; a run whose readout overflows reaches T and
-is refused as before.  Under these conditions a current is below 2^53
-u <= 2^53 v_thr, so |V| / (T v_thr) < 2^53 + 1 and the readout of a
-certified run cannot overflow.
+Runs go to T whole, with no bound, for the rate readout, when any stage
+is not exact or v_thr is not a whole multiple of its u (potentials that
+round), and when the output has more than one position (a conv map
+larger than 1x1, whose leads between positions the rows W_a - W_c do
+not give); where a bound is not finite it certifies no column.  A run
+whose readout overflows reaches T and is refused as before.  Under
+these conditions a current is below 2^53 u <= 2^53 v_thr, so |V| / (T
+v_thr) < 2^53 + 1 and the readout of a certified run cannot overflow.
 run_batch, run and every diagnostic read whole runs.
 
 Why the spikes stay bit-identical.  Each neuron sees the same float64
@@ -258,7 +290,7 @@ class _Stage:
     """A parameterized layer and its input and output shapes: in a run,
     the spiking population it feeds.  The layer holds the float64
     parameters every stage computation reads, its weights as kernel;
-    peak, magnitude and gaps are the arrays the bound at rest reads."""
+    peak, magnitude and gaps are the arrays the bound reads."""
 
     layer: LayerSpec
     input_shape: tuple[int, ...]  # the layer's input, flattened if a flatten precedes it
@@ -371,12 +403,15 @@ class _Plan:
     step; steady says it fires them at every step, so the first stage's
     currents are one step's (see One rule).
 
-    K, the steps per block, caps K * elements float64 values at
+    K, the steps per block of a whole run (block(top) for a run of
+    populations 0..top), caps K * elements float64 values at
     BLOCK_BYTES, elements being the larger of the state per step and a
     stage's gathered values per step (index[j].size * cols[j-1], its
     fan-in * positions * cols[j]); ceil(sqrt(10 T)) weighs the
     per-block work (T / K blocks) against the pipeline's partly filled
     ends (about K steps per population); a block never exceeds the run.
+    picked[c] is the first row of column c (None without units), and L
+    the steps per window of a deciding run's exact prefix.
     """
 
     def __init__(self, stages: list[_Stage], frames: np.ndarray, config: SimConfig):
@@ -390,14 +425,14 @@ class _Plan:
             windows.append(stage.window)
         units, vectors = unit_maps(frames, windows)
         shapes = [frames.shape[1:]] + [s.shape for s in stages]
-        self.rows, self.row_gather, columns = None, None, batch
+        self.picked, self.rows, self.row_gather, columns = None, None, None, batch
         if units:
             # A signature is a unit whose window is the whole last unit map.
             last = units[-1]
-            picked, self.rows = _distinct_codes(last.ids.T, batch, last.count)
-            columns = len(picked)
+            self.picked, self.rows = _distinct_codes(last.ids.T, batch, last.count)
+            columns = len(self.picked)
             self.row_gather = (np.arange(shapes[len(units) - 1][0])[:, None, None] * last.count
-                               + last.ids[picked].T).reshape(-1, columns)
+                               + last.ids[self.picked].T).reshape(-1, columns)
             self.drive = vectors.T.reshape(-1)
         else:
             self.drive = frames.reshape(batch, -1).T.reshape(-1)
@@ -424,17 +459,24 @@ class _Plan:
         self.neurons, self.cols, self.edges, self.columns = neurons, cols, edges, columns
 
         T = self.timesteps = config.timesteps
-        gathered = max((index.size * m for index, m in zip(self.index[1:], cols)
-                        if index is not None), default=0)
-        self.K = max(1, min(BLOCK_BYTES // (8 * max(edges[-1], gathered)),
-                            math.isqrt(10 * T - 1) + 1, T))
-        self.n_blocks = -(-T // self.K)
+        self.K = self.block(len(shapes) - 1)
         self.fired0 = self.drive >= config.v_thr
         self.steady = bool(np.all(self.fired0 | (self.drive <= 0.0)))
 
-    def steps(self, b: int) -> int:
-        """The steps of block b: K, but for a short last block."""
-        return min(self.K, self.timesteps - b * self.K)
+    @property
+    def L(self) -> int:
+        """The steps per window of a deciding run's exact prefix, ceil(T /
+        64): at most 64 windows, whatever T is (see Certified early
+        decisions)."""
+        return -(-self.timesteps // 64)
+
+    def block(self, top: int) -> int:
+        """K for a run of populations 0..top (see the class docstring)."""
+        T = self.timesteps
+        gathered = max((index.size * m for index, m in zip(self.index[1:top + 1], self.cols)
+                        if index is not None), default=0)
+        return max(1, min(BLOCK_BYTES // (8 * max(self.edges[top + 1], gathered)),
+                          math.isqrt(10 * T - 1) + 1, T))
 
     def view(self, buffer: np.ndarray, j: int, steps: int) -> np.ndarray:
         """Population j's part of the first steps of a [K, edges[-1]]
@@ -510,7 +552,7 @@ class _Plan:
 
 
 # ---------------------------------------------------------------------------
-# the bound at rest
+# the bound
 
 def _certifiable(stages: list[_Stage], config: SimConfig) -> bool:
     """Whether a run of these stages may stop once its actions are
@@ -541,58 +583,73 @@ def _bias(plan: _Plan, j: int) -> np.ndarray:
     return np.repeat(bias, plan.neurons[j] // len(bias) * plan.cols[j])
 
 
-def _rest_bounds(plan: _Plan, config: SimConfig
-                 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The bound at rest of a run, before any step: (feed, lead,
-    margin), or None where a bound is not finite.
+def _bounds(plan: _Plan, config: SimConfig,
+            prefix: Optional[tuple[np.ndarray, np.ndarray]] = None
+            ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The bound of a run, after its exact prefix (_prefix) or, without
+    one, at rest, before any step: (feed, lead, margin), or None where a
+    bound is not finite.
 
-    At rest every population has T steps to run from V = 0.  Population
-    by population, feed [4, edges[-1]] holds, per neuron, the centers
-    and the half widths of two intervals over those steps: its spikes
-    over all of them, and its spike at any one of them (0 never, 1
-    always, 0 or 1); the output's elements stay 0.  lead [outputs,
+    Population by population, feed [4, edges[-1]] holds, per neuron, the
+    centers and the half widths of two intervals over the run's T steps:
+    its spikes over all of them, and its spike at any one of them (0
+    never, 1 always, 0 or 1); the output's elements stay 0.  The counts
+    of the prefix, populations 0..k with k = len(units) - 1, and of a
+    steady input are exact; population k + 1 after a prefix is bounded
+    from the window sums of population k (_suffix_counts), and every other
+    population from the intervals below, as if from rest.  lead [outputs,
     outputs, columns] is the lowest total_a - total_c of the output's
     currents summed over the run, for every ordered pair (a, c), and
     margin the most the readout's rounding can take from it."""
     T, v_thr, edges = config.timesteps, config.v_thr, plan.edges
     last = len(edges) - 2
+    k = len(plan.units) - 1 if prefix is not None else 0
     feed = np.zeros((4, edges[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(last):
             flat = slice(edges[j], edges[j + 1])
-            if j == 0:
-                if plan.steady:
-                    # the input fires its first step's spikes at every step
-                    feed[0, flat] = T * plan.fired0
-                    feed[1, flat] = plan.fired0
-                    continue
-                slack = 3.0 * _slack(T, 1, float(np.max(np.abs(plan.drive))), v_thr)
-                low = high = T * plan.drive
-                step_low = step_high = plan.drive
+            if j == 0 and plan.steady:
+                # the input fires its first step's spikes at every step
+                feed[0, flat] = T * plan.fired0
+                feed[1, flat] = plan.fired0
+                continue
+            if prefix is not None and j <= k:
+                n_low = n_high = prefix[0][flat]
+            elif prefix is not None and j == k + 1:
+                n_low, n_high = _suffix_counts(plan, config, j, prefix[1])
             else:
-                stage = plan.stages[j - 1]
-                slack = 3.0 * _slack(T, stage.layer.weights[0].size, stage.peak, v_thr)
-                bias = _bias(plan, j)
-                center = plan.linear(j, stage.kernel, feed[:2])
-                radius = plan.linear(j, stage.magnitude, feed[2:])
-                low = T * bias + center[0] - radius[0]
-                high = low + 2.0 * radius[0]
-                step_low = bias + center[1] - radius[1] - slack
-                step_high = step_low + 2.0 * radius[1] + 2.0 * slack
-            # V at T is at most v_thr plus what each step above v_thr
-            # adds, at least what each step below 0 takes; spikes = (the
-            # currents - V at T) / v_thr.
-            v_high = v_thr + T * np.maximum(step_high - v_thr, 0.0)
-            v_low = T * np.minimum(step_low, 0.0)
-            n_low = np.maximum(np.ceil((low - v_high - slack) / v_thr), 0.0)
-            n_high = np.minimum(np.floor((high - v_low + slack) / v_thr), T)
+                if j == 0:
+                    slack = 3.0 * _slack(T, 1, float(np.max(np.abs(plan.drive))), v_thr)
+                    low = high = T * plan.drive
+                    step_low = step_high = plan.drive
+                else:
+                    stage = plan.stages[j - 1]
+                    slack = 3.0 * _slack(T, stage.layer.weights[0].size, stage.peak, v_thr)
+                    bias = _bias(plan, j)
+                    center = plan.linear(j, stage.kernel, feed[:2])
+                    radius = plan.linear(j, stage.magnitude, feed[2:])
+                    low = T * bias + center[0] - radius[0]
+                    high = low + 2.0 * radius[0]
+                    step_low = bias + center[1] - radius[1] - slack
+                    step_high = step_low + 2.0 * radius[1] + 2.0 * slack
+                # V at T is at most v_thr plus what each step above v_thr
+                # adds, at least what each step below 0 takes; spikes = (the
+                # currents - V at T) / v_thr.
+                v_high = v_thr + T * np.maximum(step_high - v_thr, 0.0)
+                v_low = T * np.minimum(step_low, 0.0)
+                n_low = np.maximum(np.ceil((low - v_high - slack) / v_thr), 0.0)
+                n_high = np.minimum(np.floor((high - v_low + slack) / v_thr), T)
             if not (np.isfinite(n_low).all() and np.isfinite(n_high).all()):
                 return None
-            # A step of at least v_thr from V >= 0 always fires, as the
-            # input does (see One rule); a step <= 0 below v_thr never.
-            always, never = step_low >= v_thr, step_high <= 0.0
-            n_low[always] = T
-            n_high[never] = 0.0
+            if prefix is not None and j <= k + 1:
+                # T spikes fire at every step, no spikes at none
+                always, never = n_low >= T, n_high <= 0.0
+            else:
+                # A step of at least v_thr from V >= 0 always fires, as the
+                # input does (see One rule); a step <= 0 below v_thr never.
+                always, never = step_low >= v_thr, step_high <= 0.0
+                n_low[always] = T
+                n_high[never] = 0.0
             may = ~(always | never)
             feed[0, flat] = 0.5 * (n_low + n_high)
             feed[1, flat] = always + 0.5 * may
@@ -619,15 +676,73 @@ def _rest_bounds(plan: _Plan, config: SimConfig
     return feed, lead, margin
 
 
-def _actions_at_rest(plan: _Plan, config: SimConfig) -> Optional[np.ndarray]:
-    """Each column's action (one per column of the populations kept per
-    row, a signature, see _Plan) when the bound at rest (_rest_bounds)
-    certifies every column; None otherwise, and the run goes to T."""
-    bounds = _rest_bounds(plan, config)
-    if bounds is None:
+def _suffix_counts(plan: _Plan, config: SimConfig, j: int,
+                   windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lowest, highest) spike count over the run of each neuron of
+    population j, from population j-1's spikes summed over each window of
+    L steps (windows, [windows, edges[j]], population j-1's part filled).
+
+    S(s), a neuron's current summed over steps 1..s, is known at every
+    window end e; within a window, the spikes below over any of its first
+    steps add between W- and W+ of the window's counts (W's negative and
+    positive parts), and its bias b over at most L steps.  After the last
+    spike V >= 0, so N v_thr = S(T) - V(T) <= max over s of S(s) <= max
+    over windows of S(e) - W- counts + L max(-b, 0); after the last step
+    s that did not fire V(s) < v_thr, so N > T - 1 + min over s of (S(s)
+    - s v_thr) / v_thr, and that min is at least the min over windows of
+    S(e) - e v_thr - W+ counts - L max(b - v_thr, 0).  The window GEMMs go
+    in chunks whose gathered values and results stay within BLOCK_BYTES."""
+    T, v_thr, L = config.timesteps, config.v_thr, plan.L
+    stage = plan.stages[j - 1]
+    size = plan.neurons[j] * plan.cols[j]
+    bias, parts = _bias(plan, j), np.vstack([np.maximum(stage.kernel, 0.0),
+                                             np.minimum(stage.kernel, 0.0)])
+    rows = max(1, BLOCK_BYTES // (8 * (plan.index[j].size * plan.cols[j - 1] + 2 * size)))
+    held, high, low = np.zeros(size), np.full(size, -np.inf), np.full(size, np.inf)
+    for w0 in range(0, len(windows), rows):
+        z = np.ascontiguousarray(plan.linear(j, parts, windows[w0:w0 + rows]))
+        up, down = z[:, :size], z[:, size:]
+        end = np.minimum(np.arange(w0 + 1, w0 + len(z) + 1) * L, T)[:, None]
+        # S at each window's end, one window after another
+        ends = up + down
+        ends += (end - np.arange(w0, w0 + len(z))[:, None] * L) * bias
+        ends[0] += held
+        for r in range(1, len(ends)):
+            ends[r] += ends[r - 1]
+        held = ends[-1].copy()
+        np.maximum(high, np.max(ends - down, axis=0), out=high)
+        ends -= end * v_thr
+        np.minimum(low, np.min(ends - up, axis=0), out=low)
+    high += L * np.maximum(-bias, 0.0)
+    low -= L * np.maximum(bias - v_thr, 0.0)
+    slack = 3.0 * _slack(T, stage.layer.weights[0].size, stage.peak, v_thr)
+    return (np.maximum(T + np.floor((low - slack) / v_thr), 0.0),
+            np.minimum(np.floor((high + slack) / v_thr), T))
+
+
+def _prefix(plan: _Plan, config: SimConfig) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The exact prefix of a deciding run on a net with units: populations
+    0..k, k = len(units) - 1, run to T by the one loop (_loop), as
+    (counts [edges[k+1]], windows [ceil(T / L), edges[k+1]]), windows
+    holding population k's spikes summed over each window of L steps;
+    None for a net without units, whose bound is taken at rest."""
+    if not plan.units:
         return None
-    win = _lead(*bounds[1:])
-    return np.argmax(win, axis=0) if win.any(axis=0).all() else None
+    k = len(plan.units) - 1
+    windows = np.zeros((-(-plan.timesteps // plan.L), plan.edges[k + 1]),
+                       dtype=np.min_scalar_type(plan.L))
+    counts = _loop(plan, config, True, k, windows)[1]
+    return counts, windows
+
+
+def _certified(plan: _Plan, config: SimConfig) -> np.ndarray:
+    """[outputs, columns]: which output of each column the run's one bound
+    check (_bounds after _prefix) certifies; none where the bound is not
+    finite."""
+    bounds = _bounds(plan, config, _prefix(plan, config))
+    if bounds is None:
+        return np.zeros((1, plan.columns), dtype=bool)
+    return _lead(*bounds[1:])
 
 
 def _lead(lead: np.ndarray, margin: np.ndarray) -> np.ndarray:
@@ -707,40 +822,63 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
     batch's _Plan, the pipelined loop over its blocks, and the result
     read from the end state.  With decide, the run answers each row's
     action, the argmax of its readout at T, instead of a SimResult: it
-    skips current sums, the output trail and settle tracking, and runs
-    no step when the bound at rest certifies every row's action (see
-    Certified early decisions in the module docstring)."""
+    skips current sums, the output trail and settle tracking, and where
+    the run may be certified it runs the exact prefix alone, takes one
+    bound, and runs to T only one row of each column the bound leaves
+    open (see Certified early decisions in the module docstring)."""
     plan = _Plan(stages, frames, config)
-    if decide and _certifiable(stages, config):
-        # The bound at rest: a run whose every action it proves runs no step.
-        actions = _actions_at_rest(plan, config)
-        if actions is not None:
-            return plan.by_row(actions)
-    T, v_thr, columns = config.timesteps, config.v_thr, plan.columns
-    K, n_blocks, edges = plan.K, plan.n_blocks, plan.edges
-    view, currents_of, steps_of = plan.view, plan.currents, plan.steps
-    last_pop = len(edges) - 2
+    if not (decide and _certifiable(stages, config)):
+        return _run_to_T(plan, config, decide)
+    win = _certified(plan, config)
+    actions, open_ = np.argmax(win, axis=0), ~win.any(axis=0)
+    by_row = plan.rows
+    if open_.any():
+        # a row of a batch is bit for bit its frame's run alone
+        rows = np.flatnonzero(open_) if plan.picked is None else plan.picked[open_]
+        plan = None  # the batch's indices go before the sub-batch's run
+        actions[open_] = _run_to_T(_Plan(stages, frames[rows], config), config, True)
+    return actions if by_row is None else actions[by_row]
+
+
+def _loop(plan: _Plan, config: SimConfig, decide: bool, top: int,
+          windows: Optional[np.ndarray] = None
+          ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """The pipelined loop of a run of populations 0..top to T, in blocks
+    of plan.block(top) steps: (potentials, counts, current sums, settle
+    steps), each flat over those populations' elements but settle, per
+    column.  Sums and settle steps are made only for a run that reports,
+    which runs every population.  windows, if given, [ceil(T / L),
+    edges[top+1]], gets population top's spikes summed over each window
+    of plan.L steps added in its part."""
+    T, v_thr, columns, edges = config.timesteps, config.v_thr, plan.columns, plan.edges
+    K, view, currents_of = plan.block(top), plan.view, plan.currents
+    n_blocks = -(-T // K)
+
+    def steps_of(b: int) -> int:  # K, but for a short last block
+        return min(K, T - b * K)
+
     # A steady input leaves a deciding run's loop, which starts at 1 (see One rule).
     leaves = int(plan.steady and decide)
-    potentials = np.zeros(edges[-1])
-    counts = np.zeros(edges[-1], dtype=np.int64)
-    currents = np.empty((K, edges[-1]))
-    fired = np.empty((K, edges[-1]), dtype=bool)
-    sums = None if decide else np.zeros(edges[-1])
-    trail = np.empty((K, edges[-1] - edges[-2])) \
+    width = edges[top + 1]
+    potentials = np.zeros(width)
+    counts = np.zeros(width, dtype=np.int64)
+    currents = np.empty((K, width))
+    fired = np.empty((K, width), dtype=bool)
+    sums = None if decide else np.zeros(width)
+    trail = np.empty((K, width - edges[top])) \
         if not decide and config.readout == "robust" else None
     if plan.steady:
         view(currents, 1, K)[:] = currents_of(1, plan.fired0[None], 1)
     if not leaves:
         currents[:, :edges[1]] = plan.drive
 
-    out = slice(edges[-2], edges[-1])
+    tops = slice(edges[top], width)
     settle = np.ones(columns, dtype=np.int64)
     prev_choice = np.zeros(columns, dtype=np.intp)  # at rest every score is 0
-    for i in range(leaves, n_blocks + last_pop):
+    for i in range(leaves, n_blocks + top):
         # Population j runs block i - j; the active ones are lo..hi.
         lo = max(leaves, i - n_blocks + 1)
-        hi = min(last_pop, i)
+        hi = min(top, i)
         # Every active stage reads the spikes the iteration before wrote,
         # before _integrate overwrites them below.
         for j in range(max(lo, 1 + plan.steady), hi + 1):
@@ -753,9 +891,9 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
         short = steps_of(i - lo)
         parts = [(0, short, edges[lo]), (short, K, edges[lo + 1])] if short < K else \
             [(0, K, edges[lo])]
-        watch = not decide and hi == last_pop
+        watch = not decide and hi == top
         if watch:
-            out_before = counts[out].copy()
+            out_before = counts[tops].copy()
         for s0, s1, r0 in parts:
             if r0 < end:
                 span = slice(r0, end)
@@ -767,11 +905,18 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
                 np.add(counts[span], fired[s0, span] if s1 - s0 == 1 else
                        fired[s0:s1, span].sum(axis=0, dtype=np.int64), out=counts[span])
 
+        b = i - top
+        if windows is not None and b >= 0:
+            # population top's spikes of block b, summed per window: cut
+            # holds the block's first step in each window it meets
+            t0, L = b * K, plan.L
+            cut = np.maximum(np.arange(t0 - t0 % L, t0 + steps_of(b), L) - t0, 0)
+            windows[t0 // L:t0 // L + len(cut), tops] += np.add.reduceat(
+                fired[:steps_of(b), tops], cut, axis=0, dtype=windows.dtype)
         if watch:
             # The output argmax after each step of its block, as a step loop sees it.
-            b = i - last_pop
             steps = steps_of(b)
-            score = out_before + np.cumsum(fired[:steps, out], axis=0, dtype=np.int64)
+            score = out_before + np.cumsum(fired[:steps, tops], axis=0, dtype=np.int64)
             if trail is not None:
                 score = score * v_thr + trail[:steps]
             choice = np.argmax(score.reshape(steps, -1, columns), axis=1)
@@ -779,8 +924,17 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
             from_end = np.argmax(changed[::-1], axis=0)
             settle = np.where(changed.any(axis=0), b * K + steps - from_end, settle)
             prev_choice = choice[-1]
+    return potentials, counts, sums, settle
 
+
+def _run_to_T(plan: _Plan, config: SimConfig, decide: bool) -> SimResult | np.ndarray:
+    """The whole run of a plan, every population to T, and its result:
+    each row's action with decide, a SimResult otherwise."""
+    T, v_thr, columns = config.timesteps, config.v_thr, plan.columns
+    last_pop = len(plan.edges) - 2
+    potentials, counts, sums, settle = _loop(plan, config, decide, last_pop)
     # Each column's readout, from the output population alone: [columns, outputs].
+    out = slice(plan.edges[-2], plan.edges[-1])
     rate_last = counts[out].reshape(-1, columns).T / T
     with np.errstate(over="ignore"):
         f_last = rate_last + potentials[out].reshape(-1, columns).T / (T * v_thr)

@@ -4,22 +4,24 @@ the whole run's readout."""
 
 import ast
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rateconv import (NetworkSpec, SimConfig, SpikingAgent, conv2d, dense, flatten, readout,
-                      run_batch, simulate)
+from rateconv import (NetworkSpec, NormConfig, SimConfig, SpikingAgent, apply_normalization,
+                      collect_stats, conv2d, dense, flatten, readout, run_batch, simulate)
+from rateconv.lincatch import LineCatchEnv
 from rateconv.modelio import save_model
 from rateconv.network import frame_stack
 from rateconv.simulate import _build_stages, _checked_stages, _run_stages
 
 from conftest import rand_conv_net, rand_dense_net
 from test_cli import run_cli_process
-from test_simulate import (KERNEL_NETS, TWINS, _count_neuron_steps, drive_frames, tiled_frames,
-                           twin_rows)
+from test_simulate import (KERNEL_NETS, TWINS, _count_neuron_steps, _steps_per_neuron,
+                           drive_frames, repeating_conv_runs, tiled_frames, twin_rows)
 
 
 def whole_run_actions(net, frames, config):
@@ -33,17 +35,65 @@ def decide(net, frames, config):
 
 
 def output_steps(calls):
-    """The steps the output population ran, from _count_neuron_steps' log:
-    it holds the last elements of the flat state."""
+    """The steps the output population ran, from _count_neuron_steps' log
+    of one run to T: it holds the last elements of the flat state."""
     end = max(start + size for start, size, _ in calls)
     return sum(steps for start, size, steps in calls if start + size == end)
+
+
+def _log_runs(monkeypatch, calls):
+    """Wrap _loop; the returned list holds, per run, its plan, the last
+    population it ran (top) and the _integrate calls it made, from calls,
+    a _count_neuron_steps log."""
+    runs = []
+    loop = simulate._loop
+
+    def logged(plan, config, decide, top, windows=None):
+        first = len(calls)
+        end_state = loop(plan, config, decide, top, windows)
+        runs.append((plan, top, calls[first:]))
+        return end_state
+
+    monkeypatch.setattr(simulate, "_loop", logged)
+    return runs
+
+
+def _check_decided_steps(runs, log, net, frames, config):
+    """The steps a deciding run made, against its one bound check (log).
+    Where the run may be certified, a net with units runs its exact
+    prefix, populations 0..k with k = len(units) - 1, and no population
+    above k; then one row per column the check left open runs to T, its
+    output T steps, and none if the check certified every column.  Any
+    other run goes to T whole."""
+    T = config.timesteps
+    plan = simulate._Plan(_checked_stages(net), frame_stack(net, frames), config)
+    prefix = [(p, top, c) for p, top, c in runs if top < len(p.edges) - 2]
+    to_T = [(p, c) for p, top, c in runs if top == len(p.edges) - 2]
+    if not log:
+        assert prefix == [] and [p.batch for p, _ in to_T] == [len(frames)]
+        assert output_steps(to_T[0][1]) == T
+        return
+    certified, done = log[0]
+    if plan.units:
+        (p, top, c), = prefix
+        assert top == len(plan.units) - 1 and p.edges == plan.edges
+        assert all(start + size <= plan.edges[top + 1] for start, size, _ in c)
+        stepped = _steps_per_neuron(c, plan.edges[top + 1])
+        assert np.all(stepped[plan.edges[1 if plan.steady else 0]:] == T)
+    else:
+        assert prefix == []
+    assert [p.batch for p, _ in to_T] == ([] if done else [plan.columns - certified])
+    if to_T:
+        assert output_steps(to_T[0][1]) == T
 
 
 def _tied(net, rng, tie):
     """net with its output's second neuron (channel) set to the first's
     weights: "tie" with the same bias, an exact tie that argmax breaks by
     first index; "ulp" with the bias one float32 ulp away; "near" with the
-    weights jittered by about 1e-4 of their size."""
+    weights jittered by about 1e-4 of their size; "part" with one weight
+    raised by 1, so rows whose input there fires break the tie and rows
+    whose input there never fires keep it."""
     layers = list(net.layers)
     out = layers[-1]
     w, b = np.array(out.weights, dtype=np.float64), np.array(out.bias, dtype=np.float64)
@@ -52,6 +102,8 @@ def _tied(net, rng, tie):
         b[1] = np.nextafter(np.float32(b[0]), np.float32(rng.choice([-1.0, 1.0]) * np.inf))
     elif tie == "near":
         w[1] = w[0] * (1.0 + rng.normal(0.0, 1e-4, w[0].shape))
+    elif tie == "part":
+        w[1].flat[rng.integers(w[1].size)] += 1.0
     if out.kind == "conv2d":
         layers[-1] = conv2d(w, b, out.stride, out.padding, activation="none")
     else:
@@ -67,11 +119,13 @@ LEVELS = [([0.0, 1.0], 1.0), ([-0.5, 0.0, 1.0, 1.5], 1.0), ([0.0, 0.5], 1.0),
 def certified_runs(draw):
     """A dense net, a conv net ending in dense layers, or a conv net whose
     last conv is the output, of one position or of up to nine, which the
-    bound leaves to run to T; its output perhaps tied or nearly tied on
-    purpose; binary, steady or changing frames (tiled from a few patches
-    for conv nets, so units repeat, perhaps with twin rows that share a
-    signature); T from 1 to 300; and perhaps a block length forced short,
-    so the run has many blocks and a short last one."""
+    bound leaves to run to T; its output perhaps tied, nearly tied or
+    tied on some rows only, on purpose; binary, steady or changing
+    frames (tiled from a few patches for conv nets, so units repeat,
+    perhaps with twin rows that share a signature); T from 1 to 300;
+    perhaps a block length forced short, so the run has many blocks and
+    a short last one; and perhaps a window length L forced, above T, or
+    not dividing T or the blocks."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["dense", "conv", "conv-output"]))
     if kind == "dense":
@@ -88,7 +142,7 @@ def certified_runs(draw):
                    rng.normal(0, 0.05, mid)),
             conv2d(rng.normal(0, 1.0 / np.sqrt(mid * out * out), (3, mid, out, out)),
                    rng.normal(0, 0.05, 3), activation="none")])
-    tie = draw(st.sampled_from([None, "tie", "ulp", "near"]))
+    tie = draw(st.sampled_from([None, "tie", "ulp", "near", "part"]))
     if tie is not None:
         net = _tied(net, rng, tie)
     levels, v_thr = draw(st.sampled_from(LEVELS))
@@ -100,7 +154,19 @@ def certified_runs(draw):
         frames = rng.choice(levels, (batch, *net.input_shape))
     timesteps = draw(st.one_of(st.integers(1, 12), st.integers(13, 300)))
     return net, frames, SimConfig(timesteps=timesteps, v_thr=v_thr), draw(
-        st.sampled_from([None, 1, 3, 8]))
+        st.sampled_from([None, 1, 3, 8])), draw(WINDOWS)
+
+
+# a forced window length L, or None for the rule's ceil(T / 64)
+WINDOWS = st.sampled_from([None, 1, 2, 5, 7, 16, 400])
+
+
+def _forced(mp, net, frames, block, window):
+    """Force blocks of at most block steps and windows of window steps."""
+    if block is not None:
+        mp.setattr(simulate, "BLOCK_BYTES", 8 * block * _state_elements(net, frames))
+    if window is not None:
+        mp.setattr(simulate._Plan, "L", window)
 
 
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
@@ -109,38 +175,41 @@ def test_certified_actions_equal_the_whole_run(case):
     """The certified action of every row is the argmax of the whole run's
     readout, in a batch that mixes rows that certify with rows that do
     not, or whose rows share signatures, and alone.  The bound is
-    checked at most once per run, and a run it does not wholly certify
-    steps its output T times.  Under a config that may certify, the
-    bound holds neuron by neuron (_check_rest_bounds)."""
-    net, frames, config, block = case
+    checked at most once per run; a net with units steps no population
+    above its exact prefix for a column the bound certifies, and a row
+    of each column it leaves open steps its output T times
+    (_check_decided_steps).  Under a config that may certify, the bound
+    holds neuron by neuron (_check_bounds)."""
+    net, frames, config, block, window = case
     with pytest.MonkeyPatch.context() as mp:
-        if block is not None:
-            mp.setattr(simulate, "BLOCK_BYTES", 8 * block * _state_elements(net, frames))
+        _forced(mp, net, frames, block, window)
         want = whole_run_actions(net, frames, config)
         log = _log_checks(mp)
         calls = _count_neuron_steps(mp)
+        runs = _log_runs(mp, calls)
         for rows, actions in [(frames, want), *zip(frames[:, None], want[:, None])]:
             log.clear()
             calls.clear()
+            runs.clear()
             assert decide(net, rows, config).tolist() == actions.tolist()
             assert len(log) <= 1
-            if log and log[0][1]:  # certified at rest
-                assert calls == []
-            else:
-                assert output_steps(calls) == config.timesteps
-    if simulate._certifiable(_build_stages(net), config):
-        _check_rest_bounds(net, frames, config)
+            _check_decided_steps(runs, log, net, rows, config)
+        if simulate._certifiable(_build_stages(net), config):
+            _check_bounds(net, frames, config)
 
 
-def _check_rest_bounds(net, frames, config):
-    """The bound at rest against the run to T: every neuron below the
-    output spikes within its interval, one flagged to fire at every step
-    fires T times and one flagged never none, and each output's lead
-    over another, less what the readout may round, is at most the lead
-    of the run's summed currents."""
+def _check_bounds(net, frames, config):
+    """The bound of a deciding run, after its exact prefix or at rest,
+    against the run to T: every neuron below the output spikes within its
+    interval, the prefix's exactly and the population after it within its
+    window-sum bound; one flagged to fire at every step fires T times and
+    one flagged never none; each output's lead over another, less what
+    the readout may round, is at most the lead of the run's summed
+    currents; and every column it certifies answers the run's action."""
     T = config.timesteps
     plan = simulate._Plan(_checked_stages(net), frame_stack(net, frames), config)
-    bounds = simulate._rest_bounds(plan, config)
+    prefix = simulate._prefix(plan, config)
+    bounds = simulate._bounds(plan, config, prefix)
     if bounds is None:
         return
     feed, lead, margin = bounds
@@ -151,25 +220,47 @@ def _check_rest_bounds(net, frames, config):
         assert np.all(center[j] - radius[j] <= count) and np.all(count <= center[j] + radius[j])
         assert np.all(count[step[j] - width[j] == 1.0] == T)
         assert np.all(count[step[j] + width[j] == 0.0] == 0.0)
+        if prefix is not None and j < len(plan.units):
+            assert np.all(radius[j] == 0.0)
     total = res.avg_currents[-1].reshape(len(frames), -1) * (T * config.v_thr)
     bound = plan.by_row((lead - margin).transpose(2, 0, 1))  # [batch, a, c]
     assert np.all(bound <= total[:, :, None] - total[:, None, :])
+    win = plan.by_row(simulate._lead(lead, margin).T)  # [batch, a]
+    certified = win.any(axis=1)
+    assert np.array_equal(np.argmax(win, axis=1)[certified],
+                          np.argmax(res.f_last, axis=1)[certified])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=repeating_conv_runs(), window=WINDOWS)
+def test_bound_after_the_prefix_holds_neuron_by_neuron(case, window):
+    """On conv nets whose leading convs are kept per unit, under the
+    robust readout, the bound after the exact prefix holds for every
+    neuron of the run to T (_check_bounds), the window-bounded population
+    after the prefix included, under forced blocks and windows."""
+    net, frames, config, block = case
+    config = replace(config, readout="robust")
+    if not simulate._certifiable(_build_stages(net), config):
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        _forced(mp, net, frames, block, window)
+        _check_bounds(net, frames, config)
 
 
 def test_bound_that_is_not_finite_certifies_nothing():
     """A pixel of 1e308 summed over 10 steps passes the largest float, and
     so does 10 v_thr at a v_thr of 1e308 on binary frames, whose hidden
     bounds stay finite but whose readout margin does not: either way the
-    bound at rest gives no bound and certifies no action, so a run would
-    go to T.  Only the bound is called; no run is made, and no overflow
-    warns."""
+    bound at rest gives no bound, which certifies no action, so a run
+    would go to T.  Only the bound is called; no run is made, and no
+    overflow warns."""
     net = rand_dense_net(np.random.default_rng(3), sizes=[4, 3, 2])
     for frames, config in [([[0.5, 1e308, 1.0, 0.0]], SimConfig(timesteps=10)),
                            ([[0, 1, 1, 0], [1, 1, 0, 0]], SimConfig(timesteps=10, v_thr=1e308))]:
         plan = simulate._Plan(_build_stages(net), np.array(frames, dtype=np.float64), config)
-        assert not plan.steady
-        assert simulate._rest_bounds(plan, config) is None
-        assert simulate._actions_at_rest(plan, config) is None
+        assert not plan.steady and not plan.units
+        assert simulate._prefix(plan, config) is None
+        assert simulate._bounds(plan, config) is None
 
 
 def _state_elements(net, frames):
@@ -183,19 +274,23 @@ def _state_elements(net, frames):
 
 
 def _log_checks(monkeypatch):
-    """Log each bound check at rest: (columns certified, whether all are);
-    a check whose hidden bounds are not finite certifies none."""
-    log, wins = [], []
-    check, lead = simulate._actions_at_rest, simulate._lead
+    """Log each bound check (_bounds, then _lead): (columns certified,
+    whether all are); a check whose bound is not finite certifies none."""
+    log = []
+    bounds, lead = simulate._bounds, simulate._lead
 
-    def logged(plan, config):
-        wins.clear()
-        actions = check(plan, config)
-        log.append((int(wins[0].any(axis=0).sum()) if wins else 0, actions is not None))
-        return actions
+    def logged_bounds(*args):
+        log.append((0, False))
+        return bounds(*args)
 
-    monkeypatch.setattr(simulate, "_lead", lambda *args: wins.append(lead(*args)) or wins[-1])
-    monkeypatch.setattr(simulate, "_actions_at_rest", logged)
+    def logged_lead(*args):
+        win = lead(*args)
+        certified = win.any(axis=0)
+        log[-1] = (int(certified.sum()), bool(certified.all()))
+        return win
+
+    monkeypatch.setattr(simulate, "_bounds", logged_bounds)
+    monkeypatch.setattr(simulate, "_lead", logged_lead)
     return log
 
 
@@ -275,11 +370,13 @@ def _log_sums(monkeypatch):
 def test_runs_that_cannot_certify_reach_T(monkeypatch, case, report):
     """The rate readout, an inexact output stage, a v_thr that is not a
     multiple of u and a tie, over one step, to a short last block or
-    through a padded conv net, each run the output to T, and answer the
-    whole run's argmax.  A run that decides hands _integrate no current
-    sum and no output trail at any step, which keeps its loop lean;
-    run_batch, which reports, makes no rest check and sums the currents
-    at every step."""
+    through a padded conv net, each make one run to T, whose output
+    steps T times: of every row, or, for a tie, of one row per column
+    the check leaves open (_check_decided_steps); each answers the whole
+    run's argmax.  A run that decides hands _integrate no current sum
+    and no output trail at any step, which keeps its loop lean;
+    run_batch, which reports, makes no bound check and sums the
+    currents at every step."""
     make, overrides = RUN_TO_T[case]
     rng = np.random.default_rng(3 if case == "conv-tie" else 8)
     net = make(rng)
@@ -289,12 +386,17 @@ def test_runs_that_cannot_certify_reach_T(monkeypatch, case, report):
     log = _log_checks(monkeypatch)
     calls = _count_neuron_steps(monkeypatch)
     sums = _log_sums(monkeypatch)
+    runs = _log_runs(monkeypatch, calls)
     run = whole_run_actions if report else decide
     with monkeypatch.context() as mp:
         if case == "short-last-block":
             mp.setattr(simulate, "BLOCK_BYTES", 8 * 8 * _state_elements(net, frames))
         assert run(net, frames, config).tolist() == want.tolist()
-    assert output_steps(calls) == config.timesteps
+        if not report:
+            _check_decided_steps(runs, log, net, frames, config)
+    (plan, top, to_T), = runs  # no units, so no prefix
+    assert top == len(plan.edges) - 2
+    assert output_steps(to_T) == config.timesteps
     if report:
         assert all(total for total, _ in sums)
         assert any(trail for _, trail in sums) == (config.readout == "robust")
@@ -321,11 +423,14 @@ def _padded_conv_to_output(rng):
 
 @pytest.mark.parametrize("kind", ["dense", "conv-padded"])
 def test_runs_certified_at_rest_run_no_step(monkeypatch, kind):
-    """A batch whose every action the check at rest proves runs no step:
-    a dense net on steady frames that are not binary (so the input is a
-    population of the loop), and a padded conv net whose rows share
-    units and signatures, each answer the whole run's actions with no
-    call to _integrate."""
+    """A batch whose every action its one check proves runs no step above
+    its exact prefix: a dense net on steady frames that are not binary
+    (so the input is a population of the loop), certified at rest with
+    no call to _integrate, and a padded conv net straight into the
+    output whose rows share units and signatures, certified after its
+    prefix (the input and the conv, kept per unit, the output's totals
+    then exact) with no step of the output; each answers the whole run's
+    actions."""
     rng = np.random.default_rng(1 if kind == "dense" else 2)
     if kind == "dense":
         net = rand_dense_net(rng, sizes=[16, 12, 3])
@@ -339,8 +444,58 @@ def test_runs_certified_at_rest_run_no_step(monkeypatch, kind):
     assert len(set(want.tolist())) > 1
     log = _log_checks(monkeypatch)
     calls = _count_neuron_steps(monkeypatch)
+    runs = _log_runs(monkeypatch, calls)
     assert decide(net, frames, config).tolist() == want.tolist()
-    assert [done for _, done in log] == [True] and calls == []
+    assert [done for _, done in log] == [True]
+    _check_decided_steps(runs, log, net, frames, config)
+    assert [top for _, top, _ in runs] == ([] if kind == "dense" else [1])
+    if kind == "dense":
+        assert calls == []
+
+
+def _linecatch_conv_pair(rng):
+    """A conv net in the benchmark's layout, 1x16x16 -> conv 8@3x3/2 ->
+    conv 16@3x3 -> 32 -> 3, its weights drawn from rng and normalized on
+    LineCatch frames; and 96 frames of random play (two episodes)."""
+    env = LineCatchEnv(grid_size=16)
+    frames = []
+    for seed in (5, 6):
+        frames.append(env.reset(seed))
+        for _ in range(47):
+            frames.append(env.step(int(rng.integers(3)))[0])
+    frames = np.array(frames)
+
+    def he(shape):
+        return rng.normal(0.0, 1.0 / np.sqrt(np.prod(shape[1:])), shape)
+
+    net = NetworkSpec((1, 16, 16), [
+        conv2d(he((8, 1, 3, 3)), rng.normal(0, 0.05, 8), stride=(2, 2)),
+        conv2d(he((16, 8, 3, 3)), rng.normal(0, 0.05, 16)),
+        flatten(),
+        dense(he((32, 400)), rng.normal(0, 0.05, 32)),
+        dense(he((3, 32)), rng.normal(0, 0.05, 3), activation="none")])
+    return apply_normalization(net, collect_stats(net, frames, NormConfig())), frames
+
+
+def test_conv_decisions_certify_after_the_exact_prefix(monkeypatch):
+    """On LineCatch frames through a normalized conv net of the benchmark's
+    layout, at T = 500, a deciding run runs its exact prefix (the input
+    and both convs, kept per unit) and no population above it, its one
+    check certifies most columns, and only one row per open column runs
+    to T, its output T steps; the actions are the whole run's argmax."""
+    net, frames = _linecatch_conv_pair(np.random.default_rng(4))
+    config = SimConfig(timesteps=500)
+    want = whole_run_actions(net, frames, config)
+    plan = simulate._Plan(_build_stages(net), frame_stack(net, frames), config)
+    assert len(plan.units) == 3 and plan.columns < len(frames)
+    log = _log_checks(monkeypatch)
+    calls = _count_neuron_steps(monkeypatch)
+    runs = _log_runs(monkeypatch, calls)
+    assert SpikingAgent(net, config).actions(frames).tolist() == want.tolist()
+    (certified, done), = log
+    assert 2 * certified > plan.columns and not done
+    _check_decided_steps(runs, log, net, frames, config)
+    assert [top for _, top, _ in runs] == [2, 4]
 
 
 def test_an_output_of_several_positions_runs_to_T(monkeypatch):
@@ -367,21 +522,24 @@ def test_an_output_of_several_positions_runs_to_T(monkeypatch):
 
 
 def test_a_rest_check_that_certifies_nothing_is_the_only_one(monkeypatch):
-    """On a padded conv net whose check at rest certifies no row, the
-    bound is computed once and the run goes to T, as a deep conv net's
-    replay does."""
+    """On a padded conv net whose random binary frames keep no units (so
+    its bound is taken at rest) and whose check certifies no row, the
+    bound is computed once and one run of every row goes to T."""
     rng = np.random.default_rng(3)
     net = KERNEL_NETS["conv-padded"](rng)
     frames = drive_frames(rng, "binary", 6, net.input_shape)
     config = SimConfig(timesteps=200)
+    assert not simulate._Plan(_build_stages(net), frames, config).units
     want = whole_run_actions(net, frames, config)
     leads = []
     lead = simulate._lead
     monkeypatch.setattr(simulate, "_lead", lambda *args: leads.append(len(leads)) or lead(*args))
     log = _log_checks(monkeypatch)
     calls = _count_neuron_steps(monkeypatch)
+    runs = _log_runs(monkeypatch, calls)
     assert decide(net, frames, config).tolist() == want.tolist()
     assert log == [(0, False)] and len(leads) == 1
+    assert [(plan.batch, top) for plan, top, _ in runs] == [(6, 4)]
     assert output_steps(calls) == config.timesteps
 
 
