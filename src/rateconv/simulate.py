@@ -27,10 +27,11 @@ population j runs block b at iteration b + j, on the currents of the
 spikes population j-1 produced for block b in the iteration before; a
 run whose input leaves the loop (see One rule) starts it at iteration 1.
 A run is three parts (_run_stages): a _Plan of the batch, made once,
-which holds its layout (the units, each population's place in the
-buffers, the gather indices, the input's drive, K and the block
-count) and computes a population's currents for a block; the
-pipelined loop over the blocks, on one spike buffer; and the result:
+which holds the run's config and its layout (the units, each
+population's place in the buffers, the gather indices, the input's
+drive) and computes the steps per block and a population's currents
+for a block; the pipelined loop over the blocks, on one spike buffer;
+and the result:
 a decision from the output population alone, a SimResult from the end
 state per population.  A stage that gathers its inputs (a conv stage,
 and the first stage kept per row, which reads the last population kept
@@ -47,13 +48,18 @@ pipeline fills and drains) are one slice, and each step is three ufunc
 calls on it (_integrate): add the currents, compare with v_thr,
 subtract v_thr where a spike fired.  The last block may be short; only
 the lowest active population can be in it, and it leaves the slice
-after its last step.  K, the steps per block, is min(BLOCK_BYTES // (8
-E), ceil(sqrt(10 T)), T), at least 1, where E is the larger of the
-state per step (the elements of every population the run steps) and
-the columns one of its stages gathers per step (fan-in times its
-elements over its channels): memory
-stays bounded whatever T is, and a short run is one block, layer after
-layer.
+after its last step.  K, the steps per block of a run of populations
+0..top (_Plan.block, the one rule for a run's time chunks: the loop's
+blocks, the suffix bound's window GEMMs), is min(BLOCK_BYTES // (8 E),
+ceil(sqrt(10 T)), T), at least 1, where E is the larger of the state
+per step (the elements of every population the run steps) and the
+columns one of its stages gathers per step (fan-in times its elements
+over its channels): memory stays bounded whatever T is, and a short
+run is one block, layer after layer.  A block's step buffers, a take
+and its GEMM result are alive at once, about twice BLOCK_BYTES:
+replay-conv seed 0's exact prefix (K = 36: a take [72, 50 * 36] beside
+currents [36, 882]) and its 6-row re-run (K = 54: a take [400, 6 * 54]
+beside currents [54, 982]) each hold about 1.5 MiB.
 
 Each distinct receptive field once.  Conv weights are shared across
 positions, every run starts from rest, and an exact stage (below)
@@ -133,7 +139,7 @@ readout is the output's current summed over the run, over T v_thr (a
 rate is summed current, Rueckauer et al. 2017): a row is decided once a
 sound bound on that sum leaves its leading output ahead of every other.
 A run that may be certified takes one bound (_bounds), and its steps
-are these:
+are these, each reading T and v_thr from the plan's config:
 
 - on a net with units, the exact prefix (_prefix): populations 0..k, k
   = len(units) - 1, the last kept per unit, run to T by the one loop
@@ -185,8 +191,8 @@ The bound, population by population, each with T steps to run from V =
 Each stage's bound is its layer applied by _Plan.linear, as its
 currents are: its weights, W+ and W- to the window counts, or the rows
 W_a - W_c, to the centers below and their magnitudes to the half
-widths.  The window GEMMs go in chunks whose gathered values and
-results stay within BLOCK_BYTES.  L weighs the bound's cost, about 64
+widths.  The window GEMMs go block(k + 1) windows at a time, as a block
+of population k + 1's currents.  L weighs the bound's cost, about 64
 windows whatever T is, against its width, about a spike per step of
 L, while the leads grow with T; on the benchmark's replay frames ceil(T
 / 64) measured faster than T / 100 and T / 50.
@@ -254,7 +260,7 @@ from .network import (LayerSpec, NetworkSpec, _distinct_codes, affine_rows, appl
                       require_integer, require_number, unit_maps, validate_network)
 
 READOUTS = ("rate", "robust")
-BLOCK_BYTES = 1 << 20  # caps K * batch * (all populations' neurons) * 8 bytes
+BLOCK_BYTES = 1 << 20  # _Plan.block's cap on K * E * 8; a block holds about twice it
 
 
 @dataclass
@@ -403,15 +409,19 @@ class _Plan:
     step; steady says it fires them at every step, so the first stage's
     currents are one step's (see One rule).
 
-    K, the steps per block of a whole run (block(top) for a run of
-    populations 0..top), caps K * elements float64 values at
-    BLOCK_BYTES, elements being the larger of the state per step and a
-    stage's gathered values per step (index[j].size * cols[j-1], its
-    fan-in * positions * cols[j]); ceil(sqrt(10 T)) weighs the
-    per-block work (T / K blocks) against the pipeline's partly filled
-    ends (about K steps per population); a block never exceeds the run.
-    picked[c] is the first row of column c (None without units), and L
-    the steps per window of a deciding run's exact prefix.
+    config is the SimConfig it was made from, whence a run reads T,
+    v_thr and the readout.  block(top) is K, the steps per block of a
+    run of populations 0..top and the one rule for a run's time chunks
+    (the loop's blocks, the suffix bound's window GEMMs): it caps K *
+    elements float64 values at BLOCK_BYTES, elements being the larger
+    of the state per step and a stage's gathered values per step
+    (index[j].size * cols[j-1], its fan-in * positions * cols[j]), of
+    which a block holds about twice at once (see Order of work);
+    ceil(sqrt(10 T)) weighs the per-block work (T / K blocks) against
+    the pipeline's partly filled ends (about K steps per population); a
+    block never exceeds the run.  picked[c] is the first row of column c
+    (None without units), and L the steps per window of a deciding
+    run's exact prefix.
     """
 
     def __init__(self, stages: list[_Stage], frames: np.ndarray, config: SimConfig):
@@ -457,9 +467,7 @@ class _Plan:
                 self.index.append(padded[stage.gather])
         self.stages, self.batch, self.units, self.shapes = stages, batch, units, shapes
         self.neurons, self.cols, self.edges, self.columns = neurons, cols, edges, columns
-
-        T = self.timesteps = config.timesteps
-        self.K = self.block(len(shapes) - 1)
+        self.config = config
         self.fired0 = self.drive >= config.v_thr
         self.steady = bool(np.all(self.fired0 | (self.drive <= 0.0)))
 
@@ -468,11 +476,11 @@ class _Plan:
         """The steps per window of a deciding run's exact prefix, ceil(T /
         64): at most 64 windows, whatever T is (see Certified early
         decisions)."""
-        return -(-self.timesteps // 64)
+        return -(-self.config.timesteps // 64)
 
     def block(self, top: int) -> int:
         """K for a run of populations 0..top (see the class docstring)."""
-        T = self.timesteps
+        T = self.config.timesteps
         gathered = max((index.size * m for index, m in zip(self.index[1:top + 1], self.cols)
                         if index is not None), default=0)
         return max(1, min(BLOCK_BYTES // (8 * max(self.edges[top + 1], gathered)),
@@ -583,8 +591,7 @@ def _bias(plan: _Plan, j: int) -> np.ndarray:
     return np.repeat(bias, plan.neurons[j] // len(bias) * plan.cols[j])
 
 
-def _bounds(plan: _Plan, config: SimConfig,
-            prefix: Optional[tuple[np.ndarray, np.ndarray]] = None
+def _bounds(plan: _Plan, prefix: Optional[tuple[np.ndarray, np.ndarray]] = None
             ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The bound of a run, after its exact prefix (_prefix) or, without
     one, at rest, before any step: (feed, lead, margin), or None where a
@@ -601,7 +608,7 @@ def _bounds(plan: _Plan, config: SimConfig,
     outputs, columns] is the lowest total_a - total_c of the output's
     currents summed over the run, for every ordered pair (a, c), and
     margin the most the readout's rounding can take from it."""
-    T, v_thr, edges = config.timesteps, config.v_thr, plan.edges
+    T, v_thr, edges = plan.config.timesteps, plan.config.v_thr, plan.edges
     last = len(edges) - 2
     k = len(plan.units) - 1 if prefix is not None else 0
     feed = np.zeros((4, edges[-1]))
@@ -616,7 +623,7 @@ def _bounds(plan: _Plan, config: SimConfig,
             if prefix is not None and j <= k:
                 n_low = n_high = prefix[0][flat]
             elif prefix is not None and j == k + 1:
-                n_low, n_high = _suffix_counts(plan, config, j, prefix[1])
+                n_low, n_high = _suffix_counts(plan, j, prefix[1])
             else:
                 if j == 0:
                     slack = 3.0 * _slack(T, 1, float(np.max(np.abs(plan.drive))), v_thr)
@@ -676,8 +683,7 @@ def _bounds(plan: _Plan, config: SimConfig,
     return feed, lead, margin
 
 
-def _suffix_counts(plan: _Plan, config: SimConfig, j: int,
-                   windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _suffix_counts(plan: _Plan, j: int, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lowest, highest) spike count over the run of each neuron of
     population j, from population j-1's spikes summed over each window of
     L steps (windows, [windows, edges[j]], population j-1's part filled).
@@ -691,13 +697,14 @@ def _suffix_counts(plan: _Plan, config: SimConfig, j: int,
     s that did not fire V(s) < v_thr, so N > T - 1 + min over s of (S(s)
     - s v_thr) / v_thr, and that min is at least the min over windows of
     S(e) - e v_thr - W+ counts - L max(b - v_thr, 0).  The window GEMMs go
-    in chunks whose gathered values and results stay within BLOCK_BYTES."""
-    T, v_thr, L = config.timesteps, config.v_thr, plan.L
+    plan.block(j) windows at a time, as the loop's blocks of population
+    j's currents go."""
+    T, v_thr, L = plan.config.timesteps, plan.config.v_thr, plan.L
     stage = plan.stages[j - 1]
     size = plan.neurons[j] * plan.cols[j]
     bias, parts = _bias(plan, j), np.vstack([np.maximum(stage.kernel, 0.0),
                                              np.minimum(stage.kernel, 0.0)])
-    rows = max(1, BLOCK_BYTES // (8 * (plan.index[j].size * plan.cols[j - 1] + 2 * size)))
+    rows = plan.block(j)
     held, high, low = np.zeros(size), np.full(size, -np.inf), np.full(size, np.inf)
     for w0 in range(0, len(windows), rows):
         z = np.ascontiguousarray(plan.linear(j, parts, windows[w0:w0 + rows]))
@@ -707,8 +714,7 @@ def _suffix_counts(plan: _Plan, config: SimConfig, j: int,
         ends = up + down
         ends += (end - np.arange(w0, w0 + len(z))[:, None] * L) * bias
         ends[0] += held
-        for r in range(1, len(ends)):
-            ends[r] += ends[r - 1]
+        np.cumsum(ends, axis=0, out=ends)
         held = ends[-1].copy()
         np.maximum(high, np.max(ends - down, axis=0), out=high)
         ends -= end * v_thr
@@ -720,7 +726,7 @@ def _suffix_counts(plan: _Plan, config: SimConfig, j: int,
             np.minimum(np.floor((high + slack) / v_thr), T))
 
 
-def _prefix(plan: _Plan, config: SimConfig) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def _prefix(plan: _Plan) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The exact prefix of a deciding run on a net with units: populations
     0..k, k = len(units) - 1, run to T by the one loop (_loop), as
     (counts [edges[k+1]], windows [ceil(T / L), edges[k+1]]), windows
@@ -729,20 +735,10 @@ def _prefix(plan: _Plan, config: SimConfig) -> Optional[tuple[np.ndarray, np.nda
     if not plan.units:
         return None
     k = len(plan.units) - 1
-    windows = np.zeros((-(-plan.timesteps // plan.L), plan.edges[k + 1]),
+    windows = np.zeros((-(-plan.config.timesteps // plan.L), plan.edges[k + 1]),
                        dtype=np.min_scalar_type(plan.L))
-    counts = _loop(plan, config, True, k, windows)[1]
+    counts = _loop(plan, True, k, windows)[1]
     return counts, windows
-
-
-def _certified(plan: _Plan, config: SimConfig) -> np.ndarray:
-    """[outputs, columns]: which output of each column the run's one bound
-    check (_bounds after _prefix) certifies; none where the bound is not
-    finite."""
-    bounds = _bounds(plan, config, _prefix(plan, config))
-    if bounds is None:
-        return np.zeros((1, plan.columns), dtype=bool)
-    return _lead(*bounds[1:])
 
 
 def _lead(lead: np.ndarray, margin: np.ndarray) -> np.ndarray:
@@ -828,19 +824,21 @@ def _run_stages(stages: list[_Stage], frames: np.ndarray, config: SimConfig,
     open (see Certified early decisions in the module docstring)."""
     plan = _Plan(stages, frames, config)
     if not (decide and _certifiable(stages, config)):
-        return _run_to_T(plan, config, decide)
-    win = _certified(plan, config)
+        return _run_to_T(plan, decide)
+    # which output of each column the bound certifies: none if it is not finite
+    bounds = _bounds(plan, _prefix(plan))
+    win = np.zeros((1, plan.columns), dtype=bool) if bounds is None else _lead(*bounds[1:])
     actions, open_ = np.argmax(win, axis=0), ~win.any(axis=0)
     by_row = plan.rows
     if open_.any():
         # a row of a batch is bit for bit its frame's run alone
         rows = np.flatnonzero(open_) if plan.picked is None else plan.picked[open_]
         plan = None  # the batch's indices go before the sub-batch's run
-        actions[open_] = _run_to_T(_Plan(stages, frames[rows], config), config, True)
+        actions[open_] = _run_to_T(_Plan(stages, frames[rows], config), True)
     return actions if by_row is None else actions[by_row]
 
 
-def _loop(plan: _Plan, config: SimConfig, decide: bool, top: int,
+def _loop(plan: _Plan, decide: bool, top: int,
           windows: Optional[np.ndarray] = None
           ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
     """The pipelined loop of a run of populations 0..top to T, in blocks
@@ -850,7 +848,7 @@ def _loop(plan: _Plan, config: SimConfig, decide: bool, top: int,
     which runs every population.  windows, if given, [ceil(T / L),
     edges[top+1]], gets population top's spikes summed over each window
     of plan.L steps added in its part."""
-    T, v_thr, columns, edges = config.timesteps, config.v_thr, plan.columns, plan.edges
+    T, v_thr, columns, edges = plan.config.timesteps, plan.config.v_thr, plan.columns, plan.edges
     K, view, currents_of = plan.block(top), plan.view, plan.currents
     n_blocks = -(-T // K)
 
@@ -866,7 +864,7 @@ def _loop(plan: _Plan, config: SimConfig, decide: bool, top: int,
     fired = np.empty((K, width), dtype=bool)
     sums = None if decide else np.zeros(width)
     trail = np.empty((K, width - edges[top])) \
-        if not decide and config.readout == "robust" else None
+        if not decide and plan.config.readout == "robust" else None
     if plan.steady:
         view(currents, 1, K)[:] = currents_of(1, plan.fired0[None], 1)
     if not leaves:
@@ -927,12 +925,12 @@ def _loop(plan: _Plan, config: SimConfig, decide: bool, top: int,
     return potentials, counts, sums, settle
 
 
-def _run_to_T(plan: _Plan, config: SimConfig, decide: bool) -> SimResult | np.ndarray:
+def _run_to_T(plan: _Plan, decide: bool) -> SimResult | np.ndarray:
     """The whole run of a plan, every population to T, and its result:
     each row's action with decide, a SimResult otherwise."""
-    T, v_thr, columns = config.timesteps, config.v_thr, plan.columns
+    T, v_thr, columns = plan.config.timesteps, plan.config.v_thr, plan.columns
     last_pop = len(plan.edges) - 2
-    potentials, counts, sums, settle = _loop(plan, config, decide, last_pop)
+    potentials, counts, sums, settle = _loop(plan, decide, last_pop)
     # Each column's readout, from the output population alone: [columns, outputs].
     out = slice(plan.edges[-2], plan.edges[-1])
     rate_last = counts[out].reshape(-1, columns).T / T
@@ -943,12 +941,12 @@ def _run_to_T(plan: _Plan, config: SimConfig, decide: bool) -> SimResult | np.nd
         raise ValueError(f"the output potentials over timesteps * v_thr = {T} * {v_thr} "
                          f"overflow the readout")
     if decide:
-        return plan.by_row(np.argmax(rate_last if config.readout == "rate" else f_last,
+        return plan.by_row(np.argmax(rate_last if plan.config.readout == "rate" else f_last,
                                      axis=1))
     rates = [c / T for c in plan.per_population(counts)]
     residuals = [v / T for v in plan.per_population(potentials)]
     avg_currents = [z / (T * v_thr) for z in plan.per_population(sums)]
-    return SimResult(timesteps=T, v_thr=v_thr, readout=config.readout,
+    return SimResult(timesteps=T, v_thr=v_thr, readout=plan.config.readout,
                      rates=rates, residuals=residuals, avg_currents=avg_currents,
                      rate_last=plan.by_row(rate_last), f_last=plan.by_row(f_last),
                      settle_step=plan.by_row(settle))

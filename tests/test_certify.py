@@ -48,9 +48,9 @@ def _log_runs(monkeypatch, calls):
     runs = []
     loop = simulate._loop
 
-    def logged(plan, config, decide, top, windows=None):
+    def logged(plan, decide, top, windows=None):
         first = len(calls)
-        end_state = loop(plan, config, decide, top, windows)
+        end_state = loop(plan, decide, top, windows)
         runs.append((plan, top, calls[first:]))
         return end_state
 
@@ -208,8 +208,8 @@ def _check_bounds(net, frames, config):
     currents; and every column it certifies answers the run's action."""
     T = config.timesteps
     plan = simulate._Plan(_checked_stages(net), frame_stack(net, frames), config)
-    prefix = simulate._prefix(plan, config)
-    bounds = simulate._bounds(plan, config, prefix)
+    prefix = simulate._prefix(plan)
+    bounds = simulate._bounds(plan, prefix)
     if bounds is None:
         return
     feed, lead, margin = bounds
@@ -259,8 +259,29 @@ def test_bound_that_is_not_finite_certifies_nothing():
                            ([[0, 1, 1, 0], [1, 1, 0, 0]], SimConfig(timesteps=10, v_thr=1e308))]:
         plan = simulate._Plan(_build_stages(net), np.array(frames, dtype=np.float64), config)
         assert not plan.steady and not plan.units
-        assert simulate._prefix(plan, config) is None
-        assert simulate._bounds(plan, config) is None
+        assert simulate._prefix(plan) is None
+        assert simulate._bounds(plan) is None
+
+
+def test_run_whose_bound_is_not_finite_goes_to_T(monkeypatch):
+    """A run that may be certified, on a net with every weight and bias
+    scaled by 1e20 so that v_thr = 1e308 is a whole multiple of each u,
+    whose margin T v_thr overflows: its one bound check certifies no
+    column, so both rows run to T together and answer the argmax of the
+    whole run's readout, with no overflow warning."""
+    net = rand_dense_net(np.random.default_rng(3), sizes=[4, 3, 2])
+    net = NetworkSpec(net.input_shape, [replace(layer, weights=layer.weights * 1e20,
+                                                bias=layer.bias * 1e20) for layer in net.layers])
+    frames = np.array([[0, 1, 1, 0], [1, 1, 0, 0]], dtype=np.float64)
+    config = SimConfig(timesteps=10, v_thr=1e308)
+    plan = simulate._Plan(_build_stages(net), frames, config)
+    assert simulate._certifiable(plan.stages, config) and simulate._bounds(plan) is None
+    want = whole_run_actions(net, frames, config)
+    log = _log_checks(monkeypatch)
+    runs = _log_runs(monkeypatch, _count_neuron_steps(monkeypatch))
+    assert SpikingAgent(net, config).actions(frames).tolist() == want.tolist() == [0, 0]
+    assert log == [(0, False)]
+    assert [(p.batch, top) for p, top, _ in runs] == [(2, len(plan.edges) - 2)]
 
 
 def _state_elements(net, frames):

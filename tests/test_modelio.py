@@ -418,6 +418,25 @@ def test_blob_changed_between_passes_is_a_blob_error(tmp_path, rng, change):
         collect_stats(net, reader, NormConfig())
 
 
+@pytest.mark.parametrize("kind", ["trace", "blob"])
+def test_file_that_shrinks_during_a_pass_is_changed(tmp_path, rng, kind):
+    """A file cut to half its size after the first window of a pass, 200
+    16x16 frames (more than a read buffer holds), comes up short in a
+    later window of that pass: the reader's error, not fewer frames."""
+    path = tmp_path / kind
+    if kind == "trace":
+        write_trace(_trace(rng, 200, shape=(1, 16, 16)), path)
+        windows, error = TraceReader(path).windows(16), TraceError
+    else:
+        write_blob(path, rng.random((200, 1, 16, 16)).astype(np.float32))
+        windows, error = open_frames(path).frame_windows(16), BlobError
+    next(windows)
+    with path.open("r+b") as fh:
+        fh.truncate(path.stat().st_size // 2)
+    with pytest.raises(error, match="changed while it was being read"):
+        list(windows)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), shape=st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),

@@ -935,6 +935,14 @@ def gathered_plans(draw):
     return plan, block_bytes, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
+def _blocks(plan, block_bytes):
+    """plan.block(top) for every top, the last population a run steps,
+    under the BLOCK_BYTES the plan was made under."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "BLOCK_BYTES", block_bytes)
+        return [plan.block(top) for top in range(len(plan.shapes))]
+
+
 def _expanded(plan, j, values):
     """Population j's part of a flat [edges[-1]] state as [batch, *shape]:
     a unit's values at every position that holds it, a signature's in
@@ -954,8 +962,8 @@ def test_gathered_stages_equal_apply_layer_linear_bit_for_bit(case):
     *shape], batch-major; and so does _Plan.linear, plus the bias, on
     float rows of half-integers up to T, as the bound at rest feeds it,
     wherever such rows keep every sum exact."""
-    plan, _, rng = case
-    T, K, edges = plan.timesteps, plan.K, plan.edges
+    plan, block_bytes, rng = case
+    T, K, edges = plan.config.timesteps, _blocks(plan, block_bytes)[-1], plan.edges
     for j, stage in enumerate(plan.stages, start=1):
         if plan.index[j] is None or not stage.exact:
             continue
@@ -983,16 +991,22 @@ def test_gathered_stages_equal_apply_layer_linear_bit_for_bit(case):
 @given(case=gathered_plans())
 def test_gathered_blocks_stay_within_block_bytes(case):
     """A gathered stage takes fan-in * positions * cols float64 values per
-    step from its step-minor copy of the population below; K of them stay
-    within BLOCK_BYTES unless K is 1."""
+    step from its step-minor copy of the population below.  In every run
+    that steps or gathers it, of populations 0..top (the exact prefix's,
+    the suffix bound's window GEMMs', the whole run's), K = block(top) of
+    them, and K steps of the state, stay within BLOCK_BYTES unless K is 1."""
     plan, block_bytes, _ = case
+    blocks = _blocks(plan, block_bytes)
+    for top, K in enumerate(blocks):
+        assert K == 1 or 8 * K * plan.edges[top + 1] <= block_bytes
     for j, (stage, index) in enumerate(zip(plan.stages, plan.index[1:]), start=1):
         if index is None:
             continue
         positions = plan.neurons[j] // len(stage.layer.bias64)
         gathered = stage.layer.weights64[0].size * positions * plan.cols[j]
         assert index.size * plan.cols[j - 1] == gathered
-        assert plan.K == 1 or 8 * plan.K * gathered <= block_bytes
+        for K in blocks[j:]:
+            assert K == 1 or 8 * K * gathered <= block_bytes
 
 
 def test_conv_populations_step_distinct_windows_on_linecatch_frames(rng, monkeypatch):
